@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-smoke fuzz-smoke crash-smoke churn-smoke slo-smoke load-smoke stats-smoke throughput-smoke
+.PHONY: build test check bench bench-smoke fuzz-smoke crash-smoke gate-smoke
 
 build:
 	$(GO) build ./...
@@ -10,67 +10,31 @@ test:
 
 # check is the tier-1 verification gate: vet plus the full test suite
 # under the race detector (the chaos tests exercise concurrent retries,
-# repair and fault injection), then the seeded crash-recovery sweep,
-# the churn emulation, the SLO/flight-recorder overload run, the
-# adaptive-replication load gate, the statistics-registry estimation
-# gate and the batched-engine throughput gate at smoke scale.
+# repair and fault injection), the nested benchmark module (frozen, so
+# an API change that breaks it must fail here, not in the pipeline),
+# the seeded crash-recovery sweep, and the experiment gates.
 check:
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	$(GO) -C bench vet .
+	$(GO) -C bench test .
 	$(MAKE) crash-smoke
-	$(MAKE) churn-smoke
-	$(MAKE) slo-smoke
-	$(MAKE) load-smoke
-	$(MAKE) stats-smoke
-	$(MAKE) throughput-smoke
+	$(MAKE) gate-smoke
 
-# churn-smoke runs the churn emulation harness at its smallest scale: a
-# seeded join/leave/crash schedule over a replicated overlay, asserting
-# (via the printed report) that queries keep succeeding and the index
-# converges back to the churn-free oracle. Deterministic: same seed,
-# same schedule.
-churn-smoke:
-	$(GO) run ./cmd/kadop-bench -exp churn -short
-
-# slo-smoke runs the observability-plane gate: a seeded overload run
-# that fails unless the burn-rate alert fires under injected jitter and
-# loss (and stays quiet when healthy), the flight watchdog writes a
-# non-empty dump, and the dump's query trace ids also appear as
-# histogram exemplars. Deterministic: same seed, same fault schedule.
-slo-smoke:
-	$(GO) run ./cmd/kadop-bench -exp slo -short
-
-# load-smoke is the closed-loop skew gate: the load experiment's
-# adaptive phase replays the same seeded Zipf stream before and after
-# the replication controllers engage and exits non-zero unless the
-# controllers promoted and BOTH the per-peer serving-load Gini and the
-# query latency p99 strictly improved. Deterministic: same seed, same
-# query mix in both phases.
-load-smoke:
-	$(GO) run ./cmd/kadop-bench -exp load -short
-
-# stats-smoke is the query-cost-plane gate: a DPP deployment answers a
-# repeated workload, the querier's statistics registry trains its
-# selectivity EWMAs on warmup passes, and the run exits non-zero unless
-# the measured p95 cardinality-estimation relative error stays under
-# the bound and every phase (fetch, join, answers) reports nonzero
-# operator actuals. Deterministic: same seed, same corpus, same
-# estimates.
-stats-smoke:
-	$(GO) run ./cmd/kadop-bench -exp stats -short
-
-# throughput-smoke is the batched-engine gate: the concurrent-workload
-# experiment publishes the same corpus per-doc and through the bulk
-# pipeline at fsync=always and fails unless group commit buys at least
-# its bound in publish throughput; it then measures index-query p99
-# idle, during an equal bulk publish into an UNRELATED cluster (the
-# CPU-contention control) and during a bulk publish into the queried
-# cluster itself, and fails if the last exceeds 1.5x the worse baseline
-# plus slack — snapshot reads mean queries never wait on the writer, so
-# publishing into the queried stores must cost no more than publishing
-# next to them. Deterministic workload: same seed, same corpus.
-throughput-smoke:
-	$(GO) run ./cmd/kadop-bench -exp throughput -short
+# gate-smoke runs each seeded, deterministic `kadop-bench -exp X -short`
+# gate; every one exits non-zero when its property fails. Run a subset
+# with `make gate-smoke GATES=slo`.
+#   churn       join/leave/crash schedule: queries keep succeeding, index converges to the churn-free oracle
+#   slo         overload run: burn-rate alert fires (quiet when healthy), flight dump links to histogram exemplars
+#   load        adaptive replication: controllers promote, serving-load Gini and query p99 both strictly improve
+#   stats       statistics registry: p95 cardinality-estimation error under bound, every phase reports operator actuals
+#   throughput  batched engine: group commit holds its publish bound at fsync=always, query p99 under bulk publish within 1.5x of the controls
+GATES := churn slo load stats throughput
+gate-smoke:
+	@for g in $(GATES); do \
+		echo "$(GO) run ./cmd/kadop-bench -exp $$g -short"; \
+		$(GO) run ./cmd/kadop-bench -exp $$g -short || exit 1; \
+	done
 
 # crash-smoke is the durability gate: the crash-injection property and
 # sweep tests at a fixed, deeper trial budget than the default `go

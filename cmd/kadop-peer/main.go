@@ -33,7 +33,6 @@ func main() {
 		dataDir   = flag.String("data", "", "durable data directory: index WAL, published documents and directory entries survive restarts from it")
 		fsyncMode = flag.String("fsync", "always", "index WAL fsync policy with -data: always|interval|off")
 		batch     = flag.Bool("batch", false, "coalesce concurrent index appends into group-committed WAL batches (one fsync per batch)")
-		batchOps  = flag.Int("batch-ops", 0, "max operations per coalesced batch (with -batch; 0 = default 256)")
 		batchWait = flag.Duration("batch-wait", 0, "extra time a batch leader waits to grow its group (with -batch; 0 = flush immediately)")
 		useDPP    = flag.Bool("dpp", false, "enable distributed posting partitioning")
 		cache     = flag.Int64("cache", 0, "posting-block cache capacity in bytes (0 = off; effective with -dpp)")
@@ -77,7 +76,7 @@ func main() {
 		ShedRate:  *shedRate, ShedBurst: *shedBurst,
 	}
 	if *batch {
-		cfg.Batching = kadop.BatchingConfig{Enabled: true, MaxOps: *batchOps, MaxDelay: *batchWait}
+		cfg.Batching = kadop.BatchingConfig{Enabled: true, MaxDelay: *batchWait}
 	}
 	if *replicate > 0 {
 		cfg.Replicate = kadop.ReplicateConfig{

@@ -156,8 +156,11 @@ func (n *Node) streamBatch(req Message, send func(Message) error) error {
 	// One snapshot for the whole batch: every key's list comes from the
 	// same committed generation, so a publish landing between keys
 	// cannot skew a join's inputs against each other.
-	view, release := n.readView()
-	defer release()
+	view, err := n.store.Snapshot()
+	if err != nil {
+		return err
+	}
+	defer view.Close()
 	for _, key := range keys {
 		n.load.ServeBlock()
 		batch := make(postings.List, 0, n.cfg.ChunkSize)

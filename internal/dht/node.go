@@ -109,7 +109,8 @@ type Node struct {
 	self      Contact
 	cfg       Config
 	table     *Table
-	store     store.Store
+	store     store.Store // metered: every operation accrues to load
+	rawStore  store.Store // the same store unmetered, for maintenance reads
 	tr        Transport
 	collector *metrics.Collector
 	load      *metrics.Load
@@ -160,7 +161,7 @@ func NewNode(tr Transport, st store.Store, cfg Config) (*Node, error) {
 	// streams, DPP block serves — accrues to this node's per-peer load
 	// ledger. The simulated network shares one Collector across all
 	// peers, so the per-node Load is what makes skew observable there.
-	n.store = store.Instrument(st, n.load)
+	n.store, n.rawStore = store.Instrument(st, n.load), st
 	n.rng = newRetryRNG(n.cfg.Seed)
 	// Robustness events land in the transport's collector, next to the
 	// traffic they explain.
@@ -200,35 +201,16 @@ func (n *Node) from() Contact {
 // local index organisation such as DPP blocks).
 func (n *Node) Store() store.Store { return n.store }
 
-// quietStore returns the store without its load instrumentation, for
-// maintenance reads (replication pushes) that must not register as
-// serving demand in the hot-term sketch.
-func (n *Node) quietStore() store.Store {
-	if u, ok := n.store.(*store.Instrumented); ok {
-		return u.Unwrap()
+// localGet reads key's list through a snapshot of the local store, so
+// a serving read never blocks behind the writer lock and never observes
+// a half-applied publish batch.
+func (n *Node) localGet(key string) (postings.List, error) {
+	view, err := n.store.Snapshot()
+	if err != nil {
+		return nil, err
 	}
-	return n.store
-}
-
-// storeReader is the read slice of store.Store, satisfied by both the
-// store and a store.Snapshot.
-type storeReader interface {
-	Get(term string) (postings.List, error)
-	Scan(term string, from sid.Posting, fn func(sid.Posting) bool) error
-	Count(term string) (int, error)
-	Terms() ([]string, error)
-}
-
-// readView pins a snapshot of the local store for one serving read, so
-// handlers answer queries without blocking behind the writer lock and
-// without ever observing a half-applied publish batch. Stores without
-// snapshot support fall back to direct reads. The caller must invoke
-// the returned release func when done.
-func (n *Node) readView() (storeReader, func()) {
-	if snap := store.SnapshotOf(n.store); snap != nil {
-		return snap, func() { snap.Close() }
-	}
-	return n.store, func() {}
+	defer view.Close()
+	return view.Get(key)
 }
 
 // Metrics exposes the node's collector (the transport's, when the
@@ -656,11 +638,7 @@ func (n *Node) GetContext(ctx context.Context, key string) (postings.List, error
 	for _, o := range owners {
 		var l postings.List
 		if o.ID == n.self.ID {
-			var view storeReader
-			var release func()
-			view, release = n.readView()
-			l, err = view.Get(key)
-			release()
+			l, err = n.localGet(key)
 		} else {
 			var resp Message
 			resp, err = n.call(ctx, o, Message{Type: MsgGet, From: n.from(), Key: key})
@@ -766,13 +744,9 @@ func (n *Node) digestOf(ctx context.Context, to Contact, key string) (int, error
 	return int(v), nil
 }
 
-// StreamFrom opens a posting stream for an arbitrary request against a
-// specific peer (used by the DPP layer to fetch blocks).
-func (n *Node) StreamFrom(owner Contact, req Message) (postings.Stream, error) {
-	return n.StreamFromContext(context.Background(), owner, req)
-}
-
-// StreamFromContext is StreamFrom under a caller-controlled deadline.
+// StreamFromContext opens a posting stream for an arbitrary request
+// against a specific peer (used by the DPP layer to fetch blocks), under
+// a caller-controlled deadline.
 func (n *Node) StreamFromContext(ctx context.Context, owner Contact, req Message) (postings.Stream, error) {
 	return n.streamFromPolicy(ctx, owner, req, n.cfg.Retry)
 }
@@ -948,13 +922,9 @@ func (n *Node) CallProcOwnersContext(ctx context.Context, key, proc string, blob
 	return out, nil
 }
 
-// CallProcAny invokes an application procedure on the replica owners
-// of key in turn, returning the first success (replicated reads).
-func (n *Node) CallProcAny(key, proc string, blob []byte) ([]byte, error) {
-	return n.CallProcAnyContext(context.Background(), key, proc, blob)
-}
-
-// CallProcAnyContext is CallProcAny under a caller-controlled deadline.
+// CallProcAnyContext invokes an application procedure on the replica
+// owners of key in turn, returning the first success (replicated
+// reads), under a caller-controlled deadline.
 func (n *Node) CallProcAnyContext(ctx context.Context, key, proc string, blob []byte) ([]byte, error) {
 	owners, err := n.OwnersContext(ctx, key)
 	if err != nil {
@@ -1229,17 +1199,18 @@ func (n *Node) handleCall(from Contact, req Message) Message {
 		if err := n.admitRead(rpcOp(req.Type)); err != nil {
 			return fail(err)
 		}
-		view, release := n.readView()
-		l, err := view.Get(req.Key)
-		release()
+		l, err := n.localGet(req.Key)
 		if err != nil {
 			return fail(err)
 		}
 		return Message{Type: MsgAck, From: n.self, Postings: l}
 	case MsgDigest:
-		view, release := n.readView()
+		view, err := n.store.Snapshot()
+		if err != nil {
+			return fail(err)
+		}
 		c, err := view.Count(req.Key)
-		release()
+		view.Close()
 		if err != nil {
 			return fail(err)
 		}
@@ -1248,8 +1219,11 @@ func (n *Node) handleCall(from Contact, req Message) Message {
 		// One snapshot across the whole enumeration: the terms and their
 		// counts describe a single committed generation even while a
 		// bulk publish rewrites the index underneath.
-		view, release := n.readView()
-		defer release()
+		view, err := n.store.Snapshot()
+		if err != nil {
+			return fail(err)
+		}
+		defer view.Close()
 		terms, err := view.Terms()
 		if err != nil {
 			return fail(err)
@@ -1333,11 +1307,14 @@ func (n *Node) HandleStream(from Contact, req Message, send func(Message) error)
 // chunks: the stream delivers one committed generation end to end, even
 // when publishes land mid-transfer.
 func (n *Node) streamList(key string, send func(Message) error) error {
-	view, release := n.readView()
-	defer release()
+	view, err := n.store.Snapshot()
+	if err != nil {
+		return err
+	}
+	defer view.Close()
 	batch := make(postings.List, 0, n.cfg.ChunkSize)
 	var sendErr error
-	err := view.Scan(key, sid.MinPosting, func(p sid.Posting) bool {
+	err = view.Scan(key, sid.MinPosting, func(p sid.Posting) bool {
 		batch = append(batch, p)
 		if len(batch) == n.cfg.ChunkSize {
 			sendErr = send(Message{Type: MsgChunk, From: n.self, Postings: batch})

@@ -163,7 +163,7 @@ func (n *Node) RepairPushContext(ctx context.Context, to Contact, key string) (b
 	// not demand. Charging it to the hot-term sketch would make every
 	// promotion self-sustaining — the renewal push re-heats the very
 	// term it replicates and the controller never demotes.
-	list, err := n.quietStore().Get(key)
+	list, err := n.rawStore.Get(key)
 	if err != nil {
 		return false, err
 	}

@@ -34,7 +34,6 @@ import (
 	"kadop/internal/postings"
 	"kadop/internal/replicate"
 	"kadop/internal/sid"
-	"kadop/internal/store"
 )
 
 // Proc names registered on every peer. The prefixes route traffic
@@ -238,25 +237,6 @@ func NewManager(node *dht.Node, opts Options) (*Manager, error) {
 // Cache returns the manager's block cache (nil when caching is off),
 // for stats surfacing on the admin endpoint and in experiments.
 func (m *Manager) Cache() *blockcache.Cache { return m.cache }
-
-// storeReader is the read slice of store.Store shared with snapshots.
-type storeReader interface {
-	Get(term string) (postings.List, error)
-	Scan(term string, from sid.Posting, fn func(sid.Posting) bool) error
-	Count(term string) (int, error)
-}
-
-// readView pins a snapshot of the node's store for one serving read
-// (root or block), falling back to the live store when the store has no
-// snapshot support. Serving through snapshots keeps DPP fetches off the
-// writer lock: a bulk publish in flight neither blocks a block transfer
-// nor tears it mid-generation.
-func (m *Manager) readView() (storeReader, func()) {
-	if snap := store.SnapshotOf(m.node.Store()); snap != nil {
-		return snap, func() { snap.Close() }
-	}
-	return m.node.Store(), func() {}
-}
 
 // Append routes postings for a term through the term's home peer, which
 // maintains the DPP structure. It is the publishing-side entry point.
@@ -573,9 +553,12 @@ func (m *Manager) handleRoot(_ context.Context, _ dht.Contact, term string, _ []
 	if root == nil {
 		inline := &Root{Term: term, Types: m.inlineTypes[term], Gen: m.inlineGen[term]}
 		first := true
-		view, release := m.readView()
-		defer release()
-		err := view.Scan(term, sid.MinPosting, func(p sid.Posting) bool {
+		view, err := m.node.Store().Snapshot()
+		if err != nil {
+			return nil, err
+		}
+		defer view.Close()
+		err = view.Scan(term, sid.MinPosting, func(p sid.Posting) bool {
 			if first {
 				inline.Lo = p
 				first = false
@@ -613,8 +596,11 @@ func (m *Manager) handleBlock(_ context.Context, _ dht.Contact, key string, blob
 	// Serve from a snapshot: the block transfer sees one committed
 	// generation even while the home peer absorbs a bulk publish, and
 	// the scan holds no lock a concurrent batch commit would wait on.
-	view, release := m.readView()
-	defer release()
+	view, err := m.node.Store().Snapshot()
+	if err != nil {
+		return err
+	}
+	defer view.Close()
 	const batchSize = 512
 	batch := make(postings.List, 0, batchSize)
 	var sendErr error

@@ -78,14 +78,9 @@ func (m *Manager) FetchContext(ctx context.Context, term string, opts FetchOptio
 	return m.FetchWithRootContext(ctx, root, opts)
 }
 
-// FetchWithRoot is Fetch for a root already retrieved (the query
-// planner gets all roots first to compute the document interval).
-func (m *Manager) FetchWithRoot(root *Root, opts FetchOptions) (postings.Stream, *FetchPlan, error) {
-	return m.FetchWithRootContext(context.Background(), root, opts)
-}
-
-// FetchWithRootContext is FetchWithRoot under a caller-controlled
-// deadline, which bounds the root and block transfers.
+// FetchWithRootContext is Fetch for a root already retrieved (the query
+// planner gets all roots first to compute the document interval), under
+// a caller-controlled deadline that bounds the block transfers.
 //
 // With a block cache configured, the condition-based block selection of
 // Section 4 is unchanged, but kept blocks are looked up in the cache by

@@ -77,32 +77,18 @@ func RunStoreAblation(o StoreAblationOptions) (*StoreAblationResult, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	stores := []struct {
-		name string
-		s    store.Store
-	}{}
 	bt, err := store.OpenBTree(dir + "/abl.bt")
 	if err != nil {
 		return nil, err
 	}
-	nv, err := store.NewNaive(dir + "/naive")
+	nv, err := newNaiveStore(dir + "/naive")
 	if err != nil {
 		return nil, err
 	}
-	stores = append(stores,
-		struct {
-			name string
-			s    store.Store
-		}{"btree", bt},
-		struct {
-			name string
-			s    store.Store
-		}{"naive (PAST-like)", nv},
-		struct {
-			name string
-			s    store.Store
-		}{"mem", store.NewMem()},
-	)
+	stores := []struct {
+		name string
+		s    store.Store
+	}{{"btree", bt}, {"naive (PAST-like)", nv}, {"mem", store.NewMem()}}
 
 	for _, st := range stores {
 		start := time.Now()

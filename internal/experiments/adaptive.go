@@ -58,7 +58,8 @@ func (a *AdaptiveResult) Err() error { return a.check(true) }
 // detector's scheduling overhead adds latency noise on the order of
 // the improvement being measured, so race-built callers (the `make
 // check` test suite) gate on promotion and the byte-count Gini only,
-// while the non-race load-smoke gate keeps the strict tail assertion.
+// while the non-race load gate (`make gate-smoke`) keeps the strict
+// tail assertion.
 func (a *AdaptiveResult) check(strictTail bool) error {
 	if a.Promoted == 0 {
 		return fmt.Errorf("experiments: adaptive phase promoted nothing")

@@ -21,7 +21,7 @@ import (
 // TestRunLoadAdaptive pins the load experiment's adaptive phase at
 // smoke scale: the controller must promote, and both the serving-load
 // Gini and the query p99 must strictly improve after it engages. This
-// is the same assertion `make load-smoke` gates CI on, kept in the
+// is the same assertion `make gate-smoke` gates CI on, kept in the
 // plain test suite so a regression fails `go test ./...` too.
 func TestRunLoadAdaptive(t *testing.T) {
 	res, err := runLoadAdaptive(LoadOptions{Records: 120, Peers: 8, Queries: 2, Seed: 7}.defaults())

@@ -122,30 +122,25 @@ func NewCluster(o ClusterOptions) (*Cluster, error) {
 }
 
 func (c *Cluster) newStore(o ClusterOptions, i int) (store.Store, error) {
-	switch o.Store {
-	case BTreeStore:
-		dir, err := c.tempDir(o)
-		if err != nil {
-			return nil, err
-		}
-		st, err := store.OpenBTreeOptions(fmt.Sprintf("%s/peer%d.bt", dir, i), store.Options{Fsync: o.Fsync})
-		if err != nil || !o.Batched {
-			return st, err
-		}
-		// The small linger decouples batch formation from disk speed:
-		// batches collect for 2ms regardless of how fast the previous
-		// fsync returned. Bulk publishes trade that latency for an
-		// order of magnitude fewer WAL commits.
-		return store.NewCoalescer(st, store.CoalesceOptions{MaxDelay: 2 * time.Millisecond}), nil
-	case NaiveStore:
-		dir, err := c.tempDir(o)
-		if err != nil {
-			return nil, err
-		}
-		return store.NewNaive(fmt.Sprintf("%s/peer%d", dir, i))
-	default:
+	if o.Store != BTreeStore && o.Store != NaiveStore {
 		return store.NewMem(), nil
 	}
+	dir, err := c.tempDir(o)
+	if err != nil {
+		return nil, err
+	}
+	if o.Store == NaiveStore {
+		return newNaiveStore(fmt.Sprintf("%s/peer%d", dir, i))
+	}
+	st, err := store.OpenBTreeOptions(fmt.Sprintf("%s/peer%d.bt", dir, i), store.Options{Fsync: o.Fsync})
+	if err != nil || !o.Batched {
+		return st, err
+	}
+	// The small linger decouples batch formation from disk speed:
+	// batches collect for 2ms regardless of how fast the previous
+	// fsync returned. Bulk publishes trade that latency for an
+	// order of magnitude fewer WAL commits.
+	return store.NewCoalescer(st, store.CoalesceOptions{MaxDelay: 2 * time.Millisecond}), nil
 }
 
 func (c *Cluster) tempDir(o ClusterOptions) (string, error) {

@@ -144,8 +144,6 @@ type Config struct {
 type BatchingConfig struct {
 	// Enabled wraps the index store in the coalescer.
 	Enabled bool
-	// MaxOps bounds one batch (default 256 when zero).
-	MaxOps int
 	// MaxDelay, when positive, lets a batch leader linger that long
 	// collecting more operations before flushing. Zero (the default)
 	// flushes immediately — serial callers pay no added latency and

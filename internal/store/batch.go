@@ -1,7 +1,6 @@
 package store
 
 import (
-	"errors"
 	"sort"
 
 	"kadop/internal/postings"
@@ -47,32 +46,12 @@ func (b *Batch) Delete(term string, p sid.Posting) {
 // Len reports the number of queued operations.
 func (b *Batch) Len() int { return len(b.ops) }
 
-// Postings reports the total postings queued for append, for load
-// accounting and batch-size bounds.
-func (b *Batch) Postings() int {
-	n := 0
-	for _, op := range b.ops {
-		n += len(op.ps)
-	}
-	return n
-}
-
-// Batcher is implemented by stores that can apply a whole batch as one
-// atomic, single-fsync transaction. A crash during ApplyBatch must
-// recover to all of the batch or none of it.
-type Batcher interface {
-	ApplyBatch(b *Batch) error
-}
-
-// ApplyBatch applies b to st: atomically in one transaction when st
-// implements Batcher, op by op otherwise (same end state, per-op
-// durability cost, no atomicity). A nil or empty batch is a no-op.
-func ApplyBatch(st Store, b *Batch) error {
-	if b == nil || len(b.ops) == 0 {
+// Replay applies the queued operations to st one by one, stopping at
+// the first error — how a store with no transaction of its own (the
+// naive baseline in internal/experiments) implements ApplyBatch.
+func (b *Batch) Replay(st Store) error {
+	if b == nil {
 		return nil
-	}
-	if bs, ok := st.(Batcher); ok {
-		return bs.ApplyBatch(b)
 	}
 	for _, op := range b.ops {
 		var err error
@@ -88,38 +67,19 @@ func ApplyBatch(st Store, b *Batch) error {
 	return nil
 }
 
-// Snapshot is a read-only view of a store pinned at one committed
-// generation. Reads through a snapshot never block behind writers and
-// never observe a later write — in particular they cannot see half of
-// an in-flight batch. Close releases the pin; after Close the snapshot
-// must not be used. A Snapshot is safe for concurrent readers.
-type Snapshot interface {
-	Get(term string) (postings.List, error)
-	Scan(term string, from sid.Posting, fn func(sid.Posting) bool) error
-	Count(term string) (int, error)
-	Terms() ([]string, error)
-	Close() error
-}
-
-// Snapshotter is implemented by stores that support snapshot reads.
-type Snapshotter interface {
-	Snapshot() (Snapshot, error)
-}
-
-// errNoSnapshot is returned by wrapper stores whose inner store does
-// not implement Snapshotter.
-var errNoSnapshot = errors.New("store: snapshots not supported")
-
-// SnapshotOf pins a snapshot of st when the store supports it and
-// returns nil otherwise (including when pinning fails, e.g. on a closed
-// store — the caller's fallback read path will surface that error).
-// Callers must Close a non-nil snapshot.
-func SnapshotOf(st Store) Snapshot {
-	ss, ok := st.(Snapshotter)
-	if !ok {
+// ApplyBatch is st.ApplyBatch(b) behind a nil/empty-batch guard. It and
+// SnapshotOf remain only because the frozen benchmark (bench/) calls
+// them; everything else calls the methods.
+func ApplyBatch(st Store, b *Batch) error {
+	if b == nil || len(b.ops) == 0 {
 		return nil
 	}
-	snap, err := ss.Snapshot()
+	return st.ApplyBatch(b)
+}
+
+// SnapshotOf is st.Snapshot() with an error folded into a nil result.
+func SnapshotOf(st Store) Snapshot {
+	snap, err := st.Snapshot()
 	if err != nil {
 		return nil
 	}
@@ -128,7 +88,7 @@ func SnapshotOf(st Store) Snapshot {
 
 // ---- Mem --------------------------------------------------------------
 
-// ApplyBatch implements Batcher: all ops land under one lock hold, so a
+// ApplyBatch implements Store: all ops land under one lock hold, so a
 // concurrent reader (or snapshot taken before/after) sees none or all
 // of the batch.
 func (m *Mem) ApplyBatch(b *Batch) error {
@@ -147,7 +107,7 @@ func (m *Mem) ApplyBatch(b *Batch) error {
 	return nil
 }
 
-// Snapshot implements Snapshotter. Mem's posting slices are immutable
+// Snapshot implements Store. Mem's posting slices are immutable
 // once published (Append replaces or extends past the snapshot's
 // length, Delete copies), so the snapshot is a zero-copy map of slice
 // headers.

@@ -3,13 +3,13 @@ package store
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"kadop/internal/metrics"
 	"kadop/internal/postings"
 	"kadop/internal/sid"
 )
@@ -19,48 +19,43 @@ func mkPosting(doc int, start uint32) sid.Posting {
 }
 
 // TestApplyBatchRoundTrip checks batch semantics against the same ops
-// applied one by one, for every store — atomically where Batcher is
-// implemented (Mem, BTree), op-by-op through the helper otherwise
-// (Naive).
+// applied one by one, for every row of the store table.
 func TestApplyBatchRoundTrip(t *testing.T) {
-	for name, s := range stores(t) {
-		t.Run(name, func(t *testing.T) {
-			defer s.Close()
-			rng := rand.New(rand.NewSource(7))
-			oracle := NewMem()
-			b := NewBatch()
-			for i := 0; i < 20; i++ {
-				term := fmt.Sprintf("l:t%d", i%5)
-				l := randomList(rng, 40)
-				b.Append(term, l)
-				if err := oracle.Append(term, l); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// Delete something appended earlier in the same batch: order
-			// within the batch must hold.
-			victim := mkPosting(999, 7)
-			b.Append("l:t0", postings.List{victim})
-			b.Delete("l:t0", victim)
-			if b.Len() != 22 {
-				t.Fatalf("Len = %d, want 22", b.Len())
-			}
-			if err := ApplyBatch(s, b); err != nil {
+	eachStore(t, func(t *testing.T, s Store) {
+		rng := rand.New(rand.NewSource(7))
+		oracle := NewMem()
+		b := NewBatch()
+		for i := 0; i < 20; i++ {
+			term := fmt.Sprintf("l:t%d", i%5)
+			l := randomList(rng, 40)
+			b.Append(term, l)
+			if err := oracle.Append(term, l); err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < 5; i++ {
-				term := fmt.Sprintf("l:t%d", i)
-				got, err := s.Get(term)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, _ := oracle.Get(term)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: got %d postings, want %d", term, len(got), len(want))
-				}
+		}
+		// Delete something appended earlier in the same batch: order
+		// within the batch must hold.
+		victim := mkPosting(999, 7)
+		b.Append("l:t0", postings.List{victim})
+		b.Delete("l:t0", victim)
+		if b.Len() != 22 {
+			t.Fatalf("Len = %d, want 22", b.Len())
+		}
+		if err := ApplyBatch(s, b); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			term := fmt.Sprintf("l:t%d", i)
+			got, err := s.Get(term)
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
+			want, _ := oracle.Get(term)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: got %d postings, want %d", term, len(got), len(want))
+			}
+		}
+	})
 }
 
 // TestApplyBatchRejectsBadOpWholesale: a malformed term anywhere in the
@@ -124,15 +119,24 @@ func TestApplyBatchSingleSync(t *testing.T) {
 	}
 }
 
-// snapshotters returns the stores that support snapshot reads.
+// snapshotters returns the stores the snapshot-isolation tests run on:
+// both implementations, and the disk tree under the full wrapper stack
+// a batching peer runs (the isolation must survive the wrappers).
 func snapshotters(t *testing.T) map[string]Store {
 	t.Helper()
-	bt, err := OpenBTreeOptions(filepath.Join(t.TempDir(), "index.bt"),
-		Options{Fsync: FsyncOff, CheckpointBytes: 32 << 10}) // checkpoint often under the test
-	if err != nil {
-		t.Fatal(err)
+	open := func() Store {
+		bt, err := OpenBTreeOptions(filepath.Join(t.TempDir(), "index.bt"),
+			Options{Fsync: FsyncOff, CheckpointBytes: 32 << 10}) // checkpoint often under the test
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bt
 	}
-	return map[string]Store{"mem": NewMem(), "btree": bt}
+	return map[string]Store{
+		"mem":                          NewMem(),
+		"btree":                        open(),
+		"instrument(coalescer(btree))": Instrument(NewCoalescer(open(), CoalesceOptions{}), metrics.NewLoad(8)),
+	}
 }
 
 // TestSnapshotPinsGeneration: a snapshot keeps serving the state at its
@@ -193,6 +197,52 @@ func TestSnapshotPinsGeneration(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSnapshotBracketsBatch: through every wrapper stack, a snapshot
+// taken before an ApplyBatch sees none of the batch and one taken after
+// sees all of it.
+func TestSnapshotBracketsBatch(t *testing.T) {
+	eachStore(t, func(t *testing.T, s Store) {
+		rng := rand.New(rand.NewSource(12))
+		base := randomList(rng, 50)
+		if err := s.Append("l:a", base); err != nil {
+			t.Fatal(err)
+		}
+		before, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer before.Close()
+
+		b := NewBatch()
+		added := postings.List{mkPosting(500, 1), mkPosting(500, 3)}
+		b.Append("l:a", added[:1])
+		b.Append("l:new", added)
+		b.Delete("l:a", base[0])
+		if err := s.ApplyBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		after, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer after.Close()
+
+		if got, _ := before.Get("l:a"); !reflect.DeepEqual(got, base) {
+			t.Fatalf("snapshot before the batch sees %d postings of l:a, want the original %d", len(got), len(base))
+		}
+		if n, _ := before.Count("l:new"); n != 0 {
+			t.Fatalf("snapshot before the batch sees %d postings of l:new", n)
+		}
+		wantA := postings.MergeUnique(base[1:], added[:1])
+		if got, _ := after.Get("l:a"); !reflect.DeepEqual(got, wantA) {
+			t.Fatalf("snapshot after the batch sees %d postings of l:a, want %d", len(got), len(wantA))
+		}
+		if got, _ := after.Get("l:new"); !reflect.DeepEqual(got, added) {
+			t.Fatalf("snapshot after the batch: l:new = %v, want %v", got, added)
+		}
+	})
 }
 
 // TestSnapshotNeverTearsBatch is the snapshot-isolation property under
@@ -493,70 +543,5 @@ func TestMemScanAllocs(t *testing.T) {
 	// nothing proportional to the 10k-posting list.
 	if allocs > 4 {
 		t.Fatalf("Scan allocates %.0f objects per call; early-stopped scans must not clone the tail", allocs)
-	}
-}
-
-// TestNaiveTermsSkipsStrayEntries pins the Terms fix: non-.gz directory
-// entries (tempfiles, editor droppings, subdirectories) are not terms.
-func TestNaiveTermsSkipsStrayEntries(t *testing.T) {
-	dir := t.TempDir()
-	nv, err := NewNaive(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nv.Close()
-	if err := nv.Append("l:author", postings.List{mkPosting(1, 3)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "stray.tmp"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Mkdir(filepath.Join(dir, "subdir"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	terms, err := nv.Terms()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(terms, []string{"l:author"}) {
-		t.Fatalf("Terms = %v, want [l:author] only", terms)
-	}
-}
-
-// TestNaivePercentEscapeCollision pins the path fix: a term containing
-// a literal "%2F" must not share a file with a term containing "/".
-func TestNaivePercentEscapeCollision(t *testing.T) {
-	nv, err := NewNaive(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nv.Close()
-	pa, pb := mkPosting(1, 3), mkPosting(2, 5)
-	if err := nv.Append("l:a%2Fb", postings.List{pa}); err != nil {
-		t.Fatal(err)
-	}
-	if err := nv.Append("l:a/b", postings.List{pb}); err != nil {
-		t.Fatal(err)
-	}
-	ga, err := nv.Get("l:a%2Fb")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gb, err := nv.Get("l:a/b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ga) != 1 || ga[0] != pa {
-		t.Fatalf("l:a%%2Fb = %v, want [%v]: the two terms collided on disk", ga, pa)
-	}
-	if len(gb) != 1 || gb[0] != pb {
-		t.Fatalf("l:a/b = %v, want [%v]", gb, pb)
-	}
-	terms, err := nv.Terms()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(terms, []string{"l:a%2Fb", "l:a/b"}) {
-		t.Fatalf("Terms = %v", terms)
 	}
 }

@@ -389,7 +389,7 @@ func (t *BTree) DeleteTerm(term string) error {
 	return t.pager.commit()
 }
 
-// ApplyBatch implements Batcher: every queued Append and Delete lands
+// ApplyBatch implements Store: every queued Append and Delete lands
 // in ONE pager transaction — one WAL append, one commit record, one
 // fsync at FsyncAlways — instead of one per Store op. This is the group
 // commit behind the publish-throughput win: the per-op cost collapses

@@ -23,9 +23,12 @@ type CoalesceOptions struct {
 // Coalescer wraps a Store and group-commits its writes: concurrent
 // Append/Delete calls are queued and applied as one ApplyBatch — a
 // single WAL transaction and a single fsync — by a leader goroutine,
-// while the callers block until their op is durable. Reads pass
-// through: queued ops belong to callers that have not yet been
-// acknowledged, so no read is required to observe them.
+// while the callers block until their op is durable. Everything else
+// is the embedded store's own method. Reads and snapshots pass through
+// because queued ops belong to callers that have not yet been
+// acknowledged, so no read is required to observe them; a
+// caller-assembled ApplyBatch skips the queue because its caller
+// already did the grouping.
 //
 // The protocol is leader/follower: the first op to arrive while no
 // flush is running becomes the leader and drains the queue in
@@ -35,7 +38,7 @@ type CoalesceOptions struct {
 // channel operations; under N concurrent publishers the fsync cost
 // divides by the batch size.
 type Coalescer struct {
-	inner    Store
+	inner
 	maxOps   int
 	maxDelay time.Duration
 
@@ -46,6 +49,10 @@ type Coalescer struct {
 	closed   bool
 }
 
+// inner is Store under an unexported name: embedding it promotes every
+// method the Coalescer does not override without exporting the field.
+type inner = Store
+
 // pendingOp is one queued write and the channel its caller blocks on.
 type pendingOp struct {
 	kind int // 0 = append, 1 = delete, 2 = delete term
@@ -55,9 +62,7 @@ type pendingOp struct {
 	done chan error
 }
 
-// NewCoalescer wraps st. The wrapped store should implement Batcher
-// (BTree, Mem); otherwise batches degrade to per-op application and the
-// coalescer only adds queueing.
+// NewCoalescer wraps st.
 func NewCoalescer(st Store, o CoalesceOptions) *Coalescer {
 	if o.MaxOps <= 0 {
 		o.MaxOps = 256
@@ -66,9 +71,6 @@ func NewCoalescer(st Store, o CoalesceOptions) *Coalescer {
 	c.idle = sync.NewCond(&c.mu)
 	return c
 }
-
-// Unwrap returns the wrapped store.
-func (c *Coalescer) Unwrap() Store { return c.inner }
 
 // Append implements Store: the op joins the current batch and the call
 // returns once that batch is durable.
@@ -172,7 +174,7 @@ func (c *Coalescer) flushBatch(ops []*pendingOp) {
 			b.Append(op.term, op.ps)
 		}
 	}
-	if err := ApplyBatch(c.inner, b); err == nil {
+	if err := c.inner.ApplyBatch(b); err == nil {
 		for _, op := range ops {
 			op.done <- nil
 		}
@@ -189,33 +191,6 @@ func (c *Coalescer) applyOne(op *pendingOp) error {
 	}
 	return c.inner.Append(op.term, op.ps)
 }
-
-// ApplyBatch implements Batcher: caller-assembled batches skip the
-// queue and go straight to the inner store (their callers already did
-// the grouping).
-func (c *Coalescer) ApplyBatch(b *Batch) error { return ApplyBatch(c.inner, b) }
-
-// Snapshot implements Snapshotter when the inner store does.
-func (c *Coalescer) Snapshot() (Snapshot, error) {
-	if ss, ok := c.inner.(Snapshotter); ok {
-		return ss.Snapshot()
-	}
-	return nil, errNoSnapshot
-}
-
-// Get implements Store (pass-through; see the type comment).
-func (c *Coalescer) Get(term string) (postings.List, error) { return c.inner.Get(term) }
-
-// Scan implements Store.
-func (c *Coalescer) Scan(term string, from sid.Posting, fn func(sid.Posting) bool) error {
-	return c.inner.Scan(term, from, fn)
-}
-
-// Count implements Store.
-func (c *Coalescer) Count(term string) (int, error) { return c.inner.Count(term) }
-
-// Terms implements Store.
-func (c *Coalescer) Terms() ([]string, error) { return c.inner.Terms() }
 
 // Close implements Store: it rejects new writes, waits for the queue to
 // drain, then closes the inner store.

@@ -6,15 +6,48 @@ import (
 	"kadop/internal/sid"
 )
 
+// metered charges every serve (Get or Scan) through the embedded view
+// to a per-peer metrics.Load, attributing by term; Count, Terms and
+// Close pass through. The view is the live store or one of its
+// snapshots — a Store's method set includes Snapshot's — so this one
+// type meters both.
+type metered struct {
+	Snapshot
+	load *metrics.Load
+}
+
+// Get implements Reader.
+func (m *metered) Get(term string) (postings.List, error) {
+	l, err := m.Snapshot.Get(term)
+	if err == nil {
+		m.load.Serve(term, len(l))
+	}
+	return l, err
+}
+
+// Scan implements Reader. Only postings actually delivered to fn are
+// charged — an early-stopped scan served less.
+func (m *metered) Scan(term string, from sid.Posting, fn func(sid.Posting) bool) error {
+	n := 0
+	err := m.Snapshot.Scan(term, from, func(p sid.Posting) bool {
+		ok := fn(p)
+		if ok {
+			n++
+		}
+		return ok
+	})
+	m.load.Serve(term, n)
+	return err
+}
+
 // Instrumented wraps a Store and charges every append and every serve
-// (Get or Scan) to a per-peer metrics.Load, attributing by term. The
-// DHT node wraps its store at construction, so all index traffic a
-// peer absorbs — replicated appends, repair pushes, posting streams,
-// DPP block serves — lands in the same per-peer ledger regardless of
-// which handler triggered it.
+// to a per-peer metrics.Load. The DHT node wraps its store at
+// construction, so all index traffic a peer absorbs — replicated
+// appends, repair pushes, posting streams, DPP block serves — lands in
+// the same per-peer ledger regardless of which handler triggered it.
 type Instrumented struct {
-	inner Store
-	load  *metrics.Load
+	metered // reads of the live store
+	inner   Store
 }
 
 // Instrument wraps st so its traffic accrues to load. A nil load
@@ -23,11 +56,8 @@ func Instrument(st Store, load *metrics.Load) Store {
 	if load == nil {
 		return st
 	}
-	return &Instrumented{inner: st, load: load}
+	return &Instrumented{metered: metered{Snapshot: st, load: load}, inner: st}
 }
-
-// Unwrap returns the wrapped store.
-func (s *Instrumented) Unwrap() Store { return s.inner }
 
 // Append implements Store.
 func (s *Instrumented) Append(term string, ps postings.List) error {
@@ -38,34 +68,10 @@ func (s *Instrumented) Append(term string, ps postings.List) error {
 	return err
 }
 
-// Get implements Store.
-func (s *Instrumented) Get(term string) (postings.List, error) {
-	l, err := s.inner.Get(term)
-	if err == nil {
-		s.load.Serve(term, len(l))
-	}
-	return l, err
-}
-
-// Scan implements Store. Only postings actually delivered to fn are
-// charged — an early-stopped scan served less.
-func (s *Instrumented) Scan(term string, from sid.Posting, fn func(sid.Posting) bool) error {
-	n := 0
-	err := s.inner.Scan(term, from, func(p sid.Posting) bool {
-		ok := fn(p)
-		if ok {
-			n++
-		}
-		return ok
-	})
-	s.load.Serve(term, n)
-	return err
-}
-
-// ApplyBatch implements Batcher, charging each appended op's postings
-// to the ledger exactly as the per-op path would.
+// ApplyBatch implements Store, charging each appended op's postings to
+// the ledger exactly as the per-op path would.
 func (s *Instrumented) ApplyBatch(b *Batch) error {
-	err := ApplyBatch(s.inner, b)
+	err := s.inner.ApplyBatch(b)
 	if err == nil && b != nil {
 		for _, op := range b.ops {
 			if !op.del {
@@ -76,62 +82,18 @@ func (s *Instrumented) ApplyBatch(b *Batch) error {
 	return err
 }
 
-// Snapshot implements Snapshotter when the inner store does; serves
-// through the snapshot charge the same ledger as direct reads.
+// Snapshot implements Store; serves through the snapshot charge the
+// same ledger as live reads.
 func (s *Instrumented) Snapshot() (Snapshot, error) {
-	ss, ok := s.inner.(Snapshotter)
-	if !ok {
-		return nil, errNoSnapshot
-	}
-	snap, err := ss.Snapshot()
+	snap, err := s.inner.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	return &instrumentedSnap{inner: snap, load: s.load}, nil
+	return &metered{Snapshot: snap, load: s.load}, nil
 }
-
-// instrumentedSnap charges snapshot reads to the peer's load ledger.
-type instrumentedSnap struct {
-	inner Snapshot
-	load  *metrics.Load
-}
-
-func (s *instrumentedSnap) Get(term string) (postings.List, error) {
-	l, err := s.inner.Get(term)
-	if err == nil {
-		s.load.Serve(term, len(l))
-	}
-	return l, err
-}
-
-func (s *instrumentedSnap) Scan(term string, from sid.Posting, fn func(sid.Posting) bool) error {
-	n := 0
-	err := s.inner.Scan(term, from, func(p sid.Posting) bool {
-		ok := fn(p)
-		if ok {
-			n++
-		}
-		return ok
-	})
-	s.load.Serve(term, n)
-	return err
-}
-
-func (s *instrumentedSnap) Count(term string) (int, error) { return s.inner.Count(term) }
-func (s *instrumentedSnap) Terms() ([]string, error)       { return s.inner.Terms() }
-func (s *instrumentedSnap) Close() error                   { return s.inner.Close() }
-
-// Count implements Store.
-func (s *Instrumented) Count(term string) (int, error) { return s.inner.Count(term) }
 
 // Delete implements Store.
 func (s *Instrumented) Delete(term string, p sid.Posting) error { return s.inner.Delete(term, p) }
 
 // DeleteTerm implements Store.
 func (s *Instrumented) DeleteTerm(term string) error { return s.inner.DeleteTerm(term) }
-
-// Terms implements Store.
-func (s *Instrumented) Terms() ([]string, error) { return s.inner.Terms() }
-
-// Close implements Store.
-func (s *Instrumented) Close() error { return s.inner.Close() }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math/rand"
 	"testing"
 
 	"kadop/internal/metrics"
@@ -46,4 +47,43 @@ func TestInstrumentNilLoadPassthrough(t *testing.T) {
 	if st := Instrument(m, nil); st != Store(m) {
 		t.Fatal("nil load must return the store unchanged")
 	}
+}
+
+// TestMeteredSnapshotChargesLikeLive: over every store stack, the same
+// reads charge the same postings to the ledger whether they are served
+// live or through a snapshot — one metering type serves both.
+func TestMeteredSnapshotChargesLikeLive(t *testing.T) {
+	eachStore(t, func(t *testing.T, s Store) {
+		load := metrics.NewLoad(8)
+		st := Instrument(s, load)
+		l := randomList(rand.New(rand.NewSource(13)), 40)
+		if err := st.Append("l:author", l); err != nil {
+			t.Fatal(err)
+		}
+		// A full Get, a Scan stopped after five postings, and a Count
+		// (which serves nothing).
+		read := func(r Reader) int64 {
+			base := load.Export().PostingsServed
+			if _, err := r.Get("l:author"); err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			if err := r.Scan("l:author", sid.MinPosting, func(sid.Posting) bool { n++; return n <= 5 }); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Count("l:author"); err != nil {
+				t.Fatal(err)
+			}
+			return load.Export().PostingsServed - base
+		}
+		live := read(st)
+		snap, err := st.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer snap.Close()
+		if got := read(snap); got != live || live != int64(len(l)+5) {
+			t.Fatalf("postings charged: live %d, snapshot %d, want %d both", live, got, len(l)+5)
+		}
+	})
 }

@@ -109,7 +109,7 @@ type btreeSnap struct {
 	closed bool
 }
 
-// Snapshot implements Snapshotter: it pins the last committed
+// Snapshot implements Store: it pins the last committed
 // generation of the tree. Creation deliberately does NOT take the
 // tree's writer lock — a batch commit in the middle of its fsync would
 // otherwise stall every reader for the full flush — so a snapshot can

@@ -9,33 +9,24 @@
 //   - BTree: a from-scratch page-based disk B+-tree with the same
 //     clustering (term, posting) and a linear-cost Append;
 //   - Mem: an in-memory store with identical semantics, used by the
-//     simulated deployments where thousands of peers share a process;
-//   - Naive: the PAST-like baseline — one compressed blob per term,
-//     rewritten wholesale on every insertion — kept for the Figure 2
-//     and store-ablation experiments.
+//     simulated deployments where thousands of peers share a process.
+//
+// Both implement the one Store contract below, as do the wrappers that
+// stack on them (Coalescer, Instrumented). The PAST-like baseline the
+// paper measured against lives in internal/experiments.
 package store
 
 import (
-	"bytes"
-	"compress/gzip"
-	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 
 	"kadop/internal/postings"
 	"kadop/internal/sid"
 )
 
-// Store is the local index interface the DHT layer builds on. A store
-// maps term keys to posting lists kept in canonical order.
-type Store interface {
-	// Append adds postings to the term's list. Implementations must cost
-	// O(len(ps) · log N), never O(existing list size).
-	Append(term string, ps postings.List) error
+// Reader is the read half of the contract, shared by a live store and
+// the snapshots it hands out.
+type Reader interface {
 	// Get returns the term's full posting list in canonical order.
 	Get(term string) (postings.List, error)
 	// Scan streams the term's postings in order, starting at the first
@@ -43,13 +34,43 @@ type Store interface {
 	Scan(term string, from sid.Posting, fn func(sid.Posting) bool) error
 	// Count returns the number of postings stored for the term.
 	Count(term string) (int, error)
+	// Terms lists the stored terms — those with at least one posting —
+	// in lexicographic order.
+	Terms() ([]string, error)
+}
+
+// Snapshot is a read-only view of a store pinned at one committed
+// generation. Reads through a snapshot never block behind writers and
+// never observe a later write — in particular they cannot see half of
+// an in-flight batch. Close releases the pin; after Close the snapshot
+// must not be used. A Snapshot is safe for concurrent readers.
+type Snapshot interface {
+	Reader
+	Close() error
+}
+
+// Store is the local index contract the DHT layer builds on: a map from
+// term keys to posting lists kept in canonical order, written op by op
+// or a batch at a time, read live or through a snapshot.
+type Store interface {
+	Reader
+	// Append adds postings to the term's list. Implementations must cost
+	// O(len(ps) · log N), never O(existing list size).
+	Append(term string, ps postings.List) error
 	// Delete removes one posting from the term's list (it is not an
 	// error if absent).
 	Delete(term string, p sid.Posting) error
 	// DeleteTerm removes a term's entire list.
 	DeleteTerm(term string) error
-	// Terms lists the stored terms in lexicographic order.
-	Terms() ([]string, error)
+	// ApplyBatch applies the batch as one atomic transaction (a single
+	// fsync on a durable store): a crash, a concurrent reader or a
+	// snapshot sees all of the batch or none of it. A nil or empty
+	// batch is a no-op.
+	ApplyBatch(b *Batch) error
+	// Snapshot pins the last committed generation. It fails on a closed
+	// store (ErrClosed) or one poisoned by an I/O error; the caller must
+	// Close the snapshot it gets.
+	Snapshot() (Snapshot, error)
 	// Close releases resources, flushing pending writes.
 	Close() error
 }
@@ -142,6 +163,10 @@ func (m *Mem) deleteLocked(term string, p sid.Posting) {
 	if i >= len(l) || l[i] != p {
 		return
 	}
+	if len(l) == 1 {
+		delete(m.lists, term) // an emptied term is no term, as in the B+-tree
+		return
+	}
 	nl := make(postings.List, 0, len(l)-1)
 	nl = append(nl, l[:i]...)
 	nl = append(nl, l[i+1:]...)
@@ -170,169 +195,3 @@ func (m *Mem) Terms() ([]string, error) {
 
 // Close implements Store.
 func (m *Mem) Close() error { return nil }
-
-// Naive is the PAST-like baseline store: every term's posting list is
-// one gzip-compressed file, and each Append reads, decompresses,
-// merges, recompresses and rewrites the whole file — the quadratic
-// behaviour the paper measured before re-engineering the store.
-type Naive struct {
-	dir string
-	mu  sync.Mutex
-}
-
-// NewNaive returns a naive store rooted at dir (created if needed).
-func NewNaive(dir string) (*Naive, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: naive: %w", err)
-	}
-	return &Naive{dir: dir}, nil
-}
-
-func (n *Naive) path(term string) string {
-	// Escape path separators; term keys are short ("l:author"). The
-	// escape character itself goes first, so a term containing a literal
-	// "%2F" ("%252F" on disk) cannot collide with a term containing "/".
-	safe := strings.NewReplacer("%", "%25", "/", "%2F", "\\", "%5C", ":", "%3A", ".", "%2E").Replace(term)
-	return filepath.Join(n.dir, safe+".gz")
-}
-
-func (n *Naive) read(term string) (postings.List, error) {
-	f, err := os.Open(n.path(term))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: naive: %w", err)
-	}
-	defer f.Close()
-	zr, err := gzip.NewReader(f)
-	if err != nil {
-		return nil, fmt.Errorf("store: naive: %w", err)
-	}
-	raw, err := io.ReadAll(zr)
-	if err != nil {
-		return nil, fmt.Errorf("store: naive: %w", err)
-	}
-	l, _, err := postings.Decode(raw)
-	if err != nil {
-		return nil, fmt.Errorf("store: naive: %w", err)
-	}
-	return l, nil
-}
-
-func (n *Naive) write(term string, l postings.List) error {
-	raw, err := postings.Encode(l)
-	if err != nil {
-		return fmt.Errorf("store: naive: %w", err)
-	}
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	if _, err := zw.Write(raw); err != nil {
-		return fmt.Errorf("store: naive: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		return fmt.Errorf("store: naive: %w", err)
-	}
-	if err := os.WriteFile(n.path(term), buf.Bytes(), 0o644); err != nil {
-		return fmt.Errorf("store: naive: %w", err)
-	}
-	return nil
-}
-
-// Append implements Store — deliberately by read-modify-write.
-func (n *Naive) Append(term string, ps postings.List) error {
-	if len(ps) == 0 {
-		return nil
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	cur, err := n.read(term)
-	if err != nil {
-		return err
-	}
-	add := ps.Clone()
-	add.Sort()
-	return n.write(term, postings.MergeUnique(cur, add))
-}
-
-// Get implements Store.
-func (n *Naive) Get(term string) (postings.List, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.read(term)
-}
-
-// Scan implements Store.
-func (n *Naive) Scan(term string, from sid.Posting, fn func(sid.Posting) bool) error {
-	l, err := n.Get(term)
-	if err != nil {
-		return err
-	}
-	i := sort.Search(len(l), func(i int) bool { return l[i].Compare(from) >= 0 })
-	for _, p := range l[i:] {
-		if !fn(p) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// Count implements Store.
-func (n *Naive) Count(term string) (int, error) {
-	l, err := n.Get(term)
-	return len(l), err
-}
-
-// Delete implements Store.
-func (n *Naive) Delete(term string, p sid.Posting) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	l, err := n.read(term)
-	if err != nil {
-		return err
-	}
-	i := sort.Search(len(l), func(i int) bool { return l[i].Compare(p) >= 0 })
-	if i < len(l) && l[i] == p {
-		return n.write(term, append(l[:i], l[i+1:]...))
-	}
-	return nil
-}
-
-// DeleteTerm implements Store.
-func (n *Naive) DeleteTerm(term string) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	err := os.Remove(n.path(term))
-	if os.IsNotExist(err) {
-		return nil
-	}
-	return err
-}
-
-// Terms implements Store.
-func (n *Naive) Terms() ([]string, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	ents, err := os.ReadDir(n.dir)
-	if err != nil {
-		return nil, fmt.Errorf("store: naive: %w", err)
-	}
-	// Unescape the escape character last, mirroring path's escape order.
-	unescape := strings.NewReplacer("%2F", "/", "%5C", "\\", "%3A", ":", "%2E", ".", "%25", "%")
-	var out []string
-	for _, e := range ents {
-		// Only .gz files are term blobs; TrimSuffix alone used to let
-		// stray directory entries (editor droppings, tempfiles) through
-		// as phantom terms.
-		name, ok := strings.CutSuffix(e.Name(), ".gz")
-		if !ok {
-			continue
-		}
-		out = append(out, unescape.Replace(name))
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// Close implements Store.
-func (n *Naive) Close() error { return nil }

@@ -8,22 +8,56 @@ import (
 	"reflect"
 	"testing"
 
+	"kadop/internal/metrics"
 	"kadop/internal/postings"
 	"kadop/internal/sid"
 )
 
-// stores returns one instance of every Store implementation, named.
-func stores(t *testing.T) map[string]Store {
+// Every implementation of the contract, checked at compile time.
+var (
+	_ Store = (*Mem)(nil)
+	_ Store = (*BTree)(nil)
+	_ Store = (*Coalescer)(nil)
+	_ Store = (*Instrumented)(nil)
+)
+
+func openTestBTree(t *testing.T) Store {
 	t.Helper()
 	bt, err := OpenBTree(filepath.Join(t.TempDir(), "index.bt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	nv, err := NewNaive(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+	return bt
+}
+
+// storeTable lists the two stores and the wrapper stacks that actually
+// run: dht.NewNode meters whatever it is given, and NewTCPPeer puts the
+// coalescer over the disk tree when batching is on. The conformance
+// tests below run over every row, so a wrapper that drops or distorts
+// part of the contract fails the same test the bare store passes.
+var storeTable = []struct {
+	name string
+	open func(t *testing.T) Store
+}{
+	{"mem", func(*testing.T) Store { return NewMem() }},
+	{"btree", openTestBTree},
+	{"instrument(mem)", func(*testing.T) Store { return Instrument(NewMem(), metrics.NewLoad(8)) }},
+	{"coalescer(btree)", func(t *testing.T) Store { return NewCoalescer(openTestBTree(t), CoalesceOptions{}) }},
+	{"instrument(coalescer(btree))", func(t *testing.T) Store {
+		return Instrument(NewCoalescer(openTestBTree(t), CoalesceOptions{}), metrics.NewLoad(8))
+	}},
+}
+
+// eachStore runs fn as a subtest against a fresh instance of every row
+// of storeTable, closing the store afterwards.
+func eachStore(t *testing.T, fn func(t *testing.T, s Store)) {
+	for _, c := range storeTable {
+		t.Run(c.name, func(t *testing.T) {
+			s := c.open(t)
+			defer s.Close()
+			fn(t, s)
+		})
 	}
-	return map[string]Store{"mem": NewMem(), "btree": bt, "naive": nv}
 }
 
 func randomList(rng *rand.Rand, n int) postings.List {
@@ -41,185 +75,180 @@ func randomList(rng *rand.Rand, n int) postings.List {
 }
 
 func TestStoreBasicRoundTrip(t *testing.T) {
-	for name, s := range stores(t) {
-		t.Run(name, func(t *testing.T) {
-			defer s.Close()
-			rng := rand.New(rand.NewSource(1))
-			want := randomList(rng, 500)
-			if err := s.Append("l:author", want); err != nil {
-				t.Fatal(err)
-			}
-			got, err := s.Get("l:author")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("Get = %d postings, want %d", len(got), len(want))
-			}
-			n, err := s.Count("l:author")
-			if err != nil || n != len(want) {
-				t.Fatalf("Count = %d (%v), want %d", n, err, len(want))
-			}
-			if got, _ := s.Get("l:absent"); len(got) != 0 {
-				t.Fatal("absent term should be empty")
-			}
-		})
-	}
+	eachStore(t, func(t *testing.T, s Store) {
+		rng := rand.New(rand.NewSource(1))
+		want := randomList(rng, 500)
+		if err := s.Append("l:author", want); err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Get("l:author")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Get = %d postings, want %d", len(got), len(want))
+		}
+		n, err := s.Count("l:author")
+		if err != nil || n != len(want) {
+			t.Fatalf("Count = %d (%v), want %d", n, err, len(want))
+		}
+		if got, _ := s.Get("l:absent"); len(got) != 0 {
+			t.Fatal("absent term should be empty")
+		}
+	})
 }
 
 func TestStoreAppendMergesOutOfOrder(t *testing.T) {
-	for name, s := range stores(t) {
-		t.Run(name, func(t *testing.T) {
-			defer s.Close()
-			rng := rand.New(rand.NewSource(2))
-			full := randomList(rng, 300)
-			// Append in shuffled chunks: result must still be sorted.
-			idx := rng.Perm(len(full))
-			for i := 0; i < len(idx); i += 37 {
-				end := i + 37
-				if end > len(idx) {
-					end = len(idx)
-				}
-				var chunk postings.List
-				for _, j := range idx[i:end] {
-					chunk = append(chunk, full[j])
-				}
-				if err := s.Append("w:xml", chunk); err != nil {
-					t.Fatal(err)
-				}
+	eachStore(t, func(t *testing.T, s Store) {
+		rng := rand.New(rand.NewSource(2))
+		full := randomList(rng, 300)
+		// Append in shuffled chunks: result must still be sorted.
+		idx := rng.Perm(len(full))
+		for i := 0; i < len(idx); i += 37 {
+			end := i + 37
+			if end > len(idx) {
+				end = len(idx)
 			}
-			got, err := s.Get("w:xml")
-			if err != nil {
+			var chunk postings.List
+			for _, j := range idx[i:end] {
+				chunk = append(chunk, full[j])
+			}
+			if err := s.Append("w:xml", chunk); err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, full) {
-				t.Fatalf("merged list mismatch: %d vs %d postings", len(got), len(full))
-			}
-		})
-	}
+		}
+		got, err := s.Get("w:xml")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, full) {
+			t.Fatalf("merged list mismatch: %d vs %d postings", len(got), len(full))
+		}
+	})
 }
 
 func TestStoreScanFrom(t *testing.T) {
-	for name, s := range stores(t) {
-		t.Run(name, func(t *testing.T) {
-			defer s.Close()
-			rng := rand.New(rand.NewSource(3))
-			l := randomList(rng, 200)
-			if err := s.Append("l:title", l); err != nil {
-				t.Fatal(err)
-			}
-			from := l[len(l)/2]
-			var got postings.List
-			if err := s.Scan("l:title", from, func(p sid.Posting) bool {
-				got = append(got, p)
-				return true
-			}); err != nil {
-				t.Fatal(err)
-			}
-			want := l[len(l)/2:]
-			if !reflect.DeepEqual(got, postings.List(want)) {
-				t.Fatalf("Scan from middle: %d vs %d", len(got), len(want))
-			}
-			// Early stop.
-			n := 0
-			s.Scan("l:title", sid.MinPosting, func(sid.Posting) bool {
-				n++
-				return n < 10
-			})
-			if n != 10 {
-				t.Fatalf("early stop scanned %d", n)
-			}
+	eachStore(t, func(t *testing.T, s Store) {
+		rng := rand.New(rand.NewSource(3))
+		l := randomList(rng, 200)
+		if err := s.Append("l:title", l); err != nil {
+			t.Fatal(err)
+		}
+		from := l[len(l)/2]
+		var got postings.List
+		if err := s.Scan("l:title", from, func(p sid.Posting) bool {
+			got = append(got, p)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		want := l[len(l)/2:]
+		if !reflect.DeepEqual(got, postings.List(want)) {
+			t.Fatalf("Scan from middle: %d vs %d", len(got), len(want))
+		}
+		// Early stop.
+		n := 0
+		s.Scan("l:title", sid.MinPosting, func(sid.Posting) bool {
+			n++
+			return n < 10
 		})
-	}
+		if n != 10 {
+			t.Fatalf("early stop scanned %d", n)
+		}
+	})
 }
 
 func TestStoreDelete(t *testing.T) {
-	for name, s := range stores(t) {
-		t.Run(name, func(t *testing.T) {
-			defer s.Close()
-			rng := rand.New(rand.NewSource(4))
-			l := randomList(rng, 100)
-			if err := s.Append("l:x", l); err != nil {
-				t.Fatal(err)
+	eachStore(t, func(t *testing.T, s Store) {
+		rng := rand.New(rand.NewSource(4))
+		l := randomList(rng, 100)
+		if err := s.Append("l:x", l); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Delete("l:x", l[10]); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Delete("l:x", sid.Posting{Peer: 99, Doc: 99, SID: sid.SID{Start: 1, End: 2}}); err != nil {
+			t.Fatal("deleting absent posting should not error:", err)
+		}
+		got, _ := s.Get("l:x")
+		if len(got) != len(l)-1 {
+			t.Fatalf("after delete: %d postings", len(got))
+		}
+		for _, p := range got {
+			if p == l[10] {
+				t.Fatal("deleted posting still present")
 			}
-			if err := s.Delete("l:x", l[10]); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Delete("l:x", sid.Posting{Peer: 99, Doc: 99, SID: sid.SID{Start: 1, End: 2}}); err != nil {
-				t.Fatal("deleting absent posting should not error:", err)
-			}
-			got, _ := s.Get("l:x")
-			if len(got) != len(l)-1 {
-				t.Fatalf("after delete: %d postings", len(got))
-			}
-			for _, p := range got {
-				if p == l[10] {
-					t.Fatal("deleted posting still present")
-				}
-			}
-			if err := s.DeleteTerm("l:x"); err != nil {
-				t.Fatal(err)
-			}
-			if n, _ := s.Count("l:x"); n != 0 {
-				t.Fatalf("after DeleteTerm: %d postings", n)
-			}
-		})
-	}
+		}
+		if err := s.DeleteTerm("l:x"); err != nil {
+			t.Fatal(err)
+		}
+		if n, _ := s.Count("l:x"); n != 0 {
+			t.Fatalf("after DeleteTerm: %d postings", n)
+		}
+	})
 }
 
 func TestStoreTerms(t *testing.T) {
-	for name, s := range stores(t) {
-		t.Run(name, func(t *testing.T) {
-			defer s.Close()
-			p := postings.List{{Peer: 1, Doc: 1, SID: sid.SID{Start: 1, End: 2, Level: 0}}}
-			for _, term := range []string{"l:title", "l:author", "w:xml"} {
-				if err := s.Append(term, p); err != nil {
-					t.Fatal(err)
-				}
-			}
-			terms, err := s.Terms()
-			if err != nil {
+	eachStore(t, func(t *testing.T, s Store) {
+		p := postings.List{{Peer: 1, Doc: 1, SID: sid.SID{Start: 1, End: 2, Level: 0}}}
+		for _, term := range []string{"l:title", "l:author", "w:xml"} {
+			if err := s.Append(term, p); err != nil {
 				t.Fatal(err)
 			}
-			want := []string{"l:author", "l:title", "w:xml"}
-			if !reflect.DeepEqual(terms, want) {
-				t.Fatalf("Terms = %v, want %v", terms, want)
+		}
+		terms, err := s.Terms()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []string{"l:author", "l:title", "w:xml"}
+		if !reflect.DeepEqual(terms, want) {
+			t.Fatalf("Terms = %v, want %v", terms, want)
+		}
+		// A term whose last posting is deleted is no longer a term, live
+		// or through a snapshot, in every store alike.
+		if err := s.Delete("l:title", p[0]); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer snap.Close()
+		want = []string{"l:author", "w:xml"}
+		for name, r := range map[string]Reader{"live": s, "snapshot": snap} {
+			if terms, err := r.Terms(); err != nil || !reflect.DeepEqual(terms, want) {
+				t.Fatalf("%s Terms after emptying l:title = %v (%v), want %v", name, terms, err, want)
 			}
-		})
-	}
+		}
+	})
 }
 
 func TestStoreManyTermsInterleaved(t *testing.T) {
-	for name, s := range stores(t) {
-		if name == "naive" {
-			continue // too slow by design; covered by smaller tests
-		}
-		t.Run(name, func(t *testing.T) {
-			defer s.Close()
-			rng := rand.New(rand.NewSource(5))
-			want := map[string]postings.List{}
-			for round := 0; round < 30; round++ {
-				for term := 0; term < 20; term++ {
-					key := fmt.Sprintf("l:t%02d", term)
-					chunk := randomList(rng, 20)
-					if err := s.Append(key, chunk); err != nil {
-						t.Fatal(err)
-					}
-					want[key] = postings.Merge(want[key], chunk)
-				}
-			}
-			for key, w := range want {
-				w = w.Dedup()
-				got, err := s.Get(key)
-				if err != nil {
+	eachStore(t, func(t *testing.T, s Store) {
+		rng := rand.New(rand.NewSource(5))
+		want := map[string]postings.List{}
+		for round := 0; round < 30; round++ {
+			for term := 0; term < 20; term++ {
+				key := fmt.Sprintf("l:t%02d", term)
+				chunk := randomList(rng, 20)
+				if err := s.Append(key, chunk); err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(got, w) {
-					t.Fatalf("%s: %d vs %d postings", key, len(got), len(w))
-				}
+				want[key] = postings.Merge(want[key], chunk)
 			}
-		})
-	}
+		}
+		for key, w := range want {
+			w = w.Dedup()
+			got, err := s.Get(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, w) {
+				t.Fatalf("%s: %d vs %d postings", key, len(got), len(w))
+			}
+		}
+	})
 }
 
 func TestBTreePersistsAcrossReopen(t *testing.T) {
@@ -323,17 +352,14 @@ func writeJunk(path string) error {
 }
 
 func TestStoreAppendEmpty(t *testing.T) {
-	for name, s := range stores(t) {
-		t.Run(name, func(t *testing.T) {
-			defer s.Close()
-			if err := s.Append("l:x", nil); err != nil {
-				t.Fatal(err)
-			}
-			if n, _ := s.Count("l:x"); n != 0 {
-				t.Fatal("empty append created postings")
-			}
-		})
-	}
+	eachStore(t, func(t *testing.T, s Store) {
+		if err := s.Append("l:x", nil); err != nil {
+			t.Fatal(err)
+		}
+		if n, _ := s.Count("l:x"); n != 0 {
+			t.Fatal("empty append created postings")
+		}
+	})
 }
 
 func TestKeyCodecRoundTrip(t *testing.T) {

@@ -541,10 +541,7 @@ func NewTCPPeer(addr string, id PeerID, storePath string, cfg Config) (*Peer, er
 		// commits: one WAL transaction and one fsync per batch. Close
 		// order is unchanged — closing the coalescer drains its queue
 		// and closes the wrapped store.
-		st = store.NewCoalescer(st, store.CoalesceOptions{
-			MaxOps:   cfg.Batching.MaxOps,
-			MaxDelay: cfg.Batching.MaxDelay,
-		})
+		st = store.NewCoalescer(st, store.CoalesceOptions{MaxDelay: cfg.Batching.MaxDelay})
 	}
 	nd, err := dht.NewNode(tr, st, cfg.DHT)
 	if err != nil {
