@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-smoke fuzz-smoke crash-smoke gate-smoke
+.PHONY: build test check bench bench-smoke fuzz-smoke crash-smoke gate-smoke loc
 
 build:
 	$(GO) build ./...
@@ -46,6 +46,15 @@ gate-smoke:
 CRASH_TRIALS ?= 160
 crash-smoke:
 	KADOP_CRASH_TRIALS=$(CRASH_TRIALS) $(GO) test -run 'TestCrash' -count=1 ./internal/store/
+
+# loc prints the size the ROADMAP and the simplicity issues refer to:
+# lines of non-test, non-generated Go per package of the root module
+# (the nested bench/ module excluded), and their total.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.*' \
+		| xargs grep -L '^// Code generated .* DO NOT EDIT' | xargs wc -l \
+		| awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 bench:
 	$(GO) run ./cmd/kadop-bench -exp all -short

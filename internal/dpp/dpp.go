@@ -412,12 +412,12 @@ func (m *Manager) routeToBlocks(root *Root, ps postings.List, dtype string) erro
 		}
 		return nil
 	}
-	// Ordered mode: walk blocks and postings together.
+	// Ordered mode: walk blocks and postings together. The block list is
+	// re-read every step: a chunk that overflows its block splits it in
+	// place, and the pieces' ranges end where the block's did, so the
+	// walk passes over them and still reaches every later block.
 	i := 0
-	for bi := range root.Blocks {
-		if i >= len(ps) {
-			break
-		}
+	for bi := 0; bi < len(root.Blocks) && i < len(ps); bi++ {
 		var chunk postings.List
 		if bi == len(root.Blocks)-1 {
 			chunk = ps[i:] // everything else goes to the last block
@@ -661,16 +661,16 @@ func encodeRoot(r *Root) []byte {
 	}
 	buf = binary.AppendUvarint(buf, uint64(r.Count))
 	buf = binary.AppendUvarint(buf, r.Gen)
-	buf = appendPosting(buf, r.Lo)
-	buf = appendPosting(buf, r.Hi)
+	buf = sid.AppendPosting(buf, r.Lo)
+	buf = sid.AppendPosting(buf, r.Hi)
 	buf = appendStrs(buf, r.Types)
 	buf = appendStrs(buf, r.Replicas)
 	buf = binary.AppendUvarint(buf, uint64(len(r.Blocks)))
 	for _, b := range r.Blocks {
 		buf = appendStr(buf, b.Key)
 		buf = appendStr(buf, b.Owner)
-		buf = appendPosting(buf, b.Lo)
-		buf = appendPosting(buf, b.Hi)
+		buf = sid.AppendPosting(buf, b.Lo)
+		buf = sid.AppendPosting(buf, b.Hi)
 		buf = binary.AppendUvarint(buf, uint64(b.Count))
 		buf = binary.AppendUvarint(buf, b.Gen)
 		buf = appendStrs(buf, b.Types)
@@ -729,10 +729,10 @@ func decodeRoot(buf []byte) (*Root, error) {
 	}
 	pos += sz
 	r.Gen = g
-	if r.Lo, pos, err = readPosting(buf, pos); err != nil {
+	if r.Lo, pos, err = sid.ReadPosting(buf, pos); err != nil {
 		return nil, err
 	}
-	if r.Hi, pos, err = readPosting(buf, pos); err != nil {
+	if r.Hi, pos, err = sid.ReadPosting(buf, pos); err != nil {
 		return nil, err
 	}
 	if r.Types, pos, err = readStrs(buf, pos); err != nil {
@@ -754,10 +754,10 @@ func decodeRoot(buf []byte) (*Root, error) {
 		if b.Owner, pos, err = readStr(buf, pos); err != nil {
 			return nil, fmt.Errorf("dpp: decode root block %d owner: %w", i, err)
 		}
-		if b.Lo, pos, err = readPosting(buf, pos); err != nil {
+		if b.Lo, pos, err = sid.ReadPosting(buf, pos); err != nil {
 			return nil, err
 		}
-		if b.Hi, pos, err = readPosting(buf, pos); err != nil {
+		if b.Hi, pos, err = sid.ReadPosting(buf, pos); err != nil {
 			return nil, err
 		}
 		c, sz := binary.Uvarint(buf[pos:])
@@ -795,33 +795,6 @@ func readStr(buf []byte, pos int) (string, int, error) {
 	}
 	pos += sz
 	return string(buf[pos : pos+int(n)]), pos + int(n), nil
-}
-
-func appendPosting(buf []byte, p sid.Posting) []byte {
-	var b [18]byte
-	binary.BigEndian.PutUint32(b[0:], uint32(p.Peer))
-	binary.BigEndian.PutUint32(b[4:], uint32(p.Doc))
-	binary.BigEndian.PutUint32(b[8:], p.SID.Start)
-	binary.BigEndian.PutUint32(b[12:], p.SID.End)
-	binary.BigEndian.PutUint16(b[16:], p.SID.Level)
-	return append(buf, b[:]...)
-}
-
-func readPosting(buf []byte, pos int) (sid.Posting, int, error) {
-	if pos+18 > len(buf) {
-		return sid.Posting{}, pos, fmt.Errorf("dpp: truncated posting at %d", pos)
-	}
-	b := buf[pos:]
-	p := sid.Posting{
-		Peer: sid.PeerID(binary.BigEndian.Uint32(b[0:])),
-		Doc:  sid.DocID(binary.BigEndian.Uint32(b[4:])),
-		SID: sid.SID{
-			Start: binary.BigEndian.Uint32(b[8:]),
-			End:   binary.BigEndian.Uint32(b[12:]),
-			Level: binary.BigEndian.Uint16(b[16:]),
-		},
-	}
-	return p, pos + 18, nil
 }
 
 func encodeInterval(lo, hi sid.DocKey) []byte {

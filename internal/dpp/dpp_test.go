@@ -140,6 +140,41 @@ func TestOverflowSplitsAndFetchReassembles(t *testing.T) {
 	}
 }
 
+// TestInterleavedAppendSplitsEarlyBlock appends, in one call, postings
+// that interleave with every existing block: the first blocks overflow
+// and split mid-walk, and the postings bound for the later blocks must
+// still arrive (a batch publish of two document types does exactly
+// this to every shared term).
+func TestInterleavedAppendSplitsEarlyBlock(t *testing.T) {
+	c := newCluster(t, 8, Options{BlockSize: 8})
+	all := seqPostings(96, 1)
+	var even, odd postings.List
+	for i, p := range all {
+		if i%2 == 0 {
+			even = append(even, p)
+		} else {
+			odd = append(odd, p)
+		}
+	}
+	if err := c.managers[0].Append("l:author", even); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.managers[1].Append("l:author", odd); err != nil {
+		t.Fatal(err)
+	}
+	s, _, err := c.managers[5].Fetch("l:author", FetchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := postings.Drain(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, all) {
+		t.Fatalf("fetched %d postings after the interleaved append, want %d", len(got), len(all))
+	}
+}
+
 func TestBlocksDistributedAcrossPeers(t *testing.T) {
 	c := newCluster(t, 12, Options{BlockSize: 100})
 	want := seqPostings(1000, 20)
@@ -282,6 +317,11 @@ func TestRootCodecRoundTrip(t *testing.T) {
 		t.Fatalf("root round trip:\n got %+v\nwant %+v", got, r)
 	}
 	enc := encodeRoot(r)
+	// Golden bytes: root blocks cross the wire between peers of mixed
+	// versions, so the encoding may not drift.
+	if want := "086c3a617574686f72010000000000000000000000000000000000000000000000000000000000000000000000000000000002136f766572666c6f773a313a6c3a617574686f720000000001000000020000000300000004000500000006000000070000000800000009000a2a000000136f766572666c6f773a323a6c3a617574686f720000000006000000080000000100000002000000000009000000090000000500000006000111000000"; fmt.Sprintf("%x", enc) != want {
+		t.Errorf("root-block wire bytes changed:\n got %x\nwant %s", enc, want)
+	}
 	for cut := 0; cut < len(enc)-1; cut += 5 {
 		if _, err := decodeRoot(enc[:cut]); err == nil {
 			t.Fatalf("decodeRoot of %d bytes should fail", cut)

@@ -167,40 +167,16 @@ func (c *Cluster) Close() {
 
 // PublishAll distributes the documents over the first `publishers`
 // peers, publishing in parallel (one goroutine per publisher, as in the
-// paper's multi-publisher runs), and returns the wall-clock time.
+// paper's multi-publisher runs), one document per publish call, and
+// returns the wall-clock time.
 func (c *Cluster) PublishAll(docs []workload.GeneratedDoc, publishers int) (time.Duration, error) {
-	if publishers <= 0 || publishers > len(c.Peers) {
-		publishers = 1
-	}
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make([]error, publishers)
-	for w := 0; w < publishers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(docs); i += publishers {
-				if _, err := c.Peers[w].Publish(docs[i].Doc, docs[i].URI); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	return time.Since(start), nil
+	return c.PublishAllBatched(docs, publishers, 1)
 }
 
 // PublishAllBatched distributes the documents like PublishAll, but
-// each publisher submits its share through the bulk-publish path:
-// size-bounded PublishBatch calls that merge postings per term across
-// the batch, on top of whatever group commit the stores do. batchSize
-// <= 0 means 16 documents per call.
+// each publisher submits its share batchSize documents per call:
+// postings merge per term across the call, on top of whatever group
+// commit the stores do. batchSize <= 0 means 16 documents per call.
 func (c *Cluster) PublishAllBatched(docs []workload.GeneratedDoc, publishers, batchSize int) (time.Duration, error) {
 	if publishers <= 0 || publishers > len(c.Peers) {
 		publishers = 1
@@ -216,24 +192,15 @@ func (c *Cluster) PublishAllBatched(docs []workload.GeneratedDoc, publishers, ba
 		go func(w int) {
 			defer wg.Done()
 			batch := make([]kadop.TreeDoc, 0, batchSize)
-			flush := func() error {
-				if len(batch) == 0 {
-					return nil
-				}
-				_, err := c.Peers[w].PublishBatch(batch)
-				batch = batch[:0]
-				return err
-			}
 			for i := w; i < len(docs); i += publishers {
 				batch = append(batch, kadop.TreeDoc{Doc: docs[i].Doc, URI: docs[i].URI})
-				if len(batch) >= batchSize {
-					if err := flush(); err != nil {
-						errs[w] = err
+				if len(batch) == batchSize || i+publishers >= len(docs) {
+					if _, errs[w] = c.Peers[w].PublishBatch(batch); errs[w] != nil {
 						return
 					}
+					batch = batch[:0]
 				}
 			}
-			errs[w] = flush()
 		}(w)
 	}
 	wg.Wait()

@@ -27,8 +27,6 @@ type Fig3Options struct {
 	// BlockSize is the DPP block bound (postings).
 	BlockSize int
 	Seed      int64
-	// Pipelined disables the pipelined get when explicitly false.
-	Pipelined *bool
 }
 
 func (o Fig3Options) defaults() Fig3Options {
@@ -77,7 +75,7 @@ func RunFig3(o Fig3Options) (*Fig3Result, error) {
 		useDPP := v.dpp
 		for _, records := range o.Records {
 			docs := workload.DBLP{Seed: o.Seed, Records: records}.Documents()
-			cfg := kadop.Config{Parallel: o.Parallel, Pipelined: o.Pipelined}
+			cfg := kadop.Config{Parallel: o.Parallel}
 			if useDPP {
 				cfg.UseDPP = true
 				cfg.DPP = dpp.Options{BlockSize: o.BlockSize}

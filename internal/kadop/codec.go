@@ -51,33 +51,6 @@ func readUint(buf []byte, pos int) (uint64, int, error) {
 	return v, pos + sz, nil
 }
 
-func appendPosting(buf []byte, p sid.Posting) []byte {
-	var b [18]byte
-	binary.BigEndian.PutUint32(b[0:], uint32(p.Peer))
-	binary.BigEndian.PutUint32(b[4:], uint32(p.Doc))
-	binary.BigEndian.PutUint32(b[8:], p.SID.Start)
-	binary.BigEndian.PutUint32(b[12:], p.SID.End)
-	binary.BigEndian.PutUint16(b[16:], p.SID.Level)
-	return append(buf, b[:]...)
-}
-
-func readPosting(buf []byte, pos int) (sid.Posting, int, error) {
-	if pos+18 > len(buf) {
-		return sid.Posting{}, pos, fmt.Errorf("kadop: truncated posting at offset %d", pos)
-	}
-	b := buf[pos:]
-	p := sid.Posting{
-		Peer: sid.PeerID(binary.BigEndian.Uint32(b[0:])),
-		Doc:  sid.DocID(binary.BigEndian.Uint32(b[4:])),
-		SID: sid.SID{
-			Start: binary.BigEndian.Uint32(b[8:]),
-			End:   binary.BigEndian.Uint32(b[12:]),
-			Level: binary.BigEndian.Uint16(b[16:]),
-		},
-	}
-	return p, pos + 18, nil
-}
-
 // encodeMatches serialises answer tuples (phase-two responses).
 func encodeMatches(ms []twigjoin.Match) []byte {
 	buf := appendUint(nil, uint64(len(ms)))
@@ -86,59 +59,16 @@ func encodeMatches(ms []twigjoin.Match) []byte {
 		buf = appendUint(buf, uint64(m.Doc.Doc))
 		buf = appendUint(buf, uint64(len(m.Postings)))
 		for _, p := range m.Postings {
-			buf = appendPosting(buf, p)
+			buf = sid.AppendPosting(buf, p)
 		}
 	}
 	return buf
 }
 
-func decodeMatches(buf []byte) ([]twigjoin.Match, error) {
-	out, _, err := decodeMatchesAt(buf)
-	return out, err
-}
-
-func decodeMatchesAt(buf []byte) ([]twigjoin.Match, int, error) {
-	n, pos, err := readUint(buf, 0)
-	if err != nil {
-		return nil, pos, err
-	}
-	if n > uint64(len(buf)) {
-		return nil, pos, fmt.Errorf("kadop: implausible match count %d", n)
-	}
-	out := make([]twigjoin.Match, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var m twigjoin.Match
-		var v uint64
-		if v, pos, err = readUint(buf, pos); err != nil {
-			return nil, pos, err
-		}
-		m.Doc.Peer = sid.PeerID(v)
-		if v, pos, err = readUint(buf, pos); err != nil {
-			return nil, pos, err
-		}
-		m.Doc.Doc = sid.DocID(v)
-		if v, pos, err = readUint(buf, pos); err != nil {
-			return nil, pos, err
-		}
-		if v > uint64(len(buf)) {
-			return nil, pos, fmt.Errorf("kadop: implausible tuple width %d", v)
-		}
-		for j := uint64(0); j < v; j++ {
-			var p sid.Posting
-			if p, pos, err = readPosting(buf, pos); err != nil {
-				return nil, pos, err
-			}
-			m.Postings = append(m.Postings, p)
-		}
-		out = append(out, m)
-	}
-	return out, pos, nil
-}
-
 // answerStats is the optional cost trailer of a phase-two response:
 // how much evaluation work the document peer did on the query's
 // behalf. Old responses simply end after the matches, so the trailer
-// decodes as zeros — decodeMatches ignores it entirely.
+// decodes as zeros.
 type answerStats struct {
 	docsEvaluated   int64
 	elementsScanned int64
@@ -149,24 +79,49 @@ func appendAnswerStats(buf []byte, st answerStats) []byte {
 	return appendUint(buf, uint64(st.elementsScanned))
 }
 
-// decodeMatchesStats decodes a phase-two response plus its cost
-// trailer when present.
-func decodeMatchesStats(buf []byte) ([]twigjoin.Match, answerStats, error) {
+// decodeMatches decodes a phase-two response: the answer tuples, and
+// the cost trailer when a well-formed one follows them.
+func decodeMatches(buf []byte) ([]twigjoin.Match, answerStats, error) {
 	var st answerStats
-	out, pos, err := decodeMatchesAt(buf)
-	if err != nil || pos >= len(buf) {
-		return out, st, err
-	}
-	d, pos, err := readUint(buf, pos)
+	n, pos, err := readUint(buf, 0)
 	if err != nil {
-		return out, answerStats{}, nil // no well-formed trailer: matches stand alone
+		return nil, st, err
 	}
-	e, _, err := readUint(buf, pos)
-	if err != nil {
-		return out, answerStats{}, nil
+	if n > uint64(len(buf)) {
+		return nil, st, fmt.Errorf("kadop: implausible match count %d", n)
 	}
-	st.docsEvaluated = int64(d)
-	st.elementsScanned = int64(e)
+	out := make([]twigjoin.Match, 0, n)
+	for i := uint64(0); i < n; i++ {
+		var m twigjoin.Match
+		var v uint64
+		if v, pos, err = readUint(buf, pos); err != nil {
+			return nil, st, err
+		}
+		m.Doc.Peer = sid.PeerID(v)
+		if v, pos, err = readUint(buf, pos); err != nil {
+			return nil, st, err
+		}
+		m.Doc.Doc = sid.DocID(v)
+		if v, pos, err = readUint(buf, pos); err != nil {
+			return nil, st, err
+		}
+		if v > uint64(len(buf)) {
+			return nil, st, fmt.Errorf("kadop: implausible tuple width %d", v)
+		}
+		for j := uint64(0); j < v; j++ {
+			var p sid.Posting
+			if p, pos, err = sid.ReadPosting(buf, pos); err != nil {
+				return nil, st, err
+			}
+			m.Postings = append(m.Postings, p)
+		}
+		out = append(out, m)
+	}
+	if d, pos, err := readUint(buf, pos); err == nil {
+		if e, _, err := readUint(buf, pos); err == nil {
+			st = answerStats{docsEvaluated: int64(d), elementsScanned: int64(e)}
+		}
+	}
 	return out, st, nil
 }
 

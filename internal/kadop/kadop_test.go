@@ -2,6 +2,7 @@ package kadop
 
 import (
 	"context"
+	"encoding/hex"
 	"fmt"
 	"reflect"
 	"sort"
@@ -156,26 +157,42 @@ func TestEndToEndConventional(t *testing.T) {
 	checkQueries(t, c, truth, QueryOptions{})
 }
 
-func TestEndToEndBlockingGet(t *testing.T) {
-	off := false
-	c := newCluster(t, 6, Config{Pipelined: &off})
-	truth := publishAll(t, c, dblpDocs)
-	checkQueries(t, c, truth, QueryOptions{})
-}
-
 func TestEndToEndWithDPP(t *testing.T) {
 	c := newCluster(t, 8, Config{UseDPP: true, DPP: dpp.Options{BlockSize: 4}})
 	truth := publishAll(t, c, dblpDocs)
 	checkQueries(t, c, truth, QueryOptions{})
 }
 
+// TestEndToEndStrategies checks every strategy against the oracle, on
+// plain lists and composed with the DPP. Beside the small corpus there
+// are 130 one-article documents, three of them Ullman's, so that with
+// four postings to a block every label list overflows and the keyword
+// is rare enough for AutoStrategy to filter: the branching query
+// //article[//title]//author[. contains "Ullman"] then reduces the
+// author path and fetches the long title list conventionally, from its
+// blocks.
 func TestEndToEndStrategies(t *testing.T) {
-	for _, strat := range []Strategy{ABReducer, DBReducer, BloomReducer, SubQueryReducer} {
-		t.Run(strat.String(), func(t *testing.T) {
-			c := newCluster(t, 8, Config{})
-			truth := publishAll(t, c, dblpDocs)
-			checkQueries(t, c, truth, QueryOptions{Strategy: strat})
-		})
+	docs := append([]string(nil), dblpDocs...)
+	for i := 0; i < 130; i++ {
+		author := fmt.Sprintf("Person %d", i)
+		if i == 5 || i == 61 || i == 118 {
+			author = "Jeffrey Ullman"
+		}
+		docs = append(docs, fmt.Sprintf(
+			`<dblp><article><author>%s</author><title>Paper %d</title></article></dblp>`, author, i))
+	}
+	for _, cfg := range []Config{{}, {UseDPP: true, DPP: dpp.Options{BlockSize: 4}}} {
+		name := "plain"
+		if cfg.UseDPP {
+			name = "dpp"
+		}
+		for _, strat := range []Strategy{Conventional, ABReducer, DBReducer, BloomReducer, SubQueryReducer, AutoStrategy} {
+			t.Run(name+"/"+strat.String(), func(t *testing.T) {
+				c := newCluster(t, 8, cfg)
+				truth := publishAll(t, c, docs)
+				checkQueries(t, c, truth, QueryOptions{Strategy: strat})
+			})
+		}
 	}
 }
 
@@ -268,39 +285,40 @@ func TestStrategiesReduceTraffic(t *testing.T) {
 }
 
 func TestPublishUnpublish(t *testing.T) {
-	c := newCluster(t, 5, Config{})
-	p := c.peers[0]
-	key, err := p.PublishXML([]byte(`<a><b>hello world</b></a>`), "x.xml")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.DocumentCount() != 1 {
-		t.Fatal("document not stored")
-	}
-	uri, err := c.peers[3].URI(key)
-	if err != nil || uri != "x.xml" {
-		t.Fatalf("URI = %q (%v)", uri, err)
-	}
-	q := pattern.MustParse(`//a//b`)
-	res, err := c.peers[2].Query(q, QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Matches) != 1 {
-		t.Fatalf("matches = %d", len(res.Matches))
-	}
-	if err := p.Unpublish(key.Doc); err != nil {
-		t.Fatal(err)
-	}
-	res, err = c.peers[2].Query(q, QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Matches) != 0 {
-		t.Fatalf("matches after unpublish = %d", len(res.Matches))
-	}
-	if err := p.Unpublish(999); err == nil {
-		t.Error("unpublishing a missing doc should fail")
+	for _, mode := range publishModes {
+		t.Run(mode.name, func(t *testing.T) {
+			c := newCluster(t, 5, Config{})
+			p := c.peers[0]
+			key := mode.publish(t, c, []testDoc{{xml: `<a><b>hello world</b></a>`, uri: "x.xml"}})[0]
+			if p.DocumentCount() != 1 {
+				t.Fatal("document not stored")
+			}
+			uri, err := c.peers[3].URI(key)
+			if err != nil || uri != "x.xml" {
+				t.Fatalf("URI = %q (%v)", uri, err)
+			}
+			q := pattern.MustParse(`//a//b`)
+			res, err := c.peers[2].Query(q, QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Matches) != 1 {
+				t.Fatalf("matches = %d", len(res.Matches))
+			}
+			if err := p.Unpublish(key.Doc); err != nil {
+				t.Fatal(err)
+			}
+			res, err = c.peers[2].Query(q, QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Matches) != 0 {
+				t.Fatalf("matches after unpublish = %d", len(res.Matches))
+			}
+			if err := p.Unpublish(999); err == nil {
+				t.Error("unpublishing a missing doc should fail")
+			}
+		})
 	}
 }
 
@@ -391,7 +409,13 @@ func TestCodecRoundTrips(t *testing.T) {
 		}},
 		{Doc: sid.DocKey{Peer: 3, Doc: 4}},
 	}
-	got, err := decodeMatches(encodeMatches(ms))
+	// The golden strings pin the wire bytes: a mixed-version cluster
+	// must keep answering, so none of these encodings may drift.
+	enc := encodeMatches(ms)
+	if want := "02010202000000010000000200000001000000040000000000010000000200000002000000030001030400"; hex.EncodeToString(enc) != want {
+		t.Errorf("match-list wire bytes changed:\n got %x\nwant %s", enc, want)
+	}
+	got, _, err := decodeMatches(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,6 +441,14 @@ func TestCodecRoundTrips(t *testing.T) {
 	// Reduce request round trip.
 	req := &reduceReq{session: "s1", queryAddr: "sim://9", abFP: 0.2, dbFP: 0.01,
 		filterKind: filterAB, filter: []byte{1, 2, 3}, spec: spec}
+	if want := "0273310773696d3a2f2f39c09a0c904e01000301020300036c3a610101036c3a620202036c3a63000303773a7700"; hex.EncodeToString(req.encode()) != want {
+		t.Errorf("reduce-request wire bytes changed:\n got %x\nwant %s", req.encode(), want)
+	}
+	// The traffic class of a filter message derives from its proc name.
+	if procs := [...]string{procABReduce, procDBReduce, procHybridAB, procHybridDB, procPush}; procs !=
+		[...]string{"filter:abreduce", "filter:dbreduce", "filter:hybrid-ab", "filter:hybrid-db", "stream:push"} {
+		t.Errorf("strategy proc names changed: %v", procs)
+	}
 	rr, err := decodeReduceReq(req.encode())
 	if err != nil {
 		t.Fatal(err)
@@ -456,36 +488,39 @@ func TestSubQuerySelectionHeuristic(t *testing.T) {
 }
 
 func TestUnpublishWithDPP(t *testing.T) {
-	c := newCluster(t, 8, Config{UseDPP: true, DPP: dpp.Options{BlockSize: 8}})
-	p := c.peers[0]
-	var keys []sid.DocKey
-	for i := 0; i < 10; i++ {
-		key, err := p.PublishXML([]byte(fmt.Sprintf(
-			`<dblp><article><author>Person %d</author><title>T%d</title></article></dblp>`, i, i)), fmt.Sprintf("d%d.xml", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys = append(keys, key)
-	}
-	q := pattern.MustParse(`//article//author`)
-	res, err := c.peers[3].Query(q, QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Matches) != 10 {
-		t.Fatalf("before unpublish: %d matches", len(res.Matches))
-	}
-	for i := 0; i < 5; i++ {
-		if err := p.Unpublish(keys[i].Doc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err = c.peers[3].Query(q, QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Matches) != 5 {
-		t.Fatalf("after unpublish: %d matches, want 5", len(res.Matches))
+	for _, mode := range publishModes {
+		t.Run(mode.name, func(t *testing.T) {
+			c := newCluster(t, 8, Config{UseDPP: true, DPP: dpp.Options{BlockSize: 8}})
+			p := c.peers[0]
+			var docs []testDoc
+			for i := 0; i < 10; i++ {
+				docs = append(docs, testDoc{
+					xml: fmt.Sprintf(`<dblp><article><author>Person %d</author><title>T%d</title></article></dblp>`, i, i),
+					uri: fmt.Sprintf("d%d.xml", i),
+				})
+			}
+			keys := mode.publish(t, c, docs)
+			q := pattern.MustParse(`//article//author`)
+			res, err := c.peers[3].Query(q, QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Matches) != 10 {
+				t.Fatalf("before unpublish: %d matches", len(res.Matches))
+			}
+			for i := 0; i < 5; i++ {
+				if err := p.Unpublish(keys[i].Doc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err = c.peers[3].Query(q, QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Matches) != 5 {
+				t.Fatalf("after unpublish: %d matches, want 5", len(res.Matches))
+			}
+		})
 	}
 }
 
@@ -571,49 +606,51 @@ func TestAllowPartialOnPeerFailure(t *testing.T) {
 }
 
 func TestTypeFilteringSkipsBlocks(t *testing.T) {
-	c := newCluster(t, 8, Config{UseDPP: true, DPP: dpp.Options{BlockSize: 32}})
-	// Two document types sharing the author term; the booktitle term
-	// exists only in proceedings-type documents.
-	for i := 0; i < 60; i++ {
-		var doc, dtype string
-		if i%2 == 0 {
-			doc = fmt.Sprintf(`<dblp><article><author>Person %d</author><journal>J</journal></article></dblp>`, i)
-			dtype = "journal-article"
-		} else {
-			doc = fmt.Sprintf(`<dblp><inproceedings><author>Person %d</author><booktitle>C</booktitle></inproceedings></dblp>`, i)
-			dtype = "proceedings"
-		}
-		d, err := xmltree.ParseBytes([]byte(doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.peers[i%len(c.peers)].PublishTyped(d, fmt.Sprintf("d%d.xml", i), dtype); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// author appears in both types, booktitle only in proceedings: the
-	// automatic intersection restricts author's fetch to proceedings
-	// blocks.
-	q := pattern.MustParse(`//inproceedings[//booktitle]//author`)
-	res, err := c.peers[1].Query(q, QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Matches) != 30 {
-		t.Fatalf("matches = %d, want 30", len(res.Matches))
-	}
-	// Explicit type constraint excluding every document: nothing fetched.
-	res, err = c.peers[1].Query(q, QueryOptions{DocType: "no-such-type", IndexOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Docs) != 0 {
-		t.Fatalf("type-excluded query returned %d docs", len(res.Docs))
-	}
-	for _, pl := range res.Plans {
-		if pl.Fetched != 0 {
-			t.Errorf("term %s fetched %d blocks despite type exclusion", pl.Term, pl.Fetched)
-		}
+	for _, mode := range publishModes {
+		t.Run(mode.name, func(t *testing.T) {
+			c := newCluster(t, 8, Config{UseDPP: true, DPP: dpp.Options{BlockSize: 32}})
+			// Two document types sharing the author term; the booktitle
+			// term exists only in proceedings-type documents. Every peer
+			// publishes both types, so a batch holds both.
+			var docs []testDoc
+			for i := 0; i < 60; i++ {
+				d := testDoc{peer: i % len(c.peers), uri: fmt.Sprintf("d%d.xml", i)}
+				if i%3 != 0 {
+					d.xml = fmt.Sprintf(`<dblp><article><author>Person %d</author><journal>J</journal></article></dblp>`, i)
+					d.dtype = "journal-article"
+				} else {
+					d.xml = fmt.Sprintf(`<dblp><inproceedings><author>Person %d</author><booktitle>C</booktitle></inproceedings></dblp>`, i)
+					d.dtype = "proceedings"
+				}
+				docs = append(docs, d)
+			}
+			mode.publish(t, c, docs)
+			// author appears in both types, booktitle only in proceedings:
+			// the automatic intersection restricts author's fetch to
+			// proceedings blocks.
+			q := pattern.MustParse(`//inproceedings[//booktitle]//author`)
+			res, err := c.peers[1].Query(q, QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Matches) != 20 {
+				t.Fatalf("matches = %d, want 20", len(res.Matches))
+			}
+			// Explicit type constraint excluding every document: nothing
+			// fetched.
+			res, err = c.peers[1].Query(q, QueryOptions{DocType: "no-such-type", IndexOnly: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Docs) != 0 {
+				t.Fatalf("type-excluded query returned %d docs", len(res.Docs))
+			}
+			for _, pl := range res.Plans {
+				if pl.Fetched != 0 {
+					t.Errorf("term %s fetched %d blocks despite type exclusion", pl.Term, pl.Fetched)
+				}
+			}
+		})
 	}
 }
 
@@ -721,34 +758,6 @@ func TestPeerAccessorsAndPublishAt(t *testing.T) {
 	}
 	if len(res.Matches) != 1 {
 		t.Fatalf("matches = %d", len(res.Matches))
-	}
-}
-
-func TestStrategiesComposeWithDPP(t *testing.T) {
-	// listFor pulls DPP blocks back to the home peer; the strategies
-	// must still compute exact answers over partitioned lists.
-	c := newCluster(t, 8, Config{UseDPP: true, DPP: dpp.Options{BlockSize: 8}})
-	var docs []string
-	for i := 0; i < 30; i++ {
-		a := "Common Person"
-		if i == 17 {
-			a = "Jeffrey Ullman"
-		}
-		docs = append(docs, fmt.Sprintf(`<dblp><article><author>%s</author></article></dblp>`, a))
-	}
-	truth := publishAll(t, c, docs)
-	q := pattern.MustParse(`//article//author[. contains "Ullman"]`)
-	want := truth(q)
-	for _, s := range []Strategy{ABReducer, DBReducer, BloomReducer} {
-		res, err := c.peers[3].Query(q, QueryOptions{Strategy: s})
-		if err != nil {
-			t.Fatalf("%v over DPP: %v", s, err)
-		}
-		got := res.Matches
-		sortMatches(got)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%v over DPP: %d matches, want %d", s, len(got), len(want))
-		}
 	}
 }
 

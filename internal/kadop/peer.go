@@ -64,10 +64,6 @@ type Config struct {
 	// concurrent fetches of one block coalesce, and generation-keyed
 	// entries self-invalidate on append/delete. Zero disables caching.
 	CacheBytes int64
-	// Pipelined selects the pipelined get of Section 3 for index
-	// queries (default true; the blocking baseline is kept for the
-	// ablation experiments).
-	Pipelined *bool
 	// Parallel is the DPP fetch parallelism K (default 4).
 	Parallel int
 	// Extract controls term extraction at publishing time.
@@ -151,8 +147,6 @@ type BatchingConfig struct {
 	// flush.
 	MaxDelay time.Duration
 }
-
-func (c Config) pipelined() bool { return c.Pipelined == nil || *c.Pipelined }
 
 func (c Config) abFP() float64 {
 	if c.ABBasicFP <= 0 {
@@ -264,10 +258,10 @@ func NewPeer(node *dht.Node, id sid.PeerID, cfg Config) (*Peer, error) {
 	node.Handle(procAnswer, p.handleAnswer)
 	node.Handle(procCount, p.handleCount)
 	node.Handle(procPush, p.handlePush)
-	node.Handle(procABReduce, p.handleABReduce)
-	node.Handle(procDBReduce, p.handleDBReduce)
-	node.Handle(procHybridAB, p.handleHybridAB)
-	node.Handle(procHybridDB, p.handleHybridDB)
+	node.Handle(procABReduce, p.reduceStep(procABReduce, true, false))
+	node.Handle(procDBReduce, p.reduceStep(procDBReduce, false, false))
+	node.Handle(procHybridAB, p.reduceStep(procHybridAB, true, true))
+	node.Handle(procHybridDB, p.reduceStep(procHybridDB, false, false))
 	if cfg.RepublishInterval > 0 {
 		p.stopRepub = p.startRepublish(cfg.RepublishInterval)
 	}
@@ -568,102 +562,7 @@ func (p *Peer) Publish(doc *xmltree.Document, uri string) (sid.DocKey, error) {
 // conditions of the blocks receiving the document's postings, and
 // type-constrained queries skip blocks of other types.
 func (p *Peer) PublishTyped(doc *xmltree.Document, uri, dtype string) (sid.DocKey, error) {
-	p.mu.Lock()
-	id := p.nextDoc
-	p.nextDoc++
-	p.docs[id] = doc
-	p.uris[id] = uri
-	if dtype != "" {
-		p.docTypes[id] = dtype
-	}
-	p.mu.Unlock()
-	return p.indexDoc(id, doc, uri, dtype)
-}
-
-// indexDoc routes a registered document's postings into the
-// distributed index and records its URI in the Doc relation.
-func (p *Peer) indexDoc(id sid.DocID, doc *xmltree.Document, uri, dtype string) (sid.DocKey, error) {
-	key := sid.DocKey{Peer: p.id, Doc: id}
-	tps := xmltree.Extract(doc, p.id, id, p.cfg.Extract)
-	// Batch postings per term (Section 3: buffering postings of the same
-	// term cuts per-posting routing costs).
-	byTerm := map[string]postings.List{}
-	for _, tp := range tps {
-		k := tp.Term.Key()
-		byTerm[k] = append(byTerm[k], tp.Posting)
-	}
-	if err := p.appendTerms(byTerm, nil, dtype, indexFanOut); err != nil {
-		return key, fmt.Errorf("kadop: publish %q: %w", uri, err)
-	}
-	if err := p.dirPut(docKey(key), []byte(uri)); err != nil {
-		return key, err
-	}
-	return key, nil
-}
-
-// indexFanOut bounds the concurrent term appends of one publish. Terms
-// hash to independent home peers, so a document's appends are parallel
-// work; at the home stores the concurrency is what lets the write
-// coalescer form large group commits. The bound keeps one wide
-// document from flooding the overlay.
-const indexFanOut = 8
-
-// batchFanOut is the append fan-out of the bulk-publish path. A batch
-// has already merged its postings per term, so its appends are fewer
-// and larger than a per-doc publish's — and with a lingering coalescer
-// at the home stores (BatchingConfig.MaxDelay) an append spends most
-// of its life parked in a store's batch queue, so the bulk path must
-// keep many more in flight than indexFanOut to keep every store's
-// collection window fed.
-const batchFanOut = 32
-
-// appendTerms routes per-term posting groups into the distributed
-// index, at most fanOut appends in flight, and feeds the
-// publisher-side statistics. docsGained[term] is the number of
-// documents contributing to term; nil means one document (the
-// single-publish paths). Lists are sorted in place. The first append
-// error wins; remaining in-flight appends still drain.
-func (p *Peer) appendTerms(byTerm map[string]postings.List, docsGained map[string]int, dtype string, fanOut int) error {
-	sem := make(chan struct{}, fanOut)
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	for term, list := range byTerm {
-		list.Sort()
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(term string, list postings.List) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := p.appendIndex(term, list, dtype); err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("index %q: %w", term, err)
-				}
-				errMu.Unlock()
-				return
-			}
-			// Statistics update at the publisher: summing registries
-			// across the cluster yields the exact global cardinalities.
-			docs := int64(1)
-			if docsGained != nil {
-				docs = int64(docsGained[term])
-			}
-			p.stats.ObservePublish(term, docs, int64(len(list)))
-		}(term, list)
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// appendIndex routes one term's postings into the distributed index.
-func (p *Peer) appendIndex(term string, list postings.List, dtype string) error {
-	if p.dpp != nil {
-		return p.dpp.AppendTyped(term, list, dtype)
-	}
-	return p.node.Append(term, list)
+	return firstKey(p.PublishBatch([]TreeDoc{{Doc: doc, URI: uri, Dtype: dtype}}))
 }
 
 // PublishAt indexes a document under an explicit document identifier.
@@ -672,29 +571,8 @@ func (p *Peer) appendIndex(term string, list postings.List, dtype string) error 
 // id; the document is retained locally so phase-two evaluation can
 // serve answers from it.
 func (p *Peer) PublishAt(id sid.DocID, doc *xmltree.Document, uri string) (sid.DocKey, error) {
-	p.mu.Lock()
-	if _, dup := p.docs[id]; dup {
-		p.mu.Unlock()
-		return sid.DocKey{Peer: p.id, Doc: id}, fmt.Errorf("kadop: document id %d already in use", id)
-	}
-	p.docs[id] = doc
-	p.uris[id] = uri
-	p.mu.Unlock()
-	key := sid.DocKey{Peer: p.id, Doc: id}
-
-	tps := xmltree.Extract(doc, p.id, id, p.cfg.Extract)
-	byTerm := map[string]postings.List{}
-	for _, tp := range tps {
-		k := tp.Term.Key()
-		byTerm[k] = append(byTerm[k], tp.Posting)
-	}
-	if err := p.appendTerms(byTerm, nil, "", indexFanOut); err != nil {
-		return key, fmt.Errorf("kadop: publish %q: %w", uri, err)
-	}
-	if err := p.dirPut(docKey(key), []byte(uri)); err != nil {
-		return key, err
-	}
-	return key, nil
+	_, err := p.publish([]pubDoc{{doc: doc, uri: uri}}, &id)
+	return sid.DocKey{Peer: p.id, Doc: id}, err
 }
 
 // PublishXML parses and publishes an XML document held as bytes. On a
@@ -707,157 +585,152 @@ func (p *Peer) PublishXML(raw []byte, uri string) (sid.DocKey, error) {
 
 // PublishXMLTyped is PublishXML with a document type (Section 4.1).
 func (p *Peer) PublishXMLTyped(raw []byte, uri, dtype string) (sid.DocKey, error) {
-	doc, err := xmltree.ParseBytes(raw)
-	if err != nil {
-		return sid.DocKey{}, fmt.Errorf("kadop: publish %q: %w", uri, err)
-	}
-	p.mu.Lock()
-	id := p.nextDoc
-	p.nextDoc++
-	p.docs[id] = doc
-	p.uris[id] = uri
-	if dtype != "" {
-		p.docTypes[id] = dtype
-	}
-	p.mu.Unlock()
-	// Journal before indexing: if the crash lands mid-index, the
-	// restarted peer still holds the document and Reannounce + replica
-	// repair re-derive the rest; the reverse order would leave index
-	// postings pointing at a document nobody can serve.
-	if err := p.persist.append(stateRecord{Kind: "doc", ID: uint32(id), URI: uri, Dtype: dtype, XML: raw}); err != nil {
-		return sid.DocKey{Peer: p.id, Doc: id}, err
-	}
-	return p.indexDoc(id, doc, uri, dtype)
+	return firstKey(p.PublishXMLBatch([]BatchDoc{{XML: raw, URI: uri, Dtype: dtype}}))
 }
 
-// BatchDoc is one document of a PublishXMLBatch bulk publish.
+// firstKey adapts a one-document batch to the single-document
+// signatures; the key is zero when the batch was rejected outright.
+func firstKey(keys []sid.DocKey, err error) (sid.DocKey, error) {
+	if len(keys) == 0 {
+		return sid.DocKey{}, err
+	}
+	return keys[0], err
+}
+
+// BatchDoc is one document of a PublishXMLBatch call.
 type BatchDoc struct {
 	XML   []byte
 	URI   string
 	Dtype string // optional document type (Section 4.1)
 }
 
-// PublishXMLBatch publishes many XML documents as one bulk operation.
-// It has the same outcome as calling PublishXML per document, but the
-// costs amortise across the batch:
+// PublishXMLBatch publishes XML documents held as bytes in one call;
+// PublishXML is the batch of one. Costs are per call, not per document:
 //
-//   - on a durable peer the whole batch journals with a single write
-//     and a single fsync (a crash mid-journal recovers a prefix of the
-//     batch, each document whole);
-//   - postings merge per term across the batch, so a term appearing in
+//   - on a durable peer the call journals with a single write and a
+//     single fsync (a crash mid-journal recovers a prefix of the batch,
+//     each document whole);
+//   - postings merge per term across the call, so a term appearing in
 //     k documents costs one index append instead of k;
 //   - the merged appends fan out concurrently, and with store batching
 //     enabled (Config.Batching) the home peers group-commit them.
 //
-// All documents must parse; a parse failure rejects the batch before
+// All documents must parse; a parse failure rejects the call before
 // any state changes. Index errors are reported after the documents are
-// registered and journaled, exactly as a failed PublishXML leaves the
-// document held locally for Reannounce and repair to finish the job.
+// registered and journaled: they stay held locally for Reannounce and
+// repair to finish the job.
 func (p *Peer) PublishXMLBatch(docs []BatchDoc) ([]sid.DocKey, error) {
-	if len(docs) == 0 {
-		return nil, nil
-	}
-	parsed := make([]*xmltree.Document, len(docs))
+	pub := make([]pubDoc, len(docs))
 	for i, d := range docs {
 		doc, err := xmltree.ParseBytes(d.XML)
 		if err != nil {
 			return nil, fmt.Errorf("kadop: publish %q: %w", d.URI, err)
 		}
-		parsed[i] = doc
+		pub[i] = pubDoc{doc: doc, raw: d.XML, uri: d.URI, dtype: d.Dtype}
 	}
-	keys := make([]sid.DocKey, len(docs))
-	recs := make([]stateRecord, len(docs))
-	uris := make([]string, len(docs))
-	dtypes := make([]string, len(docs))
-	p.mu.Lock()
-	for i, d := range docs {
-		id := p.nextDoc
-		p.nextDoc++
-		p.docs[id] = parsed[i]
-		p.uris[id] = d.URI
-		if d.Dtype != "" {
-			p.docTypes[id] = d.Dtype
-		}
-		keys[i] = sid.DocKey{Peer: p.id, Doc: id}
-		recs[i] = stateRecord{Kind: "doc", ID: uint32(id), URI: d.URI, Dtype: d.Dtype, XML: d.XML}
-		uris[i] = d.URI
-		dtypes[i] = d.Dtype
-	}
-	p.mu.Unlock()
-	// Journal the whole batch before indexing (one write, one fsync):
-	// same ordering rationale as PublishXML — a crash mid-index leaves
-	// documents someone can still serve, never postings pointing at
-	// documents nobody holds.
-	if err := p.persist.appendMany(recs); err != nil {
-		return keys, err
-	}
-	return keys, p.batchIndex(parsed, keys, uris, dtypes)
+	return p.publish(pub, nil)
 }
 
-// TreeDoc is one document of a PublishBatch bulk publish: already
-// parsed, with its URI and optional type.
+// TreeDoc is one document of a PublishBatch call: already parsed, with
+// its URI and optional type.
 type TreeDoc struct {
 	Doc   *xmltree.Document
 	URI   string
 	Dtype string
 }
 
-// PublishBatch is the parsed-document counterpart of PublishXMLBatch:
-// the bulk form of Publish/PublishTyped. Like those, it does not
-// journal document bytes (there are none); postings merge per term
-// across the batch and the merged appends fan out concurrently, so a
-// term appearing in k documents costs one index append instead of k —
-// with store batching enabled the home peers group-commit what is
-// left.
+// PublishBatch is the parsed-document counterpart of PublishXMLBatch
+// (Publish is its batch of one). There are no document bytes, so
+// nothing is journaled.
 func (p *Peer) PublishBatch(docs []TreeDoc) ([]sid.DocKey, error) {
+	pub := make([]pubDoc, len(docs))
+	for i, d := range docs {
+		pub[i] = pubDoc{doc: d.Doc, uri: d.URI, dtype: d.Dtype}
+	}
+	return p.publish(pub, nil)
+}
+
+// pubDoc is one document entering the publish pipeline; raw is nil for
+// a document handed over already parsed.
+type pubDoc struct {
+	doc        *xmltree.Document
+	raw        []byte
+	uri, dtype string
+}
+
+// termGroup is the postings one publish call contributes to one term,
+// and the number of documents they come from.
+type termGroup struct {
+	list postings.List
+	docs int64
+}
+
+// publishFanOut bounds the concurrent term appends of one publish call.
+// Terms hash to independent home peers, so the appends are parallel
+// work, and with a lingering coalescer at the home stores
+// (BatchingConfig.MaxDelay) an append spends most of its life parked in
+// a store's batch queue: many must be in flight to keep every store's
+// collection window fed. The bound keeps one call from flooding the
+// overlay.
+const publishFanOut = 32
+
+// publish is the publish pipeline of Section 3, the body of every
+// Publish* method: register the documents, journal those that came as
+// bytes, extract their postings merged per (type, term), append each
+// group to the distributed index and record the URIs in the Doc
+// relation. at, when set, is the caller-chosen id of the single
+// document (PublishAt); otherwise ids are allocated in sequence.
+func (p *Peer) publish(docs []pubDoc, at *sid.DocID) ([]sid.DocKey, error) {
 	if len(docs) == 0 {
 		return nil, nil
 	}
-	parsed := make([]*xmltree.Document, len(docs))
 	keys := make([]sid.DocKey, len(docs))
-	uris := make([]string, len(docs))
-	dtypes := make([]string, len(docs))
+	var recs []stateRecord
 	p.mu.Lock()
 	for i, d := range docs {
 		id := p.nextDoc
-		p.nextDoc++
-		p.docs[id] = d.Doc
-		p.uris[id] = d.URI
-		if d.Dtype != "" {
-			p.docTypes[id] = d.Dtype
+		if at != nil {
+			id = *at
+			if _, dup := p.docs[id]; dup {
+				p.mu.Unlock()
+				return nil, fmt.Errorf("kadop: document id %d already in use", id)
+			}
+		} else {
+			p.nextDoc++
 		}
-		parsed[i] = d.Doc
+		p.docs[id] = d.doc
+		p.uris[id] = d.uri
+		if d.dtype != "" {
+			p.docTypes[id] = d.dtype
+		}
 		keys[i] = sid.DocKey{Peer: p.id, Doc: id}
-		uris[i] = d.URI
-		dtypes[i] = d.Dtype
+		if d.raw != nil && p.persist != nil {
+			recs = append(recs, stateRecord{Kind: "doc", ID: uint32(id), URI: d.uri, Dtype: d.dtype, XML: d.raw})
+		}
 	}
 	p.mu.Unlock()
-	return keys, p.batchIndex(parsed, keys, uris, dtypes)
-}
-
-// batchIndex routes the postings of a batch of already-registered
-// documents into the distributed index, merged per term across the
-// batch, then records the URIs in the Doc relation. Appends carry the
-// document type into the DPP block conditions, so only documents of
-// the same type may share one append.
-func (p *Peer) batchIndex(parsed []*xmltree.Document, keys []sid.DocKey, uris, dtypes []string) error {
-	type termGroup struct {
-		list postings.List
-		docs int
+	// Journal before indexing (one write, one fsync): if the crash lands
+	// mid-index, the restarted peer still holds the documents and
+	// Reannounce + replica repair re-derive the rest; the reverse order
+	// would leave index postings pointing at documents nobody can serve.
+	if err := p.persist.append(recs...); err != nil {
+		return keys, err
 	}
+	// Appends carry the document type into the DPP block conditions, so
+	// only documents of the same type may share one append.
 	groups := map[string]map[string]*termGroup{} // dtype -> term -> group
-	for i := range parsed {
-		byType := groups[dtypes[i]]
-		if byType == nil {
-			byType = map[string]*termGroup{}
-			groups[dtypes[i]] = byType
+	for i, d := range docs {
+		byTerm := groups[d.dtype]
+		if byTerm == nil {
+			byTerm = map[string]*termGroup{}
+			groups[d.dtype] = byTerm
 		}
-		for _, tp := range xmltree.Extract(parsed[i], p.id, keys[i].Doc, p.cfg.Extract) {
+		for _, tp := range xmltree.Extract(d.doc, p.id, keys[i].Doc, p.cfg.Extract) {
 			k := tp.Term.Key()
-			g := byType[k]
+			g := byTerm[k]
 			if g == nil {
 				g = &termGroup{}
-				byType[k] = g
+				byTerm[k] = g
 			}
 			if len(g.list) == 0 || g.list[len(g.list)-1].Doc != keys[i].Doc {
 				g.docs++
@@ -865,23 +738,58 @@ func (p *Peer) batchIndex(parsed []*xmltree.Document, keys []sid.DocKey, uris, d
 			g.list = append(g.list, tp.Posting)
 		}
 	}
-	for dtype, byType := range groups {
-		byTerm := make(map[string]postings.List, len(byType))
-		docsGained := make(map[string]int, len(byType))
-		for term, g := range byType {
-			byTerm[term] = g.list
-			docsGained[term] = g.docs
-		}
-		if err := p.appendTerms(byTerm, docsGained, dtype, batchFanOut); err != nil {
-			return fmt.Errorf("kadop: publish batch: %w", err)
+	for dtype, byTerm := range groups {
+		if err := p.appendTerms(byTerm, dtype); err != nil {
+			return keys, fmt.Errorf("kadop: publish: %w", err)
 		}
 	}
 	for i, key := range keys {
-		if err := p.dirPut(docKey(key), []byte(uris[i])); err != nil {
-			return err
+		if err := p.dirPut(docKey(key), []byte(docs[i].uri)); err != nil {
+			return keys, err
 		}
 	}
-	return nil
+	return keys, nil
+}
+
+// appendTerms routes per-term posting groups of one document type into
+// the distributed index, at most publishFanOut appends in flight, and
+// feeds the publisher-side statistics. Lists are sorted in place. The
+// first append error wins; remaining in-flight appends still drain.
+func (p *Peer) appendTerms(byTerm map[string]*termGroup, dtype string) error {
+	sem := make(chan struct{}, publishFanOut)
+	var (
+		wg       sync.WaitGroup
+		errMu    sync.Mutex
+		firstErr error
+	)
+	for term, g := range byTerm {
+		g.list.Sort()
+		sem <- struct{}{}
+		wg.Add(1)
+		go func(term string, g *termGroup) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			var err error
+			if p.dpp != nil {
+				err = p.dpp.AppendTyped(term, g.list, dtype)
+			} else {
+				err = p.node.Append(term, g.list)
+			}
+			if err != nil {
+				errMu.Lock()
+				if firstErr == nil {
+					firstErr = fmt.Errorf("index %q: %w", term, err)
+				}
+				errMu.Unlock()
+				return
+			}
+			// Statistics update at the publisher: summing registries
+			// across the cluster yields the exact global cardinalities.
+			p.stats.ObservePublish(term, g.docs, int64(len(g.list)))
+		}(term, g)
+	}
+	wg.Wait()
+	return firstErr
 }
 
 // Unpublish removes a document from the collection: its postings are

@@ -17,10 +17,10 @@ import (
 // journal replays in order, so a later record for the same document id
 // or directory key wins, exactly as the in-memory maps behaved.
 //
-// The journal records only documents published through PublishXML (the
-// CLI and network publishing path), because only there does the peer
-// hold the raw bytes to replay. Documents handed over pre-parsed
-// (Publish / PublishAt) stay memory-only, as before.
+// The journal records only documents published as bytes (PublishXML,
+// PublishXMLBatch: the CLI and network publishing path), because only
+// there does the peer hold the raw bytes to replay. Documents handed
+// over pre-parsed (Publish, PublishBatch, PublishAt) stay memory-only.
 
 // stateRecord is one journal line.
 type stateRecord struct {
@@ -79,40 +79,13 @@ func openStatePersist(path string) (*statePersist, []stateRecord, error) {
 	return &statePersist{f: f}, recs, nil
 }
 
-// append writes one record and fsyncs: journal entries are rare (one
-// per published document or directory update) next to index appends,
-// so the fsync cost is noise while the recovery guarantee is not.
-func (sp *statePersist) append(rec stateRecord) error {
-	if sp == nil {
-		return nil
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.err != nil {
-		return sp.err
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	line = append(line, '\n')
-	if _, err := sp.f.Write(line); err != nil {
-		sp.err = fmt.Errorf("kadop: peer state: %w", err)
-		return sp.err
-	}
-	if err := sp.f.Sync(); err != nil {
-		sp.err = fmt.Errorf("kadop: peer state: %w", err)
-		return sp.err
-	}
-	return nil
-}
-
-// appendMany journals a whole batch of records with a single write and
-// a single fsync. The bulk-publish path uses it: N documents cost one
-// durability round trip instead of N, while the torn-tail recovery in
-// openStatePersist still applies — a crash mid-write keeps the valid
-// line prefix, so recovery sees a prefix of the batch, each line whole.
-func (sp *statePersist) appendMany(recs []stateRecord) error {
+// append journals records with a single write and a single fsync, so a
+// publish call of N documents costs one durability round trip instead
+// of N. Journal entries are rare next to index appends, so the fsync
+// cost is noise while the recovery guarantee is not. The torn-tail
+// recovery in openStatePersist applies to the batch: a crash mid-write
+// keeps the valid line prefix, each line whole.
+func (sp *statePersist) append(recs ...stateRecord) error {
 	if sp == nil || len(recs) == 0 {
 		return nil
 	}

@@ -1,0 +1,247 @@
+package kadop
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"kadop/internal/dht"
+	"kadop/internal/dpp"
+	"kadop/internal/obs/stats"
+	"kadop/internal/pattern"
+	"kadop/internal/postings"
+	"kadop/internal/sid"
+	"kadop/internal/store"
+	"kadop/internal/xmltree"
+)
+
+// testDoc is one document of a publish-entry-point test: its XML, and
+// the peer (by index) that publishes it.
+type testDoc struct {
+	peer            int
+	xml, uri, dtype string
+}
+
+// publishModes are the two ways document bytes enter the publish
+// pipeline — one PublishXML call per document, and one PublishXMLBatch
+// call per publishing peer. Each publishes docs in order and returns
+// their keys in the same order. Tests of publish outcomes run over
+// both.
+var publishModes = []struct {
+	name    string
+	publish func(t testing.TB, c *cluster, docs []testDoc) []sid.DocKey
+}{
+	{"each", func(t testing.TB, c *cluster, docs []testDoc) []sid.DocKey {
+		t.Helper()
+		keys := make([]sid.DocKey, len(docs))
+		for i, d := range docs {
+			key, err := c.peers[d.peer].PublishXMLTyped([]byte(d.xml), d.uri, d.dtype)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys[i] = key
+		}
+		return keys
+	}},
+	{"batch", func(t testing.TB, c *cluster, docs []testDoc) []sid.DocKey {
+		t.Helper()
+		keys := make([]sid.DocKey, len(docs))
+		for pi, p := range c.peers {
+			var batch []BatchDoc
+			var at []int
+			for i, d := range docs {
+				if d.peer == pi {
+					batch = append(batch, BatchDoc{XML: []byte(d.xml), URI: d.uri, Dtype: d.dtype})
+					at = append(at, i)
+				}
+			}
+			got, err := p.PublishXMLBatch(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, i := range at {
+				keys[i] = got[j]
+			}
+		}
+		return keys
+	}},
+}
+
+// TestPublishSingleVsBatch is the differential test of the two entry
+// points: the same seeded documents (two types, terms shared across
+// documents), published one call each into one cluster and one call
+// per peer into an identical one, must leave the same index, the same
+// publisher statistics, the same directory and the same answers.
+func TestPublishSingleVsBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	var docs []testDoc
+	for i := 0; i < 48; i++ {
+		author := fmt.Sprintf("Person %d", rng.Intn(12))
+		if rng.Intn(8) == 0 {
+			author = "Jeffrey Ullman"
+		}
+		d := testDoc{peer: rng.Intn(3), uri: fmt.Sprintf("d%d.xml", i)}
+		if rng.Intn(2) == 0 {
+			d.dtype = "journal-article"
+			d.xml = fmt.Sprintf(`<dblp><article><author>%s</author><title>Paper %d on XML</title><journal>J%d</journal></article></dblp>`,
+				author, i, rng.Intn(3))
+		} else {
+			d.dtype = "proceedings"
+			d.xml = fmt.Sprintf(`<dblp><inproceedings><author>%s</author><title>Talk %d on XML</title><booktitle>C%d</booktitle></inproceedings></dblp>`,
+				author, i, rng.Intn(3))
+		}
+		docs = append(docs, d)
+	}
+
+	type outcome struct {
+		keys    []sid.DocKey
+		uris    []string
+		stats   []map[string]stats.TermStat // per publishing peer
+		lists   map[string]postings.List
+		answers map[string][]string
+	}
+	observe := func(publish func(testing.TB, *cluster, []testDoc) []sid.DocKey) outcome {
+		c := newCluster(t, 6, Config{UseDPP: true, DPP: dpp.Options{BlockSize: 8}})
+		out := outcome{keys: publish(t, c, docs), lists: map[string]postings.List{}, answers: map[string][]string{}}
+		reader := c.peers[5]
+		for _, k := range out.keys {
+			uri, err := reader.URI(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out.uris = append(out.uris, uri)
+		}
+		for _, p := range c.peers {
+			cards := p.Stats().Snapshot().Terms
+			for term := range cards {
+				if _, done := out.lists[term]; done {
+					continue
+				}
+				s, _, err := reader.DPP().Fetch(term, dpp.FetchOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out.lists[term], err = postings.Drain(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			out.stats = append(out.stats, cards)
+		}
+		for _, qs := range paperQueries {
+			res, err := reader.Query(pattern.MustParse(qs), QueryOptions{})
+			if err != nil {
+				t.Fatalf("Query(%s): %v", qs, err)
+			}
+			sortMatches(res.Matches)
+			out.answers[qs] = []string{fmt.Sprint(res.Docs), fmt.Sprint(res.Matches)}
+		}
+		return out
+	}
+	each, batch := observe(publishModes[0].publish), observe(publishModes[1].publish)
+
+	if !reflect.DeepEqual(each.keys, batch.keys) {
+		t.Errorf("document keys differ:\n each  %v\n batch %v", each.keys, batch.keys)
+	}
+	if !reflect.DeepEqual(each.uris, batch.uris) {
+		t.Errorf("directory entries differ:\n each  %v\n batch %v", each.uris, batch.uris)
+	}
+	if !reflect.DeepEqual(each.stats, batch.stats) {
+		t.Errorf("publisher term cardinalities differ:\n each  %v\n batch %v", each.stats, batch.stats)
+	}
+	if len(each.lists) < 20 {
+		t.Fatalf("only %d terms indexed", len(each.lists))
+	}
+	var terms []string
+	for term := range each.lists {
+		terms = append(terms, term)
+	}
+	sort.Strings(terms)
+	for _, term := range terms {
+		if !reflect.DeepEqual(each.lists[term], batch.lists[term]) {
+			t.Errorf("term %q: %d postings published singly, %d batched", term, len(each.lists[term]), len(batch.lists[term]))
+		}
+	}
+	if len(batch.lists) != len(each.lists) {
+		t.Errorf("%d terms published singly, %d batched", len(each.lists), len(batch.lists))
+	}
+	if n := len(each.lists["l:author"]); n != len(docs) {
+		t.Errorf("l:author holds %d postings, want %d", n, len(docs))
+	}
+	if !reflect.DeepEqual(each.answers, batch.answers) {
+		t.Errorf("answers differ:\n each  %v\n batch %v", each.answers, batch.answers)
+	}
+	if each.answers[`//article//author[. contains "Ullman"]`][1] == "[]" {
+		t.Error("the corpus should answer the Ullman query")
+	}
+}
+
+// TestRestartReplaysBothJournalForms publishes the same document once
+// by PublishXML and once inside a PublishXMLBatch on a durable peer:
+// after a restart from the data directory both must come back, under
+// their ids, URIs and types, as the same tree.
+func TestRestartReplaysBothJournalForms(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{DataDir: dir}
+	start := func() *Peer {
+		node, err := dht.NewNode(dht.NewNetwork().NewEndpoint(), store.NewMem(), dht.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := NewPeer(node, 1, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	raw := []byte(`<dblp><article><author>Jeffrey Ullman</author><title>Both ways</title></article></dblp>`)
+	other := []byte(`<dblp><book><title>Batch companion</title></book></dblp>`)
+
+	p := start()
+	single, err := p.PublishXMLTyped(raw, "single.xml", "journal-article")
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := p.PublishXMLBatch([]BatchDoc{
+		{XML: other, URI: "other.xml"},
+		{XML: raw, URI: "batched.xml", Dtype: "journal-article"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r := start()
+	defer r.Close()
+	if r.DocumentCount() != 3 {
+		t.Fatalf("restart replayed %d documents, want 3", r.DocumentCount())
+	}
+	postingsOf := func(k sid.DocKey, uri string) []xmltree.TermPosting {
+		doc, got, ok := r.Document(k.Doc)
+		if !ok || got != uri {
+			t.Fatalf("document %v after restart: uri %q, present %v; want %q", k, got, ok, uri)
+		}
+		return xmltree.Extract(doc, 1, 0, cfg.Extract)
+	}
+	if !reflect.DeepEqual(postingsOf(single, "single.xml"), postingsOf(batch[1], "batched.xml")) {
+		t.Error("the singly journaled and the batch-journaled copy replayed as different trees")
+	}
+	postingsOf(batch[0], "other.xml")
+	r.mu.Lock()
+	types := []string{r.docTypes[single.Doc], r.docTypes[batch[0].Doc], r.docTypes[batch[1].Doc]}
+	r.mu.Unlock()
+	if want := []string{"journal-article", "", "journal-article"}; !reflect.DeepEqual(types, want) {
+		t.Errorf("replayed types = %q, want %q", types, want)
+	}
+	// Ids continue after the replayed ones.
+	next, err := r.PublishXML(other, "next.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Doc != batch[1].Doc+1 {
+		t.Errorf("first id after restart = %d, want %d", next.Doc, batch[1].Doc+1)
+	}
+}

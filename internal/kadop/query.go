@@ -3,6 +3,7 @@ package kadop
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -369,41 +370,32 @@ func (p *Peer) observeQueryStats(iq *indexQuery, res *Result) {
 	p.stats.ObserveQuery(minCount, actual, edges)
 }
 
-// indexQuery runs phase one and returns the candidate document keys.
+// indexQuery runs phase one and returns the candidate document keys in
+// ascending order.
 func (p *Peer) indexQuery(ctx context.Context, iq *indexQuery, opts QueryOptions, res *Result, start time.Time) ([]sid.DocKey, error) {
-	docSet := map[sid.DocKey]bool{}
+	var docs []sid.DocKey
 	for si, sub := range iq.subtrees {
-		var subDocs []sid.DocKey
-		var err error
-		if opts.ParallelJoin > 1 && p.dpp != nil && opts.Strategy == Conventional {
-			subDocs, err = p.parallelIndexJoin(ctx, sub, opts, res, start)
-		} else {
-			subDocs, err = p.sequentialIndexJoin(ctx, sub, opts, res, start)
-		}
+		subDocs, err := p.indexJoin(ctx, sub, opts, res, start)
 		if err != nil {
 			return nil, err
 		}
 		if si == 0 {
-			for _, d := range subDocs {
-				docSet[d] = true
-			}
-		} else {
-			// Wildcard projection split the pattern: candidate documents
-			// must match every connected subtree.
-			keep := map[sid.DocKey]bool{}
-			for _, d := range subDocs {
-				if docSet[d] {
-					keep[d] = true
-				}
-			}
-			docSet = keep
+			docs = subDocs
+			continue
 		}
+		// Wildcard projection split the pattern: candidate documents
+		// must match every connected subtree. Both lists ascend.
+		kept := docs[:0]
+		for _, d := range docs {
+			for len(subDocs) > 0 && subDocs[0].Compare(d) < 0 {
+				subDocs = subDocs[1:]
+			}
+			if len(subDocs) > 0 && subDocs[0] == d {
+				kept = append(kept, d)
+			}
+		}
+		docs = kept
 	}
-	docs := make([]sid.DocKey, 0, len(docSet))
-	for d := range docSet {
-		docs = append(docs, d)
-	}
-	sort.Slice(docs, func(i, j int) bool { return docs[i].Compare(docs[j]) < 0 })
 	return docs, nil
 }
 
@@ -465,164 +457,131 @@ func (p *Peer) recordJoinPhases(ctx context.Context, joinStart time.Time, joinWa
 	}
 }
 
-// sequentialIndexJoin is the default phase-one evaluation: one holistic
-// twig join over the full streams.
-func (p *Peer) sequentialIndexJoin(ctx context.Context, sub *pattern.Query, opts QueryOptions, res *Result, start time.Time) ([]sid.DocKey, error) {
+// indexJoin evaluates one connected subtree of the index query: a
+// holistic twig join per vector of the document space. By default the
+// whole space is one vector. With QueryOptions.ParallelJoin it is cut
+// at the block boundaries of the most partitioned term (Section 4.2)
+// and the vectors join concurrently, each fetching only its document
+// slice of every list; their ranges are disjoint, so answers need no
+// deduplication, and they are produced out of order, improving the
+// time to the first answer.
+func (p *Peer) indexJoin(ctx context.Context, sub *pattern.Query, opts QueryOptions, res *Result, start time.Time) ([]sid.DocKey, error) {
+	var results []vectorResult
+	if opts.ParallelJoin > 1 && p.dpp != nil && opts.Strategy == Conventional {
+		terms, _ := termKeys(sub.Nodes())
+		reads, err := p.planReads(ctx, terms, opts.DocType)
+		if err != nil {
+			return nil, err
+		}
+		if reads.span.hi.Compare(reads.span.lo) < 0 {
+			return nil, nil // empty intersection: no term can contribute
+		}
+		var widest *dpp.Root
+		for _, t := range terms {
+			if r := reads.roots[t]; widest == nil || len(r.Blocks) > len(widest.Blocks) {
+				widest = r
+			}
+		}
+		// Cut points: the widest term's block boundaries, clipped to the
+		// document interval. Boundary documents belong to the vector of the
+		// block holding their first postings; since vectors are whole-doc
+		// ranges, each document joins in exactly one vector.
+		vectors := cutVectors(widest, reads.span.lo, reads.span.hi, opts.ParallelJoin)
+		results = make([]vectorResult, len(vectors))
+		sem := make(chan struct{}, opts.ParallelJoin)
+		var wg sync.WaitGroup
+		for vi, v := range vectors {
+			wg.Add(1)
+			sem <- struct{}{}
+			go func(vi int, v docRange) {
+				defer wg.Done()
+				defer func() { <-sem }()
+				vctx, vsp := trace.StartSpan(ctx, "vector")
+				if vsp != nil {
+					vsp.SetInt("vector", int64(vi))
+					defer vsp.Finish()
+				}
+				results[vi] = p.joinVector(vctx, sub, opts, reads, v, start)
+			}(vi, v)
+		}
+		wg.Wait()
+	} else {
+		// One vector, joined on the query's own goroutine: handing it to
+		// another would cost every query a scheduler round trip.
+		results = []vectorResult{p.joinVector(ctx, sub, opts, nil, allDocs, start)}
+	}
+
+	// Vectors ascend and each emits its documents in order, so the
+	// concatenation is sorted.
+	var docs []sid.DocKey
+	var first time.Duration
+	for _, r := range results {
+		if r.err != nil {
+			return nil, r.err
+		}
+		res.Plans = append(res.Plans, r.plans...)
+		res.IndexMatches += r.matches
+		if r.matches > 0 && (first == 0 || r.first < first) {
+			first = r.first
+		}
+		docs = append(docs, r.docs...)
+	}
+	if res.FirstAnswer == 0 {
+		res.FirstAnswer = first
+	}
+	return docs, nil
+}
+
+// vectorResult is what one vector's join contributes to the Result.
+type vectorResult struct {
+	docs    []sid.DocKey
+	plans   []*dpp.FetchPlan
+	matches int
+	first   time.Duration // since the query's start; set when matches > 0
+	err     error
+}
+
+// joinVector fetches one vector's streams and runs the twig join over
+// them.
+func (p *Peer) joinVector(ctx context.Context, sub *pattern.Query, opts QueryOptions, reads *termReads, v docRange, start time.Time) (out vectorResult) {
 	traced := trace.FromContext(ctx) != nil
 	fctx, fsp := trace.StartSpan(ctx, "phase:fetch")
-	streams, plans, err := p.fetchStreams(fctx, sub, opts)
+	streams, plans, err := p.fetchStreams(fctx, sub, opts, reads, v)
 	fsp.Finish()
 	if err != nil {
-		return nil, err
+		out.err = err
+		return out
 	}
-	res.Plans = append(res.Plans, plans...)
+	out.plans = plans
 	var timed []*timedStream
 	if traced {
 		timed = wrapTimed(streams)
 	}
 	joinStart := time.Now()
-	matchBase := res.IndexMatches
-	var subDocs []sid.DocKey
-	err = twigjoin.RunContext(ctx, sub, streams, func(m twigjoin.Match) error {
-		if res.FirstAnswer == 0 {
-			res.FirstAnswer = time.Since(start)
+	out.err = twigjoin.RunContext(ctx, sub, streams, func(m twigjoin.Match) error {
+		if out.matches == 0 {
+			out.first = time.Since(start)
 		}
-		res.IndexMatches++
-		if len(subDocs) == 0 || subDocs[len(subDocs)-1] != m.Doc {
-			subDocs = append(subDocs, m.Doc)
+		out.matches++
+		if n := len(out.docs); n == 0 || out.docs[n-1] != m.Doc {
+			out.docs = append(out.docs, m.Doc)
 		}
 		return nil
 	})
 	if traced {
-		p.recordJoinPhases(ctx, joinStart, time.Since(joinStart), timed, res.IndexMatches-matchBase)
+		p.recordJoinPhases(ctx, joinStart, time.Since(joinStart), timed, out.matches)
 	}
-	return subDocs, err
+	return out
 }
 
-// parallelIndexJoin implements the Section 4.2 parallel twig join: the
-// candidate document space is partitioned at the block boundaries of
-// the most partitioned term, and the vectors join concurrently, each
-// fetching only its document slice of every list. The vectors' document
-// ranges are disjoint, so answers need no deduplication; they are
-// produced out of order, improving the time to the first answer.
-func (p *Peer) parallelIndexJoin(ctx context.Context, sub *pattern.Query, opts QueryOptions, res *Result, start time.Time) ([]sid.DocKey, error) {
-	terms := sub.Terms()
-	roots := map[string]*dpp.Root{}
-	var widest *dpp.Root
-	for _, t := range terms {
-		r, err := p.dpp.RootContext(ctx, t.Key())
-		if err != nil {
-			return nil, err
-		}
-		roots[t.Key()] = r
-		if widest == nil || len(r.Blocks) > len(widest.Blocks) {
-			widest = r
-		}
-	}
-	lo, hi, _ := docInterval(roots)
-	if hi.Compare(lo) < 0 {
-		return nil, nil // empty intersection: no term can contribute
-	}
-	allowed := allowedTypes(roots, opts.DocType)
-
-	// Cut points: the widest term's block boundaries, clipped to the
-	// document interval. Boundary documents belong to the vector of the
-	// block holding their first postings; since vectors are whole-doc
-	// ranges, each document joins in exactly one vector.
-	vectors := cutVectors(widest, lo, hi, opts.ParallelJoin)
-
-	nodes := sub.Nodes()
-	dup := termDup(nodes)
-	var (
-		mu      sync.Mutex
-		subDocs = map[sid.DocKey]bool{}
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		firstE  error
-	)
-	traced := trace.FromContext(ctx) != nil
-	sem := make(chan struct{}, opts.ParallelJoin)
-	for vi, v := range vectors {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(vi int, v docRange) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			vctx, vsp := trace.StartSpan(ctx, "vector")
-			if vsp != nil {
-				vsp.SetInt("vector", int64(vi))
-				defer vsp.Finish()
-			}
-			streams := map[string]postings.Stream{}
-			for _, t := range terms {
-				s, plan, err := p.dpp.FetchWithRootContext(vctx, roots[t.Key()], dpp.FetchOptions{
-					Parallel: p.cfg.Parallel,
-					Filter:   true, FilterLo: v.lo, FilterHi: v.hi,
-					AllowedTypes: allowed,
-				})
-				if err != nil {
-					errOnce.Do(func() { firstE = err })
-					return
-				}
-				mu.Lock()
-				res.Plans = append(res.Plans, plan)
-				mu.Unlock()
-				if dup[t.Key()] {
-					l, err := postings.Drain(s)
-					if err != nil {
-						errOnce.Do(func() { firstE = err })
-						return
-					}
-					s = postings.NewSliceStream(l)
-				}
-				streams[t.Key()] = s
-			}
-			nodeStreams, err := assignStreams(nodes, streams, dup)
-			if err != nil {
-				errOnce.Do(func() { firstE = err })
-				return
-			}
-			var timed []*timedStream
-			if traced {
-				timed = wrapTimed(nodeStreams)
-			}
-			joinStart := time.Now()
-			vecMatches := 0
-			err = twigjoin.RunContext(vctx, sub, nodeStreams, func(m twigjoin.Match) error {
-				mu.Lock()
-				if res.FirstAnswer == 0 {
-					res.FirstAnswer = time.Since(start)
-				}
-				res.IndexMatches++
-				subDocs[m.Doc] = true
-				mu.Unlock()
-				vecMatches++
-				return nil
-			})
-			if traced {
-				p.recordJoinPhases(vctx, joinStart, time.Since(joinStart), timed, vecMatches)
-			}
-			if err != nil {
-				errOnce.Do(func() { firstE = err })
-			}
-		}(vi, v)
-	}
-	wg.Wait()
-	if firstE != nil {
-		return nil, firstE
-	}
-	out := make([]sid.DocKey, 0, len(subDocs))
-	for d := range subDocs {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out, nil
-}
-
-// docRange is one vector's document slice.
+// docRange is a closed interval of the document space: one vector's
+// slice, or the [min, max] interval of a term set.
 type docRange struct {
 	lo, hi sid.DocKey
 }
+
+// allDocs excludes nothing; a read over it sends no interval filter.
+var allDocs = docRange{lo: sid.MinDocKey, hi: sid.MaxDocKey}
 
 // cutVectors derives disjoint whole-document ranges covering [lo, hi]
 // from a root's block boundaries, at most maxVectors of them (adjacent
@@ -668,10 +627,11 @@ func cutVectors(widest *dpp.Root, lo, hi sid.DocKey, maxVectors int) []docRange 
 	return out
 }
 
-// fetchStreams obtains one posting stream per query node of a subtree,
-// according to the configured transfer machinery and the selected
-// strategy.
-func (p *Peer) fetchStreams(ctx context.Context, sub *pattern.Query, opts QueryOptions) (map[*pattern.Node]postings.Stream, []*dpp.FetchPlan, error) {
+// fetchStreams obtains one posting stream per query node for one
+// vector of a subtree, according to the selected strategy. reads is the
+// vector cutter's plan; nil means the vector is the whole subtree, and
+// the reads are planned here and span their own document interval.
+func (p *Peer) fetchStreams(ctx context.Context, sub *pattern.Query, opts QueryOptions, reads *termReads, v docRange) (map[*pattern.Node]postings.Stream, []*dpp.FetchPlan, error) {
 	if opts.Strategy == AutoStrategy {
 		chosen, err := p.chooseStrategy(ctx, sub)
 		if err != nil {
@@ -679,93 +639,106 @@ func (p *Peer) fetchStreams(ctx context.Context, sub *pattern.Query, opts QueryO
 		}
 		opts.Strategy = chosen
 	}
+	nodes := sub.Nodes()
 	if opts.Strategy != Conventional {
 		lists, err := p.reducedLists(ctx, sub, opts)
 		if err != nil {
 			return nil, nil, err
 		}
 		streams := map[*pattern.Node]postings.Stream{}
-		for i, n := range sub.Nodes() {
+		for i, n := range nodes {
 			streams[n] = postings.NewSliceStream(lists[i])
 		}
 		return streams, nil, nil
 	}
-
-	terms := sub.Terms()
-	nodes := sub.Nodes()
-
-	// With DPP: fetch all roots first, compute the document interval of
-	// Section 4.2, then fetch blocks in parallel with condition filtering.
-	if p.dpp != nil {
-		roots := map[string]*dpp.Root{}
-		for _, t := range terms {
-			r, err := p.dpp.RootContext(ctx, t.Key())
-			if err != nil {
-				return nil, nil, err
-			}
-			roots[t.Key()] = r
+	terms, dup := termKeys(nodes)
+	if reads == nil {
+		var err error
+		if reads, err = p.planReads(ctx, terms, opts.DocType); err != nil {
+			return nil, nil, err
 		}
-		lo, hi, filter := docInterval(roots)
-		allowed := allowedTypes(roots, opts.DocType)
-		lists := map[string]postings.Stream{}
-		var plans []*dpp.FetchPlan
-		dup := termDup(nodes)
-		for _, t := range terms {
-			s, plan, err := p.dpp.FetchWithRootContext(ctx, roots[t.Key()], dpp.FetchOptions{
+		v = reads.span
+	}
+	lists, plans, err := p.openStreams(ctx, reads, v, dup)
+	if err != nil {
+		return nil, nil, err
+	}
+	streams, err := assignStreams(nodes, lists, dup)
+	return streams, plans, err
+}
+
+// termReads is what the reads of one term set share. Under the DPP
+// that is the terms' root blocks and what they imply: the [min, max]
+// document interval of Section 4.2 and the type constraint of Section
+// 4.1. Without the DPP a list has no conditions to select by: roots is
+// nil and span is allDocs.
+type termReads struct {
+	terms   []string
+	roots   map[string]*dpp.Root
+	span    docRange
+	allowed []string
+}
+
+// planReads fetches the root blocks of terms (distinct keys) and
+// derives the interval and type constraint from them.
+func (p *Peer) planReads(ctx context.Context, terms []string, docType string) (*termReads, error) {
+	reads := &termReads{terms: terms, span: allDocs}
+	if p.dpp == nil {
+		return reads, nil
+	}
+	reads.roots = make(map[string]*dpp.Root, len(terms))
+	for _, t := range terms {
+		r, err := p.dpp.RootContext(ctx, t)
+		if err != nil {
+			return nil, err
+		}
+		reads.roots[t] = r
+	}
+	reads.span.lo, reads.span.hi = docInterval(reads.roots)
+	reads.allowed = allowedTypes(reads.roots, docType)
+	return reads, nil
+}
+
+// openStreams is the one way this package reads posting lists: it
+// opens one stream per planned term over the documents in r. Under the
+// DPP that is the parallel block fetch with condition filtering, which
+// degenerates to the pipelined get for a list still inline at its home
+// peer; without it, the pipelined get of the whole list. Terms in dup
+// label several query nodes and are buffered so each node can replay
+// them. Wire bytes are charged to the query's cost accumulator as the
+// consumer pulls.
+func (p *Peer) openStreams(ctx context.Context, reads *termReads, r docRange, dup map[string]bool) (map[string]postings.Stream, []*dpp.FetchPlan, error) {
+	streams := make(map[string]postings.Stream, len(reads.terms))
+	var plans []*dpp.FetchPlan
+	for _, t := range reads.terms {
+		var s postings.Stream
+		if p.dpp != nil {
+			fs, plan, err := p.dpp.FetchWithRootContext(ctx, reads.roots[t], dpp.FetchOptions{
 				Parallel: p.cfg.Parallel,
-				Filter:   filter, FilterLo: lo, FilterHi: hi,
-				AllowedTypes: allowed,
+				Filter:   r != allDocs, FilterLo: r.lo, FilterHi: r.hi,
+				AllowedTypes: reads.allowed,
 			})
 			if err != nil {
 				return nil, nil, err
 			}
-			plans = append(plans, plan)
-			if dup[t.Key()] {
-				// The same term appears at several query nodes: buffer it.
-				l, err := postings.Drain(s)
-				if err != nil {
-					return nil, nil, err
-				}
-				s = postings.NewSliceStream(l)
-			}
-			lists[t.Key()] = s
-		}
-		streams, err := assignStreams(nodes, lists, dup)
-		return streams, plans, err
-	}
-
-	// Plain transfers: pipelined get (default) or the blocking baseline.
-	lists := map[string]postings.Stream{}
-	dup := termDup(nodes)
-	cc := cost.FromContext(ctx)
-	for _, t := range terms {
-		var s postings.Stream
-		if p.cfg.pipelined() {
-			var err error
-			s, err = p.node.GetStreamContext(ctx, t.Key())
-			if err != nil {
-				return nil, nil, err
-			}
-			s = &wireCountStream{s: s, c: cc}
+			s, plans = fs, append(plans, plan)
 		} else {
-			l, err := p.node.GetContext(ctx, t.Key())
+			gs, err := p.node.GetStreamContext(ctx, t)
 			if err != nil {
 				return nil, nil, err
 			}
-			cc.AddWireBytes(int64(len(l)) * metrics.PostingWireBytes)
-			s = postings.NewSliceStream(l)
+			s = &wireCountStream{s: gs, c: cost.FromContext(ctx)}
 		}
-		if dup[t.Key()] {
+		if dup[t] {
 			l, err := postings.Drain(s)
 			if err != nil {
 				return nil, nil, err
 			}
 			s = postings.NewSliceStream(l)
 		}
-		lists[t.Key()] = s
+		streams[t] = s
 	}
-	streams, err := assignStreams(nodes, lists, dup)
-	return streams, nil, err
+	return streams, plans, nil
 }
 
 // wireCountStream attributes a plain pipelined get's posting bytes to
@@ -783,19 +756,21 @@ func (w *wireCountStream) Next() (sid.Posting, error) {
 	return p, err
 }
 
-// termDup reports which term keys label more than one query node.
-func termDup(nodes []*pattern.Node) map[string]bool {
-	count := map[string]int{}
+// termKeys lists the distinct term keys of nodes in pre-order and
+// reports which of them label more than one node.
+func termKeys(nodes []*pattern.Node) (terms []string, dup map[string]bool) {
+	seen := map[string]bool{}
+	dup = map[string]bool{}
 	for _, n := range nodes {
-		count[n.Term.Key()]++
-	}
-	dup := map[string]bool{}
-	for k, c := range count {
-		if c > 1 {
+		k := n.Term.Key()
+		if seen[k] {
 			dup[k] = true
+			continue
 		}
+		seen[k] = true
+		terms = append(terms, k)
 	}
-	return dup
+	return terms, dup
 }
 
 // assignStreams gives each query node its stream; duplicated terms get
@@ -825,7 +800,7 @@ func assignStreams(nodes []*pattern.Node, lists map[string]postings.Stream, dup 
 // from the roots of all the query's terms: every answer document lies
 // within every term's own document range, so the interval is the
 // intersection — [max of the minima, min of the maxima].
-func docInterval(roots map[string]*dpp.Root) (lo, hi sid.DocKey, ok bool) {
+func docInterval(roots map[string]*dpp.Root) (lo, hi sid.DocKey) {
 	lo = sid.MinDocKey
 	hi = sid.MaxDocKey
 	for _, r := range roots {
@@ -833,7 +808,7 @@ func docInterval(roots map[string]*dpp.Root) (lo, hi sid.DocKey, ok bool) {
 		if !known {
 			// A term with no postings: the join is empty anyway; an empty
 			// interval lets the fetches skip everything.
-			return sid.MaxDocKey, sid.MinDocKey, true
+			return sid.MaxDocKey, sid.MinDocKey
 		}
 		if rlo.Compare(lo) > 0 {
 			lo = rlo
@@ -842,7 +817,7 @@ func docInterval(roots map[string]*dpp.Root) (lo, hi sid.DocKey, ok bool) {
 			hi = rhi
 		}
 	}
-	return lo, hi, true
+	return lo, hi
 }
 
 func rootDocRange(r *dpp.Root) (lo, hi sid.DocKey, ok bool) {
@@ -896,7 +871,7 @@ func (p *Peer) secondPhase(ctx context.Context, q *pattern.Query, docs []sid.Doc
 				fail(err)
 				return
 			}
-			ms, st, err := decodeMatchesStats(out)
+			ms, st, err := decodeMatches(out)
 			if err != nil {
 				fail(err)
 				return
@@ -1019,60 +994,48 @@ func (p *Peer) chooseStrategy(ctx context.Context, sub *pattern.Query) (Strategy
 // explicit query type. nil means unconstrained; an empty non-nil set
 // means no document can match and every typed block is skipped.
 func allowedTypes(roots map[string]*dpp.Root, queryType string) []string {
-	var allowed []string
-	constrained := false
-	intersect := func(set []string) {
-		if len(set) == 0 {
-			return // untyped term: no constraint
-		}
-		if !constrained {
-			allowed = append([]string(nil), set...)
-			constrained = true
-			return
-		}
-		var kept []string
-		for _, a := range allowed {
-			for _, s := range set {
-				if a == s {
-					kept = append(kept, a)
-					break
-				}
-			}
-		}
-		allowed = kept
-		if allowed == nil {
-			allowed = []string{}
-		}
+	var sets [][]string
+	if queryType != "" {
+		sets = append(sets, []string{queryType})
 	}
 	for _, r := range roots {
-		set := r.Types
-		if len(r.Blocks) > 0 {
-			set = nil
-			seen := map[string]bool{}
-			typed := true
-			for _, b := range r.Blocks {
-				if len(b.Types) == 0 {
-					typed = false
-					break
-				}
-				for _, t := range b.Types {
-					if !seen[t] {
-						seen[t] = true
-						set = append(set, t)
-					}
-				}
-			}
-			if !typed {
-				set = nil
-			}
+		if set := rootTypes(r); len(set) > 0 {
+			sets = append(sets, set)
 		}
-		intersect(set)
 	}
-	if queryType != "" {
-		intersect([]string{queryType})
-	}
-	if !constrained {
+	if len(sets) == 0 {
 		return nil
 	}
+	allowed := []string{}
+candidates:
+	for _, t := range sets[0] {
+		for _, set := range sets[1:] {
+			if !slices.Contains(set, t) {
+				continue candidates
+			}
+		}
+		allowed = append(allowed, t)
+	}
 	return allowed
+}
+
+// rootTypes is the set of document types a term's postings come from:
+// the inline list's, or the union over the blocks'. nil means unknown
+// (the list or one of its blocks is untyped).
+func rootTypes(r *dpp.Root) []string {
+	if len(r.Blocks) == 0 {
+		return r.Types
+	}
+	var set []string
+	for _, b := range r.Blocks {
+		if len(b.Types) == 0 {
+			return nil
+		}
+		for _, t := range b.Types {
+			if !slices.Contains(set, t) {
+				set = append(set, t)
+			}
+		}
+	}
+	return set
 }

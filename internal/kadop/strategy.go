@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"kadop/internal/dht"
-	"kadop/internal/dpp"
 	"kadop/internal/metrics"
 	"kadop/internal/pattern"
 	"kadop/internal/postings"
@@ -224,7 +223,7 @@ func (p *Peer) handlePush(_ context.Context, _ dht.Contact, _ string, blob []byt
 }
 
 // pushList sends a (reduced) posting list to the query peer's slot.
-func (p *Peer) pushList(queryAddr, session string, nodeID int, list postings.List) error {
+func (p *Peer) pushList(ctx context.Context, queryAddr, session string, nodeID int, list postings.List) error {
 	blob := appendStr(nil, session)
 	blob = appendUint(blob, uint64(nodeID))
 	enc, err := postings.Encode(list)
@@ -233,7 +232,7 @@ func (p *Peer) pushList(queryAddr, session string, nodeID int, list postings.Lis
 	}
 	blob = append(blob, enc...)
 	to := dht.Contact{ID: dht.PeerIDFromSeed(queryAddr), Addr: queryAddr}
-	_, err = p.node.CallProcOn(to, "", procPush, blob)
+	_, err = p.node.CallProcOnContext(ctx, to, "", procPush, blob)
 	return err
 }
 
@@ -241,15 +240,19 @@ func (p *Peer) pushList(queryAddr, session string, nodeID int, list postings.Lis
 // With DPP enabled the blocks are pulled back from their peers (the
 // strategies and the DPP are orthogonal; composing them costs the
 // block transfers, which the accounting reflects).
-func (p *Peer) listFor(term string) (postings.List, error) {
-	if p.dpp != nil {
-		s, _, err := p.dpp.Fetch(term, dpp.FetchOptions{Parallel: p.cfg.Parallel})
-		if err != nil {
-			return nil, err
-		}
-		return postings.Drain(s)
+func (p *Peer) listFor(ctx context.Context, term string) (postings.List, error) {
+	if p.dpp == nil {
+		return p.node.Store().Get(term)
 	}
-	return p.node.Store().Get(term)
+	reads, err := p.planReads(ctx, []string{term}, "")
+	if err != nil {
+		return nil, err
+	}
+	streams, _, err := p.openStreams(ctx, reads, allDocs, nil)
+	if err != nil {
+		return nil, err
+	}
+	return postings.Drain(streams[term])
 }
 
 // applyIncoming filters a list by the request's incoming filter.
@@ -273,171 +276,94 @@ func applyIncoming(req *reduceReq, list postings.List) (postings.List, error) {
 	return nil, fmt.Errorf("kadop: unknown filter kind %d", req.filterKind)
 }
 
-// handleABReduce implements one AB Reducer step at a term's home peer:
-// filter the local list with the parent's AB filter, push the reduced
-// list to the query peer, and forward an AB filter of the reduced list
-// to the children (Figure 5).
-func (p *Peer) handleABReduce(ctx context.Context, _ dht.Contact, _ string, blob []byte) ([]byte, error) {
-	req, err := decodeReduceReq(blob)
-	if err != nil {
-		return nil, err
-	}
-	list, err := p.listFor(req.spec.term)
-	if err != nil {
-		return nil, err
-	}
-	reduced, err := applyIncoming(req, list)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.pushList(req.queryAddr, req.session, req.spec.nodeID, reduced); err != nil {
-		return nil, err
-	}
-	if len(req.spec.children) == 0 {
-		return nil, nil
-	}
-	buildStart := time.Now()
-	ab := sbf.BuildAB(reduced, req.abFP, sbf.DefaultPsiC)
-	p.noteFilterBuild(ctx, ab.Stats(), buildStart)
-	for _, c := range req.spec.children {
-		child := &reduceReq{
-			session: req.session, queryAddr: req.queryAddr,
-			abFP: req.abFP, dbFP: req.dbFP,
-			filterKind: filterAB, filter: ab.Marshal(), spec: c,
-		}
-		if _, err := p.node.CallProcContext(ctx, c.term, procABReduce, child.encode()); err != nil {
-			return nil, err
-		}
-	}
-	return nil, nil
-}
-
-// handleDBReduce implements one DB Reducer step: gather DB filters from
-// the children (recursively), reduce the local list by all of them,
-// push it to the query peer, and return a DB filter of the reduced list
-// to the caller (Figure 6). Leaves push their full lists.
-func (p *Peer) handleDBReduce(ctx context.Context, _ dht.Contact, _ string, blob []byte) ([]byte, error) {
-	req, err := decodeReduceReq(blob)
-	if err != nil {
-		return nil, err
-	}
-	list, err := p.listFor(req.spec.term)
-	if err != nil {
-		return nil, err
-	}
-	reduced := list
-	for _, c := range req.spec.children {
-		child := &reduceReq{
-			session: req.session, queryAddr: req.queryAddr,
-			abFP: req.abFP, dbFP: req.dbFP, spec: c,
-		}
-		dbBytes, err := p.node.CallProcContext(ctx, c.term, procDBReduce, child.encode())
+// reduceStep returns the handler of one filter-exchange procedure. The
+// four procedures of Section 5.3 are one step at a term's home peer,
+// run in one of two directions with one of two deliveries:
+//
+//   - topDown (Figure 5): filter the list with the parent's AB filter,
+//     deliver it, and forward an AB filter of the reduced list to the
+//     children. Otherwise bottom-up (Figure 6): gather DB filters from
+//     the children (recursively), reduce the list by all of them,
+//     deliver it, and return a DB filter of the reduced list to the
+//     caller; leaves deliver their full lists.
+//   - retain keeps the reduced list at this peer, keyed by session and
+//     slot, for a later pass to start from (Bloom Reducer's first,
+//     top-down pass); otherwise the list is pushed to the query peer.
+//
+// Every step starts from the list an earlier pass retained, else from
+// the term's full list. Children are called under proc, the name the
+// step itself is registered under, because the traffic class of a
+// filter message derives from it.
+func (p *Peer) reduceStep(proc string, topDown, retain bool) dht.ProcHandler {
+	return func(ctx context.Context, _ dht.Contact, _ string, blob []byte) ([]byte, error) {
+		req, err := decodeReduceReq(blob)
 		if err != nil {
 			return nil, err
 		}
-		db, err := sbf.UnmarshalDB(dbBytes)
-		if err != nil {
+		key := hybridKey(req.session, req.spec.nodeID)
+		p.sessMu.Lock()
+		list, ok := p.hybrid[key]
+		delete(p.hybrid, key)
+		p.sessMu.Unlock()
+		if !ok {
+			if list, err = p.listFor(ctx, req.spec.term); err != nil {
+				return nil, err
+			}
+		}
+		if list, err = applyIncoming(req, list); err != nil {
 			return nil, err
 		}
-		reduced = db.Filter(reduced)
-	}
-	if err := p.pushList(req.queryAddr, req.session, req.spec.nodeID, reduced); err != nil {
-		return nil, err
-	}
-	if req.skipReply {
-		return nil, nil
-	}
-	buildStart := time.Now()
-	db := sbf.BuildDB(reduced, req.dbFP, 0, 0)
-	p.noteFilterBuild(ctx, db.Stats(), buildStart)
-	return db.Marshal(), nil
-}
-
-// handleHybridAB is the first pass of Bloom Reducer: AB filters flow
-// top-down as in handleABReduce, but the reduced lists are retained at
-// their home peers (keyed by session and slot) instead of being pushed.
-func (p *Peer) handleHybridAB(ctx context.Context, _ dht.Contact, _ string, blob []byte) ([]byte, error) {
-	req, err := decodeReduceReq(blob)
-	if err != nil {
-		return nil, err
-	}
-	list, err := p.listFor(req.spec.term)
-	if err != nil {
-		return nil, err
-	}
-	reduced, err := applyIncoming(req, list)
-	if err != nil {
-		return nil, err
-	}
-	p.sessMu.Lock()
-	p.hybrid[hybridKey(req.session, req.spec.nodeID)] = reduced
-	p.sessMu.Unlock()
-	if len(req.spec.children) == 0 {
-		return nil, nil
-	}
-	buildStart := time.Now()
-	ab := sbf.BuildAB(reduced, req.abFP, sbf.DefaultPsiC)
-	p.noteFilterBuild(ctx, ab.Stats(), buildStart)
-	for _, c := range req.spec.children {
-		child := &reduceReq{
-			session: req.session, queryAddr: req.queryAddr,
-			abFP: req.abFP, dbFP: req.dbFP,
-			filterKind: filterAB, filter: ab.Marshal(), spec: c,
+		callChild := func(c *reduceSpec, kind byte, filter []byte) ([]byte, error) {
+			child := &reduceReq{
+				session: req.session, queryAddr: req.queryAddr,
+				abFP: req.abFP, dbFP: req.dbFP,
+				filterKind: kind, filter: filter, spec: c,
+			}
+			return p.node.CallProcContext(ctx, c.term, proc, child.encode())
 		}
-		if _, err := p.node.CallProcContext(ctx, c.term, procHybridAB, child.encode()); err != nil {
+		if !topDown {
+			for _, c := range req.spec.children {
+				dbBytes, err := callChild(c, filterNone, nil)
+				if err != nil {
+					return nil, err
+				}
+				db, err := sbf.UnmarshalDB(dbBytes)
+				if err != nil {
+					return nil, err
+				}
+				list = db.Filter(list)
+			}
+		}
+		if retain {
+			p.sessMu.Lock()
+			p.hybrid[key] = list
+			p.sessMu.Unlock()
+		} else if err := p.pushList(ctx, req.queryAddr, req.session, req.spec.nodeID, list); err != nil {
 			return nil, err
 		}
-	}
-	return nil, nil
-}
-
-// handleHybridDB is the second pass of Bloom Reducer: DB filters flow
-// bottom-up over the AB-reduced lists retained by the first pass; the
-// final lists are pushed to the query peer.
-func (p *Peer) handleHybridDB(ctx context.Context, _ dht.Contact, _ string, blob []byte) ([]byte, error) {
-	req, err := decodeReduceReq(blob)
-	if err != nil {
-		return nil, err
-	}
-	key := hybridKey(req.session, req.spec.nodeID)
-	p.sessMu.Lock()
-	reduced, ok := p.hybrid[key]
-	delete(p.hybrid, key)
-	p.sessMu.Unlock()
-	if !ok {
-		// The AB pass did not reach this peer (e.g. strategy invoked
-		// without the first pass); fall back to the full list.
-		var err error
-		reduced, err = p.listFor(req.spec.term)
-		if err != nil {
-			return nil, err
+		if topDown {
+			if len(req.spec.children) == 0 {
+				return nil, nil
+			}
+			buildStart := time.Now()
+			ab := sbf.BuildAB(list, req.abFP, sbf.DefaultPsiC)
+			p.noteFilterBuild(ctx, ab.Stats(), buildStart)
+			filter := ab.Marshal()
+			for _, c := range req.spec.children {
+				if _, err := callChild(c, filterAB, filter); err != nil {
+					return nil, err
+				}
+			}
+			return nil, nil
 		}
-	}
-	for _, c := range req.spec.children {
-		child := &reduceReq{
-			session: req.session, queryAddr: req.queryAddr,
-			abFP: req.abFP, dbFP: req.dbFP, spec: c,
+		if req.skipReply {
+			return nil, nil
 		}
-		dbBytes, err := p.node.CallProcContext(ctx, c.term, procHybridDB, child.encode())
-		if err != nil {
-			return nil, err
-		}
-		db, err := sbf.UnmarshalDB(dbBytes)
-		if err != nil {
-			return nil, err
-		}
-		reduced = db.Filter(reduced)
+		buildStart := time.Now()
+		db := sbf.BuildDB(list, req.dbFP, 0, 0)
+		p.noteFilterBuild(ctx, db.Stats(), buildStart)
+		return db.Marshal(), nil
 	}
-	if err := p.pushList(req.queryAddr, req.session, req.spec.nodeID, reduced); err != nil {
-		return nil, err
-	}
-	if req.skipReply {
-		return nil, nil
-	}
-	buildStart := time.Now()
-	db := sbf.BuildDB(reduced, req.dbFP, 0, 0)
-	p.noteFilterBuild(ctx, db.Stats(), buildStart)
-	return db.Marshal(), nil
 }
 
 func hybridKey(session string, nodeID int) string {
@@ -460,49 +386,39 @@ func (p *Peer) reducedLists(ctx context.Context, sub *pattern.Query, opts QueryO
 	next := 0
 	spec := buildSpec(sub.Root, &next)
 
-	var (
-		reduceSpecs []*reduceSpec // subtrees evaluated through filters
-		plainIDs    []int         // nodes fetched conventionally
-	)
+	// A strategy is a sequence of passes over the sub-tree it filters,
+	// each one procedure called on the home peer of the sub-tree's root.
+	filtered := spec   // the sub-tree evaluated through filters
+	var plainIDs []int // nodes fetched conventionally
+	var passes []string
 	switch opts.Strategy {
-	case ABReducer, DBReducer, BloomReducer:
-		reduceSpecs = []*reduceSpec{spec}
+	case ABReducer:
+		passes = []string{procABReduce}
+	case DBReducer:
+		passes = []string{procDBReduce}
+	case BloomReducer:
+		passes = []string{procHybridAB, procHybridDB}
 	case SubQueryReducer:
-		subSpec, rest, err := p.selectSubQuery(ctx, spec, nodes, opts.SubQuery)
-		if err != nil {
+		passes = []string{procDBReduce}
+		var err error
+		if filtered, plainIDs, err = p.selectSubQuery(ctx, spec, nodes, opts.SubQuery); err != nil {
 			return nil, err
 		}
-		reduceSpecs = []*reduceSpec{subSpec}
-		plainIDs = rest
 	default:
 		return nil, fmt.Errorf("kadop: reducedLists with strategy %v", opts.Strategy)
 	}
 
-	want := 0
-	for _, s := range reduceSpecs {
-		want += s.count()
-	}
+	want := filtered.count()
 	session, ch := p.newSession(want + 1)
 	defer p.dropSession(session)
 
-	for _, s := range reduceSpecs {
-		req := &reduceReq{
-			session: session, queryAddr: p.node.Self().Addr,
-			abFP: p.cfg.abFP(), dbFP: p.cfg.dbFP(), spec: s,
-			skipReply: true, // the root call's filter has no consumer
-		}
-		var err error
-		switch opts.Strategy {
-		case ABReducer:
-			_, err = p.node.CallProcContext(ctx, s.term, procABReduce, req.encode())
-		case DBReducer, SubQueryReducer:
-			_, err = p.node.CallProcContext(ctx, s.term, procDBReduce, req.encode())
-		case BloomReducer:
-			if _, err = p.node.CallProcContext(ctx, s.term, procHybridAB, req.encode()); err == nil {
-				_, err = p.node.CallProcContext(ctx, s.term, procHybridDB, req.encode())
-			}
-		}
-		if err != nil {
+	req := &reduceReq{
+		session: session, queryAddr: p.node.Self().Addr,
+		abFP: p.cfg.abFP(), dbFP: p.cfg.dbFP(), spec: filtered,
+		skipReply: true, // the root call's filter has no consumer
+	}
+	for _, proc := range passes {
+		if _, err := p.node.CallProcContext(ctx, filtered.term, proc, req.encode()); err != nil {
 			return nil, err
 		}
 	}
@@ -526,17 +442,29 @@ func (p *Peer) reducedLists(ctx context.Context, sub *pattern.Query, opts QueryO
 	}
 
 	// Conventionally fetched remainder (sub-query strategy).
-	for _, id := range plainIDs {
-		term := nodes[id].Term.Key()
-		s, err := p.node.GetStreamContext(ctx, term)
+	if len(plainIDs) > 0 {
+		plain := make([]*pattern.Node, len(plainIDs))
+		for i, id := range plainIDs {
+			plain[i] = nodes[id]
+		}
+		terms, _ := termKeys(plain)
+		reads, err := p.planReads(ctx, terms, opts.DocType)
 		if err != nil {
 			return nil, err
 		}
-		l, err := postings.Drain(s)
+		streams, _, err := p.openStreams(ctx, reads, reads.span, nil)
 		if err != nil {
 			return nil, err
 		}
-		lists[id] = l
+		byTerm := make(map[string]postings.List, len(terms))
+		for _, t := range terms {
+			if byTerm[t], err = postings.Drain(streams[t]); err != nil {
+				return nil, err
+			}
+		}
+		for _, id := range plainIDs {
+			lists[id] = byTerm[nodes[id].Term.Key()]
+		}
 	}
 	return lists, nil
 }
@@ -556,11 +484,8 @@ func (p *Peer) selectSubQuery(ctx context.Context, spec *reduceSpec, nodes []*pa
 		}
 	} else {
 		// Find the smallest leaf list.
-		type leafInfo struct {
-			path []int
-			size int
-		}
-		var best *leafInfo
+		var bestPath []int
+		bestSize := -1
 		var walk func(s *reduceSpec, path []int) error
 		walk = func(s *reduceSpec, path []int) error {
 			path = append(path[:len(path):len(path)], s.nodeID)
@@ -569,10 +494,9 @@ func (p *Peer) selectSubQuery(ctx context.Context, spec *reduceSpec, nodes []*pa
 				if err != nil {
 					return err
 				}
-				if best == nil || n < best.size {
-					best = &leafInfo{path: path, size: n}
+				if bestSize < 0 || n < bestSize {
+					bestPath, bestSize = path, n
 				}
-				return nil
 			}
 			for _, c := range s.children {
 				if err := walk(c, path); err != nil {
@@ -584,7 +508,7 @@ func (p *Peer) selectSubQuery(ctx context.Context, spec *reduceSpec, nodes []*pa
 		if err := walk(spec, nil); err != nil {
 			return nil, nil, err
 		}
-		for _, id := range best.path {
+		for _, id := range bestPath {
 			inSub[id] = true
 		}
 	}
@@ -593,16 +517,11 @@ func (p *Peer) selectSubQuery(ctx context.Context, spec *reduceSpec, nodes []*pa
 		return nil, nil, fmt.Errorf("kadop: sub-query does not include the root")
 	}
 	var rest []int
-	var collect func(s *reduceSpec)
-	collect = func(s *reduceSpec) {
-		if !inSub[s.nodeID] {
-			rest = append(rest, s.nodeID)
-		}
-		for _, c := range s.children {
-			collect(c)
+	for id := range nodes {
+		if !inSub[id] {
+			rest = append(rest, id)
 		}
 	}
-	collect(spec)
 	return subSpec, rest, nil
 }
 
@@ -632,9 +551,9 @@ func (p *Peer) termCount(ctx context.Context, term string) (int, error) {
 }
 
 // handleCount serves termCount at the home peer.
-func (p *Peer) handleCount(_ context.Context, _ dht.Contact, term string, _ []byte) ([]byte, error) {
+func (p *Peer) handleCount(ctx context.Context, _ dht.Contact, term string, _ []byte) ([]byte, error) {
 	if p.dpp != nil {
-		root, err := p.dpp.Root(term)
+		root, err := p.dpp.RootContext(ctx, term)
 		if err == nil && len(root.Blocks) > 0 {
 			n := 0
 			for _, b := range root.Blocks {

@@ -71,39 +71,49 @@ func TestConcurrentPublishAndQuery(t *testing.T) {
 }
 
 // TestConcurrentStrategyQueries runs all strategies at once against a
-// static index; sessions must not cross-talk.
+// static index, on plain lists and composed with the DPP (AutoStrategy
+// over the DPP is what the benchmark's query_wan workload runs);
+// sessions must not cross-talk.
 func TestConcurrentStrategyQueries(t *testing.T) {
-	c := newCluster(t, 8, Config{})
-	var docs []string
-	for i := 0; i < 40; i++ {
-		author := "Plain Person"
-		if i%13 == 0 {
-			author = "Jeffrey Ullman"
+	for _, cfg := range []Config{{}, {UseDPP: true, DPP: dpp.Options{BlockSize: 8}}} {
+		name := "plain"
+		if cfg.UseDPP {
+			name = "dpp"
 		}
-		docs = append(docs, fmt.Sprintf(
-			`<dblp><article><author>%s</author><title>T%d</title></article></dblp>`, author, i))
-	}
-	truth := publishAll(t, c, docs)
-	q := pattern.MustParse(`//article//author[. contains "Ullman"]`)
-	want := len(truth(q))
+		t.Run(name, func(t *testing.T) {
+			c := newCluster(t, 8, cfg)
+			var docs []string
+			for i := 0; i < 40; i++ {
+				author := "Plain Person"
+				if i%13 == 0 {
+					author = "Jeffrey Ullman"
+				}
+				docs = append(docs, fmt.Sprintf(
+					`<dblp><article><author>%s</author><title>T%d</title></article></dblp>`, author, i))
+			}
+			truth := publishAll(t, c, docs)
+			q := pattern.MustParse(`//article//author[. contains "Ullman"]`)
+			want := len(truth(q))
 
-	var wg sync.WaitGroup
-	strategies := []Strategy{Conventional, ABReducer, DBReducer, BloomReducer, SubQueryReducer, AutoStrategy}
-	for round := 0; round < 3; round++ {
-		for si, s := range strategies {
-			wg.Add(1)
-			go func(round, si int, s Strategy) {
-				defer wg.Done()
-				res, err := c.peers[(round+si)%len(c.peers)].Query(q, QueryOptions{Strategy: s})
-				if err != nil {
-					t.Errorf("round %d strategy %v: %v", round, s, err)
-					return
+			var wg sync.WaitGroup
+			strategies := []Strategy{Conventional, ABReducer, DBReducer, BloomReducer, SubQueryReducer, AutoStrategy}
+			for round := 0; round < 3; round++ {
+				for si, s := range strategies {
+					wg.Add(1)
+					go func(round, si int, s Strategy) {
+						defer wg.Done()
+						res, err := c.peers[(round+si)%len(c.peers)].Query(q, QueryOptions{Strategy: s})
+						if err != nil {
+							t.Errorf("round %d strategy %v: %v", round, s, err)
+							return
+						}
+						if len(res.Matches) != want {
+							t.Errorf("round %d strategy %v: %d matches, want %d", round, s, len(res.Matches), want)
+						}
+					}(round, si, s)
 				}
-				if len(res.Matches) != want {
-					t.Errorf("round %d strategy %v: %d matches, want %d", round, s, len(res.Matches), want)
-				}
-			}(round, si, s)
-		}
+			}
+			wg.Wait()
+		})
 	}
-	wg.Wait()
 }

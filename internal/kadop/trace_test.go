@@ -151,3 +151,66 @@ func TestQueryTraceParallel(t *testing.T) {
 		t.Errorf("parallel query trace missing vector spans:\n%s", tree)
 	}
 }
+
+// TestQueryTraceReducerOverDPP checks that a reduce step runs under the
+// query's context: with one tracer shared by the cluster, the home
+// peers' block pull-backs (dpp:fetch) and reduced-list pushes (the
+// stream:push RPC) must appear in the span tree under
+// phase:filter-exchange, next to the filter RPCs that carried them.
+func TestQueryTraceReducerOverDPP(t *testing.T) {
+	c := newCluster(t, 6, Config{UseDPP: true, DPP: dppOptions(4)})
+	publishAll(t, c, dblpDocs)
+	tr := trace.New(16)
+	for _, p := range c.peers {
+		p.Node().SetTracer(tr)
+	}
+	res, err := c.peers[1].Query(pattern.MustParse(`//article//author[. contains "Ullman"]`),
+		QueryOptions{Strategy: DBReducer, IndexOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Trace == nil {
+		t.Fatal("no trace on the reducer query")
+	}
+	rec := res.Trace.Export()
+	parent := map[uint64]uint64{}
+	var exchange uint64
+	for _, s := range rec.Spans {
+		parent[s.ID] = s.Parent
+		if s.Name == "phase:filter-exchange" {
+			exchange = s.ID
+		}
+	}
+	if exchange == 0 {
+		t.Fatalf("no phase:filter-exchange span:\n%s", res.Trace.Tree())
+	}
+	under := func(id uint64) bool {
+		for id != 0 {
+			if id == exchange {
+				return true
+			}
+			id = parent[id]
+		}
+		return false
+	}
+	var sawFetch, sawPush bool
+	for _, s := range rec.Spans {
+		if !under(s.ID) {
+			continue
+		}
+		switch s.Name {
+		case "dpp:fetch":
+			sawFetch = true
+		case "rpc:app":
+			for _, a := range s.Attrs {
+				if a.Key == "proc" && a.Value == procPush {
+					sawPush = true
+				}
+			}
+		}
+	}
+	if !sawFetch || !sawPush {
+		t.Errorf("under phase:filter-exchange: dpp:fetch=%v, rpc:app proc=%s=%v:\n%s",
+			sawFetch, procPush, sawPush, res.Trace.Tree())
+	}
+}

@@ -22,6 +22,7 @@
 package sid
 
 import (
+	"encoding/binary"
 	"fmt"
 )
 
@@ -133,6 +134,40 @@ func (p Posting) ParentOf(q Posting) bool {
 
 func (p Posting) String() string {
 	return fmt.Sprintf("(%d,%d,%s)", p.Peer, p.Doc, p.SID)
+}
+
+// postingWireSize is the length of the fixed posting encoding.
+const postingWireSize = 18
+
+// AppendPosting appends the fixed-width big-endian encoding of p — the
+// form DPP root blocks and phase-two match lists carry on the wire.
+func AppendPosting(buf []byte, p Posting) []byte {
+	var b [postingWireSize]byte
+	binary.BigEndian.PutUint32(b[0:], uint32(p.Peer))
+	binary.BigEndian.PutUint32(b[4:], uint32(p.Doc))
+	binary.BigEndian.PutUint32(b[8:], p.SID.Start)
+	binary.BigEndian.PutUint32(b[12:], p.SID.End)
+	binary.BigEndian.PutUint16(b[16:], p.SID.Level)
+	return append(buf, b[:]...)
+}
+
+// ReadPosting decodes one AppendPosting encoding at buf[pos:] and
+// returns the position after it.
+func ReadPosting(buf []byte, pos int) (Posting, int, error) {
+	if pos+postingWireSize > len(buf) {
+		return Posting{}, pos, fmt.Errorf("sid: truncated posting at offset %d", pos)
+	}
+	b := buf[pos:]
+	p := Posting{
+		Peer: PeerID(binary.BigEndian.Uint32(b[0:])),
+		Doc:  DocID(binary.BigEndian.Uint32(b[4:])),
+		SID: SID{
+			Start: binary.BigEndian.Uint32(b[8:]),
+			End:   binary.BigEndian.Uint32(b[12:]),
+			Level: binary.BigEndian.Uint16(b[16:]),
+		},
+	}
+	return p, pos + postingWireSize, nil
 }
 
 // MinPosting and MaxPosting bound the posting order; they are used as

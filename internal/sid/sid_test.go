@@ -1,6 +1,7 @@
 package sid
 
 import (
+	"bytes"
 	"math/rand"
 	"sort"
 	"testing"
@@ -181,5 +182,21 @@ func TestStrings(t *testing.T) {
 	p := Posting{1, 2, SID{3, 4, 5}}
 	if p.String() == "" || p.SID.String() == "" || p.Key().String() == "" {
 		t.Error("String() should be non-empty")
+	}
+}
+
+func TestPostingCodec(t *testing.T) {
+	p := Posting{Peer: 0x01020304, Doc: 0x05060708, SID: SID{Start: 0x090a0b0c, End: 0x0d0e0f10, Level: 0x1112}}
+	enc := AppendPosting([]byte{0xff}, p)
+	want := []byte{0xff, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18}
+	if !bytes.Equal(enc, want) {
+		t.Fatalf("AppendPosting = %x, want %x", enc, want)
+	}
+	got, pos, err := ReadPosting(enc, 1)
+	if err != nil || got != p || pos != len(enc) {
+		t.Fatalf("ReadPosting = %v, %d, %v", got, pos, err)
+	}
+	if _, _, err := ReadPosting(enc, 2); err == nil {
+		t.Error("ReadPosting past the end should fail")
 	}
 }

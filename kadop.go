@@ -10,7 +10,10 @@
 // peers by term. Tree-pattern queries (an XPath subset) are answered in
 // two phases: an index query joins the terms' posting lists with a
 // holistic twig join to find candidate documents, then the documents'
-// peers compute the final answers.
+// peers compute the final answers. Publishing is one operation however
+// many documents a call carries: PublishXML is PublishXMLBatch with one
+// document, and a call's postings merge per term before they are
+// appended.
 //
 // The three contributions of the paper are all available:
 //
@@ -136,10 +139,11 @@ type (
 	// (Config.Batching): concurrent index appends group into single WAL
 	// commits, one fsync per batch.
 	BatchingConfig = ikadop.BatchingConfig
-	// BatchDoc is one document of a Peer.PublishXMLBatch bulk publish.
+	// BatchDoc is one document of a Peer.PublishXMLBatch call
+	// (Peer.PublishXML is that call with one document).
 	BatchDoc = ikadop.BatchDoc
-	// TreeDoc is one document of a Peer.PublishBatch bulk publish
-	// (already parsed).
+	// TreeDoc is one document of a Peer.PublishBatch call (already
+	// parsed; Peer.Publish is that call with one document).
 	TreeDoc = ikadop.TreeDoc
 )
 
