@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-smoke fuzz-smoke crash-smoke gate-smoke loc
+.PHONY: build test check bench bench-one bench-smoke fuzz-smoke crash-smoke gate-smoke loc
 
 build:
 	$(GO) build ./...
@@ -26,7 +26,7 @@ check:
 # with `make gate-smoke GATES=slo`.
 #   churn       join/leave/crash schedule: queries keep succeeding, index converges to the churn-free oracle
 #   slo         overload run: burn-rate alert fires (quiet when healthy), flight dump links to histogram exemplars
-#   load        adaptive replication: controllers promote, serving-load Gini and query p99 both strictly improve
+#   load        adaptive replication: controllers promote and the serving-load Gini strictly improves (query p99 printed)
 #   stats       statistics registry: p95 cardinality-estimation error under bound, every phase reports operator actuals
 #   throughput  batched engine: group commit holds its publish bound at fsync=always, query p99 under bulk publish within 1.5x of the controls
 GATES := churn slo load stats throughput
@@ -58,6 +58,18 @@ loc:
 
 bench:
 	$(GO) run ./cmd/kadop-bench -exp all -short
+
+# bench-one runs one BENCHMARK.json workload twice on one seed — the
+# end-to-end pass, then the traced per-layer pass — and prints the two
+# result lines, so a claimed row and its per-layer explanation come
+# from one command: `make bench-one W=query_wan [SEED=7]`.
+SEED ?= 7
+bench-one:
+	@test -n "$(W)" || { echo "usage: make bench-one W=<workload> [SEED=7]"; exit 2; }
+	@for t in 0 1; do \
+		out=$$(bash bench/run.sh --workload $(W) --seed $(SEED) --seconds 15 --trace $$t) || exit 1; \
+		echo "$$out" | tail -n 1; \
+	done
 
 # bench-smoke is the fastest end-to-end signal that the experiment
 # pipeline still runs: one figure, the robustness sweep (which also

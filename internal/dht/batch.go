@@ -9,15 +9,16 @@ import (
 
 	"kadop/internal/postings"
 	"kadop/internal/sid"
+	"kadop/internal/trace"
 )
 
-// Batched multi-key get: the DPP fetch path often wants several posting
-// blocks that live on the same peer (consecutive pseudo-keys hash
-// independently, but with few peers and many blocks co-location is the
-// common case). MsgGetBatch fetches them in one stream instead of one
-// round trip per block. The response interleaves nothing: blocks are
-// sent back-to-back in request order, each chunk stamped with its
-// block's key so the client can split the stream.
+// Batched multi-key get: the DPP fetch path wants every posting block a
+// peer holds for a term (consecutive pseudo-keys hash independently,
+// but with few peers and many blocks co-location is the common case).
+// MsgGetBatch fetches them in one stream instead of one round trip per
+// block. The response interleaves nothing: blocks are sent back-to-back
+// in request order, each chunk stamped with its block's key so the
+// client can split the stream.
 
 // batchRequestVersion guards the Blob layout of MsgGetBatch.
 const batchRequestVersion = 1
@@ -99,55 +100,105 @@ func decodeBatchRequest(blob []byte) (keys []string, clip bool, lo, hi sid.DocKe
 	return keys, clip, lo, hi, nil
 }
 
-// GetBatchContext fetches several keys from one peer in a single round
-// trip, returning each key's (optionally interval-clipped) posting
-// list. A requested key the peer holds nothing for maps to an empty
-// list — callers that know a block is non-empty treat that as a stale
-// owner and fall back to a located per-key fetch.
-func (n *Node) GetBatchContext(ctx context.Context, to Contact, keys []string, clip bool, lo, hi sid.DocKey) (map[string]postings.List, error) {
-	out := make(map[string]postings.List, len(keys))
-	for _, k := range keys {
-		out[k] = nil
-	}
-	req := Message{
+// BatchGet is what one MsgGetBatch stream asks of a peer: the keys, in
+// the order they are wanted back, optionally clipped at the holder to
+// the document interval [Lo, Hi].
+type BatchGet struct {
+	Keys   []string
+	Clip   bool
+	Lo, Hi sid.DocKey
+}
+
+// GetBatchContext streams several keys from one peer in a single round
+// trip. deliver is called once per key the peer holds, in request order
+// and as soon as the key is complete — at the next key's first chunk or
+// the end of the stream, not when the whole batch has drained — with
+// the key's index in req.Keys and its (clipped, possibly empty) list. A
+// key the stream never mentions is not delivered: the peer holds
+// nothing for it (or predates the key-held marker and clipped it to
+// nothing), and the caller decides whether that is an empty list or a
+// stale owner. An error leaves the keys not yet delivered undelivered.
+// The stream is opened with a single attempt: the caller knows the
+// keys' other holders and rotates to them instead of spending the retry
+// budget on this one.
+func (n *Node) GetBatchContext(ctx context.Context, to Contact, req BatchGet, deliver func(i int, l postings.List)) error {
+	msg := Message{
 		Type: MsgGetBatch,
 		From: n.from(),
-		Blob: encodeBatchRequest(keys, clip, lo, hi),
+		Blob: encodeBatchRequest(req.Keys, req.Clip, req.Lo, req.Hi),
+	}
+	cur := -1 // index of the key being assembled
+	var list postings.List
+	flush := func() {
+		if cur >= 0 {
+			deliver(cur, list)
+		}
+		list = nil
+	}
+	recv := func(m Message) error {
+		if cur < 0 || m.Key != req.Keys[cur] {
+			next := cur + 1
+			for next < len(req.Keys) && req.Keys[next] != m.Key {
+				next++
+			}
+			if next == len(req.Keys) {
+				return fmt.Errorf("dht: get-batch from %s: unrequested or out-of-order key %q", to.Addr, m.Key)
+			}
+			flush()
+			cur = next
+		}
+		if list == nil {
+			list = m.Postings
+		} else {
+			list = append(list, m.Postings...)
+		}
+		return nil
 	}
 	if to.ID == n.self.ID {
-		// Local fast path: serve straight from the store.
-		err := n.HandleStream(n.self, req, func(m Message) error {
-			out[m.Key] = append(out[m.Key], m.Postings...)
-			return nil
+		// Local fast path: serve straight from the store. The server
+		// reuses its chunk buffer between sends, so each chunk is copied.
+		msg.TraceID, msg.SpanID = trace.ID(ctx)
+		err := n.HandleStream(n.self, msg, func(m Message) error {
+			m.Postings = m.Postings.Clone()
+			return recv(m)
 		})
-		if err != nil {
-			return nil, err
+		if err == nil {
+			flush()
 		}
-		return out, nil
+		return err
 	}
-	ms, err := n.openStream(ctx, to, req)
+	ms, err := n.openStreamPolicy(ctx, to, msg, RetryPolicy{Attempts: 1})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer ms.Close()
 	for {
 		m, rerr := ms.Recv()
 		if errors.Is(rerr, io.EOF) {
-			return out, nil
+			flush()
+			return nil
 		}
 		if rerr != nil {
-			return nil, rerr
+			return rerr
 		}
-		if _, ok := out[m.Key]; !ok {
-			return nil, fmt.Errorf("dht: get-batch from %s: unrequested key %q", to.Addr, m.Key)
+		// A cancelled caller abandons the transfer at the next chunk
+		// instead of draining it.
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		out[m.Key] = append(out[m.Key], m.Postings...)
+		n.noteGauge(to.Addr, m)
+		if err := recv(m); err != nil {
+			return err
+		}
 	}
 }
 
 // streamBatch serves a MsgGetBatch request: each requested key's list
 // is scanned from the local store, clipped to the document interval
-// when one was sent, and shipped in chunks stamped with the key.
+// when one was sent, and shipped in chunks stamped with the key. A key
+// this peer holds but whose clip is empty is answered with one empty
+// stamped chunk, so the client can tell "nothing in the interval" from
+// "not here" (a stale owner); a key it does not hold is passed over.
 func (n *Node) streamBatch(req Message, send func(Message) error) error {
 	keys, clip, lo, hi, err := decodeBatchRequest(req.Blob)
 	if err != nil {
@@ -161,11 +212,14 @@ func (n *Node) streamBatch(req Message, send func(Message) error) error {
 		return err
 	}
 	defer view.Close()
+	batch := make(postings.List, 0, n.cfg.ChunkSize)
 	for _, key := range keys {
 		n.load.ServeBlock()
-		batch := make(postings.List, 0, n.cfg.ChunkSize)
+		batch = batch[:0]
+		held, sent := false, false
 		var sendErr error
 		err := view.Scan(key, sid.MinPosting, func(p sid.Posting) bool {
+			held = true
 			if clip {
 				k := p.Key()
 				if k.Compare(lo) < 0 {
@@ -178,7 +232,7 @@ func (n *Node) streamBatch(req Message, send func(Message) error) error {
 			batch = append(batch, p)
 			if len(batch) == n.cfg.ChunkSize {
 				sendErr = send(Message{Type: MsgChunk, From: n.self, Key: key, Postings: batch})
-				batch = batch[:0]
+				batch, sent = batch[:0], true
 				return sendErr == nil
 			}
 			return true
@@ -189,7 +243,7 @@ func (n *Node) streamBatch(req Message, send func(Message) error) error {
 		if sendErr != nil {
 			return sendErr
 		}
-		if len(batch) > 0 {
+		if len(batch) > 0 || (held && !sent) {
 			if err := send(Message{Type: MsgChunk, From: n.self, Key: key, Postings: batch}); err != nil {
 				return err
 			}

@@ -32,7 +32,9 @@ func FuzzMessage(f *testing.F) {
 			{Peer: 2, Doc: 7, SID: sid.SID{Start: 3, End: 4, Level: 2}},
 		}, TraceID: 0xdead, SpanID: 0xbeef},
 		{Type: MsgGetBatch, From: c, Blob: batchBlob},
-		{Type: MsgApp, From: c, Proc: "stream:dpp:block", Key: "title", Blob: []byte{1, 2, 3}},
+		// The key-held marker: a stamped chunk with no postings.
+		{Type: MsgChunk, From: c, Key: "overflow:1:author", Gauge: 7},
+		{Type: MsgApp, From: c, Proc: "filter:dbreduce", Key: "title", Blob: []byte{1, 2, 3}},
 		{Type: MsgNodes, From: c, Contacts: []Contact{c, {ID: id, Addr: "10.0.0.1:9"}}},
 		{Type: MsgError, From: c, Err: "no such key"},
 	}

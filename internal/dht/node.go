@@ -341,17 +341,12 @@ func (n *Node) countPeerRPC(op string, to Contact, err error) {
 	}
 }
 
-// openStream opens a message stream with the same retry/eviction
-// policy as call (retries apply to the stream opening only; an error
-// mid-stream surfaces to the consumer).
-func (n *Node) openStream(ctx context.Context, to Contact, req Message) (MsgStream, error) {
-	return n.openStreamPolicy(ctx, to, req, n.cfg.Retry)
-}
-
-// openStreamPolicy is openStream under an explicit retry policy, so
-// callers that rotate replicas themselves (the DPP block fetch) can
-// probe each candidate once instead of burning the full retry budget
-// on a stale one.
+// openStreamPolicy opens a message stream with the same eviction policy
+// as call, under an explicit retry policy (retries apply to the stream
+// opening only; an error mid-stream surfaces to the consumer): callers
+// that rotate replicas themselves (the DPP block fetch) probe each
+// candidate once instead of burning the full retry budget on a stale
+// one.
 func (n *Node) openStreamPolicy(ctx context.Context, to Contact, req Message, retry RetryPolicy) (MsgStream, error) {
 	parent := trace.FromContext(ctx)
 	if parent != nil {
@@ -745,21 +740,8 @@ func (n *Node) digestOf(ctx context.Context, to Contact, key string) (int, error
 }
 
 // StreamFromContext opens a posting stream for an arbitrary request
-// against a specific peer (used by the DPP layer to fetch blocks), under
-// a caller-controlled deadline.
+// against a specific peer, under a caller-controlled deadline.
 func (n *Node) StreamFromContext(ctx context.Context, owner Contact, req Message) (postings.Stream, error) {
-	return n.streamFromPolicy(ctx, owner, req, n.cfg.Retry)
-}
-
-// StreamFromOnceContext is StreamFromContext with a single connection
-// attempt: callers that hold their own list of candidate replicas probe
-// each once and rotate, instead of spending the configured retry budget
-// on a candidate that may simply be stale.
-func (n *Node) StreamFromOnceContext(ctx context.Context, owner Contact, req Message) (postings.Stream, error) {
-	return n.streamFromPolicy(ctx, owner, req, RetryPolicy{Attempts: 1})
-}
-
-func (n *Node) streamFromPolicy(ctx context.Context, owner Contact, req Message, retry RetryPolicy) (postings.Stream, error) {
 	if owner.ID == n.self.ID {
 		// Local fast path: serve from the store through a pipe so the
 		// consumer sees the same streaming behaviour (the trace ids are
@@ -777,7 +759,7 @@ func (n *Node) streamFromPolicy(ctx context.Context, owner Contact, req Message,
 		}()
 		return pipe, nil
 	}
-	ms, err := n.openStreamPolicy(ctx, owner, req, retry)
+	ms, err := n.openStreamPolicy(ctx, owner, req, n.cfg.Retry)
 	if err != nil {
 		return nil, err
 	}
@@ -976,13 +958,6 @@ func (n *Node) OpenProcStream(to Contact, key, proc string, blob []byte) (postin
 // deadline.
 func (n *Node) OpenProcStreamContext(ctx context.Context, to Contact, key, proc string, blob []byte) (postings.Stream, error) {
 	return n.StreamFromContext(ctx, to, Message{Type: MsgApp, From: n.from(), Key: key, Proc: proc, Blob: blob})
-}
-
-// OpenProcStreamOnceContext is OpenProcStreamContext with a single
-// connection attempt (no retries): the DPP fetch path uses it to probe
-// a recorded block owner before rotating to a freshly located replica.
-func (n *Node) OpenProcStreamOnceContext(ctx context.Context, to Contact, key, proc string, blob []byte) (postings.Stream, error) {
-	return n.StreamFromOnceContext(ctx, to, Message{Type: MsgApp, From: n.from(), Key: key, Proc: proc, Blob: blob})
 }
 
 // replica repair ----------------------------------------------------

@@ -220,17 +220,19 @@ func (n *Network) Partition(addr string) {
 }
 
 // charge accounts and delays one message transfer; extra is the
-// injected jitter and slow-peer delay for this message.
-func (n *Network) charge(m Message, extra time.Duration) (int, error) {
+// injected jitter and slow-peer delay for this message. It returns the
+// encoding it counted, so a caller that also delivers the message
+// decodes these very bytes instead of encoding a second time.
+func (n *Network) charge(m Message, extra time.Duration) ([]byte, error) {
 	enc, err := m.Encode()
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	n.Collector.Count(m.Class(), len(enc))
 	if d := n.Model().delay(len(enc)) + extra; d > 0 {
 		time.Sleep(d)
 	}
-	return len(enc), nil
+	return enc, nil
 }
 
 type inprocEndpoint struct {
@@ -320,15 +322,12 @@ func (e *inprocEndpoint) exchange(to Contact, h Handler, req Message) (Message, 
 		}
 		return Message{}, fmt.Errorf("dht: call %s: %w", to.Addr, errDropped)
 	}
-	if _, err := e.net.charge(req, jitter+slow); err != nil {
+	enc, err := e.net.charge(req, jitter+slow)
+	if err != nil {
 		return Message{}, err
 	}
 	// Round-trip through the codec so the handler sees exactly what a
 	// remote peer would see (catches any unencodable state early).
-	enc, err := req.Encode()
-	if err != nil {
-		return Message{}, err
-	}
 	dec, err := DecodeMessage(enc)
 	if err != nil {
 		return Message{}, err

@@ -36,12 +36,12 @@ import (
 	"kadop/internal/sid"
 )
 
-// Proc names registered on every peer. The prefixes route traffic
-// accounting: index: for publishing, stream: for posting transfers.
+// Proc names registered on every peer. The index: prefix routes the
+// traffic accounting of publishing; blocks transfer over the DHT's own
+// batched get (dht.MsgGetBatch), not a procedure.
 const (
 	ProcAppend = "index:dpp:append"
 	ProcRoot   = "dpp:root"
-	ProcBlock  = "stream:dpp:block"
 )
 
 // DefaultBlockSize is the default bound on postings per block. The
@@ -95,6 +95,20 @@ type Root struct {
 	// Replicas are extra peers advertised as holding a pushed copy of
 	// the inline list (see BlockRef.Replicas).
 	Replicas []string
+	// Home is the address of the peer that served this root — the holder
+	// of an inline list, which therefore streams from it without another
+	// lookup. Set on receipt; never on the wire or in persisted state.
+	Home string
+}
+
+// Postings is the term's posting count as the root records it: the
+// inline list's, or the sum over the blocks'.
+func (r *Root) Postings() int {
+	n := r.Count
+	for _, b := range r.Blocks {
+		n += b.Count
+	}
+	return n
 }
 
 // maxTrackedTypes caps per-condition type sets; content with more
@@ -117,7 +131,9 @@ func addType(set []string, t string) ([]string, bool) {
 	if len(set) >= maxTrackedTypes {
 		return set, false
 	}
-	set = append(set, t)
+	// Copy on write: roots served outside the manager lock share the
+	// old array.
+	set = append(set[:len(set):len(set)], t)
 	sort.Strings(set)
 	return set, true
 }
@@ -230,7 +246,6 @@ func NewManager(node *dht.Node, opts Options) (*Manager, error) {
 	node.Handle(ProcDelete, m.handleDelete)
 	node.Handle(ProcRoot, m.handleRoot)
 	node.Handle(replicate.ProcAdvert, m.handleAdvert)
-	node.HandleStreamProc(ProcBlock, m.handleBlock)
 	return m, nil
 }
 
@@ -542,96 +557,82 @@ func (m *Manager) adReplicas(key string, count int) []string {
 }
 
 // handleRoot serves the root block of a term this peer is home for.
-// A term that never overflowed reports itself inline, with its local
-// list's bounds attached for the document-interval computation. Live
-// replica advertisements ride along, so query peers learn the extra
-// holders of a hot term from the root fetch they make anyway.
 func (m *Manager) handleRoot(_ context.Context, _ dht.Contact, term string, _ []byte) ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	root := m.roots[term]
-	if root == nil {
-		inline := &Root{Term: term, Types: m.inlineTypes[term], Gen: m.inlineGen[term]}
-		first := true
-		view, err := m.node.Store().Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		defer view.Close()
-		err = view.Scan(term, sid.MinPosting, func(p sid.Posting) bool {
-			if first {
-				inline.Lo = p
-				first = false
-			}
-			inline.Hi = p
-			inline.Count++
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-		inline.Replicas = m.adReplicas(term, inline.Count)
-		return encodeRoot(inline), nil
+	root, err := m.LocalRoot(term)
+	if err != nil {
+		return nil, err
 	}
-	if len(m.ads) == 0 {
-		return encodeRoot(root), nil
-	}
-	// Attach advertisements on a copy; the stored root stays ad-free.
-	served := *root
-	served.Blocks = append([]BlockRef(nil), root.Blocks...)
-	for i := range served.Blocks {
-		served.Blocks[i].Replicas = m.adReplicas(served.Blocks[i].Key, served.Blocks[i].Count)
-	}
-	return encodeRoot(&served), nil
+	return encodeRoot(root), nil
 }
 
-// handleBlock streams a block's postings, clipped to the requested
-// document interval (empty blob means no clipping).
-func (m *Manager) handleBlock(_ context.Context, _ dht.Contact, key string, blob []byte, send func(postings.List) error) error {
-	lo, hi, clip, err := decodeInterval(blob)
-	if err != nil {
-		return err
+// LocalRoot is the root block of a term as this peer, its home, would
+// serve it. A term that never overflowed reports itself inline, with
+// its local list's bounds attached for the document-interval
+// computation. Live replica advertisements ride along, so query peers
+// learn the extra holders of a hot term from the root fetch they make
+// anyway. Home-side code (the reducer steps, the count procedure) calls
+// this directly instead of routing a lookup to itself.
+func (m *Manager) LocalRoot(term string) (*Root, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if root := m.roots[term]; root != nil {
+		return m.withAds(root), nil
 	}
-	m.node.Load().ServeBlock()
-	// Serve from a snapshot: the block transfer sees one committed
-	// generation even while the home peer absorbs a bulk publish, and
-	// the scan holds no lock a concurrent batch commit would wait on.
+	// Summarise the inline list without the lock, so root fetches do not
+	// serialise against each other or against appends routed here. An
+	// append to this very term landing mid-scan would pair its count
+	// with the older generation; it is caught by the generation check
+	// and the scan redone with writers held off.
+	gen := m.inlineGen[term]
+	m.mu.Unlock()
+	inline, err := m.scanInline(term)
+	m.mu.Lock()
+	if err == nil && (m.roots[term] != nil || m.inlineGen[term] != gen) {
+		if root := m.roots[term]; root != nil {
+			return m.withAds(root), nil
+		}
+		gen = m.inlineGen[term]
+		inline, err = m.scanInline(term)
+	}
+	if err != nil {
+		return nil, err
+	}
+	inline.Gen, inline.Types = gen, m.inlineTypes[term]
+	inline.Replicas = m.adReplicas(term, inline.Count)
+	return inline, nil
+}
+
+// withAds returns root as served: with the live advertisements attached
+// on a copy, the stored root staying ad-free. Caller holds m.mu.
+func (m *Manager) withAds(root *Root) *Root {
+	served := *root
+	served.Home = m.node.Self().Addr
+	served.Blocks = append([]BlockRef(nil), root.Blocks...)
+	if len(m.ads) > 0 {
+		for i := range served.Blocks {
+			served.Blocks[i].Replicas = m.adReplicas(served.Blocks[i].Key, served.Blocks[i].Count)
+		}
+	}
+	return &served
+}
+
+// scanInline summarises the local list of a term from a store snapshot.
+func (m *Manager) scanInline(term string) (*Root, error) {
+	inline := &Root{Term: term, Home: m.node.Self().Addr}
 	view, err := m.node.Store().Snapshot()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer view.Close()
-	const batchSize = 512
-	batch := make(postings.List, 0, batchSize)
-	var sendErr error
-	err = view.Scan(key, sid.MinPosting, func(p sid.Posting) bool {
-		if clip {
-			k := p.Key()
-			if k.Compare(lo) < 0 {
-				return true
-			}
-			if k.Compare(hi) > 0 {
-				return false // sorted: nothing further can match
-			}
+	err = view.Scan(term, sid.MinPosting, func(p sid.Posting) bool {
+		if inline.Count == 0 {
+			inline.Lo = p
 		}
-		batch = append(batch, p)
-		if len(batch) == batchSize {
-			sendErr = send(batch)
-			batch = batch[:0]
-			return sendErr == nil
-		}
+		inline.Hi = p
+		inline.Count++
 		return true
 	})
-	if err != nil {
-		return err
-	}
-	if sendErr != nil {
-		return sendErr
-	}
-	if len(batch) > 0 {
-		return send(batch)
-	}
-	return nil
+	return inline, err
 }
 
 // Root fetches the root block of a term from its home peer.
@@ -642,14 +643,23 @@ func (m *Manager) Root(term string) (*Root, error) {
 // RootContext is Root under a caller-controlled deadline.
 func (m *Manager) RootContext(ctx context.Context, term string) (*Root, error) {
 	cost.FromContext(ctx).AddRootFetches(1)
-	blob, err := m.node.CallProcContext(ctx, term, ProcRoot, nil)
+	home, err := m.node.LocateContext(ctx, term)
 	if err != nil {
 		return nil, err
 	}
-	return decodeRoot(blob)
+	blob, err := m.node.CallProcOnContext(ctx, home, term, ProcRoot, nil)
+	if err != nil {
+		return nil, err
+	}
+	root, err := decodeRoot(blob)
+	if err != nil {
+		return nil, err
+	}
+	root.Home = home.Addr
+	return root, nil
 }
 
-// encoding of roots and intervals ------------------------------------
+// encoding of roots ---------------------------------------------------
 
 func encodeRoot(r *Root) []byte {
 	buf := make([]byte, 0, 32+len(r.Blocks)*48)
@@ -797,30 +807,6 @@ func readStr(buf []byte, pos int) (string, int, error) {
 	return string(buf[pos : pos+int(n)]), pos + int(n), nil
 }
 
-func encodeInterval(lo, hi sid.DocKey) []byte {
-	buf := make([]byte, 0, 17)
-	buf = append(buf, 1)
-	var b [16]byte
-	binary.BigEndian.PutUint32(b[0:], uint32(lo.Peer))
-	binary.BigEndian.PutUint32(b[4:], uint32(lo.Doc))
-	binary.BigEndian.PutUint32(b[8:], uint32(hi.Peer))
-	binary.BigEndian.PutUint32(b[12:], uint32(hi.Doc))
-	return append(buf, b[:]...)
-}
-
-func decodeInterval(blob []byte) (lo, hi sid.DocKey, clip bool, err error) {
-	if len(blob) == 0 {
-		return sid.DocKey{}, sid.DocKey{}, false, nil
-	}
-	if len(blob) != 17 || blob[0] != 1 {
-		return sid.DocKey{}, sid.DocKey{}, false, fmt.Errorf("dpp: malformed interval blob (%d bytes)", len(blob))
-	}
-	b := blob[1:]
-	lo = sid.DocKey{Peer: sid.PeerID(binary.BigEndian.Uint32(b[0:])), Doc: sid.DocID(binary.BigEndian.Uint32(b[4:]))}
-	hi = sid.DocKey{Peer: sid.PeerID(binary.BigEndian.Uint32(b[8:])), Doc: sid.DocID(binary.BigEndian.Uint32(b[12:]))}
-	return lo, hi, true, nil
-}
-
 // ProcDelete is the deletion procedure: the home peer routes a
 // posting's removal to the block holding it (document modification is
 // deletion followed by re-insertion, as in Section 2).
@@ -866,8 +852,7 @@ func (m *Manager) handleDelete(_ context.Context, _ dht.Contact, term string, bl
 			if p.Compare(ref.Lo) < 0 || p.Compare(ref.Hi) > 0 {
 				continue
 			}
-			owner := dht.Contact{ID: dht.PeerIDFromSeed(ref.Owner), Addr: ref.Owner}
-			if err := m.node.DeleteAt(owner, ref.Key, p); err != nil {
+			if err := m.node.DeleteAt(contactAt(ref.Owner), ref.Key, p); err != nil {
 				return nil, err
 			}
 			ref.Gen++

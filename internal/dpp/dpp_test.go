@@ -20,10 +20,16 @@ type cluster struct {
 }
 
 func newCluster(t testing.TB, peers int, opts Options) *cluster {
+	return newClusterOn(t, peers, opts, func(_ int, tr dht.Transport) dht.Transport { return tr })
+}
+
+// newClusterOn is newCluster with each peer's transport passed through
+// wrap, so a test can observe or break what a peer sends.
+func newClusterOn(t testing.TB, peers int, opts Options, wrap func(peer int, tr dht.Transport) dht.Transport) *cluster {
 	t.Helper()
 	c := &cluster{net: dht.NewNetwork()}
 	for i := 0; i < peers; i++ {
-		node, err := dht.NewNode(c.net.NewEndpoint(), store.NewMem(), dht.Config{})
+		node, err := dht.NewNode(wrap(i, c.net.NewEndpoint()), store.NewMem(), dht.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,21 +332,6 @@ func TestRootCodecRoundTrip(t *testing.T) {
 		if _, err := decodeRoot(enc[:cut]); err == nil {
 			t.Fatalf("decodeRoot of %d bytes should fail", cut)
 		}
-	}
-}
-
-func TestIntervalCodec(t *testing.T) {
-	lo := sid.DocKey{Peer: 3, Doc: 9}
-	hi := sid.DocKey{Peer: 4, Doc: 1}
-	l, h, clip, err := decodeInterval(encodeInterval(lo, hi))
-	if err != nil || !clip || l != lo || h != hi {
-		t.Fatalf("interval round trip: %v %v %v %v", l, h, clip, err)
-	}
-	if _, _, clip, err := decodeInterval(nil); err != nil || clip {
-		t.Fatal("nil blob should mean no clipping")
-	}
-	if _, _, _, err := decodeInterval([]byte{1, 2, 3}); err == nil {
-		t.Fatal("malformed interval should fail")
 	}
 }
 

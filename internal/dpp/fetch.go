@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"sync"
 	"time"
 
 	"kadop/internal/blockcache"
@@ -35,18 +33,12 @@ type FetchPlan struct {
 	// blocks (or the inline list) hold — the planner's cardinality
 	// input, known before a single posting transfers.
 	Postings int
-	// Probes and Sheds count replica probes and overload sheds on the
-	// synchronous inline path only; block-path probes run in fetch
-	// goroutines after the plan is returned and are attributed to
-	// their dpp:block spans instead.
-	Probes int
-	Sheds  int
 }
 
 // FetchOptions configure the query-side fetch.
 type FetchOptions struct {
-	// Parallel is the maximum number of blocks in flight (the paper's
-	// degree of parallelism K; default 4).
+	// Parallel is the maximum number of holder streams in flight (the
+	// paper's degree of parallelism K; default 4).
 	Parallel int
 	// Filter restricts the fetch to postings of documents within
 	// [FilterLo, FilterHi] (Section 4.2). Zero values mean no filter.
@@ -82,13 +74,22 @@ func (m *Manager) FetchContext(ctx context.Context, term string, opts FetchOptio
 // planner gets all roots first to compute the document interval), under
 // a caller-controlled deadline that bounds the block transfers.
 //
-// With a block cache configured, the condition-based block selection of
-// Section 4 is unchanged, but kept blocks are looked up in the cache by
-// (term, key, generation) first; misses transfer the FULL block — the
-// interval clip moves to this side — so the cached copy serves any
-// later interval, and concurrent fetches of one block coalesce into a
-// single transfer. Miss blocks co-located on one peer are fetched in a
-// single batched round trip.
+// There is one transfer path. The blocks the condition-based selection
+// of Section 4 keeps are grouped by the holder picked for each (the
+// recorded owner or an advertised replica), and every holder ships its
+// blocks over one batched stream, keys in Lo order, at most Parallel
+// streams in flight. A block reaches its result slot when its last
+// chunk arrives, not when the holder's batch drains, so the consumer
+// starts on the first block. A list still inline at its home peer is
+// the one-block case: the term is the key, the peer that served the
+// root the holder. A key its stream did not deliver falls over to the
+// block's other holders, and last to the routed pipelined get.
+//
+// Without a block cache the holder clips each block to the document
+// interval. With one, kept blocks are looked up by (term, key,
+// generation) first and misses transfer the FULL block — the clip moves
+// to this side — so the cached copy serves any later interval, and
+// concurrent fetches of one block coalesce into a single transfer.
 func (m *Manager) FetchWithRootContext(ctx context.Context, root *Root, opts FetchOptions) (postings.Stream, *FetchPlan, error) {
 	if opts.Parallel <= 0 {
 		opts.Parallel = 4
@@ -96,7 +97,7 @@ func (m *Manager) FetchWithRootContext(ctx context.Context, root *Root, opts Fet
 	plan := &FetchPlan{Term: root.Term, Blocks: len(root.Blocks), Parallel: opts.Parallel, DocClipped: opts.Filter}
 	cc := cost.FromContext(ctx)
 	// The fan-out span covers the fetch decision; the fetch itself
-	// streams on, so block transfers appear as their own child spans and
+	// streams on, so holder transfers appear as their own child spans and
 	// the pipeline's cost lands in the consumer's transfer accounting.
 	if sp := trace.FromContext(ctx); sp != nil {
 		defer func() {
@@ -106,26 +107,25 @@ func (m *Manager) FetchWithRootContext(ctx context.Context, root *Root, opts Fet
 			c.SetInt("fetched", int64(plan.Fetched))
 			c.SetInt("parallel", int64(plan.Parallel))
 			c.SetInt("cache-hits", int64(plan.CacheHits))
-			if plan.Probes > 0 {
-				c.SetInt("probes", int64(plan.Probes))
-			}
-			if plan.Sheds > 0 {
-				c.SetInt("sheds", int64(plan.Sheds))
-			}
 			if plan.Inline {
 				c.SetAttr("inline", "true")
 			}
 		}()
 	}
-	if len(root.Blocks) == 0 {
-		return m.fetchInline(ctx, root, opts, plan)
-	}
 
 	// Select blocks: keep those whose condition intersects the filter
 	// and whose types can match.
+	blocks, ordered := root.Blocks, root.Ordered
+	if len(blocks) == 0 {
+		plan.Inline, ordered = true, true
+		if root.Count > 0 {
+			blocks = []BlockRef{{Lo: root.Lo, Hi: root.Hi, Key: root.Term, Owner: root.Home,
+				Count: root.Count, Gen: root.Gen, Types: root.Types, Replicas: root.Replicas}}
+		}
+	}
 	var keep []BlockRef
-	for _, b := range root.Blocks {
-		if opts.Filter && root.Ordered && !opts.NoConditionFilter {
+	for _, b := range blocks {
+		if opts.Filter && ordered && !opts.NoConditionFilter {
 			if b.Hi.Key().Compare(opts.FilterLo) < 0 || b.Lo.Key().Compare(opts.FilterHi) > 0 {
 				continue
 			}
@@ -134,48 +134,40 @@ func (m *Manager) FetchWithRootContext(ctx context.Context, root *Root, opts Fet
 			continue
 		}
 		keep = append(keep, b)
-	}
-	plan.Fetched = len(keep)
-	for _, b := range keep {
 		plan.Postings += b.Count
+	}
+	if !plan.Inline {
+		plan.Fetched = len(keep)
 	}
 	if len(keep) == 0 {
 		return postings.NewSliceStream(nil), plan, nil
 	}
 
 	// With a cache, blocks transfer whole and the interval clip applies
-	// on this side; without one the holder clips (the old behaviour),
-	// which also rules batching out under a filter — an empty clipped
-	// block and a stale owner would be indistinguishable.
-	cacheOn := m.cache != nil
-	clientClip := opts.Filter && cacheOn
-	var blob []byte
-	if opts.Filter && !cacheOn {
-		blob = encodeInterval(opts.FilterLo, opts.FilterHi)
-	}
+	// on this side; without one the holder clips.
+	req := dht.BatchGet{Clip: opts.Filter && m.cache == nil, Lo: opts.FilterLo, Hi: opts.FilterHi}
 	clip := func(l postings.List) postings.List {
-		if clientClip {
+		if opts.Filter && !req.Clip {
 			return l.ClipDocs(opts.FilterLo, opts.FilterHi)
 		}
 		return l
 	}
 
 	// Each kept block gets a result slot; the consumer below reads them
-	// in block order (ordered DPP) or merges them (random ablation).
+	// in block order (ordered DPP) or merges them (random ablation). The
+	// transfers run under their own context, cancelled on the first
+	// error and when the consumer is done, so no stream outlives its use.
+	fctx, cancel := context.WithCancel(ctx)
 	results := make([]chan fetched, len(keep))
 	for i := range results {
 		results[i] = make(chan fetched, 1)
 	}
 
 	// Resolve cache hits and coalesced waiters now; what remains are
-	// leaders, which owe the network a transfer each.
-	type leaderBlock struct {
-		i      int
-		b      BlockRef
-		key    blockcache.Key
-		flight *blockcache.Flight
-	}
-	var leaders []leaderBlock
+	// leaders, which owe the network a transfer each, grouped by holder
+	// in the order of each holder's first block.
+	var holders []string
+	groups := map[string][]leaderBlock{}
 	for i, b := range keep {
 		k := blockcache.Key{Term: root.Term, Block: b.Key, Gen: b.Gen}
 		if l, ok := m.cache.Get(k); ok {
@@ -186,13 +178,21 @@ func (m *Manager) FetchWithRootContext(ctx context.Context, root *Root, opts Fet
 		}
 		f, lead := m.cache.BeginFlight(k)
 		if !lead {
-			go func(i int, f *blockcache.Flight) {
-				l, err := f.Wait(ctx)
+			go func() {
+				l, err := f.Wait(fctx)
+				if err != nil && fctx.Err() == nil {
+					// The leader's query gave up, not ours: fetch it here.
+					l, err = m.fetchBlockFailover(fctx, b, "", req)
+				}
 				results[i] <- fetched{list: clip(l), err: err}
-			}(i, f)
+			}()
 			continue
 		}
-		leaders = append(leaders, leaderBlock{i: i, b: b, key: k, flight: f})
+		addr := m.pickHolder(b)
+		if _, ok := groups[addr]; !ok {
+			holders = append(holders, addr)
+		}
+		groups[addr] = append(groups[addr], leaderBlock{i: i, b: b, key: k, flight: f})
 	}
 
 	// finish publishes a leader's result to its flight (unblocking any
@@ -201,55 +201,21 @@ func (m *Manager) FetchWithRootContext(ctx context.Context, root *Root, opts Fet
 		m.cache.Complete(lb.key, lb.flight, l, err)
 		results[lb.i] <- fetched{list: clip(l), err: err}
 	}
-	fetchOne := func(lb leaderBlock) {
-		l, err := m.fetchBlock(ctx, lb.b, blob)
-		finish(lb, l, err)
-	}
-
-	// Group leader blocks by recorded owner: two or more on one peer
-	// fetch in a single round trip. Batching transfers full blocks, so
-	// it only applies when a cache clips client-side or no filter is
-	// set; otherwise every block degrades to its own clipped get.
-	singles, batches := planBatches(leaders, cacheOn || !opts.Filter, func(lb leaderBlock) string {
-		return lb.b.Owner
-	})
-
-	sem := make(chan struct{}, opts.Parallel)
 	go func() {
-		for _, lb := range singles {
+		sem := make(chan struct{}, opts.Parallel)
+		for _, addr := range holders {
 			sem <- struct{}{}
-			go func(lb leaderBlock) {
+			go func() {
 				defer func() { <-sem }()
-				fetchOne(lb)
-			}(lb)
-		}
-		for owner, group := range batches {
-			sem <- struct{}{}
-			go func(owner string, group []leaderBlock) {
-				defer func() { <-sem }()
-				keys := make([]string, len(group))
-				for gi, lb := range group {
-					keys[gi] = lb.b.Key
-				}
-				got, err := m.fetchBatch(ctx, owner, keys)
-				for _, lb := range group {
-					if err != nil || (len(got[lb.b.Key]) == 0 && lb.b.Count > 0) {
-						// The whole batch failed, or this block came back
-						// empty from a peer that should hold postings (a
-						// stale owner): fall back to the rotating
-						// per-block fetch.
-						fetchOne(lb)
-						continue
-					}
-					finish(lb, got[lb.b.Key], nil)
-				}
-			}(owner, group)
+				m.fetchHolder(fctx, addr, groups[addr], req, finish)
+			}()
 		}
 	}()
 
-	if root.Ordered {
+	if ordered {
 		out := postings.NewPipe(m.blockSize)
 		go func() {
+			defer cancel()
 			for i := range results {
 				r := <-results[i]
 				if r.err != nil {
@@ -266,105 +232,16 @@ func (m *Manager) FetchWithRootContext(ctx context.Context, root *Root, opts Fet
 	}
 
 	// Random ablation: gather everything, merge.
-	var wg sync.WaitGroup
-	lists := make([]postings.List, len(keep))
-	var firstErr error
-	var mu sync.Mutex
+	defer cancel()
+	streams := make([]postings.Stream, len(keep))
 	for i := range results {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r := <-results[i]
-			mu.Lock()
-			defer mu.Unlock()
-			if r.err != nil && firstErr == nil {
-				firstErr = r.err
-			}
-			lists[i] = r.list
-		}(i)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, nil, firstErr
-	}
-	streams := make([]postings.Stream, len(lists))
-	for i, l := range lists {
-		streams[i] = postings.NewSliceStream(l)
+		r := <-results[i]
+		if r.err != nil {
+			return nil, nil, r.err
+		}
+		streams[i] = postings.NewSliceStream(r.list)
 	}
 	return postings.MergeStreams(streams...), plan, nil
-}
-
-// fetchInline serves a term that never overflowed: the list streams
-// from the term's home peer and is clipped on this side. With a cache,
-// a hit skips the stream entirely and a miss tees the transfer into
-// the cache as it completes.
-func (m *Manager) fetchInline(ctx context.Context, root *Root, opts FetchOptions, plan *FetchPlan) (postings.Stream, *FetchPlan, error) {
-	plan.Inline = true
-	cc := cost.FromContext(ctx)
-	if !typeMatches(root.Types, opts.AllowedTypes) {
-		return postings.NewSliceStream(nil), plan, nil
-	}
-	plan.Postings = root.Count
-	key := blockcache.Key{Term: root.Term, Gen: root.Gen}
-	if m.cache != nil && root.Count > 0 {
-		if l, ok := m.cache.Get(key); ok {
-			plan.CacheHits++
-			cc.AddCacheHits(1)
-			if opts.Filter {
-				l = l.ClipDocs(opts.FilterLo, opts.FilterHi)
-			}
-			return postings.NewSliceStream(l), plan, nil
-		}
-	}
-	if len(root.Replicas) > 0 && root.Count > 0 {
-		// A hot inline list advertises leased replicas on its root.
-		// Probe them in shed-aware power-of-two-choices order, draining
-		// eagerly (an inline list is at most one block), and trust a
-		// copy only if it is as complete as the root promised — a
-		// demoted or mid-push replica answers short and is skipped.
-		for _, addr := range m.orderCandidates("", root.Replicas) {
-			plan.Probes++
-			cc.AddReplicaProbes(1)
-			l, err := m.probeBlock(ctx, addr, root.Term, nil)
-			if dht.IsOverload(err) {
-				plan.Sheds++
-				cc.AddShedRetries(1)
-			}
-			if err != nil || len(l) < root.Count {
-				continue
-			}
-			cc.AddBlocksFetched(1)
-			cc.AddWireBytes(int64(len(l)) * metrics.PostingWireBytes)
-			if m.cache != nil {
-				m.cache.Add(key, l)
-			}
-			if opts.Filter {
-				l = l.ClipDocs(opts.FilterLo, opts.FilterHi)
-			}
-			return postings.NewSliceStream(l), plan, nil
-		}
-		// Every replica failed or was stale: the home peer is still the
-		// source of truth, so fall through to the routed stream.
-	}
-	s, err := m.node.GetStreamContext(ctx, root.Term)
-	if err != nil {
-		return nil, nil, err
-	}
-	if root.Count > 0 {
-		cc.AddBlocksFetched(1)
-	}
-	s = &costStream{s: s, c: cc}
-	if m.cache != nil && root.Count > 0 {
-		// The transfer is full-list regardless (the clip below is local),
-		// so a completely drained stream is exactly the cacheable block.
-		// No singleflight here: a consumer may abandon the stream, and a
-		// flight without a guaranteed completion would hang its waiters.
-		s = &teeStream{s: s, cache: m.cache, key: key}
-	}
-	if opts.Filter {
-		s = clipStream(s, opts.FilterLo, opts.FilterHi)
-	}
-	return s, plan, nil
 }
 
 type fetched struct {
@@ -372,63 +249,91 @@ type fetched struct {
 	err  error
 }
 
-// planBatches splits leaders into per-block singles and per-owner
-// batches of two or more blocks. Batching requires full-block transfers
-// (allowed=false forces everything single); blocks with no recorded
-// owner must locate, so they stay single too.
-func planBatches[T any](leaders []T, allowed bool, ownerOf func(T) string) (singles []T, batches map[string][]T) {
-	if !allowed {
-		return leaders, nil
-	}
-	byOwner := map[string][]T{}
-	for _, lb := range leaders {
-		owner := ownerOf(lb)
-		if owner == "" {
-			singles = append(singles, lb)
-			continue
-		}
-		byOwner[owner] = append(byOwner[owner], lb)
-	}
-	for owner, group := range byOwner {
-		if len(group) < 2 {
-			singles = append(singles, group...)
-			continue
-		}
-		if batches == nil {
-			batches = map[string][]T{}
-		}
-		batches[owner] = group
-	}
-	return singles, batches
+// leaderBlock is a kept block this fetch must transfer: its result
+// slot, and the cache flight other fetches of the block wait on.
+type leaderBlock struct {
+	i      int
+	b      BlockRef
+	key    blockcache.Key
+	flight *blockcache.Flight
 }
 
-// fetchBatch pulls a group of co-located blocks from their recorded
-// owner in one round trip (a key the peer holds nothing for maps to an
-// empty list).
-func (m *Manager) fetchBatch(ctx context.Context, owner string, keys []string) (map[string]postings.List, error) {
+// fetchHolder pulls a holder's share of a term's blocks over one
+// batched stream, finishing each block as its last chunk arrives. A key
+// the stream did not deliver — the stream failed, or the peer does not
+// hold a block the root says has postings (a stale owner, a demoted
+// replica) — falls over to the block's other holders.
+func (m *Manager) fetchHolder(ctx context.Context, addr string, group []leaderBlock, req dht.BatchGet, finish func(leaderBlock, postings.List, error)) {
 	start := time.Now()
-	contact := dht.Contact{ID: dht.PeerIDFromSeed(owner), Addr: owner}
-	got, err := m.node.GetBatchContext(ctx, contact, keys, false, sid.DocKey{}, sid.DocKey{})
+	req.Keys = make([]string, len(group))
+	for i, lb := range group {
+		req.Keys[i] = lb.b.Key
+	}
+	done := make([]bool, len(group))
+	var moved int
+	err := errNoHolder
+	if addr != "" {
+		err = m.node.GetBatchContext(ctx, contactAt(addr), req, func(i int, l postings.List) {
+			done[i] = true
+			moved += len(l)
+			noteFetched(ctx, l)
+			finish(group[i], l, nil)
+		})
+		noteProbe(ctx, err)
+	}
 	dur := time.Since(start)
 	m.node.Metrics().Observe(metrics.OpDPPFetch, dur)
-	if err == nil {
-		cc := cost.FromContext(ctx)
-		for _, l := range got {
-			if len(l) > 0 {
-				cc.AddBlocksFetched(1)
-				cc.AddWireBytes(int64(len(l)) * metrics.PostingWireBytes)
-			}
-		}
-	}
 	if sp := trace.FromContext(ctx); sp != nil {
 		c := sp.Child("dpp:block-batch", start, dur)
-		c.SetAttr("peer", owner)
-		c.SetInt("blocks", int64(len(keys)))
+		c.SetAttr("peer", addr)
+		c.SetInt("blocks", int64(len(group)))
+		c.SetInt("postings", int64(moved))
 		if err != nil {
 			c.SetAttr("error", err.Error())
 		}
 	}
-	return got, err
+	for i, lb := range group {
+		if done[i] {
+			continue
+		}
+		if cerr := ctx.Err(); cerr != nil {
+			finish(lb, nil, cerr)
+			continue
+		}
+		l, err := m.fetchBlockFailover(ctx, lb.b, addr, req)
+		finish(lb, l, err)
+	}
+}
+
+var errNoHolder = errors.New("dpp: no holder recorded")
+
+func contactAt(addr string) dht.Contact {
+	return dht.Contact{ID: dht.PeerIDFromSeed(addr), Addr: addr}
+}
+
+// noteFetched charges one transferred block to the query's actuals.
+func noteFetched(ctx context.Context, l postings.List) {
+	cc := cost.FromContext(ctx)
+	cc.AddBlocksFetched(1)
+	cc.AddWireBytes(int64(len(l)) * metrics.PostingWireBytes)
+}
+
+// noteProbe charges one holder contact, and its rejection when the
+// holder shed it, to the query's actuals.
+func noteProbe(ctx context.Context, err error) {
+	cc := cost.FromContext(ctx)
+	cc.AddReplicaProbes(1)
+	if dht.IsOverload(err) {
+		cc.AddShedRetries(1)
+	}
+}
+
+// pickHolder chooses where a block is fetched from first.
+func (m *Manager) pickHolder(b BlockRef) string {
+	if len(b.Replicas) == 0 {
+		return b.Owner
+	}
+	return m.orderCandidates(b.Owner, b.Replicas)[0]
 }
 
 // orderCandidates builds the probe order over a block's known holders
@@ -464,163 +369,41 @@ func (m *Manager) orderCandidates(primary string, replicas []string) []string {
 	return out
 }
 
-// probeBlock opens a single-attempt stream for key at addr and drains
-// it. Streams open optimistically, so an admission-gate rejection (or
-// any other server-side error) surfaces here as a drain error — which
-// is exactly what lets callers fail over to the next holder.
-func (m *Manager) probeBlock(ctx context.Context, addr, key string, intervalBlob []byte) (postings.List, error) {
-	c := dht.Contact{ID: dht.PeerIDFromSeed(addr), Addr: addr}
-	s, err := m.node.OpenProcStreamOnceContext(ctx, c, key, ProcBlock, intervalBlob)
-	if err != nil {
-		return nil, err
-	}
-	return postings.Drain(s)
-}
-
-// fetchBlock drains a block's (possibly clipped) stream from one of its
-// holders. Each known holder — the recorded owner plus any advertised
-// replicas, in shed-aware power-of-two-choices order — gets a single
-// probe; a failed or stale probe fails over to the next. Only when all
-// probes miss does the fetch ROTATE to a freshly located holder and
-// finally spend the full retry budget there, so a stale pointer or a
-// shedding replica costs one failed probe instead of the whole budget.
-func (m *Manager) fetchBlock(ctx context.Context, b BlockRef, intervalBlob []byte) (postings.List, error) {
-	start := time.Now()
-	var probes, sheds int64
-	list, err := m.fetchBlockFailover(ctx, b, intervalBlob, &probes, &sheds)
-	dur := time.Since(start)
-	m.node.Metrics().Observe(metrics.OpDPPFetch, dur)
-	cc := cost.FromContext(ctx)
-	cc.AddReplicaProbes(probes)
-	cc.AddShedRetries(sheds)
-	if err == nil {
-		cc.AddBlocksFetched(1)
-		cc.AddWireBytes(int64(len(list)) * metrics.PostingWireBytes)
-	}
-	if sp := trace.FromContext(ctx); sp != nil {
-		c := sp.Child("dpp:block", start, dur)
-		c.SetAttr("block", b.Key)
-		c.SetInt("postings", int64(len(list)))
-		if probes > 0 {
-			c.SetInt("probes", probes)
-		}
-		if sheds > 0 {
-			c.SetInt("sheds", sheds)
-		}
-		if err != nil {
-			c.SetAttr("error", err.Error())
-		}
-	}
-	return list, err
-}
-
-func (m *Manager) fetchBlockFailover(ctx context.Context, b BlockRef, intervalBlob []byte, probes, sheds *int64) (postings.List, error) {
-	tried := map[string]bool{}
+// fetchBlockFailover recovers one block whose first holder (tried) did
+// not deliver it. Each other known holder — the recorded owner plus any
+// advertised replicas, in shed-aware power-of-two-choices order — gets
+// a single probe, itself a batch of one; a failed probe, or a peer not
+// holding a block that has postings, fails over to the next. Only when
+// all probes miss does the fetch ROTATE to the routed pipelined get,
+// which locates the key's current owners and spends the full retry
+// budget there, so a stale pointer or a shedding replica costs one
+// failed probe instead of the whole budget.
+func (m *Manager) fetchBlockFailover(ctx context.Context, b BlockRef, tried string, req dht.BatchGet) (postings.List, error) {
+	req.Keys = []string{b.Key}
 	for _, addr := range m.orderCandidates(b.Owner, b.Replicas) {
-		tried[addr] = true
-		*probes++
-		list, err := m.probeBlock(ctx, addr, b.Key, intervalBlob)
-		if err != nil {
-			if dht.IsOverload(err) {
-				*sheds++
-			}
-			continue // dead, shed, or unreachable: next holder
-		}
-		if len(list) == 0 && b.Count > 0 && addr != b.Owner {
-			// An advertised replica answering empty for a block that has
-			// postings is stale (demoted, or its push never finished):
-			// treat it as a miss, not as truth.
+		if addr == tried {
 			continue
 		}
-		return list, nil
-	}
-	// Rotate: route the pseudo-key to the current holder and, if the
-	// probes above did not already cover it, probe that once too before
-	// spending retries anywhere.
-	owner, err := m.node.LocateContext(ctx, b.Key)
-	if err != nil {
-		return nil, err
-	}
-	if !tried[owner.Addr] {
-		*probes++
-		if list, err := m.probeBlock(ctx, owner.Addr, b.Key, intervalBlob); err == nil {
+		var list postings.List
+		held := false
+		err := m.node.GetBatchContext(ctx, contactAt(addr), req, func(_ int, l postings.List) { list, held = l, true })
+		noteProbe(ctx, err)
+		if err == nil && held {
+			noteFetched(ctx, list)
 			return list, nil
-		} else if dht.IsOverload(err) {
-			*sheds++
 		}
 	}
-	// Every candidate failed its probe: the full retry/backoff budget
-	// now goes to the routed holder (transient faults heal here).
-	s, err := m.node.OpenProcStreamContext(ctx, owner, b.Key, ProcBlock, intervalBlob)
+	s, err := m.node.GetStreamContext(ctx, b.Key)
 	if err != nil {
 		return nil, err
 	}
-	return postings.Drain(s)
-}
-
-// costStream counts the wire bytes of a routed posting stream as the
-// consumer pulls it — inline lists transfer lazily, so the bytes are
-// only known posting by posting.
-type costStream struct {
-	s postings.Stream
-	c *cost.Counters
-}
-
-func (cs *costStream) Next() (sid.Posting, error) {
-	p, err := cs.s.Next()
-	if err == nil {
-		cs.c.AddWireBytes(metrics.PostingWireBytes)
+	list, err := postings.Drain(s)
+	if err != nil {
+		return nil, err
 	}
-	return p, err
-}
-
-// teeStream accumulates a fully drained stream into the block cache.
-type teeStream struct {
-	s     postings.Stream
-	cache *blockcache.Cache
-	key   blockcache.Key
-	acc   postings.List
-	done  bool
-}
-
-func (t *teeStream) Next() (sid.Posting, error) {
-	p, err := t.s.Next()
-	if err == nil {
-		t.acc = append(t.acc, p)
-		return p, nil
+	noteFetched(ctx, list)
+	if req.Clip {
+		list = list.ClipDocs(req.Lo, req.Hi)
 	}
-	if errors.Is(err, io.EOF) && !t.done {
-		t.done = true
-		t.cache.Add(t.key, t.acc)
-	}
-	return p, err
-}
-
-// clipStream filters a stream to the document interval (client side,
-// for inline lists, where the transfer already happened and only the
-// join input needs narrowing).
-func clipStream(s postings.Stream, lo, hi sid.DocKey) postings.Stream {
-	return &clippedStream{s: s, lo: lo, hi: hi}
-}
-
-type clippedStream struct {
-	s      postings.Stream
-	lo, hi sid.DocKey
-}
-
-func (c *clippedStream) Next() (sid.Posting, error) {
-	for {
-		p, err := c.s.Next()
-		if err != nil {
-			return p, err
-		}
-		k := p.Key()
-		if k.Compare(c.lo) < 0 {
-			continue
-		}
-		if k.Compare(c.hi) > 0 {
-			continue
-		}
-		return p, nil
-	}
+	return list, nil
 }

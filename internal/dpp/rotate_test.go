@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"kadop/internal/dht"
 	"kadop/internal/metrics"
 )
 
@@ -32,7 +33,7 @@ func TestFetchBlockRotatesBeforeRetrying(t *testing.T) {
 
 	col := c.net.Collector
 	base := col.Events(metrics.EventRetry)
-	got, err := c.managers[2].fetchBlock(context.Background(), b, nil)
+	got, err := c.managers[2].fetchBlockFailover(context.Background(), b, "", dht.BatchGet{})
 	if err != nil {
 		t.Fatalf("fetch with stale owner hint: %v", err)
 	}

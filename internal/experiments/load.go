@@ -70,8 +70,9 @@ type LoadResult struct {
 // RunLoad measures per-peer serving load under a skewed DBLP workload
 // with the DPP off and on, then runs the adaptive-replication phase.
 // It returns an error (with the result still populated) when the
-// adaptive phase fails its strict improvement assertions, so the load
-// smoke gate in CI fails loudly if the closed loop regresses.
+// adaptive phase promotes nothing or fails to flatten the serving load,
+// so the load smoke gate in CI fails loudly if the closed loop
+// regresses; the latency tail is reported, not gated (see check).
 func RunLoad(o LoadOptions) (*LoadResult, error) {
 	o = o.defaults()
 	res := &LoadResult{}
@@ -91,7 +92,7 @@ func RunLoad(o LoadOptions) (*LoadResult, error) {
 		return nil, err
 	}
 	res.Adaptive = ad
-	return res, ad.check(!raceEnabled)
+	return res, ad.check(false)
 }
 
 func runLoadVariant(o LoadOptions, useDPP bool) (*cluster.Report, error) {

@@ -1,0 +1,221 @@
+package kadop
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"sync"
+	"testing"
+
+	"kadop/internal/dht"
+	"kadop/internal/dpp"
+	"kadop/internal/metrics"
+	"kadop/internal/pattern"
+	"kadop/internal/sid"
+	"kadop/internal/store"
+)
+
+// census counts what a deployment sends: application procedures by
+// name and streams opened, at every peer's transport.
+type census struct {
+	mu      sync.Mutex
+	procs   map[string]int
+	streams int
+}
+
+func (c *census) reset() {
+	c.mu.Lock()
+	c.procs, c.streams = map[string]int{}, 0
+	c.mu.Unlock()
+}
+
+type censusTransport struct {
+	dht.Transport
+	c *census
+}
+
+// Metrics keeps the node's accounting on the network's collector, as
+// the unwrapped endpoint does.
+func (t censusTransport) Metrics() *metrics.Collector {
+	return t.Transport.(interface{ Metrics() *metrics.Collector }).Metrics()
+}
+
+func (t censusTransport) Call(ctx context.Context, to dht.Contact, req dht.Message) (dht.Message, error) {
+	if req.Type == dht.MsgApp {
+		t.c.mu.Lock()
+		t.c.procs[req.Proc]++
+		t.c.mu.Unlock()
+	}
+	return t.Transport.Call(ctx, to, req)
+}
+
+func (t censusTransport) OpenStream(ctx context.Context, to dht.Contact, req dht.Message) (dht.MsgStream, error) {
+	t.c.mu.Lock()
+	t.c.streams++
+	t.c.mu.Unlock()
+	return t.Transport.OpenStream(ctx, to, req)
+}
+
+// censusCluster is eight publishing peers on free links, every
+// transport counted.
+func censusCluster(t *testing.T, cen *census) *cluster {
+	t.Helper()
+	c := &cluster{net: dht.NewNetwork()}
+	var nodes []*dht.Node
+	for i := 0; i < 8; i++ {
+		nd, err := dht.NewNode(censusTransport{c.net.NewEndpoint(), cen}, store.NewMem(), dht.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, nd)
+	}
+	for _, nd := range nodes[1:] {
+		if err := nd.Bootstrap(nodes[0].Self()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, nd := range nodes {
+		if _, err := nd.Lookup(nd.Self().ID); err != nil {
+			t.Fatal(err)
+		}
+		p, err := NewPeer(nd, sid.PeerID(i+1), Config{UseDPP: true, DPP: dpp.Options{BlockSize: 16}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.peers = append(c.peers, p)
+	}
+	for _, p := range c.peers {
+		if err := p.Announce(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
+// censusClient joins a query-only peer: it owns no key and holds no
+// block, so everything it reads crosses a counted transport.
+func censusClient(t *testing.T, c *cluster, cen *census, id int, cacheBytes int64) *Peer {
+	t.Helper()
+	nd, err := dht.NewNode(censusTransport{c.net.NewEndpoint(), cen}, store.NewMem(), dht.Config{Client: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nd.Bootstrap(c.peers[0].Node().Self()); err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPeer(nd, sid.PeerID(id), Config{UseDPP: true, DPP: dpp.Options{BlockSize: 16}, CacheBytes: cacheBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestReadPathMessageCensus counts the messages of a three-term DPP
+// query, no wall clock involved: with lists overflowed into dozens of
+// blocks over eight peers, the index phase is one lookup and one root
+// RPC per distinct term, no count RPC, and at most one stream per
+// (term, block holder) — under the automatic and the fixed plan, with
+// and without a block cache, whether or not the document interval
+// clips the lists — and the answers are the oracle's.
+func TestReadPathMessageCensus(t *testing.T) {
+	q := pattern.MustParse(`//article[//year]//author`)
+	terms := []string{"l:article", "l:year", "l:author"}
+	// clipping: only the documents of two publishers carry a year, so the
+	// interval of Section 4.2 cuts the other lists; spanning: all do.
+	corpus := func(clipping bool) []string {
+		var docs []string
+		for i := 0; i < 160; i++ {
+			year := "<year>2001</year>"
+			if clipping && i%8 != 2 && i%8 != 3 {
+				year = ""
+			}
+			docs = append(docs, fmt.Sprintf(
+				`<dblp><article><author>A%d</author><author>B%d</author><author>C%d</author>%s<title>T%d</title></article></dblp>`, i, i, i, year, i))
+		}
+		return docs
+	}
+	for _, clipping := range []bool{false, true} {
+		for _, cacheBytes := range []int64{0, 1 << 20} {
+			cen := &census{procs: map[string]int{}}
+			c := censusCluster(t, cen)
+			truth := publishAll(t, c, corpus(clipping))
+			want := truth(q)
+			var wantDocs []sid.DocKey
+			for _, m := range want {
+				if n := len(wantDocs); n == 0 || wantDocs[n-1] != m.Doc {
+					wantDocs = append(wantDocs, m.Doc)
+				}
+			}
+			for si, strategy := range []Strategy{AutoStrategy, Conventional} {
+				name := fmt.Sprintf("clipping=%v/cache=%d/%v", clipping, cacheBytes, strategy)
+				t.Run(name, func(t *testing.T) {
+					client := censusClient(t, c, cen, 100+si, cacheBytes)
+					// What the plan may touch: per term, the holders of the
+					// blocks the document interval keeps.
+					roots := map[string]*dpp.Root{}
+					blocks := 0
+					for _, term := range terms {
+						r, err := client.dpp.RootContext(context.Background(), term)
+						if err != nil {
+							t.Fatal(err)
+						}
+						roots[term] = r
+						blocks += len(r.Blocks)
+					}
+					if blocks < 20 {
+						t.Fatalf("lists overflowed into %d blocks, want at least 20", blocks)
+					}
+					lo, hi := docInterval(roots)
+					holders := 0
+					for _, r := range roots {
+						seen := map[string]bool{}
+						for _, b := range r.Blocks {
+							if b.Hi.Key().Compare(lo) >= 0 && b.Lo.Key().Compare(hi) <= 0 {
+								seen[b.Owner] = true
+							}
+						}
+						holders += len(seen)
+					}
+
+					run := func(opts QueryOptions) (*Result, int64) {
+						t.Helper()
+						cen.reset()
+						before := c.net.Collector.Hist(metrics.OpLookup).Count()
+						res, err := client.Query(q, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return res, c.net.Collector.Hist(metrics.OpLookup).Count() - before
+					}
+					res, lookups := run(QueryOptions{Strategy: strategy, IndexOnly: true})
+					if !reflect.DeepEqual(res.Docs, wantDocs) {
+						t.Errorf("index phase found %d documents, oracle %d", len(res.Docs), len(wantDocs))
+					}
+					if lookups != int64(len(terms)) {
+						t.Errorf("%d lookups started, want one per distinct term (%d)", lookups, len(terms))
+					}
+					if n := cen.procs[procCount]; n != 0 {
+						t.Errorf("%d %s calls under the DPP, want none: the roots carry the counts", n, procCount)
+					}
+					if n := cen.procs[dpp.ProcRoot]; n != len(terms) {
+						t.Errorf("%d root RPCs, want one per distinct term (%d)", n, len(terms))
+					}
+					if cen.streams == 0 || cen.streams > holders {
+						t.Errorf("%d streams opened, want between 1 and the %d (term, holder) pairs", cen.streams, holders)
+					}
+					if cacheBytes > 0 {
+						// Warm: the same plan, every block from the cache.
+						if _, lookups := run(QueryOptions{Strategy: strategy, IndexOnly: true}); cen.streams != 0 || lookups != int64(len(terms)) {
+							t.Errorf("warm run opened %d streams after %d lookups, want 0 after %d", cen.streams, lookups, len(terms))
+						}
+					}
+					full, _ := run(QueryOptions{Strategy: strategy})
+					sortMatches(full.Matches)
+					if !reflect.DeepEqual(full.Matches, want) {
+						t.Errorf("%d answers, oracle %d", len(full.Matches), len(want))
+					}
+				})
+			}
+		}
+	}
+}

@@ -11,8 +11,8 @@ import (
 // traced), and with analyze also the per-phase work table comparing
 // the statistics registry's pre-execution estimate with the operator
 // actuals the query recorded. One renderer serves both flags so the
-// span tree — including the per-span cache-hit, probe and shed attrs
-// — never diverges between them.
+// span tree — including the per-span cache hits and holder-stream
+// errors — never diverges between them.
 func FormatExplain(res *Result, analyze bool) string {
 	if res == nil {
 		return ""

@@ -469,7 +469,7 @@ func (p *Peer) indexJoin(ctx context.Context, sub *pattern.Query, opts QueryOpti
 	var results []vectorResult
 	if opts.ParallelJoin > 1 && p.dpp != nil && opts.Strategy == Conventional {
 		terms, _ := termKeys(sub.Nodes())
-		reads, err := p.planReads(ctx, terms, opts.DocType)
+		reads, err := p.planReads(ctx, terms, opts.DocType, false)
 		if err != nil {
 			return nil, err
 		}
@@ -632,16 +632,24 @@ func cutVectors(widest *dpp.Root, lo, hi sid.DocKey, maxVectors int) []docRange 
 // vector cutter's plan; nil means the vector is the whole subtree, and
 // the reads are planned here and span their own document interval.
 func (p *Peer) fetchStreams(ctx context.Context, sub *pattern.Query, opts QueryOptions, reads *termReads, v docRange) (map[*pattern.Node]postings.Stream, []*dpp.FetchPlan, error) {
-	if opts.Strategy == AutoStrategy {
-		chosen, err := p.chooseStrategy(ctx, sub)
-		if err != nil {
+	nodes := sub.Nodes()
+	terms, dup := termKeys(nodes)
+	// The reads are planned before the strategy is chosen: the roots
+	// that locate the blocks also carry every count the chooser and the
+	// sub-query selection need, so neither issues an RPC of its own.
+	sized := opts.Strategy == AutoStrategy || (opts.Strategy == SubQueryReducer && len(opts.SubQuery) == 0)
+	if reads == nil && (sized || opts.Strategy == Conventional) {
+		var err error
+		if reads, err = p.planReads(ctx, terms, opts.DocType, sized); err != nil {
 			return nil, nil, err
 		}
-		opts.Strategy = chosen
+		v = reads.span
 	}
-	nodes := sub.Nodes()
+	if opts.Strategy == AutoStrategy {
+		opts.Strategy = chooseStrategy(sub, reads)
+	}
 	if opts.Strategy != Conventional {
-		lists, err := p.reducedLists(ctx, sub, opts)
+		lists, err := p.reducedLists(ctx, sub, opts, reads)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -650,14 +658,6 @@ func (p *Peer) fetchStreams(ctx context.Context, sub *pattern.Query, opts QueryO
 			streams[n] = postings.NewSliceStream(lists[i])
 		}
 		return streams, nil, nil
-	}
-	terms, dup := termKeys(nodes)
-	if reads == nil {
-		var err error
-		if reads, err = p.planReads(ctx, terms, opts.DocType); err != nil {
-			return nil, nil, err
-		}
-		v = reads.span
 	}
 	lists, plans, err := p.openStreams(ctx, reads, v, dup)
 	if err != nil {
@@ -669,34 +669,83 @@ func (p *Peer) fetchStreams(ctx context.Context, sub *pattern.Query, opts QueryO
 
 // termReads is what the reads of one term set share. Under the DPP
 // that is the terms' root blocks and what they imply: the [min, max]
-// document interval of Section 4.2 and the type constraint of Section
-// 4.1. Without the DPP a list has no conditions to select by: roots is
-// nil and span is allDocs.
+// document interval of Section 4.2, the type constraint of Section 4.1
+// and every term's posting count. Without the DPP a list has no
+// conditions to select by: roots is nil, span is allDocs, and counts
+// holds the home peers' answers when the plan asked for sizes.
 type termReads struct {
 	terms   []string
 	roots   map[string]*dpp.Root
+	counts  map[string]int
 	span    docRange
 	allowed []string
 }
 
-// planReads fetches the root blocks of terms (distinct keys) and
-// derives the interval and type constraint from them.
-func (p *Peer) planReads(ctx context.Context, terms []string, docType string) (*termReads, error) {
+// count is a term's posting count, and whether its list has overflowed
+// into blocks held away from its home peer.
+func (r *termReads) count(term string) (n int, overflowed bool) {
+	if root := r.roots[term]; root != nil {
+		return root.Postings(), len(root.Blocks) > 0
+	}
+	return r.counts[term], false
+}
+
+// planReads fetches the root blocks of terms (distinct keys), all at
+// once, and derives the interval and type constraint from them. sized
+// asks for the terms' posting counts as well: the roots carry them, so
+// only a deployment without the DPP has to ask the home peers.
+func (p *Peer) planReads(ctx context.Context, terms []string, docType string, sized bool) (*termReads, error) {
 	reads := &termReads{terms: terms, span: allDocs}
+	var mu sync.Mutex
 	if p.dpp == nil {
-		return reads, nil
+		if !sized {
+			return reads, nil
+		}
+		reads.counts = make(map[string]int, len(terms))
+		return reads, eachTerm(terms, func(t string) error {
+			n, err := p.termCount(ctx, t)
+			mu.Lock()
+			reads.counts[t] = n
+			mu.Unlock()
+			return err
+		})
 	}
 	reads.roots = make(map[string]*dpp.Root, len(terms))
-	for _, t := range terms {
+	err := eachTerm(terms, func(t string) error {
 		r, err := p.dpp.RootContext(ctx, t)
-		if err != nil {
-			return nil, err
-		}
+		mu.Lock()
 		reads.roots[t] = r
+		mu.Unlock()
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	reads.span.lo, reads.span.hi = docInterval(reads.roots)
 	reads.allowed = allowedTypes(reads.roots, docType)
 	return reads, nil
+}
+
+// eachTerm runs fn for every term concurrently — the lookups and round
+// trips of a plan overlap instead of queueing — and returns the first
+// error in term order.
+func eachTerm(terms []string, fn func(term string) error) error {
+	errs := make([]error, len(terms))
+	var wg sync.WaitGroup
+	for i, t := range terms {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(t)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // openStreams is the one way this package reads posting lists: it
@@ -957,34 +1006,44 @@ func ProjectIndexQuery(q *pattern.Query) (*indexQuery, error) {
 
 // selectivityRatio is the cost-model threshold of AutoStrategy: a
 // sub-query counts as selective when its smallest leaf list is at
-// least this many times smaller than the query's largest list, which
-// makes the Bloom-filter exchange (sized by the small list) cheap
-// relative to the transfer it can save.
+// least this many times smaller than the postings a filter can save on
+// the way up from it, which makes the Bloom-filter exchange (sized by
+// the small list) cheap relative to the transfer it saves.
 const selectivityRatio = 20
 
 // chooseStrategy implements the paper's plan-selection heuristic from
-// the stored posting-list sizes.
-func (p *Peer) chooseStrategy(ctx context.Context, sub *pattern.Query) (Strategy, error) {
-	minCount, maxCount := -1, 0
-	for _, n := range sub.Nodes() {
-		if n.IsWildcard() {
-			continue
+// the posting-list sizes the planned reads already hold, for the
+// sub-query selectSubQuery would filter: the path from the root to the
+// smallest leaf. A filter saves postings only on an ancestor list its
+// home peer still holds whole. A reducer step on an overflowed list
+// first pulls every block back to the home peer, on the filter chain's
+// critical path, and then pushes the survivors on — more bytes over
+// more serial hops than fetching those blocks directly, in parallel
+// with every other list — so an overflowed list on the path is priced
+// at its size instead.
+func chooseStrategy(sub *pattern.Query, reads *termReads) Strategy {
+	minLeaf, saved := -1, 0
+	var walk func(n *pattern.Node, net int)
+	walk = func(n *pattern.Node, net int) {
+		c, overflowed := reads.count(n.Term.Key())
+		switch {
+		case overflowed:
+			net -= c
+		case len(n.Children) > 0:
+			net += c
 		}
-		c, err := p.termCount(ctx, n.Term.Key())
-		if err != nil {
-			return Conventional, err
+		if len(n.Children) == 0 && (minLeaf < 0 || c < minLeaf) {
+			minLeaf, saved = c, net
 		}
-		if c > maxCount {
-			maxCount = c
-		}
-		if len(n.Children) == 0 && (minCount < 0 || c < minCount) {
-			minCount = c
+		for _, ch := range n.Children {
+			walk(ch, net)
 		}
 	}
-	if minCount >= 0 && minCount*selectivityRatio <= maxCount {
-		return SubQueryReducer, nil
+	walk(sub.Root, 0)
+	if minLeaf >= 0 && minLeaf*selectivityRatio <= saved {
+		return SubQueryReducer
 	}
-	return Conventional, nil
+	return Conventional
 }
 
 // allowedTypes computes the type constraint of Section 4.1: every

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"kadop/internal/dht"
+	"kadop/internal/dpp"
 	"kadop/internal/metrics"
 	"kadop/internal/pattern"
 	"kadop/internal/postings"
@@ -239,15 +240,17 @@ func (p *Peer) pushList(ctx context.Context, queryAddr, session string, nodeID i
 // listFor loads the full posting list of a term this peer is home for.
 // With DPP enabled the blocks are pulled back from their peers (the
 // strategies and the DPP are orthogonal; composing them costs the
-// block transfers, which the accounting reflects).
+// block transfers, which the accounting reflects); the root is this
+// peer's own, read from its manager, not fetched through a lookup.
 func (p *Peer) listFor(ctx context.Context, term string) (postings.List, error) {
 	if p.dpp == nil {
 		return p.node.Store().Get(term)
 	}
-	reads, err := p.planReads(ctx, []string{term}, "")
+	root, err := p.dpp.LocalRoot(term)
 	if err != nil {
 		return nil, err
 	}
+	reads := &termReads{terms: []string{term}, roots: map[string]*dpp.Root{term: root}}
 	streams, _, err := p.openStreams(ctx, reads, allDocs, nil)
 	if err != nil {
 		return nil, err
@@ -372,7 +375,7 @@ func hybridKey(session string, nodeID int) string {
 
 // reducedLists runs the selected strategy for one index subtree and
 // returns the (reduced) posting list per query node pre-order position.
-func (p *Peer) reducedLists(ctx context.Context, sub *pattern.Query, opts QueryOptions) (map[int]postings.List, error) {
+func (p *Peer) reducedLists(ctx context.Context, sub *pattern.Query, opts QueryOptions, reads *termReads) (map[int]postings.List, error) {
 	exStart := time.Now()
 	ctx, exSp := trace.StartSpan(ctx, "phase:filter-exchange")
 	defer func() {
@@ -401,7 +404,7 @@ func (p *Peer) reducedLists(ctx context.Context, sub *pattern.Query, opts QueryO
 	case SubQueryReducer:
 		passes = []string{procDBReduce}
 		var err error
-		if filtered, plainIDs, err = p.selectSubQuery(ctx, spec, nodes, opts.SubQuery); err != nil {
+		if filtered, plainIDs, err = selectSubQuery(spec, nodes, opts.SubQuery, reads); err != nil {
 			return nil, err
 		}
 	default:
@@ -429,14 +432,15 @@ func (p *Peer) reducedLists(ctx context.Context, sub *pattern.Query, opts QueryO
 	// keeps duplicated pushes — possible under at-least-once delivery —
 	// from ending the wait early.
 	lists := map[int]postings.List{}
-	fallback := time.After(30 * time.Second)
+	fallback := time.NewTimer(30 * time.Second)
+	defer fallback.Stop()
 	for len(lists) < want {
 		select {
 		case m := <-ch:
 			lists[m.nodeID] = m.list
 		case <-ctx.Done():
 			return nil, fmt.Errorf("kadop: strategy %v: %w waiting for %d of %d lists", opts.Strategy, ctx.Err(), want-len(lists), want)
-		case <-fallback:
+		case <-fallback.C:
 			return nil, fmt.Errorf("kadop: strategy %v: timed out waiting for %d of %d lists", opts.Strategy, want-len(lists), want)
 		}
 	}
@@ -448,11 +452,17 @@ func (p *Peer) reducedLists(ctx context.Context, sub *pattern.Query, opts QueryO
 			plain[i] = nodes[id]
 		}
 		terms, _ := termKeys(plain)
-		reads, err := p.planReads(ctx, terms, opts.DocType)
-		if err != nil {
-			return nil, err
+		if reads == nil {
+			var err error
+			if reads, err = p.planReads(ctx, terms, opts.DocType, false); err != nil {
+				return nil, err
+			}
 		}
-		streams, _, err := p.openStreams(ctx, reads, reads.span, nil)
+		// Reads planned for the whole subtree serve its remainder: their
+		// interval spans every term's, so it only clips tighter.
+		rest := *reads
+		rest.terms = terms
+		streams, _, err := p.openStreams(ctx, &rest, rest.span, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -472,8 +482,9 @@ func (p *Peer) reducedLists(ctx context.Context, sub *pattern.Query, opts QueryO
 // selectSubQuery picks the sub-pattern the SubQueryReducer filters.
 // With explicit positions it uses those; otherwise it applies the
 // paper's heuristic — choose the root-to-leaf path ending at the leaf
-// with the smallest posting list, the query's most selective branch.
-func (p *Peer) selectSubQuery(ctx context.Context, spec *reduceSpec, nodes []*pattern.Node, explicit []int) (*reduceSpec, []int, error) {
+// with the smallest posting list, the query's most selective branch —
+// on the counts the planned reads hold.
+func selectSubQuery(spec *reduceSpec, nodes []*pattern.Node, explicit []int, reads *termReads) (*reduceSpec, []int, error) {
 	inSub := map[int]bool{}
 	if len(explicit) > 0 {
 		for _, id := range explicit {
@@ -486,28 +497,19 @@ func (p *Peer) selectSubQuery(ctx context.Context, spec *reduceSpec, nodes []*pa
 		// Find the smallest leaf list.
 		var bestPath []int
 		bestSize := -1
-		var walk func(s *reduceSpec, path []int) error
-		walk = func(s *reduceSpec, path []int) error {
+		var walk func(s *reduceSpec, path []int)
+		walk = func(s *reduceSpec, path []int) {
 			path = append(path[:len(path):len(path)], s.nodeID)
 			if len(s.children) == 0 {
-				n, err := p.termCount(ctx, s.term)
-				if err != nil {
-					return err
-				}
-				if bestSize < 0 || n < bestSize {
+				if n, _ := reads.count(s.term); bestSize < 0 || n < bestSize {
 					bestPath, bestSize = path, n
 				}
 			}
 			for _, c := range s.children {
-				if err := walk(c, path); err != nil {
-					return err
-				}
+				walk(c, path)
 			}
-			return nil
 		}
-		if err := walk(spec, nil); err != nil {
-			return nil, nil, err
-		}
+		walk(spec, nil)
 		for _, id := range bestPath {
 			inSub[id] = true
 		}
@@ -539,8 +541,9 @@ func projectSpec(s *reduceSpec, keep map[int]bool) *reduceSpec {
 	return out
 }
 
-// termCount asks the home peer of a term for its posting count (used
-// by the sub-query selection heuristic).
+// termCount asks the home peer of a term for its posting count. Only a
+// deployment without the DPP sizes its plans this way; under the DPP
+// the root blocks a plan fetches anyway carry the counts.
 func (p *Peer) termCount(ctx context.Context, term string) (int, error) {
 	blob, err := p.node.CallProcContext(ctx, term, procCount, nil)
 	if err != nil {
@@ -551,15 +554,12 @@ func (p *Peer) termCount(ctx context.Context, term string) (int, error) {
 }
 
 // handleCount serves termCount at the home peer.
-func (p *Peer) handleCount(ctx context.Context, _ dht.Contact, term string, _ []byte) ([]byte, error) {
+func (p *Peer) handleCount(_ context.Context, _ dht.Contact, term string, _ []byte) ([]byte, error) {
 	if p.dpp != nil {
-		root, err := p.dpp.RootContext(ctx, term)
-		if err == nil && len(root.Blocks) > 0 {
-			n := 0
-			for _, b := range root.Blocks {
-				n += b.Count
-			}
-			return appendUint(nil, uint64(n)), nil
+		// An overflowed list left the local store; its root block, which
+		// this peer holds as the term's home, sums the blocks.
+		if root, err := p.dpp.LocalRoot(term); err == nil && len(root.Blocks) > 0 {
+			return appendUint(nil, uint64(root.Postings())), nil
 		}
 	}
 	n, err := p.node.Store().Count(term)
