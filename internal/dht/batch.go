@@ -3,13 +3,10 @@ package dht
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 
 	"kadop/internal/postings"
 	"kadop/internal/sid"
-	"kadop/internal/trace"
 )
 
 // Batched multi-key get: the DPP fetch path wants every posting block a
@@ -109,23 +106,25 @@ type BatchGet struct {
 	Lo, Hi sid.DocKey
 }
 
-// GetBatchContext streams several keys from one peer in a single round
-// trip. deliver is called once per key the peer holds, in request order
-// and as soon as the key is complete — at the next key's first chunk or
-// the end of the stream, not when the whole batch has drained — with
-// the key's index in req.Keys and its (clipped, possibly empty) list. A
-// key the stream never mentions is not delivered: the peer holds
-// nothing for it (or predates the key-held marker and clipped it to
-// nothing), and the caller decides whether that is an empty list or a
-// stale owner. An error leaves the keys not yet delivered undelivered.
-// The stream is opened with a single attempt: the caller knows the
-// keys' other holders and rotates to them instead of spending the retry
+// GetBatch streams several keys from one peer in a single round trip.
+// deliver is called once per key the peer holds, in request order and
+// as soon as the key is complete — at the next key's first chunk or the
+// end of the stream, not when the whole batch has drained — with the
+// key's index in req.Keys and its (clipped, possibly empty) list. A key
+// the stream never mentions is not delivered: the peer holds nothing
+// for it (or predates the key-held marker and clipped it to nothing),
+// and the caller decides whether that is an empty list or a stale
+// owner. An error leaves the keys not yet delivered undelivered. The
+// stream is opened with a single attempt: the caller knows the keys'
+// other holders and rotates to them instead of spending the retry
 // budget on this one.
-func (n *Node) GetBatchContext(ctx context.Context, to Contact, req BatchGet, deliver func(i int, l postings.List)) error {
-	msg := Message{
+func (n *Node) GetBatch(ctx context.Context, to Contact, req BatchGet, deliver func(i int, l postings.List)) error {
+	drain, err := n.openChunks(ctx, to, Message{
 		Type: MsgGetBatch,
-		From: n.from(),
 		Blob: encodeBatchRequest(req.Keys, req.Clip, req.Lo, req.Hi),
+	}, RetryPolicy{Attempts: 1})
+	if err != nil {
+		return err
 	}
 	cur := -1 // index of the key being assembled
 	var list postings.List
@@ -135,7 +134,12 @@ func (n *Node) GetBatchContext(ctx context.Context, to Contact, req BatchGet, de
 		}
 		list = nil
 	}
-	recv := func(m Message) error {
+	err = drain(func(m Message) error {
+		// A cancelled caller abandons the transfer at the next chunk
+		// instead of draining it.
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		if cur < 0 || m.Key != req.Keys[cur] {
 			next := cur + 1
 			for next < len(req.Keys) && req.Keys[next] != m.Key {
@@ -153,101 +157,9 @@ func (n *Node) GetBatchContext(ctx context.Context, to Contact, req BatchGet, de
 			list = append(list, m.Postings...)
 		}
 		return nil
+	})
+	if err == nil {
+		flush()
 	}
-	if to.ID == n.self.ID {
-		// Local fast path: serve straight from the store. The server
-		// reuses its chunk buffer between sends, so each chunk is copied.
-		msg.TraceID, msg.SpanID = trace.ID(ctx)
-		err := n.HandleStream(n.self, msg, func(m Message) error {
-			m.Postings = m.Postings.Clone()
-			return recv(m)
-		})
-		if err == nil {
-			flush()
-		}
-		return err
-	}
-	ms, err := n.openStreamPolicy(ctx, to, msg, RetryPolicy{Attempts: 1})
-	if err != nil {
-		return err
-	}
-	defer ms.Close()
-	for {
-		m, rerr := ms.Recv()
-		if errors.Is(rerr, io.EOF) {
-			flush()
-			return nil
-		}
-		if rerr != nil {
-			return rerr
-		}
-		// A cancelled caller abandons the transfer at the next chunk
-		// instead of draining it.
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		n.noteGauge(to.Addr, m)
-		if err := recv(m); err != nil {
-			return err
-		}
-	}
-}
-
-// streamBatch serves a MsgGetBatch request: each requested key's list
-// is scanned from the local store, clipped to the document interval
-// when one was sent, and shipped in chunks stamped with the key. A key
-// this peer holds but whose clip is empty is answered with one empty
-// stamped chunk, so the client can tell "nothing in the interval" from
-// "not here" (a stale owner); a key it does not hold is passed over.
-func (n *Node) streamBatch(req Message, send func(Message) error) error {
-	keys, clip, lo, hi, err := decodeBatchRequest(req.Blob)
-	if err != nil {
-		return err
-	}
-	// One snapshot for the whole batch: every key's list comes from the
-	// same committed generation, so a publish landing between keys
-	// cannot skew a join's inputs against each other.
-	view, err := n.store.Snapshot()
-	if err != nil {
-		return err
-	}
-	defer view.Close()
-	batch := make(postings.List, 0, n.cfg.ChunkSize)
-	for _, key := range keys {
-		n.load.ServeBlock()
-		batch = batch[:0]
-		held, sent := false, false
-		var sendErr error
-		err := view.Scan(key, sid.MinPosting, func(p sid.Posting) bool {
-			held = true
-			if clip {
-				k := p.Key()
-				if k.Compare(lo) < 0 {
-					return true
-				}
-				if k.Compare(hi) > 0 {
-					return false // sorted: nothing further can match
-				}
-			}
-			batch = append(batch, p)
-			if len(batch) == n.cfg.ChunkSize {
-				sendErr = send(Message{Type: MsgChunk, From: n.self, Key: key, Postings: batch})
-				batch, sent = batch[:0], true
-				return sendErr == nil
-			}
-			return true
-		})
-		if err != nil {
-			return err
-		}
-		if sendErr != nil {
-			return sendErr
-		}
-		if len(batch) > 0 || (held && !sent) {
-			if err := send(Message{Type: MsgChunk, From: n.self, Key: key, Postings: batch}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return err
 }

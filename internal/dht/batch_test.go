@@ -65,7 +65,7 @@ func TestGetBatchDeliversPerKey(t *testing.T) {
 				Clip: true, Lo: sid.DocKey{Peer: 1, Doc: 0}, Hi: sid.DocKey{Peer: 1, Doc: 2000}}
 			var order []string
 			got := map[string]postings.List{}
-			err := from.GetBatchContext(context.Background(), b.Self(), req, func(i int, l postings.List) {
+			err := from.GetBatch(context.Background(), b.Self(), req, func(i int, l postings.List) {
 				order = append(order, req.Keys[i])
 				got[req.Keys[i]] = l
 			})
@@ -116,7 +116,7 @@ func TestBatchMarkerMixedVersions(t *testing.T) {
 	}
 	delivered := 0
 	oldPeer := Contact{ID: PeerIDFromSeed(old.Addr()), Addr: old.Addr()}
-	if err := a.GetBatchContext(context.Background(), oldPeer, req, func(int, postings.List) { delivered++ }); err != nil {
+	if err := a.GetBatch(context.Background(), oldPeer, req, func(int, postings.List) { delivered++ }); err != nil {
 		t.Fatal(err)
 	}
 	if delivered != 0 {
@@ -164,7 +164,7 @@ func TestSimExchangeEncodesOnce(t *testing.T) {
 
 	net.Collector.Reset()
 	call := allocated(func() {
-		if _, err := a.CallProcOn(b.Self(), "k", "echo:len", blob); err != nil {
+		if _, err := a.CallProcOn(context.Background(), b.Self(), "k", "echo:len", blob); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -46,7 +47,7 @@ func BenchmarkAppendThroughRouting(b *testing.B) {
 	l := randomPostings(rand.New(rand.NewSource(1)), 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := nodes[i%len(nodes)].Append(fmt.Sprintf("l:t%d", i%16), l); err != nil {
+		if err := nodes[i%len(nodes)].Append(context.Background(), fmt.Sprintf("l:t%d", i%16), l); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -55,12 +56,12 @@ func BenchmarkAppendThroughRouting(b *testing.B) {
 func BenchmarkPipelinedGet(b *testing.B) {
 	nodes := benchNetwork(b, 12)
 	l := randomPostings(rand.New(rand.NewSource(2)), 10000)
-	if err := nodes[0].Append("l:big", l); err != nil {
+	if err := nodes[0].Append(context.Background(), "l:big", l); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := nodes[1+i%10].GetStream("l:big")
+		s, err := nodes[1+i%10].GetStream(context.Background(), "l:big")
 		if err != nil {
 			b.Fatal(err)
 		}

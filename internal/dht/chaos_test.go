@@ -98,7 +98,7 @@ func TestChaosAckedPostingsSurviveKills(t *testing.T) {
 		l := randomPostings(rng, 25)
 		via := i % len(nodes)
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		err := nodes[via].AppendContext(ctx, key, l)
+		err := nodes[via].Append(ctx, key, l)
 		cancel()
 		if err != nil {
 			t.Fatalf("append %q via node %d not acknowledged: %v", key, via, err)
@@ -126,7 +126,7 @@ func TestChaosAckedPostingsSurviveKills(t *testing.T) {
 			reader++
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		got, err := nodes[reader].GetContext(ctx, key)
+		got, err := nodes[reader].Get(ctx, key)
 		cancel()
 		if err != nil {
 			t.Fatalf("get %q after kills: %v", key, err)
@@ -222,13 +222,13 @@ func TestChaosDuplicatedAppendsStayIdempotent(t *testing.T) {
 	// Append in two overlapping halves so retries and duplicates overlap
 	// existing ranges.
 	mid := len(want) / 2
-	if err := nodes[1].AppendContext(ctx, "l:dup", want[:mid+10]); err != nil {
+	if err := nodes[1].Append(ctx, "l:dup", want[:mid+10]); err != nil {
 		t.Fatal(err)
 	}
-	if err := nodes[2].AppendContext(ctx, "l:dup", want[mid-10:]); err != nil {
+	if err := nodes[2].Append(ctx, "l:dup", want[mid-10:]); err != nil {
 		t.Fatal(err)
 	}
-	got, err := nodes[3].GetContext(ctx, "l:dup")
+	got, err := nodes[3].Get(ctx, "l:dup")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -75,10 +76,10 @@ func TestStoreOpsAfterChurn(t *testing.T) {
 	net.Partition(owner.Addr)
 
 	l := randomPostings(rand.New(rand.NewSource(2)), 50)
-	if err := nodes[3].Append("l:author", l); err != nil {
+	if err := nodes[3].Append(context.Background(), "l:author", l); err != nil {
 		t.Fatalf("append after owner death: %v", err)
 	}
-	got, err := nodes[7].Get("l:author")
+	got, err := nodes[7].Get(context.Background(), "l:author")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +104,11 @@ func TestConcurrentAppendsAndGets(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < perWorker; i++ {
 				l := randomPostings(rng, 5)
-				if err := nodes[w%len(nodes)].Append(fmt.Sprintf("l:t%d", w%3), l); err != nil {
+				if err := nodes[w%len(nodes)].Append(context.Background(), fmt.Sprintf("l:t%d", w%3), l); err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
 				}
-				if _, err := nodes[(w+1)%len(nodes)].Get(fmt.Sprintf("l:t%d", (w+1)%3)); err != nil {
+				if _, err := nodes[(w+1)%len(nodes)].Get(context.Background(), fmt.Sprintf("l:t%d", (w+1)%3)); err != nil {
 					t.Errorf("worker %d get: %v", w, err)
 					return
 				}
@@ -117,7 +118,7 @@ func TestConcurrentAppendsAndGets(t *testing.T) {
 	wg.Wait()
 	// All lists are intact and sorted.
 	for i := 0; i < 3; i++ {
-		l, err := nodes[0].Get(fmt.Sprintf("l:t%d", i))
+		l, err := nodes[0].Get(context.Background(), fmt.Sprintf("l:t%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,10 +142,10 @@ func TestStreamConsumerAbandons(t *testing.T) {
 		big[i].SID.Start = s
 		big[i].SID.End = s + 1
 	}
-	if err := nodes[0].Append("l:big", big); err != nil {
+	if err := nodes[0].Append(context.Background(), "l:big", big); err != nil {
 		t.Fatal(err)
 	}
-	s, err := nodes[2].GetStream("l:big")
+	s, err := nodes[2].GetStream(context.Background(), "l:big")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestStreamConsumerAbandons(t *testing.T) {
 		p.Close(nil)
 	}
 	// The test passes if nothing deadlocks and the network keeps working.
-	if _, err := nodes[3].Get("l:big"); err != nil {
+	if _, err := nodes[3].Get(context.Background(), "l:big"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -178,10 +179,10 @@ func TestClientNodeInvisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := randomPostings(rand.New(rand.NewSource(3)), 40)
-	if err := client.Append("l:author", l); err != nil {
+	if err := client.Append(context.Background(), "l:author", l); err != nil {
 		t.Fatal(err)
 	}
-	got, err := client.Get("l:author")
+	got, err := client.Get(context.Background(), "l:author")
 	if err != nil || len(got) != len(l) {
 		t.Fatalf("client get: %d (%v)", len(got), err)
 	}

@@ -267,11 +267,11 @@ func TestAppendGetAcrossNetwork(t *testing.T) {
 		if end > len(want) {
 			end = len(want)
 		}
-		if err := nodes[i/100%len(nodes)].Append("l:author", want[i:end]); err != nil {
+		if err := nodes[i/100%len(nodes)].Append(context.Background(), "l:author", want[i:end]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := nodes[7].Get("l:author")
+	got, err := nodes[7].Get(context.Background(), "l:author")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,10 +289,10 @@ func TestGetStreamPipelined(t *testing.T) {
 	nodes := buildNetwork(t, net, 10)
 	rng := rand.New(rand.NewSource(4))
 	want := randomPostings(rng, 3000)
-	if err := nodes[1].Append("w:xml", want); err != nil {
+	if err := nodes[1].Append(context.Background(), "w:xml", want); err != nil {
 		t.Fatal(err)
 	}
-	s, err := nodes[2].GetStream("w:xml")
+	s, err := nodes[2].GetStream(context.Background(), "w:xml")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,23 +310,23 @@ func TestDeleteAndDeleteKey(t *testing.T) {
 	nodes := buildNetwork(t, net, 8)
 	rng := rand.New(rand.NewSource(5))
 	l := randomPostings(rng, 50)
-	if err := nodes[0].Append("l:x", l); err != nil {
+	if err := nodes[0].Append(context.Background(), "l:x", l); err != nil {
 		t.Fatal(err)
 	}
-	if err := nodes[3].Delete("l:x", l[7]); err != nil {
+	if err := nodes[3].Delete(context.Background(), "l:x", postings.List{l[7]}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := nodes[5].Get("l:x")
+	got, err := nodes[5].Get(context.Background(), "l:x")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(l)-1 {
 		t.Fatalf("after delete: %d", len(got))
 	}
-	if err := nodes[2].DeleteKey("l:x"); err != nil {
+	if err := nodes[2].DeleteKey(context.Background(), "l:x"); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = nodes[4].Get("l:x")
+	got, _ = nodes[4].Get(context.Background(), "l:x")
 	if len(got) != 0 {
 		t.Fatalf("after delete-key: %d", len(got))
 	}
@@ -347,14 +347,14 @@ func TestAppProcs(t *testing.T) {
 			return send(l)
 		})
 	}
-	out, err := nodes[1].CallProc("anykey", "echo", []byte("hi"))
+	out, err := nodes[1].CallProc(context.Background(), "anykey", "echo", []byte("hi"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(out) != "echo:hi" {
 		t.Fatalf("echo = %q", out)
 	}
-	if _, err := nodes[1].CallProc("anykey", "missing", nil); err == nil {
+	if _, err := nodes[1].CallProc(context.Background(), "anykey", "missing", nil); err == nil {
 		t.Fatal("unknown proc should error")
 	}
 }
@@ -379,7 +379,7 @@ func TestReplication(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(6))
 	l := randomPostings(rng, 40)
-	if err := nodes[4].Append("l:author", l); err != nil {
+	if err := nodes[4].Append(context.Background(), "l:author", l); err != nil {
 		t.Fatal(err)
 	}
 	// Count replicas across stores.
@@ -458,17 +458,17 @@ func TestTCPTransportEndToEnd(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	want := randomPostings(rng, 1500)
-	if err := b.Append("l:author", want); err != nil {
+	if err := b.Append(context.Background(), "l:author", want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Get("l:author")
+	got, err := c.Get(context.Background(), "l:author")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("tcp get: %d vs %d", len(got), len(want))
 	}
-	s, err := c.GetStream("l:author")
+	s, err := c.GetStream(context.Background(), "l:author")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,23 +496,23 @@ func TestAppendAtDeleteAtTargeted(t *testing.T) {
 	l := randomPostings(rand.New(rand.NewSource(9)), 30)
 	target := nodes[5].Self()
 	// Targeted append bypasses ownership routing entirely.
-	if err := nodes[1].AppendAt(target, "overflow:1:l:x", l); err != nil {
+	if err := nodes[1].AppendAt(context.Background(), target, "overflow:1:l:x", l); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := nodes[5].Store().Count("overflow:1:l:x"); n != len(l) {
 		t.Fatalf("targeted append stored %d", n)
 	}
-	if err := nodes[2].DeleteAt(target, "overflow:1:l:x", l[3]); err != nil {
+	if err := nodes[2].DeleteAt(context.Background(), target, "overflow:1:l:x", postings.List{l[3]}); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := nodes[5].Store().Count("overflow:1:l:x"); n != len(l)-1 {
 		t.Fatalf("targeted delete left %d", n)
 	}
 	// Local fast paths.
-	if err := nodes[5].AppendAt(target, "overflow:2:l:x", l[:5]); err != nil {
+	if err := nodes[5].AppendAt(context.Background(), target, "overflow:2:l:x", l[:5]); err != nil {
 		t.Fatal(err)
 	}
-	if err := nodes[5].DeleteAt(target, "overflow:2:l:x", l[0]); err != nil {
+	if err := nodes[5].DeleteAt(context.Background(), target, "overflow:2:l:x", postings.List{l[0]}); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := nodes[5].Store().Count("overflow:2:l:x"); n != 4 {
@@ -573,11 +573,11 @@ func TestDeleteWithReplication(t *testing.T) {
 		nd.Lookup(nd.Self().ID)
 	}
 	l := randomPostings(rand.New(rand.NewSource(10)), 20)
-	if err := nodes[0].Append("l:rep", l); err != nil {
+	if err := nodes[0].Append(context.Background(), "l:rep", l); err != nil {
 		t.Fatal(err)
 	}
 	// Delete one posting everywhere, then the whole key everywhere.
-	if err := nodes[4].Delete("l:rep", l[0]); err != nil {
+	if err := nodes[4].Delete(context.Background(), "l:rep", postings.List{l[0]}); err != nil {
 		t.Fatal(err)
 	}
 	for _, nd := range nodes {
@@ -585,7 +585,7 @@ func TestDeleteWithReplication(t *testing.T) {
 			t.Fatalf("replica holds %d postings after delete", n)
 		}
 	}
-	if err := nodes[7].DeleteKey("l:rep"); err != nil {
+	if err := nodes[7].DeleteKey(context.Background(), "l:rep"); err != nil {
 		t.Fatal(err)
 	}
 	for i, nd := range nodes {

@@ -9,17 +9,17 @@ import (
 	"kadop/internal/obs/flight"
 )
 
-// This file holds the churn-tolerance machinery: the probe-on-suspicion
-// failure detector, periodic bucket refresh, graceful leave with key
-// handoff, and the join-time pull that lets a newcomer fetch the keys
-// it just became responsible for. The periodic republisher is the
-// repair loop in node.go; both run on the jittered startLoop below.
+// This file holds the routing-table maintenance: the probe-on-suspicion
+// failure detector and periodic bucket refresh, plus the jittered
+// startLoop both it and the repair loop (sync.go) run on.
 
-// robust counts one robustness occurrence in the node's labeled
-// registry, so failure handling shows up on /metrics next to the RPC
-// counters, and mirrors it into the flight ring (when one is
-// installed) so a dump shows the individual occurrences in order.
-func (n *Node) robust(event string) {
+// robust counts one robustness occurrence: in the collector next to the
+// traffic it explains, in the node's labeled registry so failure
+// handling shows up on /metrics next to the RPC counters, and in the
+// flight ring (when one is installed) so a dump shows the individual
+// occurrences in order.
+func (n *Node) robust(ev metrics.Event, event string) {
+	n.collector.CountEvent(ev)
 	n.reg.Counter("kadop_robustness_total",
 		"Robustness events: repair pushes/pulls, handoff keys, probes, evictions, bucket refreshes.",
 		metrics.Label{Key: "event", Value: event}).Add(1)
@@ -52,16 +52,14 @@ func (n *Node) noteFailure(to Contact) {
 			delete(n.probing, to.ID)
 			n.probeMu.Unlock()
 		}()
-		n.collector.CountEvent(metrics.EventProbe)
-		n.robust("probe")
+		n.robust(metrics.EventProbe, "probe")
 		ctx, cancel := context.WithTimeout(context.Background(), n.cfg.ProbeTimeout)
 		defer cancel()
 		// Probe through the transport directly: n.call would recurse into
 		// noteFailure, and a probe must not retry (one clean round trip
 		// answers the liveness question).
 		if _, err := n.tr.Call(ctx, to, Message{Type: MsgPing, From: n.from()}); err != nil {
-			n.collector.CountEvent(metrics.EventFailedProbe)
-			n.robust("probe-failed")
+			n.robust(metrics.EventFailedProbe, "probe-failed")
 			n.evict(to.ID)
 		}
 	}()
@@ -71,8 +69,7 @@ func (n *Node) noteFailure(to Contact) {
 // refills the bucket) and accounts the eviction.
 func (n *Node) evict(id ID) {
 	if n.table.Remove(id) {
-		n.collector.CountEvent(metrics.EventEviction)
-		n.robust("eviction")
+		n.robust(metrics.EventEviction, "eviction")
 	}
 }
 
@@ -99,185 +96,16 @@ func (n *Node) RefreshOnce(ctx context.Context, maxAge time.Duration) (int, erro
 			continue
 		}
 		refreshed++
-		n.collector.CountEvent(metrics.EventRefresh)
-		n.robust("bucket-refresh")
+		n.robust(metrics.EventRefresh, "bucket-refresh")
 	}
 	return refreshed, firstErr
 }
 
-// StartRefresh launches the periodic bucket refresher and returns its
-// stop function. A bucket counts as stale when no lookup has targeted
-// its range for a full interval.
-func (n *Node) StartRefresh(interval time.Duration) (stop func()) {
-	return n.startLoop(interval, func(ctx context.Context) {
-		n.RefreshOnce(ctx, interval)
-	})
-}
-
-// Leave hands every locally-held key to the key's current owner set
-// before the node departs: for each key, the remaining K-closest peers
-// are looked up and any of them holding fewer postings than this node
-// receives the full local copy. It returns the number of keys for
-// which at least one remote replica holds the complete copy (keys
-// "moved" safely). The local store is left intact — a peer that later
-// restarts from its data directory resyncs rather than starting cold.
-// Leave stops the maintenance loops but does not close the transport;
-// callers follow up with Close.
-func (n *Node) Leave(ctx context.Context) (int, error) {
-	n.stopMaintenance()
-	if n.cfg.Client {
-		return 0, nil
-	}
-	terms, err := n.store.Terms()
-	if err != nil {
-		return 0, err
-	}
-	moved := 0
-	var firstErr error
-	for _, term := range terms {
-		if err := ctx.Err(); err != nil {
-			return moved, err
-		}
-		local, err := n.store.Count(term)
-		if err != nil || local == 0 {
-			continue
-		}
-		// The departing node must not count itself an owner: the key's
-		// new home is the K-closest among the peers staying behind.
-		cands, err := n.LookupContext(ctx, KeyID(term))
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		heirs := cands[:0]
-		for _, c := range cands {
-			if c.ID != n.self.ID {
-				heirs = append(heirs, c)
-			}
-		}
-		if len(heirs) > n.cfg.Replication {
-			heirs = heirs[:n.cfg.Replication]
-		}
-		safe := false
-		for _, h := range heirs {
-			remote, err := n.digestOf(ctx, h, term)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			if remote < local {
-				list, lerr := n.store.Get(term)
-				if lerr != nil {
-					if firstErr == nil {
-						firstErr = lerr
-					}
-					break
-				}
-				if _, err := n.call(ctx, h, Message{Type: MsgRepair, From: n.from(), Key: term, Postings: list}); err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					continue
-				}
-			}
-			safe = true
-		}
-		if safe {
-			moved++
-			n.collector.CountEvent(metrics.EventHandoff)
-			n.robust("handoff-key")
-		}
-	}
-	return moved, firstErr
-}
-
-// PullOwnedOnce is the join-time direction of key handoff: the node
-// asks its nearest neighbours which keys they hold, and for every key
-// it is now among the owners of but holds less of than a neighbour, it
-// pulls the neighbour's copy and merges it. A fresh joiner runs this
-// once after bootstrap so queries hitting it do not return empty until
-// the owners' push loops come around. Returns the number of keys
-// pulled.
-func (n *Node) PullOwnedOnce(ctx context.Context) (int, error) {
-	if n.cfg.Client {
-		return 0, nil
-	}
-	// best remembers, per key, the neighbour holding the largest copy.
-	type source struct {
-		from  Contact
-		count int
-	}
-	best := map[string]source{}
-	for _, nb := range n.table.Closest(n.self.ID, n.cfg.K) {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		resp, err := n.call(ctx, nb, Message{Type: MsgTerms, From: n.from()})
-		if err != nil {
-			continue
-		}
-		tcs, err := decodeTermCounts(resp.Blob)
-		if err != nil {
-			continue
-		}
-		for _, tc := range tcs {
-			if tc.Count > best[tc.Term].count {
-				best[tc.Term] = source{from: nb, count: tc.Count}
-			}
-		}
-	}
-	pulled := 0
-	var firstErr error
-	for term, src := range best {
-		if err := ctx.Err(); err != nil {
-			return pulled, err
-		}
-		local, err := n.store.Count(term)
-		if err != nil || local >= src.count {
-			continue
-		}
-		owners, err := n.OwnersContext(ctx, term)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		mine := false
-		for _, o := range owners {
-			if o.ID == n.self.ID {
-				mine = true
-				break
-			}
-		}
-		if !mine {
-			continue
-		}
-		resp, err := n.call(ctx, src.from, Message{Type: MsgGet, From: n.from(), Key: term})
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if err := n.store.Append(term, resp.Postings); err != nil {
-			return pulled, err
-		}
-		pulled++
-		n.collector.CountEvent(metrics.EventResync)
-		n.robust("resync-pull")
-	}
-	return pulled, firstErr
-}
-
-// startLoop runs fn forever at roughly the given interval, each pass
-// bounded by one interval, with ±10% seeded jitter between passes so
-// nodes started together de-synchronise. It returns an idempotent stop
-// function.
+// startLoop runs fn forever at roughly the given interval. Each pass
+// runs under a deadline of one interval, so a stuck pass cannot pile up
+// behind the next; pass spacing is jittered ±10% (seeded) so a cluster
+// started in lockstep does not maintain in lockstep forever. It returns
+// an idempotent stop function.
 func (n *Node) startLoop(interval time.Duration, fn func(context.Context)) (stop func()) {
 	done := make(chan struct{})
 	go func() {

@@ -184,10 +184,10 @@ func TestGracefulLeaveLosesNoKeys(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		key := fmt.Sprintf("leave-key-%d", i)
 		list := randomPostings(rng, 5+rng.Intn(20))
-		if err := nodes[i%len(nodes)].Append(key, list); err != nil {
+		if err := nodes[i%len(nodes)].Append(context.Background(), key, list); err != nil {
 			t.Fatalf("append %s: %v", key, err)
 		}
-		if got, err := nodes[0].Get(key); err == nil {
+		if got, err := nodes[0].Get(context.Background(), key); err == nil {
 			want[key] = len(got)
 		} else {
 			t.Fatalf("baseline get %s: %v", key, err)
@@ -224,7 +224,7 @@ func TestGracefulLeaveLosesNoKeys(t *testing.T) {
 	}
 
 	for key, count := range want {
-		list, err := nodes[0].Get(key)
+		list, err := nodes[0].Get(context.Background(), key)
 		if err != nil {
 			t.Fatalf("get %s after leave: %v", key, err)
 		}
@@ -244,7 +244,7 @@ func TestPullOwnedOnJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 40; i++ {
 		key := fmt.Sprintf("join-key-%d", i)
-		if err := nodes[i%len(nodes)].Append(key, randomPostings(rng, 8)); err != nil {
+		if err := nodes[i%len(nodes)].Append(context.Background(), key, randomPostings(rng, 8)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -277,7 +277,7 @@ func TestPullOwnedOnJoin(t *testing.T) {
 	// Every pulled key must be one the joiner actually owns, at the full
 	// replica size.
 	for _, term := range terms {
-		owners, err := joiner.Owners(term)
+		owners, err := joiner.Owners(context.Background(), term)
 		if err != nil {
 			t.Fatal(err)
 		}

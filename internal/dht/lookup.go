@@ -1,0 +1,210 @@
+package dht
+
+import (
+	"context"
+	"fmt"
+	"sort"
+	"time"
+
+	"kadop/internal/metrics"
+	"kadop/internal/trace"
+)
+
+// This file is the routing client: joining the overlay, the iterative
+// Kademlia lookup, and the key-to-peer resolutions built on it.
+//
+// Bootstrap, Lookup and Locate are the last context-free forwards in
+// the package. The frozen benchmark (bench/) compiles against those
+// three names; when it is re-based onto the *Context forms they are
+// deleted and BootstrapContext, LookupContext and LocateContext take
+// the plain names, as every other operation already has.
+
+// Bootstrap is BootstrapContext without a deadline (pinned by bench/).
+func (n *Node) Bootstrap(seeds ...Contact) error {
+	return n.BootstrapContext(context.Background(), seeds...)
+}
+
+// BootstrapContext joins the overlay through the given contacts: it
+// seeds the routing table and performs a lookup of the node's own
+// identifier, which populates buckets along the path (the standard
+// Kademlia join).
+func (n *Node) BootstrapContext(ctx context.Context, seeds ...Contact) error {
+	for _, c := range seeds {
+		if c.ID.IsZero() {
+			c.ID = PeerIDFromSeed(c.Addr)
+		}
+		n.table.Update(c)
+	}
+	_, err := n.LookupContext(ctx, n.self.ID)
+	return err
+}
+
+// Lookup is LookupContext without a deadline (pinned by bench/).
+func (n *Node) Lookup(target ID) ([]Contact, error) {
+	return n.LookupContext(context.Background(), target)
+}
+
+// LookupContext performs an iterative Kademlia lookup and returns up to
+// K contacts closest to target (including, possibly, this node). Failed
+// contacts are evicted and dropped from the shortlist; the lookup fails
+// only when the deadline expires or no peer is reachable.
+func (n *Node) LookupContext(ctx context.Context, target ID) ([]Contact, error) {
+	start := time.Now()
+	n.table.Touch(target)
+	ctx, sp := trace.StartSpan(ctx, "dht:lookup")
+	rounds := 0
+	cs, err := n.lookupRun(ctx, target, &rounds)
+	n.collector.Observe(metrics.OpLookup, time.Since(start))
+	if sp != nil {
+		sp.SetInt("rounds", int64(rounds))
+		sp.SetInt("contacts", int64(len(cs)))
+		if err != nil {
+			sp.SetAttr("error", err.Error())
+		}
+		sp.Finish()
+	}
+	return cs, err
+}
+
+// lookupRun is the iterative Kademlia lookup; rounds reports how many
+// α-parallel query rounds it took.
+func (n *Node) lookupRun(ctx context.Context, target ID, rounds *int) ([]Contact, error) {
+	type entry struct {
+		c       Contact
+		queried bool
+	}
+	shortlist := map[ID]*entry{}
+	if !n.cfg.Client {
+		shortlist[n.self.ID] = &entry{c: n.self, queried: true}
+	}
+	for _, c := range n.table.Closest(target, n.cfg.K) {
+		shortlist[c.ID] = &entry{c: c}
+	}
+	closestOf := func() []Contact {
+		out := make([]Contact, 0, len(shortlist))
+		for _, e := range shortlist {
+			out = append(out, e.c)
+		}
+		sort.Slice(out, func(i, j int) bool {
+			return out[i].ID.XOR(target).Less(out[j].ID.XOR(target))
+		})
+		if len(out) > n.cfg.K {
+			out = out[:n.cfg.K]
+		}
+		return out
+	}
+
+	for {
+		if err := ctx.Err(); err != nil {
+			n.collector.CountEvent(metrics.EventTimeout)
+			return nil, fmt.Errorf("dht: lookup: %w", err)
+		}
+		// Pick up to Alpha unqueried contacts among the current closest.
+		var batch []Contact
+		for _, c := range closestOf() {
+			e := shortlist[c.ID]
+			if !e.queried {
+				batch = append(batch, c)
+				if len(batch) == n.cfg.Alpha {
+					break
+				}
+			}
+		}
+		if len(batch) == 0 {
+			return closestOf(), nil
+		}
+		*rounds++
+		type result struct {
+			from     Contact
+			contacts []Contact
+			err      error
+		}
+		results := make(chan result, len(batch))
+		for _, c := range batch {
+			shortlist[c.ID].queried = true
+			go func(c Contact) {
+				resp, err := n.call(ctx, c, Message{Type: MsgFindNode, Target: target})
+				results <- result{from: c, contacts: resp.Contacts, err: err}
+			}(c)
+		}
+		for range batch {
+			r := <-results
+			if r.err != nil {
+				// call handed the contact to the failure detector (or
+				// evicted it outright); the lookup drops it either way.
+				delete(shortlist, r.from.ID)
+				continue
+			}
+			n.table.Update(r.from)
+			for _, c := range r.contacts {
+				if _, ok := shortlist[c.ID]; !ok {
+					shortlist[c.ID] = &entry{c: c}
+				}
+				n.table.Update(c)
+			}
+		}
+	}
+}
+
+// Locate is LocateContext without a deadline (pinned by bench/).
+func (n *Node) Locate(key string) (Contact, error) {
+	return n.LocateContext(context.Background(), key)
+}
+
+// LocateContext returns the peer in charge of an application key (the
+// closest peer to the key's identifier), implementing the DHT
+// interface's locate(k).
+func (n *Node) LocateContext(ctx context.Context, key string) (Contact, error) {
+	cs, err := n.LookupContext(ctx, KeyID(key))
+	if err != nil {
+		return Contact{}, err
+	}
+	if len(cs) == 0 {
+		return Contact{}, fmt.Errorf("dht: locate %q: no peers known", key)
+	}
+	return cs[0], nil
+}
+
+// Owners returns the Replication closest peers to the key — the
+// replica set reads and writes address.
+func (n *Node) Owners(ctx context.Context, key string) ([]Contact, error) {
+	cs, err := n.LookupContext(ctx, KeyID(key))
+	if err != nil {
+		return nil, err
+	}
+	if len(cs) == 0 {
+		return nil, fmt.Errorf("dht: no peers for key %q", key)
+	}
+	if len(cs) > n.cfg.Replication {
+		cs = cs[:n.cfg.Replication]
+	}
+	return cs, nil
+}
+
+// ReplicaTargets returns up to extra peers just outside key's owner
+// set, in XOR-closeness order: the natural hosts for promoted copies of
+// a hot key (deterministic across peers, excludes self and the
+// Replication owners that already hold it).
+func (n *Node) ReplicaTargets(ctx context.Context, key string, extra int) ([]Contact, error) {
+	if extra <= 0 {
+		return nil, nil
+	}
+	cs, err := n.LookupContext(ctx, KeyID(key))
+	if err != nil {
+		return nil, err
+	}
+	if len(cs) <= n.cfg.Replication {
+		return nil, nil
+	}
+	var out []Contact
+	for _, c := range cs[n.cfg.Replication:] {
+		if c.ID == n.self.ID {
+			continue
+		}
+		out = append(out, c)
+		if len(out) == extra {
+			break
+		}
+	}
+	return out, nil
+}

@@ -1,0 +1,241 @@
+package dht
+
+import (
+	"context"
+	"encoding/binary"
+	"fmt"
+
+	"kadop/internal/postings"
+	"kadop/internal/sid"
+	"kadop/internal/store"
+	"kadop/internal/trace"
+)
+
+// This file is the server side of the wire protocol: the Handler the
+// transports deliver requests to, and the switch that executes them
+// against the local store and the registered application procedures.
+
+func (n *Node) lookupProc(proc string) ProcHandler {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return n.procs[proc]
+}
+
+func (n *Node) lookupStreamProc(proc string) StreamProcHandler {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return n.streamProcs[proc]
+}
+
+// serverContext opens a server-side span for a request that arrived
+// with trace ids and returns a context carrying it. With no tracer or
+// an untraced request it returns the background context and nil.
+func (n *Node) serverContext(req Message) (context.Context, *trace.Span) {
+	ctx := context.Background()
+	if req.TraceID == 0 {
+		return ctx, nil
+	}
+	sp := n.Tracer().JoinRemote(req.TraceID, req.SpanID, "serve:"+req.Type.String())
+	if sp == nil {
+		return ctx, nil
+	}
+	sp.SetAttr("at", n.self.Addr)
+	if req.Proc != "" {
+		sp.SetAttr("proc", req.Proc)
+	}
+	return trace.ContextWithSpan(ctx, sp), sp
+}
+
+// HandleCall implements Handler (the server side of the wire protocol):
+// it records the sender, executes the request under a context carrying
+// the caller's trace, and folds a failure into a MsgError response.
+// Every response leaves with the peer's load gauge stamped on it, so
+// regular traffic doubles as replica-load advertisement.
+func (n *Node) HandleCall(from Contact, req Message) Message {
+	n.table.Update(from)
+	ctx, sp := n.serverContext(req)
+	defer sp.Finish()
+	resp, err := n.serve(ctx, from, req)
+	if err != nil {
+		resp = Message{Type: MsgError, From: n.self, Err: err.Error()}
+	}
+	return n.stampGauge(resp)
+}
+
+// serve executes one unary request. Requests from the wire arrive
+// through HandleCall; this node's own (deliver) arrive directly, under
+// the caller's context.
+func (n *Node) serve(ctx context.Context, from Contact, req Message) (Message, error) {
+	ack := Message{Type: MsgAck, From: n.self}
+	switch req.Type {
+	case MsgPing:
+		return Message{Type: MsgPong, From: n.self}, nil
+	case MsgFindNode:
+		return Message{Type: MsgNodes, From: n.self, Contacts: n.table.Closest(req.Target, n.cfg.K)}, nil
+	case MsgAppend, MsgRepair:
+		return ack, n.store.Append(req.Key, req.Postings)
+	case MsgGet:
+		if err := n.admitRead(rpcOp(req.Type)); err != nil {
+			return Message{}, err
+		}
+		l, err := n.localGet(req.Key)
+		ack.Postings = l
+		return ack, err
+	case MsgDigest:
+		view, err := n.store.Snapshot()
+		if err != nil {
+			return Message{}, err
+		}
+		c, err := view.Count(req.Key)
+		view.Close()
+		return Message{Type: MsgDigestAck, From: n.self, Blob: binary.AppendUvarint(nil, uint64(c))}, err
+	case MsgTerms:
+		// One snapshot across the whole enumeration: the terms and their
+		// counts describe a single committed generation even while a
+		// bulk publish rewrites the index underneath.
+		view, err := n.store.Snapshot()
+		if err != nil {
+			return Message{}, err
+		}
+		defer view.Close()
+		terms, err := view.Terms()
+		if err != nil {
+			return Message{}, err
+		}
+		tcs := make([]TermCount, 0, len(terms))
+		for _, term := range terms {
+			c, err := view.Count(term)
+			if err != nil || c == 0 {
+				continue
+			}
+			tcs = append(tcs, TermCount{Term: term, Count: c})
+		}
+		return Message{Type: MsgTermsAck, From: n.self, Blob: encodeTermCounts(tcs)}, nil
+	case MsgDelete:
+		// One batch: the list leaves the index as one store transaction.
+		b := store.NewBatch()
+		for _, p := range req.Postings {
+			b.Delete(req.Key, p)
+		}
+		return ack, n.store.ApplyBatch(b)
+	case MsgDeleteKey:
+		return ack, n.store.DeleteTerm(req.Key)
+	case MsgApp:
+		h := n.lookupProc(req.Proc)
+		if h == nil {
+			return Message{}, fmt.Errorf("unknown procedure %q", req.Proc)
+		}
+		blob, err := h(ctx, from, req.Key, req.Blob)
+		return Message{Type: MsgAppReply, From: n.self, Proc: req.Proc, Blob: blob}, err
+	}
+	return Message{}, fmt.Errorf("unexpected message type %s", req.Type)
+}
+
+// HandleStream implements Handler for pipelined transfers. Outgoing
+// chunks carry the peer's load gauge like call responses do, and the
+// posting-read streams pass the admission gate: a shed stream fails
+// before any store work, and the rejection reaches the consumer as a
+// stream error it answers by failing over to another replica.
+func (n *Node) HandleStream(from Contact, req Message, send func(Message) error) error {
+	n.table.Update(from)
+	ctx, sp := n.serverContext(req)
+	defer sp.Finish()
+	// Every stream reads postings except an application procedure not
+	// named "stream:".
+	if req.Type != MsgApp || isStreamProc(req.Proc) {
+		if err := n.admitRead(rpcOp(req.Type)); err != nil {
+			return err
+		}
+	}
+	stamped := func(m Message) error { return send(n.stampGauge(m)) }
+	switch req.Type {
+	case MsgGetStream:
+		return n.streamKeys(BatchGet{Keys: []string{req.Key}}, false, stamped)
+	case MsgGetBatch:
+		keys, clip, lo, hi, err := decodeBatchRequest(req.Blob)
+		if err != nil {
+			return err
+		}
+		return n.streamKeys(BatchGet{Keys: keys, Clip: clip, Lo: lo, Hi: hi}, true, stamped)
+	case MsgApp:
+		h := n.lookupStreamProc(req.Proc)
+		if h == nil {
+			return fmt.Errorf("unknown stream procedure %q", req.Proc)
+		}
+		return h(ctx, from, req.Key, req.Blob, func(batch postings.List) error {
+			return stamped(Message{Type: MsgChunk, From: n.self, Postings: batch})
+		})
+	}
+	return fmt.Errorf("unexpected stream request %s", req.Type)
+}
+
+// streamKeys is the one chunk scan behind both posting streams: each
+// key's list is read from one snapshot of the local store — every key
+// comes from the same committed generation, so a publish landing
+// mid-transfer cannot tear a list or skew a join's inputs against each
+// other — clipped to the document interval when one was sent, and
+// shipped in ChunkSize chunks.
+//
+// A batched stream (MsgGetBatch) stamps each chunk with its key so the
+// client can split the stream, and answers a key this peer holds but
+// whose clip is empty with one empty stamped chunk, so the client can
+// tell "nothing in the interval" from "not here" (a stale owner); a key
+// it does not hold is passed over. The single-key pipelined get ships
+// its chunks unstamped.
+func (n *Node) streamKeys(req BatchGet, batched bool, send func(Message) error) error {
+	view, err := n.store.Snapshot()
+	if err != nil {
+		return err
+	}
+	defer view.Close()
+	batch := make(postings.List, 0, n.cfg.ChunkSize)
+	for _, key := range req.Keys {
+		if batched {
+			n.load.ServeBlock()
+		}
+		batch = batch[:0]
+		held, sent := false, false
+		var sendErr error
+		err := view.Scan(key, sid.MinPosting, func(p sid.Posting) bool {
+			held = true
+			if req.Clip {
+				k := p.Key()
+				if k.Compare(req.Lo) < 0 {
+					return true
+				}
+				if k.Compare(req.Hi) > 0 {
+					return false // sorted: nothing further can match
+				}
+			}
+			batch = append(batch, p)
+			if len(batch) == n.cfg.ChunkSize {
+				sendErr = send(n.chunkOf(key, batched, batch))
+				batch, sent = batch[:0], true
+				return sendErr == nil
+			}
+			return true
+		})
+		if err != nil {
+			return err
+		}
+		if sendErr != nil {
+			return sendErr
+		}
+		if len(batch) > 0 || (held && !sent) {
+			if err := send(n.chunkOf(key, batched, batch)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// chunkOf builds one chunk of key's list; only a batched stream stamps
+// its chunks with the key.
+func (n *Node) chunkOf(key string, batched bool, ps postings.List) Message {
+	m := Message{Type: MsgChunk, From: n.self, Postings: ps}
+	if batched {
+		m.Key = key
+	}
+	return m
+}

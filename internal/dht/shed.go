@@ -1,9 +1,7 @@
 package dht
 
 import (
-	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 
@@ -58,11 +56,10 @@ func (n *Node) admitRead(op string) error {
 	if g == nil || g.Allow() {
 		return nil
 	}
-	n.collector.CountEvent(metrics.EventShed)
 	n.reg.Counter("kadop_shed_total",
 		"Reads rejected by the admission gate, by operation.",
 		metrics.Label{Key: "op", Value: op}).Add(1)
-	n.robust("shed-read")
+	n.robust(metrics.EventShed, "shed-read")
 	return ErrOverload
 }
 
@@ -111,77 +108,4 @@ func (n *Node) PeerGauge(addr string) (load int64, shed bool, known bool) {
 	g, ok := n.gauges.m[addr]
 	n.gauges.mu.RUnlock()
 	return g.load, g.shed, ok
-}
-
-// adaptive replication primitives ------------------------------------
-
-// ReplicaTargetsContext returns up to extra peers just outside key's
-// owner set, in XOR-closeness order: the natural hosts for promoted
-// copies of a hot key (deterministic across peers, excludes self and
-// the Replication owners that already hold it).
-func (n *Node) ReplicaTargetsContext(ctx context.Context, key string, extra int) ([]Contact, error) {
-	if extra <= 0 {
-		return nil, nil
-	}
-	cs, err := n.LookupContext(ctx, KeyID(key))
-	if err != nil {
-		return nil, err
-	}
-	if len(cs) <= n.cfg.Replication {
-		return nil, nil
-	}
-	var out []Contact
-	for _, c := range cs[n.cfg.Replication:] {
-		if c.ID == n.self.ID {
-			continue
-		}
-		out = append(out, c)
-		if len(out) == extra {
-			break
-		}
-	}
-	return out, nil
-}
-
-// RepairPushContext pushes the local copy of key to one specific peer
-// unless its digest says it is already current — the same idempotent
-// MsgRepair push the repair loop and graceful leave use, here driven
-// by the replication controller promoting a hot key. Reports whether a
-// copy was actually shipped.
-func (n *Node) RepairPushContext(ctx context.Context, to Contact, key string) (bool, error) {
-	if to.ID == n.self.ID {
-		return false, nil
-	}
-	local, err := n.store.Count(key)
-	if err != nil || local == 0 {
-		return false, err
-	}
-	if remote, err := n.digestOf(ctx, to, key); err == nil && remote >= local {
-		return false, nil
-	}
-	// Read past the load instrumentation: a replication push is supply,
-	// not demand. Charging it to the hot-term sketch would make every
-	// promotion self-sustaining — the renewal push re-heats the very
-	// term it replicates and the controller never demotes.
-	list, err := n.rawStore.Get(key)
-	if err != nil {
-		return false, err
-	}
-	if _, err := n.call(ctx, to, Message{Type: MsgRepair, From: n.from(), Key: key, Postings: list}); err != nil {
-		return false, fmt.Errorf("dht: replica push %q to %s: %w", key, to.Addr, err)
-	}
-	n.collector.CountEvent(metrics.EventRepair)
-	n.robust("replica-push")
-	return true, nil
-}
-
-// DeleteKeyAtContext removes key's list on one specific peer — the
-// demotion half of adaptive replication, dropping an expired promoted
-// copy. Callers must check the target is not a current owner first.
-func (n *Node) DeleteKeyAtContext(ctx context.Context, to Contact, key string) error {
-	if to.ID == n.self.ID {
-		return n.store.DeleteTerm(key)
-	}
-	_, err := n.call(ctx, to, Message{Type: MsgDeleteKey, From: n.from(), Key: key})
-	return err
 }

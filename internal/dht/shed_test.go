@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
@@ -49,7 +50,7 @@ func TestShedGateEndToEnd(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(9))
 	want := randomPostings(rng, 80)
-	if err := a.Append(key, want); err != nil {
+	if err := a.Append(context.Background(), key, want); err != nil {
 		t.Fatal(err)
 	}
 
@@ -57,7 +58,7 @@ func TestShedGateEndToEnd(t *testing.T) {
 	gate.allow.Store(true)
 	b.SetShedGate(gate)
 
-	got, err := a.Get(key)
+	got, err := a.Get(context.Background(), key)
 	if err != nil {
 		t.Fatalf("admitted read: %v", err)
 	}
@@ -76,10 +77,10 @@ func TestShedGateEndToEnd(t *testing.T) {
 	}
 
 	gate.allow.Store(false)
-	if _, err := a.Get(key); !IsOverload(err) {
+	if _, err := a.Get(context.Background(), key); !IsOverload(err) {
 		t.Fatalf("denied unary read: err %v, want overload", err)
 	}
-	s, err := a.GetStream(key)
+	s, err := a.GetStream(context.Background(), key)
 	if err == nil {
 		_, err = postings.Drain(s)
 	}
@@ -94,12 +95,12 @@ func TestShedGateEndToEnd(t *testing.T) {
 	}
 
 	// Writes are not reads: the gate must not shed appends or repair.
-	if err := a.Append(key, randomPostings(rng, 5)); err != nil {
+	if err := a.Append(context.Background(), key, randomPostings(rng, 5)); err != nil {
 		t.Fatalf("append through a shedding peer: %v", err)
 	}
 
 	gate.allow.Store(true)
-	if _, err := a.Get(key); err != nil {
+	if _, err := a.Get(context.Background(), key); err != nil {
 		t.Fatalf("read after the gate reopened: %v", err)
 	}
 }

@@ -127,7 +127,7 @@ func (t *TCPTransport) serveConn(conn net.Conn) {
 			writeFrame(conn, Message{Type: MsgError, Err: "not serving"}, t.collector)
 			return
 		}
-		if req.Type == MsgGetStream || (req.Type == MsgApp && isStreamProc(req.Proc)) {
+		if isStreamRequest(req) {
 			err := h.HandleStream(req.From, req, func(chunk Message) error {
 				return writeFrame(conn, chunk, t.collector)
 			})
@@ -143,6 +143,16 @@ func (t *TCPTransport) serveConn(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// isStreamRequest reports whether a request frame is answered with a
+// chunk stream (HandleStream) rather than one response (HandleCall).
+func isStreamRequest(req Message) bool {
+	switch req.Type {
+	case MsgGetStream, MsgGetBatch:
+		return true
+	}
+	return req.Type == MsgApp && isStreamProc(req.Proc)
 }
 
 // isStreamProc reports whether an application procedure uses streaming
@@ -200,21 +210,31 @@ func (t *TCPTransport) putConn(addr string, pc *pooledConn) {
 	t.mu.Unlock()
 }
 
-// Call implements Transport.
-func (t *TCPTransport) Call(ctx context.Context, to Contact, req Message) (Message, error) {
+// send writes one request frame to a peer, under the per-attempt wire
+// deadline, and returns the connection the response will arrive on.
+func (t *TCPTransport) send(ctx context.Context, to Contact, req Message) (*pooledConn, error) {
 	if err := ctx.Err(); err != nil {
-		return Message{}, fmt.Errorf("dht: call %s: %w", to.Addr, err)
+		return nil, fmt.Errorf("dht: send %s: %w", to.Addr, err)
 	}
 	pc, err := t.getConn(ctx, to.Addr)
 	if err != nil {
-		return Message{}, err
+		return nil, err
 	}
 	if err := pc.conn.SetDeadline(t.deadline(ctx)); err != nil {
 		pc.conn.Close()
-		return Message{}, fmt.Errorf("dht: set deadline %s: %w", to.Addr, err)
+		return nil, fmt.Errorf("dht: set deadline %s: %w", to.Addr, err)
 	}
 	if err := writeFrame(pc.conn, req, t.collector); err != nil {
 		pc.conn.Close()
+		return nil, err
+	}
+	return pc, nil
+}
+
+// Call implements Transport.
+func (t *TCPTransport) Call(ctx context.Context, to Contact, req Message) (Message, error) {
+	pc, err := t.send(ctx, to, req)
+	if err != nil {
 		return Message{}, err
 	}
 	resp, err := readFrame(pc.br, t.collector)
@@ -235,19 +255,8 @@ func (t *TCPTransport) Call(ctx context.Context, to Contact, req Message) (Messa
 // which closes with the final chunk (stream connections are not
 // pooled).
 func (t *TCPTransport) OpenStream(ctx context.Context, to Contact, req Message) (MsgStream, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("dht: stream %s: %w", to.Addr, err)
-	}
-	pc, err := t.getConn(ctx, to.Addr)
+	pc, err := t.send(ctx, to, req)
 	if err != nil {
-		return nil, err
-	}
-	if err := pc.conn.SetDeadline(t.deadline(ctx)); err != nil {
-		pc.conn.Close()
-		return nil, fmt.Errorf("dht: set deadline %s: %w", to.Addr, err)
-	}
-	if err := writeFrame(pc.conn, req, t.collector); err != nil {
-		pc.conn.Close()
 		return nil, err
 	}
 	return &tcpStream{conn: pc.conn, br: pc.br, collector: t.collector}, nil

@@ -46,7 +46,7 @@ func TestTCPStreamProc(t *testing.T) {
 		}
 		return nil
 	})
-	s, err := b.OpenProcStream(a.Self(), "k", "stream:test", nil)
+	s, err := b.OpenProcStream(context.Background(), a.Self(), "k", "stream:test", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,6 +56,33 @@ func TestTCPStreamProc(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("tcp stream proc: %d vs %d", len(got), len(want))
+	}
+}
+
+// The TCP server must hand a MsgGetBatch frame to the stream handler:
+// routed to HandleCall it answers "unexpected message type" and every
+// DPP fetch over TCP falls back to one pipelined get per block.
+func TestTCPGetBatch(t *testing.T) {
+	a, b := tcpNode(t, 0), tcpNode(t, 0)
+	if err := b.Bootstrap(a.Self()); err != nil {
+		t.Fatal(err)
+	}
+	want := randomPostings(rand.New(rand.NewSource(2)), 700)
+	if err := a.Store().Append("k:0", want); err != nil {
+		t.Fatal(err)
+	}
+	var got postings.List
+	err := b.GetBatch(context.Background(), a.Self(), BatchGet{Keys: []string{"k:0", "k:none"}}, func(i int, l postings.List) {
+		if i != 0 {
+			t.Errorf("delivered key %d, held only key 0", i)
+		}
+		got = l
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("tcp get-batch: %d vs %d postings", len(got), len(want))
 	}
 }
 
@@ -230,7 +257,7 @@ func TestTCPCollectorCountsSends(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := randomPostings(rand.New(rand.NewSource(2)), 100)
-	if err := b.Append("l:x", l); err != nil {
+	if err := b.Append(context.Background(), "l:x", l); err != nil {
 		t.Fatal(err)
 	}
 	// a's collector counted its outbound responses (routing replies).

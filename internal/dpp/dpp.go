@@ -255,14 +255,14 @@ func (m *Manager) Cache() *blockcache.Cache { return m.cache }
 
 // Append routes postings for a term through the term's home peer, which
 // maintains the DPP structure. It is the publishing-side entry point.
-func (m *Manager) Append(term string, ps postings.List) error {
-	return m.AppendTyped(term, ps, "")
+func (m *Manager) Append(ctx context.Context, term string, ps postings.List) error {
+	return m.AppendTyped(ctx, term, ps, "")
 }
 
 // AppendTyped is Append for postings of a typed document (Section 4.1):
 // the type is recorded in the conditions of the blocks that receive the
 // postings, so queries constrained to other types skip them.
-func (m *Manager) AppendTyped(term string, ps postings.List, dtype string) error {
+func (m *Manager) AppendTyped(ctx context.Context, term string, ps postings.List, dtype string) error {
 	if len(ps) == 0 {
 		return nil
 	}
@@ -274,12 +274,12 @@ func (m *Manager) AppendTyped(term string, ps postings.List, dtype string) error
 		return err
 	}
 	blob = append(blob, enc...)
-	_, err = m.node.CallProc(term, ProcAppend, blob)
+	_, err = m.node.CallProc(ctx, term, ProcAppend, blob)
 	return err
 }
 
 // handleAppend runs at the term's home peer.
-func (m *Manager) handleAppend(_ context.Context, _ dht.Contact, term string, blob []byte) ([]byte, error) {
+func (m *Manager) handleAppend(ctx context.Context, _ dht.Contact, term string, blob []byte) ([]byte, error) {
 	dtype, pos, err := readStr(blob, 0)
 	if err != nil {
 		return nil, fmt.Errorf("dpp: append %q: %w", term, err)
@@ -288,16 +288,19 @@ func (m *Manager) handleAppend(_ context.Context, _ dht.Contact, term string, bl
 	if err != nil {
 		return nil, fmt.Errorf("dpp: append %q: %w", term, err)
 	}
+	if len(ps) == 0 {
+		return nil, nil
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.appendLocked(term, ps, dtype); err != nil {
+	if err := m.appendLocked(ctx, term, ps, dtype); err != nil {
 		return nil, err
 	}
 	return nil, m.save()
 }
 
 // appendLocked applies one append under m.mu.
-func (m *Manager) appendLocked(term string, ps postings.List, dtype string) error {
+func (m *Manager) appendLocked(ctx context.Context, term string, ps postings.List, dtype string) error {
 	root := m.roots[term]
 	if root == nil {
 		// Still inline: append locally, then split on overflow.
@@ -317,16 +320,16 @@ func (m *Manager) appendLocked(term string, ps postings.List, dtype string) erro
 		if n <= m.blockSize {
 			return nil
 		}
-		return m.overflow(term)
+		return m.overflow(ctx, term)
 	}
-	return m.routeToBlocks(root, ps, dtype)
+	return m.routeToBlocks(ctx, root, ps, dtype)
 }
 
 // overflow converts an inline list into a DPP of bound-respecting
 // blocks. A list that barely overflowed splits in two (the paper's
 // base case); bulk loads split into as many blocks as the bound
 // requires.
-func (m *Manager) overflow(term string) error {
+func (m *Manager) overflow(ctx context.Context, term string) error {
 	list, err := m.node.Store().Get(term)
 	if err != nil {
 		return err
@@ -334,9 +337,11 @@ func (m *Manager) overflow(term string) error {
 	root := &Root{Term: term, Ordered: m.ordered, Types: m.inlineTypes[term]}
 	m.roots[term] = root
 	for _, h := range m.partition(list) {
-		if err := m.pushBlock(root, h, root.Types); err != nil {
+		ref, err := m.placeBlock(ctx, term, h, root.Types)
+		if err != nil {
 			return err
 		}
+		root.Blocks = append(root.Blocks, ref)
 	}
 	return m.node.Store().DeleteTerm(term)
 }
@@ -377,38 +382,39 @@ func (m *Manager) partition(list postings.List) []postings.List {
 	return out
 }
 
-// pushBlock ships a new block to its pseudo-key's peer and appends its
-// reference to the root.
-func (m *Manager) pushBlock(root *Root, block postings.List, types []string) error {
-	if len(block) == 0 {
-		return nil
-	}
+// placeBlock ships a new, non-empty block of term to the peer of a
+// fresh pseudo-key and returns the reference the root records for it.
+func (m *Manager) placeBlock(ctx context.Context, term string, block postings.List, types []string) (BlockRef, error) {
 	m.next++
-	key := fmt.Sprintf("overflow:%d:%s", m.next, root.Term)
-	owner, err := m.node.Locate(key)
+	key := fmt.Sprintf("overflow:%d:%s", m.next, term)
+	owner, err := m.node.LocateContext(ctx, key)
 	if err != nil {
-		return err
+		return BlockRef{}, err
 	}
-	if err := m.node.AppendAt(owner, key, block); err != nil {
-		return err
+	if err := m.node.AppendAt(ctx, owner, key, block); err != nil {
+		return BlockRef{}, err
 	}
-	root.Blocks = append(root.Blocks, BlockRef{
+	return BlockRef{
 		Lo: block[0], Hi: block[len(block)-1], Key: key, Owner: owner.Addr,
 		Count: len(block), Types: append([]string(nil), types...),
-	})
-	return nil
+	}, nil
 }
 
 // routeToBlocks distributes sorted postings to the blocks whose
 // conditions cover them, widening boundary conditions as needed, and
 // splits blocks that exceed the bound.
-func (m *Manager) routeToBlocks(root *Root, ps postings.List, dtype string) error {
+func (m *Manager) routeToBlocks(ctx context.Context, root *Root, ps postings.List, dtype string) error {
 	if len(root.Blocks) == 0 {
 		var types []string
 		if dtype != "" {
 			types = []string{dtype}
 		}
-		return m.pushBlock(root, ps, types)
+		ref, err := m.placeBlock(ctx, root.Term, ps, types)
+		if err != nil {
+			return err
+		}
+		root.Blocks = append(root.Blocks, ref)
+		return nil
 	}
 	if !root.Ordered {
 		// Random mode: spread arrivals round-robin across blocks.
@@ -421,7 +427,7 @@ func (m *Manager) routeToBlocks(root *Root, ps postings.List, dtype string) erro
 			if len(part) == 0 {
 				continue
 			}
-			if err := m.appendToBlock(root, i, part, dtype); err != nil {
+			if err := m.appendToBlock(ctx, root, i, part, dtype); err != nil {
 				return err
 			}
 		}
@@ -449,7 +455,7 @@ func (m *Manager) routeToBlocks(root *Root, ps postings.List, dtype string) erro
 		if len(chunk) == 0 {
 			continue
 		}
-		if err := m.appendToBlock(root, bi, chunk, dtype); err != nil {
+		if err := m.appendToBlock(ctx, root, bi, chunk, dtype); err != nil {
 			return err
 		}
 	}
@@ -458,9 +464,9 @@ func (m *Manager) routeToBlocks(root *Root, ps postings.List, dtype string) erro
 
 // appendToBlock adds a chunk to block bi, widening its condition, and
 // splits it if it overflows.
-func (m *Manager) appendToBlock(root *Root, bi int, chunk postings.List, dtype string) error {
+func (m *Manager) appendToBlock(ctx context.Context, root *Root, bi int, chunk postings.List, dtype string) error {
 	ref := &root.Blocks[bi]
-	if err := m.node.Append(ref.Key, chunk); err != nil {
+	if err := m.node.Append(ctx, ref.Key, chunk); err != nil {
 		return err
 	}
 	ref.Gen++
@@ -479,39 +485,29 @@ func (m *Manager) appendToBlock(root *Root, bi int, chunk postings.List, dtype s
 	if ref.Count <= m.blockSize {
 		return nil
 	}
-	return m.splitBlock(root, bi)
+	return m.splitBlock(ctx, root, bi)
 }
 
 // splitBlock fetches an overflowing block, splits it into
 // bound-respecting pieces, moves them to fresh pseudo-keys and replaces
 // the root condition with the new ones (the C -> C1, C2 step of
 // Section 4.1, generalised for bulk appends).
-func (m *Manager) splitBlock(root *Root, bi int) error {
+func (m *Manager) splitBlock(ctx context.Context, root *Root, bi int) error {
 	old := root.Blocks[bi]
-	list, err := m.node.Get(old.Key)
+	list, err := m.node.Get(ctx, old.Key)
 	if err != nil {
 		return err
 	}
-	if err := m.node.DeleteKey(old.Key); err != nil {
+	if err := m.node.DeleteKey(ctx, old.Key); err != nil {
 		return err
 	}
-	halves := m.partition(list)
 	var refs []BlockRef
-	for _, h := range halves {
-		if len(h) == 0 {
-			continue
-		}
-		m.next++
-		key := fmt.Sprintf("overflow:%d:%s", m.next, root.Term)
-		owner, err := m.node.Locate(key)
+	for _, h := range m.partition(list) {
+		ref, err := m.placeBlock(ctx, root.Term, h, old.Types)
 		if err != nil {
 			return err
 		}
-		if err := m.node.AppendAt(owner, key, h); err != nil {
-			return err
-		}
-		refs = append(refs, BlockRef{Lo: h[0], Hi: h[len(h)-1], Key: key, Owner: owner.Addr,
-			Count: len(h), Types: append([]string(nil), old.Types...)})
+		refs = append(refs, ref)
 	}
 	root.Blocks = append(root.Blocks[:bi], append(refs, root.Blocks[bi+1:]...)...)
 	return nil
@@ -636,18 +632,13 @@ func (m *Manager) scanInline(term string) (*Root, error) {
 }
 
 // Root fetches the root block of a term from its home peer.
-func (m *Manager) Root(term string) (*Root, error) {
-	return m.RootContext(context.Background(), term)
-}
-
-// RootContext is Root under a caller-controlled deadline.
-func (m *Manager) RootContext(ctx context.Context, term string) (*Root, error) {
+func (m *Manager) Root(ctx context.Context, term string) (*Root, error) {
 	cost.FromContext(ctx).AddRootFetches(1)
 	home, err := m.node.LocateContext(ctx, term)
 	if err != nil {
 		return nil, err
 	}
-	blob, err := m.node.CallProcOnContext(ctx, home, term, ProcRoot, nil)
+	blob, err := m.node.CallProcOn(ctx, home, term, ProcRoot, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -814,7 +805,7 @@ const ProcDelete = "index:dpp:delete"
 
 // Delete removes postings of a term through the term's home peer, so
 // deletions reach overflow blocks as well as inline lists.
-func (m *Manager) Delete(term string, ps postings.List) error {
+func (m *Manager) Delete(ctx context.Context, term string, ps postings.List) error {
 	if len(ps) == 0 {
 		return nil
 	}
@@ -824,12 +815,12 @@ func (m *Manager) Delete(term string, ps postings.List) error {
 	if err != nil {
 		return err
 	}
-	_, err = m.node.CallProc(term, ProcDelete, enc)
+	_, err = m.node.CallProc(ctx, term, ProcDelete, enc)
 	return err
 }
 
 // handleDelete runs at the term's home peer.
-func (m *Manager) handleDelete(_ context.Context, _ dht.Contact, term string, blob []byte) ([]byte, error) {
+func (m *Manager) handleDelete(ctx context.Context, _ dht.Contact, term string, blob []byte) ([]byte, error) {
 	ps, _, err := postings.Decode(blob)
 	if err != nil {
 		return nil, fmt.Errorf("dpp: delete %q: %w", term, err)
@@ -846,21 +837,27 @@ func (m *Manager) handleDelete(_ context.Context, _ dht.Contact, term string, bl
 		m.inlineGen[term]++
 		return nil, m.save()
 	}
+	// Each posting goes to the first block whose condition covers it;
+	// each touched block then gets its postings in one delete.
+	parts := make([]postings.List, len(root.Blocks))
 	for _, p := range ps {
 		for bi := range root.Blocks {
-			ref := &root.Blocks[bi]
-			if p.Compare(ref.Lo) < 0 || p.Compare(ref.Hi) > 0 {
-				continue
+			if ref := &root.Blocks[bi]; p.Compare(ref.Lo) >= 0 && p.Compare(ref.Hi) <= 0 {
+				parts[bi] = append(parts[bi], p)
+				break
 			}
-			if err := m.node.DeleteAt(contactAt(ref.Owner), ref.Key, p); err != nil {
-				return nil, err
-			}
-			ref.Gen++
-			if ref.Count > 0 {
-				ref.Count--
-			}
-			break
 		}
+	}
+	for bi, part := range parts {
+		if len(part) == 0 {
+			continue
+		}
+		ref := &root.Blocks[bi]
+		if err := m.node.DeleteAt(ctx, contactAt(ref.Owner), ref.Key, part); err != nil {
+			return nil, err
+		}
+		ref.Gen++
+		ref.Count = max(ref.Count-len(part), 0)
 	}
 	// Drop emptied blocks from the root.
 	kept := root.Blocks[:0]

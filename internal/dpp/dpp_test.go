@@ -1,6 +1,7 @@
 package dpp
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -66,10 +67,10 @@ func seqPostings(n int, docsize int) postings.List {
 func TestInlineListStaysInline(t *testing.T) {
 	c := newCluster(t, 8, Options{BlockSize: 100})
 	l := seqPostings(50, 10)
-	if err := c.managers[0].Append("l:title", l); err != nil {
+	if err := c.managers[0].Append(context.Background(), "l:title", l); err != nil {
 		t.Fatal(err)
 	}
-	root, err := c.managers[3].Root("l:title")
+	root, err := c.managers[3].Root(context.Background(), "l:title")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +102,11 @@ func TestOverflowSplitsAndFetchReassembles(t *testing.T) {
 		if end > len(want) {
 			end = len(want)
 		}
-		if err := c.managers[i/120%len(c.managers)].Append("l:author", want[i:end]); err != nil {
+		if err := c.managers[i/120%len(c.managers)].Append(context.Background(), "l:author", want[i:end]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	root, err := c.managers[5].Root("l:author")
+	root, err := c.managers[5].Root(context.Background(), "l:author")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +163,10 @@ func TestInterleavedAppendSplitsEarlyBlock(t *testing.T) {
 			odd = append(odd, p)
 		}
 	}
-	if err := c.managers[0].Append("l:author", even); err != nil {
+	if err := c.managers[0].Append(context.Background(), "l:author", even); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.managers[1].Append("l:author", odd); err != nil {
+	if err := c.managers[1].Append(context.Background(), "l:author", odd); err != nil {
 		t.Fatal(err)
 	}
 	s, _, err := c.managers[5].Fetch("l:author", FetchOptions{})
@@ -184,7 +185,7 @@ func TestInterleavedAppendSplitsEarlyBlock(t *testing.T) {
 func TestBlocksDistributedAcrossPeers(t *testing.T) {
 	c := newCluster(t, 12, Options{BlockSize: 100})
 	want := seqPostings(1000, 20)
-	if err := c.managers[0].Append("l:author", want); err != nil {
+	if err := c.managers[0].Append(context.Background(), "l:author", want); err != nil {
 		t.Fatal(err)
 	}
 	// Count peers holding at least one overflow key.
@@ -209,7 +210,7 @@ func TestBlocksDistributedAcrossPeers(t *testing.T) {
 func TestDocIntervalFilterSkipsBlocks(t *testing.T) {
 	c := newCluster(t, 10, Options{BlockSize: 100})
 	want := seqPostings(1000, 10) // docs 0..99
-	if err := c.managers[0].Append("l:author", want); err != nil {
+	if err := c.managers[0].Append(context.Background(), "l:author", want); err != nil {
 		t.Fatal(err)
 	}
 	lo := sid.DocKey{Peer: 1, Doc: 40}
@@ -236,7 +237,7 @@ func TestDocIntervalFilterSkipsBlocks(t *testing.T) {
 func TestDocIntervalClipWithoutConditionFilter(t *testing.T) {
 	c := newCluster(t, 8, Options{BlockSize: 100})
 	want := seqPostings(600, 10)
-	if err := c.managers[0].Append("l:x", want); err != nil {
+	if err := c.managers[0].Append(context.Background(), "l:x", want); err != nil {
 		t.Fatal(err)
 	}
 	lo := sid.DocKey{Peer: 1, Doc: 10}
@@ -275,11 +276,11 @@ func TestRandomSplitAblation(t *testing.T) {
 		if end > len(want) {
 			end = len(want)
 		}
-		if err := c.managers[0].Append("l:r", want[i:end]); err != nil {
+		if err := c.managers[0].Append(context.Background(), "l:r", want[i:end]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	root, err := c.managers[4].Root("l:r")
+	root, err := c.managers[4].Root(context.Background(), "l:r")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +354,7 @@ func TestFetchUnknownTermIsEmpty(t *testing.T) {
 func TestParallelFetchMatchesSerial(t *testing.T) {
 	c := newCluster(t, 10, Options{BlockSize: 64})
 	want := seqPostings(2000, 25)
-	if err := c.managers[0].Append("w:xml", want); err != nil {
+	if err := c.managers[0].Append(context.Background(), "w:xml", want); err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 2, 8} {
@@ -375,7 +376,7 @@ func TestManyTermsIndependentRoots(t *testing.T) {
 	c := newCluster(t, 8, Options{BlockSize: 50})
 	for i := 0; i < 5; i++ {
 		term := fmt.Sprintf("l:t%d", i)
-		if err := c.managers[0].Append(term, seqPostings(120+10*i, 10)); err != nil {
+		if err := c.managers[0].Append(context.Background(), term, seqPostings(120+10*i, 10)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -398,12 +399,12 @@ func TestManyTermsIndependentRoots(t *testing.T) {
 func TestDeleteReachesBlocks(t *testing.T) {
 	c := newCluster(t, 10, Options{BlockSize: 100})
 	want := seqPostings(500, 10)
-	if err := c.managers[0].Append("l:author", want); err != nil {
+	if err := c.managers[0].Append(context.Background(), "l:author", want); err != nil {
 		t.Fatal(err)
 	}
 	// Delete a slice from the middle (postings that live in blocks).
 	victims := want[200:230]
-	if err := c.managers[3].Delete("l:author", victims); err != nil {
+	if err := c.managers[3].Delete(context.Background(), "l:author", victims); err != nil {
 		t.Fatal(err)
 	}
 	s, _, err := c.managers[5].Fetch("l:author", FetchOptions{})
@@ -431,10 +432,10 @@ func TestDeleteReachesBlocks(t *testing.T) {
 func TestDeleteInlineList(t *testing.T) {
 	c := newCluster(t, 6, Options{BlockSize: 1000})
 	want := seqPostings(50, 10)
-	if err := c.managers[0].Append("l:x", want); err != nil {
+	if err := c.managers[0].Append(context.Background(), "l:x", want); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.managers[1].Delete("l:x", want[:5]); err != nil {
+	if err := c.managers[1].Delete(context.Background(), "l:x", want[:5]); err != nil {
 		t.Fatal(err)
 	}
 	s, _, err := c.managers[2].Fetch("l:x", FetchOptions{})

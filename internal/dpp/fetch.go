@@ -53,26 +53,28 @@ type FetchOptions struct {
 	AllowedTypes []string
 }
 
-// Fetch returns a stream over the term's full (possibly clipped)
-// posting list, transferring DPP blocks from their peers with bounded
-// parallelism. For ordered DPPs the blocks concatenate in canonical
-// order; the randomised ablation merges them.
+// Fetch is FetchContext without a deadline (pinned by bench/: the last
+// context-free forward in the package, deleted when bench/ is re-based
+// and FetchContext takes the plain name).
 func (m *Manager) Fetch(term string, opts FetchOptions) (postings.Stream, *FetchPlan, error) {
 	return m.FetchContext(context.Background(), term, opts)
 }
 
-// FetchContext is Fetch under a caller-controlled deadline.
+// FetchContext returns a stream over the term's full (possibly clipped)
+// posting list, transferring DPP blocks from their peers with bounded
+// parallelism. For ordered DPPs the blocks concatenate in canonical
+// order; the randomised ablation merges them.
 func (m *Manager) FetchContext(ctx context.Context, term string, opts FetchOptions) (postings.Stream, *FetchPlan, error) {
-	root, err := m.RootContext(ctx, term)
+	root, err := m.Root(ctx, term)
 	if err != nil {
 		return nil, nil, err
 	}
-	return m.FetchWithRootContext(ctx, root, opts)
+	return m.FetchWithRoot(ctx, root, opts)
 }
 
-// FetchWithRootContext is Fetch for a root already retrieved (the query
-// planner gets all roots first to compute the document interval), under
-// a caller-controlled deadline that bounds the block transfers.
+// FetchWithRoot is FetchContext for a root already retrieved (the query
+// planner gets all roots first to compute the document interval); the
+// context's deadline bounds the block transfers.
 //
 // There is one transfer path. The blocks the condition-based selection
 // of Section 4 keeps are grouped by the holder picked for each (the
@@ -90,7 +92,7 @@ func (m *Manager) FetchContext(ctx context.Context, term string, opts FetchOptio
 // generation) first and misses transfer the FULL block — the clip moves
 // to this side — so the cached copy serves any later interval, and
 // concurrent fetches of one block coalesce into a single transfer.
-func (m *Manager) FetchWithRootContext(ctx context.Context, root *Root, opts FetchOptions) (postings.Stream, *FetchPlan, error) {
+func (m *Manager) FetchWithRoot(ctx context.Context, root *Root, opts FetchOptions) (postings.Stream, *FetchPlan, error) {
 	if opts.Parallel <= 0 {
 		opts.Parallel = 4
 	}
@@ -273,7 +275,7 @@ func (m *Manager) fetchHolder(ctx context.Context, addr string, group []leaderBl
 	var moved int
 	err := errNoHolder
 	if addr != "" {
-		err = m.node.GetBatchContext(ctx, contactAt(addr), req, func(i int, l postings.List) {
+		err = m.node.GetBatch(ctx, contactAt(addr), req, func(i int, l postings.List) {
 			done[i] = true
 			moved += len(l)
 			noteFetched(ctx, l)
@@ -386,14 +388,14 @@ func (m *Manager) fetchBlockFailover(ctx context.Context, b BlockRef, tried stri
 		}
 		var list postings.List
 		held := false
-		err := m.node.GetBatchContext(ctx, contactAt(addr), req, func(_ int, l postings.List) { list, held = l, true })
+		err := m.node.GetBatch(ctx, contactAt(addr), req, func(_ int, l postings.List) { list, held = l, true })
 		noteProbe(ctx, err)
 		if err == nil && held {
 			noteFetched(ctx, list)
 			return list, nil
 		}
 	}
-	s, err := m.node.GetStreamContext(ctx, b.Key)
+	s, err := m.node.GetStream(ctx, b.Key)
 	if err != nil {
 		return nil, err
 	}

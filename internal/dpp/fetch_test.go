@@ -89,10 +89,10 @@ func tappedCluster(t *testing.T, at int, n int) (*cluster, *tapTransport, *Root,
 		return tap
 	})
 	want := seqPostings(n, 5)
-	if err := c.managers[0].Append("l:author", want); err != nil {
+	if err := c.managers[0].Append(context.Background(), "l:author", want); err != nil {
 		t.Fatal(err)
 	}
-	root, err := c.managers[at].Root("l:author")
+	root, err := c.managers[at].Root(context.Background(), "l:author")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestVectoredFetchStaleOwnerTable(t *testing.T) {
 	fetch := func(t *testing.T, c *cluster, root *Root, want postings.List) (lookups int64) {
 		t.Helper()
 		before := c.net.Collector.Hist(metrics.OpLookup).Count()
-		s, plan, err := c.managers[at].FetchWithRootContext(context.Background(), root, opts)
+		s, plan, err := c.managers[at].FetchWithRoot(context.Background(), root, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,10 +211,10 @@ func (shutGate) Shedding() bool { return true }
 func TestFetchCancelsFanOutOnError(t *testing.T) {
 	c := newCluster(t, 8, Options{BlockSize: 10})
 	want := seqPostings(3000, 5)
-	if err := c.managers[0].Append("l:author", want); err != nil {
+	if err := c.managers[0].Append(context.Background(), "l:author", want); err != nil {
 		t.Fatal(err)
 	}
-	root, err := c.managers[0].Root("l:author")
+	root, err := c.managers[0].Root(context.Background(), "l:author")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestFetchCancelsFanOutOnError(t *testing.T) {
 	}
 	col := c.net.Collector
 	col.Reset()
-	s, _, err := c.managers[at].FetchWithRootContext(context.Background(), root, FetchOptions{Parallel: 3})
+	s, _, err := c.managers[at].FetchWithRoot(context.Background(), root, FetchOptions{Parallel: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestFetchCancelsFanOutOnError(t *testing.T) {
 	c.net.SetModel(dht.LinkModel{Latency: time.Millisecond})
 	defer c.net.SetModel(dht.LinkModel{})
 	col.Reset()
-	s, _, err = c.managers[at].FetchWithRootContext(context.Background(), root, FetchOptions{Parallel: 3})
+	s, _, err = c.managers[at].FetchWithRoot(context.Background(), root, FetchOptions{Parallel: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestInlineRootConsistentUnderAppends(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		read := func() (*Root, error) { return home.LocalRoot("l:title") }
 		if g%4 == 0 {
-			read = func() (*Root, error) { return c.managers[g%len(c.managers)].Root("l:title") }
+			read = func() (*Root, error) { return c.managers[g%len(c.managers)].Root(context.Background(), "l:title") }
 		}
 		wg.Add(1)
 		go func() {
@@ -320,7 +320,7 @@ func TestInlineRootConsistentUnderAppends(t *testing.T) {
 	}
 	for i := 0; i < appends; i++ {
 		home.mu.Lock()
-		err := home.appendLocked("l:title", all[i*per:(i+1)*per], "")
+		err := home.appendLocked(context.Background(), "l:title", all[i*per:(i+1)*per], "")
 		home.mu.Unlock()
 		if err != nil {
 			t.Error(fmt.Errorf("append %d: %w", i, err))

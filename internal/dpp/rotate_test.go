@@ -15,10 +15,10 @@ import (
 func TestFetchBlockRotatesBeforeRetrying(t *testing.T) {
 	c := newCluster(t, 8, Options{BlockSize: 50})
 	want := seqPostings(300, 10)
-	if err := c.managers[0].Append("l:author", want); err != nil {
+	if err := c.managers[0].Append(context.Background(), "l:author", want); err != nil {
 		t.Fatal(err)
 	}
-	root, err := c.managers[2].Root("l:author")
+	root, err := c.managers[2].Root(context.Background(), "l:author")
 	if err != nil {
 		t.Fatal(err)
 	}

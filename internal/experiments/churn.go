@@ -238,7 +238,7 @@ func RunChurn(o ChurnOptions) (*ChurnResult, error) {
 				cancel()
 				return nil, fmt.Errorf("experiments: churn join: %w", err)
 			}
-			nd.Lookup(nd.Self().ID)
+			nd.LookupContext(ctx, nd.Self().ID)
 			p, err := kadop.NewPeer(nd, nextID, kadop.Config{DHT: dhtCfg})
 			if err != nil {
 				nd.Close()
@@ -324,13 +324,13 @@ func RunChurn(o ChurnOptions) (*ChurnResult, error) {
 	defer fcancel()
 	for term, want := range oracle {
 		res.FinalTermsTotal++
-		l, err := reader.GetContext(fctx, term)
+		l, err := reader.Get(fctx, term)
 		if err == nil && len(l) >= want {
 			res.FinalTermsComplete++
 		}
 	}
 	for term, want := range leftBehind {
-		l, err := reader.GetContext(fctx, term)
+		l, err := reader.Get(fctx, term)
 		if err != nil || len(l) < want {
 			res.LeaveKeysLost++
 		}

@@ -142,7 +142,7 @@ func (ix *Indexer) Publish(raw []byte, uri string) (sid.DocKey, error) {
 		if err != nil {
 			return key, err
 		}
-		return key, ix.registerIncludes(key, skeleton.doc, skeleton.anchors)
+		return key, ix.registerIncludes(context.Background(), key, skeleton.doc, skeleton.anchors)
 	case Fundex:
 		key, err := ix.peer.Publish(doc, uri)
 		if err != nil {
@@ -154,16 +154,16 @@ func (ix *Indexer) Publish(raw []byte, uri string) (sid.DocKey, error) {
 				anchors[n.Include] = append(anchors[n.Include], n.SID)
 			}
 		})
-		return key, ix.registerIncludes(key, doc, anchors)
+		return key, ix.registerIncludes(context.Background(), key, doc, anchors)
 	}
 	return sid.DocKey{}, fmt.Errorf("fundex: unknown mode %v", ix.mode)
 }
 
 // registerIncludes materialises every referenced document and records
 // the reverse pointers of the Rev relation.
-func (ix *Indexer) registerIncludes(host sid.DocKey, doc *xmltree.Document, anchors map[string][]sid.SID) error {
+func (ix *Indexer) registerIncludes(ctx context.Context, host sid.DocKey, doc *xmltree.Document, anchors map[string][]sid.SID) error {
 	for uri, sids := range anchors {
-		fkey, err := ix.materialize(uri)
+		fkey, err := ix.materialize(ctx, uri)
 		if err != nil {
 			return err
 		}
@@ -172,7 +172,7 @@ func (ix *Indexer) registerIncludes(host sid.DocKey, doc *xmltree.Document, anch
 			occ = append(occ, sid.Posting{Peer: host.Peer, Doc: host.Doc, SID: s})
 		}
 		occ.Sort()
-		if err := ix.peer.Node().Append(revKey(fkey), occ); err != nil {
+		if err := ix.peer.Node().Append(ctx, revKey(fkey), occ); err != nil {
 			return fmt.Errorf("fundex: rev %q: %w", uri, err)
 		}
 	}
@@ -181,8 +181,8 @@ func (ix *Indexer) registerIncludes(host sid.DocKey, doc *xmltree.Document, anch
 
 // materialize asks the home peer of fun:<uri> to index the referenced
 // document (idempotently) and returns its functional document key.
-func (ix *Indexer) materialize(uri string) (sid.DocKey, error) {
-	blob, err := ix.peer.Node().CallProc("fun:"+uri, procFun, []byte(uri))
+func (ix *Indexer) materialize(ctx context.Context, uri string) (sid.DocKey, error) {
+	blob, err := ix.peer.Node().CallProc(ctx, "fun:"+uri, procFun, []byte(uri))
 	if err != nil {
 		return sid.DocKey{}, fmt.Errorf("fundex: materialise %q: %w", uri, err)
 	}

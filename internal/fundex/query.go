@@ -1,6 +1,7 @@
 package fundex
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -60,7 +61,7 @@ func (ix *Indexer) Query(q *pattern.Query) (*Answer, error) {
 	case Brutal:
 		// Complete at the document level: any document holding
 		// intensional data may contain an answer.
-		incl, err := ix.peer.Node().Get("l:" + xmltree.IncludeLabel)
+		incl, err := ix.peer.Node().Get(context.Background(), "l:"+xmltree.IncludeLabel)
 		if err != nil {
 			return nil, err
 		}
@@ -74,7 +75,7 @@ func (ix *Indexer) Query(q *pattern.Query) (*Answer, error) {
 
 	// Fundex / Representative: complete incomplete matches.
 	for fkey, ms := range funWhole {
-		occ, err := ix.peer.Node().Get(revKey(fkey))
+		occ, err := ix.peer.Node().Get(context.Background(), revKey(fkey))
 		if err != nil {
 			return nil, err
 		}
@@ -205,7 +206,7 @@ func (ix *Indexer) completeSplit(q *pattern.Query, sp *split, add func(twigjoin.
 	// Reverse pointers: where is each matching functional doc used?
 	occByHost := map[sid.DocKey][]revOcc{}
 	for fkey := range byFid {
-		occ, err := ix.peer.Node().Get(revKey(fkey))
+		occ, err := ix.peer.Node().Get(context.Background(), revKey(fkey))
 		if err != nil {
 			return err
 		}

@@ -11,21 +11,25 @@ import (
 	"kadop/internal/dpp"
 	"kadop/internal/metrics"
 	"kadop/internal/pattern"
+	"kadop/internal/postings"
 	"kadop/internal/sid"
 	"kadop/internal/store"
+	"kadop/internal/xmltree"
 )
 
-// census counts what a deployment sends: application procedures by
-// name and streams opened, at every peer's transport.
+// census counts what a deployment sends: unary requests by message
+// type, application procedures by name and streams opened, at every
+// peer's transport.
 type census struct {
 	mu      sync.Mutex
+	calls   map[dht.MsgType]int
 	procs   map[string]int
 	streams int
 }
 
 func (c *census) reset() {
 	c.mu.Lock()
-	c.procs, c.streams = map[string]int{}, 0
+	c.calls, c.procs, c.streams = map[dht.MsgType]int{}, map[string]int{}, 0
 	c.mu.Unlock()
 }
 
@@ -41,11 +45,14 @@ func (t censusTransport) Metrics() *metrics.Collector {
 }
 
 func (t censusTransport) Call(ctx context.Context, to dht.Contact, req dht.Message) (dht.Message, error) {
-	if req.Type == dht.MsgApp {
-		t.c.mu.Lock()
-		t.c.procs[req.Proc]++
-		t.c.mu.Unlock()
+	t.c.mu.Lock()
+	if t.c.calls != nil {
+		t.c.calls[req.Type]++
 	}
+	if req.Type == dht.MsgApp {
+		t.c.procs[req.Proc]++
+	}
+	t.c.mu.Unlock()
 	return t.Transport.Call(ctx, to, req)
 }
 
@@ -56,14 +63,18 @@ func (t censusTransport) OpenStream(ctx context.Context, to dht.Contact, req dht
 	return t.Transport.OpenStream(ctx, to, req)
 }
 
-// censusCluster is eight publishing peers on free links, every
+// censusCluster is eight publishing DPP peers on free links, every
 // transport counted.
 func censusCluster(t *testing.T, cen *census) *cluster {
+	return censusClusterOf(t, cen, dht.Config{}, Config{UseDPP: true, DPP: dpp.Options{BlockSize: 16}})
+}
+
+func censusClusterOf(t *testing.T, cen *census, dcfg dht.Config, cfg Config) *cluster {
 	t.Helper()
 	c := &cluster{net: dht.NewNetwork()}
 	var nodes []*dht.Node
 	for i := 0; i < 8; i++ {
-		nd, err := dht.NewNode(censusTransport{c.net.NewEndpoint(), cen}, store.NewMem(), dht.Config{})
+		nd, err := dht.NewNode(censusTransport{c.net.NewEndpoint(), cen}, store.NewMem(), dcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +89,7 @@ func censusCluster(t *testing.T, cen *census) *cluster {
 		if _, err := nd.Lookup(nd.Self().ID); err != nil {
 			t.Fatal(err)
 		}
-		p, err := NewPeer(nd, sid.PeerID(i+1), Config{UseDPP: true, DPP: dpp.Options{BlockSize: 16}})
+		p, err := NewPeer(nd, sid.PeerID(i+1), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +166,7 @@ func TestReadPathMessageCensus(t *testing.T) {
 					roots := map[string]*dpp.Root{}
 					blocks := 0
 					for _, term := range terms {
-						r, err := client.dpp.RootContext(context.Background(), term)
+						r, err := client.dpp.Root(context.Background(), term)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -216,6 +227,107 @@ func TestReadPathMessageCensus(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestWritePathMessageCensus is the write-side twin: at replication R,
+// an append, a list delete and a key delete each cost one lookup and
+// one RPC per remote owner, however many postings they carry; and
+// unpublishing a document of P postings over T terms costs one lookup
+// and one delete RPC per (term, remote owner) — T per owner, not P.
+func TestWritePathMessageCensus(t *testing.T) {
+	const repl = 3
+	ctx := context.Background()
+	cen := &census{}
+	cen.reset()
+	dcfg := dht.Config{Replication: repl}
+	c := censusClusterOf(t, cen, dcfg, Config{DHT: dcfg})
+	lookups := func() int64 { return c.net.Collector.Hist(metrics.OpLookup).Count() }
+
+	// A client node owns no key: every owner is a remote one.
+	dcfg.Client = true
+	client, err := dht.NewNode(censusTransport{c.net.NewEndpoint(), cen}, store.NewMem(), dcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Bootstrap(c.peers[0].Node().Self()); err != nil {
+		t.Fatal(err)
+	}
+	list := make(postings.List, 40)
+	for i := range list {
+		list[i] = sid.Posting{Peer: 9, Doc: sid.DocID(i / 4), SID: sid.SID{Start: uint32(2*i + 1), End: uint32(2*i + 2), Level: 1}}
+	}
+	for _, op := range []struct {
+		name string
+		typ  dht.MsgType
+		run  func() error
+	}{
+		{"Append", dht.MsgAppend, func() error { return client.Append(ctx, "l:census", list) }},
+		{"Delete", dht.MsgDelete, func() error { return client.Delete(ctx, "l:census", list[:17]) }},
+		{"DeleteKey", dht.MsgDeleteKey, func() error { return client.DeleteKey(ctx, "l:census") }},
+	} {
+		cen.reset()
+		before := lookups()
+		if err := op.run(); err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		if n := lookups() - before; n != 1 {
+			t.Errorf("%s: %d lookups, want 1", op.name, n)
+		}
+		if n := cen.calls[op.typ]; n != repl {
+			t.Errorf("%s: %d %s RPCs, want one per owner (%d)", op.name, n, op.typ, repl)
+		}
+	}
+	if got, err := client.Get(ctx, "l:census"); err != nil || len(got) != 0 {
+		t.Errorf("after DeleteKey: %d postings, err %v", len(got), err)
+	}
+
+	pub := c.peers[2]
+	doc, err := xmltree.ParseBytes([]byte(
+		`<dblp><article><author>A</author><author>B</author><author>C</author><title>T</title></article><article><author>D</author><title>U</title></article></dblp>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := pub.Publish(doc, "census.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tps := xmltree.Extract(doc, pub.ID(), key.Doc, xmltree.ExtractOptions{})
+	terms := map[string]bool{}
+	for _, tp := range tps {
+		terms[tp.Term.Key()] = true
+	}
+	if len(tps) <= len(terms) {
+		t.Fatalf("document has %d postings over %d terms; the census needs P > T", len(tps), len(terms))
+	}
+	remote := 0
+	for term := range terms {
+		owners, err := pub.Node().Owners(ctx, term)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range owners {
+			if o.ID != pub.Node().Self().ID {
+				remote++
+			}
+		}
+	}
+	cen.reset()
+	before := lookups()
+	if err := pub.Unpublish(ctx, key.Doc); err != nil {
+		t.Fatal(err)
+	}
+	if n := lookups() - before; n != int64(len(terms)) {
+		t.Errorf("Unpublish: %d lookups, want one per term (%d)", n, len(terms))
+	}
+	if n := cen.calls[dht.MsgDelete]; n != remote {
+		t.Errorf("Unpublish of %d postings over %d terms: %d delete RPCs, want one per (term, remote owner) = %d",
+			len(tps), len(terms), n, remote)
+	}
+	for term := range terms {
+		if got, err := client.Get(ctx, term); err != nil || len(got) != 0 {
+			t.Errorf("after Unpublish: %q holds %d postings, err %v", term, len(got), err)
 		}
 	}
 }

@@ -305,7 +305,7 @@ func TestPublishUnpublish(t *testing.T) {
 			if len(res.Matches) != 1 {
 				t.Fatalf("matches = %d", len(res.Matches))
 			}
-			if err := p.Unpublish(key.Doc); err != nil {
+			if err := p.Unpublish(context.Background(), key.Doc); err != nil {
 				t.Fatal(err)
 			}
 			res, err = c.peers[2].Query(q, QueryOptions{})
@@ -315,7 +315,7 @@ func TestPublishUnpublish(t *testing.T) {
 			if len(res.Matches) != 0 {
 				t.Fatalf("matches after unpublish = %d", len(res.Matches))
 			}
-			if err := p.Unpublish(999); err == nil {
+			if err := p.Unpublish(context.Background(), 999); err == nil {
 				t.Error("unpublishing a missing doc should fail")
 			}
 		})
@@ -509,7 +509,7 @@ func TestUnpublishWithDPP(t *testing.T) {
 				t.Fatalf("before unpublish: %d matches", len(res.Matches))
 			}
 			for i := 0; i < 5; i++ {
-				if err := p.Unpublish(keys[i].Doc); err != nil {
+				if err := p.Unpublish(context.Background(), keys[i].Doc); err != nil {
 					t.Fatal(err)
 				}
 			}

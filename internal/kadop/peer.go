@@ -412,7 +412,7 @@ func (p *Peer) handoffDir(ctx context.Context) int {
 		}
 		ok := false
 		for _, h := range heirs {
-			if _, err := p.node.CallProcOnContext(ctx, h, key, procDirPut, blob); err == nil {
+			if _, err := p.node.CallProcOn(ctx, h, key, procDirPut, blob); err == nil {
 				ok = true
 			}
 		}
@@ -449,7 +449,7 @@ func (p *Peer) Reannounce() error {
 	p.mu.Unlock()
 	for id, uri := range uris {
 		key := sid.DocKey{Peer: p.id, Doc: id}
-		if err := p.dirPut(docKey(key), []byte(uri)); err != nil {
+		if err := p.dirPut(context.Background(), docKey(key), []byte(uri)); err != nil {
 			return fmt.Errorf("kadop: reannounce doc %d: %w", id, err)
 		}
 	}
@@ -462,7 +462,7 @@ func (p *Peer) Reannounce() error {
 // home for the entry has been created); publishing and phase-two query
 // processing rely on it.
 func (p *Peer) Announce() error {
-	if err := p.dirPut(peerKey(p.id), []byte(p.node.Self().Addr)); err != nil {
+	if err := p.dirPut(context.Background(), peerKey(p.id), []byte(p.node.Self().Addr)); err != nil {
 		return fmt.Errorf("kadop: register peer %d: %w", p.id, err)
 	}
 	return nil
@@ -505,14 +505,14 @@ func docKey(k sid.DocKey) string   { return fmt.Sprintf("doc:%d:%d", k.Peer, k.D
 // implements the Peer and Doc relations of the data model. With DHT
 // replication enabled the entry lands on every replica owner, so
 // address resolution survives the loss of the primary.
-func (p *Peer) dirPut(key string, blob []byte) error {
-	_, err := p.node.CallProcOwners(key, procDirPut, blob)
+func (p *Peer) dirPut(ctx context.Context, key string, blob []byte) error {
+	_, err := p.node.CallProcOwners(ctx, key, procDirPut, blob)
 	return err
 }
 
 // dirGet retrieves a directory entry from any reachable replica owner.
 func (p *Peer) dirGet(ctx context.Context, key string) ([]byte, error) {
-	return p.node.CallProcAnyContext(ctx, key, procDirGet, nil)
+	return p.node.CallProcAny(ctx, key, procDirGet, nil)
 }
 
 func (p *Peer) handleDirPut(_ context.Context, _ dht.Contact, key string, blob []byte) ([]byte, error) {
@@ -571,7 +571,7 @@ func (p *Peer) PublishTyped(doc *xmltree.Document, uri, dtype string) (sid.DocKe
 // id; the document is retained locally so phase-two evaluation can
 // serve answers from it.
 func (p *Peer) PublishAt(id sid.DocID, doc *xmltree.Document, uri string) (sid.DocKey, error) {
-	_, err := p.publish([]pubDoc{{doc: doc, uri: uri}}, &id)
+	_, err := p.publish(context.Background(), []pubDoc{{doc: doc, uri: uri}}, &id)
 	return sid.DocKey{Peer: p.id, Doc: id}, err
 }
 
@@ -628,7 +628,7 @@ func (p *Peer) PublishXMLBatch(docs []BatchDoc) ([]sid.DocKey, error) {
 		}
 		pub[i] = pubDoc{doc: doc, raw: d.XML, uri: d.URI, dtype: d.Dtype}
 	}
-	return p.publish(pub, nil)
+	return p.publish(context.Background(), pub, nil)
 }
 
 // TreeDoc is one document of a PublishBatch call: already parsed, with
@@ -647,7 +647,7 @@ func (p *Peer) PublishBatch(docs []TreeDoc) ([]sid.DocKey, error) {
 	for i, d := range docs {
 		pub[i] = pubDoc{doc: d.Doc, uri: d.URI, dtype: d.Dtype}
 	}
-	return p.publish(pub, nil)
+	return p.publish(context.Background(), pub, nil)
 }
 
 // pubDoc is one document entering the publish pipeline; raw is nil for
@@ -680,7 +680,7 @@ const publishFanOut = 32
 // group to the distributed index and record the URIs in the Doc
 // relation. at, when set, is the caller-chosen id of the single
 // document (PublishAt); otherwise ids are allocated in sequence.
-func (p *Peer) publish(docs []pubDoc, at *sid.DocID) ([]sid.DocKey, error) {
+func (p *Peer) publish(ctx context.Context, docs []pubDoc, at *sid.DocID) ([]sid.DocKey, error) {
 	if len(docs) == 0 {
 		return nil, nil
 	}
@@ -739,12 +739,12 @@ func (p *Peer) publish(docs []pubDoc, at *sid.DocID) ([]sid.DocKey, error) {
 		}
 	}
 	for dtype, byTerm := range groups {
-		if err := p.appendTerms(byTerm, dtype); err != nil {
+		if err := p.appendTerms(ctx, byTerm, dtype); err != nil {
 			return keys, fmt.Errorf("kadop: publish: %w", err)
 		}
 	}
 	for i, key := range keys {
-		if err := p.dirPut(docKey(key), []byte(docs[i].uri)); err != nil {
+		if err := p.dirPut(ctx, docKey(key), []byte(docs[i].uri)); err != nil {
 			return keys, err
 		}
 	}
@@ -755,7 +755,7 @@ func (p *Peer) publish(docs []pubDoc, at *sid.DocID) ([]sid.DocKey, error) {
 // the distributed index, at most publishFanOut appends in flight, and
 // feeds the publisher-side statistics. Lists are sorted in place. The
 // first append error wins; remaining in-flight appends still drain.
-func (p *Peer) appendTerms(byTerm map[string]*termGroup, dtype string) error {
+func (p *Peer) appendTerms(ctx context.Context, byTerm map[string]*termGroup, dtype string) error {
 	sem := make(chan struct{}, publishFanOut)
 	var (
 		wg       sync.WaitGroup
@@ -771,9 +771,9 @@ func (p *Peer) appendTerms(byTerm map[string]*termGroup, dtype string) error {
 			defer func() { <-sem }()
 			var err error
 			if p.dpp != nil {
-				err = p.dpp.AppendTyped(term, g.list, dtype)
+				err = p.dpp.AppendTyped(ctx, term, g.list, dtype)
 			} else {
-				err = p.node.Append(term, g.list)
+				err = p.node.Append(ctx, term, g.list)
 			}
 			if err != nil {
 				errMu.Lock()
@@ -795,7 +795,7 @@ func (p *Peer) appendTerms(byTerm map[string]*termGroup, dtype string) error {
 // Unpublish removes a document from the collection: its postings are
 // deleted from the index and the document is dropped. Modification is
 // deletion followed by re-publication, as in the paper.
-func (p *Peer) Unpublish(id sid.DocID) error {
+func (p *Peer) Unpublish(ctx context.Context, id sid.DocID) error {
 	p.mu.Lock()
 	doc := p.docs[id]
 	delete(p.docs, id)
@@ -814,16 +814,14 @@ func (p *Peer) Unpublish(id sid.DocID) error {
 		byTerm[tp.Term.Key()] = append(byTerm[tp.Term.Key()], tp.Posting)
 	}
 	for term, list := range byTerm {
+		var err error
 		if p.dpp != nil {
-			if err := p.dpp.Delete(term, list); err != nil {
-				return err
-			}
-			continue
+			err = p.dpp.Delete(ctx, term, list)
+		} else {
+			err = p.node.Delete(ctx, term, list)
 		}
-		for _, posting := range list {
-			if err := p.node.Delete(term, posting); err != nil {
-				return err
-			}
+		if err != nil {
+			return err
 		}
 	}
 	return nil

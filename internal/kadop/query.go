@@ -712,7 +712,7 @@ func (p *Peer) planReads(ctx context.Context, terms []string, docType string, si
 	}
 	reads.roots = make(map[string]*dpp.Root, len(terms))
 	err := eachTerm(terms, func(t string) error {
-		r, err := p.dpp.RootContext(ctx, t)
+		r, err := p.dpp.Root(ctx, t)
 		mu.Lock()
 		reads.roots[t] = r
 		mu.Unlock()
@@ -762,7 +762,7 @@ func (p *Peer) openStreams(ctx context.Context, reads *termReads, r docRange, du
 	for _, t := range reads.terms {
 		var s postings.Stream
 		if p.dpp != nil {
-			fs, plan, err := p.dpp.FetchWithRootContext(ctx, reads.roots[t], dpp.FetchOptions{
+			fs, plan, err := p.dpp.FetchWithRoot(ctx, reads.roots[t], dpp.FetchOptions{
 				Parallel: p.cfg.Parallel,
 				Filter:   r != allDocs, FilterLo: r.lo, FilterHi: r.hi,
 				AllowedTypes: reads.allowed,
@@ -772,7 +772,7 @@ func (p *Peer) openStreams(ctx context.Context, reads *termReads, r docRange, du
 			}
 			s, plans = fs, append(plans, plan)
 		} else {
-			gs, err := p.node.GetStreamContext(ctx, t)
+			gs, err := p.node.GetStream(ctx, t)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -913,7 +913,7 @@ func (p *Peer) secondPhase(ctx context.Context, q *pattern.Query, docs []sid.Doc
 			}
 			blob := appendStr(nil, q.String())
 			blob = append(blob, encodeDocKeys(keys)...)
-			out, err := p.node.CallProcOnContext(ctx, contact, "", procAnswer, blob)
+			out, err := p.node.CallProcOn(ctx, contact, "", procAnswer, blob)
 			if err != nil {
 				// The paper detects faulty peers with time-outs and accepts
 				// an incomplete answer; we record the failure and keep going.

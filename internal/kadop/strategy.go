@@ -233,7 +233,7 @@ func (p *Peer) pushList(ctx context.Context, queryAddr, session string, nodeID i
 	}
 	blob = append(blob, enc...)
 	to := dht.Contact{ID: dht.PeerIDFromSeed(queryAddr), Addr: queryAddr}
-	_, err = p.node.CallProcOnContext(ctx, to, "", procPush, blob)
+	_, err = p.node.CallProcOn(ctx, to, "", procPush, blob)
 	return err
 }
 
@@ -322,7 +322,7 @@ func (p *Peer) reduceStep(proc string, topDown, retain bool) dht.ProcHandler {
 				abFP: req.abFP, dbFP: req.dbFP,
 				filterKind: kind, filter: filter, spec: c,
 			}
-			return p.node.CallProcContext(ctx, c.term, proc, child.encode())
+			return p.node.CallProc(ctx, c.term, proc, child.encode())
 		}
 		if !topDown {
 			for _, c := range req.spec.children {
@@ -421,7 +421,7 @@ func (p *Peer) reducedLists(ctx context.Context, sub *pattern.Query, opts QueryO
 		skipReply: true, // the root call's filter has no consumer
 	}
 	for _, proc := range passes {
-		if _, err := p.node.CallProcContext(ctx, filtered.term, proc, req.encode()); err != nil {
+		if _, err := p.node.CallProc(ctx, filtered.term, proc, req.encode()); err != nil {
 			return nil, err
 		}
 	}
@@ -545,7 +545,7 @@ func projectSpec(s *reduceSpec, keep map[int]bool) *reduceSpec {
 // deployment without the DPP sizes its plans this way; under the DPP
 // the root blocks a plan fetches anyway carry the counts.
 func (p *Peer) termCount(ctx context.Context, term string) (int, error) {
-	blob, err := p.node.CallProcContext(ctx, term, procCount, nil)
+	blob, err := p.node.CallProc(ctx, term, procCount, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -220,7 +220,7 @@ func (c *Controller) Tick(ctx context.Context) (promoted, demoted int, err error
 // home peers. Caller holds c.mu.
 func (c *Controller) promote(ctx context.Context, key, term string, p *promotion) error {
 	if p == nil {
-		targets, err := c.node.ReplicaTargetsContext(ctx, key, c.cfg.Extra)
+		targets, err := c.node.ReplicaTargets(ctx, key, c.cfg.Extra)
 		if err != nil {
 			return err
 		}
@@ -233,7 +233,7 @@ func (c *Controller) promote(ctx context.Context, key, term string, p *promotion
 		var firstErr error
 		addrs := make([]string, 0, len(targets))
 		for _, t := range targets {
-			if _, err := c.node.RepairPushContext(ctx, t, key); err != nil {
+			if _, err := c.node.RepairPush(ctx, t, key); err != nil {
 				if firstErr == nil {
 					firstErr = err
 				}
@@ -248,7 +248,7 @@ func (c *Controller) promote(ctx context.Context, key, term string, p *promotion
 		// A target died or left the overlay: refresh the target set and
 		// push again right away, so one tick heals the replica count
 		// instead of pushing at a ghost until the next.
-		if fresh, err := c.node.ReplicaTargetsContext(ctx, key, c.cfg.Extra); err == nil && len(fresh) > 0 {
+		if fresh, err := c.node.ReplicaTargets(ctx, key, c.cfg.Extra); err == nil && len(fresh) > 0 {
 			p.targets = fresh
 			addrs, pushErr = pushAll(fresh)
 		}
@@ -274,7 +274,7 @@ func (c *Controller) promote(ctx context.Context, key, term string, p *promotion
 	// without the DPP layer has no handler; promotion still helps
 	// there (GetStream's owner ranking finds pushed copies via
 	// digests), so an unknown-procedure error is not a failure.
-	if _, err := c.node.CallProcOwnersContext(ctx, term, ProcAdvert, EncodeSet(ad)); err != nil && pushErr == nil && !isUnknownProc(err) {
+	if _, err := c.node.CallProcOwners(ctx, term, ProcAdvert, EncodeSet(ad)); err != nil && pushErr == nil && !isUnknownProc(err) {
 		pushErr = err
 	}
 	return pushErr
@@ -287,10 +287,10 @@ func (c *Controller) promote(ctx context.Context, key, term string, p *promotion
 func (c *Controller) demote(ctx context.Context, p *promotion) error {
 	revoke := Set{Key: p.key, Term: p.term, Expire: c.cfg.Now().UnixNano()}
 	var firstErr error
-	if _, err := c.node.CallProcOwnersContext(ctx, p.term, ProcAdvert, EncodeSet(revoke)); err != nil && !isUnknownProc(err) {
+	if _, err := c.node.CallProcOwners(ctx, p.term, ProcAdvert, EncodeSet(revoke)); err != nil && !isUnknownProc(err) {
 		firstErr = err
 	}
-	owners, err := c.node.OwnersContext(ctx, p.key)
+	owners, err := c.node.Owners(ctx, p.key)
 	if err != nil {
 		return err // keep the promotion; next tick retries the demotion
 	}
@@ -307,7 +307,7 @@ func (c *Controller) demote(ctx context.Context, p *promotion) error {
 		// target the promotion is not retained: the revocation above and
 		// the lease expiry already fence readers off the copy, so it is
 		// inert garbage, not a hazard, and retrying a ghost forever is.
-		c.node.DeleteKeyAtContext(ctx, t, p.key)
+		c.node.DeleteKeyAt(ctx, t, p.key)
 	}
 	if firstErr != nil {
 		return firstErr
