@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-one bench-smoke fuzz-smoke crash-smoke gate-smoke loc
+.PHONY: build test check bench bench-one bench-pair bench-smoke fuzz-smoke crash-smoke gate-smoke loc
 
 build:
 	$(GO) build ./...
@@ -70,6 +70,81 @@ bench-one:
 		out=$$(bash bench/run.sh --workload $(W) --seed $(SEED) --seconds 15 --trace $$t) || exit 1; \
 		echo "$$out" | tail -n 1; \
 	done
+
+# bench-pair compares the checkout against BASE on one workload: BASE is
+# built in a git worktree under .bench_build/, then N parent/change pairs
+# of bench/run.sh run on seeds SEED..SEED+N-1, the side that goes first
+# alternating between pairs. It prints, per end-to-end metric, each
+# side's quartiles and the pairs the change wins; takes N × 30 s.
+#   make bench-pair W=query_wan [N=10] [BASE=HEAD~1] [SEED=101]
+N ?= 10
+BASE ?= HEAD~1
+PAIR_DIR := .bench_build/pair
+bench-pair:
+	@test -n "$(W)" || { echo "usage: make bench-pair W=<workload> [N=10] [BASE=HEAD~1] [SEED=101]"; exit 2; }
+	@set -e; base=$$(git rev-parse --verify "$(BASE)^{commit}"); \
+	if [ -d $(PAIR_DIR)/base ]; then git -C $(PAIR_DIR)/base checkout -q --detach $$base; \
+	else git worktree prune; git worktree add -q --detach $(PAIR_DIR)/base $$base; fi; \
+	rm -rf $(PAIR_DIR)/out; mkdir -p $(PAIR_DIR)/out; \
+	seed=$(if $(filter file,$(origin SEED)),101,$(SEED)); \
+	echo "bench-pair: $(W), $(N) pairs from seed $$seed, base $$(git rev-parse --short $$base) vs the checkout"; \
+	for i in $$(seq 0 $$(( $(N) - 1 ))); do \
+		s=$$(( seed + i )); sides="base change"; \
+		if [ $$(( i % 2 )) = 1 ]; then sides="change base"; fi; \
+		for side in $$sides; do \
+			dir=.; if [ $$side = base ]; then dir=$(PAIR_DIR)/base; fi; \
+			bash $$dir/bench/run.sh --workload $(W) --seed $$s --seconds 15 --trace 0 2>/dev/null \
+				| tail -n 1 > $(PAIR_DIR)/out/$$side-$$s.json; \
+			echo "  seed $$s $$side done"; \
+		done; \
+	done; \
+	awk "$$BENCH_PAIR_AWK" BENCHMARK.json $(PAIR_DIR)/out/*.json
+export BENCH_PAIR_AWK
+define BENCH_PAIR_AWK
+# Reads BENCHMARK.json (the end-to-end metrics and their direction),
+# then every result line, named <side>-<seed>.json.
+function num(line, key,   i, s) {
+	i = index(line, "\"" key "\":{\"value\":"); if (i == 0) return "";
+	s = substr(line, i + length(key) + 12); match(s, /^[-0-9.eE+]+/);
+	return substr(s, 1, RLENGTH) + 0
+}
+function field(line, key,   i, s) {
+	i = index(line, "\"" key "\":"); if (i == 0) return 0;
+	s = substr(line, i + length(key) + 3); match(s, /^[0-9]+/);
+	return substr(s, 1, RLENGTH) + 0
+}
+function q(a, n, p,   i, j, t, x, lo) {
+	for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j+1] = a[j]; a[j+1] = t }
+	x = (n - 1) * p + 1; lo = int(x); if (lo >= n) return a[n];
+	return a[lo] + (x - lo) * (a[lo+1] - a[lo])
+}
+FILENAME == "BENCHMARK.json" {
+	if ($$0 ~ /"end_to_end"/) e2e = 1; else if ($$0 ~ /"per_layer"/) e2e = 0;
+	if (e2e && match($$0, /"name": *"[^"]*"/)) { split(substr($$0, RSTART, RLENGTH), f, "\""); names[++nm] = f[4] }
+	if (e2e && match($$0, /"better": *"[^"]*"/)) { split(substr($$0, RSTART, RLENGTH), f, "\""); better[names[nm]] = f[4] }
+	next
+}
+{
+	n = split(FILENAME, p, "/"); split(p[n], sf, "[-.]"); side = sf[1]; seed = sf[2];
+	seeds[seed] = 1; att[side] += field($$0, "attempted"); fail[side] += field($$0, "failed");
+	for (k = 1; k <= nm; k++) val[side, seed, names[k]] = num($$0, names[k])
+}
+END {
+	printf "%-22s %-6s %-28s %-28s %s\n", "metric", "better", "parent p25/p50/p75", "change p25/p50/p75", "change wins";
+	for (k = 1; k <= nm; k++) {
+		m = names[k]; nb = nc = w = pairs = 0;
+		for (s in seeds) {
+			b = val["base", s, m]; c = val["change", s, m]; if (b == "" || c == "") continue;
+			B[++nb] = b; C[++nc] = c; pairs++;
+			if ((better[m] == "lower" && c < b) || (better[m] == "higher" && c > b)) w++
+		}
+		if (pairs == 0) continue;
+		printf "%-22s %-6s %8.4g %8.4g %8.4g   %8.4g %8.4g %8.4g   %d/%d\n", m, better[m],
+			q(B, nb, .25), q(B, nb, .5), q(B, nb, .75), q(C, nc, .25), q(C, nc, .5), q(C, nc, .75), w, pairs
+	}
+	printf "failed operations: parent %d/%d, change %d/%d\n", fail["base"], att["base"], fail["change"], att["change"]
+}
+endef
 
 # bench-smoke is the fastest end-to-end signal that the experiment
 # pipeline still runs: one figure, the robustness sweep (which also

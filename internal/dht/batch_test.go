@@ -23,19 +23,77 @@ func docPostings(lo, hi int) postings.List {
 
 func TestBatchRequestCodec(t *testing.T) {
 	keys := []string{"l:author", "overflow:3:l:author"}
-	lo, hi := sid.DocKey{Peer: 3, Doc: 9}, sid.DocKey{Peer: 4, Doc: 1}
-	k, clip, l, h, err := decodeBatchRequest(encodeBatchRequest(keys, true, lo, hi))
-	if err != nil || !clip || l != lo || h != hi || !reflect.DeepEqual(k, keys) {
-		t.Fatalf("clipped round trip: %v %v %v %v %v", k, clip, l, h, err)
-	}
-	if k, clip, _, _, err := decodeBatchRequest(encodeBatchRequest(keys, false, lo, hi)); err != nil || clip || !reflect.DeepEqual(k, keys) {
-		t.Fatalf("unclipped round trip: %v %v %v", k, clip, err)
-	}
-	for _, bad := range [][]byte{nil, {9, 0, 0}, {batchRequestVersion, 2, 0}, {batchRequestVersion, 1, 1, 2}} {
-		if _, _, _, _, err := decodeBatchRequest(bad); err == nil {
-			t.Errorf("malformed request %v should fail", bad)
+	clipped := BatchGet{Keys: keys, Clip: true, Lo: sid.DocKey{Peer: 3, Doc: 9}, Hi: sid.DocKey{Peer: 4, Doc: 1}}
+	for _, packed := range []bool{false, true} {
+		got, p, err := decodeBatchRequest(encodeBatchRequest(clipped, packed))
+		if err != nil || p != packed || !reflect.DeepEqual(got, clipped) {
+			t.Fatalf("clipped round trip (packed=%v): %+v %v %v", packed, got, p, err)
+		}
+		got, p, err = decodeBatchRequest(encodeBatchRequest(BatchGet{Keys: keys, Lo: clipped.Lo}, packed))
+		if err != nil || p != packed || got.Clip || !reflect.DeepEqual(got.Keys, keys) {
+			t.Fatalf("unclipped round trip (packed=%v): %+v %v %v", packed, got, p, err)
 		}
 	}
+
+	// A packed frame: several keys, a key in two segments, the empty
+	// key-held marker, and keys whose lists overlap (the random-split
+	// ablation's blocks), which one concatenated list could not carry.
+	type seg struct {
+		key  string
+		ps   postings.List
+		last bool
+	}
+	segs := []seg{
+		{"k:a", docPostings(10, 20), false}, {"k:a", docPostings(20, 25), true},
+		{"k:held", nil, true}, {"k:b", docPostings(0, 30), true},
+	}
+	var frame []byte
+	for _, sg := range segs {
+		var err error
+		if frame, err = appendSegment(frame, sg.key, sg.ps, sg.last); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var back []seg
+	if err := eachSegment(frame, func(key string, ps postings.List, last bool) error {
+		if len(ps) == 0 {
+			ps = nil
+		}
+		back = append(back, seg{key, ps, last})
+		return nil
+	}); err != nil || !reflect.DeepEqual(back, segs) {
+		t.Fatalf("packed frame round trip: %+v, %v", back, err)
+	}
+
+	for _, bad := range []struct {
+		name   string
+		decode func([]byte) error
+		in     []byte
+	}{
+		{"empty request", decodeRequest, nil},
+		{"unknown version", decodeRequest, []byte{9, 0, 0}},
+		{"unknown flag", decodeRequest, []byte{batchRequestVersion, 4, 0}},
+		{"truncated interval", decodeRequest, []byte{batchRequestVersion, batchFlagClip, 1, 2}},
+		{"truncated key", decodeRequest, []byte{batchRequestVersion, batchFlagPacked, 1, 5, 'k'}},
+		{"packed frame as request", decodeRequest, frame},
+		{"truncated frame", decodeFrame, frame[:len(frame)-1]},
+		{"frame without list", decodeFrame, []byte{1, 'k', 1}},
+		{"bad last marker", decodeFrame, []byte{1, 'k', 2, 0}},
+		{"zero-width posting", decodeFrame, []byte{1, 'k', 1, 1, 0, 5, 1, 0, 1}},
+	} {
+		if err := bad.decode(bad.in); err == nil {
+			t.Errorf("%s: malformed input %v should fail", bad.name, bad.in)
+		}
+	}
+}
+
+func decodeRequest(b []byte) error {
+	_, _, err := decodeBatchRequest(b)
+	return err
+}
+
+func decodeFrame(b []byte) error {
+	return eachSegment(b, func(string, postings.List, bool) error { return nil })
 }
 
 // TestGetBatchDeliversPerKey pins the vectored stream's contract: keys
@@ -85,13 +143,16 @@ func TestGetBatchDeliversPerKey(t *testing.T) {
 	}
 }
 
-// TestBatchMarkerMixedVersions pins both directions of the key-held
-// marker's compatibility. A holder that predates it sends nothing for a
-// key its clip empties, and the client then simply does not deliver the
-// key — the caller's stale-owner failover, as before the marker. And
-// the marker a new holder sends is an ordinary chunk for a requested
-// key with no postings, which the old client's accumulate-by-key loop
-// absorbs as an empty list.
+// TestBatchMarkerMixedVersions pins the compatibility of the key-held
+// marker and of packed frames in both directions. A holder that predates
+// the marker sends nothing for a key its clip empties, and the client
+// then simply does not deliver the key — the caller's stale-owner
+// failover, as before the marker. The marker a new holder sends an old
+// client is an ordinary stamped chunk with no postings, which the old
+// client's accumulate-by-key loop absorbs as an empty list. A holder
+// that predates packing rejects the flag, and a packing client asks it
+// again unpacked; a client that does not ask for packing gets stamped
+// chunks only.
 func TestBatchMarkerMixedVersions(t *testing.T) {
 	net := NewNetwork()
 	nodes := buildNetwork(t, net, 2)
@@ -99,28 +160,45 @@ func TestBatchMarkerMixedVersions(t *testing.T) {
 	if err := b.Store().Append("k:held", docPostings(100, 110)); err != nil {
 		t.Fatal(err)
 	}
-	req := BatchGet{Keys: []string{"k:held"}, Clip: true, Hi: sid.DocKey{Peer: 1, Doc: 50}}
+	if err := b.Store().Append("k:big", docPostings(0, 1300)); err != nil {
+		t.Fatal(err)
+	}
 
+	// An old client against a packing holder: stamped chunks, no frames.
+	oldReq := BatchGet{Keys: []string{"k:big", "k:held"}, Clip: true, Hi: sid.DocKey{Peer: 1, Doc: 49}}
 	var chunks []Message
-	msg := Message{Type: MsgGetBatch, From: a.Self(), Blob: encodeBatchRequest(req.Keys, true, req.Lo, req.Hi)}
+	msg := Message{Type: MsgGetBatch, From: a.Self(), Blob: encodeBatchRequest(oldReq, false)}
 	if err := b.HandleStream(a.Self(), msg, func(m Message) error { chunks = append(chunks, m); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if len(chunks) != 1 || chunks[0].Type != MsgChunk || chunks[0].Key != "k:held" || len(chunks[0].Postings) != 0 {
-		t.Fatalf("marker = %+v, want one empty chunk stamped k:held", chunks)
+	if len(chunks) != 2 || chunks[0].Key != "k:big" || len(chunks[0].Postings) != 50 {
+		t.Fatalf("old client got %+v, want the 50 clipped postings of k:big then the marker", chunks)
+	}
+	if m := chunks[1]; m.Type != MsgChunk || m.Key != "k:held" || len(m.Postings) != 0 || m.Blob != nil {
+		t.Fatalf("marker = %+v, want one empty chunk stamped k:held", m)
 	}
 
-	old := net.NewEndpoint()
-	if err := old.Serve(oldHolder{}); err != nil {
-		t.Fatal(err)
-	}
-	delivered := 0
-	oldPeer := Contact{ID: PeerIDFromSeed(old.Addr()), Addr: old.Addr()}
-	if err := a.GetBatch(context.Background(), oldPeer, req, func(int, postings.List) { delivered++ }); err != nil {
-		t.Fatal(err)
-	}
-	if delivered != 0 {
-		t.Fatalf("a holder without the marker delivered %d keys, want none (failover decides)", delivered)
+	// Holders without the marker, and without packing.
+	for _, tc := range []struct {
+		name   string
+		holder Handler
+		want   map[string]int // postings delivered per key
+	}{
+		{"pre-marker", oldHolder{}, map[string]int{}},
+		{"pre-packing", prePackingHolder{b}, map[string]int{"k:big": 50, "k:held": 0}},
+	} {
+		old := net.NewEndpoint()
+		if err := old.Serve(tc.holder); err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]int{}
+		oldPeer := Contact{ID: PeerIDFromSeed(old.Addr()), Addr: old.Addr()}
+		if err := a.GetBatch(context.Background(), oldPeer, oldReq, func(i int, l postings.List) { got[oldReq.Keys[i]] = len(l) }); err != nil {
+			t.Fatalf("%s holder: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("%s holder delivered %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -131,6 +209,20 @@ type oldHolder struct{}
 func (oldHolder) HandleCall(Contact, Message) Message { return Message{Type: MsgAck} }
 func (oldHolder) HandleStream(Contact, Message, func(Message) error) error {
 	return nil
+}
+
+// prePackingHolder serves MsgGetBatch the way peers did before packed
+// frames: its decoder knew only the clip flag and rejected any other.
+type prePackingHolder struct{ n *Node }
+
+func (h prePackingHolder) HandleCall(from Contact, req Message) Message {
+	return h.n.HandleCall(from, req)
+}
+func (h prePackingHolder) HandleStream(from Contact, req Message, send func(Message) error) error {
+	if req.Type == MsgGetBatch && len(req.Blob) > 1 && req.Blob[1] > batchFlagClip {
+		return fmt.Errorf("%s: bad clip flag", errBatchRequest)
+	}
+	return h.n.HandleStream(from, req, send)
 }
 
 // allocated is the heap bytes fn allocates.

@@ -18,9 +18,16 @@ func FuzzMessage(f *testing.F) {
 	var id ID
 	id[0], id[len(id)-1] = 0xab, 0x01
 	c := Contact{ID: id, Addr: "127.0.0.1:4001"}
-	batchBlob := encodeBatchRequest(
-		[]string{"author", "overflow:1:author"}, true,
-		sid.DocKey{Peer: 1, Doc: 2}, sid.DocKey{Peer: 3, Doc: 4})
+	batchBlob := encodeBatchRequest(BatchGet{Keys: []string{"author", "overflow:1:author"},
+		Clip: true, Lo: sid.DocKey{Peer: 1, Doc: 2}, Hi: sid.DocKey{Peer: 3, Doc: 4}}, true)
+	// A packed frame: two segments of one key, then a key-held marker.
+	frame, _ := appendSegment(nil, "overflow:0:author", postings.List{
+		{Peer: 2, Doc: 7, SID: sid.SID{Start: 3, End: 4, Level: 2}},
+	}, false)
+	frame, _ = appendSegment(frame, "overflow:0:author", postings.List{
+		{Peer: 2, Doc: 9, SID: sid.SID{Start: 1, End: 8, Level: 1}},
+	}, true)
+	frame, _ = appendSegment(frame, "overflow:1:author", nil, true)
 	seeds := []Message{
 		{Type: MsgPing, From: c},
 		{Type: MsgFindNode, From: c, Target: id},
@@ -32,6 +39,7 @@ func FuzzMessage(f *testing.F) {
 			{Peer: 2, Doc: 7, SID: sid.SID{Start: 3, End: 4, Level: 2}},
 		}, TraceID: 0xdead, SpanID: 0xbeef},
 		{Type: MsgGetBatch, From: c, Blob: batchBlob},
+		{Type: MsgChunk, From: c, Blob: frame, Gauge: 3},
 		// The key-held marker: a stamped chunk with no postings.
 		{Type: MsgChunk, From: c, Key: "overflow:1:author", Gauge: 7},
 		{Type: MsgApp, From: c, Proc: "filter:dbreduce", Key: "title", Blob: []byte{1, 2, 3}},
@@ -53,6 +61,10 @@ func FuzzMessage(f *testing.F) {
 		if err != nil {
 			return // rejected input; only a panic is a failure here
 		}
+		// A chunk's Blob is a packed frame and a batch request's is the
+		// request: neither decoder may panic on it.
+		eachSegment(m.Blob, func(string, postings.List, bool) error { return nil })
+		decodeBatchRequest(m.Blob)
 		enc, err := m.Encode()
 		if err != nil {
 			t.Fatalf("decoded message does not re-encode: %v", err)

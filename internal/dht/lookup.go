@@ -45,15 +45,22 @@ func (n *Node) Lookup(target ID) ([]Contact, error) {
 }
 
 // LookupContext performs an iterative Kademlia lookup and returns up to
-// K contacts closest to target (including, possibly, this node). Failed
-// contacts are evicted and dropped from the shortlist; the lookup fails
-// only when the deadline expires or no peer is reachable.
+// K contacts closest to target (including, possibly, this node), each of
+// them queried. Failed contacts are evicted and dropped from the
+// shortlist; the lookup fails only when the deadline expires or no peer
+// is reachable.
 func (n *Node) LookupContext(ctx context.Context, target ID) ([]Contact, error) {
+	return n.lookup(ctx, target, n.cfg.K)
+}
+
+// lookup runs lookupRun under the lookup span and latency histogram;
+// need is the number of closest contacts the caller will use.
+func (n *Node) lookup(ctx context.Context, target ID, need int) ([]Contact, error) {
 	start := time.Now()
 	n.table.Touch(target)
 	ctx, sp := trace.StartSpan(ctx, "dht:lookup")
 	rounds := 0
-	cs, err := n.lookupRun(ctx, target, &rounds)
+	cs, err := n.lookupRun(ctx, target, need, &rounds)
 	n.collector.Observe(metrics.OpLookup, time.Since(start))
 	if sp != nil {
 		sp.SetInt("rounds", int64(rounds))
@@ -67,8 +74,16 @@ func (n *Node) LookupContext(ctx context.Context, target ID) ([]Contact, error) 
 }
 
 // lookupRun is the iterative Kademlia lookup; rounds reports how many
-// α-parallel query rounds it took.
-func (n *Node) lookupRun(ctx context.Context, target ID, rounds *int) ([]Contact, error) {
+// α-parallel query rounds it took. It ends once the need closest
+// contacts in the shortlist have all been queried and answered (failed
+// ones leave the shortlist), after at least one round: a caller that
+// wants one owner stops as soon as the closest known peer has answered
+// without naming a closer one, instead of walking all K. Callers that
+// fill the routing table pass K.
+func (n *Node) lookupRun(ctx context.Context, target ID, need int, rounds *int) ([]Contact, error) {
+	if need > n.cfg.K {
+		need = n.cfg.K
+	}
 	type entry struct {
 		c       Contact
 		queried bool
@@ -99,19 +114,24 @@ func (n *Node) lookupRun(ctx context.Context, target ID, rounds *int) ([]Contact
 			n.collector.CountEvent(metrics.EventTimeout)
 			return nil, fmt.Errorf("dht: lookup: %w", err)
 		}
-		// Pick up to Alpha unqueried contacts among the current closest.
+		// Stop once the need closest have all answered (after one round at
+		// least); otherwise query up to Alpha of the closest not yet asked.
+		closest := closestOf()
 		var batch []Contact
-		for _, c := range closestOf() {
-			e := shortlist[c.ID]
-			if !e.queried {
-				batch = append(batch, c)
-				if len(batch) == n.cfg.Alpha {
-					break
-				}
+		for i, c := range closest {
+			if shortlist[c.ID].queried {
+				continue
+			}
+			if len(batch) == 0 && i >= need && *rounds > 0 {
+				return closest, nil
+			}
+			batch = append(batch, c)
+			if len(batch) == n.cfg.Alpha {
+				break
 			}
 		}
 		if len(batch) == 0 {
-			return closestOf(), nil
+			return closest, nil
 		}
 		*rounds++
 		type result struct {
@@ -153,9 +173,9 @@ func (n *Node) Locate(key string) (Contact, error) {
 
 // LocateContext returns the peer in charge of an application key (the
 // closest peer to the key's identifier), implementing the DHT
-// interface's locate(k).
+// interface's locate(k). Its lookup ends once that peer has answered.
 func (n *Node) LocateContext(ctx context.Context, key string) (Contact, error) {
-	cs, err := n.LookupContext(ctx, KeyID(key))
+	cs, err := n.lookup(ctx, KeyID(key), 1)
 	if err != nil {
 		return Contact{}, err
 	}
@@ -166,9 +186,10 @@ func (n *Node) LocateContext(ctx context.Context, key string) (Contact, error) {
 }
 
 // Owners returns the Replication closest peers to the key — the
-// replica set reads and writes address.
+// replica set reads and writes address. Its lookup ends once those
+// peers have answered.
 func (n *Node) Owners(ctx context.Context, key string) ([]Contact, error) {
-	cs, err := n.LookupContext(ctx, KeyID(key))
+	cs, err := n.lookup(ctx, KeyID(key), n.cfg.Replication)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +210,7 @@ func (n *Node) ReplicaTargets(ctx context.Context, key string, extra int) ([]Con
 	if extra <= 0 {
 		return nil, nil
 	}
-	cs, err := n.LookupContext(ctx, KeyID(key))
+	cs, err := n.lookup(ctx, KeyID(key), n.cfg.Replication+extra)
 	if err != nil {
 		return nil, err
 	}

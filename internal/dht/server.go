@@ -150,13 +150,17 @@ func (n *Node) HandleStream(from Contact, req Message, send func(Message) error)
 	stamped := func(m Message) error { return send(n.stampGauge(m)) }
 	switch req.Type {
 	case MsgGetStream:
-		return n.streamKeys(BatchGet{Keys: []string{req.Key}}, false, stamped)
+		return n.streamKeys(BatchGet{Keys: []string{req.Key}}, plainChunks, stamped)
 	case MsgGetBatch:
-		keys, clip, lo, hi, err := decodeBatchRequest(req.Blob)
+		breq, packed, err := decodeBatchRequest(req.Blob)
 		if err != nil {
 			return err
 		}
-		return n.streamKeys(BatchGet{Keys: keys, Clip: clip, Lo: lo, Hi: hi}, true, stamped)
+		framing := keyedChunks
+		if packed {
+			framing = packedFrames
+		}
+		return n.streamKeys(breq, framing, stamped)
 	case MsgApp:
 		h := n.lookupStreamProc(req.Proc)
 		if h == nil {
@@ -169,28 +173,38 @@ func (n *Node) HandleStream(from Contact, req Message, send func(Message) error)
 	return fmt.Errorf("unexpected stream request %s", req.Type)
 }
 
+// chunkFraming is how streamKeys puts a key's postings on the wire.
+type chunkFraming int
+
+const (
+	plainChunks  chunkFraming = iota // the pipelined get: ChunkSize chunks of its one key, unstamped
+	keyedChunks                      // MsgGetBatch: ChunkSize chunks, each stamped with its key
+	packedFrames                     // MsgGetBatch opting in: segments of several keys per frame
+)
+
 // streamKeys is the one chunk scan behind both posting streams: each
 // key's list is read from one snapshot of the local store — every key
 // comes from the same committed generation, so a publish landing
 // mid-transfer cannot tear a list or skew a join's inputs against each
-// other — clipped to the document interval when one was sent, and
-// shipped in ChunkSize chunks.
+// other — clipped to the document interval when one was sent, and cut
+// into pieces of at most ChunkSize postings, shipped as the framing
+// says.
 //
-// A batched stream (MsgGetBatch) stamps each chunk with its key so the
-// client can split the stream, and answers a key this peer holds but
-// whose clip is empty with one empty stamped chunk, so the client can
-// tell "nothing in the interval" from "not here" (a stale owner); a key
-// it does not hold is passed over. The single-key pipelined get ships
-// its chunks unstamped.
-func (n *Node) streamKeys(req BatchGet, batched bool, send func(Message) error) error {
+// A batched stream labels each piece with its key so the client can
+// split the stream, and answers a key this peer holds but whose clip is
+// empty with one empty piece, so the client can tell "nothing in the
+// interval" from "not here" (a stale owner); a key it does not hold is
+// passed over.
+func (n *Node) streamKeys(req BatchGet, framing chunkFraming, send func(Message) error) error {
 	view, err := n.store.Snapshot()
 	if err != nil {
 		return err
 	}
 	defer view.Close()
+	out := chunkSink{n: n, framing: framing, send: send}
 	batch := make(postings.List, 0, n.cfg.ChunkSize)
 	for _, key := range req.Keys {
-		if batched {
+		if framing != plainChunks {
 			n.load.ServeBlock()
 		}
 		batch = batch[:0]
@@ -207,12 +221,15 @@ func (n *Node) streamKeys(req BatchGet, batched bool, send func(Message) error) 
 					return false // sorted: nothing further can match
 				}
 			}
-			batch = append(batch, p)
+			// A full piece leaves only once another posting follows it, so
+			// the key's last piece is always known to be the last.
 			if len(batch) == n.cfg.ChunkSize {
-				sendErr = send(n.chunkOf(key, batched, batch))
+				if sendErr = out.add(key, batch, false); sendErr != nil {
+					return false
+				}
 				batch, sent = batch[:0], true
-				return sendErr == nil
 			}
+			batch = append(batch, p)
 			return true
 		})
 		if err != nil {
@@ -222,20 +239,48 @@ func (n *Node) streamKeys(req BatchGet, batched bool, send func(Message) error) 
 			return sendErr
 		}
 		if len(batch) > 0 || (held && !sent) {
-			if err := send(n.chunkOf(key, batched, batch)); err != nil {
+			if err := out.add(key, batch, true); err != nil {
 				return err
 			}
 		}
 	}
+	return out.flush()
+}
+
+// chunkSink ships the pieces streamKeys cuts: one chunk each, or —
+// packed — appended as segments to a frame that is sent once it reaches
+// packedFrameBudget, and at the end of the stream.
+type chunkSink struct {
+	n       *Node
+	framing chunkFraming
+	send    func(Message) error
+	frame   []byte
+}
+
+func (s *chunkSink) add(key string, ps postings.List, last bool) error {
+	switch s.framing {
+	case plainChunks:
+		return s.send(Message{Type: MsgChunk, From: s.n.self, Postings: ps})
+	case keyedChunks:
+		return s.send(Message{Type: MsgChunk, From: s.n.self, Key: key, Postings: ps})
+	}
+	var err error
+	if s.frame, err = appendSegment(s.frame, key, ps, last); err != nil {
+		return err
+	}
+	if len(s.frame) >= packedFrameBudget {
+		return s.flush()
+	}
 	return nil
 }
 
-// chunkOf builds one chunk of key's list; only a batched stream stamps
-// its chunks with the key.
-func (n *Node) chunkOf(key string, batched bool, ps postings.List) Message {
-	m := Message{Type: MsgChunk, From: n.self, Postings: ps}
-	if batched {
-		m.Key = key
+// flush sends the pending packed frame, if any. The frame is not reused:
+// a local consumer keeps the Blob it is handed.
+func (s *chunkSink) flush() error {
+	if len(s.frame) == 0 {
+		return nil
 	}
-	return m
+	m := Message{Type: MsgChunk, From: s.n.self, Blob: s.frame}
+	s.frame = nil
+	return s.send(m)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"kadop/internal/blockcache"
@@ -82,7 +83,8 @@ func (m *Manager) FetchContext(ctx context.Context, term string, opts FetchOptio
 // blocks over one batched stream, keys in Lo order, at most Parallel
 // streams in flight. A block reaches its result slot when its last
 // chunk arrives, not when the holder's batch drains, so the consumer
-// starts on the first block. A list still inline at its home peer is
+// starts on the first block. Holders start in descending order of
+// block count. A list still inline at its home peer is
 // the one-block case: the term is the key, the peer that served the
 // root the holder. A key its stream did not deliver falls over to the
 // block's other holders, and last to the routed pipelined get.
@@ -166,8 +168,7 @@ func (m *Manager) FetchWithRoot(ctx context.Context, root *Root, opts FetchOptio
 	}
 
 	// Resolve cache hits and coalesced waiters now; what remains are
-	// leaders, which owe the network a transfer each, grouped by holder
-	// in the order of each holder's first block.
+	// leaders, which owe the network a transfer each, grouped by holder.
 	var holders []string
 	groups := map[string][]leaderBlock{}
 	for i, b := range keep {
@@ -203,6 +204,9 @@ func (m *Manager) FetchWithRoot(ctx context.Context, root *Root, opts FetchOptio
 		m.cache.Complete(lb.key, lb.flight, l, err)
 		results[lb.i] <- fetched{list: clip(l), err: err}
 	}
+	// The largest holder stream is the longest: start it first, so it is
+	// never the one left waiting for a free slot behind shorter ones.
+	sort.SliceStable(holders, func(i, j int) bool { return len(groups[holders[i]]) > len(groups[holders[j]]) })
 	go func() {
 		sem := make(chan struct{}, opts.Parallel)
 		for _, addr := range holders {

@@ -180,7 +180,8 @@ func TestVectoredFetchStaleOwnerTable(t *testing.T) {
 	t.Run("holder dead mid-stream fails over", func(t *testing.T) {
 		c, tap, root, want := tappedCluster(t, at, 600)
 		// The holder of the most blocks (not the fetching peer) drops
-		// its stream after one chunk.
+		// its stream before the first frame arrives: packed, that frame
+		// would carry its whole share.
 		victim, most := "", 0
 		for a, n := range holders(root) {
 			if a != c.nodes[at].Self().Addr && n > most {
@@ -188,7 +189,7 @@ func TestVectoredFetchStaleOwnerTable(t *testing.T) {
 			}
 		}
 		tap.mu.Lock()
-		tap.cutAddr, tap.cutAfter, tap.cuts = victim, 1, 1
+		tap.cutAddr, tap.cutAfter, tap.cuts = victim, 0, 1
 		tap.mu.Unlock()
 		fetch(t, c, root, want)
 		if _, by := tap.opened(); by[victim] < 2 {
@@ -205,29 +206,45 @@ func (shutGate) Shedding() bool { return true }
 
 // TestFetchCancelsFanOutOnError pins that a failed block ends the whole
 // fetch: once the error has surfaced at the consumer, the holder
-// streams still running are abandoned, not drained. The first block's
-// holder rejects every read, so its block fails after one failover; the
-// links are slow enough that most of the list is still in flight then.
+// streams still running are abandoned and the ones not yet started never
+// start. The holder of the most blocks rejects every read; it starts
+// first (largest holder first), and the root is cut to begin at its
+// first block, so that block fails first, after one failover. The links
+// are slow enough that the other holders' frames are still in flight
+// then.
 func TestFetchCancelsFanOutOnError(t *testing.T) {
 	c := newCluster(t, 8, Options{BlockSize: 10})
 	want := seqPostings(3000, 5)
 	if err := c.managers[0].Append(context.Background(), "l:author", want); err != nil {
 		t.Fatal(err)
 	}
-	root, err := c.managers[0].Root(context.Background(), "l:author")
+	full, err := c.managers[0].Root(context.Background(), "l:author")
 	if err != nil {
 		t.Fatal(err)
 	}
+	victim, most := "", 0
+	for a, n := range holders(full) {
+		if n > most {
+			victim, most = a, n
+		}
+	}
+	root := *full
+	for i, b := range full.Blocks {
+		if b.Owner == victim {
+			root.Blocks = full.Blocks[i:]
+			break
+		}
+	}
 	at := 0
 	for i, nd := range c.nodes {
-		if nd.Self().Addr != root.Blocks[0].Owner {
+		if nd.Self().Addr != victim {
 			at = i
 			break
 		}
 	}
 	col := c.net.Collector
 	col.Reset()
-	s, _, err := c.managers[at].FetchWithRoot(context.Background(), root, FetchOptions{Parallel: 3})
+	s, _, err := c.managers[at].FetchWithRoot(context.Background(), &root, FetchOptions{Parallel: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,14 +254,14 @@ func TestFetchCancelsFanOutOnError(t *testing.T) {
 	whole := col.Bytes(metrics.Postings)
 
 	for _, nd := range c.nodes {
-		if nd.Self().Addr == root.Blocks[0].Owner {
+		if nd.Self().Addr == victim {
 			nd.SetShedGate(shutGate{})
 		}
 	}
-	c.net.SetModel(dht.LinkModel{Latency: time.Millisecond})
+	c.net.SetModel(dht.LinkModel{Latency: time.Millisecond, BytesPerSec: 100 << 10})
 	defer c.net.SetModel(dht.LinkModel{})
 	col.Reset()
-	s, _, err = c.managers[at].FetchWithRoot(context.Background(), root, FetchOptions{Parallel: 3})
+	s, _, err = c.managers[at].FetchWithRoot(context.Background(), &root, FetchOptions{Parallel: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,14 +269,14 @@ func TestFetchCancelsFanOutOnError(t *testing.T) {
 		t.Fatalf("drain error = %v, want the first holder's overload rejection", err)
 	}
 	surfaced := col.Bytes(metrics.Postings)
-	// In flight when the error surfaced: at most a chunk per open stream
+	// In flight when the error surfaced: at most a frame per open stream
 	// being charged, and one more each before its reader sees the
 	// cancellation.
-	time.Sleep(50 * time.Millisecond)
+	time.Sleep(100 * time.Millisecond)
 	settled := col.Bytes(metrics.Postings)
 	time.Sleep(50 * time.Millisecond)
 	if later := col.Bytes(metrics.Postings); later != settled {
-		t.Errorf("posting bytes still growing 50ms after the error: %d -> %d", settled, later)
+		t.Errorf("posting bytes still growing 100ms after the error: %d -> %d", settled, later)
 	}
 	perBlock := whole / int64(len(root.Blocks))
 	if slack := 3 * 2 * 2 * perBlock; settled-surfaced > slack {

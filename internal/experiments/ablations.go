@@ -22,7 +22,9 @@ import (
 // of magnitude of publishing speed-up.
 type StoreAblationOptions struct {
 	// Batches and BatchSize define the append workload: Batches
-	// insertions of BatchSize postings into one term.
+	// insertions of BatchSize postings into one term, in publication
+	// order — each batch is one new document of one of 50 publishers,
+	// whose document ids ascend, as a term's home peer receives them.
 	Batches   int
 	BatchSize int
 	Seed      int64
@@ -44,6 +46,9 @@ type StoreAblationRow struct {
 	AppendTime time.Duration
 	ScanTime   time.Duration
 	Postings   int
+	// BytesWritten is what the appends wrote: the B+-tree's pages and
+	// WAL records, the naive store's whole-blob rewrites, 0 in memory.
+	BytesWritten int64
 }
 
 // StoreAblationResult is the store comparison.
@@ -58,12 +63,15 @@ func RunStoreAblation(o StoreAblationOptions) (*StoreAblationResult, error) {
 	res := &StoreAblationResult{}
 	rng := rand.New(rand.NewSource(o.Seed))
 	batches := make([]postings.List, o.Batches)
+	var nextDoc [50]sid.DocID
 	for i := range batches {
+		peer := rng.Intn(len(nextDoc))
+		nextDoc[peer]++
 		l := make(postings.List, o.BatchSize)
 		for j := range l {
 			s := uint32(rng.Intn(1_000_000)*2 + 1)
 			l[j] = sid.Posting{
-				Peer: sid.PeerID(rng.Intn(50)), Doc: sid.DocID(rng.Intn(10_000)),
+				Peer: sid.PeerID(peer), Doc: nextDoc[peer],
 				SID: sid.SID{Start: s, End: s + 1, Level: uint16(rng.Intn(8))},
 			}
 		}
@@ -86,11 +94,17 @@ func RunStoreAblation(o StoreAblationOptions) (*StoreAblationResult, error) {
 		return nil, err
 	}
 	stores := []struct {
-		name string
-		s    store.Store
-	}{{"btree", bt}, {"naive (PAST-like)", nv}, {"mem", store.NewMem()}}
+		name    string
+		s       store.Store
+		written func() int64
+	}{
+		{"btree", bt, bt.BytesWritten},
+		{"naive (PAST-like)", nv, nv.bytesWritten},
+		{"mem", store.NewMem(), func() int64 { return 0 }},
+	}
 
 	for _, st := range stores {
+		written := st.written()
 		start := time.Now()
 		for _, b := range batches {
 			if err := st.s.Append("l:author", b); err != nil {
@@ -98,6 +112,7 @@ func RunStoreAblation(o StoreAblationOptions) (*StoreAblationResult, error) {
 			}
 		}
 		appendTime := time.Since(start)
+		written = st.written() - written
 		start = time.Now()
 		n := 0
 		if err := st.s.Scan("l:author", sid.MinPosting, func(sid.Posting) bool { n++; return true }); err != nil {
@@ -106,6 +121,7 @@ func RunStoreAblation(o StoreAblationOptions) (*StoreAblationResult, error) {
 		scanTime := time.Since(start)
 		res.Rows = append(res.Rows, StoreAblationRow{
 			Store: st.name, AppendTime: appendTime, ScanTime: scanTime, Postings: n,
+			BytesWritten: written,
 		})
 		st.s.Close()
 	}
@@ -118,10 +134,11 @@ func (r *StoreAblationResult) Format() string {
 	for _, row := range r.Rows {
 		rows = append(rows, []string{
 			row.Store, ms(row.AppendTime), ms(row.ScanTime), fmt.Sprintf("%d", row.Postings),
+			fmt.Sprintf("%.1f", float64(row.BytesWritten)/1024),
 		})
 	}
 	return "Section 3 ablation — local store engines under the same append workload\n" +
-		table([]string{"store", "append time(ms)", "scan time(ms)", "postings"}, rows)
+		table([]string{"store", "append time(ms)", "scan time(ms)", "postings", "written(KiB)"}, rows)
 }
 
 // SplitAblationOptions scale the Section 4.1 comparison of the ordered

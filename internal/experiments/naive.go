@@ -26,8 +26,9 @@ import (
 // store, whose reads serialise on its one mutex — a later write IS
 // visible through it.
 type naiveStore struct {
-	dir string
-	mu  sync.Mutex
+	dir     string
+	mu      sync.Mutex
+	written int64 // blob bytes written, under mu
 }
 
 // newNaiveStore returns a naive store rooted at dir (created if needed).
@@ -92,6 +93,7 @@ func (n *naiveStore) write(term string, l postings.List) error {
 	if err := os.WriteFile(n.path(term), buf.Bytes(), 0o644); err != nil {
 		return fmt.Errorf("experiments: naive store: %w", err)
 	}
+	n.written += int64(buf.Len())
 	return nil
 }
 
@@ -184,6 +186,13 @@ func (n *naiveStore) Terms() ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
+}
+
+// bytesWritten is the blob bytes the store has rewritten so far.
+func (n *naiveStore) bytesWritten() int64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.written
 }
 
 // ApplyBatch, Snapshot and Close implement Store the plainest way (see

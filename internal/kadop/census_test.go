@@ -18,18 +18,19 @@ import (
 )
 
 // census counts what a deployment sends: unary requests by message
-// type, application procedures by name and streams opened, at every
-// peer's transport.
+// type, application procedures by name, streams opened and the data
+// messages they delivered, at every peer's transport.
 type census struct {
 	mu      sync.Mutex
 	calls   map[dht.MsgType]int
 	procs   map[string]int
 	streams int
+	frames  int
 }
 
 func (c *census) reset() {
 	c.mu.Lock()
-	c.calls, c.procs, c.streams = map[dht.MsgType]int{}, map[string]int{}, 0
+	c.calls, c.procs, c.streams, c.frames = map[dht.MsgType]int{}, map[string]int{}, 0, 0
 	c.mu.Unlock()
 }
 
@@ -60,7 +61,28 @@ func (t censusTransport) OpenStream(ctx context.Context, to dht.Contact, req dht
 	t.c.mu.Lock()
 	t.c.streams++
 	t.c.mu.Unlock()
-	return t.Transport.OpenStream(ctx, to, req)
+	ms, err := t.Transport.OpenStream(ctx, to, req)
+	if err != nil {
+		return nil, err
+	}
+	return censusStream{ms, t.c}, nil
+}
+
+// censusStream counts the data messages a stream delivers; its end
+// marker is not one.
+type censusStream struct {
+	dht.MsgStream
+	c *census
+}
+
+func (s censusStream) Recv() (dht.Message, error) {
+	m, err := s.MsgStream.Recv()
+	if err == nil {
+		s.c.mu.Lock()
+		s.c.frames++
+		s.c.mu.Unlock()
+	}
+	return m, err
 }
 
 // censusCluster is eight publishing DPP peers on free links, every
@@ -228,6 +250,84 @@ func TestReadPathMessageCensus(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestIndexPhaseRoundTrips counts the two stages of the index phase
+// that used to cost a round trip each time they were entered: on a
+// settled eight-peer cluster a Locate or Owners lookup is one α-round of
+// FIND_NODE RPCs (the closest peer answers without naming a closer one),
+// and a holder stream of B blocks under the frame budget is one data
+// frame (then its end marker), not one chunk per block.
+func TestIndexPhaseRoundTrips(t *testing.T) {
+	const alpha = 3 // dht.Config's default lookup parallelism
+	ctx := context.Background()
+	cen := &census{}
+	cen.reset()
+	for _, repl := range []int{1, 3} {
+		dcfg := dht.Config{Replication: repl}
+		c := censusClusterOf(t, cen, dcfg, Config{DHT: dcfg})
+		dcfg.Client = true
+		client, err := dht.NewNode(censusTransport{c.net.NewEndpoint(), cen}, store.NewMem(), dcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := client.Bootstrap(c.peers[0].Node().Self()); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 12; i++ {
+			key := fmt.Sprintf("l:t%d", i)
+			cen.reset()
+			owner, err := client.LocateContext(ctx, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := cen.calls[dht.MsgFindNode]; n > alpha {
+				t.Errorf("replication %d: Locate(%q) sent %d FIND_NODE RPCs, want at most α = %d", repl, key, n, alpha)
+			}
+			cen.reset()
+			owners, err := client.Owners(ctx, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := cen.calls[dht.MsgFindNode]; n > alpha {
+				t.Errorf("replication %d: Owners(%q) sent %d FIND_NODE RPCs, want at most α = %d", repl, key, n, alpha)
+			}
+			// The short lookups still find the true owners: the ones a full
+			// peer's K-wide lookup names.
+			full, err := c.peers[i%len(c.peers)].Node().LookupContext(ctx, dht.KeyID(key))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(owners) != repl || owner != full[0] || !reflect.DeepEqual(owners, full[:repl]) {
+				t.Errorf("replication %d: %q located at %v, owners %v; the full lookup says %v", repl, key, owner, owners, full[:repl])
+			}
+		}
+	}
+
+	c := censusClusterOf(t, cen, dht.Config{}, Config{})
+	client := censusClient(t, c, cen, 100, 0).Node()
+	holder := c.peers[3].Node()
+	var keys []string
+	for b := 0; b < 14; b++ {
+		key := fmt.Sprintf("overflow:%d:l:census", b)
+		list := make(postings.List, 200) // about 1 KB a block encoded
+		for i := range list {
+			list[i] = sid.Posting{Peer: 2, Doc: sid.DocID(b*200 + i), SID: sid.SID{Start: 1, End: 2, Level: 1}}
+		}
+		if err := holder.Store().Append(key, list); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, key)
+	}
+	cen.reset()
+	delivered := 0
+	if err := client.GetBatch(ctx, holder.Self(), dht.BatchGet{Keys: keys}, func(int, postings.List) { delivered++ }); err != nil {
+		t.Fatal(err)
+	}
+	if delivered != len(keys) || cen.streams != 1 || cen.frames != 1 {
+		t.Errorf("holder stream of %d blocks: %d delivered over %d streams in %d data frames, want all over 1 stream in 1 frame",
+			len(keys), delivered, cen.streams, cen.frames)
 	}
 }
 

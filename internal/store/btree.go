@@ -511,6 +511,10 @@ func (t *BTree) Checkpoint() error {
 	return t.pager.checkpoint()
 }
 
+// BytesWritten is the bytes the tree has written to its page file and
+// its WAL since it was opened.
+func (t *BTree) BytesWritten() int64 { return t.pager.written.Load() }
+
 // Stats reports page usage for diagnostics and benchmarks.
 func (t *BTree) Stats() (pages int, height int) {
 	t.mu.Lock()

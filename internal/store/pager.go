@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sync"
+	"sync/atomic"
 )
 
 // pageSize is the on-disk page size of the B+-tree.
@@ -187,6 +188,8 @@ type pager struct {
 	tx     map[uint32]*page // pages dirtied by the in-flight transaction
 	ioErr  error            // sticky commit/checkpoint failure
 
+	written atomic.Int64 // bytes written to the page file and the WAL
+
 	// Snapshot machinery (snapshot.go). snapMu is a leaf lock guarding
 	// the cache map, the LRU list, page write-back and the snapshot
 	// registry — the structures snapshot readers touch without holding
@@ -222,15 +225,24 @@ func walPath(path string) string { return path + ".wal" }
 
 func openPager(path string, opts Options) (*pager, uint32, error) {
 	opts = opts.withDefaults()
+	pg := &pager{
+		cache: map[uint32]*page{}, order: list.New(), tx: map[uint32]*page{},
+		snaps: map[uint64]*snapState{}, txUndo: map[uint32]*page{},
+	}
+	// The page file and the WAL both count their writes into pg.written.
+	open := opts.open
+	opts.open = func(path string) (file, error) {
+		f, err := open(path)
+		if err != nil {
+			return nil, err
+		}
+		return tallyingFile{f, &pg.written}, nil
+	}
 	f, err := opts.open(path)
 	if err != nil {
 		return nil, 0, fmt.Errorf("store: pager: %w", err)
 	}
-	pg := &pager{
-		f: f, opts: opts,
-		cache: map[uint32]*page{}, order: list.New(), tx: map[uint32]*page{},
-		snaps: map[uint64]*snapState{}, txUndo: map[uint32]*page{},
-	}
+	pg.f, pg.opts = f, opts
 	size, err := f.Size()
 	if err != nil {
 		f.Close()

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -102,6 +103,18 @@ type file interface {
 }
 
 type fileOpener func(path string) (file, error)
+
+// tallyingFile adds the bytes written through it to n.
+type tallyingFile struct {
+	file
+	n *atomic.Int64
+}
+
+func (f tallyingFile) WriteAt(b []byte, off int64) (int, error) {
+	n, err := f.file.WriteAt(b, off)
+	f.n.Add(int64(n))
+	return n, err
+}
 
 type osFile struct{ *os.File }
 
