@@ -14,6 +14,7 @@ import (
 	"kadop/internal/postings"
 	"kadop/internal/sid"
 	"kadop/internal/store"
+	"kadop/internal/workload"
 	"kadop/internal/xmltree"
 )
 
@@ -429,5 +430,45 @@ func TestWritePathMessageCensus(t *testing.T) {
 		if got, err := client.Get(ctx, term); err != nil || len(got) != 0 {
 			t.Errorf("after Unpublish: %q holds %d postings, err %v", term, len(got), err)
 		}
+	}
+}
+
+// TestAnswerPhaseCensus counts the answer phase's element visits for
+// one full query over DBLP documents, no wall clock involved. The
+// document peers draw each pattern node's candidates from the subtree
+// of the element its pattern parent is bound to; the reference
+// evaluator, which the second phase ran before, rescanned every element
+// of the document for every pattern node and visited
+// referenceElementsScanned elements here. The documents evaluated and
+// the answers, in order, are the oracle's.
+func TestAnswerPhaseCensus(t *testing.T) {
+	const (
+		referenceElementsScanned = 89310
+		elementsScanned          = 5872
+		docsEvaluated            = 20
+	)
+	cen := &census{procs: map[string]int{}}
+	c := censusCluster(t, cen)
+	var docs []string
+	for _, d := range (workload.DBLP{Seed: 7, Records: 500}).Documents() {
+		docs = append(docs, xmltree.Serialize(d.Doc))
+	}
+	truth := publishAll(t, c, docs)
+	q := pattern.MustParse(`//article[//year]//author`)
+	res, err := censusClient(t, c, cen, 100, 0).Query(q, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := truth(q)
+	if !reflect.DeepEqual(res.Matches, want) {
+		t.Errorf("%d answers, oracle %d (or not in the oracle's order)", len(res.Matches), len(want))
+	}
+	got := res.Cost
+	t.Logf("elements scanned %d, documents evaluated %d, answers %d", got.ElementsScanned, got.DocsEvaluated, got.Answers)
+	if got.ElementsScanned != elementsScanned || 10*got.ElementsScanned > referenceElementsScanned {
+		t.Errorf("%d elements scanned, want %d (the reference evaluator visited %d)", got.ElementsScanned, elementsScanned, referenceElementsScanned)
+	}
+	if got.DocsEvaluated != docsEvaluated || got.Answers != int64(len(want)) {
+		t.Errorf("%d documents evaluated and %d answers, want %d and %d", got.DocsEvaluated, got.Answers, docsEvaluated, len(want))
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"kadop/internal/sid"
 	"kadop/internal/store"
 	"kadop/internal/twigjoin"
+	"kadop/internal/workload"
 	"kadop/internal/xmltree"
 )
 
@@ -401,6 +402,97 @@ func TestDocIntervalNarrowsDPPFetch(t *testing.T) {
 	}
 }
 
+// TestAnswerFormatMixedVersions runs full queries across the two
+// phase-two reply formats: a new client against document peers that
+// ignore its format flag (and so answer in the tuple format), and an
+// old client's flagless requests against new peers. Both return the
+// oracle's answers.
+func TestAnswerFormatMixedVersions(t *testing.T) {
+	c := newCluster(t, 4, Config{})
+	var docs []string
+	for _, d := range (workload.DBLP{Seed: 3, Records: 200}).Documents() {
+		docs = append(docs, xmltree.Serialize(d.Doc))
+	}
+	truth := publishAll(t, c, docs)
+	client := c.peers[0]
+	queries := []string{`//article[//year]//author`, `//dblp//title[. contains "xml"]`, `//article//author[. contains "Ullman"]`}
+
+	t.Run("new client, old peers", func(t *testing.T) {
+		for _, p := range c.peers {
+			p.Node().Handle(procAnswer, func(ctx context.Context, from dht.Contact, key string, blob []byte) ([]byte, error) {
+				// An old handler reads the query and the keys, nothing after.
+				query, pos, err := readStr(blob, 0)
+				if err != nil {
+					return nil, err
+				}
+				keys, _, err := decodeDocKeys(blob, pos)
+				if err != nil {
+					return nil, err
+				}
+				out, err := p.handleAnswer(ctx, from, key, append(appendStr(nil, query), encodeDocKeys(keys)...))
+				if n, _, _ := readUint(out, 0); err == nil && n == groupedAnswers {
+					t.Errorf("a flagless request was answered in the grouped format")
+				}
+				return out, err
+			})
+		}
+		defer func() {
+			for _, p := range c.peers {
+				p.Node().Handle(procAnswer, p.handleAnswer)
+			}
+		}()
+		for _, s := range queries {
+			q := pattern.MustParse(s)
+			res, err := client.Query(q, QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := truth(q); len(want) == 0 || !reflect.DeepEqual(res.Matches, want) {
+				t.Errorf("%s: %d answers, oracle %d", s, len(res.Matches), len(want))
+			}
+		}
+	})
+
+	t.Run("old client, new peers", func(t *testing.T) {
+		ctx := context.Background()
+		for _, s := range queries {
+			q := pattern.MustParse(s)
+			res, err := client.Query(q, QueryOptions{IndexOnly: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The old client's phase two: the query and the keys, no flag.
+			byPeer := map[sid.PeerID][]sid.DocKey{}
+			for _, d := range res.Docs {
+				byPeer[d.Peer] = append(byPeer[d.Peer], d)
+			}
+			var got []twigjoin.Match
+			for pid, keys := range byPeer {
+				contact, err := client.contactOf(ctx, pid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, err := client.node.CallProcOn(ctx, contact, "", procAnswer, append(appendStr(nil, q.String()), encodeDocKeys(keys)...))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n, _, _ := readUint(out, 0); n == groupedAnswers {
+					t.Fatalf("peer %d answered a flagless request in the grouped format", pid)
+				}
+				ms, _, err := decodeMatches(out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, ms...)
+			}
+			sortMatches(got)
+			if want := truth(q); len(want) == 0 || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: %d answers, oracle %d", s, len(got), len(want))
+			}
+		}
+	})
+}
+
 func TestCodecRoundTrips(t *testing.T) {
 	ms := []twigjoin.Match{
 		{Doc: sid.DocKey{Peer: 1, Doc: 2}, Postings: []sid.Posting{
@@ -422,8 +514,25 @@ func TestCodecRoundTrips(t *testing.T) {
 	if !reflect.DeepEqual(got, ms) {
 		t.Fatalf("matches round trip: %v vs %v", got, ms)
 	}
+	// The grouped format: the marker, one group (document (1,2), one
+	// tuple of width 2), each element as start, end-start, level; then
+	// the cost trailer. The tuple format of the same answers is the
+	// golden string's first match.
+	sids := []sid.SID{ms[0].Postings[0].SID, ms[0].Postings[1].SID}
+	groups := []answerGroup{{doc: ms[0].Doc, tuples: 1}}
+	grouped := appendAnswerStats(encodeAnswers(answerFormatGrouped, groups, 2, sids), answerStats{docsEvaluated: 1, elementsScanned: 7})
+	if want := "ffffffffffffffffff0101010201020103000201010107"; hex.EncodeToString(grouped) != want {
+		t.Errorf("grouped wire bytes changed:\n got %x\nwant %s", grouped, want)
+	}
+	if tuples := encodeAnswers(0, groups, 2, sids); !reflect.DeepEqual(tuples, encodeMatches(ms[:1])) {
+		t.Errorf("tuple-format answers %x, want %x", tuples, encodeMatches(ms[:1]))
+	}
+	got, st, err := decodeMatches(grouped)
+	if err != nil || !reflect.DeepEqual(got, ms[:1]) || st != (answerStats{docsEvaluated: 1, elementsScanned: 7}) {
+		t.Fatalf("grouped round trip: %v %+v (%v)", got, st, err)
+	}
 	keys := []sid.DocKey{{Peer: 1, Doc: 9}, {Peer: 7, Doc: 0}}
-	gk, err := decodeDocKeys(encodeDocKeys(keys))
+	gk, _, err := decodeDocKeys(encodeDocKeys(keys), 0)
 	if err != nil || !reflect.DeepEqual(gk, keys) {
 		t.Fatalf("keys round trip: %v (%v)", gk, err)
 	}

@@ -26,7 +26,6 @@ import (
 	"kadop/internal/blockcache"
 	"kadop/internal/dht"
 	"kadop/internal/dpp"
-	"kadop/internal/obs/cost"
 	"kadop/internal/obs/querylog"
 	"kadop/internal/obs/stats"
 	"kadop/internal/pattern"
@@ -35,7 +34,6 @@ import (
 	"kadop/internal/sid"
 	"kadop/internal/store"
 	"kadop/internal/trace"
-	"kadop/internal/twigjoin"
 	"kadop/internal/xmltree"
 )
 
@@ -854,51 +852,61 @@ func (p *Peer) URI(k sid.DocKey) (string, error) {
 
 // handleAnswer serves phase-two query evaluation: given a query and a
 // set of local document ids, it evaluates the full tree pattern on the
-// stored documents and returns the answer tuples.
+// stored documents and returns the answer tuples, grouped per document
+// when the client asks for it (codec.go).
 func (p *Peer) handleAnswer(ctx context.Context, _ dht.Contact, _ string, blob []byte) ([]byte, error) {
 	queryText, pos, err := readStr(blob, 0)
 	if err != nil {
 		return nil, err
 	}
-	keys, err := decodeDocKeys(blob[pos:])
+	keys, pos, err := decodeDocKeys(blob, pos)
 	if err != nil {
 		return nil, err
 	}
+	format, _, _ := readUint(blob, pos) // absent from older clients: zero
 	q, err := pattern.Parse(queryText)
 	if err != nil {
 		return nil, fmt.Errorf("kadop: answer: %w", err)
 	}
+	docs := make([]*xmltree.Document, len(keys))
+	p.mu.Lock()
+	for i, k := range keys {
+		if k.Peer == p.id {
+			docs[i] = p.docs[k.Doc]
+		}
+	}
+	p.mu.Unlock()
 	// Evaluation work is measured locally and shipped back in the
 	// response trailer, so the querying peer's cost accumulator covers
 	// phase two even though it runs here.
-	counters := new(cost.Counters)
-	mctx := cost.NewContext(ctx, counters)
-	var all []twigjoin.Match
-	for _, k := range keys {
-		p.mu.Lock()
-		doc := p.docs[k.Doc]
-		p.mu.Unlock()
-		if doc == nil || k.Peer != p.id {
+	var (
+		m       = pattern.Compile(q)
+		st      answerStats
+		sids    []sid.SID
+		groups  []answerGroup
+		answers int
+	)
+	for i, doc := range docs {
+		if doc == nil {
 			continue
 		}
-		for _, m := range pattern.MatchDocumentContext(mctx, q, doc, k) {
-			ps := make([]sid.Posting, len(m.Elements))
-			for i, e := range m.Elements {
-				ps[i] = sid.Posting{Peer: k.Peer, Doc: k.Doc, SID: e}
-			}
-			all = append(all, twigjoin.Match{Doc: k, Postings: ps})
+		n := len(sids)
+		var scanned int
+		sids, scanned = m.Match(sids, doc)
+		st.docsEvaluated++
+		st.elementsScanned += int64(scanned)
+		if len(sids) > n {
+			g := answerGroup{doc: keys[i], tuples: (len(sids) - n) / m.Width()}
+			groups = append(groups, g)
+			answers += g.tuples
 		}
 	}
-	snap := counters.Snapshot()
 	if sp := trace.FromContext(ctx); sp != nil {
 		// The joined server span shows where the evaluation effort went
 		// when client and server share a tracer (sim clusters).
-		sp.SetInt("docs-evaluated", snap.DocsEvaluated)
-		sp.SetInt("elements-scanned", snap.ElementsScanned)
-		sp.SetInt("matches", int64(len(all)))
+		sp.SetInt("docs-evaluated", st.docsEvaluated)
+		sp.SetInt("elements-scanned", st.elementsScanned)
+		sp.SetInt("matches", int64(answers))
 	}
-	return appendAnswerStats(encodeMatches(all), answerStats{
-		docsEvaluated:   snap.DocsEvaluated,
-		elementsScanned: snap.ElementsScanned,
-	}), nil
+	return appendAnswerStats(encodeAnswers(format, groups, m.Width(), sids), st), nil
 }

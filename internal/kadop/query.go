@@ -882,23 +882,32 @@ func rootDocRange(r *dpp.Root) (lo, hi sid.DocKey, ok bool) {
 // secondPhase contacts the peers holding candidate documents and
 // gathers the final answers. It returns the matches, the number of
 // unreachable peers, and the first error encountered.
+//
+// Each document peer answers in (document, postings) order, so the
+// replies concatenated in ascending peer order are already the result
+// order; the sort only runs if a reply breaks it.
 func (p *Peer) secondPhase(ctx context.Context, q *pattern.Query, docs []sid.DocKey) ([]twigjoin.Match, int, error) {
 	cc := cost.FromContext(ctx)
 	byPeer := map[sid.PeerID][]sid.DocKey{}
 	for _, d := range docs {
 		byPeer[d.Peer] = append(byPeer[d.Peer], d)
 	}
+	peers := make([]sid.PeerID, 0, len(byPeer))
+	for pid := range byPeer {
+		peers = append(peers, pid)
+	}
+	slices.Sort(peers)
 	var (
 		mu      sync.Mutex
-		all     []twigjoin.Match
+		replies = make([][]twigjoin.Match, len(peers))
 		wg      sync.WaitGroup
 		errOnce sync.Once
 		firstE  error
 		failed  int
 	)
-	for pid, keys := range byPeer {
+	for i, pid := range peers {
 		wg.Add(1)
-		go func(pid sid.PeerID, keys []sid.DocKey) {
+		go func(i int, pid sid.PeerID, keys []sid.DocKey) {
 			defer wg.Done()
 			fail := func(err error) {
 				errOnce.Do(func() { firstE = err })
@@ -913,6 +922,7 @@ func (p *Peer) secondPhase(ctx context.Context, q *pattern.Query, docs []sid.Doc
 			}
 			blob := appendStr(nil, q.String())
 			blob = append(blob, encodeDocKeys(keys)...)
+			blob = appendUint(blob, answerFormatGrouped)
 			out, err := p.node.CallProcOn(ctx, contact, "", procAnswer, blob)
 			if err != nil {
 				// The paper detects faulty peers with time-outs and accepts
@@ -930,13 +940,12 @@ func (p *Peer) secondPhase(ctx context.Context, q *pattern.Query, docs []sid.Doc
 			cc.AddDocsEvaluated(st.docsEvaluated)
 			cc.AddElementsScanned(st.elementsScanned)
 			cc.AddAnswers(int64(len(ms)))
-			mu.Lock()
-			all = append(all, ms...)
-			mu.Unlock()
-		}(pid, keys)
+			replies[i] = ms
+		}(i, pid, byPeer[pid])
 	}
 	wg.Wait()
-	sort.Slice(all, func(i, j int) bool {
+	all := slices.Concat(replies...)
+	less := func(i, j int) bool {
 		if c := all[i].Doc.Compare(all[j].Doc); c != 0 {
 			return c < 0
 		}
@@ -949,7 +958,10 @@ func (p *Peer) secondPhase(ctx context.Context, q *pattern.Query, docs []sid.Doc
 			}
 		}
 		return false
-	})
+	}
+	if !sort.SliceIsSorted(all, less) {
+		sort.Slice(all, less)
+	}
 	return all, failed, firstE
 }
 

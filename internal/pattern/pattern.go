@@ -14,11 +14,9 @@
 package pattern
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
-	"kadop/internal/obs/cost"
 	"kadop/internal/sid"
 	"kadop/internal/xmltree"
 )
@@ -202,22 +200,14 @@ func AxisSatisfied(axis Axis, a, d sid.Posting) bool {
 
 // MatchDocument enumerates all matches of q in a parsed document,
 // by direct tree evaluation. It is the reference (non-distributed)
-// evaluator: the second query-processing phase runs it at publishing
-// peers, and tests use it as ground truth for the index machinery.
+// evaluator: tests and the benchmark use it as ground truth for the
+// index machinery and for the Matcher the second query phase runs at
+// publishing peers. It deliberately shares no code with the Matcher,
+// so a bug in one cannot hide in the other.
 func MatchDocument(q *Query, doc *xmltree.Document, key sid.DocKey) []Match {
-	return MatchDocumentContext(context.Background(), q, doc, key)
-}
-
-// MatchDocumentContext is MatchDocument with the caller's context.
-// When the context carries cost.Counters the evaluator accumulates its
-// answer-phase actuals there: one document evaluated, every element
-// node visited while enumerating, and the matches produced.
-func MatchDocumentContext(ctx context.Context, q *Query, doc *xmltree.Document, key sid.DocKey) []Match {
-	c := cost.FromContext(ctx)
 	if q == nil || q.Root == nil || doc == nil || doc.Root == nil {
 		return nil
 	}
-	c.AddDocsEvaluated(1)
 	var out []Match
 	nodes := q.Nodes()
 	index := map[*Node]int{}
@@ -261,7 +251,6 @@ func MatchDocumentContext(ctx context.Context, q *Query, doc *xmltree.Document, 
 		}
 		pn := nodes[i]
 		for _, dn := range allNodes {
-			c.AddElementsScanned(1)
 			if !matchesTerm(pn, dn) {
 				continue
 			}
@@ -275,6 +264,5 @@ func MatchDocumentContext(ctx context.Context, q *Query, doc *xmltree.Document, 
 		}
 	}
 	enumerate(0)
-	c.AddAnswers(int64(len(out)))
 	return out
 }
