@@ -7,6 +7,7 @@ import (
 	"go/types"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -141,6 +142,64 @@ func TestContextIsPassedOn(t *testing.T) {
 		for _, fn := range fns {
 			check(dir+"/"+fn.Name.Name, fn.Type, fn.Body, "")
 		}
+	}
+}
+
+// TestNoNetworkUnderLock enforces d7024e's "no network under locks" on
+// the DPP manager, whose m.mu every root fetch at a home peer takes: no
+// function of internal/dpp calls a *dht.Node method that sends a
+// message, or a function of the package that does (transitively, by
+// bare name), between m.mu.Lock() and its unlock. A deferred unlock
+// holds the lock to the end of the function.
+func TestNoNetworkUnderLock(t *testing.T) {
+	fns := parseFuncs(t, "internal/dpp")
+	sends := regexp.MustCompile(`^(Append|Delete|Get|Locate|CallProc)`)
+	net := map[string]bool{}
+	isSend := func(call *ast.CallExpr) bool {
+		switch fun := call.Fun.(type) {
+		case *ast.Ident:
+			return net[fun.Name]
+		case *ast.SelectorExpr:
+			switch types.ExprString(fun.X) {
+			case "m.node":
+				return sends.MatchString(fun.Sel.Name)
+			case "m":
+				return net[fun.Sel.Name]
+			}
+		}
+		return false
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, fn := range fns {
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok && !net[fn.Name.Name] && isSend(call) {
+					net[fn.Name.Name], changed = true, true
+				}
+				return true
+			})
+		}
+	}
+	for _, fn := range fns {
+		locked := false
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.DeferStmt:
+				return false
+			case *ast.CallExpr:
+				switch types.ExprString(n.Fun) {
+				case "m.mu.Lock":
+					locked = true
+				case "m.mu.Unlock":
+					locked = false
+				default:
+					if locked && isSend(n) {
+						t.Errorf("internal/dpp/%s: calls %s while holding m.mu", fn.Name.Name, types.ExprString(n.Fun))
+					}
+				}
+			}
+			return true
+		})
 	}
 }
 

@@ -193,8 +193,9 @@ type BatchGet struct {
 // predates the key-held marker and clipped it to nothing), and the
 // caller decides whether that is an empty list or a stale owner. An
 // error leaves the keys not yet delivered undelivered. The stream is
-// opened with a single attempt: the caller knows the keys' other holders
-// and rotates to them instead of spending the retry budget on this one.
+// opened with a single attempt, whose failure does not evict the peer:
+// the caller knows the keys' other holders and rotates to them instead
+// of spending the retry budget on this one.
 //
 // A remote peer is asked for packed frames; one that rejects the request
 // (a holder predating them) is asked once more without. The local case
@@ -214,7 +215,7 @@ func (n *Node) getBatch(ctx context.Context, to Contact, req BatchGet, packed bo
 	drain, err := n.openChunks(ctx, to, Message{
 		Type: MsgGetBatch,
 		Blob: encodeBatchRequest(req, packed),
-	}, RetryPolicy{Attempts: 1})
+	}, true)
 	if err != nil {
 		return err
 	}

@@ -23,15 +23,23 @@ import (
 // rpc is the envelope of every outgoing request — a unary call, or with
 // stream set the opening of a chunk stream: it stamps the sender and the
 // caller's trace ids, bounds each attempt by RPCTimeout, retries
-// transport failures under the policy, hands a contact that stays
+// transport failures under the node's policy, hands a contact that stays
 // unreachable to the failure detector (the replacement cache refills
 // the bucket), and accounts the outcome — latency histogram, per-peer
 // counters, flight ring, and a child span when the caller is traced.
-func (n *Node) rpc(ctx context.Context, to Contact, req Message, retry RetryPolicy, stream bool) (resp Message, ms MsgStream, err error) {
+// With once set there is a single attempt, and its failure is left to
+// the caller, which rotates over holders itself: one lost message is no
+// evidence that a peer is gone, and evicting it would send lookups past
+// a live key owner.
+func (n *Node) rpc(ctx context.Context, to Contact, req Message, once, stream bool) (resp Message, ms MsgStream, err error) {
 	req.From = n.from()
 	req.TraceID, req.SpanID = trace.ID(ctx)
 	op := rpcOp(req.Type)
 	start := time.Now()
+	retry := n.cfg.Retry
+	if once {
+		retry = RetryPolicy{Attempts: 1}
+	}
 	err = withRetry(ctx, retry, n.collector, n.rng, func() error {
 		actx, cancel := context.WithTimeout(ctx, n.cfg.RPCTimeout)
 		defer cancel()
@@ -50,7 +58,7 @@ func (n *Node) rpc(ctx context.Context, to Contact, req Message, retry RetryPoli
 		}
 		return cerr
 	})
-	if err != nil && Retryable(err) && !to.ID.IsZero() {
+	if err != nil && Retryable(err) && !once && !to.ID.IsZero() {
 		n.noteFailure(to)
 	}
 	// Even an error response (a shed read, say) carries the responder's
@@ -103,7 +111,7 @@ func (n *Node) countPeerRPC(op string, to Contact, err error) {
 // call is the unary RPC: one request, one response, under the node's
 // retry policy.
 func (n *Node) call(ctx context.Context, to Contact, req Message) (Message, error) {
-	resp, _, err := n.rpc(ctx, to, req, n.cfg.Retry, false)
+	resp, _, err := n.rpc(ctx, to, req, false, false)
 	return resp, err
 }
 
@@ -120,12 +128,12 @@ func (n *Node) deliver(ctx context.Context, to Contact, req Message) (Message, e
 
 // openChunks opens a chunk stream against one peer and returns the
 // function that drains it, calling fn once per chunk; fn may keep the
-// postings it is handed. Retries under the given policy apply to the
-// opening only (a caller that rotates replicas itself passes a single
-// attempt instead of burning the budget on a stale one); an error
-// mid-stream surfaces from drain. When the peer is this node the stream
-// is served from the local store without a round trip.
-func (n *Node) openChunks(ctx context.Context, to Contact, req Message, retry RetryPolicy) (drain func(fn func(Message) error) error, err error) {
+// postings it is handed. Retries apply to the opening only (a caller
+// that rotates replicas itself passes once instead of burning the budget
+// on a stale one — see rpc); an error mid-stream surfaces from drain.
+// When the peer is this node the stream is served from the local store
+// without a round trip.
+func (n *Node) openChunks(ctx context.Context, to Contact, req Message, once bool) (drain func(fn func(Message) error) error, err error) {
 	if to.ID == n.self.ID {
 		// The trace ids are stamped so HandleStream attributes the work as
 		// usual. The server reuses its chunk buffer between sends, so each
@@ -138,7 +146,7 @@ func (n *Node) openChunks(ctx context.Context, to Contact, req Message, retry Re
 			})
 		}, nil
 	}
-	_, ms, err := n.rpc(ctx, to, req, retry, true)
+	_, ms, err := n.rpc(ctx, to, req, once, true)
 	if err != nil {
 		return nil, err
 	}
@@ -376,7 +384,7 @@ func (n *Node) digestOf(ctx context.Context, to Contact, key string) (int, error
 // peer; the transfer runs behind a pipe so the consumer reads postings
 // while chunks are still arriving.
 func (n *Node) streamFrom(ctx context.Context, to Contact, req Message) (postings.Stream, error) {
-	drain, err := n.openChunks(ctx, to, req, n.cfg.Retry)
+	drain, err := n.openChunks(ctx, to, req, false)
 	if err != nil {
 		return nil, err
 	}

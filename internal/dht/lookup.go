@@ -75,11 +75,14 @@ func (n *Node) lookup(ctx context.Context, target ID, need int) ([]Contact, erro
 
 // lookupRun is the iterative Kademlia lookup; rounds reports how many
 // α-parallel query rounds it took. It ends once the need closest
-// contacts in the shortlist have all been queried and answered (failed
-// ones leave the shortlist), after at least one round: a caller that
-// wants one owner stops as soon as the closest known peer has answered
-// without naming a closer one, instead of walking all K. Callers that
-// fill the routing table pass K.
+// contacts in the shortlist have all been queried and answered, after
+// at least one round: a caller that wants one owner stops as soon as
+// the closest known peer has answered without naming a closer one,
+// instead of walking all K. Callers that fill the routing table pass K.
+// A contact leaves the shortlist when its query fails twice: one call
+// that lost its messages to every retry does not make Locate answer
+// with the next-closest peer while the key's owner is alive, which
+// would send a write to a peer readers never ask.
 func (n *Node) lookupRun(ctx context.Context, target ID, need int, rounds *int) ([]Contact, error) {
 	if need > n.cfg.K {
 		need = n.cfg.K
@@ -87,6 +90,7 @@ func (n *Node) lookupRun(ctx context.Context, target ID, need int, rounds *int) 
 	type entry struct {
 		c       Contact
 		queried bool
+		failed  bool // once already: the next failure drops it
 	}
 	shortlist := map[ID]*entry{}
 	if !n.cfg.Client {
@@ -151,8 +155,12 @@ func (n *Node) lookupRun(ctx context.Context, target ID, need int, rounds *int) 
 			r := <-results
 			if r.err != nil {
 				// call handed the contact to the failure detector (or
-				// evicted it outright); the lookup drops it either way.
-				delete(shortlist, r.from.ID)
+				// evicted it outright); the lookup asks it once more.
+				if e := shortlist[r.from.ID]; !e.failed {
+					e.failed, e.queried = true, false
+				} else {
+					delete(shortlist, r.from.ID)
+				}
 				continue
 			}
 			n.table.Update(r.from)

@@ -12,7 +12,7 @@ func BenchmarkDPPAppendAndSplit(b *testing.B) {
 	l := seqPostings(256, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.managers[i%len(c.managers)].Append(context.Background(), "l:author", l); err != nil {
+		if err := c.managers[i%len(c.managers)].Append(context.Background(), "l:author", l, ""); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -21,7 +21,7 @@ func BenchmarkDPPAppendAndSplit(b *testing.B) {
 func BenchmarkDPPFetchParallel(b *testing.B) {
 	c := newCluster(b, 12, Options{BlockSize: 256})
 	want := seqPostings(4096, 32)
-	if err := c.managers[0].Append(context.Background(), "l:author", want); err != nil {
+	if err := c.managers[0].Append(context.Background(), "l:author", want, ""); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()

@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -34,13 +35,17 @@ import (
 	"kadop/internal/postings"
 	"kadop/internal/replicate"
 	"kadop/internal/sid"
+	"kadop/internal/store"
 )
 
 // Proc names registered on every peer. The index: prefix routes the
 // traffic accounting of publishing; blocks transfer over the DHT's own
-// batched get (dht.MsgGetBatch), not a procedure.
+// batched get (dht.MsgGetBatch), not a procedure. ProcDelete has the
+// home peer route a posting's removal to the block holding it (document
+// modification is deletion followed by re-insertion, as in Section 2).
 const (
 	ProcAppend = "index:dpp:append"
+	ProcDelete = "index:dpp:delete"
 	ProcRoot   = "dpp:root"
 )
 
@@ -86,8 +91,8 @@ type Root struct {
 	Blocks  []BlockRef
 	Count   int         // inline only: posting count
 	Lo, Hi  sid.Posting // inline only: list bounds (when Count > 0)
-	// Gen is the inline list's generation (see BlockRef.Gen); it tracks
-	// appends and deletes while the term has not overflowed.
+	// Gen counts the mutations of the term at its home, so it never
+	// repeats; it is the inline list's generation (see BlockRef.Gen).
 	Gen uint64
 	// Types are the document types of the term's postings (inline or
 	// across all blocks); empty means untyped.
@@ -111,31 +116,44 @@ func (r *Root) Postings() int {
 	return n
 }
 
+// refs is the root's blocks or, for a term still inline, its list as
+// the one block it is: the term is the key, the home the holder.
+func (r *Root) refs() []BlockRef {
+	if len(r.Blocks) > 0 || r.Count == 0 {
+		return r.Blocks
+	}
+	return []BlockRef{{Lo: r.Lo, Hi: r.Hi, Key: r.Term, Owner: r.Home,
+		Count: r.Count, Gen: r.Gen, Types: r.Types, Replicas: r.Replicas}}
+}
+
+// ref is the root's entry for a block key, if it names it.
+func (r *Root) ref(key string) (BlockRef, bool) {
+	for _, b := range r.refs() {
+		if b.Key == key {
+			return b, true
+		}
+	}
+	return BlockRef{}, false
+}
+
 // maxTrackedTypes caps per-condition type sets; content with more
 // distinct types degrades to untyped (never skipped), which keeps the
 // filter conservative.
 const maxTrackedTypes = 16
 
-// addType inserts a type into a sorted set under the cap. The second
-// return is false when the set overflowed and must be treated as
-// untyped.
-func addType(set []string, t string) ([]string, bool) {
-	if t == "" {
-		return set, true
-	}
-	for _, x := range set {
-		if x == t {
-			return set, true
-		}
+// addType inserts a type into a sorted set under the cap, returning nil
+// (untyped) when the set overflows. Copy on write: published roots share
+// the old array.
+func addType(set []string, t string) []string {
+	if t == "" || slices.Contains(set, t) {
+		return set
 	}
 	if len(set) >= maxTrackedTypes {
-		return set, false
+		return nil
 	}
-	// Copy on write: roots served outside the manager lock share the
-	// old array.
 	set = append(set[:len(set):len(set)], t)
 	sort.Strings(set)
-	return set, true
+	return set
 }
 
 // typeMatches reports whether a condition's type set admits any of the
@@ -144,14 +162,7 @@ func typeMatches(set, allowed []string) bool {
 	if len(set) == 0 || allowed == nil {
 		return true
 	}
-	for _, a := range allowed {
-		for _, s := range set {
-			if a == s {
-				return true
-			}
-		}
-	}
-	return false
+	return slices.ContainsFunc(allowed, func(a string) bool { return slices.Contains(set, a) })
 }
 
 // Manager runs the DPP logic on one peer: the home-side maintenance of
@@ -167,11 +178,15 @@ type Manager struct {
 
 	now func() time.Time
 
-	mu          sync.Mutex
-	roots       map[string]*Root
-	inlineTypes map[string][]string // term -> types of its inline list
-	inlineGen   map[string]uint64   // term -> inline list generation
-	next        int                 // pseudo-key counter
+	// wmu serialises the mutations at this home; no reader takes it.
+	wmu  sync.Mutex
+	next int // pseudo-key counter
+
+	// mu guards roots and ads, and is never held across an RPC.
+	mu sync.Mutex
+	// roots holds the published root of every term this peer is home
+	// for (inline: no blocks). A mutation replaces it, never edits it.
+	roots map[string]*Root
 	// ads holds the leased replica advertisements installed by
 	// replication controllers (keyed by store key). Runtime-only state:
 	// leases expire on their own, so it is never persisted.
@@ -228,9 +243,7 @@ func NewManager(node *dht.Node, opts Options) (*Manager, error) {
 	}
 	m := &Manager{node: node, blockSize: bs, ordered: !opts.RandomSplit,
 		cache: opts.Cache, persistPath: opts.PersistPath,
-		roots: map[string]*Root{}, inlineTypes: map[string][]string{},
-		inlineGen: map[string]uint64{}, ads: map[string]adEntry{},
-		now: opts.Now}
+		roots: map[string]*Root{}, ads: map[string]adEntry{}, now: opts.Now}
 	if m.now == nil {
 		m.now = time.Now
 	}
@@ -255,262 +268,289 @@ func (m *Manager) Cache() *blockcache.Cache { return m.cache }
 
 // Append routes postings for a term through the term's home peer, which
 // maintains the DPP structure. It is the publishing-side entry point.
-func (m *Manager) Append(ctx context.Context, term string, ps postings.List) error {
-	return m.AppendTyped(ctx, term, ps, "")
+// dtype is the document type (Section 4.1), "" for untyped: it is
+// recorded in the conditions of the blocks that receive the postings,
+// so queries constrained to other types skip them.
+func (m *Manager) Append(ctx context.Context, term string, ps postings.List, dtype string) error {
+	return m.callHome(ctx, term, ProcAppend, appendStr(nil, dtype), ps)
 }
 
-// AppendTyped is Append for postings of a typed document (Section 4.1):
-// the type is recorded in the conditions of the blocks that receive the
-// postings, so queries constrained to other types skip them.
-func (m *Manager) AppendTyped(ctx context.Context, term string, ps postings.List, dtype string) error {
+// Delete removes postings of a term through the term's home peer, so
+// deletions reach overflow blocks as well as inline lists.
+func (m *Manager) Delete(ctx context.Context, term string, ps postings.List) error {
+	return m.callHome(ctx, term, ProcDelete, nil, ps)
+}
+
+// callHome calls proc at the term's home with blob and a sorted copy of ps.
+func (m *Manager) callHome(ctx context.Context, term, proc string, blob []byte, ps postings.List) error {
 	if len(ps) == 0 {
 		return nil
 	}
 	sorted := ps.Clone()
 	sorted.Sort()
-	blob := appendStr(nil, dtype)
-	enc, err := postings.Encode(sorted)
+	blob, err := postings.AppendEncoded(blob, sorted)
 	if err != nil {
 		return err
 	}
-	blob = append(blob, enc...)
-	_, err = m.node.CallProc(ctx, term, ProcAppend, blob)
+	_, err = m.node.CallProc(ctx, term, proc, blob)
 	return err
 }
 
 // handleAppend runs at the term's home peer.
 func (m *Manager) handleAppend(ctx context.Context, _ dht.Contact, term string, blob []byte) ([]byte, error) {
-	dtype, pos, err := readStr(blob, 0)
-	if err != nil {
-		return nil, fmt.Errorf("dpp: append %q: %w", term, err)
+	d := &decoder{buf: blob}
+	dtype, ps := d.str(), postings.List(nil)
+	if d.err == nil {
+		ps, _, d.err = postings.Decode(blob[d.pos:])
 	}
-	ps, _, err := postings.Decode(blob[pos:])
-	if err != nil {
-		return nil, fmt.Errorf("dpp: append %q: %w", term, err)
+	if d.err != nil {
+		return nil, fmt.Errorf("dpp: append %q: %w", term, d.err)
 	}
 	if len(ps) == 0 {
 		return nil, nil
 	}
+	return nil, m.appendHome(ctx, term, ps, dtype)
+}
+
+// handleDelete runs at the term's home peer. Each posting goes to the
+// first block whose condition covers it, and each touched block gets
+// its postings in one delete; an inline list loses them in one batch.
+func (m *Manager) handleDelete(ctx context.Context, _ dht.Contact, term string, blob []byte) ([]byte, error) {
+	ps, _, err := postings.Decode(blob)
+	if err != nil {
+		return nil, fmt.Errorf("dpp: delete %q: %w", term, err)
+	}
+	return nil, m.mutate(ctx, term, func(r *Root) (func() error, error) {
+		if len(r.Blocks) == 0 {
+			b := store.NewBatch()
+			for _, p := range ps {
+				b.Delete(term, p)
+			}
+			return func() error { return m.node.Store().ApplyBatch(b) }, nil
+		}
+		parts := make([]postings.List, len(r.Blocks))
+		for _, p := range ps {
+			if bi := slices.IndexFunc(r.Blocks, func(b BlockRef) bool { return p.Compare(b.Lo) >= 0 && p.Compare(b.Hi) <= 0 }); bi >= 0 {
+				parts[bi] = append(parts[bi], p)
+			}
+		}
+		kept := r.Blocks[:0] // emptied blocks drop out of the root
+		for bi, ref := range r.Blocks {
+			if len(parts[bi]) > 0 {
+				var err error
+				if ref.Owner, err = m.writeBlock(ctx, ref, parts[bi], m.node.DeleteAt); err != nil {
+					return nil, err
+				}
+				ref.Gen++
+				ref.Count = max(ref.Count-len(parts[bi]), 0)
+			}
+			if ref.Count > 0 {
+				kept = append(kept, ref)
+			}
+		}
+		r.Blocks = kept
+		return nil, nil
+	})
+}
+
+// mutate is the one way a term's root changes, at its home. edit makes
+// every block write a private copy of the published root needs, and
+// returns the inline list's local write, if any. Under m.mu that write
+// lands (so LocalRoot can pair a scan of the list with its root), the
+// copy is published, its generation bumped, and saved; only then is what
+// it no longer names retired. So no reader holds a root whose blocks are
+// unwritten, a failed edit publishes nothing, the persisted root never
+// names a deleted key, and no RPC runs under m.mu.
+func (m *Manager) mutate(ctx context.Context, term string, edit func(r *Root) (func() error, error)) error {
+	m.wmu.Lock()
+	defer m.wmu.Unlock()
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.appendLocked(ctx, term, ps, dtype); err != nil {
-		return nil, err
+	old := m.roots[term]
+	m.mu.Unlock()
+	r := &Root{Term: term}
+	if old != nil {
+		*r = *old
+		r.Blocks = slices.Clone(old.Blocks)
 	}
-	return nil, m.save()
-}
-
-// appendLocked applies one append under m.mu.
-func (m *Manager) appendLocked(ctx context.Context, term string, ps postings.List, dtype string) error {
-	root := m.roots[term]
-	if root == nil {
-		// Still inline: append locally, then split on overflow.
-		if err := m.node.Store().Append(term, ps); err != nil {
-			return err
-		}
-		m.inlineGen[term]++
-		set, ok := addType(m.inlineTypes[term], dtype)
-		if !ok {
-			set = nil
-		}
-		m.inlineTypes[term] = set
-		n, err := m.node.Store().Count(term)
-		if err != nil {
-			return err
-		}
-		if n <= m.blockSize {
-			return nil
-		}
-		return m.overflow(ctx, term)
-	}
-	return m.routeToBlocks(ctx, root, ps, dtype)
-}
-
-// overflow converts an inline list into a DPP of bound-respecting
-// blocks. A list that barely overflowed splits in two (the paper's
-// base case); bulk loads split into as many blocks as the bound
-// requires.
-func (m *Manager) overflow(ctx context.Context, term string) error {
-	list, err := m.node.Store().Get(term)
+	write, err := edit(r)
 	if err != nil {
 		return err
 	}
-	root := &Root{Term: term, Ordered: m.ordered, Types: m.inlineTypes[term]}
-	m.roots[term] = root
-	for _, h := range m.partition(list) {
-		ref, err := m.placeBlock(ctx, term, h, root.Types)
-		if err != nil {
+	r.Gen++
+	m.mu.Lock()
+	if write != nil {
+		err = write()
+	}
+	if err == nil {
+		m.roots[term] = r
+		err = m.save()
+	}
+	m.mu.Unlock()
+	if err != nil || old == nil {
+		return err
+	}
+	return m.retire(ctx, old, r)
+}
+
+// retire deletes what old named and r does not: the inline list of a
+// term that overflowed, the keys of split or emptied blocks. Readers of
+// a stale root that miss them refetch the root (fetchBlockFailover). A
+// failed retire leaves garbage behind and is reported; r stands.
+func (m *Manager) retire(ctx context.Context, old, r *Root) error {
+	if len(old.Blocks) == 0 && len(r.Blocks) > 0 {
+		if err := m.node.Store().DeleteTerm(r.Term); err != nil {
 			return err
 		}
-		root.Blocks = append(root.Blocks, ref)
 	}
-	return m.node.Store().DeleteTerm(term)
-}
-
-// partition divides a sorted list into ceil(n/blockSize) blocks of
-// nearly equal size (at least two), each within the bound. Ordered mode
-// cuts by ranges; the randomised ablation deals round-robin.
-func (m *Manager) partition(list postings.List) []postings.List {
-	k := (len(list) + m.blockSize - 1) / m.blockSize
-	if k < 2 {
-		k = 2
-	}
-	parts := make([]postings.List, k)
-	if m.ordered {
-		per := (len(list) + k - 1) / k
-		for i := 0; i < k; i++ {
-			lo := i * per
-			hi := lo + per
-			if lo > len(list) {
-				lo = len(list)
-			}
-			if hi > len(list) {
-				hi = len(list)
-			}
-			parts[i] = list[lo:hi]
-		}
-	} else {
-		for i, p := range list {
-			parts[i%k] = append(parts[i%k], p)
-		}
-	}
-	out := parts[:0]
-	for _, p := range parts {
-		if len(p) > 0 {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// placeBlock ships a new, non-empty block of term to the peer of a
-// fresh pseudo-key and returns the reference the root records for it.
-func (m *Manager) placeBlock(ctx context.Context, term string, block postings.List, types []string) (BlockRef, error) {
-	m.next++
-	key := fmt.Sprintf("overflow:%d:%s", m.next, term)
-	owner, err := m.node.LocateContext(ctx, key)
-	if err != nil {
-		return BlockRef{}, err
-	}
-	if err := m.node.AppendAt(ctx, owner, key, block); err != nil {
-		return BlockRef{}, err
-	}
-	return BlockRef{
-		Lo: block[0], Hi: block[len(block)-1], Key: key, Owner: owner.Addr,
-		Count: len(block), Types: append([]string(nil), types...),
-	}, nil
-}
-
-// routeToBlocks distributes sorted postings to the blocks whose
-// conditions cover them, widening boundary conditions as needed, and
-// splits blocks that exceed the bound.
-func (m *Manager) routeToBlocks(ctx context.Context, root *Root, ps postings.List, dtype string) error {
-	if len(root.Blocks) == 0 {
-		var types []string
-		if dtype != "" {
-			types = []string{dtype}
-		}
-		ref, err := m.placeBlock(ctx, root.Term, ps, types)
-		if err != nil {
-			return err
-		}
-		root.Blocks = append(root.Blocks, ref)
-		return nil
-	}
-	if !root.Ordered {
-		// Random mode: spread arrivals round-robin across blocks.
-		parts := make([]postings.List, len(root.Blocks))
-		for i, p := range ps {
-			j := i % len(root.Blocks)
-			parts[j] = append(parts[j], p)
-		}
-		for i, part := range parts {
-			if len(part) == 0 {
-				continue
-			}
-			if err := m.appendToBlock(ctx, root, i, part, dtype); err != nil {
+	for _, b := range old.Blocks {
+		if !slices.ContainsFunc(r.Blocks, func(x BlockRef) bool { return x.Key == b.Key }) {
+			if err := m.node.DeleteKey(ctx, b.Key); err != nil {
 				return err
 			}
 		}
-		return nil
-	}
-	// Ordered mode: walk blocks and postings together. The block list is
-	// re-read every step: a chunk that overflows its block splits it in
-	// place, and the pieces' ranges end where the block's did, so the
-	// walk passes over them and still reaches every later block.
-	i := 0
-	for bi := 0; bi < len(root.Blocks) && i < len(ps); bi++ {
-		var chunk postings.List
-		if bi == len(root.Blocks)-1 {
-			chunk = ps[i:] // everything else goes to the last block
-			i = len(ps)
-		} else {
-			hi := root.Blocks[bi].Hi
-			j := i
-			for j < len(ps) && ps[j].Compare(hi) <= 0 {
-				j++
-			}
-			chunk = ps[i:j]
-			i = j
-		}
-		if len(chunk) == 0 {
-			continue
-		}
-		if err := m.appendToBlock(ctx, root, bi, chunk, dtype); err != nil {
-			return err
-		}
 	}
 	return nil
 }
 
-// appendToBlock adds a chunk to block bi, widening its condition, and
-// splits it if it overflows.
-func (m *Manager) appendToBlock(ctx context.Context, root *Root, bi int, chunk postings.List, dtype string) error {
-	ref := &root.Blocks[bi]
-	if err := m.node.Append(ctx, ref.Key, chunk); err != nil {
-		return err
-	}
-	ref.Gen++
-	ref.Count += len(chunk)
-	set, ok := addType(ref.Types, dtype)
-	if !ok {
-		set = nil
-	}
-	ref.Types = set
-	if chunk[0].Compare(ref.Lo) < 0 {
-		ref.Lo = chunk[0]
-	}
-	if chunk[len(chunk)-1].Compare(ref.Hi) > 0 {
-		ref.Hi = chunk[len(chunk)-1]
-	}
-	if ref.Count <= m.blockSize {
-		return nil
-	}
-	return m.splitBlock(ctx, root, bi)
+// appendHome applies one append at the term's home. An inline list
+// takes the postings locally, or, once they would take it past the
+// bound, overflows into blocks.
+func (m *Manager) appendHome(ctx context.Context, term string, ps postings.List, dtype string) error {
+	return m.mutate(ctx, term, func(r *Root) (func() error, error) {
+		r.Types = addType(r.Types, dtype)
+		if len(r.Blocks) > 0 {
+			return nil, m.appendBlocks(ctx, r, ps, dtype)
+		}
+		st := m.node.Store()
+		write := func() error { return st.Append(term, ps) }
+		n, err := st.Count(term)
+		if err != nil || n+len(ps) <= m.blockSize {
+			return write, err
+		}
+		list, err := st.Get(term)
+		if list = postings.MergeUnique(list, ps); err != nil || len(list) <= m.blockSize {
+			return write, err
+		}
+		r.Ordered = m.ordered
+		r.Blocks, err = m.place(ctx, term, list, r.Types)
+		return nil, err
+	})
 }
 
-// splitBlock fetches an overflowing block, splits it into
-// bound-respecting pieces, moves them to fresh pseudo-keys and replaces
-// the root condition with the new ones (the C -> C1, C2 step of
-// Section 4.1, generalised for bulk appends).
-func (m *Manager) splitBlock(ctx context.Context, root *Root, bi int) error {
-	old := root.Blocks[bi]
-	list, err := m.node.Get(ctx, old.Key)
-	if err != nil {
-		return err
+// appendBlocks routes sorted postings to the blocks whose conditions
+// cover them, widening boundary conditions as needed. A block the chunk
+// would take past the bound is replaced by bound-respecting pieces at
+// fresh pseudo-keys (the C -> C1, C2 step of Section 4.1, generalised
+// for bulk appends), and left as it was for readers of the current root
+// until mutate retires it. Pieces are placed before any block append.
+func (m *Manager) appendBlocks(ctx context.Context, r *Root, ps postings.List, dtype string) error {
+	chunks := make([]postings.List, len(r.Blocks))
+	if !r.Ordered {
+		// Random mode: spread arrivals round-robin across blocks.
+		for i, p := range ps {
+			chunks[i%len(chunks)] = append(chunks[i%len(chunks)], p)
+		}
+	} else {
+		// Ordered mode: each block takes the postings up to its Hi, the
+		// last block everything else.
+		for bi := range chunks {
+			j := len(ps)
+			if bi < len(chunks)-1 {
+				j = sort.Search(len(ps), func(j int) bool { return ps[j].Compare(r.Blocks[bi].Hi) > 0 })
+			}
+			chunks[bi], ps = ps[:j], ps[j:]
+		}
 	}
-	if err := m.node.DeleteKey(ctx, old.Key); err != nil {
-		return err
+	pieces := make([][]BlockRef, len(chunks))
+	for bi, chunk := range chunks {
+		if old := r.Blocks[bi]; len(chunk) > 0 && old.Count+len(chunk) > m.blockSize {
+			list, err := m.fetchBlockFailover(ctx, &Root{Term: r.Term, Home: m.node.Self().Addr}, old, "", dht.BatchGet{})
+			if err != nil {
+				return err
+			}
+			if pieces[bi], err = m.place(ctx, r.Term, postings.MergeUnique(list, chunk), addType(old.Types, dtype)); err != nil {
+				return err
+			}
+		}
+	}
+	var blocks []BlockRef
+	for bi, chunk := range chunks {
+		ref := r.Blocks[bi]
+		if pieces[bi] != nil {
+			blocks = append(blocks, pieces[bi]...)
+			continue
+		}
+		if len(chunk) > 0 {
+			var err error
+			if ref.Owner, err = m.writeBlock(ctx, ref, chunk, m.node.AppendAt); err != nil {
+				return err
+			}
+			ref.Gen++
+			ref.Count += len(chunk)
+			ref.Types = addType(ref.Types, dtype)
+			ref.Lo = slices.MinFunc([]sid.Posting{ref.Lo, chunk[0]}, sid.Posting.Compare)
+			ref.Hi = slices.MaxFunc([]sid.Posting{ref.Hi, chunk[len(chunk)-1]}, sid.Posting.Compare)
+		}
+		blocks = append(blocks, ref)
+	}
+	r.Blocks = blocks
+	return nil
+}
+
+// writeBlock applies one block write (AppendAt or DeleteAt) at every
+// owner of the block's key, which the routed get and replica repair
+// read, and at its recorded holder, which readers probe first, if not
+// among them. It returns the holder: the closest owner for a new block
+// or one whose holder failed once every owner took the write.
+func (m *Manager) writeBlock(ctx context.Context, ref BlockRef, ps postings.List,
+	write func(context.Context, dht.Contact, string, postings.List) error) (string, error) {
+	owners, err := m.node.Owners(ctx, ref.Key)
+	if err != nil {
+		return "", err
+	}
+	held := false
+	for _, o := range owners {
+		if err := write(ctx, o, ref.Key, ps); err != nil {
+			return "", err
+		}
+		held = held || o.Addr == ref.Owner
+	}
+	if ref.Owner == "" || !held && write(ctx, contactAt(ref.Owner), ref.Key, ps) != nil {
+		return owners[0].Addr, nil
+	}
+	return ref.Owner, nil
+}
+
+// place divides a sorted list into ceil(n/blockSize) blocks of nearly
+// equal size (at least two), each within the bound — ordered mode cuts
+// by ranges, the randomised ablation deals round-robin — and ships each
+// to the owners of a fresh pseudo-key, the closest its holder, returning
+// the references the root records for them.
+func (m *Manager) place(ctx context.Context, term string, list postings.List, types []string) ([]BlockRef, error) {
+	k := max((len(list)+m.blockSize-1)/m.blockSize, 2)
+	parts := make([]postings.List, k)
+	for i, p := range list {
+		j := i % k
+		if m.ordered {
+			j = i / ((len(list) + k - 1) / k)
+		}
+		parts[j] = append(parts[j], p)
 	}
 	var refs []BlockRef
-	for _, h := range m.partition(list) {
-		ref, err := m.placeBlock(ctx, root.Term, h, old.Types)
-		if err != nil {
-			return err
+	for _, part := range parts {
+		if len(part) == 0 {
+			continue
+		}
+		m.next++
+		key := fmt.Sprintf("overflow:%d:%s", m.next, term)
+		ref := BlockRef{Lo: part[0], Hi: part[len(part)-1], Key: key, Count: len(part), Types: types}
+		var err error
+		if ref.Owner, err = m.writeBlock(ctx, ref, part, m.node.AppendAt); err != nil {
+			return nil, err
 		}
 		refs = append(refs, ref)
 	}
-	root.Blocks = append(root.Blocks[:bi], append(refs, root.Blocks[bi+1:]...)...)
-	return nil
+	return refs, nil
 }
 
 // handleAdvert installs (or, with an empty replica list, revokes) a
@@ -539,14 +579,11 @@ func (m *Manager) handleAdvert(_ context.Context, _ dht.Contact, _ string, blob 
 // garbage-collecting dead entries. Caller holds m.mu.
 func (m *Manager) adReplicas(key string, count int) []string {
 	ad, ok := m.ads[key]
-	if !ok {
-		return nil
-	}
-	if ad.expire <= m.now().UnixNano() {
+	if ok && ad.expire <= m.now().UnixNano() {
 		delete(m.ads, key)
-		return nil
+		ok = false
 	}
-	if ad.count != uint64(count) {
+	if !ok || ad.count != uint64(count) {
 		return nil
 	}
 	return ad.replicas
@@ -571,29 +608,29 @@ func (m *Manager) handleRoot(_ context.Context, _ dht.Contact, term string, _ []
 func (m *Manager) LocalRoot(term string) (*Root, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if root := m.roots[term]; root != nil {
-		return m.withAds(root), nil
+	pub := m.roots[term]
+	if pub != nil && len(pub.Blocks) > 0 {
+		return m.withAds(pub), nil
 	}
 	// Summarise the inline list without the lock, so root fetches do not
-	// serialise against each other or against appends routed here. An
-	// append to this very term landing mid-scan would pair its count
-	// with the older generation; it is caught by the generation check
-	// and the scan redone with writers held off.
-	gen := m.inlineGen[term]
+	// serialise behind each other or appends. An inline write lands under
+	// m.mu with the root it publishes (mutate): an unchanged root means
+	// the scan saw exactly its writes, else it is redone under the lock.
 	m.mu.Unlock()
 	inline, err := m.scanInline(term)
 	m.mu.Lock()
-	if err == nil && (m.roots[term] != nil || m.inlineGen[term] != gen) {
-		if root := m.roots[term]; root != nil {
-			return m.withAds(root), nil
+	if err == nil && m.roots[term] != pub {
+		if pub = m.roots[term]; len(pub.Blocks) > 0 {
+			return m.withAds(pub), nil
 		}
-		gen = m.inlineGen[term]
 		inline, err = m.scanInline(term)
 	}
 	if err != nil {
 		return nil, err
 	}
-	inline.Gen, inline.Types = gen, m.inlineTypes[term]
+	if pub != nil {
+		inline.Gen, inline.Types = pub.Gen, pub.Types
+	}
 	inline.Replicas = m.adReplicas(term, inline.Count)
 	return inline, nil
 }
@@ -633,11 +670,16 @@ func (m *Manager) scanInline(term string) (*Root, error) {
 
 // Root fetches the root block of a term from its home peer.
 func (m *Manager) Root(ctx context.Context, term string) (*Root, error) {
-	cost.FromContext(ctx).AddRootFetches(1)
 	home, err := m.node.LocateContext(ctx, term)
 	if err != nil {
 		return nil, err
 	}
+	return m.rootAt(ctx, home, term)
+}
+
+// rootAt fetches the root block of a term from the peer home.
+func (m *Manager) rootAt(ctx context.Context, home dht.Contact, term string) (*Root, error) {
+	cost.FromContext(ctx).AddRootFetches(1)
 	blob, err := m.node.CallProcOn(ctx, home, term, ProcRoot, nil)
 	if err != nil {
 		return nil, err
@@ -654,30 +696,45 @@ func (m *Manager) Root(ctx context.Context, term string) (*Root, error) {
 
 func encodeRoot(r *Root) []byte {
 	buf := make([]byte, 0, 32+len(r.Blocks)*48)
-	buf = appendStr(buf, r.Term)
+	ordered := byte(0)
 	if r.Ordered {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
+		ordered = 1
 	}
-	buf = binary.AppendUvarint(buf, uint64(r.Count))
-	buf = binary.AppendUvarint(buf, r.Gen)
-	buf = sid.AppendPosting(buf, r.Lo)
-	buf = sid.AppendPosting(buf, r.Hi)
-	buf = appendStrs(buf, r.Types)
-	buf = appendStrs(buf, r.Replicas)
+	buf = append(appendStr(buf, r.Term), ordered)
+	buf = binary.AppendUvarint(binary.AppendUvarint(buf, uint64(r.Count)), r.Gen)
+	buf = sid.AppendPosting(sid.AppendPosting(buf, r.Lo), r.Hi)
+	buf = appendStrs(appendStrs(buf, r.Types), r.Replicas)
 	buf = binary.AppendUvarint(buf, uint64(len(r.Blocks)))
 	for _, b := range r.Blocks {
-		buf = appendStr(buf, b.Key)
-		buf = appendStr(buf, b.Owner)
-		buf = sid.AppendPosting(buf, b.Lo)
-		buf = sid.AppendPosting(buf, b.Hi)
-		buf = binary.AppendUvarint(buf, uint64(b.Count))
-		buf = binary.AppendUvarint(buf, b.Gen)
-		buf = appendStrs(buf, b.Types)
-		buf = appendStrs(buf, b.Replicas)
+		buf = appendStr(appendStr(buf, b.Key), b.Owner)
+		buf = sid.AppendPosting(sid.AppendPosting(buf, b.Lo), b.Hi)
+		buf = binary.AppendUvarint(binary.AppendUvarint(buf, uint64(b.Count)), b.Gen)
+		buf = appendStrs(appendStrs(buf, b.Types), b.Replicas)
 	}
 	return buf
+}
+
+func decodeRoot(buf []byte) (*Root, error) {
+	d := &decoder{buf: buf}
+	r := &Root{Term: d.str(), Ordered: d.uvarint() == 1} // one byte, 0 or 1
+	r.Count, r.Gen = int(d.uvarint()), d.uvarint()
+	r.Lo, r.Hi = d.posting(), d.posting()
+	r.Types, r.Replicas = d.strs(), d.strs()
+	for n := d.count(); d.err == nil && n > 0; n-- {
+		b := BlockRef{Key: d.str(), Owner: d.str(), Lo: d.posting(), Hi: d.posting()}
+		b.Count, b.Gen = int(d.uvarint()), d.uvarint()
+		b.Types, b.Replicas = d.strs(), d.strs()
+		r.Blocks = append(r.Blocks, b)
+	}
+	if d.err != nil {
+		return nil, fmt.Errorf("dpp: decode root: %w", d.err)
+	}
+	return r, nil
+}
+
+func appendStr(buf []byte, s string) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(s)))
+	return append(buf, s...)
 }
 
 func appendStrs(buf []byte, ss []string) []byte {
@@ -688,184 +745,55 @@ func appendStrs(buf []byte, ss []string) []byte {
 	return buf
 }
 
-func readStrs(buf []byte, pos int) ([]string, int, error) {
-	n, sz := binary.Uvarint(buf[pos:])
-	if sz <= 0 || n > uint64(len(buf)) {
-		return nil, pos, fmt.Errorf("dpp: bad string-set length at %d", pos)
+// decoder reads encoded fields in order. The first error sticks, and
+// every read after it returns a zero value.
+type decoder struct {
+	buf []byte
+	pos int
+	err error
+}
+
+func (d *decoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
 	}
-	pos += sz
+	v, sz := binary.Uvarint(d.buf[d.pos:])
+	if sz <= 0 {
+		d.err = fmt.Errorf("bad uvarint at %d", d.pos)
+		return 0
+	}
+	d.pos += sz
+	return v
+}
+
+// count reads a length: of a string, or of a list of items each at
+// least a byte long, so never more than the bytes left.
+func (d *decoder) count() int {
+	n := d.uvarint()
+	if n > uint64(len(d.buf)-d.pos) {
+		d.err = fmt.Errorf("length %d overruns the buffer at %d", n, d.pos)
+		return 0
+	}
+	return int(n)
+}
+
+func (d *decoder) str() string {
+	n := d.count()
+	d.pos += n
+	return string(d.buf[d.pos-n : d.pos])
+}
+
+func (d *decoder) strs() []string {
 	var out []string
-	for i := uint64(0); i < n; i++ {
-		var s string
-		var err error
-		if s, pos, err = readStr(buf, pos); err != nil {
-			return nil, pos, err
-		}
-		out = append(out, s)
+	for n := d.count(); d.err == nil && n > 0; n-- {
+		out = append(out, d.str())
 	}
-	return out, pos, nil
+	return out
 }
 
-func decodeRoot(buf []byte) (*Root, error) {
-	r := &Root{}
-	pos := 0
-	var err error
-	if r.Term, pos, err = readStr(buf, pos); err != nil {
-		return nil, fmt.Errorf("dpp: decode root: %w", err)
+func (d *decoder) posting() (p sid.Posting) {
+	if d.err == nil {
+		p, d.pos, d.err = sid.ReadPosting(d.buf, d.pos)
 	}
-	if pos >= len(buf) {
-		return nil, fmt.Errorf("dpp: decode root: truncated")
-	}
-	r.Ordered = buf[pos] == 1
-	pos++
-	cnt, sz := binary.Uvarint(buf[pos:])
-	if sz <= 0 {
-		return nil, fmt.Errorf("dpp: decode root: bad inline count")
-	}
-	pos += sz
-	r.Count = int(cnt)
-	g, sz := binary.Uvarint(buf[pos:])
-	if sz <= 0 {
-		return nil, fmt.Errorf("dpp: decode root: bad generation")
-	}
-	pos += sz
-	r.Gen = g
-	if r.Lo, pos, err = sid.ReadPosting(buf, pos); err != nil {
-		return nil, err
-	}
-	if r.Hi, pos, err = sid.ReadPosting(buf, pos); err != nil {
-		return nil, err
-	}
-	if r.Types, pos, err = readStrs(buf, pos); err != nil {
-		return nil, err
-	}
-	if r.Replicas, pos, err = readStrs(buf, pos); err != nil {
-		return nil, err
-	}
-	n, sz := binary.Uvarint(buf[pos:])
-	if sz <= 0 || n > uint64(len(buf)) {
-		return nil, fmt.Errorf("dpp: decode root: bad block count")
-	}
-	pos += sz
-	for i := uint64(0); i < n; i++ {
-		var b BlockRef
-		if b.Key, pos, err = readStr(buf, pos); err != nil {
-			return nil, fmt.Errorf("dpp: decode root block %d: %w", i, err)
-		}
-		if b.Owner, pos, err = readStr(buf, pos); err != nil {
-			return nil, fmt.Errorf("dpp: decode root block %d owner: %w", i, err)
-		}
-		if b.Lo, pos, err = sid.ReadPosting(buf, pos); err != nil {
-			return nil, err
-		}
-		if b.Hi, pos, err = sid.ReadPosting(buf, pos); err != nil {
-			return nil, err
-		}
-		c, sz := binary.Uvarint(buf[pos:])
-		if sz <= 0 {
-			return nil, fmt.Errorf("dpp: decode root: bad count")
-		}
-		pos += sz
-		b.Count = int(c)
-		bg, sz := binary.Uvarint(buf[pos:])
-		if sz <= 0 {
-			return nil, fmt.Errorf("dpp: decode root: bad block generation")
-		}
-		pos += sz
-		b.Gen = bg
-		if b.Types, pos, err = readStrs(buf, pos); err != nil {
-			return nil, err
-		}
-		if b.Replicas, pos, err = readStrs(buf, pos); err != nil {
-			return nil, err
-		}
-		r.Blocks = append(r.Blocks, b)
-	}
-	return r, nil
-}
-
-func appendStr(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func readStr(buf []byte, pos int) (string, int, error) {
-	n, sz := binary.Uvarint(buf[pos:])
-	if sz <= 0 || pos+sz+int(n) > len(buf) {
-		return "", pos, fmt.Errorf("truncated string at %d", pos)
-	}
-	pos += sz
-	return string(buf[pos : pos+int(n)]), pos + int(n), nil
-}
-
-// ProcDelete is the deletion procedure: the home peer routes a
-// posting's removal to the block holding it (document modification is
-// deletion followed by re-insertion, as in Section 2).
-const ProcDelete = "index:dpp:delete"
-
-// Delete removes postings of a term through the term's home peer, so
-// deletions reach overflow blocks as well as inline lists.
-func (m *Manager) Delete(ctx context.Context, term string, ps postings.List) error {
-	if len(ps) == 0 {
-		return nil
-	}
-	sorted := ps.Clone()
-	sorted.Sort()
-	enc, err := postings.Encode(sorted)
-	if err != nil {
-		return err
-	}
-	_, err = m.node.CallProc(ctx, term, ProcDelete, enc)
-	return err
-}
-
-// handleDelete runs at the term's home peer.
-func (m *Manager) handleDelete(ctx context.Context, _ dht.Contact, term string, blob []byte) ([]byte, error) {
-	ps, _, err := postings.Decode(blob)
-	if err != nil {
-		return nil, fmt.Errorf("dpp: delete %q: %w", term, err)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	root := m.roots[term]
-	if root == nil {
-		for _, p := range ps {
-			if err := m.node.Store().Delete(term, p); err != nil {
-				return nil, err
-			}
-		}
-		m.inlineGen[term]++
-		return nil, m.save()
-	}
-	// Each posting goes to the first block whose condition covers it;
-	// each touched block then gets its postings in one delete.
-	parts := make([]postings.List, len(root.Blocks))
-	for _, p := range ps {
-		for bi := range root.Blocks {
-			if ref := &root.Blocks[bi]; p.Compare(ref.Lo) >= 0 && p.Compare(ref.Hi) <= 0 {
-				parts[bi] = append(parts[bi], p)
-				break
-			}
-		}
-	}
-	for bi, part := range parts {
-		if len(part) == 0 {
-			continue
-		}
-		ref := &root.Blocks[bi]
-		if err := m.node.DeleteAt(ctx, contactAt(ref.Owner), ref.Key, part); err != nil {
-			return nil, err
-		}
-		ref.Gen++
-		ref.Count = max(ref.Count-len(part), 0)
-	}
-	// Drop emptied blocks from the root.
-	kept := root.Blocks[:0]
-	for _, b := range root.Blocks {
-		if b.Count > 0 {
-			kept = append(kept, b)
-		}
-	}
-	root.Blocks = kept
-	return nil, m.save()
+	return p
 }

@@ -27,10 +27,15 @@ func newCluster(t testing.TB, peers int, opts Options) *cluster {
 // newClusterOn is newCluster with each peer's transport passed through
 // wrap, so a test can observe or break what a peer sends.
 func newClusterOn(t testing.TB, peers int, opts Options, wrap func(peer int, tr dht.Transport) dht.Transport) *cluster {
+	return newClusterWith(t, peers, opts, dht.Config{}, wrap)
+}
+
+// newClusterWith is newClusterOn with every node on the given config.
+func newClusterWith(t testing.TB, peers int, opts Options, cfg dht.Config, wrap func(peer int, tr dht.Transport) dht.Transport) *cluster {
 	t.Helper()
 	c := &cluster{net: dht.NewNetwork()}
 	for i := 0; i < peers; i++ {
-		node, err := dht.NewNode(wrap(i, c.net.NewEndpoint()), store.NewMem(), dht.Config{})
+		node, err := dht.NewNode(wrap(i, c.net.NewEndpoint()), store.NewMem(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +72,7 @@ func seqPostings(n int, docsize int) postings.List {
 func TestInlineListStaysInline(t *testing.T) {
 	c := newCluster(t, 8, Options{BlockSize: 100})
 	l := seqPostings(50, 10)
-	if err := c.managers[0].Append(context.Background(), "l:title", l); err != nil {
+	if err := c.managers[0].Append(context.Background(), "l:title", l, ""); err != nil {
 		t.Fatal(err)
 	}
 	root, err := c.managers[3].Root(context.Background(), "l:title")
@@ -102,7 +107,7 @@ func TestOverflowSplitsAndFetchReassembles(t *testing.T) {
 		if end > len(want) {
 			end = len(want)
 		}
-		if err := c.managers[i/120%len(c.managers)].Append(context.Background(), "l:author", want[i:end]); err != nil {
+		if err := c.managers[i/120%len(c.managers)].Append(context.Background(), "l:author", want[i:end], ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -163,10 +168,10 @@ func TestInterleavedAppendSplitsEarlyBlock(t *testing.T) {
 			odd = append(odd, p)
 		}
 	}
-	if err := c.managers[0].Append(context.Background(), "l:author", even); err != nil {
+	if err := c.managers[0].Append(context.Background(), "l:author", even, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.managers[1].Append(context.Background(), "l:author", odd); err != nil {
+	if err := c.managers[1].Append(context.Background(), "l:author", odd, ""); err != nil {
 		t.Fatal(err)
 	}
 	s, _, err := c.managers[5].Fetch("l:author", FetchOptions{})
@@ -185,7 +190,7 @@ func TestInterleavedAppendSplitsEarlyBlock(t *testing.T) {
 func TestBlocksDistributedAcrossPeers(t *testing.T) {
 	c := newCluster(t, 12, Options{BlockSize: 100})
 	want := seqPostings(1000, 20)
-	if err := c.managers[0].Append(context.Background(), "l:author", want); err != nil {
+	if err := c.managers[0].Append(context.Background(), "l:author", want, ""); err != nil {
 		t.Fatal(err)
 	}
 	// Count peers holding at least one overflow key.
@@ -210,7 +215,7 @@ func TestBlocksDistributedAcrossPeers(t *testing.T) {
 func TestDocIntervalFilterSkipsBlocks(t *testing.T) {
 	c := newCluster(t, 10, Options{BlockSize: 100})
 	want := seqPostings(1000, 10) // docs 0..99
-	if err := c.managers[0].Append(context.Background(), "l:author", want); err != nil {
+	if err := c.managers[0].Append(context.Background(), "l:author", want, ""); err != nil {
 		t.Fatal(err)
 	}
 	lo := sid.DocKey{Peer: 1, Doc: 40}
@@ -237,7 +242,7 @@ func TestDocIntervalFilterSkipsBlocks(t *testing.T) {
 func TestDocIntervalClipWithoutConditionFilter(t *testing.T) {
 	c := newCluster(t, 8, Options{BlockSize: 100})
 	want := seqPostings(600, 10)
-	if err := c.managers[0].Append(context.Background(), "l:x", want); err != nil {
+	if err := c.managers[0].Append(context.Background(), "l:x", want, ""); err != nil {
 		t.Fatal(err)
 	}
 	lo := sid.DocKey{Peer: 1, Doc: 10}
@@ -276,7 +281,7 @@ func TestRandomSplitAblation(t *testing.T) {
 		if end > len(want) {
 			end = len(want)
 		}
-		if err := c.managers[0].Append(context.Background(), "l:r", want[i:end]); err != nil {
+		if err := c.managers[0].Append(context.Background(), "l:r", want[i:end], ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -354,7 +359,7 @@ func TestFetchUnknownTermIsEmpty(t *testing.T) {
 func TestParallelFetchMatchesSerial(t *testing.T) {
 	c := newCluster(t, 10, Options{BlockSize: 64})
 	want := seqPostings(2000, 25)
-	if err := c.managers[0].Append(context.Background(), "w:xml", want); err != nil {
+	if err := c.managers[0].Append(context.Background(), "w:xml", want, ""); err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 2, 8} {
@@ -376,7 +381,7 @@ func TestManyTermsIndependentRoots(t *testing.T) {
 	c := newCluster(t, 8, Options{BlockSize: 50})
 	for i := 0; i < 5; i++ {
 		term := fmt.Sprintf("l:t%d", i)
-		if err := c.managers[0].Append(context.Background(), term, seqPostings(120+10*i, 10)); err != nil {
+		if err := c.managers[0].Append(context.Background(), term, seqPostings(120+10*i, 10), ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -399,7 +404,7 @@ func TestManyTermsIndependentRoots(t *testing.T) {
 func TestDeleteReachesBlocks(t *testing.T) {
 	c := newCluster(t, 10, Options{BlockSize: 100})
 	want := seqPostings(500, 10)
-	if err := c.managers[0].Append(context.Background(), "l:author", want); err != nil {
+	if err := c.managers[0].Append(context.Background(), "l:author", want, ""); err != nil {
 		t.Fatal(err)
 	}
 	// Delete a slice from the middle (postings that live in blocks).
@@ -432,7 +437,7 @@ func TestDeleteReachesBlocks(t *testing.T) {
 func TestDeleteInlineList(t *testing.T) {
 	c := newCluster(t, 6, Options{BlockSize: 1000})
 	want := seqPostings(50, 10)
-	if err := c.managers[0].Append(context.Background(), "l:x", want); err != nil {
+	if err := c.managers[0].Append(context.Background(), "l:x", want, ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.managers[1].Delete(context.Background(), "l:x", want[:5]); err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -84,10 +85,11 @@ func (m *Manager) FetchContext(ctx context.Context, term string, opts FetchOptio
 // streams in flight. A block reaches its result slot when its last
 // chunk arrives, not when the holder's batch drains, so the consumer
 // starts on the first block. Holders start in descending order of
-// block count. A list still inline at its home peer is
-// the one-block case: the term is the key, the peer that served the
-// root the holder. A key its stream did not deliver falls over to the
-// block's other holders, and last to the routed pipelined get.
+// block count. A list still inline at its home peer is the one-block
+// case: the term is the key, the peer that served the root the holder.
+// A key its stream did not deliver falls over to the block's other
+// holders, then to the routed pipelined get, and last to a refetch of
+// the root, in case a restructure retired the key.
 //
 // Without a block cache the holder clips each block to the document
 // interval. With one, kept blocks are looked up by (term, key,
@@ -119,16 +121,12 @@ func (m *Manager) FetchWithRoot(ctx context.Context, root *Root, opts FetchOptio
 
 	// Select blocks: keep those whose condition intersects the filter
 	// and whose types can match.
-	blocks, ordered := root.Blocks, root.Ordered
-	if len(blocks) == 0 {
+	ordered := root.Ordered
+	if len(root.Blocks) == 0 {
 		plan.Inline, ordered = true, true
-		if root.Count > 0 {
-			blocks = []BlockRef{{Lo: root.Lo, Hi: root.Hi, Key: root.Term, Owner: root.Home,
-				Count: root.Count, Gen: root.Gen, Types: root.Types, Replicas: root.Replicas}}
-		}
 	}
 	var keep []BlockRef
-	for _, b := range blocks {
+	for _, b := range root.refs() {
 		if opts.Filter && ordered && !opts.NoConditionFilter {
 			if b.Hi.Key().Compare(opts.FilterLo) < 0 || b.Lo.Key().Compare(opts.FilterHi) > 0 {
 				continue
@@ -185,7 +183,7 @@ func (m *Manager) FetchWithRoot(ctx context.Context, root *Root, opts FetchOptio
 				l, err := f.Wait(fctx)
 				if err != nil && fctx.Err() == nil {
 					// The leader's query gave up, not ours: fetch it here.
-					l, err = m.fetchBlockFailover(fctx, b, "", req)
+					l, err = m.fetchBlockFailover(fctx, root, b, "", req)
 				}
 				results[i] <- fetched{list: clip(l), err: err}
 			}()
@@ -213,7 +211,7 @@ func (m *Manager) FetchWithRoot(ctx context.Context, root *Root, opts FetchOptio
 			sem <- struct{}{}
 			go func() {
 				defer func() { <-sem }()
-				m.fetchHolder(fctx, addr, groups[addr], req, finish)
+				m.fetchHolder(fctx, root, addr, groups[addr], req, finish)
 			}()
 		}
 	}()
@@ -268,8 +266,8 @@ type leaderBlock struct {
 // batched stream, finishing each block as its last chunk arrives. A key
 // the stream did not deliver — the stream failed, or the peer does not
 // hold a block the root says has postings (a stale owner, a demoted
-// replica) — falls over to the block's other holders.
-func (m *Manager) fetchHolder(ctx context.Context, addr string, group []leaderBlock, req dht.BatchGet, finish func(leaderBlock, postings.List, error)) {
+// replica, a key retired since the root was fetched) — falls over.
+func (m *Manager) fetchHolder(ctx context.Context, root *Root, addr string, group []leaderBlock, req dht.BatchGet, finish func(leaderBlock, postings.List, error)) {
 	start := time.Now()
 	req.Keys = make([]string, len(group))
 	for i, lb := range group {
@@ -306,7 +304,7 @@ func (m *Manager) fetchHolder(ctx context.Context, addr string, group []leaderBl
 			finish(lb, nil, cerr)
 			continue
 		}
-		l, err := m.fetchBlockFailover(ctx, lb.b, addr, req)
+		l, err := m.fetchBlockFailover(ctx, root, lb.b, addr, req)
 		finish(lb, l, err)
 	}
 }
@@ -348,14 +346,11 @@ func (m *Manager) pickHolder(b BlockRef) string {
 // past responses. A peer with no known gauge ranks as idle, so a fresh
 // replica gets probed rather than starved.
 func (m *Manager) orderCandidates(primary string, replicas []string) []string {
-	seen := map[string]bool{}
 	var addrs []string
 	for _, a := range append([]string{primary}, replicas...) {
-		if a == "" || seen[a] {
-			continue
+		if a != "" && !slices.Contains(addrs, a) {
+			addrs = append(addrs, a)
 		}
-		seen[a] = true
-		addrs = append(addrs, a)
 	}
 	if len(addrs) <= 1 {
 		return addrs
@@ -375,16 +370,28 @@ func (m *Manager) orderCandidates(primary string, replicas []string) []string {
 	return out
 }
 
-// fetchBlockFailover recovers one block whose first holder (tried) did
-// not deliver it. Each other known holder — the recorded owner plus any
-// advertised replicas, in shed-aware power-of-two-choices order — gets
-// a single probe, itself a batch of one; a failed probe, or a peer not
-// holding a block that has postings, fails over to the next. Only when
-// all probes miss does the fetch ROTATE to the routed pipelined get,
-// which locates the key's current owners and spends the full retry
-// budget there, so a stale pointer or a shedding replica costs one
-// failed probe instead of the whole budget.
-func (m *Manager) fetchBlockFailover(ctx context.Context, b BlockRef, tried string, req dht.BatchGet) (postings.List, error) {
+// fetchBlockFailover recovers one block of root whose first holder
+// (tried) did not deliver it. Each other known holder — the recorded
+// owner plus any advertised replicas, in shed-aware power-of-two-choices
+// order — gets a single probe, itself a batch of one. Only when all miss
+// does the fetch ROTATE to the routed pipelined get, which locates the
+// key's current owners and spends the full retry budget there, so a
+// stale pointer or a shedding replica costs one failed probe instead of
+// the whole budget. A block counted non-empty that no owner has goes to
+// refetchBlock.
+func (m *Manager) fetchBlockFailover(ctx context.Context, root *Root, b BlockRef, tried string, req dht.BatchGet) (postings.List, error) {
+	if list, ok := m.probe(ctx, b, tried, req); ok {
+		return list, nil
+	}
+	list, err := m.routedGet(ctx, b.Key, req)
+	if err == nil && len(list) == 0 && b.Count > 0 {
+		return m.refetchBlock(ctx, root, b, req)
+	}
+	return list, err
+}
+
+// probe asks b's known holders but tried for the block alone.
+func (m *Manager) probe(ctx context.Context, b BlockRef, tried string, req dht.BatchGet) (postings.List, bool) {
 	req.Keys = []string{b.Key}
 	for _, addr := range m.orderCandidates(b.Owner, b.Replicas) {
 		if addr == tried {
@@ -396,10 +403,16 @@ func (m *Manager) fetchBlockFailover(ctx context.Context, b BlockRef, tried stri
 		noteProbe(ctx, err)
 		if err == nil && held {
 			noteFetched(ctx, list)
-			return list, nil
+			return list, true
 		}
 	}
-	s, err := m.node.GetStream(ctx, b.Key)
+	return nil, false
+}
+
+// routedGet reads a key from its current owners, clipped as req asks;
+// an empty result is never clipped, so it means the owners hold nothing.
+func (m *Manager) routedGet(ctx context.Context, key string, req dht.BatchGet) (postings.List, error) {
+	s, err := m.node.GetStream(ctx, key)
 	if err != nil {
 		return nil, err
 	}
@@ -408,8 +421,61 @@ func (m *Manager) fetchBlockFailover(ctx context.Context, b BlockRef, tried stri
 		return nil, err
 	}
 	noteFetched(ctx, list)
-	if req.Clip {
+	if req.Clip && len(list) > 0 {
 		list = list.ClipDocs(req.Lo, req.Hi)
 	}
 	return list, nil
+}
+
+// maxRootRefetches bounds the root refetches of one block's recovery:
+// each one outruns one more restructure of the block's range.
+const maxRootRefetches = 3
+
+// refetchBlock recovers block b of root, which no owner holds, from
+// the root its home serves now: root.Home's, or the located home's when
+// that fails or has never held the term. Its blocks that intersect b's
+// condition — b itself if still named, else the replacements a split or
+// an overflow put in its place — are read and clipped to it. One that
+// no holder has costs another refetch, up to maxRootRefetches.
+func (m *Manager) refetchBlock(ctx context.Context, root *Root, b BlockRef, req dht.BatchGet) (postings.List, error) {
+	if len(root.Blocks) > 0 && !root.Ordered {
+		// Unordered blocks overlap: no condition isolates a retired one.
+		return nil, fmt.Errorf("dpp: block %s of unordered %q was retired during the fetch", b.Key, root.Term)
+	}
+	home := root.Home
+	for range maxRootRefetches {
+		cur, err := m.rootAt(ctx, contactAt(home), root.Term)
+		if err != nil || cur.Gen == 0 && cur.Postings() == 0 {
+			if cur, err = m.Root(ctx, root.Term); err == nil && cur.Gen == 0 && cur.Postings() == 0 {
+				err = fmt.Errorf("dpp: block %s of %q: no peer knows the term", b.Key, root.Term)
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
+		home = cur.Home
+		var out postings.List
+		lost := false
+		for _, nb := range cur.refs() {
+			if _, old := root.ref(nb.Key); old && nb.Key != b.Key || nb.Hi.Compare(b.Lo) < 0 || nb.Lo.Compare(b.Hi) > 0 {
+				continue
+			}
+			list, ok := m.probe(ctx, nb, "", req)
+			if !ok {
+				if list, err = m.routedGet(ctx, nb.Key, req); err != nil {
+					return nil, err
+				}
+				if lost = len(list) == 0 && nb.Count > 0; lost {
+					break
+				}
+			}
+			lo := sort.Search(len(list), func(i int) bool { return list[i].Compare(b.Lo) >= 0 })
+			hi := sort.Search(len(list), func(i int) bool { return list[i].Compare(b.Hi) > 0 })
+			out = postings.MergeUnique(out, list[lo:hi])
+		}
+		if !lost {
+			return out, nil
+		}
+	}
+	return nil, fmt.Errorf("dpp: block %s of %q (%d postings): not recovered in %d root refetches", b.Key, root.Term, b.Count, maxRootRefetches)
 }

@@ -89,7 +89,7 @@ func tappedCluster(t *testing.T, at int, n int) (*cluster, *tapTransport, *Root,
 		return tap
 	})
 	want := seqPostings(n, 5)
-	if err := c.managers[0].Append(context.Background(), "l:author", want); err != nil {
+	if err := c.managers[0].Append(context.Background(), "l:author", want, ""); err != nil {
 		t.Fatal(err)
 	}
 	root, err := c.managers[at].Root(context.Background(), "l:author")
@@ -215,7 +215,7 @@ func (shutGate) Shedding() bool { return true }
 func TestFetchCancelsFanOutOnError(t *testing.T) {
 	c := newCluster(t, 8, Options{BlockSize: 10})
 	want := seqPostings(3000, 5)
-	if err := c.managers[0].Append(context.Background(), "l:author", want); err != nil {
+	if err := c.managers[0].Append(context.Background(), "l:author", want, ""); err != nil {
 		t.Fatal(err)
 	}
 	full, err := c.managers[0].Root(context.Background(), "l:author")
@@ -336,9 +336,7 @@ func TestInlineRootConsistentUnderAppends(t *testing.T) {
 		}()
 	}
 	for i := 0; i < appends; i++ {
-		home.mu.Lock()
-		err := home.appendLocked(context.Background(), "l:title", all[i*per:(i+1)*per], "")
-		home.mu.Unlock()
+		err := home.appendHome(context.Background(), "l:title", all[i*per:(i+1)*per], "")
 		if err != nil {
 			t.Error(fmt.Errorf("append %d: %w", i, err))
 			break

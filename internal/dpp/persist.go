@@ -15,7 +15,8 @@ import (
 // fsync, rename. The rename is atomic, so a crash leaves either the old
 // or the new state, never a torn one.
 
-// persistedState is the JSON layout of the state file.
+// persistedState is the JSON layout of the state file: the roots of
+// overflowed terms, and the generation and types of inline ones.
 type persistedState struct {
 	Roots       map[string]*Root    `json:"roots"`
 	InlineTypes map[string][]string `json:"inline_types,omitempty"`
@@ -24,7 +25,7 @@ type persistedState struct {
 }
 
 // load reads the state file into the manager (no-op without a path or
-// file). Called once from NewManager, before the mutex matters.
+// file). Called once from NewManager, before the mutexes matter.
 func (m *Manager) load() error {
 	if m.persistPath == "" {
 		return nil
@@ -43,28 +44,35 @@ func (m *Manager) load() error {
 	if st.Roots != nil {
 		m.roots = st.Roots
 	}
-	if st.InlineTypes != nil {
-		m.inlineTypes = st.InlineTypes
-	}
-	if st.InlineGen != nil {
-		m.inlineGen = st.InlineGen
+	// An overflowed term may still have inline entries (older files kept
+	// them): its generation stays above the inline list's, never reused.
+	for term, gen := range st.InlineGen {
+		if r := m.roots[term]; r != nil {
+			r.Gen = max(r.Gen, gen)
+		} else {
+			m.roots[term] = &Root{Term: term, Gen: gen, Types: st.InlineTypes[term]}
+		}
 	}
 	m.next = st.Next
 	return nil
 }
 
-// save rewrites the state file atomically. Callers hold m.mu. Without a
-// path it is free, so the mutation handlers call it unconditionally.
+// save rewrites the state file atomically. Callers hold m.wmu and m.mu.
+// Without a path it is free, so mutate calls it unconditionally.
 func (m *Manager) save() error {
 	if m.persistPath == "" {
 		return nil
 	}
-	data, err := json.Marshal(persistedState{
-		Roots:       m.roots,
-		InlineTypes: m.inlineTypes,
-		InlineGen:   m.inlineGen,
-		Next:        m.next,
-	})
+	st := persistedState{Roots: map[string]*Root{}, InlineTypes: map[string][]string{},
+		InlineGen: map[string]uint64{}, Next: m.next}
+	for term, r := range m.roots {
+		if len(r.Blocks) > 0 {
+			st.Roots[term] = r
+			continue
+		}
+		st.InlineGen[term], st.InlineTypes[term] = r.Gen, r.Types
+	}
+	data, err := json.Marshal(st)
 	if err != nil {
 		return err
 	}
@@ -73,18 +81,16 @@ func (m *Manager) save() error {
 	if err != nil {
 		return fmt.Errorf("dpp: save state: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("dpp: save state: %w", err)
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("dpp: save state: %w", err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("dpp: save state: %w", err)
+	if err == nil {
+		err = os.Rename(tmp, m.persistPath)
 	}
-	if err := os.Rename(tmp, m.persistPath); err != nil {
+	if err != nil {
 		return fmt.Errorf("dpp: save state: %w", err)
 	}
 	return nil

@@ -15,7 +15,7 @@ import (
 func TestFetchBlockRotatesBeforeRetrying(t *testing.T) {
 	c := newCluster(t, 8, Options{BlockSize: 50})
 	want := seqPostings(300, 10)
-	if err := c.managers[0].Append(context.Background(), "l:author", want); err != nil {
+	if err := c.managers[0].Append(context.Background(), "l:author", want, ""); err != nil {
 		t.Fatal(err)
 	}
 	root, err := c.managers[2].Root(context.Background(), "l:author")
@@ -33,7 +33,7 @@ func TestFetchBlockRotatesBeforeRetrying(t *testing.T) {
 
 	col := c.net.Collector
 	base := col.Events(metrics.EventRetry)
-	got, err := c.managers[2].fetchBlockFailover(context.Background(), b, "", dht.BatchGet{})
+	got, err := c.managers[2].fetchBlockFailover(context.Background(), root, b, "", dht.BatchGet{})
 	if err != nil {
 		t.Fatalf("fetch with stale owner hint: %v", err)
 	}

@@ -769,7 +769,7 @@ func (p *Peer) appendTerms(ctx context.Context, byTerm map[string]*termGroup, dt
 			defer func() { <-sem }()
 			var err error
 			if p.dpp != nil {
-				err = p.dpp.AppendTyped(ctx, term, g.list, dtype)
+				err = p.dpp.Append(ctx, term, g.list, dtype)
 			} else {
 				err = p.node.Append(ctx, term, g.list)
 			}
