@@ -143,6 +143,42 @@ func TestGetBatchDeliversPerKey(t *testing.T) {
 	}
 }
 
+// TestGetBatchClipStartsAtInterval: a clipped scan starts at the
+// interval's first document, so a key whose postings all lie below the
+// interval is read only by the probe that finds it held — it still gets
+// the key-held marker, and a key straddling the interval's start comes
+// back with exactly its in-interval postings.
+func TestGetBatchClipStartsAtInterval(t *testing.T) {
+	net := NewNetwork()
+	nodes := buildNetwork(t, net, 2)
+	a, b := nodes[0], nodes[1]
+	lists := map[string]postings.List{"k:below": docPostings(0, 10), "k:across": docPostings(40, 80)}
+	for k, l := range lists {
+		if err := b.Store().Append(k, l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req := BatchGet{Keys: []string{"k:below", "k:absent", "k:across"},
+		Clip: true, Lo: sid.DocKey{Peer: 1, Doc: 50}, Hi: sid.DocKey{Peer: 1, Doc: 200}}
+	var order []string
+	got := map[string]postings.List{}
+	if err := a.GetBatch(context.Background(), b.Self(), req, func(i int, l postings.List) {
+		order = append(order, req.Keys[i])
+		got[req.Keys[i]] = l
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"k:below", "k:across"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("delivered %v, want %v", order, want)
+	}
+	if len(got["k:below"]) != 0 {
+		t.Errorf("k:below delivered %d postings, want the empty marker", len(got["k:below"]))
+	}
+	if want := docPostings(50, 80); !reflect.DeepEqual(got["k:across"], want) {
+		t.Errorf("k:across delivered %d postings, want the %d in the interval", len(got["k:across"]), len(want))
+	}
+}
+
 // TestBatchMarkerMixedVersions pins the compatibility of the key-held
 // marker and of packed frames in both directions. A holder that predates
 // the marker sends nothing for a key its clip empties, and the client

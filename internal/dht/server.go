@@ -194,7 +194,9 @@ const (
 // split the stream, and answers a key this peer holds but whose clip is
 // empty with one empty piece, so the client can tell "nothing in the
 // interval" from "not here" (a stale owner); a key it does not hold is
-// passed over.
+// passed over. A clipped scan starts at the interval's first document;
+// when it finds nothing there, one probe from the list's start tells
+// the two apart.
 func (n *Node) streamKeys(req BatchGet, framing chunkFraming, send func(Message) error) error {
 	view, err := n.store.Snapshot()
 	if err != nil {
@@ -203,6 +205,10 @@ func (n *Node) streamKeys(req BatchGet, framing chunkFraming, send func(Message)
 	defer view.Close()
 	out := chunkSink{n: n, framing: framing, send: send}
 	batch := make(postings.List, 0, n.cfg.ChunkSize)
+	from := sid.MinPosting
+	if req.Clip {
+		from = sid.Posting{Peer: req.Lo.Peer, Doc: req.Lo.Doc}
+	}
 	for _, key := range req.Keys {
 		if framing != plainChunks {
 			n.load.ServeBlock()
@@ -210,16 +216,10 @@ func (n *Node) streamKeys(req BatchGet, framing chunkFraming, send func(Message)
 		batch = batch[:0]
 		held, sent := false, false
 		var sendErr error
-		err := view.Scan(key, sid.MinPosting, func(p sid.Posting) bool {
+		err := view.Scan(key, from, func(p sid.Posting) bool {
 			held = true
-			if req.Clip {
-				k := p.Key()
-				if k.Compare(req.Lo) < 0 {
-					return true
-				}
-				if k.Compare(req.Hi) > 0 {
-					return false // sorted: nothing further can match
-				}
+			if req.Clip && p.Key().Compare(req.Hi) > 0 {
+				return false // sorted: nothing further can match
 			}
 			// A full piece leaves only once another posting follows it, so
 			// the key's last piece is always known to be the last.
@@ -232,6 +232,12 @@ func (n *Node) streamKeys(req BatchGet, framing chunkFraming, send func(Message)
 			batch = append(batch, p)
 			return true
 		})
+		if err == nil && !held && req.Clip {
+			err = view.Scan(key, sid.MinPosting, func(sid.Posting) bool {
+				held = true
+				return false
+			})
+		}
 		if err != nil {
 			return err
 		}

@@ -168,7 +168,7 @@ type Peer struct {
 	dpp  *dpp.Manager
 
 	mu       sync.Mutex
-	docs     map[sid.DocID]*xmltree.Document
+	docs     map[sid.DocID]localDoc
 	uris     map[sid.DocID]string
 	docTypes map[sid.DocID]string
 	nextDoc  sid.DocID
@@ -197,7 +197,7 @@ func NewPeer(node *dht.Node, id sid.PeerID, cfg Config) (*Peer, error) {
 		node:     node,
 		id:       id,
 		cfg:      cfg,
-		docs:     map[sid.DocID]*xmltree.Document{},
+		docs:     map[sid.DocID]localDoc{},
 		uris:     map[sid.DocID]string{},
 		docTypes: map[sid.DocID]string{},
 		dir:      map[string][]byte{},
@@ -300,7 +300,7 @@ func (p *Peer) replayState(recs []stateRecord) error {
 				return fmt.Errorf("kadop: replay doc %d (%s): %w", rec.ID, rec.URI, err)
 			}
 			id := sid.DocID(rec.ID)
-			p.docs[id] = doc
+			p.docs[id] = newLocalDoc(doc)
 			p.uris[id] = rec.URI
 			if rec.Dtype != "" {
 				p.docTypes[id] = rec.Dtype
@@ -648,6 +648,18 @@ func (p *Peer) PublishBatch(docs []TreeDoc) ([]sid.DocKey, error) {
 	return p.publish(context.Background(), pub, nil)
 }
 
+// localDoc is one document this peer published, with its layout for
+// the answer phase: a published document never changes, so it is laid
+// out once here rather than on every answer request.
+type localDoc struct {
+	tree   *xmltree.Document
+	layout *pattern.Layout
+}
+
+func newLocalDoc(doc *xmltree.Document) localDoc {
+	return localDoc{tree: doc, layout: pattern.NewLayout(doc)}
+}
+
 // pubDoc is one document entering the publish pipeline; raw is nil for
 // a document handed over already parsed.
 type pubDoc struct {
@@ -683,6 +695,10 @@ func (p *Peer) publish(ctx context.Context, docs []pubDoc, at *sid.DocID) ([]sid
 		return nil, nil
 	}
 	keys := make([]sid.DocKey, len(docs))
+	local := make([]localDoc, len(docs))
+	for i, d := range docs {
+		local[i] = newLocalDoc(d.doc)
+	}
 	var recs []stateRecord
 	p.mu.Lock()
 	for i, d := range docs {
@@ -696,7 +712,7 @@ func (p *Peer) publish(ctx context.Context, docs []pubDoc, at *sid.DocID) ([]sid
 		} else {
 			p.nextDoc++
 		}
-		p.docs[id] = d.doc
+		p.docs[id] = local[i]
 		p.uris[id] = d.uri
 		if d.dtype != "" {
 			p.docTypes[id] = d.dtype
@@ -795,7 +811,7 @@ func (p *Peer) appendTerms(ctx context.Context, byTerm map[string]*termGroup, dt
 // deletion followed by re-publication, as in the paper.
 func (p *Peer) Unpublish(ctx context.Context, id sid.DocID) error {
 	p.mu.Lock()
-	doc := p.docs[id]
+	doc := p.docs[id].tree
 	delete(p.docs, id)
 	delete(p.uris, id)
 	delete(p.docTypes, id)
@@ -830,7 +846,7 @@ func (p *Peer) Document(id sid.DocID) (*xmltree.Document, string, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	d, ok := p.docs[id]
-	return d, p.uris[id], ok
+	return d.tree, p.uris[id], ok
 }
 
 // DocumentCount returns the number of locally published documents.
@@ -868,11 +884,11 @@ func (p *Peer) handleAnswer(ctx context.Context, _ dht.Contact, _ string, blob [
 	if err != nil {
 		return nil, fmt.Errorf("kadop: answer: %w", err)
 	}
-	docs := make([]*xmltree.Document, len(keys))
+	docs := make([]*pattern.Layout, len(keys)) // laid out at publish
 	p.mu.Lock()
 	for i, k := range keys {
 		if k.Peer == p.id {
-			docs[i] = p.docs[k.Doc]
+			docs[i] = p.docs[k.Doc].layout
 		}
 	}
 	p.mu.Unlock()
@@ -892,7 +908,7 @@ func (p *Peer) handleAnswer(ctx context.Context, _ dht.Contact, _ string, blob [
 		}
 		n := len(sids)
 		var scanned int
-		sids, scanned = m.Match(sids, doc)
+		sids, scanned = m.MatchLayout(sids, doc)
 		st.docsEvaluated++
 		st.elementsScanned += int64(scanned)
 		if len(sids) > n {

@@ -542,7 +542,7 @@ type vectorResult struct {
 }
 
 // joinVector fetches one vector's streams and runs the twig join over
-// them.
+// them, counting each matching document's answer tuples.
 func (p *Peer) joinVector(ctx context.Context, sub *pattern.Query, opts QueryOptions, reads *termReads, v docRange, start time.Time) (out vectorResult) {
 	traced := trace.FromContext(ctx) != nil
 	fctx, fsp := trace.StartSpan(ctx, "phase:fetch")
@@ -558,14 +558,12 @@ func (p *Peer) joinVector(ctx context.Context, sub *pattern.Query, opts QueryOpt
 		timed = wrapTimed(streams)
 	}
 	joinStart := time.Now()
-	out.err = twigjoin.RunContext(ctx, sub, streams, func(m twigjoin.Match) error {
+	out.err = twigjoin.Docs(ctx, sub, streams, func(doc sid.DocKey, tuples int64) error {
 		if out.matches == 0 {
 			out.first = time.Since(start)
 		}
-		out.matches++
-		if n := len(out.docs); n == 0 || out.docs[n-1] != m.Doc {
-			out.docs = append(out.docs, m.Doc)
-		}
+		out.matches += int(tuples)
+		out.docs = append(out.docs, doc)
 		return nil
 	})
 	if traced {

@@ -28,6 +28,7 @@ type Matcher struct {
 	parent []int   // pre-order position of each node's pattern parent; -1 for the root
 
 	elems   []element // the current document, in pre-order
+	own     []element // Match's layout buffer
 	bound   []int     // element position bound to each pattern node
 	scanned int
 }
@@ -37,6 +38,33 @@ type Matcher struct {
 type element struct {
 	n   *xmltree.Node
 	end int
+}
+
+// Layout is a document laid out for matching: its elements in
+// pre-order, each with the position one past its subtree. A published
+// document never changes, so its layout is built once and shared by
+// every Matcher that evaluates it, concurrently.
+type Layout struct {
+	elems []element
+}
+
+// NewLayout lays doc out.
+func NewLayout(doc *xmltree.Document) *Layout {
+	l := &Layout{}
+	if doc != nil && doc.Root != nil {
+		l.elems = appendLayout(nil, doc.Root)
+	}
+	return l
+}
+
+func appendLayout(elems []element, n *xmltree.Node) []element {
+	i := len(elems)
+	elems = append(elems, element{n: n})
+	for _, c := range n.Children {
+		elems = appendLayout(elems, c)
+	}
+	elems[i].end = len(elems)
+	return elems
 }
 
 // Compile prepares q for evaluation.
@@ -70,20 +98,23 @@ func (m *Matcher) Match(dst []sid.SID, doc *xmltree.Document) ([]sid.SID, int) {
 	if len(m.nodes) == 0 || doc == nil || doc.Root == nil {
 		return dst, 0
 	}
-	m.elems = m.elems[:0]
-	m.layout(doc.Root)
-	m.scanned = 0
-	dst = m.enumerate(0, dst)
-	return dst, m.scanned
+	m.own = appendLayout(m.own[:0], doc.Root)
+	return m.match(dst, m.own)
 }
 
-func (m *Matcher) layout(n *xmltree.Node) {
-	i := len(m.elems)
-	m.elems = append(m.elems, element{n: n})
-	for _, c := range n.Children {
-		m.layout(c)
+// MatchLayout is Match over a document laid out in advance.
+func (m *Matcher) MatchLayout(dst []sid.SID, l *Layout) ([]sid.SID, int) {
+	if len(m.nodes) == 0 || l == nil || len(l.elems) == 0 {
+		return dst, 0
 	}
-	m.elems[i].end = len(m.elems)
+	return m.match(dst, l.elems)
+}
+
+func (m *Matcher) match(dst []sid.SID, elems []element) ([]sid.SID, int) {
+	m.elems, m.scanned = elems, 0
+	dst = m.enumerate(0, dst)
+	m.elems = nil
+	return dst, m.scanned
 }
 
 // enumerate binds pattern node i and every node after it, appending a

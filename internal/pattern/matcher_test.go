@@ -32,11 +32,16 @@ func oraclePattern(n *Node) *xmltree.PatternNode {
 }
 
 // checkMatcher is the three-way check: the Matcher's tuples equal
-// MatchDocument's in order and xmltree.MatchPattern's as sets. It
-// returns the number of matches and buf for reuse.
+// MatchDocument's in order and xmltree.MatchPattern's as sets, and
+// matching over the document's shared Layout gives the same tuples and
+// visits. It returns the number of matches and buf for reuse.
 func checkMatcher(t testing.TB, m *Matcher, q *Query, doc *xmltree.Document, buf []sid.SID) (int, []sid.SID) {
 	t.Helper()
-	buf, _ = m.Match(buf[:0], doc)
+	laid, laidScanned := m.MatchLayout(nil, NewLayout(doc))
+	buf, scanned := m.Match(buf[:0], doc)
+	if !slices.Equal(laid, buf) || laidScanned != scanned {
+		t.Fatalf("%s over %s: MatchLayout gives %v (%d visits), Match %v (%d visits)", q, xmltree.Serialize(doc), laid, laidScanned, buf, scanned)
+	}
 	var got [][]sid.SID
 	for w := m.Width(); len(buf) > w*len(got); {
 		got = append(got, buf[w*len(got):w*(len(got)+1)])
@@ -143,6 +148,10 @@ func TestMatcherAllocations(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { buf, _ = m.Match(buf[:0], d) }); allocs != 0 {
 		t.Errorf("%v allocations per document", allocs)
+	}
+	l := NewLayout(d)
+	if allocs := testing.AllocsPerRun(100, func() { buf, _ = m.MatchLayout(buf[:0], l) }); allocs != 0 {
+		t.Errorf("%v allocations per laid-out document", allocs)
 	}
 }
 

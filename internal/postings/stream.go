@@ -46,6 +46,12 @@ func (s *SliceStream) Rest() List { return s.list[s.pos:] }
 // Pipe is a bounded buffer connecting one producer goroutine to one
 // consumer; it is the in-process equivalent of the network pipe the
 // paper assumes between producers and the holistic join consumer.
+//
+// The consumer takes the whole buffer at once and hands its postings
+// out without locking, so it pays one lock and one wake-up per batch,
+// not per posting. The producer refills the buffer meanwhile: up to
+// twice the limit may be in flight, the limit buffered and the limit
+// in the consumer's hands.
 type Pipe struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -53,6 +59,10 @@ type Pipe struct {
 	closed bool
 	err    error
 	limit  int
+
+	// The consumer's side: the batch it took last, and how far it got.
+	out List
+	pos int
 }
 
 // NewPipe returns a pipe whose internal buffer holds at most limit
@@ -106,6 +116,20 @@ func (p *Pipe) Close(err error) {
 
 // Next implements Stream for the consumer side of the pipe.
 func (p *Pipe) Next() (sid.Posting, error) {
+	if p.pos == len(p.out) {
+		if err := p.take(); err != nil {
+			return sid.Posting{}, err
+		}
+	}
+	v := p.out[p.pos]
+	p.pos++
+	return v, nil
+}
+
+// take swaps the buffered postings in as the consumer's batch, handing
+// the spent batch's array back to the producer. It returns the close
+// error, or io.EOF, once the pipe is closed and drained.
+func (p *Pipe) take() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for len(p.buf) == 0 && !p.closed {
@@ -113,14 +137,13 @@ func (p *Pipe) Next() (sid.Posting, error) {
 	}
 	if len(p.buf) == 0 {
 		if p.err != nil {
-			return sid.Posting{}, p.err
+			return p.err
 		}
-		return sid.Posting{}, io.EOF
+		return io.EOF
 	}
-	v := p.buf[0]
-	p.buf = p.buf[1:]
+	p.out, p.buf, p.pos = p.buf, p.out[:0], 0
 	p.cond.Broadcast()
-	return v, nil
+	return nil
 }
 
 // Drain consumes the whole stream into a list. It is used by tests and

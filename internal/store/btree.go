@@ -95,11 +95,22 @@ func encodeKey(term string, p sid.Posting) ([]byte, error) {
 // decodeKey splits a composite key back into term and posting.
 func decodeKey(k []byte) (string, sid.Posting, error) {
 	sep := bytes.IndexByte(k, 0)
-	if sep < 0 || len(k) != sep+1+18 {
+	if sep < 0 {
 		return "", sid.Posting{}, fmt.Errorf("store: btree: malformed key of %d bytes", len(k))
 	}
-	b := k[sep+1:]
-	p := sid.Posting{
+	p, err := postingAt(k, sep+1)
+	return string(k[:sep]), p, err
+}
+
+// postingAt decodes the posting of a composite key whose term prefix,
+// NUL included, is off bytes long. Scans know the prefix, so they read
+// the posting straight from the key bytes without building the term.
+func postingAt(k []byte, off int) (sid.Posting, error) {
+	if len(k) != off+18 {
+		return sid.Posting{}, fmt.Errorf("store: btree: malformed key of %d bytes", len(k))
+	}
+	b := k[off:]
+	return sid.Posting{
 		Peer: sid.PeerID(binary.BigEndian.Uint32(b[0:])),
 		Doc:  sid.DocID(binary.BigEndian.Uint32(b[4:])),
 		SID: sid.SID{
@@ -107,8 +118,7 @@ func decodeKey(k []byte) (string, sid.Posting, error) {
 			End:   binary.BigEndian.Uint32(b[12:]),
 			Level: binary.BigEndian.Uint16(b[16:]),
 		},
-	}
-	return string(k[:sep]), p, nil
+	}, nil
 }
 
 // termPrefix is the key prefix shared by all postings of a term.
@@ -262,25 +272,40 @@ func (t *BTree) Scan(term string, from sid.Posting, fn func(sid.Posting) bool) e
 	if err != nil {
 		return err
 	}
+	return scanLeaves(leaf, i, prefix, t.pager.get, fn)
+}
+
+// scanLeaves delivers to fn the postings of the keys carrying prefix,
+// from the i-th key of leaf on, following the leaf chain through get.
+// The scan starts at a key carrying the prefix and keys are sorted, so
+// when a leaf's last key carries the prefix every key from the scan
+// position on does: the prefix is checked once per such leaf, and key
+// by key only in the leaf where the term ends. A leaf with nothing left
+// to read — empty, or entered past its end by the seek — passes the
+// scan on to the next one.
+func scanLeaves(leaf *page, i int, prefix []byte, get func(uint32) (*page, error), fn func(sid.Posting) bool) error {
 	for {
-		for ; i < len(leaf.keys); i++ {
-			k := leaf.keys[i]
-			if !bytes.HasPrefix(k, prefix) {
-				return nil
-			}
-			_, p, err := decodeKey(k)
-			if err != nil {
-				return err
-			}
-			if !fn(p) {
-				return nil
+		if n := len(leaf.keys); i < n {
+			whole := bytes.HasPrefix(leaf.keys[n-1], prefix)
+			for ; i < n; i++ {
+				k := leaf.keys[i]
+				if !whole && !bytes.HasPrefix(k, prefix) {
+					return nil
+				}
+				p, err := postingAt(k, len(prefix))
+				if err != nil {
+					return err
+				}
+				if !fn(p) {
+					return nil
+				}
 			}
 		}
 		if leaf.next == 0 {
 			return nil
 		}
-		leaf, err = t.pager.get(leaf.next)
-		if err != nil {
+		var err error
+		if leaf, err = get(leaf.next); err != nil {
 			return err
 		}
 		i = 0

@@ -38,6 +38,12 @@ type page struct {
 	next     uint32   // leaf only: right sibling (0 = none)
 	dirty    bool     // modified since the last checkpoint
 	lru      *list.Element
+
+	// shared is the read-only clone every snapshot resolving this page
+	// from the live cache uses (snapshot.go); nil until one does. It is
+	// guarded by snapMu, dropped by markDirty — which reuses it as the
+	// page's pre-image — and on eviction, so the cache bounds it.
+	shared *page
 }
 
 // childIndex returns the index of the child subtree that may contain
@@ -344,6 +350,7 @@ func (pg *pager) evictOne() bool {
 		}
 		pg.order.Remove(e)
 		delete(pg.cache, victim.id)
+		victim.shared = nil
 		return true
 	}
 	return false
@@ -382,13 +389,18 @@ func (pg *pager) get(id uint32) (*page, error) {
 // live snapshot that can reach the page — so readers keep seeing the
 // generation they pinned while the writer mutates the live page
 // lock-free. The clone is shared between all stashes; snapshot overlays
-// are read-only.
+// are read-only. A page's shared snapshot clone already is that image:
+// it becomes the pre-image, and the next snapshot to resolve the page
+// from the cache after the commit clones the new generation.
 func (pg *pager) markDirty(p *page) {
 	if _, inTx := pg.tx[p.id]; !inTx {
-		var pre *page
 		pg.snapMu.Lock()
+		pre := p.shared
+		p.shared = nil
 		if p.id <= pg.committedNPages {
-			pre = p.clone()
+			if pre == nil {
+				pre = p.clone()
+			}
 			pg.txUndo[p.id] = pre
 		}
 		for _, s := range pg.snaps {

@@ -22,13 +22,18 @@ import (
 // the snapshot's overlay (pager.go). A snapshot read resolves a page id
 // in order:
 //
-//	private cache → overlay pre-image → live cache (cloned under
-//	snapMu) → page file
+//	private cache → overlay pre-image → live cache (the page's shared
+//	clone, made under snapMu) → page file
 //
 // The live-cache clone is shallow: the key byte slices are shared with
 // the live tree (they are never mutated in place — inserts splice fresh
 // copies into the pointer array), so posting blocks are served
-// zero-copy from pinned pages. The page-file path re-checks the overlay
+// zero-copy from pinned pages. It is made once per clean cached page
+// and shared by every snapshot that resolves the page until the writer
+// next touches it (markDirty hands it on as the pre-image) or the cache
+// evicts the page, so a burst of short snapshots — one per posting
+// stream served — copies each hot page's pointer array once, not once
+// per snapshot. The page-file path re-checks the overlay
 // after the read: a write-back racing the read can only concern a page
 // that went through markDirty first, so either the disk bytes are the
 // pinned generation or the overlay now holds it.
@@ -152,9 +157,13 @@ func (s *btreeSnap) page(id uint32) (*page, error) {
 	}
 	if p, ok := pg.cache[id]; ok {
 		// Unmodified since the snapshot (else the overlay would hold its
-		// pre-image); clone under snapMu so a writer about to modify it
-		// must stash first and cannot race the copy.
-		cp := p.clone()
+		// pre-image). Every snapshot shares one clone of the page,
+		// made under snapMu so a writer about to modify the page must
+		// stash first and cannot race the copy.
+		if p.shared == nil {
+			p.shared = p.clone()
+		}
+		cp := p.shared
 		pg.snapMu.Unlock()
 		return s.keep(cp), nil
 	}
@@ -230,29 +239,7 @@ func (s *btreeSnap) Scan(term string, from sid.Posting, fn func(sid.Posting) boo
 	if err != nil {
 		return err
 	}
-	for {
-		for ; i < len(leaf.keys); i++ {
-			k := leaf.keys[i]
-			if !bytes.HasPrefix(k, prefix) {
-				return nil
-			}
-			_, p, err := decodeKey(k)
-			if err != nil {
-				return err
-			}
-			if !fn(p) {
-				return nil
-			}
-		}
-		if leaf.next == 0 {
-			return nil
-		}
-		leaf, err = s.page(leaf.next)
-		if err != nil {
-			return err
-		}
-		i = 0
-	}
+	return scanLeaves(leaf, i, prefix, s.page, fn)
 }
 
 // Get implements Snapshot.

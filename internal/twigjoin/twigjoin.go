@@ -11,10 +11,12 @@
 //
 // Within one document the join first prunes each node's candidates by
 // structural semi-joins along the query edges (top-down, then
-// bottom-up), then enumerates answer tuples by backtracking over the
-// pruned candidate lists. Pruning makes the per-document work
-// proportional to the surviving candidates, which for selective queries
-// is far below the raw posting counts.
+// bottom-up). Each semi-join is one stack sweep over the two
+// start-ordered candidate lists, so pruning is linear in the
+// candidates. The first query phase only needs to know which documents
+// hold answers (Docs): it counts each document's answer tuples
+// bottom-up over the pruned lists and never materialises one. Run
+// enumerates the tuples by backtracking over the same pruned lists.
 package twigjoin
 
 import (
@@ -43,12 +45,13 @@ type Emit func(Match) error
 // without reporting an error (used for first-answer measurements).
 var ErrStop = fmt.Errorf("twigjoin: stopped by consumer")
 
-// head is a one-posting lookahead over a stream.
+// head is a one-posting lookahead over a stream. scanned counts the
+// postings pulled since the join last charged them to its counters.
 type head struct {
-	s    postings.Stream
-	cur  sid.Posting
-	live bool
-	c    *cost.Counters
+	s       postings.Stream
+	cur     sid.Posting
+	live    bool
+	scanned int64
 }
 
 func (h *head) advance() error {
@@ -60,7 +63,7 @@ func (h *head) advance() error {
 	if err != nil {
 		return err
 	}
-	h.c.AddPostingsScanned(1)
+	h.scanned++
 	// Enforce canonical order so a buggy producer cannot silently
 	// corrupt join results.
 	if h.live && p.Less(h.cur) {
@@ -71,51 +74,83 @@ func (h *head) advance() error {
 	return nil
 }
 
-// Run evaluates the tree-pattern query q given one posting stream per
-// query node (keyed by the node pointer, as returned by q.Nodes()).
-// Wildcard nodes are not supported here: the index query is first
-// projected to its non-wildcard nodes (see the kadop package), because
-// the distributed index has no posting list for "*".
-func Run(q *pattern.Query, streams map[*pattern.Node]postings.Stream, emit Emit) error {
-	return RunContext(context.Background(), q, streams, emit)
+// join is the per-document core that Run and Docs share. It aligns the
+// heads on one document at a time, collects that document's candidates
+// (one start-ordered list per query node, in pre-order), prunes them
+// with stack sweeps and either counts or enumerates the answer tuples.
+// Every buffer is reused from one document to the next.
+type join struct {
+	nodes  []*pattern.Node
+	parent []int // pre-order position of each node's parent; -1 for the root
+	heads  []head
+	c      *cost.Counters
+
+	doc   sid.DocKey
+	cands [][]sid.Posting
+
+	// Sweep and count scratch.
+	stack []int
+	sum   []int64
+	count [][]int64
 }
 
-// RunContext is Run with the caller's context. When the context
-// carries cost.Counters (see internal/obs/cost) the join accumulates
-// its operator actuals there: postings pulled through the heads,
-// per-document candidates before pruning, candidates discarded by the
-// structural semi-joins, and answer tuples emitted.
-func RunContext(ctx context.Context, q *pattern.Query, streams map[*pattern.Node]postings.Stream, emit Emit) error {
-	c := cost.FromContext(ctx)
+func newJoin(ctx context.Context, q *pattern.Query, streams map[*pattern.Node]postings.Stream) (*join, error) {
 	nodes := q.Nodes()
 	if len(nodes) == 0 {
-		return fmt.Errorf("twigjoin: empty query")
+		return nil, fmt.Errorf("twigjoin: empty query")
 	}
-	heads := make([]*head, len(nodes))
+	j := &join{
+		nodes:  nodes,
+		parent: parentIndexes(q, nodes),
+		heads:  make([]head, len(nodes)),
+		c:      cost.FromContext(ctx),
+		cands:  make([][]sid.Posting, len(nodes)),
+		count:  make([][]int64, len(nodes)),
+	}
 	for i, n := range nodes {
 		if n.IsWildcard() {
-			return fmt.Errorf("twigjoin: wildcard node in index query")
+			return nil, fmt.Errorf("twigjoin: wildcard node in index query")
 		}
 		s, ok := streams[n]
 		if !ok {
-			return fmt.Errorf("twigjoin: no stream for query node %v", n.Term)
+			return nil, fmt.Errorf("twigjoin: no stream for query node %v", n.Term)
 		}
-		heads[i] = &head{s: s, c: c}
-		if err := heads[i].advance(); err != nil {
-			return err
+		j.heads[i].s = s
+	}
+	for i := range j.heads {
+		if err := j.heads[i].advance(); err != nil {
+			j.chargeScanned()
+			return nil, err
 		}
 	}
+	return j, nil
+}
 
-	parent := parentIndexes(q, nodes)
-	cands := make([][]sid.Posting, len(nodes))
+// chargeScanned moves the heads' postings counts into the counters:
+// one atomic add per document instead of one per posting.
+func (j *join) chargeScanned() {
+	var n int64
+	for i := range j.heads {
+		n += j.heads[i].scanned
+		j.heads[i].scanned = 0
+	}
+	if n > 0 {
+		j.c.AddPostingsScanned(n)
+	}
+}
 
+// next loads the next document that every stream has postings for into
+// j.doc and j.cands. It reports false when some stream is exhausted: no
+// further document can match all nodes.
+func (j *join) next() (bool, error) {
+	defer j.chargeScanned()
 	for {
-		// Find the highest current document key; if any stream is
-		// exhausted, no further document can match all nodes.
+		// Find the highest current document key.
 		var target sid.DocKey
-		for _, h := range heads {
+		for i := range j.heads {
+			h := &j.heads[i]
 			if !h.live {
-				return nil
+				return false, nil
 			}
 			if k := h.cur.Key(); k.Compare(target) > 0 {
 				target = k
@@ -123,36 +158,37 @@ func RunContext(ctx context.Context, q *pattern.Query, streams map[*pattern.Node
 		}
 		// Advance every stream to the target document.
 		aligned := true
-		for _, h := range heads {
+		for i := range j.heads {
+			h := &j.heads[i]
 			for h.live && h.cur.Key().Compare(target) < 0 {
 				if err := h.advance(); err != nil {
-					return err
+					return false, err
 				}
 			}
 			if !h.live {
-				return nil
+				return false, nil
 			}
 			if h.cur.Key().Compare(target) != 0 {
 				aligned = false
 			}
 		}
-		if !aligned {
-			continue // some stream jumped past target; recompute
+		if aligned {
+			j.doc = target
+			break
 		}
-		// Collect this document's candidates from every stream.
-		for i, h := range heads {
-			cands[i] = cands[i][:0]
-			for h.live && h.cur.Key().Compare(target) == 0 {
-				cands[i] = append(cands[i], h.cur)
-				if err := h.advance(); err != nil {
-					return err
-				}
+		// Some stream jumped past target; recompute.
+	}
+	for i := range j.heads {
+		h := &j.heads[i]
+		j.cands[i] = j.cands[i][:0]
+		for h.live && h.cur.Key() == j.doc {
+			j.cands[i] = append(j.cands[i], h.cur)
+			if err := h.advance(); err != nil {
+				return false, err
 			}
 		}
-		if err := matchDoc(target, nodes, parent, cands, emit, c); err != nil {
-			return err
-		}
 	}
+	return true, nil
 }
 
 // parentIndexes maps each node position to its parent's position in the
@@ -174,102 +210,277 @@ func parentIndexes(q *pattern.Query, nodes []*pattern.Node) []int {
 	return parent
 }
 
-// matchDoc enumerates the answers within one document.
-func matchDoc(doc sid.DocKey, nodes []*pattern.Node, parent []int, cands [][]sid.Posting, emit Emit, c *cost.Counters) error {
+// prune reduces the document's candidate lists by structural
+// semi-joins along the query edges — top-down, a child candidate needs
+// a parent-side witness; then bottom-up, a parent candidate needs a
+// witness on every child edge — and reports whether every list is
+// still non-empty. After bottom-up pruning each surviving root
+// candidate roots at least one answer tuple. It charges the candidates
+// it saw and the ones it discarded.
+func (j *join) prune() bool {
 	before := 0
-	for i := range cands {
-		before += len(cands[i])
+	for i := range j.cands {
+		before += len(j.cands[i])
 	}
-	c.AddCandidates(int64(before))
-	// After every early return the surviving candidates are what's
-	// left in cands; the difference from `before` is the pruned work.
-	defer func() {
-		after := 0
-		for i := range cands {
-			after += len(cands[i])
-		}
-		c.AddPruned(int64(before - after))
-	}()
-	// Top-down semi-join pruning: a candidate for node i survives only
-	// if some candidate of its parent satisfies the axis.
-	for i := 1; i < len(nodes); i++ {
-		p := parent[i]
-		if p < 0 {
-			continue
-		}
-		cands[i] = pruneDown(nodes[i].Axis, cands[p], cands[i])
-		if len(cands[i]) == 0 {
-			return nil
+	j.c.AddCandidates(int64(before))
+	ok := j.semiJoins()
+	after := 0
+	for i := range j.cands {
+		after += len(j.cands[i])
+	}
+	j.c.AddPruned(int64(before - after))
+	return ok
+}
+
+func (j *join) semiJoins() bool {
+	for i := 1; i < len(j.nodes); i++ {
+		p := j.parent[i]
+		j.cands[i] = j.keepChildren(j.nodes[i].Axis, j.cands[p], j.cands[i])
+		if len(j.cands[i]) == 0 {
+			return false
 		}
 	}
-	// Bottom-up pruning: a candidate for node p survives only if every
-	// child edge can be satisfied.
-	for i := len(nodes) - 1; i >= 0; i-- {
-		for j := len(nodes) - 1; j > i; j-- {
-			if parent[j] != i {
+	// Descending pre-order: every child is pruned before its parent.
+	for i := len(j.nodes) - 1; i >= 0; i-- {
+		for k := len(j.nodes) - 1; k > i; k-- {
+			if j.parent[k] != i {
 				continue
 			}
-			cands[i] = pruneUp(nodes[j].Axis, cands[i], cands[j])
-			if len(cands[i]) == 0 {
-				return nil
+			j.cands[i] = j.keepParents(j.nodes[k].Axis, j.cands[i], j.cands[k])
+			if len(j.cands[i]) == 0 {
+				return false
 			}
 		}
 	}
+	return true
+}
 
-	// Backtracking enumeration over the pruned candidates.
-	assignment := make([]sid.Posting, len(nodes))
-	var enumerate func(i int) error
-	enumerate = func(i int) error {
-		if i == len(nodes) {
-			m := Match{Doc: doc, Postings: make([]sid.Posting, len(nodes))}
-			copy(m.Postings, assignment)
-			c.AddIndexMatches(1)
-			return emit(m)
+// The sweeps below walk a parent and a child candidate list of one
+// document together in start order, keeping a stack of the parents
+// whose regions are still open. SIDs nest, so the open parents form a
+// chain of containers and the deepest one (the top) is the only witness
+// a child needs checking against: it contains the child whenever any
+// open parent does, and it is the child's parent element whenever that
+// element is a candidate at all. A parent that starts where a child
+// starts is the child's own element: it opens before the child for
+// DescendantOrSelf (a word posting shares its element's SID) and after
+// it for the strict axes.
+
+// opensBefore reports whether parent p's region is open when the sweep
+// reaches child c.
+func opensBefore(axis pattern.Axis, p, c sid.Posting) bool {
+	return p.SID.Start < c.SID.Start || (axis == pattern.DescendantOrSelf && p.SID.Start == c.SID.Start)
+}
+
+// keepChildren keeps the child candidates that have a witness among
+// the parent candidates.
+func (j *join) keepChildren(axis pattern.Axis, parents, children []sid.Posting) []sid.Posting {
+	out := children[:0]
+	stack := j.stack[:0]
+	pi := 0
+	for _, c := range children {
+		for ; pi < len(parents) && opensBefore(axis, parents[pi], c); pi++ {
+			stack = popEnded(stack, parents, parents[pi].SID.Start)
+			stack = append(stack, pi)
 		}
-		for _, c := range cands[i] {
-			if p := parent[i]; p >= 0 {
-				if !pattern.AxisSatisfied(nodes[i].Axis, assignment[p], c) {
-					continue
+		stack = popEnded(stack, parents, c.SID.Start)
+		if n := len(stack); n > 0 && pattern.AxisSatisfied(axis, parents[stack[n-1]], c) {
+			out = append(out, c)
+		}
+	}
+	j.stack = stack
+	return out
+}
+
+// popEnded pops the stacked parents whose regions end before pos.
+func popEnded(stack []int, parents []sid.Posting, pos uint32) []int {
+	for n := len(stack); n > 0 && parents[stack[n-1]].SID.End < pos; n-- {
+		stack = stack[:n-1]
+	}
+	return stack
+}
+
+// keepParents keeps the parent candidates that have a witness among the
+// child candidates.
+func (j *join) keepParents(axis pattern.Axis, parents, children []sid.Posting) []sid.Posting {
+	sum := j.childSums(axis, parents, children, nil)
+	out := parents[:0]
+	for k, p := range parents {
+		if sum[k] > 0 {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// childSums returns, for every parent candidate, the total weight of
+// the child candidates that satisfy the axis under it; a nil weight
+// counts each child once. A child's weight goes to the deepest open
+// parent, if that parent satisfies the axis. For the descendant axes a
+// parent's total also counts for every parent containing it, so it is
+// passed outward to the next open parent when it closes. The result
+// is scratch, valid until the next sweep.
+func (j *join) childSums(axis pattern.Axis, parents, children []sid.Posting, weight []int64) []int64 {
+	if cap(j.sum) < len(parents) {
+		j.sum = make([]int64, len(parents))
+	}
+	sum := j.sum[:len(parents)]
+	clear(sum)
+	outward := axis != pattern.Child
+	stack := j.stack[:0]
+	// closeBefore pops the parents that end before pos, passing their
+	// totals outward.
+	closeBefore := func(pos uint64) {
+		for n := len(stack); n > 0 && uint64(parents[stack[n-1]].SID.End) < pos; n-- {
+			top := stack[n-1]
+			stack = stack[:n-1]
+			if outward && n > 1 && sum[top] > 0 {
+				if up := stack[n-2]; parents[up].SID.Contains(parents[top].SID) {
+					sum[up] += sum[top]
 				}
 			}
+		}
+	}
+	pi := 0
+	for ci, c := range children {
+		for ; pi < len(parents) && opensBefore(axis, parents[pi], c); pi++ {
+			closeBefore(uint64(parents[pi].SID.Start))
+			stack = append(stack, pi)
+		}
+		closeBefore(uint64(c.SID.Start))
+		if n := len(stack); n > 0 {
+			if top := stack[n-1]; pattern.AxisSatisfied(axis, parents[top], c) {
+				w := int64(1)
+				if weight != nil {
+					w = weight[ci]
+				}
+				sum[top] += w
+			}
+		}
+	}
+	closeBefore(1 << 32) // every region ends before that
+	j.stack = stack
+	return sum
+}
+
+// tuples counts the pruned document's answer tuples bottom-up: a
+// candidate's count is the product, over its node's child edges, of the
+// summed counts of the child candidates under it; the document's count
+// is the sum over the root candidates.
+func (j *join) tuples() int64 {
+	for i := len(j.nodes) - 1; i >= 0; i-- {
+		n := len(j.cands[i])
+		if cap(j.count[i]) < n {
+			j.count[i] = make([]int64, n)
+		}
+		cnt := j.count[i][:n]
+		for x := range cnt {
+			cnt[x] = 1
+		}
+		for k := i + 1; k < len(j.nodes); k++ {
+			if j.parent[k] != i {
+				continue
+			}
+			sum := j.childSums(j.nodes[k].Axis, j.cands[i], j.cands[k], j.count[k])
+			for x := range cnt {
+				cnt[x] *= sum[x]
+			}
+		}
+		j.count[i] = cnt
+	}
+	var total int64
+	for _, n := range j.count[0] {
+		total += n
+	}
+	return total
+}
+
+// enumerate emits the pruned document's answer tuples by backtracking
+// over the candidate lists in pre-order, so tuples come out in
+// lexicographic SID order.
+func (j *join) enumerate(emit Emit) error {
+	assignment := make([]sid.Posting, len(j.nodes))
+	var rec func(i int) error
+	rec = func(i int) error {
+		if i == len(j.nodes) {
+			m := Match{Doc: j.doc, Postings: make([]sid.Posting, len(j.nodes))}
+			copy(m.Postings, assignment)
+			j.c.AddIndexMatches(1)
+			return emit(m)
+		}
+		for _, c := range j.cands[i] {
+			if p := j.parent[i]; p >= 0 && !pattern.AxisSatisfied(j.nodes[i].Axis, assignment[p], c) {
+				continue
+			}
 			assignment[i] = c
-			if err := enumerate(i + 1); err != nil {
+			if err := rec(i + 1); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	return enumerate(0)
+	return rec(0)
 }
 
-// pruneDown keeps the candidates of the child list that have at least
-// one ancestor-side witness in the parent list.
-func pruneDown(axis pattern.Axis, parents, children []sid.Posting) []sid.Posting {
-	out := children[:0]
-	for _, c := range children {
-		for _, p := range parents {
-			if pattern.AxisSatisfied(axis, p, c) {
-				out = append(out, c)
-				break
-			}
-		}
-	}
-	return out
+// Run evaluates the tree-pattern query q given one posting stream per
+// query node (keyed by the node pointer, as returned by q.Nodes()) and
+// emits every answer tuple. Wildcard nodes are not supported here: the
+// index query is first projected to its non-wildcard nodes (see the
+// kadop package), because the distributed index has no posting list
+// for "*".
+func Run(q *pattern.Query, streams map[*pattern.Node]postings.Stream, emit Emit) error {
+	return RunContext(context.Background(), q, streams, emit)
 }
 
-// pruneUp keeps the candidates of the parent list that have at least
-// one descendant-side witness in the child list.
-func pruneUp(axis pattern.Axis, parents, children []sid.Posting) []sid.Posting {
-	out := parents[:0]
-	for _, p := range parents {
-		for _, c := range children {
-			if pattern.AxisSatisfied(axis, p, c) {
-				out = append(out, p)
-				break
-			}
+// RunContext is Run with the caller's context. When the context
+// carries cost.Counters (see internal/obs/cost) the join accumulates
+// its operator actuals there: postings pulled through the heads,
+// per-document candidates before pruning, candidates discarded by the
+// structural semi-joins, and answer tuples emitted.
+func RunContext(ctx context.Context, q *pattern.Query, streams map[*pattern.Node]postings.Stream, emit Emit) error {
+	j, err := newJoin(ctx, q, streams)
+	if err != nil {
+		return err
+	}
+	for {
+		ok, err := j.next()
+		if !ok || err != nil {
+			return err
+		}
+		if !j.prune() {
+			continue
+		}
+		if err := j.enumerate(emit); err != nil {
+			return err
 		}
 	}
-	return out
+}
+
+// Docs runs the join for the first query phase, which needs only the
+// documents that hold an answer: it calls yield once per such document,
+// in order, with the number of answer tuples it holds. The tuples are
+// counted, never materialised. The cost.Counters actuals are RunContext's,
+// answer tuples included. An error returned by yield aborts the join
+// with that error.
+func Docs(ctx context.Context, q *pattern.Query, streams map[*pattern.Node]postings.Stream, yield func(doc sid.DocKey, tuples int64) error) error {
+	j, err := newJoin(ctx, q, streams)
+	if err != nil {
+		return err
+	}
+	for {
+		ok, err := j.next()
+		if !ok || err != nil {
+			return err
+		}
+		if !j.prune() {
+			continue
+		}
+		n := j.tuples()
+		j.c.AddIndexMatches(n)
+		if err := yield(j.doc, n); err != nil {
+			return err
+		}
+	}
 }
 
 // Collect runs the join and gathers all matches (convenience for tests
@@ -289,10 +500,8 @@ func Collect(q *pattern.Query, streams map[*pattern.Node]postings.Stream) ([]Mat
 // documents to contact for final answers.
 func MatchingDocs(q *pattern.Query, streams map[*pattern.Node]postings.Stream) ([]sid.DocKey, error) {
 	var out []sid.DocKey
-	err := Run(q, streams, func(m Match) error {
-		if len(out) == 0 || out[len(out)-1] != m.Doc {
-			out = append(out, m.Doc)
-		}
+	err := Docs(context.Background(), q, streams, func(doc sid.DocKey, _ int64) error {
+		out = append(out, doc)
 		return nil
 	})
 	return out, err
