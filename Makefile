@@ -161,14 +161,15 @@ bench-smoke:
 
 # fuzz-smoke runs each fuzz target for 30s on top of its checked-in
 # seed corpus: the pattern parser, the compiled pattern evaluator
-# (checked against both reference evaluators), the posting codec, the
-# DHT message codec, the replica-advertisement codec, the phase-two
+# (checked against both reference evaluators), the posting codec, run
+# stitching (checked against the codec), the DHT message codec, the replica-advertisement codec, the phase-two
 # answer codec in both of its formats, and the counting twig join
 # (checked against the nested-loop reference).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=30s ./internal/pattern/
 	$(GO) test -run='^$$' -fuzz=FuzzMatch -fuzztime=30s ./internal/pattern/
 	$(GO) test -run='^$$' -fuzz=FuzzCodec -fuzztime=30s ./internal/postings/
+	$(GO) test -run='^$$' -fuzz=FuzzStitch -fuzztime=30s ./internal/postings/
 	$(GO) test -run='^$$' -fuzz=FuzzMessage -fuzztime=30s ./internal/dht/
 	$(GO) test -run='^$$' -fuzz=FuzzReplicaSetCodec -fuzztime=30s ./internal/replicate/
 	$(GO) test -run='^$$' -fuzz=FuzzAnswerCodec -fuzztime=30s ./internal/kadop/

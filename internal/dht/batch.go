@@ -138,15 +138,16 @@ func decodeBatchRequest(blob []byte) (req BatchGet, packed bool, err error) {
 // clipped to nothing is one final segment of zero postings: the
 // key-held marker.
 
-// appendSegment appends one segment to a packed frame.
-func appendSegment(frame []byte, key string, ps postings.List, last bool) ([]byte, error) {
+// appendSegment appends one segment to a packed frame; list is the
+// segment's postings in the posting codec.
+func appendSegment(frame []byte, key string, last bool, list []byte) []byte {
 	frame = appendString(frame, key)
 	if last {
 		frame = append(frame, 1)
 	} else {
 		frame = append(frame, 0)
 	}
-	return postings.AppendEncoded(frame, ps)
+	return append(frame, list...)
 }
 
 // eachSegment decodes a packed frame, calling fn once per segment in

@@ -50,7 +50,7 @@ func TestBatchRequestCodec(t *testing.T) {
 	var frame []byte
 	for _, sg := range segs {
 		var err error
-		if frame, err = appendSegment(frame, sg.key, sg.ps, sg.last); err != nil {
+		if frame, err = refAppendSegment(frame, sg.key, sg.ps, sg.last); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -21,13 +21,13 @@ func FuzzMessage(f *testing.F) {
 	batchBlob := encodeBatchRequest(BatchGet{Keys: []string{"author", "overflow:1:author"},
 		Clip: true, Lo: sid.DocKey{Peer: 1, Doc: 2}, Hi: sid.DocKey{Peer: 3, Doc: 4}}, true)
 	// A packed frame: two segments of one key, then a key-held marker.
-	frame, _ := appendSegment(nil, "overflow:0:author", postings.List{
+	frame, _ := refAppendSegment(nil, "overflow:0:author", postings.List{
 		{Peer: 2, Doc: 7, SID: sid.SID{Start: 3, End: 4, Level: 2}},
 	}, false)
-	frame, _ = appendSegment(frame, "overflow:0:author", postings.List{
+	frame, _ = refAppendSegment(frame, "overflow:0:author", postings.List{
 		{Peer: 2, Doc: 9, SID: sid.SID{Start: 1, End: 8, Level: 1}},
 	}, true)
-	frame, _ = appendSegment(frame, "overflow:1:author", nil, true)
+	frame, _ = refAppendSegment(frame, "overflow:1:author", nil, true)
 	seeds := []Message{
 		{Type: MsgPing, From: c},
 		{Type: MsgFindNode, From: c, Target: id},

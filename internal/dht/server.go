@@ -190,13 +190,17 @@ const (
 // into pieces of at most ChunkSize postings, shipped as the framing
 // says.
 //
+// The list is read as the store's runs (store.Reader.Runs): a packed
+// piece stitches their bytes together, so a posting the store keeps is
+// shipped without being decoded or re-encoded — only each run's first
+// posting is, and the two runs a clip cuts are walked by the store.
+//
 // A batched stream labels each piece with its key so the client can
 // split the stream, and answers a key this peer holds but whose clip is
 // empty with one empty piece, so the client can tell "nothing in the
 // interval" from "not here" (a stale owner); a key it does not hold is
-// passed over. A clipped scan starts at the interval's first document;
-// when it finds nothing there, one probe from the list's start tells
-// the two apart.
+// passed over. When the clip finds nothing, one probe of the whole list
+// tells the two apart.
 func (n *Node) streamKeys(req BatchGet, framing chunkFraming, send func(Message) error) error {
 	view, err := n.store.Snapshot()
 	if err != nil {
@@ -204,36 +208,25 @@ func (n *Node) streamKeys(req BatchGet, framing chunkFraming, send func(Message)
 	}
 	defer view.Close()
 	out := chunkSink{n: n, framing: framing, send: send}
-	batch := make(postings.List, 0, n.cfg.ChunkSize)
-	from := sid.MinPosting
+	from, to := sid.MinPosting, sid.MaxPosting
 	if req.Clip {
 		from = sid.Posting{Peer: req.Lo.Peer, Doc: req.Lo.Doc}
+		to = sid.Posting{Peer: req.Hi.Peer, Doc: req.Hi.Doc, SID: sid.MaxPosting.SID}
 	}
 	for _, key := range req.Keys {
 		if framing != plainChunks {
 			n.load.ServeBlock()
 		}
-		batch = batch[:0]
-		held, sent := false, false
+		out.start(key)
+		held := false
 		var sendErr error
-		err := view.Scan(key, from, func(p sid.Posting) bool {
+		err := view.Runs(key, from, to, func(r postings.Run) bool {
 			held = true
-			if req.Clip && p.Key().Compare(req.Hi) > 0 {
-				return false // sorted: nothing further can match
-			}
-			// A full piece leaves only once another posting follows it, so
-			// the key's last piece is always known to be the last.
-			if len(batch) == n.cfg.ChunkSize {
-				if sendErr = out.add(key, batch, false); sendErr != nil {
-					return false
-				}
-				batch, sent = batch[:0], true
-			}
-			batch = append(batch, p)
-			return true
+			sendErr = out.add(r)
+			return sendErr == nil
 		})
 		if err == nil && !held && req.Clip {
-			err = view.Scan(key, sid.MinPosting, func(sid.Posting) bool {
+			err = view.Runs(key, sid.MinPosting, sid.MaxPosting, func(postings.Run) bool {
 				held = true
 				return false
 			})
@@ -244,8 +237,11 @@ func (n *Node) streamKeys(req BatchGet, framing chunkFraming, send func(Message)
 		if sendErr != nil {
 			return sendErr
 		}
-		if len(batch) > 0 || (held && !sent) {
-			if err := out.add(key, batch, true); err != nil {
+		if held {
+			// The key's last piece: a full piece left only once another
+			// posting followed it, so this one is non-empty — or it is
+			// the key-held marker.
+			if err := out.emit(true); err != nil {
 				return err
 			}
 		}
@@ -253,27 +249,80 @@ func (n *Node) streamKeys(req BatchGet, framing chunkFraming, send func(Message)
 	return out.flush()
 }
 
-// chunkSink ships the pieces streamKeys cuts: one chunk each, or —
-// packed — appended as segments to a frame that is sent once it reaches
-// packedFrameBudget, and at the end of the stream.
+// chunkSink cuts a key's runs into the pieces streamKeys ships: one
+// chunk each, or — packed — appended as segments to a frame that is sent
+// once it reaches packedFrameBudget, and at the end of the stream.
 type chunkSink struct {
 	n       *Node
 	framing chunkFraming
 	send    func(Message) error
 	frame   []byte
+
+	key    string
+	piece  postings.Stitcher // the packed framing's current piece
+	list   postings.List     // the chunk framings' current piece
+	decode postings.List     // the chunk framings' run buffer
 }
 
-func (s *chunkSink) add(key string, ps postings.List, last bool) error {
+// start begins the pieces of key.
+func (s *chunkSink) start(key string) {
+	s.key = key
+	s.piece.Reset()
+	s.list = s.list[:0]
+}
+
+// add appends run r to the key's pieces. A full piece leaves only once
+// another posting follows it, so the key's last piece is always known
+// to be the last. The packed framing stitches r's bytes; the chunk
+// framings decode r into the piece's postings.
+func (s *chunkSink) add(r postings.Run) error {
+	size := s.n.cfg.ChunkSize
+	if s.framing != packedFrames {
+		ps, err := r.Decode(s.decode[:0])
+		if err != nil {
+			return err
+		}
+		s.decode = ps
+		for len(ps) > 0 {
+			if len(s.list) == size {
+				if err := s.emit(false); err != nil {
+					return err
+				}
+			}
+			take := min(size-len(s.list), len(ps))
+			s.list = append(s.list, ps[:take]...)
+			ps = ps[take:]
+		}
+		return nil
+	}
+	for k := 0; k < r.N; {
+		if s.piece.Len() == size {
+			if err := s.emit(false); err != nil {
+				return err
+			}
+		}
+		take := min(size-s.piece.Len(), r.N-k)
+		if err := s.piece.AddRun(r, k, take); err != nil {
+			return err
+		}
+		k += take
+	}
+	return nil
+}
+
+// emit ships the key's current piece and starts the next.
+func (s *chunkSink) emit(last bool) error {
 	switch s.framing {
-	case plainChunks:
-		return s.send(Message{Type: MsgChunk, From: s.n.self, Postings: ps})
-	case keyedChunks:
-		return s.send(Message{Type: MsgChunk, From: s.n.self, Key: key, Postings: ps})
+	case plainChunks, keyedChunks:
+		m := Message{Type: MsgChunk, From: s.n.self, Postings: s.list}
+		if s.framing == keyedChunks {
+			m.Key = s.key
+		}
+		s.list = s.list[:0]
+		return s.send(m)
 	}
-	var err error
-	if s.frame, err = appendSegment(s.frame, key, ps, last); err != nil {
-		return err
-	}
+	s.frame = appendSegment(s.frame, s.key, last, s.piece.Bytes())
+	s.piece.Reset()
 	if len(s.frame) >= packedFrameBudget {
 		return s.flush()
 	}

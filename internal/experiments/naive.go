@@ -135,6 +135,15 @@ func (n *naiveStore) Scan(term string, from sid.Posting, fn func(sid.Posting) bo
 	return nil
 }
 
+// Runs implements Store.
+func (n *naiveStore) Runs(term string, from, to sid.Posting, fn func(postings.Run) bool) error {
+	l, err := n.Get(term)
+	if err != nil {
+		return err
+	}
+	return l.Runs(from, to, fn)
+}
+
 // Count implements Store.
 func (n *naiveStore) Count(term string) (int, error) {
 	l, err := n.Get(term)

@@ -69,21 +69,7 @@ func EncodedSize(l List) int {
 	n := uvarintLen(uint64(len(l)))
 	prev := sid.Posting{}
 	for _, p := range l {
-		dPeer := uint64(p.Peer - prev.Peer)
-		n += uvarintLen(dPeer)
-		pd := prev.Doc
-		ps := prev.SID.Start
-		if dPeer > 0 {
-			pd, ps = 0, 0
-		}
-		dDoc := uint64(p.Doc - pd)
-		n += uvarintLen(dDoc)
-		if dDoc > 0 {
-			ps = 0
-		}
-		n += uvarintLen(uint64(p.SID.Start - ps))
-		n += uvarintLen(uint64(p.SID.Width()))
-		n += uvarintLen(uint64(p.SID.Level))
+		n += postingSize(prev, p)
 		prev = p
 	}
 	return n

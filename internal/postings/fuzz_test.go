@@ -1,6 +1,7 @@
 package postings
 
 import (
+	"bytes"
 	"testing"
 
 	"kadop/internal/sid"
@@ -127,4 +128,85 @@ func requireEqualLists(t *testing.T, want, got List) {
 			t.Fatalf("round trip changed posting %d: got %v, want %v", i, got[i], want[i])
 		}
 	}
+}
+
+// FuzzStitch: any split of a sorted list into runs, stitched back —
+// whole, or each run taken in two pieces — must equal Encode(list)
+// byte for byte and decode back to the list; and the runs clipped to an
+// interval of the list, stitched, must equal the encoding of the
+// interval's postings.
+func FuzzStitch(f *testing.F) {
+	f.Add([]byte("\x00\x00\x03\x04\x01\x01\x02\x05\x01\x00\x00\x00\x01\x02\x03"), []byte{1, 0, 2})
+	f.Add(bytes.Repeat([]byte{0, 0, 200, 7, 1, 1, 1, 1, 1, 1}, 20), []byte{5, 17, 0, 3})
+	f.Add(bytes.Repeat([]byte{3, 7, 255, 31, 15}, 64), []byte{63, 1})
+	f.Fuzz(func(t *testing.T, data, cuts []byte) {
+		l := buildFuzzList(data)
+		if len(l) == 0 || len(cuts) == 0 {
+			return
+		}
+		want, err := Encode(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := func(i int) int { return int(cuts[i%len(cuts)]) }
+		var runs []Run
+		var scratch Stitcher
+		for rest := l; len(rest) > 0; {
+			n := min(len(rest), cut(len(runs))%16+1)
+			r, err := MakeRun(rest[:n], &scratch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Data = append([]byte(nil), r.Data...)
+			runs = append(runs, r)
+			rest = rest[n:]
+		}
+		var whole, halves Stitcher
+		for i, r := range runs {
+			if err := whole.AddRun(r, 0, r.N); err != nil {
+				t.Fatal(err)
+			}
+			k := cut(i+1) % (r.N + 1)
+			if err := halves.AddRun(r, 0, k); err != nil {
+				t.Fatal(err)
+			}
+			if err := halves.AddRun(r, k, r.N-k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for name, st := range map[string]*Stitcher{"whole runs": &whole, "split runs": &halves} {
+			if got := st.Bytes(); !bytes.Equal(got, want) || st.Len() != len(l) {
+				t.Fatalf("%s stitch to %x (%d postings), Encode gives %x", name, got, st.Len(), want)
+			}
+			back, n, err := Decode(st.Bytes())
+			if err != nil || n != len(want) {
+				t.Fatalf("%s: stitched list does not decode: %v", name, err)
+			}
+			requireEqualLists(t, l, back)
+		}
+
+		from, to := l[cut(0)%len(l)], l[cut(len(cuts)-1)%len(l)]
+		if to.Compare(from) < 0 {
+			from, to = to, from
+		}
+		var inside List
+		for _, p := range l {
+			if p.Compare(from) >= 0 && p.Compare(to) <= 0 {
+				inside = append(inside, p)
+			}
+		}
+		var clipped, clipScratch Stitcher
+		for _, r := range runs {
+			c, err := r.Clip(from, to, &clipScratch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := clipped.AddRun(c, 0, c.N); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if wantClip, _ := Encode(inside); !bytes.Equal(clipped.Bytes(), wantClip) {
+			t.Fatalf("clipped runs stitch to %x, the interval encodes to %x", clipped.Bytes(), wantClip)
+		}
+	})
 }

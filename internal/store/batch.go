@@ -141,6 +141,10 @@ func (s *memSnap) Scan(term string, from sid.Posting, fn func(sid.Posting) bool)
 	return nil
 }
 
+func (s *memSnap) Runs(term string, from, to sid.Posting, fn func(postings.Run) bool) error {
+	return s.lists[term].Runs(from, to, fn)
+}
+
 func (s *memSnap) Count(term string) (int, error) { return len(s.lists[term]), nil }
 
 func (s *memSnap) Terms() ([]string, error) {

@@ -122,9 +122,11 @@ func (c *countingFile) Size() (int64, error)      { return c.f.Size() }
 
 // checkInvariants walks the whole tree and fails the test on any
 // structural violation: unsorted keys, bad branch fan-out, uneven leaf
-// depth, a broken or out-of-order leaf chain, or unparseable keys.
-// Page checksums are verified implicitly: every cold read goes through
-// deserialize.
+// depth, a broken or out-of-order leaf chain, unparseable keys, or a
+// run that does not decode, is empty, outgrows the entry cap, ends
+// elsewhere than its key's fence, or overlaps or precedes the run
+// before it in its term. Page checksums are verified implicitly: every
+// cold read goes through deserialize.
 func checkInvariants(t *testing.T, bt *BTree) {
 	t.Helper()
 	pg := bt.pager
@@ -156,22 +158,31 @@ func checkInvariants(t *testing.T, bt *BTree) {
 			} else if depth != leafDepth {
 				t.Fatalf("invariants: leaf %d at depth %d, expected %d", id, depth, leafDepth)
 			}
-			for _, k := range p.keys {
-				if _, _, err := decodeKey(k); err != nil {
-					t.Fatalf("invariants: leaf %d: %v", id, err)
-				}
+			if len(p.vals) != len(p.keys) {
+				t.Fatalf("invariants: leaf %d has %d keys but %d runs", id, len(p.keys), len(p.vals))
+			}
+			for i, k := range p.keys {
+				checkRun(t, id, k, p.vals[i])
 			}
 		default:
 			t.Fatalf("invariants: page %d has type %d", id, p.typ)
 		}
 	}
 	walk(bt.root, 0)
-	// The leaf chain delivers every key in strictly increasing order.
+	// The leaf chain delivers every key in strictly increasing order,
+	// and each term's runs in posting order, disjoint.
 	var prev []byte
 	for p := leftmost; p != nil; {
-		for _, k := range p.keys {
+		for i, k := range p.keys {
 			if prev != nil && compareBytes(prev, k) >= 0 {
 				t.Fatalf("invariants: leaf chain regresses at page %d", p.id)
+			}
+			term, _, _ := decodeKey(k)
+			if prevTerm, prevFence, _ := decodeKey(prev); prev != nil && prevTerm == term {
+				first := checkRun(t, p.id, k, p.vals[i])[0]
+				if first.Compare(prevFence) <= 0 {
+					t.Fatalf("invariants: leaf %d: run of %q starting at %v overlaps the run ending at %v", p.id, term, first, prevFence)
+				}
 			}
 			prev = k
 		}
@@ -184,6 +195,39 @@ func checkInvariants(t *testing.T, bt *BTree) {
 		}
 		p = np
 	}
+}
+
+// checkRun fails the test unless the leaf entry (key, val) of page id
+// holds a well-formed run ending at its key's fence, and returns the
+// run's postings.
+func checkRun(t *testing.T, id uint32, key, val []byte) postings.List {
+	t.Helper()
+	term, fence, err := decodeKey(key)
+	if err != nil {
+		t.Fatalf("invariants: leaf %d: %v", id, err)
+	}
+	if sz := entrySize(key, val); sz > maxEntryLen {
+		t.Fatalf("invariants: leaf %d: entry of %q is %d bytes, over the %d cap", id, term, sz, maxEntryLen)
+	}
+	r, err := postings.ParseRun(val, fence)
+	if err != nil {
+		t.Fatalf("invariants: leaf %d: run of %q: %v", id, term, err)
+	}
+	l, n, err := postings.Decode(val)
+	switch {
+	case err != nil:
+		t.Fatalf("invariants: leaf %d: run of %q does not decode: %v", id, term, err)
+	case n != len(val) || len(l) != r.N || len(l) == 0:
+		t.Fatalf("invariants: leaf %d: run of %q holds %d postings in %d of %d bytes (header %d)", id, term, len(l), n, len(val), r.N)
+	case l[len(l)-1] != fence:
+		t.Fatalf("invariants: leaf %d: run of %q ends at %v, its fence is %v", id, term, l[len(l)-1], fence)
+	}
+	for i := 1; i < len(l); i++ {
+		if l[i].Compare(l[i-1]) <= 0 {
+			t.Fatalf("invariants: leaf %d: run of %q repeats %v", id, term, l[i])
+		}
+	}
+	return l
 }
 
 // ---- deterministic op scripts --------------------------------------

@@ -6,9 +6,9 @@ import (
 	"kadop/internal/sid"
 )
 
-// metered charges every serve (Get or Scan) through the embedded view
-// to a per-peer metrics.Load, attributing by term; Count, Terms and
-// Close pass through. The view is the live store or one of its
+// metered charges every serve (Get, Scan or Runs) through the embedded
+// view to a per-peer metrics.Load, attributing by term; Count, Terms
+// and Close pass through. The view is the live store or one of its
 // snapshots — a Store's method set includes Snapshot's — so this one
 // type meters both.
 type metered struct {
@@ -33,6 +33,20 @@ func (m *metered) Scan(term string, from sid.Posting, fn func(sid.Posting) bool)
 		ok := fn(p)
 		if ok {
 			n++
+		}
+		return ok
+	})
+	m.load.Serve(term, n)
+	return err
+}
+
+// Runs implements Reader, charging the postings of the runs fn takes.
+func (m *metered) Runs(term string, from, to sid.Posting, fn func(postings.Run) bool) error {
+	n := 0
+	err := m.Snapshot.Runs(term, from, to, func(r postings.Run) bool {
+		ok := fn(r)
+		if ok {
+			n += r.N
 		}
 		return ok
 	})

@@ -3,6 +3,7 @@ package store
 import (
 	"container/list"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"sync"
@@ -18,10 +19,17 @@ const pageSize = 4096
 const pageCRCOff = pageSize - 4
 
 // softPageFill triggers a split when a page's serialised size exceeds
-// this fraction of pageSize; keys are bounded by maxKeyLen so one more
-// insertion always still fits in the page (payloads are capped at
+// this fraction of pageSize. Entries are bounded by maxEntryLen, so one
+// more insertion always still fits in the page (payloads are capped at
 // pageCRCOff to leave room for the checksum footer).
 const softPageFill = pageSize - maxKeyLen - 64
+
+// maxEntryLen caps the serialised size of one page entry — a leaf's key
+// and run, or a branch's separator and child pointer, each with its
+// length prefixes — at the room softPageFill leaves below the footer.
+// It also keeps a byte-balanced leaf split under softPageFill: each half
+// holds at most (softPageFill + 2·maxEntryLen)/2 bytes.
+const maxEntryLen = pageCRCOff - softPageFill
 
 // cacheLimit caps the number of pages kept in memory; beyond it, the
 // least-recently-used committed page is evicted (committed dirty pages
@@ -29,11 +37,14 @@ const softPageFill = pageSize - maxKeyLen - 64
 // an in-place write cannot lose committed state).
 const cacheLimit = 2048
 
-// page is the in-memory form of one on-disk page.
+// page is the in-memory form of one on-disk page. A leaf holds entries:
+// a key, term NUL fence, and its value, the run the fence ends
+// (btree.go). A branch holds bare separator keys and child pointers.
 type page struct {
 	id       uint32
 	typ      byte     // pageLeaf or pageBranch
 	keys     [][]byte // sorted
+	vals     [][]byte // leaf only: the run of each key
 	children []uint32 // branch only: len(keys)+1 entries
 	next     uint32   // leaf only: right sibling (0 = none)
 	dirty    bool     // modified since the last checkpoint
@@ -87,11 +98,17 @@ func (p *page) serializedSize() int {
 	for _, k := range p.keys {
 		n += 2 + len(k)
 	}
+	for _, v := range p.vals {
+		n += 2 + len(v)
+	}
 	if p.typ == pageBranch {
 		n += 4 * len(p.children)
 	}
 	return n
 }
+
+// entrySize is the serialised size of a leaf entry.
+func entrySize(key, val []byte) int { return 4 + len(key) + len(val) }
 
 // serialize renders the page into a pageSize buffer, checksum included.
 func (p *page) serialize() ([]byte, error) {
@@ -103,11 +120,16 @@ func (p *page) serialize() ([]byte, error) {
 	binary.LittleEndian.PutUint16(buf[1:], uint16(len(p.keys)))
 	binary.LittleEndian.PutUint32(buf[3:], p.next)
 	off := 7
-	for _, k := range p.keys {
-		binary.LittleEndian.PutUint16(buf[off:], uint16(len(k)))
+	put := func(b []byte) {
+		binary.LittleEndian.PutUint16(buf[off:], uint16(len(b)))
 		off += 2
-		copy(buf[off:], k)
-		off += len(k)
+		off += copy(buf[off:], b)
+	}
+	for i, k := range p.keys {
+		put(k)
+		if p.typ == pageLeaf {
+			put(p.vals[i])
+		}
 	}
 	if p.typ == pageBranch {
 		for _, c := range p.children {
@@ -120,6 +142,7 @@ func (p *page) serialize() ([]byte, error) {
 }
 
 // deserialize parses a pageSize buffer into p, verifying the checksum.
+// The entries alias buf, which the caller hands over.
 func (p *page) deserialize(buf []byte) error {
 	if len(buf) != pageSize {
 		return fmt.Errorf("store: pager: short page read (%d bytes)", len(buf))
@@ -128,24 +151,41 @@ func (p *page) deserialize(buf []byte) error {
 		return fmt.Errorf("store: pager: page %d checksum mismatch (torn write?)", p.id)
 	}
 	p.typ = buf[0]
-	if p.typ != pageLeaf && p.typ != pageBranch {
-		return fmt.Errorf("store: pager: page %d has invalid type %d", p.id, p.typ)
+	if err := checkPageType(p.typ); err != nil {
+		return fmt.Errorf("store: pager: page %d: %w", p.id, err)
 	}
 	n := int(binary.LittleEndian.Uint16(buf[1:]))
 	p.next = binary.LittleEndian.Uint32(buf[3:])
 	off := 7
-	p.keys = make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
+	field := func() ([]byte, error) {
 		if off+2 > pageCRCOff {
-			return fmt.Errorf("store: pager: page %d truncated", p.id)
+			return nil, fmt.Errorf("store: pager: page %d truncated", p.id)
 		}
-		kl := int(binary.LittleEndian.Uint16(buf[off:]))
+		l := int(binary.LittleEndian.Uint16(buf[off:]))
 		off += 2
-		if off+kl > pageCRCOff {
-			return fmt.Errorf("store: pager: page %d key overruns page", p.id)
+		if off+l > pageCRCOff {
+			return nil, fmt.Errorf("store: pager: page %d entry overruns page", p.id)
 		}
-		p.keys = append(p.keys, append([]byte(nil), buf[off:off+kl]...))
-		off += kl
+		off += l
+		return buf[off-l : off : off], nil
+	}
+	p.keys = make([][]byte, 0, n)
+	if p.typ == pageLeaf {
+		p.vals = make([][]byte, 0, n)
+	}
+	for i := 0; i < n; i++ {
+		k, err := field()
+		if err != nil {
+			return err
+		}
+		p.keys = append(p.keys, k)
+		if p.typ == pageLeaf {
+			v, err := field()
+			if err != nil {
+				return err
+			}
+			p.vals = append(p.vals, v)
+		}
 	}
 	if p.typ == pageBranch {
 		p.children = make([]uint32, 0, n+1)
@@ -222,9 +262,31 @@ type pager struct {
 }
 
 var (
-	pagerMagic   = [8]byte{'K', 'A', 'D', 'O', 'P', 'B', 'T', '2'}
+	pagerMagic   = [8]byte{'K', 'A', 'D', 'O', 'P', 'B', 'T', '3'}
 	pagerMagicV1 = [8]byte{'K', 'A', 'D', 'O', 'P', 'B', 'T', '1'}
+	pagerMagicV2 = [8]byte{'K', 'A', 'D', 'O', 'P', 'B', 'T', '2'}
 )
+
+// errOldFormat is the error for a file an earlier page format wrote.
+func errOldFormat(path, what string) error {
+	return fmt.Errorf("store: pager: %s is a %s kadop btree file; rebuild it by republishing", path, what)
+}
+
+// checkPageType accepts the page types the v3 format writes. A v2 leaf
+// — one key per posting — has a type of its own, so its image is
+// refused wherever it turns up: in the page file or in the WAL, which
+// carries no version of its own.
+func checkPageType(typ byte) error {
+	switch typ {
+	case pageLeaf, pageBranch:
+		return nil
+	case pageLeafV2:
+		return errV2Leaf
+	}
+	return fmt.Errorf("invalid page type %d", typ)
+}
+
+var errV2Leaf = errors.New("v2 leaf page (one key per posting)")
 
 // walPath names the log that pairs with a page file.
 func walPath(path string) string { return path + ".wal" }
@@ -263,9 +325,13 @@ func openPager(path string, opts Options) (*pager, uint32, error) {
 		}
 		var magic [8]byte
 		copy(magic[:], meta)
-		if magic == pagerMagicV1 {
+		switch magic {
+		case pagerMagicV1:
 			f.Close()
-			return nil, 0, fmt.Errorf("store: pager: %s is a v1 (pre-WAL) kadop btree file; rebuild it by republishing", path)
+			return nil, 0, errOldFormat(path, "v1 (pre-WAL)")
+		case pagerMagicV2:
+			f.Close()
+			return nil, 0, errOldFormat(path, "v2 (one key per posting)")
 		}
 		if magic == pagerMagic &&
 			binary.LittleEndian.Uint32(meta[pageCRCOff:]) == crc32.Checksum(meta[:pageCRCOff], castagnoli) {
@@ -284,6 +350,9 @@ func openPager(path string, opts Options) (*pager, uint32, error) {
 		return nil, 0, err
 	}
 	recovered, err := pg.recover(metaValid)
+	if errors.Is(err, errV2Leaf) {
+		err = errOldFormat(path, "v2 (one key per posting)")
+	}
 	if err != nil {
 		pg.wal.close()
 		f.Close()

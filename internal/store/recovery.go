@@ -55,6 +55,9 @@ func (pg *pager) recover(metaValid bool) (bool, error) {
 			if len(payload) != 4+pageSize {
 				return false, fmt.Errorf("store: recovery: malformed page record (%d bytes)", len(payload))
 			}
+			if err := checkPageType(payload[4]); err != nil {
+				return false, fmt.Errorf("store: recovery: page record: %w", err)
+			}
 			pending = append(pending, pendingPage{
 				id:    binary.LittleEndian.Uint32(payload),
 				image: payload[4:],

@@ -1,9 +1,7 @@
 package store
 
 import (
-	"bytes"
 	"fmt"
-	"sort"
 	"sync"
 
 	"kadop/internal/postings"
@@ -52,12 +50,15 @@ type snapState struct {
 	overlay map[uint32]*page // committed pre-images of pages since rewritten
 }
 
-// clone returns a read-only copy of p sharing the key bytes (the
-// individual key slices are immutable; only the pointer arrays are
-// copied).
+// clone returns a read-only copy of p sharing the entry bytes (the
+// individual key and run slices are immutable; only the pointer arrays
+// are copied).
 func (p *page) clone() *page {
 	cp := &page{id: p.id, typ: p.typ, next: p.next}
 	cp.keys = append(make([][]byte, 0, len(p.keys)), p.keys...)
+	if p.vals != nil {
+		cp.vals = append(make([][]byte, 0, len(p.vals)), p.vals...)
+	}
 	if p.children != nil {
 		cp.children = append(make([]uint32, 0, len(p.children)), p.children...)
 	}
@@ -211,83 +212,28 @@ func (s *btreeSnap) keep(p *page) *page {
 	return p
 }
 
-// seek returns the leaf containing the first key >= key and that key's
-// index, descending the pinned generation.
-func (s *btreeSnap) seek(key []byte) (*page, int, error) {
-	cur, err := s.page(s.st.root)
-	if err != nil {
-		return nil, 0, err
-	}
-	for cur.typ == pageBranch {
-		cur, err = s.page(cur.children[cur.childIndex(key)])
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	i := sort.Search(len(cur.keys), func(i int) bool { return bytes.Compare(cur.keys[i], key) >= 0 })
-	return cur, i, nil
-}
+// view is the snapshot's read view: the pinned root, pages resolved
+// as of the snapshot.
+func (s *btreeSnap) view() view { return view{root: s.st.root, page: s.page} }
 
 // Scan implements Snapshot.
 func (s *btreeSnap) Scan(term string, from sid.Posting, fn func(sid.Posting) bool) error {
-	start, err := encodeKey(term, from)
-	if err != nil {
-		return err
-	}
-	prefix := termPrefix(term)
-	leaf, i, err := s.seek(start)
-	if err != nil {
-		return err
-	}
-	return scanLeaves(leaf, i, prefix, s.page, fn)
+	return s.view().scan(term, from, fn)
+}
+
+// Runs implements Snapshot.
+func (s *btreeSnap) Runs(term string, from, to sid.Posting, fn func(postings.Run) bool) error {
+	return s.view().clippedRuns(term, from, to, fn)
 }
 
 // Get implements Snapshot.
-func (s *btreeSnap) Get(term string) (postings.List, error) {
-	var out postings.List
-	err := s.Scan(term, sid.MinPosting, func(p sid.Posting) bool {
-		out = append(out, p)
-		return true
-	})
-	return out, err
-}
+func (s *btreeSnap) Get(term string) (postings.List, error) { return s.view().get(term) }
 
 // Count implements Snapshot.
-func (s *btreeSnap) Count(term string) (int, error) {
-	n := 0
-	err := s.Scan(term, sid.MinPosting, func(sid.Posting) bool { n++; return true })
-	return n, err
-}
+func (s *btreeSnap) Count(term string) (int, error) { return s.view().count(term) }
 
 // Terms implements Snapshot.
-func (s *btreeSnap) Terms() ([]string, error) {
-	var out []string
-	leaf, i, err := s.seek([]byte{1})
-	if err != nil {
-		return nil, err
-	}
-	last := ""
-	for {
-		for ; i < len(leaf.keys); i++ {
-			term, _, err := decodeKey(leaf.keys[i])
-			if err != nil {
-				return nil, err
-			}
-			if term != last {
-				out = append(out, term)
-				last = term
-			}
-		}
-		if leaf.next == 0 {
-			return out, nil
-		}
-		leaf, err = s.page(leaf.next)
-		if err != nil {
-			return nil, err
-		}
-		i = 0
-	}
-}
+func (s *btreeSnap) Terms() ([]string, error) { return s.view().terms() }
 
 // Close implements Snapshot: it releases the copy-on-write pin.
 // Idempotent.

@@ -32,7 +32,7 @@ func scanStart(t *testing.T, bt *BTree, term string) (*page, int) {
 	}
 	bt.mu.Lock()
 	defer bt.mu.Unlock()
-	leaf, i, err := bt.seek(k)
+	leaf, i, err := bt.view().seek(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,9 +41,9 @@ func scanStart(t *testing.T, bt *BTree, term string) (*page, int) {
 
 // TestSnapshotScanCrossesExhaustedLeaves: the per-leaf prefix check
 // must not end a scan at a leaf that has nothing left to read. Deleting
-// keys never rebalances the tree, so a seek can land past the end of a
-// leaf whose keys all sort before the term, or on a leaf left empty;
-// the term's postings start in the next leaf either way.
+// entries never rebalances the tree, so a seek can land past the end of
+// a leaf whose entries all sort before the term, or on a leaf left
+// empty; the term's runs start in the next leaf either way.
 func TestSnapshotScanCrossesExhaustedLeaves(t *testing.T) {
 	for _, empty := range []bool{false, true} {
 		name := "past-end"
@@ -63,22 +63,36 @@ func TestSnapshotScanCrossesExhaustedLeaves(t *testing.T) {
 			if err := bt.Append("l:b", b); err != nil {
 				t.Fatal(err)
 			}
-			// Empty the landing leaf of l:b's postings, and of l:a's too
-			// for the empty-leaf case.
+			// Empty the landing leaf of l:b's runs, and of l:a's too for
+			// the empty-leaf case. A run's postings go in ascending order,
+			// so its fence — its key — stays put until the last one drops
+			// the entry.
 			leaf, _ := scanStart(t, bt, "l:b")
 			deleted := map[sid.Posting]bool{}
-			for _, k := range append([][]byte(nil), leaf.keys...) {
-				term, p, err := decodeKey(k)
+			vals := append([][]byte(nil), leaf.vals...)
+			for i, k := range append([][]byte(nil), leaf.keys...) {
+				term, last, err := decodeKey(k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if term == "l:b" {
-					deleted[p] = true
-				} else if !empty {
+				if term != "l:b" && !empty {
 					continue
 				}
-				if err := bt.Delete(term, p); err != nil {
+				r, err := postings.ParseRun(vals[i], last)
+				if err != nil {
 					t.Fatal(err)
+				}
+				run, err := r.Decode(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range run {
+					if term == "l:b" {
+						deleted[p] = true
+					}
+					if err := bt.Delete(term, p); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 			leaf, i := scanStart(t, bt, "l:b")

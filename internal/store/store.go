@@ -32,6 +32,12 @@ type Reader interface {
 	// Scan streams the term's postings in order, starting at the first
 	// posting >= from. It stops early when fn returns false.
 	Scan(term string, from sid.Posting, fn func(sid.Posting) bool) error
+	// Runs streams the term's postings inside the closed interval
+	// [from, to] as runs, in order, until fn returns false. A run's
+	// bytes alias store memory and are valid only during the call. A
+	// disk store hands out the runs it keeps, only those a bound cuts
+	// re-encoded, so a holder can ship them without decoding a posting.
+	Runs(term string, from, to sid.Posting, fn func(postings.Run) bool) error
 	// Count returns the number of postings stored for the term.
 	Count(term string) (int, error)
 	// Terms lists the stored terms — those with at least one posting —
@@ -136,6 +142,14 @@ func (m *Mem) Scan(term string, from sid.Posting, fn func(sid.Posting) bool) err
 		}
 	}
 	return nil
+}
+
+// Runs implements Store, encoding the list into runs on the fly.
+func (m *Mem) Runs(term string, from, to sid.Posting, fn func(postings.Run) bool) error {
+	m.mu.RLock()
+	l := m.lists[term]
+	m.mu.RUnlock()
+	return l.Runs(from, to, fn)
 }
 
 // Count implements Store.

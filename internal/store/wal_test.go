@@ -1,6 +1,8 @@
 package store
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -141,6 +143,71 @@ func TestV1FileRejected(t *testing.T) {
 	_, err := OpenBTree(path)
 	if err == nil || !strings.Contains(err.Error(), "v1") {
 		t.Fatalf("v1 file: err = %v, want v1 rejection", err)
+	}
+}
+
+// TestV2FileRejected checks that a file of the one-key-per-posting
+// format — a checksum-valid KADOPBT2 meta page — is reported as needing
+// a rebuild rather than read as runs.
+func TestV2FileRejected(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v2.bt")
+	meta := make([]byte, pageSize)
+	copy(meta, "KADOPBT2")
+	binary.LittleEndian.PutUint32(meta[8:], 1)  // root
+	binary.LittleEndian.PutUint32(meta[12:], 1) // npages
+	binary.LittleEndian.PutUint32(meta[pageCRCOff:], crc32.Checksum(meta[:pageCRCOff], castagnoli))
+	if err := os.WriteFile(path, meta, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := OpenBTree(path)
+	if err == nil || !strings.Contains(err.Error(), "v2") || !strings.Contains(err.Error(), "rebuild it by republishing") {
+		t.Fatalf("v2 file: err = %v, want the v2 rebuild error", err)
+	}
+}
+
+// TestV2WALRejected: the WAL has no version of its own, so a v2 tree
+// that crashed mid-checkpoint — a torn meta page, a log of v2 leaf
+// images — must be refused with the rebuild error by the page type of
+// its images, not replayed into the v3 tree. The page file is left as
+// it was.
+func TestV2WALRejected(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v2wal.bt")
+	// The v2 leaf: type 1, one key per posting, no values.
+	leaf := make([]byte, pageSize)
+	leaf[0] = pageLeafV2
+	binary.LittleEndian.PutUint16(leaf[1:], 2)
+	off := 7
+	for _, p := range []sid.Posting{mustPosting(1), mustPosting(3)} {
+		k, err := encodeKey("l:a", p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint16(leaf[off:], uint16(len(k)))
+		off += 2 + copy(leaf[off+2:], k)
+	}
+	binary.LittleEndian.PutUint32(leaf[pageCRCOff:], crc32.Checksum(leaf[:pageCRCOff], castagnoli))
+	rec := append(binary.LittleEndian.AppendUint32(nil, 1), leaf...)
+	log := walAppendRecord(nil, walRecPage, rec)
+	var commit [walCommitPayload]byte
+	binary.LittleEndian.PutUint64(commit[:], 1)
+	binary.LittleEndian.PutUint32(commit[8:], 1)
+	binary.LittleEndian.PutUint32(commit[12:], 1)
+	log = walAppendRecord(log, walRecCommit, commit[:])
+	// A meta page torn mid-write: the magic's first bytes, then zeros.
+	file := make([]byte, 2*pageSize)
+	copy(file, "KADO")
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(walPath(path), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := OpenBTree(path)
+	if err == nil || !strings.Contains(err.Error(), "v2") || !strings.Contains(err.Error(), "rebuild it by republishing") {
+		t.Fatalf("torn meta + v2 WAL: err = %v, want the v2 rebuild error", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !reflect.DeepEqual(got, file) {
+		t.Fatalf("the refused open changed the page file (err %v)", err)
 	}
 }
 
