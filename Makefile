@@ -21,15 +21,16 @@ check:
 	$(MAKE) crash-smoke
 	$(MAKE) gate-smoke
 
-# gate-smoke runs each seeded, deterministic `kadop-bench -exp X -short`
-# gate; every one exits non-zero when its property fails. Run a subset
-# with `make gate-smoke GATES=slo`.
-#   churn       join/leave/crash schedule: queries keep succeeding, index converges to the churn-free oracle
-#   slo         overload run: burn-rate alert fires (quiet when healthy), flight dump links to histogram exemplars
+# gate-smoke runs the gate entries of the experiment table
+# (`kadop-bench -exp gates -short`): seeded, deterministic runs that
+# print the bounds they check and exit non-zero when one fails. Run
+# one with `make gate-smoke GATES=slo`.
+#   churn       join/leave/crash schedule: queries keep succeeding, graceful leaves lose no keys, index converges to the churn-free oracle
 #   load        adaptive replication: controllers promote and the serving-load Gini strictly improves (query p99 printed)
+#   durability  group commit cuts the WAL commits of an fsync=always publish at least 2x; query p99 under bulk publish within 1.5x of the controls + 25ms
+#   slo         overload run: burn-rate alert fires (quiet when healthy), flight dump links to histogram exemplars
 #   stats       statistics registry: p95 cardinality-estimation error under bound, every phase reports operator actuals
-#   throughput  batched engine: group commit holds its publish bound at fsync=always, query p99 under bulk publish within 1.5x of the controls
-GATES := churn slo load stats throughput
+GATES := gates
 gate-smoke:
 	@for g in $(GATES); do \
 		echo "$(GO) run ./cmd/kadop-bench -exp $$g -short"; \

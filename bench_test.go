@@ -12,83 +12,48 @@ import (
 	"kadop/internal/experiments"
 )
 
-// BenchmarkFig2Indexing regenerates Figure 2: publishing time against
-// corpus size, network size, publisher count and the DPP.
-func BenchmarkFig2Indexing(b *testing.B) {
+// benchExperiment runs one entry of the experiment table per
+// iteration at the given scale.
+func benchExperiment(b *testing.B, name string, s experiments.Scale) {
+	exps, ok := experiments.Select(name)
+	if !ok {
+		b.Fatalf("no experiment %q", name)
+	}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig2(experiments.Fig2Options{
-			Records: []int{300, 600}, SmallPeers: 8, LargePeers: 16,
-			Publishers: []int{4}, Seed: 1,
-		})
-		if err != nil {
+		if _, err := exps[0].Run(s); err != nil {
 			b.Fatal(err)
 		}
-		if len(res.Rows) == 0 {
-			b.Fatal("no rows")
-		}
 	}
+}
+
+// BenchmarkFig2Indexing regenerates Figure 2: publishing time against
+// corpus size, network size, publisher count, the DPP and the store.
+func BenchmarkFig2Indexing(b *testing.B) {
+	benchExperiment(b, "fig2", experiments.Scale{Records: []int{300, 600}, Peers: 16, Seed: 1})
 }
 
 // BenchmarkFig3QueryResponse regenerates Figure 3: index-query response
 // time with and without the DPP.
 func BenchmarkFig3QueryResponse(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig3(experiments.Fig3Options{
-			Records: []int{1500}, Peers: 12, Seed: 2,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Rows) != 3 { // without DPP, with DPP, with parallel join
-			b.Fatal("unexpected row count")
-		}
-	}
+	benchExperiment(b, "fig3", experiments.Scale{Records: []int{1500}, Peers: 12, Seed: 2})
 }
 
 // BenchmarkTrafficWorkload regenerates the Section 4.3 traffic
 // measurement: the 50-query workload over growing indexed volumes.
 func BenchmarkTrafficWorkload(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTraffic(experiments.TrafficOptions{
-			Records: []int{400, 800}, Peers: 10, Queries: 20, Seed: 3,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Rows) != 2 {
-			b.Fatal("unexpected row count")
-		}
-	}
+	benchExperiment(b, "traffic", experiments.Scale{Records: []int{400, 800}, Peers: 10, Seed: 3})
 }
 
 // BenchmarkTable1DyadicCover regenerates Table 1: average dyadic-cover
 // sizes over the five dataset shapes.
 func BenchmarkTable1DyadicCover(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTable1(experiments.Table1Options{Seed: 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Rows) != 5 {
-			b.Fatal("unexpected row count")
-		}
-	}
+	benchExperiment(b, "table1", experiments.Scale{Seed: 4})
 }
 
 // BenchmarkFilterSensitivity regenerates the Section 5.4 sensitivity
 // analysis of the structural Bloom filters.
 func BenchmarkFilterSensitivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunSensitivity(experiments.SensitivityOptions{
-			Records: 2000, BasicFPs: []float64{0.05, 0.20}, Seed: 5,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Rows) != 2 {
-			b.Fatal("unexpected row count")
-		}
-	}
+	benchExperiment(b, "sensitivity", experiments.Scale{Records: []int{2000}, Seed: 5})
 }
 
 // BenchmarkFig7Strategies regenerates Figure 7(a,b,c): normalized data
@@ -96,17 +61,7 @@ func BenchmarkFilterSensitivity(b *testing.B) {
 func BenchmarkFig7Strategies(b *testing.B) {
 	for _, variant := range []string{"a", "b", "c"} {
 		b.Run(variant, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunFig7(experiments.Fig7Options{
-					Variant: variant, Records: 800, Peers: 10, Seed: 6,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Rows) < 3 {
-					b.Fatal("missing strategies")
-				}
-			}
+			benchExperiment(b, "fig7"+variant, experiments.Scale{Records: []int{800}, Peers: 10, Seed: 6})
 		})
 	}
 }
@@ -114,49 +69,19 @@ func BenchmarkFig7Strategies(b *testing.B) {
 // BenchmarkFig9Fundex regenerates Figure 9: Fundex query processing
 // over an intensional collection.
 func BenchmarkFig9Fundex(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig9(experiments.Fig9Options{
-			Docs: []int{200}, Peers: 8, Matches: 5, Seed: 7,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Rows) != 3 {
-			b.Fatal("unexpected row count")
-		}
-	}
+	benchExperiment(b, "fig9", experiments.Scale{Records: []int{200}, Peers: 8, Seed: 7})
 }
 
 // BenchmarkStoreAblation regenerates the Section 3 store comparison
 // (B+-tree vs PAST-like naive store vs memory).
 func BenchmarkStoreAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunStoreAblation(experiments.StoreAblationOptions{
-			Batches: 60, BatchSize: 60, Seed: 8,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Rows) != 3 {
-			b.Fatal("unexpected row count")
-		}
-	}
+	benchExperiment(b, "store", experiments.Scale{Records: []int{60}, Seed: 8})
 }
 
 // BenchmarkSplitAblation regenerates the Section 4.1 ordered-vs-random
 // DPP split comparison.
 func BenchmarkSplitAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunSplitAblation(experiments.SplitAblationOptions{
-			Records: 600, Peers: 10, Seed: 9,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Rows) != 2 {
-			b.Fatal("unexpected row count")
-		}
-	}
+	benchExperiment(b, "split", experiments.Scale{Records: []int{600}, Peers: 10, Seed: 9})
 }
 
 // BenchmarkPublishQuery is an end-to-end micro-benchmark of the public

@@ -1,10 +1,13 @@
-// Command kadop-bench regenerates the paper's tables and figures.
+// Command kadop-bench regenerates the paper's tables and figures and
+// runs the repository's gates.
 //
-// Each experiment of the evaluation has a sub-experiment name; -exp all
-// runs everything. Scales default to laptop-sized runs; raise -records,
-// -peers and friends to approach the paper's Grid5000 scales.
+// -exp names one entry of the experiment table, "gates" for every
+// gate, or "all" for the whole table. Scales default to laptop-sized
+// runs; raise -records and -peers to approach the paper's Grid5000
+// scales. A failing gate prints its report and exits non-zero.
 //
 //	kadop-bench -exp fig3 -records 1000,2000,4000 -peers 100
+//	kadop-bench -exp gates -short
 //	kadop-bench -exp all
 package main
 
@@ -19,15 +22,16 @@ import (
 	"kadop/internal/experiments"
 )
 
+var (
+	exp       = flag.String("exp", "all", "experiment: "+strings.Join(experiments.Names(), "|"))
+	records   = flag.String("records", "", "comma-separated corpus sizes in records (experiment-specific default)")
+	peers     = flag.Int("peers", 0, "network size (experiment-specific default)")
+	seed      = flag.Int64("seed", 1, "workload seed")
+	short     = flag.Bool("short", false, "smallest scales (smoke run)")
+	debugAddr = flag.String("debug-addr", "", "serve /debug/pprof on this address while experiments run")
+)
+
 func main() {
-	var (
-		exp       = flag.String("exp", "all", "experiment: fig2|fig3|traffic|table1|sensitivity|fig7a|fig7b|fig7c|fig9|store|split|robust|churn|cache|load|durability|throughput|slo|stats|all")
-		records   = flag.String("records", "", "comma-separated corpus sizes in records (experiment-specific default)")
-		peers     = flag.Int("peers", 0, "network size (experiment-specific default)")
-		seed      = flag.Int64("seed", 1, "workload seed")
-		short     = flag.Bool("short", false, "smallest scales (smoke run)")
-		debugAddr = flag.String("debug-addr", "", "serve /debug/pprof on this address while experiments run")
-	)
 	flag.Parse()
 
 	if *debugAddr != "" {
@@ -48,177 +52,24 @@ func main() {
 		fmt.Fprintln(os.Stderr, "kadop-bench:", err)
 		os.Exit(2)
 	}
-	if *short {
-		sizes = []int{200, 400}
+	selected, ok := experiments.Select(*exp)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "kadop-bench: unknown experiment %q (want one of %s)\n",
+			*exp, strings.Join(experiments.Names(), ", "))
+		os.Exit(2)
 	}
-
-	runners := map[string]func() (interface{ Format() string }, error){
-		"fig2": func() (interface{ Format() string }, error) {
-			o := experiments.Fig2Options{Records: sizes, Seed: *seed, WithNaiveStore: true}
-			if *peers > 0 {
-				o.SmallPeers, o.LargePeers = *peers/2, *peers
-			}
-			if *short {
-				o.WithNaiveStore = false
-			}
-			return experiments.RunFig2(o)
-		},
-		"fig3": func() (interface{ Format() string }, error) {
-			return experiments.RunFig3(experiments.Fig3Options{Records: sizes, Peers: *peers, Seed: *seed})
-		},
-		"traffic": func() (interface{ Format() string }, error) {
-			return experiments.RunTraffic(experiments.TrafficOptions{Records: sizes, Peers: *peers, Seed: *seed})
-		},
-		"table1": func() (interface{ Format() string }, error) {
-			return experiments.RunTable1(experiments.Table1Options{Seed: *seed})
-		},
-		"sensitivity": func() (interface{ Format() string }, error) {
-			o := experiments.SensitivityOptions{Seed: *seed}
-			if len(sizes) > 0 {
-				o.Records = sizes[len(sizes)-1]
-			}
-			return experiments.RunSensitivity(o)
-		},
-		"fig7a": fig7Runner("a", sizes, *peers, *seed),
-		"fig7b": fig7Runner("b", sizes, *peers, *seed),
-		"fig7c": fig7Runner("c", sizes, *peers, *seed),
-		"fig9": func() (interface{ Format() string }, error) {
-			o := experiments.Fig9Options{Peers: *peers, Seed: *seed}
-			if len(sizes) > 0 {
-				o.Docs = sizes
-			}
-			return experiments.RunFig9(o)
-		},
-		"store": func() (interface{ Format() string }, error) {
-			return experiments.RunStoreAblation(experiments.StoreAblationOptions{Seed: *seed})
-		},
-		"split": func() (interface{ Format() string }, error) {
-			o := experiments.SplitAblationOptions{Peers: *peers, Seed: *seed}
-			if len(sizes) > 0 {
-				o.Records = sizes[len(sizes)-1]
-			}
-			return experiments.RunSplitAblation(o)
-		},
-		"robust": func() (interface{ Format() string }, error) {
-			o := experiments.RobustnessOptions{Peers: *peers, Seed: *seed}
-			if len(sizes) > 0 {
-				o.Records = sizes[len(sizes)-1]
-			}
-			if *short {
-				o.Records, o.Queries = 120, 4
-				o.DropProbs = []float64{0, 0.20}
-			}
-			return experiments.RunRobustness(o)
-		},
-		"churn": func() (interface{ Format() string }, error) {
-			o := experiments.ChurnOptions{Peers: *peers, Seed: *seed}
-			if len(sizes) > 0 {
-				o.Records = sizes[len(sizes)-1]
-			}
-			if *short {
-				o.Peers, o.Records, o.Events, o.Stable = 40, 100, 16, 6
-			}
-			return experiments.RunChurn(o)
-		},
-		"cache": func() (interface{ Format() string }, error) {
-			o := experiments.CacheOptions{Peers: *peers, Seed: *seed}
-			if len(sizes) > 0 {
-				o.Records = sizes[len(sizes)-1]
-			}
-			if *short {
-				o.Records, o.Repeats, o.BlockSize = 150, 2, 64
-			}
-			return experiments.RunCache(o)
-		},
-		"load": func() (interface{ Format() string }, error) {
-			o := experiments.LoadOptions{Peers: *peers, Seed: *seed}
-			if len(sizes) > 0 {
-				o.Records = sizes[len(sizes)-1]
-			}
-			if *short {
-				o.Records, o.Peers, o.Queries = 150, 8, 2
-			}
-			return experiments.RunLoad(o)
-		},
-		"durability": func() (interface{ Format() string }, error) {
-			o := experiments.DurabilityOptions{Peers: *peers, Seed: *seed}
-			if len(sizes) > 0 {
-				o.Records = sizes[len(sizes)-1]
-			}
-			if *short {
-				o.Records, o.Peers = 100, 4
-			}
-			return experiments.RunDurability(o)
-		},
-		"throughput": func() (interface{ Format() string }, error) {
-			o := experiments.ThroughputOptions{Peers: *peers, Seed: *seed}
-			if len(sizes) > 0 {
-				o.Records = sizes[len(sizes)-1]
-			}
-			if *short {
-				// The busy-phase p99 needs a publish long enough to
-				// sample properly; smoke trims peers, not the corpus.
-				o.Records, o.Peers, o.Queries = 240, 4, 20
-			}
-			return experiments.RunThroughput(o)
-		},
-		"slo": func() (interface{ Format() string }, error) {
-			o := experiments.SLOOptions{Peers: *peers, Seed: *seed}
-			if len(sizes) > 0 {
-				o.Records = sizes[len(sizes)-1]
-			}
-			if *short {
-				o.Records, o.Peers, o.Queries = 120, 6, 6
-			}
-			return experiments.RunSLO(o)
-		},
-		"stats": func() (interface{ Format() string }, error) {
-			o := experiments.StatsOptions{Peers: *peers, Seed: *seed}
-			if len(sizes) > 0 {
-				o.Records = sizes[len(sizes)-1]
-			}
-			if *short {
-				o.Records, o.Peers, o.Warmup, o.Measure = 150, 6, 4, 2
-			}
-			return experiments.RunStats(o)
-		},
-	}
-
-	order := []string{"fig2", "fig3", "traffic", "table1", "sensitivity",
-		"fig7a", "fig7b", "fig7c", "fig9", "store", "split", "robust", "churn", "cache", "load", "durability", "throughput", "slo", "stats"}
-
-	var selected []string
-	if *exp == "all" {
-		selected = order
-	} else {
-		if _, ok := runners[*exp]; !ok {
-			fmt.Fprintf(os.Stderr, "kadop-bench: unknown experiment %q (want one of %s, all)\n",
-				*exp, strings.Join(order, "|"))
-			os.Exit(2)
+	for _, e := range selected {
+		s := experiments.Scale{Records: sizes, Peers: *peers, Seed: *seed}
+		if *short {
+			s.Records, s.Peers = e.Short.Records, e.Short.Peers
 		}
-		selected = []string{*exp}
-	}
-	for _, name := range selected {
-		res, err := runners[name]()
+		out, err := e.Run(s)
+		fmt.Print(out)
 		if err != nil {
-			// A failed gate still carries the measurements it failed on.
-			if res != nil {
-				fmt.Println(res.Format())
-			}
-			fmt.Fprintf(os.Stderr, "kadop-bench: %s: %v\n", name, err)
+			fmt.Fprintln(os.Stderr, "kadop-bench:", err)
 			os.Exit(1)
 		}
-		fmt.Println(res.Format())
-	}
-}
-
-func fig7Runner(variant string, sizes []int, peers int, seed int64) func() (interface{ Format() string }, error) {
-	return func() (interface{ Format() string }, error) {
-		o := experiments.Fig7Options{Variant: variant, Peers: peers, Seed: seed}
-		if len(sizes) > 0 {
-			o.Records = sizes[len(sizes)-1]
-		}
-		return experiments.RunFig7(o)
+		fmt.Println()
 	}
 }
 

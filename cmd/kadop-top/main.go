@@ -90,7 +90,7 @@ func runSelftest(peers, topK int) error {
 	defer c.Close()
 
 	docs := workload.DBLP{Seed: 1, Records: 150}.Documents()
-	if _, err := c.PublishAll(docs, 4); err != nil {
+	if _, err := c.PublishAll(docs, 4, 1); err != nil {
 		return err
 	}
 	q := pattern.MustParse(experiments.Fig3Query)

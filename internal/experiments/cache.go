@@ -1,62 +1,28 @@
 package experiments
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"kadop/internal/dpp"
 	"kadop/internal/kadop"
 	"kadop/internal/metrics"
-	"kadop/internal/pattern"
 	"kadop/internal/workload"
 )
 
-// CacheOptions scale the block-cache experiment: a DPP deployment
-// answers a repeated-query workload cold and warm, measuring how many
-// posting bytes the query-peer block cache keeps off the network.
-type CacheOptions struct {
-	Records    int
-	Peers      int
-	Repeats    int // warm repetitions of the query set
-	BlockSize  int
-	CacheBytes int64
-	Seed       int64
-}
+// The cache deployment splits lists into DPP blocks of cacheBlockSize
+// postings (small, so the corpus's popular terms overflow into real
+// DPPs at laptop scale) and gives the querier a cacheBytes block cache;
+// the warm pass repeats cacheRepeats times.
+const (
+	cacheBlockSize = 128
+	cacheBytes     = 32 << 20
+	cacheRepeats   = 3
+)
 
-func (o CacheOptions) defaults() CacheOptions {
-	if o.Records <= 0 {
-		o.Records = 400
-	}
-	if o.Peers <= 0 {
-		o.Peers = 10
-	}
-	if o.Repeats <= 0 {
-		o.Repeats = 3
-	}
-	if o.BlockSize <= 0 {
-		// Small blocks so the corpus's popular terms overflow into real
-		// DPPs at laptop scale.
-		o.BlockSize = 256
-	}
-	if o.CacheBytes <= 0 {
-		o.CacheBytes = 32 << 20
-	}
-	return o
-}
-
-// cacheQueries is the repeated workload: the paper's stress query plus
-// two overlapping patterns, so reuse shows up across queries (shared
-// terms) as well as across repetitions.
-var cacheQueries = []string{
-	Fig3Query,
-	`//article//author`,
-	`//article//title`,
-}
-
-// CachePass is the measurement of one pass over the query set.
-type CachePass struct {
+// cachePass is the measurement of one pass over the query set.
+type cachePass struct {
 	Name          string
 	Queries       int
 	PostingsBytes int64 // posting-class wire bytes this pass moved
@@ -66,152 +32,101 @@ type CachePass struct {
 	BytesSaved    int64 // wire bytes served from cache instead
 }
 
-// CacheResult is the cold/warm comparison.
-type CacheResult struct {
-	Passes []CachePass
-	// ColdBytes and WarmBytes compare one cold pass against the mean
-	// warm pass; Ratio is their quotient (0 when warm moved nothing).
-	ColdBytes, WarmBytes int64
-	Ratio                float64
-	CacheStats           string
+type cacheResult struct {
+	Passes     []cachePass // cold, cacheRepeats warm, after-append
+	CacheStats string
 }
 
-// RunCache measures the posting-block cache on a repeated-query
+// runCache measures the posting-block cache on a repeated-query
 // workload. One pass runs every query in the set; the cold pass starts
 // with an empty cache (and runs the set twice concurrently, so
 // coalescing shows up), warm passes rerun the set against the hot
 // cache, and a final pass follows an index append to demonstrate
 // generation-based invalidation: the touched blocks miss once and
 // refill, without any invalidation traffic.
-func RunCache(o CacheOptions) (*CacheResult, error) {
-	o = o.defaults()
-	docs := workload.DBLP{Seed: o.Seed, Records: o.Records}.Documents()
-	cl, err := NewCluster(ClusterOptions{
-		Peers: o.Peers,
-		Cfg: kadop.Config{
-			UseDPP:     true,
-			DPP:        dpp.Options{BlockSize: o.BlockSize},
-			CacheBytes: o.CacheBytes,
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Close()
+func runCache(s Scale) (res *cacheResult, err error) {
+	docs := s.dblp(s.records())
 	// Hold back a slice of the corpus for the invalidation pass.
-	nExtra := len(docs) / 10
-	if nExtra == 0 {
-		nExtra = 1
-	}
+	nExtra := max(1, len(docs)/10)
 	extra := docs[len(docs)-nExtra:]
-	docs = docs[:len(docs)-nExtra]
-	if _, err := cl.PublishAll(docs, 4); err != nil {
-		return nil, err
-	}
+	cfg := kadop.Config{UseDPP: true, DPP: dpp.Options{BlockSize: cacheBlockSize}, CacheBytes: cacheBytes}
+	err = withCluster(ClusterOptions{Peers: s.Peers, Cfg: cfg}, docs[:len(docs)-nExtra], func(cl *Cluster) error {
+		res, err = cachePasses(cl, extra)
+		return err
+	})
+	return res, err
+}
 
-	queries := make([]*pattern.Query, len(cacheQueries))
-	for i, s := range cacheQueries {
-		queries[i] = pattern.MustParse(s)
-	}
+// cachePasses runs the cold, warm and after-append passes on a loaded
+// deployment; extra is the held-back corpus slice the last pass
+// publishes first.
+func cachePasses(cl *Cluster, extra []workload.GeneratedDoc) (*cacheResult, error) {
+	// The repeated workload is the hot-term set: reuse shows up across
+	// queries (shared terms) as well as across repetitions.
+	queries := parseAll(hotQueries)
 	querier := cl.NonOwnerPeer(queries[0])
 	cache := querier.BlockCache()
-	if cache == nil {
-		return nil, fmt.Errorf("experiments: cache experiment needs Config.CacheBytes > 0")
-	}
 	col := cl.Net.Collector
 
-	runSet := func(concurrent int) error {
-		if concurrent < 1 {
-			concurrent = 1
-		}
+	res := &cacheResult{}
+	col.Reset()
+	cache.Reset()
+	prev := cache.Stats()
+	// pass runs the query set from `concurrent` goroutines at once and
+	// measures what it moved and what the cache did.
+	pass := func(name string, concurrent int) error {
+		base := col.Bytes(metrics.Postings)
 		var wg sync.WaitGroup
 		errs := make([]error, concurrent)
-		for w := 0; w < concurrent; w++ {
+		for w := range errs {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
 				for _, q := range queries {
-					ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-					_, qerr := querier.QueryContext(ctx, q, kadop.QueryOptions{})
-					cancel()
-					if qerr != nil {
-						errs[w] = qerr
+					if _, errs[w] = query(querier, q, kadop.QueryOptions{}); errs[w] != nil {
 						return
 					}
 				}
 			}(w)
 		}
 		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	res := &CacheResult{}
-	var prev = cache.Stats()
-	measure := func(name string, nq int, run func() error) (CachePass, error) {
-		base := col.Bytes(metrics.Postings)
-		if err := run(); err != nil {
-			return CachePass{}, fmt.Errorf("experiments: cache pass %q: %w", name, err)
+		if err := errors.Join(errs...); err != nil {
+			return fmt.Errorf("cache pass %q: %w", name, err)
 		}
 		st := cache.Stats()
-		pass := CachePass{
+		res.Passes = append(res.Passes, cachePass{
 			Name:          name,
-			Queries:       nq,
+			Queries:       concurrent * len(queries),
 			PostingsBytes: col.Bytes(metrics.Postings) - base,
 			Hits:          st.Hits - prev.Hits,
 			Misses:        st.Misses - prev.Misses,
 			Coalesced:     st.Coalesced - prev.Coalesced,
 			BytesSaved:    st.BytesSaved - prev.BytesSaved,
-		}
+		})
 		prev = st
-		return pass, nil
+		return nil
 	}
 
 	// Cold: empty cache, the set twice concurrently — the second runner
 	// coalesces onto the first's fetches instead of doubling the bytes.
-	col.Reset()
-	cache.Reset()
-	prev = cache.Stats()
-	cold, err := measure("cold", 2*len(queries), func() error { return runSet(2) })
-	if err != nil {
+	if err := pass("cold", 2); err != nil {
 		return nil, err
 	}
-	res.Passes = append(res.Passes, cold)
-
 	// Warm: the cache is hot; repeated sets should move ~no posting
 	// bytes.
-	var warmBytes int64
-	for r := 0; r < o.Repeats; r++ {
-		pass, err := measure(fmt.Sprintf("warm-%d", r+1), len(queries), func() error { return runSet(1) })
-		if err != nil {
+	for r := 1; r <= cacheRepeats; r++ {
+		if err := pass(fmt.Sprintf("warm-%d", r), 1); err != nil {
 			return nil, err
 		}
-		warmBytes += pass.PostingsBytes
-		res.Passes = append(res.Passes, pass)
 	}
-
 	// Invalidate: append a held-back slice of the corpus. Appends bump
 	// the touched blocks' generations, so the next pass re-misses
 	// exactly the refreshed blocks and refills.
-	if len(extra) > 0 {
-		if _, err := cl.PublishAll(extra, 1); err != nil {
-			return nil, err
-		}
-		pass, err := measure("after-append", len(queries), func() error { return runSet(1) })
-		if err != nil {
-			return nil, err
-		}
-		res.Passes = append(res.Passes, pass)
+	if _, err := cl.PublishAll(extra, 1, 1); err != nil {
+		return nil, err
 	}
-
-	res.ColdBytes = cold.PostingsBytes
-	res.WarmBytes = warmBytes / int64(o.Repeats)
-	if res.WarmBytes > 0 {
-		res.Ratio = float64(res.ColdBytes) / float64(res.WarmBytes)
+	if err := pass("after-append", 1); err != nil {
+		return nil, err
 	}
 	st := cache.Stats()
 	res.CacheStats = fmt.Sprintf("entries %d, %s KB of %s KB, %d inserts, %d evictions",
@@ -219,31 +134,26 @@ func RunCache(o CacheOptions) (*CacheResult, error) {
 	return res, nil
 }
 
-// kb renders bytes as kilobytes; posting transfers at laptop scale are
-// kilobytes, and the MB rendering of the other tables would flatten
-// them all to 0.00.
-func kb(n int64) string { return fmt.Sprintf("%.1f", float64(n)/1e3) }
-
-// Format renders the cache table.
-func (r *CacheResult) Format() string {
+func (r *cacheResult) report() ([]section, []bound) {
 	rows := make([][]string, 0, len(r.Passes))
 	for _, p := range r.Passes {
-		rows = append(rows, []string{
-			p.Name,
-			fmt.Sprintf("%d", p.Queries),
-			kb(p.PostingsBytes),
-			fmt.Sprintf("%d", p.Hits),
-			fmt.Sprintf("%d", p.Misses),
-			fmt.Sprintf("%d", p.Coalesced),
-			kb(p.BytesSaved),
-		})
+		rows = append(rows, []string{p.Name, itoa(p.Queries), kb(p.PostingsBytes), itoa(p.Hits), itoa(p.Misses),
+			itoa(p.Coalesced), kb(p.BytesSaved)})
 	}
+	// One cold pass against the mean warm pass.
+	cold, warm := r.Passes[0].PostingsBytes, int64(0)
+	for _, p := range r.Passes[1 : 1+cacheRepeats] {
+		warm += p.PostingsBytes
+	}
+	warm /= cacheRepeats
 	ratio := "inf (warm moved 0 bytes)"
-	if r.Ratio > 0 {
-		ratio = fmt.Sprintf("%.1fx", r.Ratio)
+	if warm > 0 {
+		ratio = fmt.Sprintf("%.1fx", float64(cold)/float64(warm))
 	}
-	return "Block cache — posting bytes moved per pass over the repeated query set\n" +
-		table([]string{"pass", "queries", "postings(KB)", "hits", "misses", "coalesced", "saved(KB)"}, rows) +
-		fmt.Sprintf("\ncold/warm posting-byte ratio: %s (cold %s KB vs warm %s KB per pass)\ncache: %s\n",
-			ratio, kb(r.ColdBytes), kb(r.WarmBytes), r.CacheStats)
+	return []section{
+		{"Block cache — posting bytes moved per pass over the repeated query set",
+			[]string{"pass", "queries", "postings(KB)", "hits", "misses", "coalesced", "saved(KB)"}, rows},
+		{title: fmt.Sprintf("\ncold/warm posting-byte ratio: %s (cold %s KB vs warm %s KB per pass)\ncache: %s",
+			ratio, kb(cold), kb(warm), r.CacheStats)},
+	}, nil
 }

@@ -1,10 +1,11 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"kadop/internal/dht"
@@ -13,69 +14,16 @@ import (
 	"kadop/internal/pattern"
 	"kadop/internal/sid"
 	"kadop/internal/store"
-	"kadop/internal/workload"
 )
 
-// ChurnOptions scale the churn emulation: a replicated deployment
-// subjected to a seeded Poisson schedule of joins, graceful leaves and
-// crashes, optionally through a lossy network, with the query workload
-// and the repair machinery running throughout.
-type ChurnOptions struct {
-	// Records is the DBLP corpus size.
-	Records int
-	// Peers is the initial overlay size.
-	Peers int
-	// Stable is the number of peers (the first Stable ids) that never
-	// churn: they publish the corpus, submit the queries, and anchor
-	// the overlay the way long-lived peers anchor deployed DHTs.
-	Stable int
-	// Events is the number of churn events in the schedule.
-	Events int
-	// JoinRate, LeaveRate and CrashRate are the relative weights of the
-	// three event kinds in the schedule (all default to 1).
-	JoinRate, LeaveRate, CrashRate float64
-	// DropProb is the message loss injected while the schedule runs.
-	DropProb float64
-	// RepairEvery runs a full repair sweep (RepairOnce on every live
-	// member, RefreshOnce on the stable ones) every that many events,
-	// standing in for the periodic loops of a wall-clock deployment.
-	RepairEvery int
-	Seed        int64
-}
+// The churn schedule: the first churnStable peers never churn (they
+// publish the corpus, submit the queries and anchor the overlay, the
+// way long-lived peers anchor deployed DHTs); joins, graceful leaves
+// and crashes are equally likely.
+const churnStable = 6
 
-func (o ChurnOptions) defaults() ChurnOptions {
-	if o.Records <= 0 {
-		o.Records = 240
-	}
-	if o.Peers <= 0 {
-		o.Peers = 200
-	}
-	if o.Stable <= 0 {
-		o.Stable = 8
-	}
-	if o.Stable > o.Peers {
-		o.Stable = o.Peers
-	}
-	if o.Events <= 0 {
-		o.Events = 60
-	}
-	if o.JoinRate <= 0 && o.LeaveRate <= 0 && o.CrashRate <= 0 {
-		o.JoinRate, o.LeaveRate, o.CrashRate = 1, 1, 1
-	}
-	if o.DropProb < 0 {
-		o.DropProb = 0
-	}
-	if o.RepairEvery <= 0 {
-		o.RepairEvery = 8
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
-
-// ChurnResult is the outcome of one churn emulation run.
-type ChurnResult struct {
+// churnResult is the outcome of one churn emulation run.
+type churnResult struct {
 	Peers, Stable, Events  int
 	Joins, Leaves, Crashes int
 	AliveEnd               int
@@ -108,7 +56,7 @@ type churnMember struct {
 	stable bool
 }
 
-// RunChurn emulates churn the way the paper's robustness discussion
+// runChurn emulates churn the way the paper's robustness discussion
 // frames it: an overlay of hundreds of peers holding a replicated
 // index, with peers joining (and pulling the keys they become
 // responsible for), leaving gracefully (handing their keys off) and
@@ -116,8 +64,13 @@ type churnMember struct {
 // and submits the query workload. The run reports query success under
 // churn, whether graceful leaves lost any keys, and whether the index
 // converged back to the churn-free oracle once the schedule ended.
-func RunChurn(o ChurnOptions) (*ChurnResult, error) {
-	o = o.defaults()
+// The schedule has 10 + s.Peers/4 events, runs through a network that
+// drops messages with probability drop, and runs a full repair sweep
+// (RepairOnce on every live member, RefreshOnce on the stable ones)
+// every repairEvery events, standing in for the periodic loops of a
+// wall-clock deployment.
+func runChurn(s Scale, drop float64, repairEvery int) (*churnResult, error) {
+	events, stable := 10+s.Peers/4, min(churnStable, s.Peers)
 	dhtCfg := dht.Config{
 		Replication: 3,
 		// Backoffs stay tiny: the simulated network fails dead-endpoint
@@ -130,16 +83,16 @@ func RunChurn(o ChurnOptions) (*ChurnResult, error) {
 		},
 		RPCTimeout:   5 * time.Second,
 		ProbeTimeout: 2 * time.Second,
-		Seed:         o.Seed,
+		Seed:         s.Seed,
 	}
-	cl, err := NewCluster(ClusterOptions{Peers: o.Peers, DHT: dhtCfg})
+	cl, err := NewCluster(ClusterOptions{Peers: s.Peers, Cfg: kadop.Config{DHT: dhtCfg}})
 	if err != nil {
 		return nil, err
 	}
-	members := make([]*churnMember, 0, o.Peers+o.Events)
+	members := make([]*churnMember, 0, s.Peers+events)
 	for i := range cl.Nodes {
 		members = append(members, &churnMember{
-			node: cl.Nodes[i], peer: cl.Peers[i], alive: true, stable: i < o.Stable,
+			node: cl.Nodes[i], peer: cl.Peers[i], alive: true, stable: i < stable,
 		})
 	}
 	defer func() {
@@ -155,47 +108,34 @@ func RunChurn(o ChurnOptions) (*ChurnResult, error) {
 	// Publish churn-free and capture the oracle: the full posting count
 	// of every term (the max across replicas is the complete copy) and
 	// the exact answer of the probe query.
-	docs := workload.DBLP{Seed: o.Seed, Records: o.Records}.Documents()
-	publishers := o.Stable
-	if publishers > 4 {
-		publishers = 4
-	}
-	if _, err := cl.PublishAll(docs, publishers); err != nil {
+	if _, err := cl.PublishAll(s.dblp(s.records()), 4, 1); err != nil {
 		return nil, err
 	}
 	oracle := map[string]int{}
 	for _, m := range members {
-		terms, err := m.node.Store().Terms()
-		if err != nil {
+		if err := maxCounts(oracle, m.node.Store()); err != nil {
 			return nil, err
-		}
-		for _, t := range terms {
-			if c, err := m.node.Store().Count(t); err == nil && c > oracle[t] {
-				oracle[t] = c
-			}
 		}
 	}
 	q := pattern.MustParse(Fig3Query)
-	querier := cl.Peers[o.Stable-1]
+	querier := cl.Peers[stable-1]
 	base, err := querier.QueryContext(context.Background(), q, kadop.QueryOptions{AllowPartial: true})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: churn baseline query: %w", err)
+		return nil, fmt.Errorf("baseline query: %w", err)
 	}
 	baseDocs := sortedDocs(base.Docs)
 
 	col := cl.Net.Collector
 	col.Reset()
-	cl.Net.SetFaults(dht.Faults{Seed: o.Seed, DropProb: o.DropProb})
-	defer cl.Net.SetFaults(dht.Faults{})
+	cl.Net.SetFaults(dht.Faults{Seed: s.Seed, DropProb: drop})
 
-	res := &ChurnResult{Peers: o.Peers, Stable: o.Stable, Events: o.Events, DropProb: o.DropProb}
-	rng := rand.New(rand.NewSource(o.Seed + 7))
-	nextID := sid.PeerID(o.Peers + 1)
+	res := &churnResult{Peers: s.Peers, Stable: stable, Events: events, DropProb: drop}
+	rng := rand.New(rand.NewSource(s.Seed + 7))
+	nextID := sid.PeerID(s.Peers + 1)
 	// leftBehind records, per term a leaver held, the largest copy any
 	// leaver held: after quiesce the overlay must still serve at least
 	// that many postings or the leave lost data.
 	leftBehind := map[string]int{}
-	total := o.JoinRate + o.LeaveRate + o.CrashRate
 
 	churnable := func() []*churnMember {
 		var out []*churnMember
@@ -206,28 +146,33 @@ func RunChurn(o ChurnOptions) (*ChurnResult, error) {
 		}
 		return out
 	}
-	sweep := func(ctx context.Context) {
+	// sweep runs RepairOnce on every live member (and RefreshOnce on
+	// the stable ones if refresh is set) and returns the keys pushed.
+	sweep := func(refresh bool) (pushed int) {
+		ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+		defer cancel()
 		for _, m := range members {
-			if !m.alive {
-				continue
-			}
-			m.node.RepairOnce(ctx)
-			if m.stable {
-				m.node.RefreshOnce(ctx, time.Second)
+			if m.alive {
+				n, _ := m.node.RepairOnce(ctx)
+				pushed += n
+				if refresh && m.stable {
+					m.node.RefreshOnce(ctx, time.Second)
+				}
 			}
 		}
+		return pushed
 	}
 
-	for e := 0; e < o.Events; e++ {
+	for e := 0; e < events; e++ {
 		// Poisson schedule: exponential virtual gaps (reported, not
 		// slept — the simulated network has no propagation delay to
 		// wait out).
 		res.VirtualTime += time.Duration(rng.ExpFloat64() * float64(2*time.Second))
-		pick := rng.Float64() * total
+		pick := rng.Float64() * 3
 		cands := churnable()
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		switch {
-		case pick < o.JoinRate || len(cands) == 0:
+		case pick < 1 || len(cands) == 0:
 			nd, err := dht.NewNode(cl.Net.NewEndpoint(), store.NewMem(), dhtCfg)
 			if err != nil {
 				cancel()
@@ -236,7 +181,7 @@ func RunChurn(o ChurnOptions) (*ChurnResult, error) {
 			if err := nd.BootstrapContext(ctx, members[0].node.Self()); err != nil {
 				nd.Close()
 				cancel()
-				return nil, fmt.Errorf("experiments: churn join: %w", err)
+				return nil, fmt.Errorf("join: %w", err)
 			}
 			nd.LookupContext(ctx, nd.Self().ID)
 			p, err := kadop.NewPeer(nd, nextID, kadop.Config{DHT: dhtCfg})
@@ -253,14 +198,9 @@ func RunChurn(o ChurnOptions) (*ChurnResult, error) {
 			nd.PullOwnedOnce(ctx)
 			members = append(members, &churnMember{node: nd, peer: p, alive: true})
 			res.Joins++
-		case pick < o.JoinRate+o.LeaveRate:
+		case pick < 2:
 			m := cands[rng.Intn(len(cands))]
-			terms, _ := m.node.Store().Terms()
-			for _, t := range terms {
-				if c, err := m.node.Store().Count(t); err == nil && c > leftBehind[t] {
-					leftBehind[t] = c
-				}
-			}
+			maxCounts(leftBehind, m.node.Store()) // a store that cannot list its terms leaves nothing to check
 			moved, _ := m.peer.Leave(ctx)
 			m.alive = false
 			res.LeaveKeysMoved += moved
@@ -273,22 +213,18 @@ func RunChurn(o ChurnOptions) (*ChurnResult, error) {
 		}
 		cancel()
 
-		qctx, qcancel := context.WithTimeout(context.Background(), 60*time.Second)
-		r, qerr := querier.QueryContext(qctx, q, kadop.QueryOptions{AllowPartial: true})
-		qcancel()
+		r, qerr := query(querier, q, kadop.QueryOptions{AllowPartial: true})
 		res.QueriesRun++
 		if qerr == nil {
 			res.QueriesOK++
-			if !r.Incomplete && docsEqual(sortedDocs(r.Docs), baseDocs) {
+			if !r.Incomplete && slices.Equal(sortedDocs(r.Docs), baseDocs) {
 				res.QueriesExact++
 			}
 		}
 		res.RepairBytesSeries = append(res.RepairBytesSeries, col.Bytes(metrics.Repair))
 
-		if (e+1)%o.RepairEvery == 0 {
-			sctx, scancel := context.WithTimeout(context.Background(), 120*time.Second)
-			sweep(sctx)
-			scancel()
+		if (e+1)%repairEvery == 0 {
+			sweep(true)
 		}
 	}
 
@@ -300,19 +236,9 @@ func RunChurn(o ChurnOptions) (*ChurnResult, error) {
 			m.peer.Reannounce()
 		}
 	}
-	for round := 0; round < 15; round++ {
+	for res.QuiesceRounds < 15 {
 		res.QuiesceRounds++
-		pushed := 0
-		qctx, qcancel := context.WithTimeout(context.Background(), 120*time.Second)
-		for _, m := range members {
-			if !m.alive {
-				continue
-			}
-			n, _ := m.node.RepairOnce(qctx)
-			pushed += n
-		}
-		qcancel()
-		if pushed == 0 {
+		if sweep(false) == 0 {
 			break
 		}
 	}
@@ -352,65 +278,57 @@ func RunChurn(o ChurnOptions) (*ChurnResult, error) {
 	return res, nil
 }
 
-func sortedDocs(ds []sid.DocKey) []sid.DocKey {
-	out := append([]sid.DocKey(nil), ds...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Peer != out[j].Peer {
-			return out[i].Peer < out[j].Peer
+// maxCounts raises counts[t] to st's posting count for every term t
+// st holds.
+func maxCounts(counts map[string]int, st store.Store) error {
+	terms, err := st.Terms()
+	for _, t := range terms {
+		if c, err := st.Count(t); err == nil {
+			counts[t] = max(counts[t], c)
 		}
-		return out[i].Doc < out[j].Doc
-	})
+	}
+	return err
+}
+
+func sortedDocs(ds []sid.DocKey) []sid.DocKey {
+	out := slices.Clone(ds)
+	slices.SortFunc(out, func(a, b sid.DocKey) int { return cmp.Or(cmp.Compare(a.Peer, b.Peer), cmp.Compare(a.Doc, b.Doc)) })
 	return out
 }
 
-func docsEqual(a, b []sid.DocKey) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Format renders the churn report.
-func (r *ChurnResult) Format() string {
+func (r *churnResult) report() ([]section, []bound) {
 	pct := func(n, of int) string {
 		if of == 0 {
 			return "-"
 		}
 		return fmt.Sprintf("%.1f%%", 100*float64(n)/float64(of))
 	}
-	out := fmt.Sprintf("Churn — %d peers (%d stable), %d events over %s virtual, %.0f%% loss\n",
-		r.Peers, r.Stable, r.Events, r.VirtualTime.Round(time.Second), r.DropProb*100)
-	out += table(
-		[]string{"joins", "leaves", "crashes", "alive-end", "queries-ok", "queries-exact", "keys-moved", "keys-lost"},
-		[][]string{{
-			fmt.Sprintf("%d", r.Joins), fmt.Sprintf("%d", r.Leaves), fmt.Sprintf("%d", r.Crashes),
-			fmt.Sprintf("%d", r.AliveEnd),
-			fmt.Sprintf("%d/%d (%s)", r.QueriesOK, r.QueriesRun, pct(r.QueriesOK, r.QueriesRun)),
-			fmt.Sprintf("%d/%d", r.QueriesExact, r.QueriesRun),
-			fmt.Sprintf("%d", r.LeaveKeysMoved), fmt.Sprintf("%d", r.LeaveKeysLost),
-		}},
-	)
-	out += fmt.Sprintf("\nConvergence after quiesce (%d repair rounds): %d/%d oracle terms at full count (%s)\n",
-		r.QuiesceRounds, r.FinalTermsComplete, r.FinalTermsTotal, pct(r.FinalTermsComplete, r.FinalTermsTotal))
-	out += "\nRepair machinery\n" + table(
-		[]string{"pushes", "pulls", "handoffs", "probes", "probe-fail", "evictions", "refreshes", "repair(MB)"},
-		[][]string{{
-			fmt.Sprintf("%d", r.RepairPushes), fmt.Sprintf("%d", r.ResyncPulls),
-			fmt.Sprintf("%d", r.Handoffs), fmt.Sprintf("%d", r.Probes),
-			fmt.Sprintf("%d", r.FailedProbes), fmt.Sprintf("%d", r.Evictions),
-			fmt.Sprintf("%d", r.Refreshes), mb(r.RepairBytes),
-		}},
-	)
-	if n := len(r.RepairBytesSeries); n >= 4 {
-		out += "\nRepair traffic over the schedule (cumulative MB at quartiles)\n"
-		out += fmt.Sprintf("  25%%: %s  50%%: %s  75%%: %s  100%%: %s\n",
-			mb(r.RepairBytesSeries[n/4]), mb(r.RepairBytesSeries[n/2]),
-			mb(r.RepairBytesSeries[3*n/4]), mb(r.RepairBytesSeries[n-1]))
+	secs := []section{
+		{fmt.Sprintf("Churn — %d peers (%d stable), %d events over %s virtual, %.0f%% loss",
+			r.Peers, r.Stable, r.Events, r.VirtualTime.Round(time.Second), r.DropProb*100),
+			[]string{"joins", "leaves", "crashes", "alive-end", "queries-ok", "queries-exact", "keys-moved", "keys-lost"},
+			[][]string{{itoa(r.Joins), itoa(r.Leaves), itoa(r.Crashes), itoa(r.AliveEnd),
+				fmt.Sprintf("%d/%d (%s)", r.QueriesOK, r.QueriesRun, pct(r.QueriesOK, r.QueriesRun)),
+				fmt.Sprintf("%d/%d", r.QueriesExact, r.QueriesRun), itoa(r.LeaveKeysMoved), itoa(r.LeaveKeysLost)}}},
+		{title: fmt.Sprintf("\nConvergence after quiesce (%d repair rounds): %d/%d oracle terms at full count (%s)",
+			r.QuiesceRounds, r.FinalTermsComplete, r.FinalTermsTotal, pct(r.FinalTermsComplete, r.FinalTermsTotal))},
+		{"Repair machinery",
+			[]string{"pushes", "pulls", "handoffs", "probes", "probe-fail", "evictions", "refreshes", "repair(MB)"},
+			[][]string{{itoa(r.RepairPushes), itoa(r.ResyncPulls), itoa(r.Handoffs), itoa(r.Probes),
+				itoa(r.FailedProbes), itoa(r.Evictions), itoa(r.Refreshes), mb(r.RepairBytes)}}},
 	}
-	return out
+	if n := len(r.RepairBytesSeries); n >= 4 {
+		secs = append(secs, section{title: fmt.Sprintf("\nRepair traffic over the schedule (cumulative MB at quartiles)\n  25%%: %s  50%%: %s  75%%: %s  100%%: %s",
+			mb(r.RepairBytesSeries[n/4]), mb(r.RepairBytesSeries[n/2]), mb(r.RepairBytesSeries[3*n/4]), mb(r.RepairBytesSeries[n-1]))})
+	}
+	// Queries keep succeeding through the schedule, graceful leaves hand
+	// their keys off and lose none, and once quiesced the index is back
+	// at the churn-free oracle, which must not be empty.
+	return secs, []bound{
+		{"queries ok under churn", float64(r.QueriesOK), "==", float64(r.QueriesRun)},
+		{"keys lost by graceful leaves", float64(r.LeaveKeysLost), "==", 0},
+		{fmt.Sprintf("handoffs for %d leaves", r.Leaves), float64(r.Handoffs), ">=", float64(min(r.Leaves, 1))},
+		{"oracle terms at full count after quiesce", float64(r.FinalTermsComplete), "==", float64(r.FinalTermsTotal)},
+		{"oracle terms", float64(r.FinalTermsTotal), ">=", 1},
+	}
 }

@@ -5,47 +5,21 @@ import (
 )
 
 // TestChurnCompleteness is the churn property test: under a seeded
-// join/leave/crash schedule with injected message loss, every query
-// must come back, graceful leaves must lose no keys, and after the
-// schedule quiesces the index must converge back to the churn-free
-// oracle — every published posting fully readable through the overlay.
-// It runs under -race in make check, so it also shakes the background
-// probes and handoffs for data races.
+// join/leave/crash schedule with injected message loss, the churn
+// entry's bounds must hold — every query comes back, graceful leaves
+// lose no keys, and after the schedule quiesces the index converges
+// back to the churn-free oracle. It runs under -race in make check, so
+// it also shakes the background probes and handoffs for data races.
 func TestChurnCompleteness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("churn emulation takes a few seconds")
 	}
-	res, err := RunChurn(ChurnOptions{
-		Records: 80,
-		Peers:   24,
-		Stable:  6,
-		Events:  12,
-		// Repair every 3 events: with a quarter of the overlay crashing
-		// over the schedule, the replica sets need re-filling faster
-		// than the default cadence or a key can lose all three copies
-		// between sweeps.
-		RepairEvery: 3,
-		DropProb:    0.02,
-		Seed:        3,
-	})
+	// Repair every 3 events: with a quarter of the overlay crashing over
+	// the schedule, the replica sets need re-filling faster than the
+	// entry's cadence or a key can lose all three copies between sweeps.
+	res, err := runChurn(Scale{Records: []int{80}, Peers: 24, Seed: 3}, 0.02, 3)
 	if err != nil {
-		t.Fatalf("RunChurn: %v", err)
+		t.Fatalf("runChurn: %v", err)
 	}
-	t.Logf("\n%s", res.Format())
-	if res.QueriesOK != res.QueriesRun {
-		t.Errorf("queries under churn: %d/%d succeeded", res.QueriesOK, res.QueriesRun)
-	}
-	if res.LeaveKeysLost != 0 {
-		t.Errorf("graceful leaves lost %d keys (moved %d)", res.LeaveKeysLost, res.LeaveKeysMoved)
-	}
-	if res.Leaves > 0 && res.Handoffs == 0 {
-		t.Errorf("%d leaves but no handoffs counted", res.Leaves)
-	}
-	if res.FinalTermsComplete != res.FinalTermsTotal {
-		t.Errorf("convergence after quiesce: %d/%d oracle terms at full count",
-			res.FinalTermsComplete, res.FinalTermsTotal)
-	}
-	if res.FinalTermsTotal == 0 {
-		t.Error("oracle is empty; the test checked nothing")
-	}
+	t.Logf("\n%s", rendered(t, res))
 }

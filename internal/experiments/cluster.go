@@ -1,25 +1,18 @@
-// Package experiments implements the paper's evaluation: one runner per
-// table and figure, each reproducing the corresponding workload,
-// parameter sweep and measurement on a simulated KadoP deployment. The
-// kadop-bench command and the repository's benchmarks are thin wrappers
-// over this package.
-//
-// Scales default to laptop-sized runs (hundreds of documents, tens of
-// peers); every runner accepts explicit scales, and the kadop-bench
-// command exposes them as flags for paper-scale runs (hundreds of
-// peers, hundreds of megabytes).
 package experiments
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"os"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"kadop/internal/dht"
 	"kadop/internal/kadop"
 	"kadop/internal/pattern"
+	"kadop/internal/postings"
 	"kadop/internal/sid"
 	"kadop/internal/store"
 	"kadop/internal/workload"
@@ -38,26 +31,12 @@ const (
 	NaiveStore
 )
 
-func (k StoreKind) String() string {
-	switch k {
-	case MemStore:
-		return "mem"
-	case BTreeStore:
-		return "btree"
-	case NaiveStore:
-		return "naive"
-	}
-	return "?"
-}
-
 // ClusterOptions configure a simulated deployment.
 type ClusterOptions struct {
 	Peers int
+	// Cfg configures every peer; Cfg.DHT also configures its overlay
+	// node (the zero value: one copy of every key, one RPC attempt).
 	Cfg   kadop.Config
-	// DHT configures the overlay nodes (replication, retry policy);
-	// the zero value keeps the seed behaviour (single copy, one shot).
-	DHT   dht.Config
-	Link  dht.LinkModel
 	Store StoreKind
 	// Fsync is the WAL sync policy of BTreeStore peers (default
 	// FsyncAlways, the durable setting).
@@ -66,8 +45,6 @@ type ClusterOptions struct {
 	// coalescer: concurrent index appends group-commit, one WAL
 	// transaction and one fsync per batch.
 	Batched bool
-	// TempDir receives disk stores; empty means os.MkdirTemp.
-	TempDir string
 }
 
 // Cluster is a simulated KadoP deployment.
@@ -75,115 +52,180 @@ type Cluster struct {
 	Net   *dht.Network
 	Nodes []*dht.Node
 	Peers []*kadop.Peer
-	dirs  []string
+	dir   string // disk stores, removed by Close
+	// commits counts the writes that reached a BTreeStore peer's tree:
+	// one WAL commit each, so one fsync each at FsyncAlways.
+	commits atomic.Int64
 }
 
 // NewCluster builds and bootstraps a deployment.
 func NewCluster(o ClusterOptions) (*Cluster, error) {
-	if o.Peers <= 0 {
-		o.Peers = 8
-	}
 	c := &Cluster{Net: dht.NewNetwork()}
-	c.Net.SetModel(o.Link)
+	if err := c.build(o); err != nil {
+		c.Close()
+		return nil, err
+	}
+	return c, nil
+}
+
+func (c *Cluster) build(o ClusterOptions) error {
+	if o.Store != MemStore {
+		dir, err := os.MkdirTemp("", "kadop-exp-")
+		if err != nil {
+			return err
+		}
+		c.dir = dir
+	}
 	for i := 0; i < o.Peers; i++ {
 		st, err := c.newStore(o, i)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		nd, err := dht.NewNode(c.Net.NewEndpoint(), st, o.DHT)
+		nd, err := dht.NewNode(c.Net.NewEndpoint(), st, o.Cfg.DHT)
 		if err != nil {
-			return nil, err
+			st.Close()
+			return err
 		}
 		c.Nodes = append(c.Nodes, nd)
 	}
 	for i := 1; i < o.Peers; i++ {
 		if err := c.Nodes[i].Bootstrap(c.Nodes[0].Self()); err != nil {
-			return nil, fmt.Errorf("experiments: bootstrap peer %d: %w", i, err)
+			return fmt.Errorf("experiments: bootstrap peer %d: %w", i, err)
 		}
 	}
 	for _, nd := range c.Nodes {
 		if _, err := nd.Lookup(nd.Self().ID); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	for i, nd := range c.Nodes {
 		p, err := kadop.NewPeer(nd, sid.PeerID(i+1), o.Cfg)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		c.Peers = append(c.Peers, p)
 	}
 	for _, p := range c.Peers {
 		if err := p.Announce(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return c, nil
+	return nil
 }
 
 func (c *Cluster) newStore(o ClusterOptions, i int) (store.Store, error) {
-	if o.Store != BTreeStore && o.Store != NaiveStore {
-		return store.NewMem(), nil
+	switch o.Store {
+	case NaiveStore:
+		return newNaiveStore(fmt.Sprintf("%s/peer%d", c.dir, i))
+	case BTreeStore:
+		bt, err := store.OpenBTreeOptions(c.treePath(i), store.Options{Fsync: o.Fsync})
+		if err != nil {
+			return nil, err
+		}
+		st := store.Store(&commitCounter{Store: bt, n: &c.commits})
+		if !o.Batched {
+			return st, nil
+		}
+		// The small linger decouples batch formation from disk speed:
+		// batches collect for 2ms regardless of how fast the previous
+		// fsync returned. Bulk publishes trade that latency for an
+		// order of magnitude fewer WAL commits.
+		return store.NewCoalescer(st, store.CoalesceOptions{MaxDelay: 2 * time.Millisecond}), nil
 	}
-	dir, err := c.tempDir(o)
-	if err != nil {
-		return nil, err
-	}
-	if o.Store == NaiveStore {
-		return newNaiveStore(fmt.Sprintf("%s/peer%d", dir, i))
-	}
-	st, err := store.OpenBTreeOptions(fmt.Sprintf("%s/peer%d.bt", dir, i), store.Options{Fsync: o.Fsync})
-	if err != nil || !o.Batched {
-		return st, err
-	}
-	// The small linger decouples batch formation from disk speed:
-	// batches collect for 2ms regardless of how fast the previous
-	// fsync returned. Bulk publishes trade that latency for an
-	// order of magnitude fewer WAL commits.
-	return store.NewCoalescer(st, store.CoalesceOptions{MaxDelay: 2 * time.Millisecond}), nil
+	return store.NewMem(), nil
 }
 
-func (c *Cluster) tempDir(o ClusterOptions) (string, error) {
-	if o.TempDir != "" {
-		return o.TempDir, nil
-	}
-	dir, err := os.MkdirTemp("", "kadop-exp-")
-	if err != nil {
-		return "", err
-	}
-	c.dirs = append(c.dirs, dir)
-	return dir, nil
+func (c *Cluster) treePath(i int) string { return fmt.Sprintf("%s/peer%d.bt", c.dir, i) }
+
+// commitCounter sits between the write coalescer and the B+-tree and
+// counts the writes that reach the tree.
+type commitCounter struct {
+	store.Store
+	n *atomic.Int64
 }
 
-// Close releases cluster resources (disk stores, temp dirs).
+func (s *commitCounter) Append(term string, ps postings.List) error {
+	s.n.Add(1)
+	return s.Store.Append(term, ps)
+}
+
+func (s *commitCounter) Delete(term string, p sid.Posting) error {
+	s.n.Add(1)
+	return s.Store.Delete(term, p)
+}
+
+func (s *commitCounter) ApplyBatch(b *store.Batch) error {
+	s.n.Add(1)
+	return s.Store.ApplyBatch(b)
+}
+
+// Close releases cluster resources (disk stores, their directory).
 func (c *Cluster) Close() {
 	for _, nd := range c.Nodes {
 		nd.Store().Close()
 	}
-	for _, d := range c.dirs {
-		os.RemoveAll(d)
+	if c.dir != "" {
+		os.RemoveAll(c.dir)
 	}
+}
+
+// reopen closes every BTreeStore peer's store and times opening it
+// again from its files: the restart path, a checksum sweep plus a WAL
+// scan. Only Close may follow.
+func (c *Cluster) reopen() (time.Duration, error) {
+	var total time.Duration
+	for i, nd := range c.Nodes {
+		nd.Store().Close()
+		start := time.Now()
+		st, err := store.OpenBTree(c.treePath(i))
+		if err != nil {
+			return 0, fmt.Errorf("experiments: reopen peer %d: %w", i, err)
+		}
+		total += time.Since(start)
+		st.Close()
+	}
+	return total, nil
+}
+
+// withCluster builds a deployment, publishes docs from four peers (the
+// paper's multi-publisher setting, one document per call), runs fn on
+// it and closes it on every path.
+func withCluster(o ClusterOptions, docs []workload.GeneratedDoc, fn func(*Cluster) error) error {
+	cl, err := NewCluster(o)
+	if err != nil {
+		return err
+	}
+	defer cl.Close()
+	if _, err := cl.PublishAll(docs, 4, 1); err != nil {
+		return fmt.Errorf("experiments: publish: %w", err)
+	}
+	return fn(cl)
+}
+
+// parseAll parses the experiment's fixed query set.
+func parseAll(qs []string) []*pattern.Query {
+	out := make([]*pattern.Query, len(qs))
+	for i, q := range qs {
+		out[i] = pattern.MustParse(q)
+	}
+	return out
+}
+
+// query runs q from p under the experiments' per-query deadline.
+func query(p *kadop.Peer, q *pattern.Query, opts kadop.QueryOptions) (*kadop.Result, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	return p.QueryContext(ctx, q, opts)
 }
 
 // PublishAll distributes the documents over the first `publishers`
-// peers, publishing in parallel (one goroutine per publisher, as in the
-// paper's multi-publisher runs), one document per publish call, and
-// returns the wall-clock time.
-func (c *Cluster) PublishAll(docs []workload.GeneratedDoc, publishers int) (time.Duration, error) {
-	return c.PublishAllBatched(docs, publishers, 1)
-}
-
-// PublishAllBatched distributes the documents like PublishAll, but
-// each publisher submits its share batchSize documents per call:
-// postings merge per term across the call, on top of whatever group
-// commit the stores do. batchSize <= 0 means 16 documents per call.
-func (c *Cluster) PublishAllBatched(docs []workload.GeneratedDoc, publishers, batchSize int) (time.Duration, error) {
-	if publishers <= 0 || publishers > len(c.Peers) {
-		publishers = 1
-	}
-	if batchSize <= 0 {
-		batchSize = 16
-	}
+// peers (never more than there are), publishing in parallel — one
+// goroutine per publisher, as in the paper's multi-publisher runs —
+// perCall documents per publish call, and returns the wall-clock time.
+// Postings merge per term across a call, on top of whatever group
+// commit the stores do.
+func (c *Cluster) PublishAll(docs []workload.GeneratedDoc, publishers, perCall int) (time.Duration, error) {
+	publishers = max(1, min(publishers, len(c.Peers)))
 	start := time.Now()
 	var wg sync.WaitGroup
 	errs := make([]error, publishers)
@@ -191,10 +233,10 @@ func (c *Cluster) PublishAllBatched(docs []workload.GeneratedDoc, publishers, ba
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			batch := make([]kadop.TreeDoc, 0, batchSize)
+			batch := make([]kadop.TreeDoc, 0, perCall)
 			for i := w; i < len(docs); i += publishers {
 				batch = append(batch, kadop.TreeDoc{Doc: docs[i].Doc, URI: docs[i].URI})
-				if len(batch) == batchSize || i+publishers >= len(docs) {
+				if len(batch) == perCall || i+publishers >= len(docs) {
 					if _, errs[w] = c.Peers[w].PublishBatch(batch); errs[w] != nil {
 						return
 					}
@@ -204,57 +246,7 @@ func (c *Cluster) PublishAllBatched(docs []workload.GeneratedDoc, publishers, ba
 		}(w)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	return time.Since(start), nil
-}
-
-// table renders rows with aligned columns for the experiment reports.
-func table(header []string, rows [][]string) string {
-	widths := make([]int, len(header))
-	for i, h := range header {
-		widths[i] = len(h)
-	}
-	for _, r := range rows {
-		for i, cell := range r {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	var sb strings.Builder
-	line := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				sb.WriteString("  ")
-			}
-			sb.WriteString(cell)
-			for pad := len(cell); pad < widths[i]; pad++ {
-				sb.WriteByte(' ')
-			}
-		}
-		sb.WriteByte('\n')
-	}
-	line(header)
-	for i, w := range widths {
-		if i > 0 {
-			sb.WriteString("  ")
-		}
-		sb.WriteString(strings.Repeat("-", w))
-	}
-	sb.WriteByte('\n')
-	for _, r := range rows {
-		line(r)
-	}
-	return sb.String()
-}
-
-func mb(n int64) string { return fmt.Sprintf("%.2f", float64(n)/1e6) }
-func ms(d time.Duration) string {
-	return fmt.Sprintf("%.1f", float64(d.Microseconds())/1000)
+	return time.Since(start), errors.Join(errs...)
 }
 
 // NonOwnerPeer returns a peer that is home for none of the query's

@@ -7,6 +7,7 @@ import (
 	"kadop/internal/dht"
 	"kadop/internal/fundex"
 	"kadop/internal/kadop"
+	"kadop/internal/workload"
 )
 
 // The experiment runners double as integration tests: each smoke test
@@ -14,15 +15,23 @@ import (
 // the paper reports (who wins, monotonicity, completeness), not
 // absolute numbers.
 
+// rendered prints a result and fails the test when a bound it carries
+// does not hold.
+func rendered(t *testing.T, r result) string {
+	t.Helper()
+	out, err := render(r)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	return out
+}
+
 func TestFig2Shape(t *testing.T) {
-	res, err := RunFig2(Fig2Options{
-		Records: []int{200, 400}, SmallPeers: 8, LargePeers: 16,
-		Publishers: []int{4}, WithNaiveStore: false, Seed: 1,
-	})
+	res, err := runFig2(Scale{Records: []int{200, 400}, Peers: 16, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 8 {
+	if len(res.Rows) != 11 { // five settings at two sizes, the naive store at one (see TestFig2NaiveStoreSlower)
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
 	byRecords := map[string]map[int]float64{}
@@ -32,33 +41,34 @@ func TestFig2Shape(t *testing.T) {
 		}
 		byRecords[r.Setting][r.Records] = r.Elapsed.Seconds()
 	}
-	// Publishing time grows with corpus size in every setting.
+	// Publishing time grows with corpus size in every swept setting.
 	for setting, m := range byRecords {
-		if m[400] <= m[200]*0.5 {
+		if len(m) == 2 && m[400] <= m[200]*0.5 {
 			t.Errorf("%s: time did not grow with size: %v", setting, m)
 		}
 	}
-	if !strings.Contains(res.Format(), "Figure 2") {
+	if !strings.Contains(rendered(t, res), "Figure 2") {
 		t.Error("format header missing")
 	}
 }
 
+// TestFig2NaiveStoreSlower pins Figure 2's naive row: the PAST-like
+// store is much slower than the B+-tree path on the same network and
+// corpus.
 func TestFig2NaiveStoreSlower(t *testing.T) {
 	if testing.Short() {
 		t.Skip("naive store is slow by design")
 	}
-	res, err := RunFig2(Fig2Options{
-		Records: []int{150}, SmallPeers: 6, LargePeers: 8,
-		Publishers: []int{2}, WithNaiveStore: true, Seed: 2,
-	})
+	res, err := runFig2(Scale{Records: []int{150}, Peers: 16, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var naive, plain float64
 	for _, r := range res.Rows {
-		if strings.Contains(r.Setting, "naive") {
+		switch r.Setting {
+		case "1 publisher, 6 peers (naive PAST-like store)":
 			naive = r.Elapsed.Seconds()
-		} else if strings.HasPrefix(r.Setting, "1 publisher, 6 peers") {
+		case "1 publisher, 6 peers":
 			plain = r.Elapsed.Seconds()
 		}
 	}
@@ -70,13 +80,29 @@ func TestFig2NaiveStoreSlower(t *testing.T) {
 	}
 }
 
+// TestPublishAllClampsPublishers pins that asking for more publishers
+// than there are peers publishes from every peer, not from one.
+func TestPublishAllClampsPublishers(t *testing.T) {
+	cl, err := NewCluster(ClusterOptions{Peers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	docs := workload.DBLP{Seed: 1, Records: 120}.Documents()
+	if _, err := cl.PublishAll(docs, 10, 1); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range cl.Peers {
+		if want := (len(docs) - i + 2) / 3; p.DocumentCount() != want {
+			t.Errorf("peer %d published %d of %d documents, want %d", i, p.DocumentCount(), len(docs), want)
+		}
+	}
+}
+
 func TestFig3DPPFaster(t *testing.T) {
 	// A strongly transfer-bound link keeps the DPP-vs-baseline margin
 	// far above scheduler noise even on loaded CI machines.
-	res, err := RunFig3(Fig3Options{
-		Records: []int{3000}, Peers: 12, Seed: 3,
-		Link: &dht.LinkModel{BytesPerSec: 256 << 10},
-	})
+	res, err := runFig3(Scale{Records: []int{3000}, Peers: 12, Seed: 3}, dht.LinkModel{BytesPerSec: 256 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,13 +133,13 @@ func TestFig3DPPFaster(t *testing.T) {
 	if with >= without {
 		t.Errorf("DPP should cut response time: with=%.3fs without=%.3fs", with, without)
 	}
-	if !strings.Contains(res.Format(), "Figure 3") {
+	if !strings.Contains(rendered(t, res), "Figure 3") {
 		t.Error("format header missing")
 	}
 }
 
 func TestTrafficLinear(t *testing.T) {
-	res, err := RunTraffic(TrafficOptions{Records: []int{300, 600}, Peers: 10, Queries: 12, Seed: 4})
+	res, err := runTraffic(Scale{Records: []int{300, 600}, Peers: 10, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,13 +154,13 @@ func TestTrafficLinear(t *testing.T) {
 	if float64(big.QueryTraffic) > 3.5*float64(small.QueryTraffic) {
 		t.Errorf("traffic grows super-linearly: %d -> %d", small.QueryTraffic, big.QueryTraffic)
 	}
-	if !strings.Contains(res.Format(), "Section 4.3") {
+	if !strings.Contains(rendered(t, res), "Section 4.3") {
 		t.Error("format header missing")
 	}
 }
 
 func TestTable1InPaperBand(t *testing.T) {
-	res, err := RunTable1(Table1Options{Elements: 30_000, Seed: 5})
+	res, err := runTable1(Scale{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,17 +177,20 @@ func TestTable1InPaperBand(t *testing.T) {
 			t.Errorf("%s: 2l=%d should dwarf |D(e)|=%.2f", r.Dataset, r.TwoL, r.AvgCover)
 		}
 	}
-	if !strings.Contains(res.Format(), "Table 1") {
+	if !strings.Contains(rendered(t, res), "Table 1") {
 		t.Error("format header missing")
 	}
 }
 
 func TestSensitivityShape(t *testing.T) {
-	res, err := RunSensitivity(SensitivityOptions{Records: 1500, BasicFPs: []float64{0.01, 0.20}, Seed: 6})
+	res, err := runSensitivity(Scale{Records: []int{1500}, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := res.Rows[0], res.Rows[1]
+	lo, hi := res.Rows[0], res.Rows[3]
+	if lo.BasicFP != 0.01 || hi.BasicFP != 0.20 {
+		t.Fatalf("swept rates %v, %v; want 0.01 and 0.20", lo.BasicFP, hi.BasicFP)
+	}
 	// AB with psi stays accurate even at a loose basic filter.
 	if hi.ABPsi > 0.15 {
 		t.Errorf("AB(psi) fp at basic 0.20 = %.3f, paper reports <0.10", hi.ABPsi)
@@ -181,17 +210,17 @@ func TestSensitivityShape(t *testing.T) {
 	if hi.ABPsi > hi.ABStartOnly+1e-9 {
 		t.Errorf("Theorem-1 probe (%.4f) worse than start-only (%.4f)", hi.ABPsi, hi.ABStartOnly)
 	}
-	if !strings.Contains(res.Format(), "Section 5.4") {
+	if !strings.Contains(rendered(t, res), "Section 5.4") {
 		t.Error("format header missing")
 	}
 }
 
 func TestFig7aShape(t *testing.T) {
-	res, err := RunFig7(Fig7Options{Variant: "a", Records: 800, Peers: 10, Seed: 7})
+	res, err := runFig7("a", Scale{Records: []int{800}, Peers: 10, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	byStrategy := map[kadop.Strategy]Fig7Row{}
+	byStrategy := map[kadop.Strategy]fig7Row{}
 	for _, r := range res.Rows {
 		byStrategy[r.Strategy] = r
 	}
@@ -209,17 +238,17 @@ func TestFig7aShape(t *testing.T) {
 	if db.DBFilterBytes == 0 || ab.ABFilterBytes == 0 {
 		t.Error("filter traffic breakdown missing")
 	}
-	if !strings.Contains(res.Format(), "Figure 7(a)") {
+	if !strings.Contains(rendered(t, res), "Figure 7(a)") {
 		t.Error("format header missing")
 	}
 }
 
 func TestFig7cSubQueryWins(t *testing.T) {
-	res, err := RunFig7(Fig7Options{Variant: "c", Records: 800, Peers: 10, Seed: 8})
+	res, err := runFig7("c", Scale{Records: []int{800}, Peers: 10, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	byStrategy := map[kadop.Strategy]Fig7Row{}
+	byStrategy := map[kadop.Strategy]fig7Row{}
 	for _, r := range res.Rows {
 		byStrategy[r.Strategy] = r
 	}
@@ -236,7 +265,7 @@ func TestFig7cSubQueryWins(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	res, err := RunFig9(Fig9Options{Docs: []int{150}, Peers: 8, Matches: 5, Seed: 9})
+	res, err := runFig9(Scale{Records: []int{150}, Peers: 8, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,10 +273,10 @@ func TestFig9Shape(t *testing.T) {
 	for _, r := range res.Rows {
 		answers[r.Mode] = r.Answers
 	}
-	// All three complete modes find the same 5 planted answers.
+	// All three complete modes find the same planted answers.
 	for _, m := range []fundex.Mode{fundex.Fundex, fundex.Representative, fundex.Inline} {
-		if answers[m] != 5 {
-			t.Errorf("%v found %d answers, want 5", m, answers[m])
+		if answers[m] != fig9Matches {
+			t.Errorf("%v found %d answers, want %d", m, answers[m], fig9Matches)
 		}
 	}
 	// Inlining does not chase reverse pointers.
@@ -259,7 +288,7 @@ func TestFig9Shape(t *testing.T) {
 			t.Error("fundex mode performed no rev lookups")
 		}
 	}
-	if !strings.Contains(res.Format(), "Figure 9") {
+	if !strings.Contains(rendered(t, res), "Figure 9") {
 		t.Error("format header missing")
 	}
 }
@@ -277,11 +306,11 @@ func TestStoreAblationShape(t *testing.T) {
 	written := map[string][2]int64{}
 	for run, batches := range []int{20, 40} {
 		// One seed: the longer run's first 20 batches are the shorter run's.
-		res, err := RunStoreAblation(StoreAblationOptions{Batches: batches, BatchSize: 50, Seed: 10})
+		res, err := runStoreAblation(Scale{Records: []int{batches}, Seed: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows := map[string]StoreAblationRow{}
+		rows := map[string]storeRow{}
 		for _, r := range res.Rows {
 			rows[r.Store] = r
 			w := written[r.Store]
@@ -295,7 +324,7 @@ func TestStoreAblationShape(t *testing.T) {
 		if bt.BytesWritten <= 0 || mem.BytesWritten != 0 {
 			t.Fatalf("bytes written: btree %d, mem %d; want btree > 0, mem 0", bt.BytesWritten, mem.BytesWritten)
 		}
-		if run == 0 && !strings.Contains(res.Format(), "Section 3") {
+		if run == 0 && !strings.Contains(rendered(t, res), "Section 3") {
 			t.Error("format header missing")
 		}
 	}
@@ -311,11 +340,11 @@ func TestStoreAblationShape(t *testing.T) {
 }
 
 func TestSplitAblationShape(t *testing.T) {
-	res, err := RunSplitAblation(SplitAblationOptions{Records: 400, Peers: 10, Seed: 11})
+	res, err := runSplitAblation(Scale{Records: []int{400}, Peers: 10, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ordered, random SplitAblationRow
+	var ordered, random splitRow
 	for _, r := range res.Rows {
 		if strings.HasPrefix(r.Variant, "ordered") {
 			ordered = r
@@ -335,7 +364,7 @@ func TestSplitAblationShape(t *testing.T) {
 		t.Errorf("random split shipped fewer bytes (%d) than ordered (%d)",
 			random.PostingBytes, ordered.PostingBytes)
 	}
-	if !strings.Contains(res.Format(), "Section 4.1") {
+	if !strings.Contains(rendered(t, res), "Section 4.1") {
 		t.Error("format header missing")
 	}
 }

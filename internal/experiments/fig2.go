@@ -9,123 +9,77 @@ import (
 	"kadop/internal/workload"
 )
 
-// Fig2Options scale the Figure 2 experiment (indexing time as a
-// function of published data volume, network size, publisher count,
-// DPP, and the store engine).
-type Fig2Options struct {
-	// Records are the corpus sizes to sweep (bibliographic records).
-	Records []int
-	// SmallPeers and LargePeers are the two network sizes compared
-	// (the paper uses 200 and 500).
-	SmallPeers, LargePeers int
-	// Publishers are the multi-publisher settings on the large network
-	// (the paper uses 25 and 50).
-	Publishers []int
-	// WithNaiveStore adds the PAST-like store baseline (at the smallest
-	// corpus size only: it is orders of magnitude slower by design).
-	WithNaiveStore bool
-	Seed           int64
-}
+// fig2Publishers are the multi-publisher settings on the large network
+// (the paper uses 25 and 50 of 500 peers); a setting larger than the
+// network runs with one publisher per peer.
+var fig2Publishers = []int{5, 10}
 
-func (o Fig2Options) defaults() Fig2Options {
-	if len(o.Records) == 0 {
-		o.Records = []int{500, 1000, 1500, 2000}
-	}
-	if o.SmallPeers <= 0 {
-		o.SmallPeers = 20
-	}
-	if o.LargePeers <= 0 {
-		o.LargePeers = 50
-	}
-	if len(o.Publishers) == 0 {
-		o.Publishers = []int{5, 10}
-	}
-	return o
-}
+// fig2NaiveRecords caps the naive store's corpus: it is orders of
+// magnitude slower by design, so it runs at the smallest size only.
+const fig2NaiveRecords = 200
 
-// Fig2Row is one measurement of the indexing-time experiment.
-type Fig2Row struct {
+// fig2Row is one measurement of the indexing-time experiment.
+type fig2Row struct {
 	Setting   string
 	Records   int
 	SizeBytes int
 	Elapsed   time.Duration
 }
 
-// Fig2Result is the full Figure 2 sweep.
-type Fig2Result struct {
-	Rows []Fig2Row
-}
+type fig2Result struct{ Rows []fig2Row }
 
-// RunFig2 reproduces Figure 2: total publishing time against the total
-// size of published data, across network sizes, publisher counts, the
-// DPP, and (optionally) the naive store.
-func RunFig2(o Fig2Options) (*Fig2Result, error) {
-	o = o.defaults()
-	res := &Fig2Result{}
-
+// runFig2 reproduces Figure 2: total publishing time against the total
+// size of published data, across two network sizes (s.Peers and two
+// fifths of it; the paper compares 500 and 200), publisher counts, the
+// DPP, and the naive store.
+func runFig2(s Scale) (*fig2Result, error) {
+	small, large := max(1, s.Peers*2/5), s.Peers
 	type setting struct {
-		name       string
-		peers      int
-		publishers int
-		cfg        kadop.Config
-		store      StoreKind
-		sizes      []int
+		peers, publishers int
+		cfg               kadop.Config
+		store             StoreKind
+		sizes             []int
+		note              string
 	}
 	settings := []setting{
-		{name: fmt.Sprintf("1 publisher, %d peers", o.SmallPeers), peers: o.SmallPeers, publishers: 1, sizes: o.Records},
-		{name: fmt.Sprintf("1 publisher, %d peers", o.LargePeers), peers: o.LargePeers, publishers: 1, sizes: o.Records},
-		{name: fmt.Sprintf("1 publisher, %d peers (with DPP)", o.LargePeers), peers: o.LargePeers, publishers: 1,
-			cfg: kadop.Config{UseDPP: true, DPP: dpp.Options{BlockSize: 512}}, sizes: o.Records},
+		{peers: small, publishers: 1, sizes: s.Records},
+		{peers: large, publishers: 1, sizes: s.Records},
+		{peers: large, publishers: 1, sizes: s.Records, note: " (with DPP)",
+			cfg: kadop.Config{UseDPP: true, DPP: dpp.Options{BlockSize: 512}}},
 	}
-	for _, pubs := range o.Publishers {
-		settings = append(settings, setting{
-			name:  fmt.Sprintf("%d publishers, %d peers", pubs, o.LargePeers),
-			peers: o.LargePeers, publishers: pubs, sizes: o.Records,
-		})
+	for _, pubs := range fig2Publishers {
+		settings = append(settings, setting{peers: large, publishers: min(pubs, large), sizes: s.Records})
 	}
-	if o.WithNaiveStore {
-		small := o.Records[0]
-		if small > 200 {
-			small = 200
-		}
-		settings = append(settings, setting{
-			name:  fmt.Sprintf("1 publisher, %d peers (naive PAST-like store)", o.SmallPeers),
-			peers: o.SmallPeers, publishers: 1, store: NaiveStore, sizes: []int{small},
-		})
-	}
+	settings = append(settings, setting{peers: small, publishers: 1, store: NaiveStore, note: " (naive PAST-like store)",
+		sizes: []int{min(s.Records[0], fig2NaiveRecords)}})
 
-	for _, s := range settings {
-		for _, records := range s.sizes {
-			docs := workload.DBLP{Seed: o.Seed, Records: records}.Documents()
-			cl, err := NewCluster(ClusterOptions{Peers: s.peers, Cfg: s.cfg, Store: s.store})
-			if err != nil {
-				return nil, err
-			}
-			elapsed, err := cl.PublishAll(docs, s.publishers)
-			cl.Close()
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = append(res.Rows, Fig2Row{
-				Setting: s.name, Records: records,
-				SizeBytes: workload.SizeBytes(docs), Elapsed: elapsed,
+	res := &fig2Result{}
+	for _, st := range settings {
+		name := fmt.Sprintf("%d publisher, %d peers%s", st.publishers, st.peers, st.note)
+		if st.publishers > 1 {
+			name = fmt.Sprintf("%d publishers, %d peers", st.publishers, st.peers)
+		}
+		for _, records := range st.sizes {
+			docs := s.dblp(records)
+			var elapsed time.Duration
+			err := withCluster(ClusterOptions{Peers: st.peers, Cfg: st.cfg, Store: st.store}, nil, func(cl *Cluster) (err error) {
+				elapsed, err = cl.PublishAll(docs, st.publishers, 1)
+				return err
 			})
+			if err != nil {
+				return nil, err
+			}
+			res.Rows = append(res.Rows, fig2Row{Setting: name, Records: records, SizeBytes: workload.SizeBytes(docs), Elapsed: elapsed})
 		}
 	}
 	return res, nil
 }
 
-// Format renders the sweep as the Figure 2 series.
-func (r *Fig2Result) Format() string {
+func (r *fig2Result) report() ([]section, []bound) {
 	rows := make([][]string, 0, len(r.Rows))
 	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Setting,
-			fmt.Sprintf("%d", row.Records),
-			mb(int64(row.SizeBytes)),
-			ms(row.Elapsed),
-		})
+		rows = append(rows, []string{row.Setting, itoa(row.Records), mb(int64(row.SizeBytes)), ms(row.Elapsed)})
 	}
-	return "Figure 2 — indexing time vs published data\n" +
-		table([]string{"setting", "records", "size(MB)", "publish time(ms)"}, rows)
+	return []section{{"Figure 2 — indexing time vs published data",
+		[]string{"setting", "records", "size(MB)", "publish time(ms)"}, rows}}, nil
 }

@@ -6,41 +6,17 @@ import (
 	"kadop/internal/kadop"
 	"kadop/internal/metrics"
 	"kadop/internal/pattern"
-	"kadop/internal/workload"
 )
 
-// The Figure 7 queries.
-const (
-	Fig7aQuery = `//article[. contains "Ullman"]`
-	Fig7bQuery = `//article//author[. contains "Ullman"]`
-	Fig7cQuery = `//article[//title]//author[. contains "Ullman"]`
-)
-
-// Fig7Options scale the Figure 7 experiment: the normalized data
-// volume of the Bloom-reducer strategies.
-type Fig7Options struct {
-	// Variant selects the sub-figure: "a", "b" or "c".
-	Variant string
-	Records int
-	Peers   int
-	Seed    int64
+// fig7Queries are the Figure 7 queries, per sub-figure.
+var fig7Queries = map[string]string{
+	"a": `//article[. contains "Ullman"]`,
+	"b": `//article//author[. contains "Ullman"]`,
+	"c": `//article[//title]//author[. contains "Ullman"]`,
 }
 
-func (o Fig7Options) defaults() Fig7Options {
-	if o.Variant == "" {
-		o.Variant = "a"
-	}
-	if o.Records <= 0 {
-		o.Records = 4000
-	}
-	if o.Peers <= 0 {
-		o.Peers = 16
-	}
-	return o
-}
-
-// Fig7Row is one strategy's measurement, broken down as in the figure.
-type Fig7Row struct {
+// fig7Row is one strategy's measurement, broken down as in the figure.
+type fig7Row struct {
 	Strategy      kadop.Strategy
 	PostingBytes  int64
 	ABFilterBytes int64
@@ -49,57 +25,37 @@ type Fig7Row struct {
 	IndexMatches  int
 }
 
-// Fig7Result is one sub-figure's set of bars.
-type Fig7Result struct {
+type fig7Result struct {
 	Variant  string
-	Query    string
 	Baseline int64 // conventional strategy's posting bytes
-	Rows     []Fig7Row
+	Rows     []fig7Row
 }
 
-// RunFig7 reproduces one Figure 7 sub-figure: the total data volume of
+// runFig7 reproduces one Figure 7 sub-figure: the total data volume of
 // each filter-based strategy, normalized by the volume the conventional
 // strategy ships, split into posting and filter transfers.
-func RunFig7(o Fig7Options) (*Fig7Result, error) {
-	o = o.defaults()
-	query := Fig7aQuery
+func runFig7(variant string, s Scale) (*fig7Result, error) {
 	strategies := []kadop.Strategy{kadop.ABReducer, kadop.DBReducer, kadop.BloomReducer}
-	switch o.Variant {
-	case "a":
-	case "b":
-		query = Fig7bQuery
-	case "c":
-		query = Fig7cQuery
+	if variant == "c" {
 		strategies = append(strategies, kadop.SubQueryReducer)
-	default:
-		return nil, fmt.Errorf("experiments: unknown figure 7 variant %q", o.Variant)
 	}
-	q := pattern.MustParse(query)
-	res := &Fig7Result{Variant: o.Variant, Query: query}
+	q := pattern.MustParse(fig7Queries[variant])
+	res := &fig7Result{Variant: variant}
+	docs := s.dblp(s.records())
 
-	docs := workload.DBLP{Seed: o.Seed, Records: o.Records}.Documents()
-
-	run := func(strategy kadop.Strategy) (*Fig7Row, error) {
-		cl, err := NewCluster(ClusterOptions{Peers: o.Peers})
-		if err != nil {
-			return nil, err
-		}
-		defer cl.Close()
-		if _, err := cl.PublishAll(docs, 4); err != nil {
-			return nil, err
-		}
-		cl.Net.Collector.Reset()
-		r, err := cl.NonOwnerPeer(q).Query(q, kadop.QueryOptions{Strategy: strategy, IndexOnly: true})
-		if err != nil {
-			return nil, err
-		}
-		return &Fig7Row{
-			Strategy:      strategy,
-			PostingBytes:  cl.Net.Collector.Bytes(metrics.Postings),
-			ABFilterBytes: cl.Net.Collector.Bytes(metrics.FiltersAB),
-			DBFilterBytes: cl.Net.Collector.Bytes(metrics.FiltersDB),
-			IndexMatches:  r.IndexMatches,
-		}, nil
+	run := func(strategy kadop.Strategy) (row fig7Row, err error) {
+		err = withCluster(ClusterOptions{Peers: s.Peers}, docs, func(cl *Cluster) error {
+			col := cl.Net.Collector
+			col.Reset()
+			r, err := cl.NonOwnerPeer(q).Query(q, kadop.QueryOptions{Strategy: strategy, IndexOnly: true})
+			if err != nil {
+				return fmt.Errorf("fig7%s %v: %w", variant, strategy, err)
+			}
+			row = fig7Row{Strategy: strategy, PostingBytes: col.Bytes(metrics.Postings),
+				ABFilterBytes: col.Bytes(metrics.FiltersAB), DBFilterBytes: col.Bytes(metrics.FiltersDB), IndexMatches: r.IndexMatches}
+			return nil
+		})
+		return row, err
 	}
 
 	base, err := run(kadop.Conventional)
@@ -107,35 +63,28 @@ func RunFig7(o Fig7Options) (*Fig7Result, error) {
 		return nil, err
 	}
 	res.Baseline = base.PostingBytes
-	for _, s := range strategies {
-		row, err := run(s)
+	for _, st := range strategies {
+		row, err := run(st)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: fig7%s %v: %w", o.Variant, s, err)
+			return nil, err
 		}
 		if row.IndexMatches != base.IndexMatches {
-			return nil, fmt.Errorf("experiments: fig7%s: strategy %v changed the answer (%d vs %d index matches)",
-				o.Variant, s, row.IndexMatches, base.IndexMatches)
+			return nil, fmt.Errorf("fig7%s: strategy %v changed the answer (%d vs %d index matches)",
+				variant, st, row.IndexMatches, base.IndexMatches)
 		}
-		total := row.PostingBytes + row.ABFilterBytes + row.DBFilterBytes
-		row.Normalized = float64(total) / float64(res.Baseline)
-		res.Rows = append(res.Rows, *row)
+		row.Normalized = float64(row.PostingBytes+row.ABFilterBytes+row.DBFilterBytes) / float64(res.Baseline)
+		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
 
-// Format renders the sub-figure's bars.
-func (r *Fig7Result) Format() string {
+func (r *fig7Result) report() ([]section, []bound) {
 	rows := make([][]string, 0, len(r.Rows))
 	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Strategy.String(),
-			fmt.Sprintf("%.3f", row.Normalized),
-			mb(row.PostingBytes),
-			mb(row.ABFilterBytes),
-			mb(row.DBFilterBytes),
-		})
+		rows = append(rows, []string{row.Strategy.String(), fmt.Sprintf("%.3f", row.Normalized),
+			mb(row.PostingBytes), mb(row.ABFilterBytes), mb(row.DBFilterBytes)})
 	}
-	return fmt.Sprintf("Figure 7(%s) — normalized data volume for %s (baseline %s MB of postings)\n",
-		r.Variant, r.Query, mb(r.Baseline)) +
-		table([]string{"strategy", "normalized", "postings(MB)", "AB filters(MB)", "DB filters(MB)"}, rows)
+	return []section{{fmt.Sprintf("Figure 7(%s) — normalized data volume for %s (baseline %s MB of postings)",
+		r.Variant, fig7Queries[r.Variant], mb(r.Baseline)),
+		[]string{"strategy", "normalized", "postings(MB)", "AB filters(MB)", "DB filters(MB)"}, rows}}, nil
 }

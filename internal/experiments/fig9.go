@@ -10,32 +10,12 @@ import (
 	"kadop/internal/xmltree"
 )
 
-// Fig9Options scale the Figure 9 experiment: query processing time over
-// an intensional collection under the Fundex variants.
-type Fig9Options struct {
-	// Docs are the host-document counts to sweep (the paper uses
-	// 5 000–25 000; each host references one ~1 KB abstract file).
-	Docs    []int
-	Peers   int
-	Matches int
-	Seed    int64
-}
+// fig9Matches is the number of planted true answers (the paper's
+// collection has 10).
+const fig9Matches = 10
 
-func (o Fig9Options) defaults() Fig9Options {
-	if len(o.Docs) == 0 {
-		o.Docs = []int{250, 500, 750, 1000, 1250}
-	}
-	if o.Peers <= 0 {
-		o.Peers = 12
-	}
-	if o.Matches <= 0 {
-		o.Matches = 10
-	}
-	return o
-}
-
-// Fig9Row is one measurement.
-type Fig9Row struct {
+// fig9Row is one measurement.
+type fig9Row struct {
 	Mode       fundex.Mode
 	Docs       int
 	Elapsed    time.Duration
@@ -43,41 +23,38 @@ type Fig9Row struct {
 	RevLookups int
 }
 
-// Fig9Result is the Figure 9 sweep.
-type Fig9Result struct {
-	Rows []Fig9Row
-}
+type fig9Result struct{ Rows []fig9Row }
 
-// RunFig9 reproduces Figure 9: the query //article[contains(.//title,
+// runFig9 reproduces Figure 9: the query //article[contains(.//title,
 // 'system') and contains(.//abstract,'interface')] over an INEX-HCO-like
-// collection of hosts plus separate abstract files, under Fundex-simple,
-// Fundex with representative data instances, and in-lining.
-func RunFig9(o Fig9Options) (*Fig9Result, error) {
-	o = o.defaults()
-	res := &Fig9Result{}
+// collection of s.Records hosts plus separate abstract files (the paper
+// uses 5 000–25 000), under Fundex-simple, Fundex with representative
+// data instances, and in-lining.
+func runFig9(s Scale) (*fig9Result, error) {
+	res := &fig9Result{}
 	q := pattern.MustParse(workload.INEXQuery)
 	for _, mode := range []fundex.Mode{fundex.Fundex, fundex.Representative, fundex.Inline} {
-		for _, nDocs := range o.Docs {
-			corpus := workload.INEX{Seed: o.Seed, Docs: nDocs, Matches: o.Matches, SecondType: true}.Generate()
-			cl, err := NewCluster(ClusterOptions{Peers: o.Peers})
+		for _, nDocs := range s.Records {
+			corpus := workload.INEX{Seed: s.Seed, Docs: nDocs, Matches: fig9Matches, SecondType: true}.Generate()
+			var ans *fundex.Answer
+			err := withCluster(ClusterOptions{Peers: s.Peers}, nil, func(cl *Cluster) error {
+				ixs := make([]*fundex.Indexer, len(cl.Peers))
+				for i, p := range cl.Peers {
+					ixs[i] = fundex.New(p, mode, corpus.Resolve)
+				}
+				for i, h := range corpus.Hosts {
+					if _, err := ixs[i%len(ixs)].Publish([]byte(xmltree.Serialize(h.Doc)), h.URI); err != nil {
+						return fmt.Errorf("fig9 %v publish: %w", mode, err)
+					}
+				}
+				var err error
+				if ans, err = ixs[0].Query(q); err != nil {
+					return fmt.Errorf("fig9 %v query: %w", mode, err)
+				}
+				return nil
+			})
 			if err != nil {
 				return nil, err
-			}
-			ixs := make([]*fundex.Indexer, len(cl.Peers))
-			for i, p := range cl.Peers {
-				ixs[i] = fundex.New(p, mode, corpus.Resolve)
-			}
-			for i, h := range corpus.Hosts {
-				raw := xmltree.Serialize(h.Doc)
-				if _, err := ixs[i%len(ixs)].Publish([]byte(raw), h.URI); err != nil {
-					cl.Close()
-					return nil, fmt.Errorf("experiments: fig9 %v publish: %w", mode, err)
-				}
-			}
-			ans, err := ixs[0].Query(q)
-			cl.Close()
-			if err != nil {
-				return nil, fmt.Errorf("experiments: fig9 %v query: %w", mode, err)
 			}
 			hosts := 0
 			for _, d := range ans.Docs {
@@ -85,32 +62,22 @@ func RunFig9(o Fig9Options) (*Fig9Result, error) {
 					hosts++
 				}
 			}
-			res.Rows = append(res.Rows, Fig9Row{
-				Mode: mode, Docs: nDocs, Elapsed: ans.Elapsed,
-				Answers: hosts, RevLookups: ans.RevLookups,
-			})
+			res.Rows = append(res.Rows, fig9Row{Mode: mode, Docs: nDocs, Elapsed: ans.Elapsed, Answers: hosts, RevLookups: ans.RevLookups})
 		}
 	}
 	return res, nil
 }
 
-// Format renders the Figure 9 series.
-func (r *Fig9Result) Format() string {
+func (r *fig9Result) report() ([]section, []bound) {
+	names := map[fundex.Mode]string{
+		fundex.Fundex:         "Fundex-simple",
+		fundex.Representative: "Fundex-representative data instance",
+		fundex.Inline:         "Inlining",
+	}
 	rows := make([][]string, 0, len(r.Rows))
 	for _, row := range r.Rows {
-		name := map[fundex.Mode]string{
-			fundex.Fundex:         "Fundex-simple",
-			fundex.Representative: "Fundex-representative data instance",
-			fundex.Inline:         "Inlining",
-		}[row.Mode]
-		rows = append(rows, []string{
-			name,
-			fmt.Sprintf("%d", row.Docs),
-			ms(row.Elapsed),
-			fmt.Sprintf("%d", row.Answers),
-			fmt.Sprintf("%d", row.RevLookups),
-		})
+		rows = append(rows, []string{names[row.Mode], itoa(row.Docs), ms(row.Elapsed), itoa(row.Answers), itoa(row.RevLookups)})
 	}
-	return "Figure 9 — query processing time with the Fundex (query " + workload.INEXQuery + ")\n" +
-		table([]string{"setting", "host docs", "query time(ms)", "answer docs", "rev lookups"}, rows)
+	return []section{{"Figure 9 — query processing time with the Fundex (query " + workload.INEXQuery + ")",
+		[]string{"setting", "host docs", "query time(ms)", "answer docs", "rev lookups"}, rows}}, nil
 }

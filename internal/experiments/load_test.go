@@ -15,7 +15,7 @@ import (
 // posting lists into distributed blocks spreads the serving load, so
 // the Gini coefficient over per-peer bytes served drops.
 func TestLoadDPPFlattens(t *testing.T) {
-	res, err := RunLoad(LoadOptions{Records: 150, Peers: 8, Queries: 2, BlockSize: 64, Seed: 1})
+	res, err := runLoad(Scale{Records: []int{150}, Peers: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,10 +38,10 @@ func TestLoadDPPFlattens(t *testing.T) {
 	if offServed == 0 || onServed == 0 {
 		t.Fatalf("served bytes off=%d on=%d, want both > 0", offServed, onServed)
 	}
-	out := res.Format()
+	out := rendered(t, res)
 	for _, want := range []string{"DPP off", "DPP on", "imbalance summary:", "Gini"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("Format() missing %q", want)
+			t.Errorf("report missing %q", want)
 		}
 	}
 }
@@ -61,7 +61,7 @@ func TestOpNamesDeclared(t *testing.T) {
 	}
 	defer cl.Close()
 	docs := workload.DBLP{Seed: 1, Records: 80}.Documents()
-	if _, err := cl.PublishAll(docs, 3); err != nil {
+	if _, err := cl.PublishAll(docs, 3, 1); err != nil {
 		t.Fatal(err)
 	}
 	q := pattern.MustParse(Fig3Query)

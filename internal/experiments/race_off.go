@@ -3,7 +3,6 @@
 package experiments
 
 // raceEnabled reports whether the race detector is on. Wall-clock
-// latency assertions are only trusted without it: the detector's
-// scheduling overhead adds noise on the order of the margins the
-// adaptive gate measures.
+// bounds are only evaluated without it: the detector's scheduling
+// overhead adds noise on the order of the margins they measure.
 const raceEnabled = false

@@ -10,38 +10,21 @@ import (
 	"kadop/internal/metrics"
 	"kadop/internal/pattern"
 	"kadop/internal/trace"
-	"kadop/internal/workload"
 )
 
-// RobustnessOptions scale the robustness experiment: a replicated
-// deployment queried under injected message loss and one peer failure,
-// reporting what the fault-tolerance machinery did and what it cost.
-type RobustnessOptions struct {
-	Records   int
-	Peers     int
-	Queries   int
-	DropProbs []float64
-	Seed      int64
+// robustDrops are the message-loss rates swept.
+var robustDrops = []float64{0, 0.20}
+
+// robustDHT is the robustness deployment's overlay: two copies of
+// every key and retrying RPCs.
+var robustDHT = dht.Config{
+	Replication: 2,
+	Retry:       dht.RetryPolicy{Attempts: 6, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 50 * time.Millisecond},
+	RPCTimeout:  5 * time.Second,
 }
 
-func (o RobustnessOptions) defaults() RobustnessOptions {
-	if o.Records <= 0 {
-		o.Records = 300
-	}
-	if o.Peers <= 0 {
-		o.Peers = 12
-	}
-	if o.Queries <= 0 {
-		o.Queries = 10
-	}
-	if len(o.DropProbs) == 0 {
-		o.DropProbs = []float64{0, 0.10, 0.20}
-	}
-	return o
-}
-
-// RobustnessRow is one measurement at one loss rate.
-type RobustnessRow struct {
+// robustRow is one measurement at one loss rate.
+type robustRow struct {
 	DropProb  float64
 	Complete  int   // queries answered exactly after the kill
 	Partial   int   // queries returning an explicitly incomplete answer
@@ -52,158 +35,98 @@ type RobustnessRow struct {
 
 	RepairBytes int64 // replica-maintenance traffic
 
-	// Phases are the latency distributions of the query pipeline under
-	// this loss rate, from the collector's histograms.
-	Phases []PhaseLatency
+	// Phases are the latency rows (op, observations, p50/p95/p99) of
+	// the query pipeline under this loss rate, from the collector's
+	// histograms.
+	Phases [][]string
 }
 
-// PhaseLatency is the latency distribution of one pipeline phase.
-type PhaseLatency struct {
-	Op            string
-	Count         int64
-	P50, P95, P99 time.Duration
-}
+type robustResult struct{ Rows []robustRow }
 
-// RobustnessResult is the loss-rate sweep.
-type RobustnessResult struct {
-	Rows []RobustnessRow
-}
-
-// RunRobustness prices fault tolerance the way the paper prices query
+// runRobustness prices fault tolerance the way the paper prices query
 // bandwidth: a deployment with Replication 2 and retrying RPCs
 // publishes a DBLP corpus, loses one peer, repairs the index from the
-// surviving replicas, and then answers a query workload through a lossy
-// network. Each row reports how many queries completed exactly versus
-// returned an explicitly partial answer, alongside the retry, timeout,
-// eviction and repair counters and the repair traffic.
-func RunRobustness(o RobustnessOptions) (*RobustnessResult, error) {
-	o = o.defaults()
-	res := &RobustnessResult{}
+// surviving replicas, and then answers a query workload (one query per
+// 30 records) through a lossy network. Each row reports how many
+// queries completed exactly versus returned an explicitly partial
+// answer, alongside the retry, timeout, eviction and repair counters
+// and the repair traffic.
+func runRobustness(s Scale) (*robustResult, error) {
+	res := &robustResult{}
 	q := pattern.MustParse(Fig3Query)
-	for _, drop := range o.DropProbs {
-		docs := workload.DBLP{Seed: o.Seed, Records: o.Records}.Documents()
-		cl, err := NewCluster(ClusterOptions{
-			Peers: o.Peers,
-			DHT: dht.Config{
-				Replication: 2,
-				Retry: dht.RetryPolicy{
-					Attempts:    6,
-					BaseBackoff: 2 * time.Millisecond,
-					MaxBackoff:  50 * time.Millisecond,
-				},
-				RPCTimeout: 5 * time.Second,
-			},
+	for _, drop := range robustDrops {
+		row := robustRow{DropProb: drop}
+		err := withCluster(ClusterOptions{Peers: s.Peers, Cfg: kadop.Config{DHT: robustDHT}}, s.dblp(s.records()), func(cl *Cluster) error {
+			cl.Net.Collector.Reset()
+			// Lose one peer, then let the survivors restore the
+			// replication factor, through the already-lossy network.
+			cl.Net.SetFaults(dht.Faults{Seed: s.Seed, DropProb: drop})
+			if err := cl.Nodes[1].Close(); err != nil {
+				return err
+			}
+			for i, nd := range cl.Nodes {
+				if i != 1 {
+					rctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+					_, _ = nd.RepairOnce(rctx) // per-key failures show up in the counters
+					cancel()
+				}
+			}
+			// Every query must come back within its deadline, exact or
+			// explicitly marked incomplete. The querier gets a tracer so
+			// the per-phase histograms (transfer, twig join) populate
+			// alongside the always-on ones.
+			querier := cl.Peers[len(cl.Peers)-1]
+			querier.Node().SetTracer(trace.New(4))
+			for i := 0; i < max(4, s.records()/30); i++ {
+				r, err := query(querier, q, kadop.QueryOptions{AllowPartial: true})
+				if err != nil {
+					return fmt.Errorf("robustness query at drop %.2f: %w", drop, err)
+				}
+				if r.Incomplete {
+					row.Partial++
+				} else {
+					row.Complete++
+				}
+			}
+			col := cl.Net.Collector
+			row.Retries = col.Events(metrics.EventRetry)
+			row.Timeouts = col.Events(metrics.EventTimeout)
+			row.Evictions = col.Events(metrics.EventEviction)
+			row.Repairs = col.Events(metrics.EventRepair)
+			row.RepairBytes = col.Bytes(metrics.Repair)
+			msq := func(d time.Duration) string { return fmt.Sprintf("%.3f", float64(d.Microseconds())/1000) }
+			for _, op := range []string{
+				metrics.OpQueryTotal, metrics.OpQueryIndex, metrics.OpLookup,
+				metrics.OpPostingsTransfer, metrics.OpTwigJoin, metrics.OpSecondPhase,
+			} {
+				if h := col.Hist(op); h.Count() > 0 {
+					row.Phases = append(row.Phases, []string{op, itoa(h.Count()),
+						msq(h.Quantile(0.50)), msq(h.Quantile(0.95)), msq(h.Quantile(0.99))})
+				}
+			}
+			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		if _, err := cl.PublishAll(docs, 4); err != nil {
-			cl.Close()
-			return nil, err
-		}
-		cl.Net.Collector.Reset()
-
-		// Lose one peer, then let the survivors restore the replication
-		// factor, through the already-lossy network.
-		cl.Net.SetFaults(dht.Faults{Seed: o.Seed, DropProb: drop})
-		if err := cl.Nodes[1].Close(); err != nil {
-			cl.Close()
-			return nil, err
-		}
-		for i, nd := range cl.Nodes {
-			if i == 1 {
-				continue
-			}
-			rctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-			_, _ = nd.RepairOnce(rctx) // per-key failures show up in the counters
-			cancel()
-		}
-
-		// The query workload: every query must come back within its
-		// deadline, either exact or explicitly marked incomplete. The
-		// querier gets a tracer so the per-phase histograms (transfer,
-		// twig join) populate alongside the always-on ones.
-		row := RobustnessRow{DropProb: drop}
-		querier := cl.Peers[len(cl.Peers)-1]
-		querier.Node().SetTracer(trace.New(4))
-		for i := 0; i < o.Queries; i++ {
-			qctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-			r, qerr := querier.QueryContext(qctx, q, kadop.QueryOptions{AllowPartial: true})
-			cancel()
-			if qerr != nil {
-				cl.Net.SetFaults(dht.Faults{})
-				cl.Close()
-				return nil, fmt.Errorf("experiments: robustness query at drop %.2f: %w", drop, qerr)
-			}
-			if r.Incomplete {
-				row.Partial++
-			} else {
-				row.Complete++
-			}
-		}
-		col := cl.Net.Collector
-		row.Retries = col.Events(metrics.EventRetry)
-		row.Timeouts = col.Events(metrics.EventTimeout)
-		row.Evictions = col.Events(metrics.EventEviction)
-		row.Repairs = col.Events(metrics.EventRepair)
-		row.RepairBytes = col.Bytes(metrics.Repair)
-		for _, op := range []string{
-			metrics.OpQueryTotal, metrics.OpQueryIndex, metrics.OpLookup,
-			metrics.OpPostingsTransfer, metrics.OpTwigJoin, metrics.OpSecondPhase,
-		} {
-			h := col.Hist(op)
-			if h.Count() == 0 {
-				continue
-			}
-			row.Phases = append(row.Phases, PhaseLatency{
-				Op:    op,
-				Count: h.Count(),
-				P50:   h.Quantile(0.50),
-				P95:   h.Quantile(0.95),
-				P99:   h.Quantile(0.99),
-			})
-		}
-		cl.Net.SetFaults(dht.Faults{})
-		cl.Close()
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
 
-// Format renders the robustness table.
-func (r *RobustnessResult) Format() string {
+func (r *robustResult) report() ([]section, []bound) {
 	rows := make([][]string, 0, len(r.Rows))
 	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			fmt.Sprintf("%.0f%%", row.DropProb*100),
-			fmt.Sprintf("%d", row.Complete),
-			fmt.Sprintf("%d", row.Partial),
-			fmt.Sprintf("%d", row.Retries),
-			fmt.Sprintf("%d", row.Timeouts),
-			fmt.Sprintf("%d", row.Evictions),
-			fmt.Sprintf("%d", row.Repairs),
-			mb(row.RepairBytes),
-		})
+		rows = append(rows, []string{fmt.Sprintf("%.0f%%", row.DropProb*100), itoa(row.Complete), itoa(row.Partial),
+			itoa(row.Retries), itoa(row.Timeouts), itoa(row.Evictions), itoa(row.Repairs), mb(row.RepairBytes)})
 	}
-	out := "Robustness — queries after one peer failure, under message loss (Replication 2)\n" +
-		table([]string{"drop", "complete", "partial", "retries", "timeouts", "evictions", "repairs", "repair(MB)"}, rows)
+	secs := []section{{"Robustness — queries after one peer failure, under message loss (Replication 2)",
+		[]string{"drop", "complete", "partial", "retries", "timeouts", "evictions", "repairs", "repair(MB)"}, rows}}
 	for _, row := range r.Rows {
-		if len(row.Phases) == 0 {
-			continue
+		if len(row.Phases) > 0 {
+			secs = append(secs, section{fmt.Sprintf("Phase latency at %.0f%% loss", row.DropProb*100),
+				[]string{"phase", "obs", "p50(ms)", "p95(ms)", "p99(ms)"}, row.Phases})
 		}
-		msq := func(d time.Duration) string {
-			return fmt.Sprintf("%.3f", float64(d.Microseconds())/1000)
-		}
-		prows := make([][]string, 0, len(row.Phases))
-		for _, ph := range row.Phases {
-			prows = append(prows, []string{
-				ph.Op,
-				fmt.Sprintf("%d", ph.Count),
-				msq(ph.P50), msq(ph.P95), msq(ph.P99),
-			})
-		}
-		out += fmt.Sprintf("\nPhase latency at %.0f%% loss\n", row.DropProb*100) +
-			table([]string{"phase", "obs", "p50(ms)", "p95(ms)", "p99(ms)"}, prows)
 	}
-	return out
+	return secs, nil
 }

@@ -25,7 +25,7 @@ func TestPaperScaleNetwork(t *testing.T) {
 	defer cl.Close()
 
 	docs := workload.DBLP{Seed: 42, Records: 500}.Documents()
-	if _, err := cl.PublishAll(docs, 25); err != nil {
+	if _, err := cl.PublishAll(docs, 25, 1); err != nil {
 		t.Fatal(err)
 	}
 

@@ -6,32 +6,15 @@ import (
 	"kadop/internal/postings"
 	"kadop/internal/sbf"
 	"kadop/internal/sid"
-	"kadop/internal/workload"
 	"kadop/internal/xmltree"
 )
 
-// SensitivityOptions scale the Section 5.4 filter sensitivity analysis
-// for the query a//b: filtering L_b with ABF(a) and L_a with DBF(b)
-// across basic false-positive rates.
-type SensitivityOptions struct {
-	Records  int
-	BasicFPs []float64
-	Seed     int64
-}
+// sensitivityFPs are the basic Bloom false-positive rates swept.
+var sensitivityFPs = []float64{0.01, 0.05, 0.10, 0.20, 0.30}
 
-func (o SensitivityOptions) defaults() SensitivityOptions {
-	if o.Records <= 0 {
-		o.Records = 3000
-	}
-	if len(o.BasicFPs) == 0 {
-		o.BasicFPs = []float64{0.01, 0.05, 0.10, 0.20, 0.30}
-	}
-	return o
-}
-
-// SensitivityRow is one measurement: the empirical false-positive rate
+// sensitivityRow is one measurement: the empirical false-positive rate
 // of each filter variant at one basic rate.
-type SensitivityRow struct {
+type sensitivityRow struct {
 	BasicFP       float64
 	ABPsi         float64 // AB Filter with the paper's ψ traces
 	ABSingleTrace float64 // AB Filter with one trace per level
@@ -39,12 +22,9 @@ type SensitivityRow struct {
 	DB            float64 // DB Filter
 }
 
-// SensitivityResult is the sensitivity sweep.
-type SensitivityResult struct {
-	Rows []SensitivityRow
-}
+type sensitivityResult struct{ Rows []sensitivityRow }
 
-// RunSensitivity reproduces the Section 5.4 sensitivity analysis on a
+// runSensitivity reproduces the Section 5.4 sensitivity analysis on a
 // DBLP-shaped corpus. Both directions need a population of true
 // negatives to measure the empirical rate against:
 //
@@ -53,9 +33,8 @@ type SensitivityResult struct {
 //   - DB side: a = the record elements (article and inproceedings),
 //     b = journal. Only articles carry a journal child, so the
 //     inproceedings records are the negatives DBF(b) must reject.
-func RunSensitivity(o SensitivityOptions) (*SensitivityResult, error) {
-	o = o.defaults()
-	docs := workload.DBLP{Seed: o.Seed, Records: o.Records}.Documents()
+func runSensitivity(s Scale) (*sensitivityResult, error) {
+	docs := s.dblp(s.records())
 	var la, lb postings.List         // AB side: a = inproceedings, b = title
 	var recs, journals postings.List // DB side: a = records, b = journal
 	for i, d := range docs {
@@ -95,12 +74,12 @@ func RunSensitivity(o SensitivityOptions) (*SensitivityResult, error) {
 		return false
 	}
 
-	res := &SensitivityResult{}
-	for _, fp := range o.BasicFPs {
+	res := &sensitivityResult{}
+	for _, fp := range sensitivityFPs {
 		abPsi := sbf.BuildAB(la, fp, sbf.DefaultPsiC)
 		abOne := sbf.BuildAB(la, fp, 0)
 		db := sbf.BuildDB(journals, fp, 0, 0)
-		row := SensitivityRow{BasicFP: fp}
+		row := sensitivityRow{BasicFP: fp}
 		row.ABPsi = empiricalRate(lb, hasAncestor, abPsi.MayHaveAncestor)
 		row.ABSingleTrace = empiricalRate(lb, hasAncestor, abOne.MayHaveAncestor)
 		row.ABStartOnly = empiricalRate(lb, hasAncestor, abPsi.MayHaveAncestorStartOnly)
@@ -129,18 +108,12 @@ func empiricalRate(list postings.List, truth func(sid.Posting) bool, probe func(
 	return float64(fp) / float64(neg)
 }
 
-// Format renders the sensitivity table.
-func (r *SensitivityResult) Format() string {
+func (r *sensitivityResult) report() ([]section, []bound) {
 	rows := make([][]string, 0, len(r.Rows))
 	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			fmt.Sprintf("%.2f", row.BasicFP),
-			fmt.Sprintf("%.4f", row.ABPsi),
-			fmt.Sprintf("%.4f", row.ABSingleTrace),
-			fmt.Sprintf("%.4f", row.ABStartOnly),
-			fmt.Sprintf("%.4f", row.DB),
-		})
+		rows = append(rows, []string{fmt.Sprintf("%.2f", row.BasicFP), fmt.Sprintf("%.4f", row.ABPsi),
+			fmt.Sprintf("%.4f", row.ABSingleTrace), fmt.Sprintf("%.4f", row.ABStartOnly), fmt.Sprintf("%.4f", row.DB)})
 	}
-	return "Section 5.4 — empirical false-positive rates vs basic Bloom rate (query a//b)\n" +
-		table([]string{"basic fp", "AB (psi)", "AB (single trace)", "AB (start-only)", "DB"}, rows)
+	return []section{{"Section 5.4 — empirical false-positive rates vs basic Bloom rate (query a//b)",
+		[]string{"basic fp", "AB (psi)", "AB (single trace)", "AB (start-only)", "DB"}, rows}}, nil
 }

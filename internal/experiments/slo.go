@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"time"
@@ -13,91 +12,51 @@ import (
 	"kadop/internal/obs/slo"
 	"kadop/internal/pattern"
 	"kadop/internal/trace"
-	"kadop/internal/workload"
 )
 
-// SLOOptions scale the SLO/flight-recorder experiment: a deployment
-// queried healthy, then under seeded overload (message loss), with the
-// burn-rate engine watching the querier and a flight watchdog armed on
-// its alerts.
-type SLOOptions struct {
-	Records int
-	Peers   int
-	// Queries per phase (healthy, then overloaded).
-	Queries int
-	// DropProb is the overload phase's message-loss rate.
-	DropProb float64
-	// Jitter is the overload phase's per-message added latency cap.
-	Jitter time.Duration
-	// SlowThreshold is the slow-query capture threshold and the latency
-	// SLO's cut-off (rounded up to the owning histogram bucket).
-	SlowThreshold time.Duration
-	// DumpDir receives the watchdog's flight dumps (temp dir if empty).
-	DumpDir string
-	Seed    int64
-	// Inspect, when set, runs after the run's own assertions pass and
-	// before the cluster shuts down — the e2e test scrapes the live
-	// admin endpoint through it. Its error fails the run.
-	Inspect func(SLOForensics) error
-}
+// The SLO run queries sloQueries times per phase; its overload phase
+// drops messages with probability sloDrop and delays each by up to
+// sloJitter. sloSlow is the slow-query capture threshold and the
+// latency objective's cut-off (rounded up to the owning histogram
+// bucket).
+const (
+	sloQueries = 8
+	sloDrop    = 0.2
+	sloJitter  = 400 * time.Millisecond
+	sloSlow    = 50 * time.Millisecond
+)
 
-// SLOForensics hands the live observability objects of an SLO run to
-// SLOOptions.Inspect.
-type SLOForensics struct {
+// sloForensics hands the live observability objects of an SLO run to
+// the inspect hook of runSLO.
+type sloForensics struct {
 	// Node is the querier's overlay node (collector, registry, flight).
 	Node *dht.Node
-	// Recorder is the querier's flight ring.
-	Recorder *flight.Recorder
 	// Engine is the ticked SLO engine, alerting after the overload.
 	Engine *slo.Engine
 }
 
-func (o SLOOptions) defaults() SLOOptions {
-	if o.Records <= 0 {
-		o.Records = 200
-	}
-	if o.Peers <= 0 {
-		o.Peers = 8
-	}
-	if o.Queries <= 0 {
-		o.Queries = 8
-	}
-	if o.DropProb <= 0 {
-		o.DropProb = 0.2
-	}
-	if o.Jitter <= 0 {
-		o.Jitter = 400 * time.Millisecond
-	}
-	if o.SlowThreshold <= 0 {
-		o.SlowThreshold = 50 * time.Millisecond
-	}
-	return o
-}
-
-// SLOPhase is one phase's measurement.
-type SLOPhase struct {
-	Phase   string
-	Queries int
-	Errors  int
+// sloPhase is one phase's measurement.
+type sloPhase struct {
+	Phase  string
+	Errors int
 	// Slow counts queries captured at or over the slow threshold.
 	Slow int64
 	// MaxBurn is the hottest burn rate across objectives and windows at
 	// the phase's closing tick.
 	MaxBurn float64
 	Verdict string
-	Alerts  int
+	// Alerting counts the objectives alerting at the closing tick;
+	// Alerts the alerts fired during the phase.
+	Alerting, Alerts int
 }
 
-// SLOResult is the experiment outcome. Run fails (returns an error)
-// unless the burn-rate alert fires under overload, stays quiet when
-// healthy, and the watchdog's flight dump is non-empty with query
-// trace ids that also appear as histogram exemplars — the full
-// forensic chain the observability plane promises.
-type SLOResult struct {
-	Phases []SLOPhase
-	// DumpPath is the watchdog's flight dump on disk.
-	DumpPath string
-	// DumpEvents is the number of events in the dump.
+type sloResult struct {
+	Healthy, Overload sloPhase
+	// DumpPath is the watchdog's flight dump on disk, DumpBytes its
+	// size (0 when the watchdog wrote none).
+	DumpPath  string
+	DumpBytes int64
+	// DumpEvents is the number of events in the querier's flight ring.
 	DumpEvents int
 	// QueryTraces / ExemplarTraces / LinkedTraces count the distinct
 	// query trace ids in the flight dump, on the latency histogram's
@@ -107,33 +66,31 @@ type SLOResult struct {
 	LinkedTraces   int
 }
 
-// RunSLO prices the observability plane end to end. A deployment
+// runSLO prices the observability plane end to end. A deployment
 // answers a healthy query workload (the SLO engine ticks and stays
 // calm), then the network starts dropping messages: queries slow down
 // and fail, the availability budget burns past the window thresholds,
 // the alert fires, and the flight watchdog snapshots the querier's
 // ring — which, because slow-query capture and exemplars share trace
 // ids, names the exact queries that burned the budget. Ticks use a
-// synthetic clock so the burn windows are deterministic.
-func RunSLO(o SLOOptions) (*SLOResult, error) {
-	o = o.defaults()
-	docs := workload.DBLP{Seed: o.Seed, Records: o.Records}.Documents()
-	cl, err := NewCluster(ClusterOptions{
-		Peers: o.Peers,
-		Cfg:   kadop.Config{SlowQuery: o.SlowThreshold},
+// synthetic clock so the burn windows are deterministic. inspect, when
+// set, runs before the cluster shuts down; its error fails the run.
+func runSLO(s Scale, inspect func(sloForensics) error) (res *sloResult, err error) {
+	o := ClusterOptions{
+		Peers: s.Peers,
 		// One-shot RPCs with a short timeout: overload should hurt — the
 		// experiment measures detection, not the retry machinery's cure
 		// (robustness.go prices that).
-		DHT: dht.Config{RPCTimeout: 250 * time.Millisecond},
+		Cfg: kadop.Config{SlowQuery: sloSlow, DHT: dht.Config{RPCTimeout: 250 * time.Millisecond}},
+	}
+	err = withCluster(o, s.dblp(s.records()), func(cl *Cluster) error {
+		res, err = sloPhases(cl, s.Seed, inspect)
+		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Close()
-	if _, err := cl.PublishAll(docs, 4); err != nil {
-		return nil, err
-	}
+	return res, err
+}
 
+func sloPhases(cl *Cluster, seed int64, inspect func(sloForensics) error) (*sloResult, error) {
 	q := pattern.MustParse(Fig3Query)
 	querier := cl.NonOwnerPeer(q)
 	// Shared tracer: server-side spans join the querier's traces, so a
@@ -145,14 +102,11 @@ func RunSLO(o SLOOptions) (*SLOResult, error) {
 	rec := flight.New(2048)
 	querier.Node().SetFlight(rec)
 
-	dir := o.DumpDir
-	if dir == "" {
-		dir, err = os.MkdirTemp("", "kadop-slo-")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
+	dir, err := os.MkdirTemp("", "kadop-slo-")
+	if err != nil {
+		return nil, err
 	}
+	defer os.RemoveAll(dir)
 	wd := flight.NewWatchdog(rec, dir, time.Millisecond)
 
 	reg := querier.Node().Registry()
@@ -175,7 +129,7 @@ func RunSLO(o SLOOptions) (*SLOResult, error) {
 				Name:        "query-latency",
 				Description: "90% of queries under the slow threshold",
 				Target:      0.9,
-				Source:      slo.LatencySource(querier.Node().Metrics(), metrics.OpQueryTotal, o.SlowThreshold),
+				Source:      slo.LatencySource(querier.Node().Metrics(), metrics.OpQueryTotal, sloSlow),
 			},
 		},
 		// Compressed windows: the experiment's synthetic clock advances
@@ -191,29 +145,26 @@ func RunSLO(o SLOOptions) (*SLOResult, error) {
 		return nil, err
 	}
 
-	res := &SLOResult{}
 	clock := time.Now()
 	tick := func() []slo.Status {
 		clock = clock.Add(time.Second)
 		return eng.Tick(clock)
 	}
-	runPhase := func(name string) SLOPhase {
-		ph := SLOPhase{Phase: name, Queries: o.Queries}
+	runPhase := func(name string) sloPhase {
+		ph := sloPhase{Phase: name}
 		alertsBefore, slowBefore := len(alerts), slowQueries.Value()
-		for i := 0; i < o.Queries; i++ {
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			_, qerr := querier.QueryContext(ctx, q, kadop.QueryOptions{})
-			cancel()
-			if qerr != nil {
+		for i := 0; i < sloQueries; i++ {
+			if _, err := query(querier, q, kadop.QueryOptions{}); err != nil {
 				ph.Errors++
 			}
 		}
 		statuses := tick()
-		for _, s := range statuses {
-			for _, w := range s.Windows {
-				if w.ShortBurn > ph.MaxBurn {
-					ph.MaxBurn = w.ShortBurn
-				}
+		for _, st := range statuses {
+			if st.Alerting {
+				ph.Alerting++
+			}
+			for _, w := range st.Windows {
+				ph.MaxBurn = max(ph.MaxBurn, w.ShortBurn)
 			}
 		}
 		ph.Slow = slowQueries.Value() - slowBefore
@@ -223,42 +174,23 @@ func RunSLO(o SLOOptions) (*SLOResult, error) {
 	}
 
 	tick() // baseline sample before any traffic
-	healthy := runPhase("healthy")
-	res.Phases = append(res.Phases, healthy)
-	if healthy.Alerts > 0 || healthy.Verdict != "ok" {
-		return nil, fmt.Errorf("experiments: slo: burn alert fired on the healthy phase (verdict %q)", healthy.Verdict)
-	}
-
+	res := &sloResult{Healthy: runPhase("healthy")}
 	// Overload: every message suffers seeded jitter and some loss, so
 	// queries cross the slow threshold (and some fail outright).
-	cl.Net.SetFaults(dht.Faults{Seed: o.Seed, DropProb: o.DropProb, JitterMax: o.Jitter})
-	overload := runPhase("overload")
+	cl.Net.SetFaults(dht.Faults{Seed: seed, DropProb: sloDrop, JitterMax: sloJitter})
+	res.Overload = runPhase("overload")
 	cl.Net.SetFaults(dht.Faults{})
-	res.Phases = append(res.Phases, overload)
-	if overload.Slow == 0 {
-		return nil, fmt.Errorf("experiments: slo: overload (jitter %v) produced no slow queries", o.Jitter)
-	}
-	if overload.Alerts == 0 {
-		return nil, fmt.Errorf("experiments: slo: no burn-rate alert under overload (burn %.1fx, %d slow, %d/%d errors)",
-			overload.MaxBurn, overload.Slow, overload.Errors, overload.Queries)
-	}
 
 	// The forensic chain: alert → watchdog dump on disk → query trace
 	// ids in the dump → the same ids on the histogram's exemplars.
-	dumps := wd.Dumps()
-	if len(dumps) == 0 {
-		return nil, fmt.Errorf("experiments: slo: alert fired but the watchdog wrote no flight dump")
-	}
-	res.DumpPath = dumps[0]
-	st, err := os.Stat(res.DumpPath)
-	if err != nil || st.Size() == 0 {
-		return nil, fmt.Errorf("experiments: slo: flight dump %s is missing or empty", res.DumpPath)
+	if dumps := wd.Dumps(); len(dumps) > 0 {
+		res.DumpPath = dumps[0]
+		if st, err := os.Stat(res.DumpPath); err == nil {
+			res.DumpBytes = st.Size()
+		}
 	}
 	dump := rec.TakeDump("experiment")
 	res.DumpEvents = len(dump.Events)
-	if res.DumpEvents == 0 {
-		return nil, fmt.Errorf("experiments: slo: flight ring is empty")
-	}
 	queryIDs := dump.TraceIDs(flight.KindQuery)
 	res.QueryTraces = len(queryIDs)
 	exemplar := map[uint64]bool{}
@@ -273,35 +205,37 @@ func RunSLO(o SLOOptions) (*SLOResult, error) {
 			res.LinkedTraces++
 		}
 	}
-	if res.LinkedTraces == 0 {
-		return nil, fmt.Errorf("experiments: slo: no trace id links the flight dump (%d query traces) to the exemplars (%d)",
-			res.QueryTraces, res.ExemplarTraces)
-	}
-	if o.Inspect != nil {
-		if err := o.Inspect(SLOForensics{Node: querier.Node(), Recorder: rec, Engine: eng}); err != nil {
+	if inspect != nil {
+		if err := inspect(sloForensics{Node: querier.Node(), Engine: eng}); err != nil {
 			return nil, err
 		}
 	}
 	return res, nil
 }
 
-// Format renders the SLO experiment report.
-func (r *SLOResult) Format() string {
-	rows := make([][]string, 0, len(r.Phases))
-	for _, p := range r.Phases {
-		rows = append(rows, []string{
-			p.Phase,
-			fmt.Sprintf("%d", p.Queries),
-			fmt.Sprintf("%d", p.Errors),
-			fmt.Sprintf("%d", p.Slow),
-			fmt.Sprintf("%.1fx", p.MaxBurn),
-			fmt.Sprintf("%d", p.Alerts),
-			p.Verdict,
-		})
+func (r *sloResult) report() ([]section, []bound) {
+	rows := make([][]string, 0, 2)
+	for _, p := range []sloPhase{r.Healthy, r.Overload} {
+		rows = append(rows, []string{p.Phase, itoa(sloQueries), itoa(p.Errors), itoa(p.Slow),
+			fmt.Sprintf("%.1fx", p.MaxBurn), itoa(p.Alerts), p.Verdict})
 	}
-	out := "SLO burn-rate alerting under seeded overload (availability + latency targets 90%, 2x burn window)\n" +
-		table([]string{"phase", "queries", "errors", "slow", "burn", "alerts", "verdict"}, rows)
-	out += fmt.Sprintf("\nflight dump: %s (%d events; %d query traces, %d exemplar traces, %d linked)\n",
-		r.DumpPath, r.DumpEvents, r.QueryTraces, r.ExemplarTraces, r.LinkedTraces)
-	return out
+	return []section{
+			{"SLO burn-rate alerting under seeded overload (availability + latency targets 90%, 2x burn window)",
+				[]string{"phase", "queries", "errors", "slow", "burn", "alerts", "verdict"}, rows},
+			{title: fmt.Sprintf("\nflight dump: %s (%d bytes; ring %d events; %d query traces, %d exemplar traces, %d linked)",
+				r.DumpPath, r.DumpBytes, r.DumpEvents, r.QueryTraces, r.ExemplarTraces, r.LinkedTraces)},
+		},
+		// The burn-rate alert stays quiet when healthy and fires under
+		// overload, and the watchdog's dump is non-empty with query
+		// trace ids that also appear as histogram exemplars: the full
+		// forensic chain the observability plane promises.
+		[]bound{
+			{"alerts in the healthy phase", float64(r.Healthy.Alerts), "==", 0},
+			{"objectives alerting after the healthy phase", float64(r.Healthy.Alerting), "==", 0},
+			{fmt.Sprintf("slow queries under overload (jitter %v)", sloJitter), float64(r.Overload.Slow), ">=", 1},
+			{"burn-rate alerts under overload", float64(r.Overload.Alerts), ">=", 1},
+			{"bytes of the watchdog's flight dump", float64(r.DumpBytes), ">=", 1},
+			{"events in the flight ring", float64(r.DumpEvents), ">=", 1},
+			{"trace ids linking the flight dump to the exemplars", float64(r.LinkedTraces), ">=", 1},
+		}
 }

@@ -1,58 +1,25 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
 
 	"kadop/internal/dpp"
 	"kadop/internal/kadop"
-	"kadop/internal/pattern"
-	"kadop/internal/workload"
 )
 
-// StatsOptions scale the statistics-registry experiment: a DPP
-// deployment answers a repeated workload, the querier's registry
-// trains its selectivity EWMAs on the warmup passes, and the
-// measurement passes compare its cardinality estimates to the twig
-// join's actual match counts.
-type StatsOptions struct {
-	Records int
-	Peers   int
-	// Warmup is the number of passes over the query set that train the
-	// selectivity EWMAs before measurement begins.
-	Warmup int
-	// Measure is the number of measured passes.
-	Measure int
-	// ErrBound is the p95 relative-error ceiling the run must meet on
-	// the measured passes.
-	ErrBound  float64
-	BlockSize int
-	Seed      int64
-}
-
-func (o StatsOptions) defaults() StatsOptions {
-	if o.Records <= 0 {
-		o.Records = 300
-	}
-	if o.Peers <= 0 {
-		o.Peers = 8
-	}
-	if o.Warmup <= 0 {
-		o.Warmup = 6
-	}
-	if o.Measure <= 0 {
-		o.Measure = 3
-	}
-	if o.ErrBound <= 0 {
-		o.ErrBound = 0.25
-	}
-	if o.BlockSize <= 0 {
-		o.BlockSize = 256
-	}
-	return o
-}
+// The statistics experiment trains the querier's selectivity EWMAs on
+// statsWarmup passes over the query set, then measures statsMeasure
+// passes, over DPP blocks of statsBlockSize postings.
+const (
+	statsWarmup    = 6
+	statsMeasure   = 3
+	statsBlockSize = 256
+	// statsErrBound is the p95 relative cardinality-estimation error
+	// the measured passes must stay under.
+	statsErrBound = 0.25
+)
 
 // statsQueries is the measured workload: the paper's stress query plus
 // two broader shapes. The shapes are edge-disjoint on purpose — two
@@ -64,8 +31,8 @@ var statsQueries = []string{
 	`//article//title`,
 }
 
-// StatsRow is one query shape's measurement.
-type StatsRow struct {
+// statsRow is one query shape's measurement.
+type statsRow struct {
 	Query string
 	// Estimated and Actual are the registry's match prediction and the
 	// twig join's match count on the last measured pass.
@@ -75,16 +42,12 @@ type StatsRow struct {
 	RelErr float64
 }
 
-// StatsResult is the experiment outcome. Run fails unless every
-// measured query carries an estimate, the p95 relative error stays
-// under the bound, and every phase of the cost plane reports nonzero
-// actuals — an operator that stops counting is an observability bug
-// no dashboard would catch.
-type StatsResult struct {
-	Rows []StatsRow
+type statsResult struct {
+	Rows []statsRow
 	// ErrP50 and ErrP95 summarise relative errors over measured passes.
 	ErrP50, ErrP95 float64
-	ErrBound       float64
+	// Unestimated counts measured queries that carried no estimate.
+	Unestimated int
 	// RegistryP95 is the querier registry's own bucketed p95, the value
 	// /debug/stats and kadop-top report for the same run.
 	RegistryP95 float64
@@ -94,60 +57,50 @@ type StatsResult struct {
 	FetchWork, JoinWork, AnswerWork int64
 }
 
-// RunStats prices the estimation loop end to end: publish a corpus
+// runStats prices the estimation loop end to end: publish a corpus
 // over a DPP deployment, train the querier's statistics registry on a
-// warmup workload, then verify the registry's cardinality estimates
+// warmup workload, then check the registry's cardinality estimates
 // track the actuals the cost counters measure.
-func RunStats(o StatsOptions) (*StatsResult, error) {
-	o = o.defaults()
-	docs := workload.DBLP{Seed: o.Seed, Records: o.Records}.Documents()
-	cl, err := NewCluster(ClusterOptions{
-		Peers: o.Peers,
-		Cfg: kadop.Config{
-			UseDPP: true,
-			DPP:    dpp.Options{BlockSize: o.BlockSize},
-		},
+func runStats(s Scale) (res *statsResult, err error) {
+	cfg := kadop.Config{UseDPP: true, DPP: dpp.Options{BlockSize: statsBlockSize}}
+	err = withCluster(ClusterOptions{Peers: s.Peers, Cfg: cfg}, s.dblp(s.records()), func(cl *Cluster) error {
+		res, err = statsPasses(cl)
+		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Close()
-	if _, err := cl.PublishAll(docs, 4); err != nil {
-		return nil, err
-	}
+	return res, err
+}
 
-	queries := make([]*pattern.Query, len(statsQueries))
-	for i, s := range statsQueries {
-		queries[i] = pattern.MustParse(s)
-	}
+// statsPasses runs the warmup and measured passes on a loaded
+// deployment.
+func statsPasses(cl *Cluster) (*statsResult, error) {
+	queries := parseAll(statsQueries)
 	// One querier for the whole run: training and measurement must hit
 	// the same registry, and a non-owner so fetches cross the network.
 	querier := cl.NonOwnerPeer(queries[0])
 
-	run := func(q *pattern.Query) (*kadop.Result, error) {
-		ctx, cancel := context.WithTimeout(context.Background(), 60e9)
-		defer cancel()
-		return querier.QueryContext(ctx, q, kadop.QueryOptions{})
-	}
-	for pass := 0; pass < o.Warmup; pass++ {
+	for pass := 0; pass < statsWarmup; pass++ {
 		for _, q := range queries {
-			if _, err := run(q); err != nil {
-				return nil, fmt.Errorf("experiments: stats: warmup: %w", err)
+			if _, err := query(querier, q, kadop.QueryOptions{}); err != nil {
+				return nil, fmt.Errorf("warmup: %w", err)
 			}
 		}
 	}
 
-	res := &StatsResult{ErrBound: o.ErrBound}
-	rows := make([]StatsRow, len(queries))
+	res := &statsResult{}
+	rows := make([]statsRow, len(queries))
 	var errs []float64
-	for pass := 0; pass < o.Measure; pass++ {
+	for pass := 0; pass < statsMeasure; pass++ {
 		for i, q := range queries {
-			r, err := run(q)
+			r, err := query(querier, q, kadop.QueryOptions{})
 			if err != nil {
-				return nil, fmt.Errorf("experiments: stats: measure: %w", err)
+				return nil, fmt.Errorf("measure: %w", err)
 			}
+			res.FetchWork += r.Cost.RootFetches + r.Cost.BlocksFetched
+			res.JoinWork += r.Cost.PostingsScanned
+			res.AnswerWork += r.Cost.DocsEvaluated
 			if r.Estimate == nil {
-				return nil, fmt.Errorf("experiments: stats: query %q produced no estimate", statsQueries[i])
+				res.Unestimated++
+				continue
 			}
 			actual := int64(r.IndexMatches)
 			relErr := math.Abs(r.Estimate.Matches-float64(actual)) / math.Max(float64(actual), 1)
@@ -155,57 +108,42 @@ func RunStats(o StatsOptions) (*StatsResult, error) {
 			rows[i].Query = statsQueries[i]
 			rows[i].Estimated = r.Estimate.Matches
 			rows[i].Actual = actual
-			if relErr > rows[i].RelErr {
-				rows[i].RelErr = relErr
-			}
-			res.FetchWork += r.Cost.RootFetches + r.Cost.BlocksFetched
-			res.JoinWork += r.Cost.PostingsScanned
-			res.AnswerWork += r.Cost.DocsEvaluated
+			rows[i].RelErr = max(rows[i].RelErr, relErr)
 		}
 	}
 	res.Rows = rows
 	sort.Float64s(errs)
 	quantile := func(q float64) float64 {
-		idx := int(math.Ceil(q*float64(len(errs)))) - 1
-		if idx < 0 {
-			idx = 0
+		if len(errs) == 0 {
+			return 0
 		}
-		return errs[idx]
+		return errs[max(0, int(math.Ceil(q*float64(len(errs))))-1)]
 	}
 	res.ErrP50, res.ErrP95 = quantile(0.50), quantile(0.95)
 	res.RegistryP95 = querier.Stats().ErrorQuantile(0.95)
-
-	if res.ErrP95 > o.ErrBound {
-		return nil, fmt.Errorf("experiments: stats: p95 relative error %.3f exceeds bound %.3f after %d warmup passes",
-			res.ErrP95, o.ErrBound, o.Warmup)
-	}
-	for _, ph := range []struct {
-		name string
-		work int64
-	}{{"fetch", res.FetchWork}, {"join", res.JoinWork}, {"answers", res.AnswerWork}} {
-		if ph.work == 0 {
-			return nil, fmt.Errorf("experiments: stats: phase %s reported zero actuals — an operator stopped counting", ph.name)
-		}
-	}
 	return res, nil
 }
 
-// Format renders the statistics experiment report.
-func (r *StatsResult) Format() string {
+func (r *statsResult) report() ([]section, []bound) {
 	rows := make([][]string, 0, len(r.Rows))
 	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Query,
-			fmt.Sprintf("%.1f", row.Estimated),
-			fmt.Sprintf("%d", row.Actual),
-			fmt.Sprintf("%.3f", row.RelErr),
-		})
+		rows = append(rows, []string{row.Query, fmt.Sprintf("%.1f", row.Estimated), itoa(row.Actual), fmt.Sprintf("%.3f", row.RelErr)})
 	}
-	out := "Statistics registry — cardinality estimates vs twig-join actuals (trained EWMAs)\n" +
-		table([]string{"query", "est-matches", "actual", "max-rel-err"}, rows)
-	out += fmt.Sprintf("\nrelative error: p50 %.3f, p95 %.3f (bound %.3f); registry bucketed p95 %.3g\n",
-		r.ErrP50, r.ErrP95, r.ErrBound, r.RegistryP95)
-	out += fmt.Sprintf("actuals: %d blocks+roots fetched, %d postings scanned, %d docs evaluated\n",
-		r.FetchWork, r.JoinWork, r.AnswerWork)
-	return out
+	return []section{
+			{"Statistics registry — cardinality estimates vs twig-join actuals (trained EWMAs)",
+				[]string{"query", "est-matches", "actual", "max-rel-err"}, rows},
+			{title: fmt.Sprintf("\nrelative error: p50 %.3f, p95 %.3f; registry bucketed p95 %.3g\nactuals: %d blocks+roots fetched, %d postings scanned, %d docs evaluated",
+				r.ErrP50, r.ErrP95, r.RegistryP95, r.FetchWork, r.JoinWork, r.AnswerWork)},
+		},
+		// Every measured query carries an estimate within the error
+		// bound, and every phase of the cost plane reports actuals: an
+		// operator that stops counting is an observability bug no
+		// dashboard would catch.
+		[]bound{
+			{"measured queries without an estimate", float64(r.Unestimated), "==", 0},
+			{fmt.Sprintf("p95 relative estimation error after %d warmup passes", statsWarmup), r.ErrP95, "<=", statsErrBound},
+			{"fetch actuals (blocks+roots)", float64(r.FetchWork), ">=", 1},
+			{"join actuals (postings scanned)", float64(r.JoinWork), ">=", 1},
+			{"answer actuals (docs evaluated)", float64(r.AnswerWork), ">=", 1},
+		}
 }

@@ -8,69 +8,46 @@ import (
 	"kadop/internal/workload"
 )
 
-// Table1Options scale the Table 1 measurement (average dyadic-cover
-// size per dataset shape).
-type Table1Options struct {
-	// Elements overrides each shape's element count (0 keeps defaults).
-	Elements int
-	Seed     int64
-}
-
-// Table1Row is one dataset's measurement.
-type Table1Row struct {
+// table1Row is one dataset's measurement.
+type table1Row struct {
 	Dataset  string
 	Elements int
 	AvgCover float64
 	TwoL     int // 2·l, where 2^l bounds the position space (as in Table 1)
 }
 
-// Table1Result is the Table 1 reproduction.
-type Table1Result struct {
-	Rows []Table1Row
-}
+type table1Result struct{ Rows []table1Row }
 
-// RunTable1 reproduces Table 1: the average size of the dyadic cover
+// runTable1 reproduces Table 1: the average size of the dyadic cover
 // |D(e)| over element populations shaped like IMDB, XMark, SwissProt,
 // NASA and DBLP. The paper's point — XML elements are narrow, so covers
 // average ~1.2–1.6 intervals, far below the worst-case 2l — is what the
-// measurement demonstrates.
-func RunTable1(o Table1Options) (*Table1Result, error) {
-	res := &Table1Result{}
-	for _, s := range workload.Table1Shapes() {
-		if o.Elements > 0 {
-			s.Elements = o.Elements
-		}
-		widths := s.Widths(o.Seed)
+// measurement demonstrates. The shapes fix their own sizes.
+func runTable1(s Scale) (*table1Result, error) {
+	res := &table1Result{}
+	for _, shape := range workload.Table1Shapes() {
+		widths := shape.Widths(s.Seed)
 		var sum float64
 		maxPos := uint64(1)
 		for _, w := range widths {
 			sum += float64(dyadic.CoverSize(1, w))
-			if w > maxPos {
-				maxPos = w
-			}
+			maxPos = max(maxPos, w)
 		}
-		l := int(math.Ceil(math.Log2(float64(maxPos))))
-		res.Rows = append(res.Rows, Table1Row{
-			Dataset:  s.Name,
+		res.Rows = append(res.Rows, table1Row{
+			Dataset:  shape.Name,
 			Elements: len(widths),
 			AvgCover: sum / float64(len(widths)),
-			TwoL:     2 * l,
+			TwoL:     2 * int(math.Ceil(math.Log2(float64(maxPos)))),
 		})
 	}
 	return res, nil
 }
 
-// Format renders the table.
-func (r *Table1Result) Format() string {
+func (r *table1Result) report() ([]section, []bound) {
 	rows := make([][]string, 0, len(r.Rows))
 	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Dataset,
-			fmt.Sprintf("%d", row.Elements),
-			fmt.Sprintf("%.2f", row.AvgCover),
-			fmt.Sprintf("%d", row.TwoL),
-		})
+		rows = append(rows, []string{row.Dataset, itoa(row.Elements), fmt.Sprintf("%.2f", row.AvgCover), itoa(row.TwoL)})
 	}
-	return "Table 1 — average size of the dyadic cover\n" +
-		table([]string{"data set", "element count", "|D(e)|", "2l"}, rows)
+	return []section{{"Table 1 — average size of the dyadic cover",
+		[]string{"data set", "element count", "|D(e)|", "2l"}, rows}}, nil
 }

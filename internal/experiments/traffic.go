@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"fmt"
+	"errors"
 	"sync"
 
 	"kadop/internal/kadop"
@@ -10,114 +10,65 @@ import (
 	"kadop/internal/workload"
 )
 
-// TrafficOptions scale the Section 4.3 traffic-consumption experiment:
-// a workload of concurrent data-intensive queries over growing indexed
-// volumes.
-type TrafficOptions struct {
-	Records    []int
-	Peers      int
-	Queries    int // workload size (the paper uses 50)
-	QueryPeers int // distinct submitting peers (the paper uses 50)
-	Seed       int64
-}
+// trafficQueries is the workload size; the paper submits 50 queries
+// from 50 peers, here one per peer in turn.
+const trafficQueries = 50
 
-func (o TrafficOptions) defaults() TrafficOptions {
-	if len(o.Records) == 0 {
-		o.Records = []int{500, 1000, 1500, 2000}
-	}
-	if o.Peers <= 0 {
-		o.Peers = 24
-	}
-	if o.Queries <= 0 {
-		o.Queries = 50
-	}
-	if o.QueryPeers <= 0 {
-		o.QueryPeers = o.Peers
-	}
-	return o
-}
-
-// TrafficRow is one measurement.
-type TrafficRow struct {
+// trafficRow is one measurement.
+type trafficRow struct {
 	Records      int
 	SizeBytes    int
 	QueryTraffic int64 // bytes moved by query processing
 	IndexTraffic int64 // bytes moved during publication
 }
 
-// TrafficResult is the Section 4.3 sweep.
-type TrafficResult struct {
-	Rows []TrafficRow
-}
+type trafficResult struct{ Rows []trafficRow }
 
-// RunTraffic reproduces the Section 4.3 traffic experiment: a workload
+// runTraffic reproduces the Section 4.3 traffic experiment: a workload
 // of queries over long posting lists, submitted concurrently from many
 // peers, measuring the total transferred volume per indexed size. The
 // paper reports 32/66/95/127 MB for 200–800 MB indexed — linear growth,
 // which is the property checked here.
-func RunTraffic(o TrafficOptions) (*TrafficResult, error) {
-	o = o.defaults()
-	res := &TrafficResult{}
-	queries := workload.QueryMix(o.Seed, o.Queries)
-	for _, records := range o.Records {
-		docs := workload.DBLP{Seed: o.Seed, Records: records}.Documents()
-		cl, err := NewCluster(ClusterOptions{Peers: o.Peers})
+func runTraffic(s Scale) (*trafficResult, error) {
+	res := &trafficResult{}
+	queries := workload.QueryMix(s.Seed, trafficQueries)
+	for _, records := range s.Records {
+		docs := s.dblp(records)
+		row := trafficRow{Records: records, SizeBytes: workload.SizeBytes(docs)}
+		err := withCluster(ClusterOptions{Peers: s.Peers}, docs, func(cl *Cluster) error {
+			col := cl.Net.Collector
+			row.IndexTraffic = col.Bytes(metrics.Index)
+			col.Reset()
+			var wg sync.WaitGroup
+			errs := make([]error, len(queries))
+			for i, qs := range queries {
+				wg.Add(1)
+				go func(i int, qs string) {
+					defer wg.Done()
+					q, err := pattern.Parse(qs)
+					if err == nil {
+						_, err = cl.Peers[i%len(cl.Peers)].Query(q, kadop.QueryOptions{IndexOnly: true})
+					}
+					errs[i] = err
+				}(i, qs)
+			}
+			wg.Wait()
+			row.QueryTraffic = col.Bytes(metrics.Postings) + col.Bytes(metrics.Control)
+			return errors.Join(errs...)
+		})
 		if err != nil {
 			return nil, err
 		}
-		if _, err := cl.PublishAll(docs, 4); err != nil {
-			cl.Close()
-			return nil, err
-		}
-		indexBytes := cl.Net.Collector.Bytes(metrics.Index)
-		cl.Net.Collector.Reset()
-
-		var wg sync.WaitGroup
-		errs := make([]error, len(queries))
-		for i, qs := range queries {
-			wg.Add(1)
-			go func(i int, qs string) {
-				defer wg.Done()
-				q, err := pattern.Parse(qs)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				peer := cl.Peers[i%o.QueryPeers%len(cl.Peers)]
-				if _, err := peer.Query(q, kadop.QueryOptions{IndexOnly: true}); err != nil {
-					errs[i] = err
-				}
-			}(i, qs)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				cl.Close()
-				return nil, err
-			}
-		}
-		queryBytes := cl.Net.Collector.Bytes(metrics.Postings) +
-			cl.Net.Collector.Bytes(metrics.Control)
-		cl.Close()
-		res.Rows = append(res.Rows, TrafficRow{
-			Records: records, SizeBytes: workload.SizeBytes(docs),
-			QueryTraffic: queryBytes, IndexTraffic: indexBytes,
-		})
+		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
 
-// Format renders the traffic table.
-func (r *TrafficResult) Format() string {
+func (r *trafficResult) report() ([]section, []bound) {
 	rows := make([][]string, 0, len(r.Rows))
 	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", row.Records),
-			mb(int64(row.SizeBytes)),
-			mb(row.QueryTraffic),
-			mb(row.IndexTraffic),
-		})
+		rows = append(rows, []string{itoa(row.Records), mb(int64(row.SizeBytes)), mb(row.QueryTraffic), mb(row.IndexTraffic)})
 	}
-	return "Section 4.3 — traffic for the 50-query workload vs indexed data\n" +
-		table([]string{"records", "indexed(MB)", "query traffic(MB)", "index traffic(MB)"}, rows)
+	return []section{{"Section 4.3 — traffic for the 50-query workload vs indexed data",
+		[]string{"records", "indexed(MB)", "query traffic(MB)", "index traffic(MB)"}, rows}}, nil
 }
