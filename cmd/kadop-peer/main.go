@@ -7,7 +7,8 @@
 //	kadop-peer -listen 127.0.0.1:7002 -id 2 -bootstrap 127.0.0.1:7001
 //
 // The peer serves its slice of the distributed index and answers
-// phase-two query evaluation for the documents it publishes. Use
+// phase-two query evaluation (queries with a wildcard) for the
+// documents it publishes. Use
 // kadop-publish and kadop-query against any running peer.
 package main
 

@@ -2,7 +2,8 @@
 // deployment. It starts an ephemeral publishing peer, joins through the
 // given bootstrap address, publishes each file, and keeps serving until
 // interrupted (the documents live at their publishing peer, so the
-// process must stay up for phase-two query evaluation).
+// process must stay up for phase-two query evaluation, which queries
+// with a wildcard need).
 //
 //	kadop-publish -bootstrap 127.0.0.1:7001 -id 10 docs/*.xml
 package main

@@ -23,13 +23,18 @@ const (
 // The gate. Group commit must cut the WAL commits of an fsync=always
 // publish by at least minCommitGain — a count, so it holds under any
 // scheduler and under the race detector; the headline runs land far
-// higher, the bound only has to catch the coalescer breaking. Query
-// p99 during a bulk publish into the queried cluster is bounded by
-// maxP99x × max(idle p99, control p99) + p99Slack.
+// higher. That gain mixes two causes: the per-call merge of postings
+// by term and the coalescer. So each commit beneath the coalescer must
+// also carry at least minWritesPerCommit of the writes handed to it,
+// which only the coalescer can do: without it the ratio is exactly 1,
+// at every scale. Query p99 during a bulk publish into the queried
+// cluster is bounded by maxP99x × max(idle p99, control p99) +
+// p99Slack.
 const (
-	minCommitGain = 2.0
-	maxP99x       = 1.5
-	p99Slack      = 25 * time.Millisecond
+	minCommitGain      = 2.0
+	minWritesPerCommit = 2.0
+	maxP99x            = 1.5
+	p99Slack           = 25 * time.Millisecond
 )
 
 // durabilityRow is one publish of the corpus at one fsync policy.
@@ -39,6 +44,7 @@ type durabilityRow struct {
 	Docs    int
 	Publish time.Duration // wall clock of the whole publish
 	Commits int64         // writes that reached the B+-trees
+	Handed  int64         // writes handed to the coalescers (Batched rows)
 	Reopen  time.Duration // sum over peers of post-close reopen time
 }
 
@@ -83,7 +89,7 @@ func runDurability(s Scale) (*durabilityResult, error) {
 			if row.Publish, err = cl.PublishAll(docs, durabilityPublishers, v.batch); err != nil {
 				return fmt.Errorf("publish under %v: %w", v.policy, err)
 			}
-			row.Commits = cl.commits.Load()
+			row.Commits, row.Handed = cl.commits.Load(), cl.handed.Load()
 			row.Reopen, err = cl.reopen()
 			return err
 		})
@@ -178,7 +184,11 @@ func (r *durabilityResult) report() ([]section, []bound) {
 	}
 	plain, batched := r.Rows[2], r.Rows[3] // fsync=always, per document and batched
 	commitGain := float64(plain.Commits) / float64(max(batched.Commits, 1))
-	bounds := []bound{{"WAL commits at fsync=always, per-op / group commit", commitGain, ">=", minCommitGain}}
+	bounds := []bound{
+		{"WAL commits at fsync=always, per-op / group commit", commitGain, ">=", minCommitGain},
+		{"writes handed to the coalescers per WAL commit (batched fsync=always)",
+			float64(batched.Handed) / float64(max(batched.Commits, 1)), ">=", minWritesPerCommit},
+	}
 	// Wall-clock bounds are only trusted without the race detector: its
 	// scheduling overhead adds noise on the order of the margins.
 	if !raceEnabled {

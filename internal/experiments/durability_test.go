@@ -41,9 +41,10 @@ func TestDurabilityShape(t *testing.T) {
 
 // TestThroughputShape checks the durability experiment's gate: group
 // commit cuts the WAL commits of a publish at fsync=always by the
-// gated factor, and query latency is sampled idle, next to and during
-// a bulk publish (the p99 bound is evaluated without the race
-// detector only).
+// gated factor, each commit beneath the coalescer carries several of
+// the writes handed to it, and query latency is sampled idle, next to
+// and during a bulk publish (the p99 bound is evaluated without the
+// race detector only).
 func TestThroughputShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("publishes several corpora against disk stores")
@@ -56,6 +57,9 @@ func TestThroughputShape(t *testing.T) {
 	if plain, batched := res.Rows[2], res.Rows[3]; batched.Commits >= plain.Commits || batched.docsSec() <= 0 {
 		t.Fatalf("group commit did not cut commits: per-op %+v, batched %+v", plain, batched)
 	}
+	if batched := res.Rows[3]; batched.Handed <= batched.Commits {
+		t.Fatalf("the coalescers merged nothing: %d writes handed, %d commits", batched.Handed, batched.Commits)
+	}
 	for _, l := range [][]time.Duration{res.Idle, res.Control, res.Busy} {
 		if len(l) < durabilityQueries || quantileDur(l, 0.99) <= 0 {
 			t.Fatalf("degenerate latency phase %v", l)
@@ -64,7 +68,7 @@ func TestThroughputShape(t *testing.T) {
 			t.Fatalf("quantiles inverted: %v", l)
 		}
 	}
-	for _, want := range []string{"group commit", "fewer WAL commits", "idle cluster", "bulk publish elsewhere", "during bulk publish", "gate: WAL commits"} {
+	for _, want := range []string{"group commit", "fewer WAL commits", "idle cluster", "bulk publish elsewhere", "during bulk publish", "gate: WAL commits", "gate: writes handed to the coalescers"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}

@@ -22,13 +22,16 @@ const (
 )
 
 // statsQueries is the measured workload: the paper's stress query plus
-// two broader shapes. The shapes are edge-disjoint on purpose — two
+// three broader shapes. The shapes are edge-disjoint on purpose — two
 // queries training one edge to different reductions would oscillate
-// the EWMA and measure the workload's ambiguity, not the registry.
+// the EWMA and measure the workload's ambiguity, not the registry. The
+// last has a wildcard, so phase two runs and its actuals are counted
+// too; the index join answers the others.
 var statsQueries = []string{
 	Fig3Query,
 	`//inproceedings//author`,
 	`//article//title`,
+	`//dblp/*/year`,
 }
 
 // statsRow is one query shape's measurement.

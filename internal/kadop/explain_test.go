@@ -12,17 +12,25 @@ import (
 // TestCostPlaneEndToEnd drives a DPP cluster and checks the whole cost
 // plane on a real query: operator actuals populated for every phase,
 // an estimate present once the fetch plans supply cardinalities, the
-// registry trained, and the shared explain renderer showing both.
+// registry trained, and the shared explain renderer showing both. The
+// query has a wildcard so that phase two runs; without it the index
+// join answers, and no document is evaluated.
 func TestCostPlaneEndToEnd(t *testing.T) {
 	c := newCluster(t, 8, Config{UseDPP: true, DPP: dpp.Options{BlockSize: 4}})
-	publishAll(t, c, dblpDocs)
+	truth := publishAll(t, c, dblpDocs)
+	answerCalls := countAnswerCalls(c)
 	querier := c.peers[len(c.peers)-1]
 	tr := trace.New(4)
 	querier.Node().SetTracer(tr)
 
-	q := pattern.MustParse(`//article//author[. contains "Ullman"]`)
-	var res *Result
-	var err error
+	exact := pattern.MustParse(`//article//author[. contains "Ullman"]`)
+	res, err := querier.Query(exact, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkIndexAnswered(t, res, truth(exact), answerCalls.Load())
+
+	q := pattern.MustParse(`//*//author[. contains "Ullman"]`)
 	for i := 0; i < 3; i++ { // repeats train the selectivity EWMAs
 		if res, err = querier.Query(q, QueryOptions{}); err != nil {
 			t.Fatal(err)
