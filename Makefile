@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-one bench-pair bench-smoke fuzz-smoke crash-smoke gate-smoke loc
+.PHONY: build test check bench bench-one bench-pair bench-smoke fuzz-smoke crash-smoke gate-smoke tcp-smoke loc
 
 build:
 	$(GO) build ./...
@@ -47,6 +47,42 @@ gate-smoke:
 CRASH_TRIALS ?= 160
 crash-smoke:
 	KADOP_CRASH_TRIALS=$(CRASH_TRIALS) $(GO) test -run 'TestCrash' -count=1 ./internal/store/
+
+# tcp-smoke runs README's TCP recipe on loopback with the real binaries:
+# three kadop-peers (each address read from its "listening on" line), a
+# 40-record kadop-gen corpus served by kadop-publish, then kadop-query
+# once per -strategy. It fails when a strategy errors or returns a
+# different answer count from conventional, and kills every process it
+# started on exit. The sim-only tests cannot catch a request the TCP
+# server routes differently from the simulated network.
+TCP_SMOKE_QUERY := //article//author[. contains "Ullman"]
+tcp-smoke:
+	@set -e; d=$$(mktemp -d); pids=""; \
+	trap 'kill $$pids 2>/dev/null || true; wait 2>/dev/null || true; rm -rf $$d' EXIT; \
+	$(GO) build -o $$d/ ./cmd/kadop-peer ./cmd/kadop-gen ./cmd/kadop-publish ./cmd/kadop-query; \
+	wait_for() { \
+		for _ in $$(seq 100); do grep -q "$$2" $$1 && return 0; sleep 0.1; done; \
+		echo "tcp-smoke: no \"$$2\" in $$1:"; cat $$1; return 1; \
+	}; \
+	boot=""; \
+	for i in 1 2 3; do \
+		$$d/kadop-peer -listen 127.0.0.1:0 -id $$i $${boot:+-bootstrap $$boot} > $$d/peer$$i.log 2>&1 & pids="$$pids $$!"; \
+		wait_for $$d/peer$$i.log "listening on"; \
+		[ -n "$$boot" ] || boot=$$(sed -n 's/.* listening on //p' $$d/peer$$i.log); \
+	done; \
+	$$d/kadop-gen -corpus dblp -records 40 -out $$d/corpus > /dev/null; \
+	$$d/kadop-publish -bootstrap $$boot -id 10 $$d/corpus/*.xml > $$d/publish.log 2>&1 & pids="$$pids $$!"; \
+	wait_for $$d/publish.log "serving published documents"; \
+	want=""; \
+	for s in conventional ab db bloom subquery; do \
+		out=$$($$d/kadop-query -bootstrap $$boot -id 99 -strategy $$s '$(TCP_SMOKE_QUERY)' 2>&1) \
+			|| { echo "tcp-smoke: -strategy $$s failed:"; echo "$$out"; exit 1; }; \
+		n=$$(echo "$$out" | sed -n 's/^total: .*, \([0-9]*\) answers$$/\1/p'); \
+		echo "tcp-smoke: -strategy $$s: $${n:-?} answers"; \
+		[ -n "$$n" ] || { echo "$$out"; exit 1; }; \
+		[ -n "$$want" ] || want=$$n; \
+		[ "$$n" = "$$want" ] || { echo "tcp-smoke: $$s answered $$n, conventional $$want"; exit 1; }; \
+	done
 
 # loc prints the size the ROADMAP and the simplicity issues refer to:
 # lines of non-test, non-generated Go per package of the root module

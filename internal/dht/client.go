@@ -20,21 +20,23 @@ import (
 // — locate, append, get and the pipelined get, delete, and application
 // procedures. Every operation takes the caller's context first.
 
-// rpc is the envelope of every outgoing request — a unary call, or with
-// stream set the opening of a chunk stream: it stamps the sender and the
-// caller's trace ids, bounds each attempt by RPCTimeout, retries
-// transport failures under the node's policy, hands a contact that stays
-// unreachable to the failure detector (the replacement cache refills
-// the bucket), and accounts the outcome — latency histogram, per-peer
-// counters, flight ring, and a child span when the caller is traced.
+// rpc is the envelope of every outgoing request — a unary call, or for
+// a stream type of msgTable the opening of a chunk stream: it stamps the
+// sender and the caller's trace ids, bounds each attempt by RPCTimeout,
+// retries transport failures under the node's policy, hands a contact
+// that stays unreachable to the failure detector (the replacement cache
+// refills the bucket), and accounts the outcome — latency histogram,
+// per-peer counters, flight ring, and a child span when the caller is
+// traced.
 // With once set there is a single attempt, and its failure is left to
 // the caller, which rotates over holders itself: one lost message is no
 // evidence that a peer is gone, and evicting it would send lookups past
 // a live key owner.
-func (n *Node) rpc(ctx context.Context, to Contact, req Message, once, stream bool) (resp Message, ms MsgStream, err error) {
+func (n *Node) rpc(ctx context.Context, to Contact, req Message, once bool) (resp Message, ms MsgStream, err error) {
 	req.From = n.from()
 	req.TraceID, req.SpanID = trace.ID(ctx)
-	op := rpcOp(req.Type)
+	info := req.Type.info()
+	op := info.op
 	start := time.Now()
 	retry := n.cfg.Retry
 	if once {
@@ -44,12 +46,13 @@ func (n *Node) rpc(ctx context.Context, to Contact, req Message, once, stream bo
 		actx, cancel := context.WithTimeout(ctx, n.cfg.RPCTimeout)
 		defer cancel()
 		var cerr error
-		if stream {
+		if info.stream {
 			ms, cerr = n.tr.OpenStream(actx, to, req)
 		} else {
 			resp, cerr = n.tr.Call(actx, to, req)
 		}
-		if cerr != nil && actx.Err() != nil && ctx.Err() == nil {
+		timedOut := actx.Err() != nil || errors.Is(cerr, context.DeadlineExceeded)
+		if cerr != nil && timedOut && ctx.Err() == nil {
 			// The attempt timed out but the caller's budget remains: count
 			// the timeout and report a retryable error (not a context one,
 			// which would end the retry loop).
@@ -76,8 +79,8 @@ func (n *Node) rpc(ctx context.Context, to Contact, req Message, once, stream bo
 		fr.Record(e)
 	}
 	if parent := trace.FromContext(ctx); parent != nil {
-		if stream {
-			op = "stream-open:" + req.Type.String()
+		if info.stream {
+			op = "stream-open:" + info.name
 		}
 		sp := parent.Child(op, start, dur)
 		sp.SetAttr("peer", to.Addr)
@@ -111,7 +114,7 @@ func (n *Node) countPeerRPC(op string, to Contact, err error) {
 // call is the unary RPC: one request, one response, under the node's
 // retry policy.
 func (n *Node) call(ctx context.Context, to Contact, req Message) (Message, error) {
-	resp, _, err := n.rpc(ctx, to, req, false, false)
+	resp, _, err := n.rpc(ctx, to, req, false)
 	return resp, err
 }
 
@@ -146,7 +149,7 @@ func (n *Node) openChunks(ctx context.Context, to Contact, req Message, once boo
 			})
 		}, nil
 	}
-	_, ms, err := n.rpc(ctx, to, req, once, true)
+	_, ms, err := n.rpc(ctx, to, req, once)
 	if err != nil {
 		return nil, err
 	}
@@ -444,10 +447,4 @@ func (n *Node) callProcOwners(ctx context.Context, key, proc string, blob []byte
 func (n *Node) CallProcOn(ctx context.Context, to Contact, key, proc string, blob []byte) ([]byte, error) {
 	resp, err := n.deliver(ctx, to, Message{Type: MsgApp, Key: key, Proc: proc, Blob: blob})
 	return resp.Blob, err
-}
-
-// OpenProcStream opens a posting stream served by a streaming
-// application procedure on a specific peer.
-func (n *Node) OpenProcStream(ctx context.Context, to Contact, key, proc string, blob []byte) (postings.Stream, error) {
-	return n.streamFrom(ctx, to, Message{Type: MsgApp, Key: key, Proc: proc, Blob: blob})
 }

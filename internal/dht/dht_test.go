@@ -3,6 +3,9 @@ package dht
 import (
 	"context"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -339,13 +342,6 @@ func TestAppProcs(t *testing.T) {
 		nd.Handle("echo", func(_ context.Context, from Contact, key string, blob []byte) ([]byte, error) {
 			return append([]byte("echo:"), blob...), nil
 		})
-		nd.HandleStreamProc("stream:first", func(_ context.Context, from Contact, key string, blob []byte, send func(postings.List) error) error {
-			l, err := nodes[0].Store().Get(key)
-			if err != nil {
-				return err
-			}
-			return send(l)
-		})
 	}
 	out, err := nodes[1].CallProc(context.Background(), "anykey", "echo", []byte("hi"))
 	if err != nil {
@@ -535,6 +531,44 @@ func TestStringsNonEmpty(t *testing.T) {
 	}
 	if MsgType(200).String() == "" {
 		t.Error("unknown MsgType should still render")
+	}
+}
+
+// TestEveryMsgTypeHasRow walks the MsgType constants as declared in
+// message.go, so a type added without a msgTable row — which would be
+// served as a nameless, classless unary message — fails here.
+func TestEveryMsgTypeHasRow(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "message.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, d := range f.Decls {
+		g, ok := d.(*ast.GenDecl)
+		if !ok || g.Tok != token.CONST || len(g.Specs) == 0 {
+			continue
+		}
+		if typ, ok := g.Specs[0].(*ast.ValueSpec).Type.(*ast.Ident); !ok || typ.Name != "MsgType" {
+			continue
+		}
+		for _, s := range g.Specs {
+			names = append(names, s.(*ast.ValueSpec).Names[0].Name)
+		}
+	}
+	if len(names) < int(MsgTermsAck) {
+		t.Fatalf("found %d MsgType constants, want at least %d", len(names), MsgTermsAck)
+	}
+	seen := map[string]bool{}
+	for i, name := range names {
+		typ := MsgType(i + 1) // the block counts from iota + 1
+		info := typ.info()
+		if info.name == "" || info.op == "" || info.class == "" {
+			t.Errorf("%s has no complete msgTable row: %+v", name, info)
+		}
+		if seen[info.name] {
+			t.Errorf("%s reuses the name %q", name, info.name)
+		}
+		seen[info.name] = true
 	}
 }
 

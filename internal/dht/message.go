@@ -56,18 +56,57 @@ const (
 	MsgTermsAck
 )
 
-func (t MsgType) String() string {
-	names := map[MsgType]string{
-		MsgPing: "ping", MsgPong: "pong", MsgFindNode: "find-node",
-		MsgNodes: "nodes", MsgAppend: "append", MsgGet: "get",
-		MsgGetStream: "get-stream", MsgDelete: "delete", MsgDeleteKey: "delete-key",
-		MsgChunk: "chunk", MsgEnd: "end", MsgAck: "ack", MsgError: "error",
-		MsgApp: "app", MsgAppReply: "app-reply",
-		MsgDigest: "digest", MsgDigestAck: "digest-ack", MsgRepair: "repair",
-		MsgGetBatch: "get-batch", MsgTerms: "terms", MsgTermsAck: "terms-ack",
+// msgInfo is what the package knows about a message type: its name,
+// the histogram its outgoing RPCs are timed in, its traffic class, and
+// whether a request of this type is answered by a chunk stream
+// (Handler.HandleStream) rather than by one response (HandleCall).
+// Clients open a stream and both transports serve one by this flag
+// alone, so the two sides cannot disagree.
+type msgInfo struct {
+	name   string
+	op     string
+	class  metrics.Class
+	stream bool
+}
+
+// msgTable has one row per message type. The classes of MsgApp,
+// MsgAppReply and MsgAck are defaults that Message.Class refines.
+var msgTable = [...]msgInfo{
+	MsgPing:      {"ping", metrics.OpRPCPing, metrics.Routing, false},
+	MsgPong:      {"pong", metrics.OpRPCOther, metrics.Routing, false},
+	MsgFindNode:  {"find-node", metrics.OpRPCFindNode, metrics.Routing, false},
+	MsgNodes:     {"nodes", metrics.OpRPCOther, metrics.Routing, false},
+	MsgAppend:    {"append", metrics.OpRPCAppend, metrics.Index, false},
+	MsgGet:       {"get", metrics.OpRPCGet, metrics.Postings, false},
+	MsgGetStream: {"get-stream", metrics.OpRPCGetStream, metrics.Postings, true},
+	MsgDelete:    {"delete", metrics.OpRPCDelete, metrics.Index, false},
+	MsgDeleteKey: {"delete-key", metrics.OpRPCDeleteKey, metrics.Index, false},
+	MsgChunk:     {"chunk", metrics.OpRPCOther, metrics.Postings, false},
+	MsgEnd:       {"end", metrics.OpRPCOther, metrics.Postings, false},
+	MsgAck:       {"ack", metrics.OpRPCOther, metrics.Control, false},
+	MsgError:     {"error", metrics.OpRPCOther, metrics.Other, false},
+	MsgApp:       {"app", metrics.OpRPCApp, metrics.Control, false},
+	MsgAppReply:  {"app-reply", metrics.OpRPCOther, metrics.Control, false},
+	MsgDigest:    {"digest", metrics.OpRPCDigest, metrics.Repair, false},
+	MsgDigestAck: {"digest-ack", metrics.OpRPCOther, metrics.Repair, false},
+	MsgRepair:    {"repair", metrics.OpRPCRepair, metrics.Repair, false},
+	MsgGetBatch:  {"get-batch", metrics.OpRPCGetBatch, metrics.Postings, true},
+	MsgTerms:     {"terms", metrics.OpRPCTerms, metrics.Repair, false},
+	MsgTermsAck:  {"terms-ack", metrics.OpRPCOther, metrics.Repair, false},
+}
+
+// info returns the type's row; a type without one (a newer peer's, or
+// garbage) is an unnamed unary message of no class.
+func (t MsgType) info() msgInfo {
+	if int(t) < len(msgTable) && msgTable[t].name != "" {
+		return msgTable[t]
 	}
-	if s, ok := names[t]; ok {
-		return s
+	return msgInfo{op: metrics.OpRPCOther, class: metrics.Other}
+}
+
+func (t MsgType) String() string {
+	if name := t.info().name; name != "" {
+		return name
 	}
 	return fmt.Sprintf("msg(%d)", t)
 }
@@ -102,50 +141,14 @@ type Message struct {
 	Shed bool
 }
 
-// rpcOp returns the fixed histogram operation name for a message type,
-// avoiding a per-call string concatenation on the RPC hot path.
-func rpcOp(t MsgType) string {
-	switch t {
-	case MsgPing:
-		return metrics.OpRPCPing
-	case MsgFindNode:
-		return metrics.OpRPCFindNode
-	case MsgAppend:
-		return metrics.OpRPCAppend
-	case MsgGet:
-		return metrics.OpRPCGet
-	case MsgGetStream:
-		return metrics.OpRPCGetStream
-	case MsgGetBatch:
-		return metrics.OpRPCGetBatch
-	case MsgDelete:
-		return metrics.OpRPCDelete
-	case MsgDeleteKey:
-		return metrics.OpRPCDeleteKey
-	case MsgApp:
-		return metrics.OpRPCApp
-	case MsgDigest:
-		return metrics.OpRPCDigest
-	case MsgRepair:
-		return metrics.OpRPCRepair
-	case MsgTerms:
-		return metrics.OpRPCTerms
-	}
-	return metrics.OpRPCOther
-}
-
-// Class attributes the message to a traffic class for accounting.
-// Application procedures choose their class by name prefix: "filter:"
-// counts as filter traffic, "index:" as indexing traffic, "stream:" as
-// posting transfers; everything else is control traffic.
+// Class attributes the message to a traffic class for accounting: its
+// type's, except that application procedures choose theirs by name
+// prefix — "filter:" counts as filter traffic, "index:" as indexing
+// traffic, "stream:" as posting transfers, everything else as control
+// traffic — and an ack answering a blocking get, which carries the
+// full posting list, counts as posting traffic.
 func (m Message) Class() metrics.Class {
 	switch m.Type {
-	case MsgPing, MsgPong, MsgFindNode, MsgNodes:
-		return metrics.Routing
-	case MsgAppend:
-		return metrics.Index
-	case MsgGet, MsgGetStream, MsgGetBatch, MsgChunk, MsgEnd:
-		return metrics.Postings
 	case MsgApp, MsgAppReply:
 		switch {
 		case strings.HasPrefix(m.Proc, "filter:ab"), strings.HasPrefix(m.Proc, "filter:hybrid-ab"):
@@ -159,20 +162,12 @@ func (m Message) Class() metrics.Class {
 		case strings.HasPrefix(m.Proc, "stream:"):
 			return metrics.Postings
 		}
-		return metrics.Control
-	case MsgDelete, MsgDeleteKey:
-		return metrics.Index
-	case MsgDigest, MsgDigestAck, MsgRepair, MsgTerms, MsgTermsAck:
-		return metrics.Repair
 	case MsgAck:
-		// Acks answering a blocking get carry the full posting list;
-		// plain acks are control chatter.
 		if len(m.Postings) > 0 {
 			return metrics.Postings
 		}
-		return metrics.Control
 	}
-	return metrics.Other
+	return m.Type.info().class
 }
 
 // Encode serialises the message. Both transports use this codec, so a

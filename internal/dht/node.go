@@ -90,11 +90,6 @@ func (c Config) withDefaults() Config {
 // originating query.
 type ProcHandler func(ctx context.Context, from Contact, key string, blob []byte) ([]byte, error)
 
-// StreamProcHandler serves one streaming application procedure; it
-// sends posting batches through send. The context carries the calling
-// query's trace span, as for ProcHandler.
-type StreamProcHandler func(ctx context.Context, from Contact, key string, blob []byte, send func(postings.List) error) error
-
 // Node is one DHT peer: routing table, local store, and the wire
 // handlers for the DHT interface (plus registered application
 // procedures).
@@ -118,9 +113,8 @@ type Node struct {
 	gate   atomic.Pointer[ShedGate]
 	gauges gaugeCache
 
-	mu          sync.RWMutex
-	procs       map[string]ProcHandler
-	streamProcs map[string]StreamProcHandler
+	mu    sync.RWMutex
+	procs map[string]ProcHandler
 
 	loopMu    sync.Mutex
 	stopLoops []func() // the running maintenance loops' stop functions
@@ -141,13 +135,12 @@ type Node struct {
 // address.
 func NewNode(tr Transport, st store.Store, cfg Config) (*Node, error) {
 	n := &Node{
-		self:        Contact{ID: PeerIDFromSeed(tr.Addr()), Addr: tr.Addr()},
-		cfg:         cfg.withDefaults(),
-		tr:          tr,
-		load:        metrics.NewLoad(metrics.DefaultHotTerms),
-		reg:         metrics.NewRegistry(),
-		procs:       map[string]ProcHandler{},
-		streamProcs: map[string]StreamProcHandler{},
+		self:  Contact{ID: PeerIDFromSeed(tr.Addr()), Addr: tr.Addr()},
+		cfg:   cfg.withDefaults(),
+		tr:    tr,
+		load:  metrics.NewLoad(metrics.DefaultHotTerms),
+		reg:   metrics.NewRegistry(),
+		procs: map[string]ProcHandler{},
 	}
 	// Every store operation — replicated appends, repair pushes, posting
 	// streams, DPP block serves — accrues to this node's per-peer load
@@ -245,14 +238,6 @@ func (n *Node) Handle(proc string, h ProcHandler) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.procs[proc] = h
-}
-
-// HandleStreamProc registers a streaming application procedure. By
-// convention stream procedure names begin with "stream:".
-func (n *Node) HandleStreamProc(proc string, h StreamProcHandler) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.streamProcs[proc] = h
 }
 
 // Close stops the maintenance loops and shuts the node's transport

@@ -21,12 +21,6 @@ func (n *Node) lookupProc(proc string) ProcHandler {
 	return n.procs[proc]
 }
 
-func (n *Node) lookupStreamProc(proc string) StreamProcHandler {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.streamProcs[proc]
-}
-
 // serverContext opens a server-side span for a request that arrived
 // with trace ids and returns a context carrying it. With no tracer or
 // an untraced request it returns the background context and nil.
@@ -75,7 +69,7 @@ func (n *Node) serve(ctx context.Context, from Contact, req Message) (Message, e
 	case MsgAppend, MsgRepair:
 		return ack, n.store.Append(req.Key, req.Postings)
 	case MsgGet:
-		if err := n.admitRead(rpcOp(req.Type)); err != nil {
+		if err := n.admitRead(req.Type.info().op); err != nil {
 			return Message{}, err
 		}
 		l, err := n.localGet(req.Key)
@@ -131,46 +125,36 @@ func (n *Node) serve(ctx context.Context, from Contact, req Message) (Message, e
 	return Message{}, fmt.Errorf("unexpected message type %s", req.Type)
 }
 
-// HandleStream implements Handler for pipelined transfers. Outgoing
-// chunks carry the peer's load gauge like call responses do, and the
-// posting-read streams pass the admission gate: a shed stream fails
-// before any store work, and the rejection reaches the consumer as a
-// stream error it answers by failing over to another replica.
+// HandleStream implements Handler for the stream types of msgTable, the
+// posting reads. Outgoing chunks carry the peer's load gauge like call
+// responses do, and every stream passes the admission gate: a shed
+// stream fails before any store work, and the rejection reaches the
+// consumer as a stream error it answers by failing over to another
+// replica.
 func (n *Node) HandleStream(from Contact, req Message, send func(Message) error) error {
 	n.table.Update(from)
-	ctx, sp := n.serverContext(req)
+	_, sp := n.serverContext(req)
 	defer sp.Finish()
-	// Every stream reads postings except an application procedure not
-	// named "stream:".
-	if req.Type != MsgApp || isStreamProc(req.Proc) {
-		if err := n.admitRead(rpcOp(req.Type)); err != nil {
-			return err
-		}
+	info := req.Type.info()
+	if !info.stream {
+		return fmt.Errorf("unexpected stream request %s", req.Type)
+	}
+	if err := n.admitRead(info.op); err != nil {
+		return err
 	}
 	stamped := func(m Message) error { return send(n.stampGauge(m)) }
-	switch req.Type {
-	case MsgGetStream:
+	if req.Type == MsgGetStream {
 		return n.streamKeys(BatchGet{Keys: []string{req.Key}}, plainChunks, stamped)
-	case MsgGetBatch:
-		breq, packed, err := decodeBatchRequest(req.Blob)
-		if err != nil {
-			return err
-		}
-		framing := keyedChunks
-		if packed {
-			framing = packedFrames
-		}
-		return n.streamKeys(breq, framing, stamped)
-	case MsgApp:
-		h := n.lookupStreamProc(req.Proc)
-		if h == nil {
-			return fmt.Errorf("unknown stream procedure %q", req.Proc)
-		}
-		return h(ctx, from, req.Key, req.Blob, func(batch postings.List) error {
-			return stamped(Message{Type: MsgChunk, From: n.self, Postings: batch})
-		})
 	}
-	return fmt.Errorf("unexpected stream request %s", req.Type)
+	breq, packed, err := decodeBatchRequest(req.Blob)
+	if err != nil {
+		return err
+	}
+	framing := keyedChunks
+	if packed {
+		framing = packedFrames
+	}
+	return n.streamKeys(breq, framing, stamped)
 }
 
 // chunkFraming is how streamKeys puts a key's postings on the wire.

@@ -110,9 +110,9 @@ func (t *TCPTransport) acceptLoop() {
 }
 
 // serveConn serves request frames on one connection until the peer
-// hangs up. Stream requests take the connection over: after the final
-// chunk the connection closes, matching the client, which dedicates a
-// connection per stream.
+// hangs up. A request of a stream type (msgTable) takes the connection
+// over: after the final chunk the connection closes, matching the
+// client, which dedicates a connection per stream.
 func (t *TCPTransport) serveConn(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	for {
@@ -127,7 +127,7 @@ func (t *TCPTransport) serveConn(conn net.Conn) {
 			writeFrame(conn, Message{Type: MsgError, Err: "not serving"}, t.collector)
 			return
 		}
-		if isStreamRequest(req) {
+		if req.Type.info().stream {
 			err := h.HandleStream(req.From, req, func(chunk Message) error {
 				return writeFrame(conn, chunk, t.collector)
 			})
@@ -143,22 +143,6 @@ func (t *TCPTransport) serveConn(conn net.Conn) {
 			return
 		}
 	}
-}
-
-// isStreamRequest reports whether a request frame is answered with a
-// chunk stream (HandleStream) rather than one response (HandleCall).
-func isStreamRequest(req Message) bool {
-	switch req.Type {
-	case MsgGetStream, MsgGetBatch:
-		return true
-	}
-	return req.Type == MsgApp && isStreamProc(req.Proc)
-}
-
-// isStreamProc reports whether an application procedure uses streaming
-// responses; such procedures carry the "stream:" name prefix.
-func isStreamProc(proc string) bool {
-	return len(proc) >= 7 && proc[:7] == "stream:"
 }
 
 // deadline computes the per-attempt wire deadline: the transport
@@ -240,6 +224,12 @@ func (t *TCPTransport) Call(ctx context.Context, to Contact, req Message) (Messa
 	resp, err := readFrame(pc.br, t.collector)
 	if err != nil {
 		pc.conn.Close()
+		// The wire deadline is the context's when that is earlier, and the
+		// socket may time out a moment before the context's timer fires:
+		// past the context's deadline, the failure is the context's.
+		if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+			return Message{}, fmt.Errorf("dht: call %s: %w (%v)", to.Addr, context.DeadlineExceeded, err)
+		}
 		return Message{}, err
 	}
 	// The exchange completed: the connection is healthy regardless of

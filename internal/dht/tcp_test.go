@@ -31,37 +31,6 @@ func tcpNode(t *testing.T, timeout time.Duration) *Node {
 	return n
 }
 
-func TestTCPStreamProc(t *testing.T) {
-	a, b := tcpNode(t, 0), tcpNode(t, 0)
-	if err := b.Bootstrap(a.Self()); err != nil {
-		t.Fatal(err)
-	}
-	want := randomPostings(rand.New(rand.NewSource(1)), 300)
-	a.HandleStreamProc("stream:test", func(_ context.Context, _ Contact, _ string, _ []byte, send func(postings.List) error) error {
-		for i := 0; i < len(want); i += 64 {
-			end := i + 64
-			if end > len(want) {
-				end = len(want)
-			}
-			if err := send(want[i:end]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	s, err := b.OpenProcStream(context.Background(), a.Self(), "k", "stream:test", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := postings.Drain(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("tcp stream proc: %d vs %d", len(got), len(want))
-	}
-}
-
 // The TCP server must hand a MsgGetBatch frame to the stream handler:
 // routed to HandleCall it answers "unexpected message type" and every
 // DPP fetch over TCP falls back to one pipelined get per block. Over
@@ -243,37 +212,6 @@ func TestTCPPoisonedConnNotPooled(t *testing.T) {
 	}
 	if got := len(conns); got != 2 {
 		t.Fatalf("server saw %d connections, want 2 (poisoned conn must not be reused)", got)
-	}
-}
-
-func TestTCPStreamEarlyClose(t *testing.T) {
-	a, b := tcpNode(t, 0), tcpNode(t, 0)
-	if err := b.Bootstrap(a.Self()); err != nil {
-		t.Fatal(err)
-	}
-	big := make(postings.List, 50000)
-	for i := range big {
-		s := uint32(2*i + 1)
-		big[i].Peer = 1
-		big[i].Doc = 1
-		big[i].SID.Start = s
-		big[i].SID.End = s + 1
-	}
-	if err := a.Store().Append("l:big", big); err != nil {
-		t.Fatal(err)
-	}
-	ms, err := b.tr.OpenStream(context.Background(), a.Self(), Message{Type: MsgGetStream, From: b.Self(), Key: "l:big"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ms.Recv(); err != nil {
-		t.Fatal(err)
-	}
-	ms.Close() // abandon mid-stream; server write fails and its goroutine exits
-	// The node keeps serving.
-	resp, err := b.tr.Call(context.Background(), a.Self(), Message{Type: MsgPing, From: b.Self()})
-	if err != nil || resp.Type != MsgPong {
-		t.Fatalf("ping after abandoned stream: %v %v", resp.Type, err)
 	}
 }
 

@@ -12,7 +12,8 @@ import (
 	"kadop/internal/metrics"
 )
 
-// Handler serves incoming messages on a peer.
+// Handler serves incoming messages on a peer. The request's type
+// decides which method serves it (msgTable's stream flag).
 type Handler interface {
 	// HandleCall serves a request-response message.
 	HandleCall(from Contact, req Message) Message

@@ -43,7 +43,7 @@ const (
 	procDirGet   = "dir:get"
 	procAnswer   = "query:answer"
 	procGone     = "query:gone"
-	procPush     = "stream:push"
+	procPush     = "stream:push" // a unary call: "stream:" only classes its bytes as posting traffic
 	procCount    = "term:count"
 	procABReduce = "filter:abreduce"
 	procDBReduce = "filter:dbreduce"

@@ -81,14 +81,26 @@ func genQuery(rng *rand.Rand) *pattern.Query {
 	}
 	for {
 		q := &pattern.Query{Root: rec(0)}
-		if q.Validate() != nil {
-			continue
+		if q.Validate() == nil {
+			return q
 		}
-		// Normalize through the concrete syntax: the pipeline ships
-		// queries as strings, and parsing orders word predicates before
-		// later path steps. Reparsing here gives the oracle the same
-		// node pre-order the engine's answer tuples use.
-		return pattern.MustParse(q.String())
+	}
+}
+
+// checkRoundTrip checks that q's text parses back to q's nodes in q's
+// pre-order: phase two ships the query as text, and its answer tuples
+// must keep the columns of the client's query.
+func checkRoundTrip(t *testing.T, q *pattern.Query) {
+	t.Helper()
+	nodes := func(q *pattern.Query) []string {
+		var out []string
+		for _, n := range q.Nodes() {
+			out = append(out, n.Axis.String()+n.Term.Key())
+		}
+		return out
+	}
+	if got, want := nodes(pattern.MustParse(q.String())), nodes(q); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s parses back to nodes %v, want %v", q, got, want)
 	}
 }
 
@@ -150,9 +162,13 @@ func TestPropertyDistributedMatchesOracle(t *testing.T) {
 		return out
 	}
 
+	for _, s := range []string{`//a[/*][. contains "x"]//c`, `//a[//c][. contains "x"]`} {
+		checkRoundTrip(t, pattern.MustParse(s))
+	}
 	nonEmpty := 0
 	for qi := 0; qi < nQueries; qi++ {
 		q := genQuery(rng)
+		checkRoundTrip(t, q)
 		want := oracle(q)
 		if len(want) > 0 {
 			nonEmpty++

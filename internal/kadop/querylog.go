@@ -41,7 +41,9 @@ func (p *Peer) buildLogRecord(q *pattern.Query, opts QueryOptions, snap logSnaps
 	}
 	now := col.ClassBytes()
 	rec.PostingBytes = now[metrics.Postings] - snap.classBytes[metrics.Postings]
-	rec.FilterBytes = now[metrics.Filters] - snap.classBytes[metrics.Filters]
+	for _, c := range [...]metrics.Class{metrics.Filters, metrics.FiltersAB, metrics.FiltersDB} {
+		rec.FilterBytes += now[c] - snap.classBytes[c]
+	}
 	rec.RoutingBytes = now[metrics.Routing] - snap.classBytes[metrics.Routing]
 	if err != nil {
 		rec.Err = err.Error()

@@ -12,7 +12,9 @@ import (
 )
 
 // TestQueryLogRoundTrip runs real queries with Config.QueryLog set and
-// checks the emitted JSONL records parse and carry the query's numbers.
+// checks the emitted JSONL records parse and carry the query's numbers:
+// three conventional plans, then a Bloom reducer, whose filter traffic
+// is classed by filter kind.
 func TestQueryLogRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := Config{
@@ -27,9 +29,9 @@ func TestQueryLogRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const runs = 3
-	for i := 0; i < runs; i++ {
-		res, err := c.peers[3].Query(q, QueryOptions{})
+	strategies := []Strategy{Conventional, Conventional, Conventional, BloomReducer}
+	for _, s := range strategies {
+		res, err := c.peers[3].Query(q, QueryOptions{Strategy: s})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,8 +51,12 @@ func TestQueryLogRoundTrip(t *testing.T) {
 		if got := rec["query"]; got != q.String() {
 			t.Errorf("query = %v, want %v", got, q.String())
 		}
-		if rec["strategy"] != "conventional" {
-			t.Errorf("strategy = %v", rec["strategy"])
+		s := strategies[min(lines, len(strategies))-1]
+		if rec["strategy"] != s.String() {
+			t.Errorf("strategy = %v, want %v", rec["strategy"], s)
+		}
+		if fb, _ := rec["filter_bytes"].(float64); (fb > 0) != (s == BloomReducer) {
+			t.Errorf("%v: filter_bytes = %v", s, rec["filter_bytes"])
 		}
 		if total, _ := rec["total_ns"].(float64); total <= 0 {
 			t.Errorf("total_ns = %v, want > 0", rec["total_ns"])
@@ -62,8 +68,8 @@ func TestQueryLogRoundTrip(t *testing.T) {
 			t.Errorf("posting_bytes = %v, want > 0", rec["posting_bytes"])
 		}
 	}
-	if lines != runs {
-		t.Fatalf("logged %d records, want %d", lines, runs)
+	if lines != len(strategies) {
+		t.Fatalf("logged %d records, want %d", lines, len(strategies))
 	}
 }
 

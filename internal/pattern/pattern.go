@@ -145,23 +145,17 @@ func (q *Query) String() string {
 		}
 		sb.WriteString(n.Axis.String())
 		sb.WriteString(n.Term.Text)
-		// Render word-predicate children first, then element children as
-		// predicates except the last, which continues the path.
-		var elems []*Node
-		for _, c := range n.Children {
-			if c.Term.Kind == xmltree.Word {
+		// Children in their own order, so the text parses back to the same
+		// pre-order: each a predicate, except a trailing element child,
+		// which continues the path.
+		for i, c := range n.Children {
+			switch {
+			case c.Term.Kind == xmltree.Word, i == len(n.Children)-1:
 				rec(c)
-			} else {
-				elems = append(elems, c)
-			}
-		}
-		for i, c := range elems {
-			if i < len(elems)-1 {
+			default:
 				sb.WriteString("[")
 				rec(c)
 				sb.WriteString("]")
-			} else {
-				rec(c)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package kadop
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -117,6 +118,74 @@ func TestTCPPeersViaFacade(t *testing.T) {
 	}
 	if len(res.Matches) != 2 {
 		t.Fatalf("matches over TCP = %d", len(res.Matches))
+	}
+}
+
+// TestTCPStrategiesAgree runs every query plan over loopback TCP, the
+// transport kadop-peer and kadop-query use: the Bloom reducers travel
+// as application procedures (the filters, and "stream:push", a unary
+// procedure named for its traffic class), so a transport that routed a
+// request by its name instead of its message type would fail them here
+// while every simulated run passed.
+func TestTCPStrategiesAgree(t *testing.T) {
+	peers := make([]*Peer, 4)
+	for i := range peers {
+		p, err := NewTCPPeer("127.0.0.1:0", PeerID(i+1), "", Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		peers[i] = p
+	}
+	// Every peer joins before any announces: a directory entry lands at
+	// the peer that is its key's home when it is written.
+	for _, p := range peers[1:] {
+		if err := p.Node().Bootstrap(peers[0].Node().Self()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range peers {
+		if err := p.Announce(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 12; i++ {
+		var doc strings.Builder
+		doc.WriteString("<dblp>")
+		for j := 0; j < 3; j++ {
+			author := fmt.Sprintf("Author %d-%d", i, j)
+			if (i == 3 && j == 1) || i == 8 {
+				author = "Jeffrey Ullman"
+			}
+			fmt.Fprintf(&doc, "<article><author>%s</author><title>t%d</title></article>", author, j)
+		}
+		doc.WriteString("<inproceedings><author>Jeffrey Ullman</author></inproceedings></dblp>")
+		if _, err := peers[i%4].PublishXML([]byte(doc.String()), fmt.Sprintf("d%d.xml", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := MustParseQuery(`//article//author[. contains "Ullman"]`)
+	answers := func(s Strategy) []string {
+		res, err := peers[1].Query(q, QueryOptions{Strategy: s})
+		if err != nil {
+			t.Errorf("strategy %v over TCP: %v", s, err)
+			return nil
+		}
+		out := make([]string, len(res.Matches))
+		for i, m := range res.Matches {
+			out[i] = fmt.Sprint(m)
+		}
+		slices.Sort(out)
+		return out
+	}
+	want := answers(Conventional)
+	if len(want) != 4 {
+		t.Fatalf("conventional plan: %d answers %v, want 4", len(want), want)
+	}
+	for _, s := range []Strategy{ABReducer, DBReducer, BloomReducer, SubQueryReducer, AutoStrategy} {
+		if got := answers(s); got != nil && !slices.Equal(got, want) {
+			t.Errorf("strategy %v over TCP: %v, want %v", s, got, want)
+		}
 	}
 }
 
