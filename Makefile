@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-one bench-pair bench-smoke fuzz-smoke crash-smoke gate-smoke tcp-smoke loc
+.PHONY: build test check bench bench-one bench-pair bench-smoke fuzz-smoke crash-smoke gate-smoke tcp-smoke loc knobs
 
 build:
 	$(GO) build ./...
@@ -49,7 +49,8 @@ crash-smoke:
 	KADOP_CRASH_TRIALS=$(CRASH_TRIALS) $(GO) test -run 'TestCrash' -count=1 ./internal/store/
 
 # tcp-smoke runs README's TCP recipe on loopback with the real binaries:
-# three kadop-peers (each address read from its "listening on" line), a
+# three kadop-peers (each address read from its "listening on" line;
+# peer 1 on a durable -data directory, the only disk store), a
 # 40-record kadop-gen corpus served by kadop-publish, then kadop-query
 # once per -strategy. It fails when a strategy errors or returns a
 # different answer count from conventional, and kills every process it
@@ -66,7 +67,8 @@ tcp-smoke:
 	}; \
 	boot=""; \
 	for i in 1 2 3; do \
-		$$d/kadop-peer -listen 127.0.0.1:0 -id $$i $${boot:+-bootstrap $$boot} > $$d/peer$$i.log 2>&1 & pids="$$pids $$!"; \
+		data=""; [ $$i = 1 ] && data="-data $$d/p1"; \
+		$$d/kadop-peer -listen 127.0.0.1:0 -id $$i $${boot:+-bootstrap $$boot} $$data > $$d/peer$$i.log 2>&1 & pids="$$pids $$!"; \
 		wait_for $$d/peer$$i.log "listening on"; \
 		[ -n "$$boot" ] || boot=$$(sed -n 's/.* listening on //p' $$d/peer$$i.log); \
 	done; \
@@ -92,6 +94,13 @@ loc:
 		| xargs grep -L '^// Code generated .* DO NOT EDIT' | xargs wc -l \
 		| awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
 			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+
+# knobs prints the settable values the simplicity issues count: flags
+# per binary, exported fields per option struct, and their total, as
+# TestEveryKnobHasRow logs them while it checks DESIGN.md §18.
+knobs:
+	@out=$$($(GO) test -count=1 -run '^TestEveryKnobHasRow$$' -v .) || { echo "$$out"; exit 1; }; \
+	echo "$$out" | sed -n 's/.*knobs: //p'
 
 bench:
 	$(GO) run ./cmd/kadop-bench -exp all -short

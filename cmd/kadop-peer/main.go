@@ -3,7 +3,7 @@
 // The first peer of a deployment needs no bootstrap address; every
 // later peer joins through any running peer:
 //
-//	kadop-peer -listen 127.0.0.1:7001 -id 1 -store /var/lib/kadop/p1.bt
+//	kadop-peer -listen 127.0.0.1:7001 -id 1 -data /var/lib/kadop/p1
 //	kadop-peer -listen 127.0.0.1:7002 -id 2 -bootstrap 127.0.0.1:7001
 //
 // The peer serves its slice of the distributed index and answers
@@ -30,34 +30,21 @@ func main() {
 		listen    = flag.String("listen", "127.0.0.1:0", "TCP listen address")
 		bootstrap = flag.String("bootstrap", "", "address of any running peer (empty for the first peer)")
 		id        = flag.Uint("id", 0, "internal peer id (unique across the deployment, > 0)")
-		storePath = flag.String("store", "", "B+-tree index file (empty = in-memory; superseded by -data)")
 		dataDir   = flag.String("data", "", "durable data directory: index WAL, published documents and directory entries survive restarts from it")
 		fsyncMode = flag.String("fsync", "always", "index WAL fsync policy with -data: always|interval|off")
-		batch     = flag.Bool("batch", false, "coalesce concurrent index appends into group-committed WAL batches (one fsync per batch)")
-		batchWait = flag.Duration("batch-wait", 0, "extra time a batch leader waits to grow its group (with -batch; 0 = flush immediately)")
+		batch     = flag.Bool("batch", false, "coalesce concurrent index appends into group-committed WAL batches (one fsync per batch, 2ms linger)")
 		useDPP    = flag.Bool("dpp", false, "enable distributed posting partitioning")
 		cache     = flag.Int64("cache", 0, "posting-block cache capacity in bytes (0 = off; effective with -dpp)")
 		repl      = flag.Int("replication", 1, "index replication factor (all peers of a deployment must agree)")
 		repair    = flag.Duration("repair", 0, "replica repair cadence, e.g. 30s (0 = off; needs -replication > 1)")
 		replicate = flag.Duration("replicate", 0, "adaptive hot-term replication control-loop cadence, e.g. 10s (0 = off)")
-		replExtra = flag.Int("replicate-extra", 2, "extra replicas a promoted hot term gets (with -replicate)")
-		replHot   = flag.Int64("replicate-hot", 16<<10, "promotion threshold: bytes of a term served per decay window (with -replicate)")
-		replLease = flag.Duration("replicate-lease", 30*time.Second, "replica advertisement lease TTL (with -replicate)")
-		shedRate  = flag.Float64("shed-rate", 0, "admission gate: sustained reads/second served before shedding (0 = off)")
-		shedBurst = flag.Float64("shed-burst", 0, "admission gate burst headroom in reads (default max(shed-rate,1))")
-		refresh   = flag.Duration("refresh", 5*time.Minute, "stale routing-bucket refresh cadence (0 = off)")
+		shedRate  = flag.Float64("shed-rate", 0, "admission gate: sustained reads/second served before shedding, burst max(shed-rate,1) (0 = off)")
 		republish = flag.Duration("republish", 0, "directory re-registration cadence, e.g. 5m (0 = off)")
-		probeTO   = flag.Duration("probe-timeout", 2*time.Second, "liveness probe timeout before evicting a failed contact (0 = evict immediately)")
-		leaveTO   = flag.Duration("leave-timeout", 30*time.Second, "budget for handing keys off on SIGTERM/SIGINT before closing")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics and /debug/{metrics,load,traces,peer,flight,slo} on this address (off by default)")
 		pprofOn   = flag.Bool("pprof", false, "also serve /debug/pprof profiling handlers on the debug address")
-		flightCap = flag.Int("flight", 4096, "flight-recorder capacity in events (0 = off); dump via /debug/flight")
 		flightDir = flag.String("flight-dir", "", "directory for watchdog flight dumps on SLO burn alerts (default <data>/flight with -data)")
-		slowQuery = flag.Duration("slow-query", time.Second, "slow-query capture threshold: queries at or over it are logged with their full trace, bypassing sampling (0 = off)")
-		sloOn     = flag.Bool("slo", false, "run the SLO engine (query availability + latency burn-rate alerting; /debug/slo, kadop_slo_* on /metrics)")
-		sloAvail  = flag.String("slo-availability", "99.9", "availability SLO target (percent or fraction)")
-		sloLatPct = flag.String("slo-latency", "99", "latency SLO target (percent or fraction)")
-		sloLatThr = flag.Duration("slo-threshold", 500*time.Millisecond, "latency SLO threshold (rounded up to the owning histogram bucket)")
+		slowQuery = flag.Duration("slow-query", time.Second, "slow-query capture threshold: queries at or over it are logged with their full trace (0 = off)")
+		sloOn     = flag.Bool("slo", false, "run the SLO engine: 99.9% of queries succeed, 99% under 500ms, burn-rate alerting (/debug/slo, kadop_slo_* on /metrics)")
 	)
 	flag.Parse()
 	if *id == 0 {
@@ -71,23 +58,13 @@ func main() {
 	}
 
 	cfg := kadop.Config{
-		UseDPP: *useDPP, CacheBytes: *cache, DHT: deployDHT(*repl, *repair, *refresh, *probeTO),
+		UseDPP: *useDPP, CacheBytes: *cache, DHT: deployDHT(*repl, *repair),
 		DataDir: *dataDir, Fsync: fsync, RepublishInterval: *republish,
-		SlowQuery: *slowQuery,
-		ShedRate:  *shedRate, ShedBurst: *shedBurst,
-	}
-	if *batch {
-		cfg.Batching = kadop.BatchingConfig{Enabled: true, MaxDelay: *batchWait}
+		SlowQuery: *slowQuery, ShedRate: *shedRate,
+		Batching: kadop.BatchingConfig{Enabled: *batch},
 	}
 	if *replicate > 0 {
-		cfg.Replicate = kadop.ReplicateConfig{
-			Enabled:  true,
-			Interval: *replicate,
-			Extra:    *replExtra,
-			HotBytes: *replHot,
-			Lease:    *replLease,
-			Seed:     int64(*id),
-		}
+		cfg.Replicate = kadop.ReplicateConfig{Enabled: true, Interval: *replicate, Seed: int64(*id)}
 	}
 	// A restart is a start whose data directory already has an index.
 	restarting := false
@@ -96,7 +73,7 @@ func main() {
 			restarting = true
 		}
 	}
-	peer, err := kadop.NewTCPPeer(*listen, kadop.PeerID(*id), *storePath, cfg)
+	peer, err := kadop.NewTCPPeer(*listen, kadop.PeerID(*id), cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "kadop-peer:", err)
 		os.Exit(1)
@@ -104,9 +81,7 @@ func main() {
 	// The flight recorder is always-on forensics: it costs a bounded
 	// ring of structs and answers "what was this peer doing" after the
 	// fact, with or without the debug endpoint.
-	if *flightCap > 0 {
-		kadop.EnableFlight(peer, *flightCap)
-	}
+	kadop.EnableFlight(peer)
 	// Slow-query capture and histogram exemplars need trace ids, so the
 	// tracer rides along whenever either consumer is on.
 	var tracer *kadop.Tracer
@@ -115,25 +90,12 @@ func main() {
 	}
 	var sloEngine *kadop.SLOEngine
 	if *sloOn {
-		avail, err := kadop.ParseSLOTarget(*sloAvail)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "kadop-peer:", err)
-			os.Exit(2)
-		}
-		lat, err := kadop.ParseSLOTarget(*sloLatPct)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "kadop-peer:", err)
-			os.Exit(2)
-		}
 		dir := *flightDir
 		if dir == "" && *dataDir != "" {
 			dir = filepath.Join(*dataDir, "flight")
 		}
 		eng, stop, err := kadop.EnableSLO(peer, kadop.SLOOptions{
-			AvailabilityTarget: avail,
-			LatencyTarget:      lat,
-			LatencyThreshold:   *sloLatThr,
-			FlightDir:          dir,
+			FlightDir: dir,
 			OnAlert: func(a kadop.SLOAlert) {
 				fmt.Fprintln(os.Stderr, "kadop-peer:", a)
 			},
@@ -184,7 +146,7 @@ func main() {
 	// confirmed (or re-pushed) on the remaining owner set before the
 	// listener goes down, so the departure loses no index data.
 	fmt.Println("kadop-peer: leaving (handing keys off)")
-	ctx, cancel := context.WithTimeout(context.Background(), *leaveTO)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	moved, err := peer.Leave(ctx)
 	cancel()
 	if err != nil {
@@ -200,7 +162,7 @@ func main() {
 // probation pings keep one dropped message from costing a live peer
 // its table slot, and the refresher keeps idle routing buckets honest
 // under churn.
-func deployDHT(replication int, repair, refresh, probe time.Duration) kadop.DHTConfig {
+func deployDHT(replication int, repair time.Duration) kadop.DHTConfig {
 	return kadop.DHTConfig{
 		Replication: replication,
 		Retry: kadop.RetryPolicy{
@@ -209,7 +171,7 @@ func deployDHT(replication int, repair, refresh, probe time.Duration) kadop.DHTC
 			MaxBackoff:  time.Second,
 		},
 		RepairInterval:  repair,
-		RefreshInterval: refresh,
-		ProbeTimeout:    probe,
+		RefreshInterval: 5 * time.Minute,
+		ProbeTimeout:    2 * time.Second,
 	}
 }

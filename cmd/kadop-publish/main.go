@@ -43,14 +43,14 @@ func main() {
 			MaxBackoff:  time.Second,
 		},
 	}}
-	peer, err := kadop.NewTCPPeer(*listen, kadop.PeerID(*id), "", cfg)
+	peer, err := kadop.NewTCPPeer(*listen, kadop.PeerID(*id), cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "kadop-publish:", err)
 		os.Exit(1)
 	}
 	if *debugAddr != "" {
 		tracer := kadop.EnableTracing(peer, 16)
-		kadop.EnableFlight(peer, 0)
+		kadop.EnableFlight(peer)
 		addr, stop, err := kadop.ServeDebug(*debugAddr, peer, kadop.DebugOptions{Tracer: tracer, BuildInfo: true})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "kadop-publish: debug endpoint %s: %v\n", *debugAddr, err)

@@ -36,11 +36,8 @@ func main() {
 		explain   = flag.Bool("explain", false, "print the query's trace tree (per-phase latency and bytes)")
 		analyze   = flag.Bool("explain-analyze", false, "like -explain, plus the per-phase work table: estimated vs actual blocks, bytes, postings and matches")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics and /debug/{metrics,load,traces,peer} on this address; keeps the process up after the query for inspection")
-		logPath   = flag.String("log", "", "append one structured JSONL record per query to this file (- = stderr)")
-		logSample = flag.Float64("log-sample", 1, "fraction of queries logged to -log (deterministic: every 1/rate-th)")
-		logMax    = flag.Int64("log-max-bytes", 0, "rotate -log when it would exceed this size (0 = 64MiB default)")
-		logKeep   = flag.Int("log-keep", 3, "rotated -log generations to retain (file.1 .. file.N)")
-		slowThr   = flag.Duration("slow", 0, "slow-query capture threshold: queries at or over it are logged with their full trace, bypassing -log-sample (0 = off)")
+		logPath   = flag.String("log", "", "append one structured JSONL record per query to this file, rotated at 64MiB keeping 3 (- = stderr)")
+		slowThr   = flag.Duration("slow", 0, "slow-query capture threshold: queries at or over it are logged with their full trace (0 = off)")
 	)
 	flag.Parse()
 	if *bootstrap == "" || *id == 0 || flag.NArg() != 1 {
@@ -74,8 +71,8 @@ func main() {
 		var w io.Writer = os.Stderr
 		if *logPath != "-" {
 			// Size-capped rotation keeps a long-lived query log's disk
-			// footprint bounded: file, file.1 (newest rotated) … file.N.
-			f, err := kadop.OpenRotatingLog(*logPath, *logMax, *logKeep)
+			// footprint bounded: file, file.1 (newest rotated) … file.3.
+			f, err := kadop.OpenRotatingLog(*logPath)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "kadop-query: query log:", err)
 				os.Exit(1)
@@ -83,7 +80,7 @@ func main() {
 			defer f.Close()
 			w = f
 		}
-		cfg.QueryLog = kadop.NewQueryLog(w, kadop.QueryLogOptions{SampleRate: *logSample})
+		cfg.QueryLog = kadop.NewQueryLog(w)
 	}
 	peer, err := kadop.NewTCPClientPeer(*listen, kadop.PeerID(*id), cfg)
 	if err != nil {
@@ -100,7 +97,7 @@ func main() {
 		tracer = kadop.EnableTracing(peer, 16)
 	}
 	if *debugAddr != "" {
-		kadop.EnableFlight(peer, 0)
+		kadop.EnableFlight(peer)
 		addr, stop, err := kadop.ServeDebug(*debugAddr, peer, kadop.DebugOptions{Tracer: tracer, BuildInfo: true})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "kadop-query: debug endpoint %s: %v\n", *debugAddr, err)

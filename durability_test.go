@@ -24,14 +24,14 @@ func TestPeerRestartDurability(t *testing.T) {
 	}
 	cfg := Config{DHT: dcfg}
 
-	p1, err := NewTCPPeer("127.0.0.1:0", 1, "", cfg)
+	p1, err := NewTCPPeer("127.0.0.1:0", 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p1.Close()
 	cfg2 := cfg
 	cfg2.DataDir = dataDir
-	p2, err := NewTCPPeer("127.0.0.1:0", 2, "", cfg2)
+	p2, err := NewTCPPeer("127.0.0.1:0", 2, cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestPeerRestartDurability(t *testing.T) {
 
 	// Restart p2 from the same data directory, on the same address (so
 	// its DHT identity and key ownership are unchanged).
-	p2r, err := NewTCPPeer(p2Addr, 2, "", cfg2)
+	p2r, err := NewTCPPeer(p2Addr, 2, cfg2)
 	if err != nil {
 		t.Fatalf("restart p2: %v", err)
 	}
@@ -130,7 +130,7 @@ func TestPeerRestartDurability(t *testing.T) {
 func TestPeerRestartIdempotent(t *testing.T) {
 	dataDir := filepath.Join(t.TempDir(), "solo")
 	cfg := Config{DataDir: dataDir}
-	p, err := NewTCPPeer("127.0.0.1:0", 1, "", cfg)
+	p, err := NewTCPPeer("127.0.0.1:0", 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestPeerRestartIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pr, err := NewTCPPeer(addr, 1, "", cfg)
+	pr, err := NewTCPPeer(addr, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

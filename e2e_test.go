@@ -86,9 +86,9 @@ func TestCLIEndToEnd(t *testing.T) {
 	pubBin := buildTool(t, dir, "kadop-publish")
 	queryBin := buildTool(t, dir, "kadop-query")
 
-	// Two peers; the first also gets a disk store.
+	// Two peers; the first also gets a durable data directory.
 	banner1, stop1 := startDaemon(t, filepath.Join(dir, "p1.log"), peerBin,
-		"-listen", "127.0.0.1:0", "-id", "1", "-store", filepath.Join(dir, "p1.bt"))
+		"-listen", "127.0.0.1:0", "-id", "1", "-data", filepath.Join(dir, "p1"))
 	defer stop1()
 	fields := strings.Fields(banner1)
 	addr := fields[len(fields)-1]

@@ -45,10 +45,12 @@ type Options struct {
 	// (default 64 MiB). Entries larger than one shard's share of the
 	// budget are not cached at all.
 	MaxBytes int64
-	// Shards is the number of independent LRU shards (default 16,
+
+	// shards is the number of independent LRU shards (default 16,
 	// rounded up to a power of two). More shards mean less lock
-	// contention between concurrent twig-join branches.
-	Shards int
+	// contention between concurrent twig-join branches; the eviction
+	// tests use one so the whole budget is a single LRU.
+	shards int
 }
 
 // DefaultMaxBytes is the default cache capacity.
@@ -96,7 +98,7 @@ func New(o Options) *Cache {
 	if o.MaxBytes <= 0 {
 		o.MaxBytes = DefaultMaxBytes
 	}
-	n := o.Shards
+	n := o.shards
 	if n <= 0 {
 		n = 16
 	}

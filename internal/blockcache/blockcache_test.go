@@ -24,7 +24,7 @@ func mkList(doc uint32, n int) postings.List {
 }
 
 func TestCacheHitMissAndGeneration(t *testing.T) {
-	c := New(Options{MaxBytes: 1 << 20, Shards: 4})
+	c := New(Options{MaxBytes: 1 << 20, shards: 4})
 	k := Key{Term: "tag:article", Block: "overflow:1:tag:article", Gen: 3}
 	if _, ok := c.Get(k); ok {
 		t.Fatal("unexpected hit on empty cache")
@@ -53,7 +53,7 @@ func TestCacheEviction(t *testing.T) {
 	// least recently used entry, not the most recent.
 	l := mkList(1, 32)
 	per := int64(postings.EncodedSize(l))
-	c := New(Options{MaxBytes: 2*per + per/2, Shards: 1})
+	c := New(Options{MaxBytes: 2*per + per/2, shards: 1})
 	ka := Key{Term: "a"}
 	kb := Key{Term: "b"}
 	kc := Key{Term: "c"}
@@ -76,7 +76,7 @@ func TestCacheEviction(t *testing.T) {
 }
 
 func TestCacheRejectsOversized(t *testing.T) {
-	c := New(Options{MaxBytes: 64, Shards: 1})
+	c := New(Options{MaxBytes: 64, shards: 1})
 	big := mkList(1, 1024)
 	c.Add(Key{Term: "big"}, big)
 	if st := c.Stats(); st.Entries != 0 || st.Rejected != 1 {

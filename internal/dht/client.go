@@ -69,7 +69,6 @@ func (n *Node) rpc(ctx context.Context, to Contact, req Message, once bool) (res
 	n.noteGauge(to.Addr, resp)
 	dur := time.Since(start)
 	n.collector.Observe(op, dur)
-	n.countPeerRPC(op, to, err)
 	if fr := n.flight.Load(); fr != nil {
 		// Retries are folded in, like the latency observation above.
 		e := flight.Event{Kind: flight.KindRPC, Name: op, Peer: to.Addr, TraceID: req.TraceID, Dur: dur}
@@ -92,23 +91,6 @@ func (n *Node) rpc(ctx context.Context, to Contact, req Message, once bool) (res
 		}
 	}
 	return resp, ms, err
-}
-
-// countPeerRPC records one outgoing RPC (and its failure, if any) in
-// the labeled registry, keyed by operation and remote peer — the
-// per-peer breakdown the shared Collector's traffic classes cannot
-// express.
-func (n *Node) countPeerRPC(op string, to Contact, err error) {
-	n.reg.Counter("kadop_rpc_client_total",
-		"Outgoing RPCs by operation and remote peer (retried calls count once).",
-		metrics.Label{Key: "op", Value: op},
-		metrics.Label{Key: "peer", Value: to.Addr}).Add(1)
-	if err != nil {
-		n.reg.Counter("kadop_rpc_client_errors_total",
-			"Outgoing RPCs that failed after retries, by operation and remote peer.",
-			metrics.Label{Key: "op", Value: op},
-			metrics.Label{Key: "peer", Value: to.Addr}).Add(1)
-	}
 }
 
 // call is the unary RPC: one request, one response, under the node's
@@ -391,7 +373,7 @@ func (n *Node) streamFrom(ctx context.Context, to Contact, req Message) (posting
 	if err != nil {
 		return nil, err
 	}
-	pipe := postings.NewPipe(n.cfg.ChunkSize * 2)
+	pipe := postings.NewPipe(n.cfg.chunkSize * 2)
 	go func() {
 		pipe.Close(drain(func(m Message) error {
 			if !pipe.Send(m.Postings) {

@@ -90,7 +90,7 @@ func newConfPair(t *testing.T, newTransport func() Transport) *confPair {
 	t.Helper()
 	p := &confPair{sendErr: make(chan error, 1), resume: make(chan struct{})}
 	release := make(chan struct{}) // unblocks the "slow" procedure
-	srv, err := NewNode(probeTransport{newTransport(), p}, store.NewMem(), Config{ChunkSize: confChunk})
+	srv, err := NewNode(probeTransport{newTransport(), p}, store.NewMem(), Config{chunkSize: confChunk})
 	if err != nil {
 		t.Fatal(err)
 	}

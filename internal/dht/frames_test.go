@@ -178,7 +178,7 @@ func TestStreamKeysFramesMatchReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer nd.Close()
-			chunk := nd.cfg.ChunkSize
+			chunk := nd.cfg.chunkSize
 			docs := func() sid.DocKey {
 				return sid.DocKey{Peer: sid.PeerID(rng.Intn(4)), Doc: sid.DocID(rng.Intn(64))}
 			}

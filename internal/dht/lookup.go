@@ -50,7 +50,7 @@ func (n *Node) Lookup(target ID) ([]Contact, error) {
 // shortlist; the lookup fails only when the deadline expires or no peer
 // is reachable.
 func (n *Node) LookupContext(ctx context.Context, target ID) ([]Contact, error) {
-	return n.lookup(ctx, target, n.cfg.K)
+	return n.lookup(ctx, target, bucketK)
 }
 
 // lookup runs lookupRun under the lookup span and latency histogram;
@@ -84,8 +84,8 @@ func (n *Node) lookup(ctx context.Context, target ID, need int) ([]Contact, erro
 // with the next-closest peer while the key's owner is alive, which
 // would send a write to a peer readers never ask.
 func (n *Node) lookupRun(ctx context.Context, target ID, need int, rounds *int) ([]Contact, error) {
-	if need > n.cfg.K {
-		need = n.cfg.K
+	if need > bucketK {
+		need = bucketK
 	}
 	type entry struct {
 		c       Contact
@@ -96,7 +96,7 @@ func (n *Node) lookupRun(ctx context.Context, target ID, need int, rounds *int) 
 	if !n.cfg.Client {
 		shortlist[n.self.ID] = &entry{c: n.self, queried: true}
 	}
-	for _, c := range n.table.Closest(target, n.cfg.K) {
+	for _, c := range n.table.Closest(target, bucketK) {
 		shortlist[c.ID] = &entry{c: c}
 	}
 	closestOf := func() []Contact {
@@ -107,8 +107,8 @@ func (n *Node) lookupRun(ctx context.Context, target ID, need int, rounds *int) 
 		sort.Slice(out, func(i, j int) bool {
 			return out[i].ID.XOR(target).Less(out[j].ID.XOR(target))
 		})
-		if len(out) > n.cfg.K {
-			out = out[:n.cfg.K]
+		if len(out) > bucketK {
+			out = out[:bucketK]
 		}
 		return out
 	}
@@ -119,7 +119,7 @@ func (n *Node) lookupRun(ctx context.Context, target ID, need int, rounds *int) 
 			return nil, fmt.Errorf("dht: lookup: %w", err)
 		}
 		// Stop once the need closest have all answered (after one round at
-		// least); otherwise query up to Alpha of the closest not yet asked.
+		// least); otherwise query up to alpha of the closest not yet asked.
 		closest := closestOf()
 		var batch []Contact
 		for i, c := range closest {
@@ -130,7 +130,7 @@ func (n *Node) lookupRun(ctx context.Context, target ID, need int, rounds *int) 
 				return closest, nil
 			}
 			batch = append(batch, c)
-			if len(batch) == n.cfg.Alpha {
+			if len(batch) == alpha {
 				break
 			}
 		}

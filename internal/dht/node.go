@@ -16,16 +16,9 @@ import (
 
 // Config holds the overlay parameters.
 type Config struct {
-	// K is the bucket size and lookup width (default 8).
-	K int
-	// Alpha is the lookup parallelism (default 3).
-	Alpha int
 	// Replication is how many closest peers hold each key (default 1;
 	// the experiments use 1 unless fault tolerance is under test).
 	Replication int
-	// ChunkSize is the number of postings per stream chunk of the
-	// pipelined get (default 512).
-	ChunkSize int
 	// Client makes the node an observer: it can look up, fetch and call,
 	// but never advertises itself, so it joins no routing table and owns
 	// no keys. Ephemeral query clients use it — a short-lived full peer
@@ -59,20 +52,25 @@ type Config struct {
 	// Seed drives the retry jitter RNG (default 1), so seeded chaos
 	// runs get reproducible backoff schedules.
 	Seed int64
+
+	// chunkSize is the number of postings per stream chunk of the
+	// pipelined get (default 512); the framing tests shrink it so short
+	// lists span several chunks.
+	chunkSize int
 }
 
+// Kademlia's bucket size (also the lookup width) and lookup parallelism.
+const (
+	bucketK = 8
+	alpha   = 3
+)
+
 func (c Config) withDefaults() Config {
-	if c.K <= 0 {
-		c.K = 8
-	}
-	if c.Alpha <= 0 {
-		c.Alpha = 3
-	}
 	if c.Replication <= 0 {
 		c.Replication = 1
 	}
-	if c.ChunkSize <= 0 {
-		c.ChunkSize = 512
+	if c.chunkSize <= 0 {
+		c.chunkSize = 512
 	}
 	if c.RPCTimeout <= 0 {
 		c.RPCTimeout = 10 * time.Second
@@ -155,7 +153,7 @@ func NewNode(tr Transport, st store.Store, cfg Config) (*Node, error) {
 	}
 	n.maintRand = rand.New(rand.NewSource(n.cfg.Seed + 0x5eed))
 	n.probing = map[ID]bool{}
-	n.table = NewTable(n.self.ID, n.cfg.K)
+	n.table = NewTable(n.self.ID, bucketK)
 	if err := tr.Serve(n); err != nil {
 		return nil, err
 	}

@@ -24,11 +24,11 @@ type RetryPolicy struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the exponential growth (default 1s).
 	MaxBackoff time.Duration
-	// Jitter adds up to this fraction of the backoff as random extra
-	// sleep, decorrelating retry storms (default 0.5 when Attempts > 1;
-	// set negative to force zero jitter).
-	Jitter float64
 }
+
+// retryJitter adds up to this fraction of the backoff as random extra
+// sleep, decorrelating retry storms.
+const retryJitter = 0.5
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.Attempts < 1 {
@@ -40,12 +40,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 		}
 		if p.MaxBackoff <= 0 {
 			p.MaxBackoff = time.Second
-		}
-		if p.Jitter == 0 {
-			p.Jitter = 0.5
-		}
-		if p.Jitter < 0 {
-			p.Jitter = 0
 		}
 	}
 	return p
@@ -61,8 +55,8 @@ func (p RetryPolicy) backoff(i int, rng func() float64) time.Duration {
 	if p.MaxBackoff > 0 && d > p.MaxBackoff {
 		d = p.MaxBackoff
 	}
-	if p.Jitter > 0 && rng != nil {
-		d += time.Duration(p.Jitter * rng() * float64(d))
+	if rng != nil {
+		d += time.Duration(retryJitter * rng() * float64(d))
 	}
 	return d
 }

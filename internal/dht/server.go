@@ -65,7 +65,7 @@ func (n *Node) serve(ctx context.Context, from Contact, req Message) (Message, e
 	case MsgPing:
 		return Message{Type: MsgPong, From: n.self}, nil
 	case MsgFindNode:
-		return Message{Type: MsgNodes, From: n.self, Contacts: n.table.Closest(req.Target, n.cfg.K)}, nil
+		return Message{Type: MsgNodes, From: n.self, Contacts: n.table.Closest(req.Target, bucketK)}, nil
 	case MsgAppend, MsgRepair:
 		return ack, n.store.Append(req.Key, req.Postings)
 	case MsgGet:
@@ -260,7 +260,7 @@ func (s *chunkSink) start(key string) {
 // to be the last. The packed framing stitches r's bytes; the chunk
 // framings decode r into the piece's postings.
 func (s *chunkSink) add(r postings.Run) error {
-	size := s.n.cfg.ChunkSize
+	size := s.n.cfg.chunkSize
 	if s.framing != packedFrames {
 		ps, err := r.Decode(s.decode[:0])
 		if err != nil {

@@ -200,7 +200,7 @@ func (n *Node) PullOwnedOnce(ctx context.Context) (int, error) {
 		count int
 	}
 	best := map[string]source{}
-	for _, nb := range n.table.Closest(n.self.ID, n.cfg.K) {
+	for _, nb := range n.table.Closest(n.self.ID, bucketK) {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}

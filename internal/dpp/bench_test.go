@@ -26,7 +26,7 @@ func BenchmarkDPPFetchParallel(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, _, err := c.managers[1].Fetch("l:author", FetchOptions{Parallel: 4})
+		s, _, err := c.managers[1].Fetch("l:author", FetchOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

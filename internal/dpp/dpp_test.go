@@ -136,7 +136,7 @@ func TestOverflowSplitsAndFetchReassembles(t *testing.T) {
 		t.Fatalf("blocks hold %d postings, want %d", total, len(want))
 	}
 	// Full fetch reassembles the exact list.
-	s, plan, err := c.managers[7].Fetch("l:author", FetchOptions{Parallel: 3})
+	s, plan, err := c.managers[7].Fetch("l:author", FetchOptions{parallel: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestDocIntervalFilterSkipsBlocks(t *testing.T) {
 	lo := sid.DocKey{Peer: 1, Doc: 40}
 	hi := sid.DocKey{Peer: 1, Doc: 49}
 	s, plan, err := c.managers[2].Fetch("l:author", FetchOptions{
-		Filter: true, FilterLo: lo, FilterHi: hi, Parallel: 2,
+		Filter: true, FilterLo: lo, FilterHi: hi, parallel: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +295,7 @@ func TestRandomSplitAblation(t *testing.T) {
 	if len(root.Blocks) < 2 {
 		t.Fatalf("blocks = %d", len(root.Blocks))
 	}
-	s, _, err := c.managers[4].Fetch("l:r", FetchOptions{Parallel: 3})
+	s, _, err := c.managers[4].Fetch("l:r", FetchOptions{parallel: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestParallelFetchMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 2, 8} {
-		s, _, err := c.managers[3].Fetch("w:xml", FetchOptions{Parallel: par})
+		s, _, err := c.managers[3].Fetch("w:xml", FetchOptions{parallel: par})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -39,9 +39,6 @@ type FetchPlan struct {
 
 // FetchOptions configure the query-side fetch.
 type FetchOptions struct {
-	// Parallel is the maximum number of holder streams in flight (the
-	// paper's degree of parallelism K; default 4).
-	Parallel int
 	// Filter restricts the fetch to postings of documents within
 	// [FilterLo, FilterHi] (Section 4.2). Zero values mean no filter.
 	Filter             bool
@@ -53,6 +50,11 @@ type FetchOptions struct {
 	// intersect it (Section 4.1's type filtering); nil means no type
 	// constraint, and untyped blocks are always transferred.
 	AllowedTypes []string
+
+	// parallel is the maximum number of holder streams in flight (the
+	// paper's degree of parallelism K; default 4). The serial-versus-
+	// parallel tests vary it.
+	parallel int
 }
 
 // Fetch is FetchContext without a deadline (pinned by bench/: the last
@@ -81,7 +83,7 @@ func (m *Manager) FetchContext(ctx context.Context, term string, opts FetchOptio
 // There is one transfer path. The blocks the condition-based selection
 // of Section 4 keeps are grouped by the holder picked for each (the
 // recorded owner or an advertised replica), and every holder ships its
-// blocks over one batched stream, keys in Lo order, at most Parallel
+// blocks over one batched stream, keys in Lo order, at most parallel
 // streams in flight. A block reaches its result slot when its last
 // chunk arrives, not when the holder's batch drains, so the consumer
 // starts on the first block. Holders start in descending order of
@@ -97,10 +99,10 @@ func (m *Manager) FetchContext(ctx context.Context, term string, opts FetchOptio
 // to this side — so the cached copy serves any later interval, and
 // concurrent fetches of one block coalesce into a single transfer.
 func (m *Manager) FetchWithRoot(ctx context.Context, root *Root, opts FetchOptions) (postings.Stream, *FetchPlan, error) {
-	if opts.Parallel <= 0 {
-		opts.Parallel = 4
+	if opts.parallel <= 0 {
+		opts.parallel = 4
 	}
-	plan := &FetchPlan{Term: root.Term, Blocks: len(root.Blocks), Parallel: opts.Parallel, DocClipped: opts.Filter}
+	plan := &FetchPlan{Term: root.Term, Blocks: len(root.Blocks), Parallel: opts.parallel, DocClipped: opts.Filter}
 	cc := cost.FromContext(ctx)
 	// The fan-out span covers the fetch decision; the fetch itself
 	// streams on, so holder transfers appear as their own child spans and
@@ -206,7 +208,7 @@ func (m *Manager) FetchWithRoot(ctx context.Context, root *Root, opts FetchOptio
 	// never the one left waiting for a free slot behind shorter ones.
 	sort.SliceStable(holders, func(i, j int) bool { return len(groups[holders[i]]) > len(groups[holders[j]]) })
 	go func() {
-		sem := make(chan struct{}, opts.Parallel)
+		sem := make(chan struct{}, opts.parallel)
 		for _, addr := range holders {
 			sem <- struct{}{}
 			go func() {

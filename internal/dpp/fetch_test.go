@@ -244,7 +244,7 @@ func TestFetchCancelsFanOutOnError(t *testing.T) {
 	}
 	col := c.net.Collector
 	col.Reset()
-	s, _, err := c.managers[at].FetchWithRoot(context.Background(), &root, FetchOptions{Parallel: 3})
+	s, _, err := c.managers[at].FetchWithRoot(context.Background(), &root, FetchOptions{parallel: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestFetchCancelsFanOutOnError(t *testing.T) {
 	c.net.SetModel(dht.LinkModel{Latency: time.Millisecond, BytesPerSec: 100 << 10})
 	defer c.net.SetModel(dht.LinkModel{})
 	col.Reset()
-	s, _, err = c.managers[at].FetchWithRoot(context.Background(), &root, FetchOptions{Parallel: 3})
+	s, _, err = c.managers[at].FetchWithRoot(context.Background(), &root, FetchOptions{parallel: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,11 +118,8 @@ func (r *storeResult) report() ([]section, []bound) {
 }
 
 // The Section 4.1 split comparison runs DPP blocks of splitBlockSize
-// postings, fetched splitParallel at a time over splitLink.
-const (
-	splitBlockSize = 512
-	splitParallel  = 4
-)
+// postings over splitLink.
+const splitBlockSize = 512
 
 var splitLink = dht.LinkModel{BytesPerSec: 1 << 20}
 
@@ -150,9 +147,8 @@ func runSplitAblation(s Scale) (*splitResult, error) {
 		random bool
 	}{{"ordered split", false}, {"random split", true}} {
 		cfg := kadop.Config{
-			UseDPP:   true,
-			DPP:      dpp.Options{BlockSize: splitBlockSize, RandomSplit: variant.random},
-			Parallel: splitParallel,
+			UseDPP: true,
+			DPP:    dpp.Options{BlockSize: splitBlockSize, RandomSplit: variant.random},
 		}
 		err := withCluster(ClusterOptions{Peers: s.Peers, Cfg: cfg}, docs, func(cl *Cluster) error {
 			cl.Net.Collector.Reset()

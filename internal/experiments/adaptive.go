@@ -82,7 +82,6 @@ func runLoadAdaptive(s Scale) (*adaptiveResult, error) {
 		DPP: dpp.Options{BlockSize: 1 << 20},
 		Replicate: replicate.Config{
 			Enabled:  true,
-			Extra:    2,
 			HotBytes: 4 << 10,
 			Lease:    time.Hour, // ticks are explicit; leases must span the run
 			Now:      clock,

@@ -54,14 +54,13 @@ func TestRunLoadAdaptive(t *testing.T) {
 //     promotions drain and the extra copies are deleted again.
 func TestAdaptiveChaosConvergence(t *testing.T) {
 	const (
-		peers     = 10
-		stable    = 4 // first ids never churn: they publish and query
-		baseDocs  = 60
-		waveDocs  = 8
-		waves     = 3
-		seed      = 42
-		replicaN  = 3
-		extraRepl = 2
+		peers    = 10
+		stable   = 4 // first ids never churn: they publish and query
+		baseDocs = 60
+		waveDocs = 8
+		waves    = 3
+		seed     = 42
+		replicaN = 3
 	)
 
 	var clockMu sync.Mutex
@@ -94,7 +93,6 @@ func TestAdaptiveChaosConvergence(t *testing.T) {
 		DHT:    dhtCfg,
 		Replicate: replicate.Config{
 			Enabled:  true,
-			Extra:    extraRepl,
 			HotBytes: 1 << 10,
 			Decay:    0.05, // steep aging so the cool-down phase demotes quickly
 			Lease:    time.Hour,

@@ -19,8 +19,8 @@ const Fig3Query = `//article//author[. contains "Ullman"]`
 // transfer dominates, as on the paper's testbed.
 var fig3Link = dht.LinkModel{BytesPerSec: 512 << 10}
 
-// fig3Parallel is the DPP fetch parallelism K (and the parallel join's
-// width); fig3BlockSize the DPP block bound in postings.
+// fig3Parallel is the parallel join's width, the DPP fetch parallelism
+// K; fig3BlockSize the DPP block bound in postings.
 const (
 	fig3Parallel  = 4
 	fig3BlockSize = 512
@@ -48,7 +48,7 @@ func runFig3(s Scale, link dht.LinkModel) (*fig3Result, error) {
 	for _, v := range []struct{ dpp, pjoin bool }{{false, false}, {true, false}, {true, true}} {
 		for _, records := range s.Records {
 			docs := s.dblp(records)
-			cfg := kadop.Config{Parallel: fig3Parallel}
+			var cfg kadop.Config
 			if v.dpp {
 				cfg.UseDPP = true
 				cfg.DPP = dpp.Options{BlockSize: fig3BlockSize}

@@ -25,7 +25,7 @@ import (
 // twigs over its random documents (Child-axis roots, repeated labels,
 // contains steps) and FuzzJoin's seed corpus.
 func TestIndexAnswersEqualPhaseTwo(t *testing.T) {
-	c := newCluster(t, 6, Config{UseDPP: true, DPP: dpp.Options{BlockSize: 16}, Parallel: 2})
+	c := newCluster(t, 6, Config{UseDPP: true, DPP: dpp.Options{BlockSize: 16}})
 	var docs []string
 	for _, d := range (workload.DBLP{Seed: 7, Records: 300}).Documents() {
 		docs = append(docs, xmltree.Serialize(d.Doc))

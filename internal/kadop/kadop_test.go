@@ -818,7 +818,7 @@ func TestTypeFilteringSkipsBlocks(t *testing.T) {
 }
 
 func TestParallelJoinMatchesSequential(t *testing.T) {
-	c := newCluster(t, 10, Config{UseDPP: true, DPP: dpp.Options{BlockSize: 16}, Parallel: 2})
+	c := newCluster(t, 10, Config{UseDPP: true, DPP: dpp.Options{BlockSize: 16}})
 	var docs []string
 	for i := 0; i < 80; i++ {
 		author := fmt.Sprintf("Person %d", i)

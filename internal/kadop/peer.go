@@ -63,15 +63,8 @@ type Config struct {
 	// concurrent fetches of one block coalesce, and generation-keyed
 	// entries self-invalidate on append/delete. Zero disables caching.
 	CacheBytes int64
-	// Parallel is the DPP fetch parallelism K (default 4).
-	Parallel int
 	// Extract controls term extraction at publishing time.
 	Extract xmltree.ExtractOptions
-	// ABBasicFP and DBBasicFP are the basic false-positive rates of the
-	// structural Bloom filters (defaults 0.20 and 0.01, the paper's
-	// choices: AB filters tolerate a loose basic filter).
-	ABBasicFP float64
-	DBBasicFP float64
 	// DHT configures the overlay node (replication factor, retry
 	// policy, repair cadence) for the constructors that build the node
 	// themselves — NewSimCluster, NewTCPPeer and the CLIs. The zero
@@ -79,7 +72,7 @@ type Config struct {
 	// attempt. Constructors taking an existing *dht.Node ignore it.
 	DHT dht.Config
 	// QueryLog, when set, receives one structured JSONL record per
-	// (sampled) query: pattern, phase latencies, bytes moved, cache
+	// query: pattern, phase latencies, bytes moved, cache
 	// hits, hops and retries. kadop-query -log wires this up.
 	QueryLog *querylog.Logger
 	// DataDir, when set, makes the peer durable: the index B+-tree, the
@@ -110,15 +103,13 @@ type Config struct {
 	Replicate replicate.Config
 	// ShedRate, when positive, arms the admission gate on this peer's
 	// read-serving path: sustained read admissions per second, with
-	// ShedBurst (default max(ShedRate,1)) of headroom. Over-budget
-	// reads answer the retryable overload error so clients fail over to
-	// another replica instead of queueing here. Zero disables shedding.
-	ShedRate  float64
-	ShedBurst float64
+	// max(ShedRate,1) reads of burst headroom. Over-budget reads answer
+	// the retryable overload error so clients fail over to another
+	// replica instead of queueing here. Zero disables shedding.
+	ShedRate float64
 	// SlowQuery, when positive, is the slow-query capture threshold:
-	// any query at least this slow is written to the query log with its
-	// full trace tree attached, bypassing the log's sampling — the tail
-	// is exactly what sampling must not drop. Requires QueryLog for the
+	// any query at least this slow is marked slow in the query log and
+	// carries its full trace tree there. Requires QueryLog for the
 	// persistent record; the query's flight-ring entry and histogram
 	// exemplar are recorded regardless.
 	SlowQuery time.Duration
@@ -126,10 +117,9 @@ type Config struct {
 	// index appends arriving concurrently (several publishers, or the
 	// fan-out of one wide document) group into a single WAL commit, so
 	// one fsync covers the whole batch instead of one per operation.
-	// Honoured by the constructors that build the store themselves
-	// (NewTCPPeer, the experiment clusters); constructors taking an
-	// existing *dht.Node leave the store to the caller, who can wrap it
-	// in store.NewCoalescer directly.
+	// Honoured by NewTCPPeer, which builds the store itself;
+	// constructors taking an existing *dht.Node leave the store to the
+	// caller, who can wrap it in store.NewCoalescer directly.
 	Batching BatchingConfig
 }
 
@@ -137,29 +127,17 @@ type Config struct {
 // (store.NewCoalescer). The zero value disables coalescing, the seed
 // behaviour: one WAL transaction and one fsync per store operation.
 type BatchingConfig struct {
-	// Enabled wraps the index store in the coalescer.
+	// Enabled wraps the index store in the coalescer, whose batch
+	// leader lingers 2ms collecting more operations before flushing.
 	Enabled bool
-	// MaxDelay, when positive, lets a batch leader linger that long
-	// collecting more operations before flushing. Zero (the default)
-	// flushes immediately — serial callers pay no added latency and
-	// batches form naturally from whatever queued during the previous
-	// flush.
-	MaxDelay time.Duration
 }
 
-func (c Config) abFP() float64 {
-	if c.ABBasicFP <= 0 {
-		return 0.20
-	}
-	return c.ABBasicFP
-}
-
-func (c Config) dbFP() float64 {
-	if c.DBBasicFP <= 0 {
-		return 0.01
-	}
-	return c.DBBasicFP
-}
+// The basic false-positive rates of the structural Bloom filters, the
+// paper's choices (Section 5): AB filters tolerate a loose basic filter.
+const (
+	abBasicFP = 0.20
+	dbBasicFP = 0.01
+)
 
 // Peer is one KadoP peer.
 type Peer struct {
@@ -225,7 +203,7 @@ func NewPeer(node *dht.Node, id sid.PeerID, cfg Config) (*Peer, error) {
 		}
 	}
 	if cfg.ShedRate > 0 {
-		node.SetShedGate(replicate.NewGate(cfg.ShedRate, cfg.ShedBurst, cfg.Replicate.Now))
+		node.SetShedGate(replicate.NewGate(cfg.ShedRate, max(cfg.ShedRate, 1), cfg.Replicate.Now))
 	}
 	if cfg.Replicate.Enabled {
 		p.ctrl = replicate.NewController(node, cfg.Replicate)
@@ -680,7 +658,7 @@ type termGroup struct {
 // publishFanOut bounds the concurrent term appends of one publish call.
 // Terms hash to independent home peers, so the appends are parallel
 // work, and with a lingering coalescer at the home stores
-// (BatchingConfig.MaxDelay) an append spends most of its life parked in
+// (Config.Batching) an append spends most of its life parked in
 // a store's batch queue: many must be in flight to keep every store's
 // collection window fed. The bound keeps one call from flooding the
 // overlay.

@@ -37,9 +37,6 @@ type QueryOptions struct {
 	// stream unordered (the paper relaxes result order for time to first
 	// answer). 0 or 1 disables; requires the DPP.
 	ParallelJoin int
-	// SubQuery restricts Bloom filtering to the sub-pattern rooted at
-	// the node with this pre-order position (SubQueryReducer only).
-	SubQuery []int
 	// AllowPartial tolerates unreachable document peers: their answers
 	// are omitted and the result is marked incomplete, matching the
 	// paper's timeout behaviour ("in this case, the answer is
@@ -151,11 +148,10 @@ func (p *Peer) Query(q *pattern.Query, opts QueryOptions) (*Result, error) {
 // deadline bounds every transfer of both phases; with AllowPartial the
 // query degrades to an explicitly incomplete result when peers fail or
 // the budget runs out mid-phase-two, instead of hanging or erroring.
-// When the peer's Config.QueryLog is set, every sampled query also
-// emits one structured JSONL record.
+// When the peer's Config.QueryLog is set, every query also emits one
+// structured JSONL record.
 func (p *Peer) QueryContext(ctx context.Context, q *pattern.Query, opts QueryOptions) (*Result, error) {
 	ql := p.cfg.QueryLog
-	sampled := ql.Sample()
 	if ql == nil && p.cfg.SlowQuery <= 0 {
 		res, err := p.queryContext(ctx, q, opts)
 		p.countQuery(err, false)
@@ -164,11 +160,9 @@ func (p *Peer) QueryContext(ctx context.Context, q *pattern.Query, opts QueryOpt
 	snap := p.logSnapshot()
 	start := time.Now()
 	res, err := p.queryContext(ctx, q, opts)
-	// Slow-query capture bypasses sampling: the latency tail is exactly
-	// what sampling must not drop.
 	slow := p.cfg.SlowQuery > 0 && time.Since(start) >= p.cfg.SlowQuery
 	p.countQuery(err, slow)
-	if ql != nil && (sampled || slow) {
+	if ql != nil {
 		rec := p.buildLogRecord(q, opts, snap, res, err)
 		rec.Slow = slow
 		if res != nil && res.Trace != nil {
@@ -687,7 +681,7 @@ func (p *Peer) fetchStreams(ctx context.Context, sub *pattern.Query, opts QueryO
 	// The reads are planned before the strategy is chosen: the roots
 	// that locate the blocks also carry every count the chooser and the
 	// sub-query selection need, so neither issues an RPC of its own.
-	sized := opts.Strategy == AutoStrategy || (opts.Strategy == SubQueryReducer && len(opts.SubQuery) == 0)
+	sized := opts.Strategy == AutoStrategy || opts.Strategy == SubQueryReducer
 	if reads == nil && (sized || opts.Strategy == Conventional) {
 		var err error
 		if reads, err = p.planReads(ctx, terms, opts.DocType, sized); err != nil {
@@ -813,8 +807,7 @@ func (p *Peer) openStreams(ctx context.Context, reads *termReads, r docRange, du
 		var s postings.Stream
 		if p.dpp != nil {
 			fs, plan, err := p.dpp.FetchWithRoot(ctx, reads.roots[t], dpp.FetchOptions{
-				Parallel: p.cfg.Parallel,
-				Filter:   r != allDocs, FilterLo: r.lo, FilterHi: r.hi,
+				Filter: r != allDocs, FilterLo: r.lo, FilterHi: r.hi,
 				AllowedTypes: reads.allowed,
 			})
 			if err != nil {

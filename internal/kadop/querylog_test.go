@@ -20,7 +20,7 @@ func TestQueryLogRoundTrip(t *testing.T) {
 	cfg := Config{
 		UseDPP:   true,
 		DPP:      dpp.Options{BlockSize: 64},
-		QueryLog: querylog.New(&buf, querylog.Options{}),
+		QueryLog: querylog.New(&buf),
 	}
 	c := newCluster(t, 4, cfg)
 	publishAll(t, c, dblpDocs)
@@ -70,31 +70,5 @@ func TestQueryLogRoundTrip(t *testing.T) {
 	}
 	if lines != len(strategies) {
 		t.Fatalf("logged %d records, want %d", lines, len(strategies))
-	}
-}
-
-// TestQueryLogSampling checks the sampled logger only records its share.
-func TestQueryLogSampling(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := Config{QueryLog: querylog.New(&buf, querylog.Options{SampleRate: 0.5})}
-	c := newCluster(t, 2, cfg)
-	publishAll(t, c, dblpDocs)
-
-	q, err := pattern.Parse(`//article//author`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := c.peers[1].Query(q, QueryOptions{IndexOnly: true}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sc := bufio.NewScanner(&buf)
-	var lines int
-	for sc.Scan() {
-		lines++
-	}
-	if lines != 2 {
-		t.Errorf("rate 0.5 over 4 queries logged %d records, want 2", lines)
 	}
 }

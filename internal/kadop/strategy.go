@@ -403,10 +403,7 @@ func (p *Peer) reducedLists(ctx context.Context, sub *pattern.Query, opts QueryO
 		passes = []string{procHybridAB, procHybridDB}
 	case SubQueryReducer:
 		passes = []string{procDBReduce}
-		var err error
-		if filtered, plainIDs, err = selectSubQuery(spec, nodes, opts.SubQuery, reads); err != nil {
-			return nil, err
-		}
+		filtered, plainIDs = selectSubQuery(spec, nodes, reads)
 	default:
 		return nil, fmt.Errorf("kadop: reducedLists with strategy %v", opts.Strategy)
 	}
@@ -417,7 +414,7 @@ func (p *Peer) reducedLists(ctx context.Context, sub *pattern.Query, opts QueryO
 
 	req := &reduceReq{
 		session: session, queryAddr: p.node.Self().Addr,
-		abFP: p.cfg.abFP(), dbFP: p.cfg.dbFP(), spec: filtered,
+		abFP: abBasicFP, dbFP: dbBasicFP, spec: filtered,
 		skipReply: true, // the root call's filter has no consumer
 	}
 	for _, proc := range passes {
@@ -479,44 +476,29 @@ func (p *Peer) reducedLists(ctx context.Context, sub *pattern.Query, opts QueryO
 	return lists, nil
 }
 
-// selectSubQuery picks the sub-pattern the SubQueryReducer filters.
-// With explicit positions it uses those; otherwise it applies the
-// paper's heuristic — choose the root-to-leaf path ending at the leaf
+// selectSubQuery picks the sub-pattern the SubQueryReducer filters
+// with the paper's heuristic — the root-to-leaf path ending at the leaf
 // with the smallest posting list, the query's most selective branch —
 // on the counts the planned reads hold.
-func selectSubQuery(spec *reduceSpec, nodes []*pattern.Node, explicit []int, reads *termReads) (*reduceSpec, []int, error) {
-	inSub := map[int]bool{}
-	if len(explicit) > 0 {
-		for _, id := range explicit {
-			if id < 0 || id >= len(nodes) {
-				return nil, nil, fmt.Errorf("kadop: sub-query position %d out of range", id)
-			}
-			inSub[id] = true
-		}
-	} else {
-		// Find the smallest leaf list.
-		var bestPath []int
-		bestSize := -1
-		var walk func(s *reduceSpec, path []int)
-		walk = func(s *reduceSpec, path []int) {
-			path = append(path[:len(path):len(path)], s.nodeID)
-			if len(s.children) == 0 {
-				if n, _ := reads.count(s.term); bestSize < 0 || n < bestSize {
-					bestPath, bestSize = path, n
-				}
-			}
-			for _, c := range s.children {
-				walk(c, path)
+func selectSubQuery(spec *reduceSpec, nodes []*pattern.Node, reads *termReads) (*reduceSpec, []int) {
+	var bestPath []int
+	bestSize := -1
+	var walk func(s *reduceSpec, path []int)
+	walk = func(s *reduceSpec, path []int) {
+		path = append(path[:len(path):len(path)], s.nodeID)
+		if len(s.children) == 0 {
+			if n, _ := reads.count(s.term); bestSize < 0 || n < bestSize {
+				bestPath, bestSize = path, n
 			}
 		}
-		walk(spec, nil)
-		for _, id := range bestPath {
-			inSub[id] = true
+		for _, c := range s.children {
+			walk(c, path)
 		}
 	}
-	subSpec := projectSpec(spec, inSub)
-	if subSpec == nil {
-		return nil, nil, fmt.Errorf("kadop: sub-query does not include the root")
+	walk(spec, nil)
+	inSub := map[int]bool{}
+	for _, id := range bestPath {
+		inSub[id] = true
 	}
 	var rest []int
 	for id := range nodes {
@@ -524,7 +506,7 @@ func selectSubQuery(spec *reduceSpec, nodes []*pattern.Node, explicit []int, rea
 			rest = append(rest, id)
 		}
 	}
-	return subSpec, rest, nil
+	return projectSpec(spec, inSub), rest
 }
 
 // projectSpec keeps only the nodes in the set, preserving ancestry.

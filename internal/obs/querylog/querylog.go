@@ -2,7 +2,7 @@
 // pattern, per-phase latencies, bytes moved, cache hits, routing hops
 // and retries. The records are the durable counterpart of the live
 // trace ring — greppable with jq, joinable across peers by time, and
-// cheap enough (one slog line per sampled query) to leave on in
+// cheap enough (one slog line per query) to leave on in
 // production deployments.
 package querylog
 
@@ -10,48 +10,20 @@ import (
 	"context"
 	"io"
 	"log/slog"
-	"sync/atomic"
 	"time"
 )
 
-// Options tune a Logger.
-type Options struct {
-	// SampleRate is the fraction of queries logged: 1 (or anything
-	// >= 1, or <= 0) logs every query; 0.25 logs every fourth. Sampling
-	// is deterministic — every round(1/rate)-th query — so repeated runs
-	// log the same records.
-	SampleRate float64
-}
-
 // Logger emits query records as JSON lines through log/slog. Safe for
 // concurrent use; the zero value is not usable, use New. A nil Logger
-// is safe: Sample reports false and Log is a no-op.
+// is safe: Log is a no-op.
 type Logger struct {
-	lg    *slog.Logger
-	every int64
-	n     atomic.Int64
+	lg *slog.Logger
 }
 
 // New returns a Logger writing JSONL to w.
-func New(w io.Writer, o Options) *Logger {
-	every := int64(1)
-	if o.SampleRate > 0 && o.SampleRate < 1 {
-		every = int64(1/o.SampleRate + 0.5)
-		if every < 1 {
-			every = 1
-		}
-	}
+func New(w io.Writer) *Logger {
 	h := slog.NewJSONHandler(w, &slog.HandlerOptions{Level: slog.LevelInfo})
-	return &Logger{lg: slog.New(h), every: every}
-}
-
-// Sample reports whether the next query should be logged, advancing
-// the sampling counter. Callers pair one Sample with at most one Log.
-func (l *Logger) Sample() bool {
-	if l == nil {
-		return false
-	}
-	return (l.n.Add(1)-1)%l.every == 0
+	return &Logger{lg: slog.New(h)}
 }
 
 // Record is one query's log line. Durations are nanoseconds, named
@@ -89,8 +61,8 @@ type Record struct {
 	// was untraced). It joins the record with histogram exemplars on
 	// /metrics and flight-recorder dumps.
 	TraceID string `json:"trace_id,omitempty"`
-	// Slow marks a record captured by the slow-query threshold — logged
-	// regardless of sampling, with the trace tree attached.
+	// Slow marks a query at or over the slow-query threshold; its record
+	// carries the trace tree.
 	Slow bool `json:"slow,omitempty"`
 	// Trace is the query's full span tree (slow captures only; any
 	// JSON-marshalable shape, in practice trace.TraceRecord).

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"io"
 	"strings"
 	"testing"
 	"time"
@@ -12,10 +11,7 @@ import (
 
 func TestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	l := New(&buf, Options{})
-	if !l.Sample() {
-		t.Fatal("rate 1 should sample every query")
-	}
+	l := New(&buf)
 	l.Log(Record{
 		Query:         `//article//author[. contains "Ullman"]`,
 		Strategy:      "conventional",
@@ -64,39 +60,16 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSamplingDeterministic(t *testing.T) {
-	l := New(io.Discard, Options{SampleRate: 0.25})
-	var logged int
-	for i := 0; i < 100; i++ {
-		if l.Sample() {
-			logged++
-		}
-	}
-	if logged != 25 {
-		t.Errorf("rate 0.25 over 100 queries logged %d, want 25", logged)
-	}
-	// First query is always sampled so one-shot CLI runs produce a line.
-	l2 := New(io.Discard, Options{SampleRate: 0.01})
-	if !l2.Sample() {
-		t.Error("first query not sampled at rate 0.01")
-	}
-}
-
 func TestNilLoggerSafe(t *testing.T) {
 	var l *Logger
-	if l.Sample() {
-		t.Error("nil logger should never sample")
-	}
 	l.Log(Record{Query: "x"}) // must not panic
 }
 
 func TestEveryLineParses(t *testing.T) {
 	var buf bytes.Buffer
-	l := New(&buf, Options{SampleRate: 0.5})
+	l := New(&buf)
 	for i := 0; i < 10; i++ {
-		if l.Sample() {
-			l.Log(Record{Query: "q", Answers: i})
-		}
+		l.Log(Record{Query: "q", Answers: i})
 	}
 	sc := bufio.NewScanner(&buf)
 	var lines int
@@ -107,7 +80,7 @@ func TestEveryLineParses(t *testing.T) {
 			t.Fatalf("line %d not JSON: %v", lines, err)
 		}
 	}
-	if lines != 5 {
-		t.Errorf("rate 0.5 over 10 queries wrote %d lines, want 5", lines)
+	if lines != 10 {
+		t.Errorf("10 records wrote %d lines, want 10", lines)
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -505,20 +504,4 @@ func joinNames(names []string) string {
 		out += n
 	}
 	return out
-}
-
-// ParseTarget parses a "99.9" / "0.999"-style target into a fraction.
-// Values above 1 are read as percentages.
-func ParseTarget(s string) (float64, error) {
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("slo: bad target %q: %w", s, err)
-	}
-	if f > 1 {
-		f /= 100
-	}
-	if f <= 0 || f >= 1 {
-		return 0, fmt.Errorf("slo: target %q outside (0,1)", s)
-	}
-	return f, nil
 }

@@ -265,20 +265,6 @@ func TestVerdict(t *testing.T) {
 	}
 }
 
-func TestParseTarget(t *testing.T) {
-	for in, want := range map[string]float64{"0.99": 0.99, "99.9": 0.999, "99": 0.99} {
-		got, err := ParseTarget(in)
-		if err != nil || got < want-1e-9 || got > want+1e-9 {
-			t.Errorf("ParseTarget(%q) = %v, %v", in, got, err)
-		}
-	}
-	for _, in := range []string{"0", "1", "100", "-5", "abc"} {
-		if _, err := ParseTarget(in); err == nil {
-			t.Errorf("ParseTarget(%q) accepted", in)
-		}
-	}
-}
-
 func TestStartStop(t *testing.T) {
 	var src fakeSource
 	src.add(100, 0)

@@ -16,17 +16,10 @@ type Config struct {
 	// Enabled turns the controller on. Off (the zero value) keeps the
 	// seed behaviour: no adaptive replication, no advertisement.
 	Enabled bool
-	// Extra is how many replicas beyond the owner set a promoted key
-	// gets (default 2).
-	Extra int
 	// HotBytes is the promotion threshold: a canonical term whose
 	// sketch weight reaches it gets its local keys promoted (default
 	// 16 KiB of served postings per decay window).
 	HotBytes int64
-	// CoolFactor scales the demotion threshold: a promoted term whose
-	// weight decays below CoolFactor*HotBytes is demoted (default
-	// 0.25; hysteresis keeps borderline terms from flapping).
-	CoolFactor float64
 	// Lease is the advertisement TTL (default 30s). Leases renew every
 	// tick while a term stays promoted, so a dead controller's
 	// advertisements expire on their own.
@@ -42,15 +35,19 @@ type Config struct {
 	Seed int64
 }
 
+const (
+	// extraReplicas is how many replicas beyond the owner set a
+	// promoted key gets.
+	extraReplicas = 2
+	// coolFactor scales the demotion threshold: a promoted term whose
+	// weight decays below coolFactor*HotBytes is demoted (hysteresis
+	// keeps borderline terms from flapping).
+	coolFactor = 0.25
+)
+
 func (c Config) withDefaults() Config {
-	if c.Extra <= 0 {
-		c.Extra = 2
-	}
 	if c.HotBytes <= 0 {
 		c.HotBytes = 16 << 10
-	}
-	if c.CoolFactor <= 0 || c.CoolFactor >= 1 {
-		c.CoolFactor = 0.25
 	}
 	if c.Lease <= 0 {
 		c.Lease = 30 * time.Second
@@ -188,7 +185,7 @@ func (c *Controller) Tick(ctx context.Context) (promoted, demoted int, err error
 			} else if err == nil {
 				promoted++
 			}
-		case p != nil && weight[term] < int64(c.cfg.CoolFactor*float64(c.cfg.HotBytes)):
+		case p != nil && weight[term] < int64(coolFactor*float64(c.cfg.HotBytes)):
 			if err := c.demote(ctx, p); err != nil && firstErr == nil {
 				firstErr = err
 			} else if err == nil {
@@ -220,7 +217,7 @@ func (c *Controller) Tick(ctx context.Context) (promoted, demoted int, err error
 // home peers. Caller holds c.mu.
 func (c *Controller) promote(ctx context.Context, key, term string, p *promotion) error {
 	if p == nil {
-		targets, err := c.node.ReplicaTargets(ctx, key, c.cfg.Extra)
+		targets, err := c.node.ReplicaTargets(ctx, key, extraReplicas)
 		if err != nil {
 			return err
 		}
@@ -248,7 +245,7 @@ func (c *Controller) promote(ctx context.Context, key, term string, p *promotion
 		// A target died or left the overlay: refresh the target set and
 		// push again right away, so one tick heals the replica count
 		// instead of pushing at a ghost until the next.
-		if fresh, err := c.node.ReplicaTargets(ctx, key, c.cfg.Extra); err == nil && len(fresh) > 0 {
+		if fresh, err := c.node.ReplicaTargets(ctx, key, extraReplicas); err == nil && len(fresh) > 0 {
 			p.targets = fresh
 			addrs, pushErr = pushAll(fresh)
 		}

@@ -126,7 +126,7 @@ func snapshotters(t *testing.T) map[string]Store {
 	t.Helper()
 	open := func() Store {
 		bt, err := OpenBTreeOptions(filepath.Join(t.TempDir(), "index.bt"),
-			Options{Fsync: FsyncOff, CheckpointBytes: 32 << 10}) // checkpoint often under the test
+			Options{Fsync: FsyncOff, checkpointBytes: 32 << 10}) // checkpoint often under the test
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,7 +342,7 @@ func TestCrashTornBatchAllOrNothing(t *testing.T) {
 	// Dry run: total bytes written by setup + batch.
 	dir := t.TempDir()
 	var count countingState
-	opts := Options{Fsync: FsyncAlways, CheckpointBytes: 16 << 10}
+	opts := Options{Fsync: FsyncAlways, checkpointBytes: 16 << 10}
 	dryOpts := opts
 	dryOpts.open = countingOpener(&count)
 	dry, err := openForTest(filepath.Join(dir, "dry.bt"), dryOpts)

@@ -803,7 +803,7 @@ func (t *BTree) Close() error {
 }
 
 // Checkpoint forces dirty pages into the page file and truncates the
-// WAL, regardless of the CheckpointBytes threshold.
+// WAL, regardless of the checkpointBytes threshold.
 func (t *BTree) Checkpoint() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()

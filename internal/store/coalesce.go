@@ -10,8 +10,6 @@ import (
 
 // CoalesceOptions bound the batches a Coalescer forms.
 type CoalesceOptions struct {
-	// MaxOps caps the operations flushed as one batch (default 256).
-	MaxOps int
 	// MaxDelay, when positive, makes a flush leader wait this long
 	// before flushing so concurrent publishers can pile in. Zero (the
 	// default) relies on natural batching: ops arriving while a flush
@@ -19,6 +17,9 @@ type CoalesceOptions struct {
 	// pays no added latency at all.
 	MaxDelay time.Duration
 }
+
+// maxBatchOps caps the operations flushed as one batch.
+const maxBatchOps = 256
 
 // Coalescer wraps a Store and group-commits its writes: concurrent
 // Append/Delete calls are queued and applied as one ApplyBatch — a
@@ -32,14 +33,13 @@ type CoalesceOptions struct {
 //
 // The protocol is leader/follower: the first op to arrive while no
 // flush is running becomes the leader and drains the queue in
-// MaxOps-sized batches; ops arriving meanwhile are appended to the
+// batches of at most maxBatchOps; ops arriving meanwhile are appended to the
 // queue and picked up by the same drain (or the next leader). Under a
 // serial workload every batch has size one and the coalescer adds two
 // channel operations; under N concurrent publishers the fsync cost
 // divides by the batch size.
 type Coalescer struct {
 	inner
-	maxOps   int
 	maxDelay time.Duration
 
 	mu       sync.Mutex
@@ -64,10 +64,7 @@ type pendingOp struct {
 
 // NewCoalescer wraps st.
 func NewCoalescer(st Store, o CoalesceOptions) *Coalescer {
-	if o.MaxOps <= 0 {
-		o.MaxOps = 256
-	}
-	c := &Coalescer{inner: st, maxOps: o.MaxOps, maxDelay: o.MaxDelay}
+	c := &Coalescer{inner: st, maxDelay: o.MaxDelay}
 	c.idle = sync.NewCond(&c.mu)
 	return c
 }
@@ -122,8 +119,8 @@ func (c *Coalescer) submit(op *pendingOp) error {
 			c.mu.Lock()
 		}
 		n := len(c.queue)
-		if n > c.maxOps {
-			n = c.maxOps
+		if n > maxBatchOps {
+			n = maxBatchOps
 		}
 		chunk := c.queue[:n:n]
 		c.queue = c.queue[n:]

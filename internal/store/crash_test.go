@@ -115,8 +115,8 @@ func (c *countingFile) Sync() error {
 	c.st.syncs++
 	return c.f.Sync()
 }
-func (c *countingFile) Close() error              { return c.f.Close() }
-func (c *countingFile) Size() (int64, error)      { return c.f.Size() }
+func (c *countingFile) Close() error         { return c.f.Close() }
+func (c *countingFile) Size() (int64, error) { return c.f.Size() }
 
 // ---- structural invariants -----------------------------------------
 
@@ -322,9 +322,9 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
 			seed := int64(1000 + trial/6) // several crash points per script
 			script := makeScript(seed, scriptLen)
-			opts := Options{CheckpointBytes: 64 << 10} // checkpoint often: crash points hit the fence
+			opts := Options{checkpointBytes: 64 << 10} // checkpoint often: crash points hit the fence
 			if trial%3 == 0 {
-				opts.CheckpointBytes = 1 // checkpoint on every commit
+				opts.checkpointBytes = 1 // checkpoint on every commit
 			}
 
 			// Dry run: how many bytes does this script write in total?
@@ -439,7 +439,7 @@ func openForTest(path string, opts Options) (*BTree, error) {
 // so a crash could publish a root pointing at unwritten pages.
 func TestCrashSweepMetaFence(t *testing.T) {
 	script := makeScript(42, 25)
-	opts := Options{CheckpointBytes: 1}
+	opts := Options{checkpointBytes: 1}
 
 	dir := t.TempDir()
 	var count countingState

@@ -543,7 +543,7 @@ func (pg *pager) commit() error {
 	pg.committedNPages = pg.npages
 	pg.txUndo = map[uint32]*page{}
 	pg.snapMu.Unlock()
-	if pg.wal.bytes() >= pg.opts.CheckpointBytes {
+	if pg.wal.bytes() >= pg.opts.checkpointBytes {
 		return pg.checkpoint()
 	}
 	return nil

@@ -15,7 +15,7 @@ import (
 //
 // The policy trades publish throughput for the durability window: with
 // FsyncAlways a successful Append survives any crash; with
-// FsyncInterval up to FsyncEvery of committed operations may be lost
+// FsyncInterval up to fsyncEvery of committed operations may be lost
 // (but the store always recovers to a consistent committed prefix);
 // with FsyncOff the window is whatever the OS page cache holds. All
 // three policies keep the same write ordering, so a crash never
@@ -27,7 +27,7 @@ const (
 	// FsyncAlways fsyncs the WAL on every commit (one Store operation).
 	FsyncAlways FsyncPolicy = iota
 	// FsyncInterval groups commits: a background syncer fsyncs the WAL
-	// every Options.FsyncEvery, so a crash loses at most that window.
+	// every Options.fsyncEvery, so a crash loses at most that window.
 	FsyncInterval
 	// FsyncOff never fsyncs; the OS decides when bytes reach disk.
 	FsyncOff
@@ -63,14 +63,16 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 type Options struct {
 	// Fsync selects the WAL fsync policy (default FsyncAlways).
 	Fsync FsyncPolicy
-	// FsyncEvery is the FsyncInterval group-commit window (default
-	// 50ms); ignored under the other policies.
-	FsyncEvery time.Duration
-	// CheckpointBytes triggers a checkpoint — dirty pages flushed to
-	// the page file, meta fenced behind them, WAL truncated — once the
-	// WAL exceeds this size (default 4 MiB).
-	CheckpointBytes int64
 
+	// fsyncEvery is the FsyncInterval group-commit window (default
+	// 50ms); ignored under the other policies. The fsync-policy tests
+	// shorten it.
+	fsyncEvery time.Duration
+	// checkpointBytes triggers a checkpoint — dirty pages flushed to
+	// the page file, meta fenced behind them, WAL truncated — once the
+	// WAL exceeds this size (default 4 MiB). The crash and batch tests
+	// lower it so their runs cross checkpoints.
+	checkpointBytes int64
 	// open substitutes the file opener; the crash-injection tests use
 	// it to kill writes at arbitrary byte offsets. Nil means the real
 	// filesystem.
@@ -78,11 +80,11 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.FsyncEvery <= 0 {
-		o.FsyncEvery = 50 * time.Millisecond
+	if o.fsyncEvery <= 0 {
+		o.fsyncEvery = 50 * time.Millisecond
 	}
-	if o.CheckpointBytes <= 0 {
-		o.CheckpointBytes = 4 << 20
+	if o.checkpointBytes <= 0 {
+		o.checkpointBytes = 4 << 20
 	}
 	if o.open == nil {
 		o.open = openOSFile
@@ -220,7 +222,7 @@ func openWAL(path string, o Options) (*wal, error) {
 	if o.Fsync == FsyncInterval {
 		w.stop = make(chan struct{})
 		w.done = make(chan struct{})
-		go w.syncLoop(o.FsyncEvery)
+		go w.syncLoop(o.fsyncEvery)
 	}
 	return w, nil
 }

@@ -314,7 +314,7 @@ func TestFsyncPolicies(t *testing.T) {
 	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncOff} {
 		t.Run(policy.String(), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "pol.bt")
-			bt, err := OpenBTreeOptions(path, Options{Fsync: policy, FsyncEvery: time.Millisecond})
+			bt, err := OpenBTreeOptions(path, Options{Fsync: policy, fsyncEvery: time.Millisecond})
 			if err != nil {
 				t.Fatal(err)
 			}

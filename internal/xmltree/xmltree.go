@@ -260,26 +260,14 @@ type TermPosting struct {
 
 // ExtractOptions control term extraction.
 type ExtractOptions struct {
-	// StopWords are word terms to skip (very frequent words whose
-	// posting lists would be large and useless). Label terms are never
-	// skipped. Nil means no stop words.
-	StopWords map[string]bool
 	// SkipWords disables word indexing entirely (labels only).
 	SkipWords bool
-}
 
-// DefaultStopWords is a small English stop word list used by the
-// publishing pipeline unless overridden.
-func DefaultStopWords() map[string]bool {
-	words := []string{
-		"a", "an", "and", "are", "as", "at", "be", "by", "for", "from",
-		"in", "is", "it", "of", "on", "or", "that", "the", "to", "with",
-	}
-	m := make(map[string]bool, len(words))
-	for _, w := range words {
-		m[w] = true
-	}
-	return m
+	// stopWords are word terms to skip (very frequent words whose
+	// posting lists would be large and useless). Label terms are never
+	// skipped. Nil, as everywhere but the extraction tests, means no
+	// stop words.
+	stopWords map[string]bool
 }
 
 // Extract walks the document and produces its Term relation rows for
@@ -297,7 +285,7 @@ func Extract(d *Document, peer sid.PeerID, docID sid.DocID, opts ExtractOptions)
 		}
 		seen := map[string]bool{}
 		for _, w := range n.Words {
-			if seen[w] || opts.StopWords[w] {
+			if seen[w] || opts.stopWords[w] {
 				continue
 			}
 			seen[w] = true

@@ -182,7 +182,7 @@ func TestExtract(t *testing.T) {
 
 func TestExtractStopWordsAndSkip(t *testing.T) {
 	d := parse(t, sample)
-	tps := Extract(d, 1, 1, ExtractOptions{StopWords: DefaultStopWords()})
+	tps := Extract(d, 1, 1, ExtractOptions{stopWords: map[string]bool{"on": true}})
 	for _, tp := range tps {
 		if tp.Term.Kind == Word && tp.Term.Text == "on" {
 			t.Error("stop word 'on' was indexed")

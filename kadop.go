@@ -66,7 +66,7 @@ import (
 // Re-exported core types. The underlying packages carry the full
 // documentation.
 type (
-	// Config configures a peer (DPP, pipelining, filter rates).
+	// Config configures a peer (DPP, caching, durability, replication).
 	Config = ikadop.Config
 	// Peer is one KadoP peer.
 	Peer = ikadop.Peer
@@ -103,11 +103,9 @@ type (
 	Tracer = trace.Tracer
 	// Trace is one recorded query timeline; render it with Tree().
 	Trace = trace.Trace
-	// QueryLogger emits one structured JSONL record per sampled query;
-	// install one via Config.QueryLog.
+	// QueryLogger emits one structured JSONL record per query; install
+	// one via Config.QueryLog.
 	QueryLogger = querylog.Logger
-	// QueryLogOptions tune a QueryLogger (sampling rate).
-	QueryLogOptions = querylog.Options
 	// FlightRecorder is the per-peer forensic ring of recent annotated
 	// events; install one via EnableFlight.
 	FlightRecorder = flight.Recorder
@@ -116,16 +114,13 @@ type (
 	// SLOEngine evaluates declarative objectives with multi-window
 	// burn-rate alerting; build one via EnableSLO.
 	SLOEngine = slo.Engine
-	// SLOWindow is one burn-rate alert condition (short/long look-back
-	// plus threshold).
-	SLOWindow = slo.Window
 	// SLOAlert is one burn-rate condition newly met.
 	SLOAlert = slo.Alert
 	// SLOStatus is one objective's current evaluation.
 	SLOStatus = slo.Status
 	// ReplicateConfig parameterises the adaptive hot-term replication
-	// controller (Config.Replicate): promotion threshold, extra replica
-	// count, lease TTL and control-loop interval.
+	// controller (Config.Replicate): promotion threshold, lease TTL and
+	// control-loop interval.
 	ReplicateConfig = replicate.Config
 	// ReplicationController is the per-peer closed loop promoting hot
 	// terms to extra replicas; reach it via Peer.Replicator.
@@ -215,16 +210,13 @@ func EnableTracing(p *Peer, capacity int) *Tracer {
 }
 
 // EnableFlight installs a flight recorder retaining the peer's most
-// recent capacity events (4096 if capacity <= 0) and returns it. From
-// then on the peer's RPCs, robustness events, cache misses and query
-// completions land in the ring, dumpable via /debug/flight or
-// Recorder.TakeDump. The recorder stays on in production: recording is
-// one shard-local lock and a struct copy per event.
-func EnableFlight(p *Peer, capacity int) *FlightRecorder {
-	if capacity <= 0 {
-		capacity = 4096
-	}
-	rec := flight.New(capacity)
+// recent 4096 events and returns it. From then on the peer's RPCs,
+// robustness events, cache misses and query completions land in the
+// ring, dumpable via /debug/flight or Recorder.TakeDump. The recorder
+// stays on in production: recording is one shard-local lock and a
+// struct copy per event.
+func EnableFlight(p *Peer) *FlightRecorder {
+	rec := flight.New(4096)
 	p.Node().SetFlight(rec)
 	if c := p.BlockCache(); c != nil {
 		c.SetFlight(rec)
@@ -232,26 +224,11 @@ func EnableFlight(p *Peer, capacity int) *FlightRecorder {
 	return rec
 }
 
-// SLOOptions configure EnableSLO. The zero value is a production-ready
-// default: 99.9% query availability, 99% of queries under ~500ms, the
-// classic SRE multi-window burn-rate pairs, evaluated every 5 seconds.
+// SLOOptions configure EnableSLO. The objectives are fixed: 99.9%
+// query availability and 99% of queries under ~500ms, alerting on the
+// classic SRE multi-window burn-rate pairs (5m/1h at 14.4x pages,
+// 30m/6h at 6x tickets), evaluated every 5 seconds.
 type SLOOptions struct {
-	// AvailabilityTarget is the required fraction of queries that
-	// succeed (default 0.999).
-	AvailabilityTarget float64
-	// LatencyTarget is the required fraction of queries at or under
-	// LatencyThreshold (default 0.99).
-	LatencyTarget float64
-	// LatencyThreshold is the latency SLO's cut-off (default 500ms,
-	// rounded up to the owning histogram bucket).
-	LatencyThreshold time.Duration
-	// Windows are the burn-rate alert conditions; the SRE default pairs
-	// (5m/1h at 14.4x pages, 30m/6h at 6x tickets) when empty.
-	Windows []SLOWindow
-	// Interval is the evaluation cadence (default 5s). Negative
-	// disables the background loop — drive Engine.Tick yourself (tests
-	// and experiments use this for determinism).
-	Interval time.Duration
 	// FlightDir, when set, arms a flight watchdog: each burn-rate alert
 	// snapshots the peer's flight recorder into this directory
 	// (rate-limited), so the forensics of the moment the budget started
@@ -272,15 +249,11 @@ type SLOOptions struct {
 // up for the cluster health verdict. The returned stop function halts
 // the background evaluation loop.
 func EnableSLO(p *Peer, o SLOOptions) (*SLOEngine, func(), error) {
-	if o.AvailabilityTarget == 0 {
-		o.AvailabilityTarget = 0.999
-	}
-	if o.LatencyTarget == 0 {
-		o.LatencyTarget = 0.99
-	}
-	if o.LatencyThreshold <= 0 {
-		o.LatencyThreshold = 500 * time.Millisecond
-	}
+	const (
+		availability     = 0.999
+		latencyTarget    = 0.99
+		latencyThreshold = 500 * time.Millisecond
+	)
 	reg := p.Node().Registry()
 	queries := reg.Counter("kadop_queries_total", "Queries evaluated by this peer.")
 	errors := reg.Counter("kadop_query_errors_total", "Queries that failed (after retries and partial-result handling).")
@@ -303,8 +276,8 @@ func EnableSLO(p *Peer, o SLOOptions) (*SLOEngine, func(), error) {
 		Objectives: []slo.Objective{
 			{
 				Name:        "query-availability",
-				Description: fmt.Sprintf("%.4g%% of queries succeed", o.AvailabilityTarget*100),
-				Target:      o.AvailabilityTarget,
+				Description: fmt.Sprintf("%.4g%% of queries succeed", availability*100),
+				Target:      availability,
 				Source: slo.CounterSource(
 					func() int64 { return queries.Value() - errors.Value() },
 					errors.Value,
@@ -312,28 +285,19 @@ func EnableSLO(p *Peer, o SLOOptions) (*SLOEngine, func(), error) {
 			},
 			{
 				Name:        "query-latency",
-				Description: fmt.Sprintf("%.4g%% of queries under %s", o.LatencyTarget*100, o.LatencyThreshold),
-				Target:      o.LatencyTarget,
-				Source:      slo.LatencySource(p.Node().Metrics(), metrics.OpQueryTotal, o.LatencyThreshold),
+				Description: fmt.Sprintf("%.4g%% of queries under %s", latencyTarget*100, latencyThreshold),
+				Target:      latencyTarget,
+				Source:      slo.LatencySource(p.Node().Metrics(), metrics.OpQueryTotal, latencyThreshold),
 			},
 		},
-		Windows:  o.Windows,
 		Registry: reg,
 		OnAlert:  onAlert,
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	if o.Interval < 0 {
-		return eng, func() {}, nil
-	}
-	return eng, eng.Start(o.Interval), nil
+	return eng, eng.Start(5 * time.Second), nil
 }
-
-// ParseSLOTarget parses a "99.9" / "0.999"-style SLO target into a
-// fraction; values above 1 are read as percentages (the kadop-peer
-// -slo-* flags).
-func ParseSLOTarget(s string) (float64, error) { return slo.ParseTarget(s) }
 
 // DebugOptions select what the introspection endpoint exposes beyond
 // the peer's always-available sections (metrics, load, peer, cache,
@@ -383,16 +347,16 @@ func FormatExplain(res *Result, analyze bool) string {
 // NewQueryLog returns a query logger writing JSONL records to w; set
 // it on Config.QueryLog before creating the peer. The kadop-query
 // -log flag is a thin wrapper around this.
-func NewQueryLog(w io.Writer, o QueryLogOptions) *QueryLogger {
-	return querylog.New(w, o)
+func NewQueryLog(w io.Writer) *QueryLogger {
+	return querylog.New(w)
 }
 
-// OpenRotatingLog opens a size-capped JSONL sink for NewQueryLog:
-// when path would exceed maxBytes (64MiB if <= 0) it is rotated to
-// path.1 … path.<keep> (3 if <= 0) and a fresh file opened, so a
-// long-lived peer's query log has a bounded disk footprint.
-func OpenRotatingLog(path string, maxBytes int64, keep int) (io.WriteCloser, error) {
-	return querylog.OpenRotating(path, maxBytes, keep)
+// OpenRotatingLog opens a size-capped JSONL sink for NewQueryLog: when
+// path would exceed 64MiB it is rotated to path.1 … path.3 and a fresh
+// file opened, so a long-lived peer's query log has a bounded disk
+// footprint.
+func OpenRotatingLog(path string) (io.WriteCloser, error) {
+	return querylog.OpenRotating(path, querylog.DefaultMaxLogBytes, 3)
 }
 
 // SimCluster is an in-process deployment: every peer runs over the
@@ -506,22 +470,20 @@ func (c *SimCluster) Close() {
 }
 
 // NewTCPPeer starts a peer listening on addr (e.g. "127.0.0.1:0") with
-// the given internal id. The index store is, in order of precedence:
-// Config.DataDir (a durable peer — B+-tree with WAL at
-// DataDir/index.bt under Config.Fsync, plus the peer-state journal and
-// DPP roots, all surviving restarts), storePath (a bare disk B+-tree,
-// as before), or in-memory. Join it to an existing deployment with
-// Join; restart a durable peer from the same DataDir and call Resync
-// after rejoining. Shut it down with Peer.Close, which flushes and
-// closes the store.
-func NewTCPPeer(addr string, id PeerID, storePath string, cfg Config) (*Peer, error) {
+// the given internal id. With Config.DataDir set the peer is durable:
+// its index is a B+-tree with WAL at DataDir/index.bt under
+// Config.Fsync, beside the peer-state journal and the DPP roots, all
+// surviving restarts; without it the index is in memory. Join it to an
+// existing deployment with Join; restart a durable peer from the same
+// DataDir and call Resync after rejoining. Shut it down with
+// Peer.Close, which flushes and closes the store.
+func NewTCPPeer(addr string, id PeerID, cfg Config) (*Peer, error) {
 	tr, err := dht.NewTCPTransport(addr, metrics.NewCollector(), 30*time.Second)
 	if err != nil {
 		return nil, err
 	}
-	var st store.Store
-	switch {
-	case cfg.DataDir != "":
+	var st store.Store = store.NewMem()
+	if cfg.DataDir != "" {
 		if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
 			tr.Close()
 			return nil, err
@@ -531,21 +493,14 @@ func NewTCPPeer(addr string, id PeerID, storePath string, cfg Config) (*Peer, er
 			tr.Close()
 			return nil, err
 		}
-	case storePath != "":
-		st, err = store.OpenBTree(storePath)
-		if err != nil {
-			tr.Close()
-			return nil, err
-		}
-	default:
-		st = store.NewMem()
 	}
 	if cfg.Batching.Enabled {
 		// The coalescer turns concurrent index appends into group
-		// commits: one WAL transaction and one fsync per batch. Close
-		// order is unchanged — closing the coalescer drains its queue
-		// and closes the wrapped store.
-		st = store.NewCoalescer(st, store.CoalesceOptions{MaxDelay: cfg.Batching.MaxDelay})
+		// commits: one WAL transaction and one fsync per batch. The 2ms
+		// linger lets concurrent publishers pile into a batch whatever
+		// the disk speed. Close order is unchanged — closing the
+		// coalescer drains its queue and closes the wrapped store.
+		st = store.NewCoalescer(st, store.CoalesceOptions{MaxDelay: 2 * time.Millisecond})
 	}
 	nd, err := dht.NewNode(tr, st, cfg.DHT)
 	if err != nil {

@@ -91,12 +91,12 @@ func TestParseQueryErrors(t *testing.T) {
 }
 
 func TestTCPPeersViaFacade(t *testing.T) {
-	a, err := NewTCPPeer("127.0.0.1:0", 1, "", Config{})
+	a, err := NewTCPPeer("127.0.0.1:0", 1, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Node().Close()
-	b, err := NewTCPPeer("127.0.0.1:0", 2, "", Config{})
+	b, err := NewTCPPeer("127.0.0.1:0", 2, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestTCPPeersViaFacade(t *testing.T) {
 func TestTCPStrategiesAgree(t *testing.T) {
 	peers := make([]*Peer, 4)
 	for i := range peers {
-		p, err := NewTCPPeer("127.0.0.1:0", PeerID(i+1), "", Config{})
+		p, err := NewTCPPeer("127.0.0.1:0", PeerID(i+1), Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
