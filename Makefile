@@ -8,12 +8,16 @@ build:
 test:
 	$(GO) test ./...
 
-# check is the tier-1 verification gate: vet plus the full test suite
-# under the race detector (the chaos tests exercise concurrent retries,
-# repair and fault injection), the nested benchmark module (frozen, so
-# an API change that breaks it must fail here, not in the pipeline),
-# the seeded crash-recovery sweep, and the experiment gates.
+# check is the tier-1 verification gate: gofmt and vet, the full test
+# suite under the race detector (the chaos tests exercise concurrent
+# retries, repair and fault injection), the nested benchmark module
+# (frozen, so an API change that breaks it must fail here, not in the
+# pipeline), the seeded crash-recovery sweep, and the experiment gates.
+# The gofmt step lists every unformatted Go file outside the dot
+# directories (.bench_build holds other checkouts) and fails if any.
 check:
+	@out=$$(gofmt -l $$(find . -name '*.go' ! -path './.*')); \
+	if [ -n "$$out" ]; then echo "gofmt: unformatted files:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) -C bench vet .

@@ -158,10 +158,8 @@ func main() {
 
 // deployDHT is the overlay configuration of a real deployment: retries
 // absorb transient network failures, replication > 1 keeps the index
-// alive across peer crashes (with repair re-filling lost copies),
-// probation pings keep one dropped message from costing a live peer
-// its table slot, and the refresher keeps idle routing buckets honest
-// under churn.
+// alive across peer crashes (with repair re-filling lost copies), and
+// the refresher keeps idle routing buckets honest under churn.
 func deployDHT(replication int, repair time.Duration) kadop.DHTConfig {
 	return kadop.DHTConfig{
 		Replication: replication,
@@ -172,6 +170,5 @@ func deployDHT(replication int, repair time.Duration) kadop.DHTConfig {
 		},
 		RepairInterval:  repair,
 		RefreshInterval: 5 * time.Minute,
-		ProbeTimeout:    2 * time.Second,
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"strings"
 
 	"kadop/internal/postings"
 	"kadop/internal/sid"
@@ -15,25 +14,17 @@ import (
 // but with few peers and many blocks co-location is the common case).
 // MsgGetBatch fetches them in one stream instead of one round trip per
 // block. The response interleaves nothing: keys are sent back-to-back in
-// request order, each piece of a key's list labelled with the key so the
-// client can split the stream.
-//
-// A client that sets batchFlagPacked asks for packed frames: a holder
-// stream then ships several keys per message instead of one chunk each,
-// so a holder's share of a term costs one link latency, not one per
-// block. Without the flag (an older client) the holder answers with one
-// stamped chunk per ChunkSize postings, as before packing existed.
+// request order, in packed frames that carry several keys each, so a
+// holder's share of a term costs one link latency, not one per block.
 
 // batchRequestVersion guards the Blob layout of MsgGetBatch.
 const batchRequestVersion = 1
 
 // The flags byte of a MsgGetBatch request. A holder rejects a request
-// carrying a flag it does not know, which is how a packing client finds
-// out that a holder predates packed frames.
+// carrying an unknown version or flag before serving any key.
 const (
 	batchFlagClip   = 1 << 0 // the document interval [lo, hi] follows
-	batchFlagPacked = 1 << 1 // answer in packed frames
-	batchFlagsKnown = batchFlagClip | batchFlagPacked
+	batchFlagsKnown = batchFlagClip
 )
 
 // packedFrameBudget is the size at which a packed frame closes: a frame
@@ -44,15 +35,9 @@ const (
 // overhead instead of the per-block cost it is with one chunk per key.
 const packedFrameBudget = 64 << 10
 
-// errBatchRequest prefixes every MsgGetBatch request decoding failure;
-// a stream error carrying it means the holder rejected the request
-// itself, before serving any key.
-const errBatchRequest = "dht: decode batch request"
-
-// encodeBatchRequest packs the requested keys, the optional document
-// interval and whether the answer may come in packed frames into a
-// MsgGetBatch blob.
-func encodeBatchRequest(req BatchGet, packed bool) []byte {
+// encodeBatchRequest packs the requested keys and the optional document
+// interval into a MsgGetBatch blob.
+func encodeBatchRequest(req BatchGet) []byte {
 	sz := 2 + 10
 	for _, k := range req.Keys {
 		sz += len(k) + 5
@@ -61,9 +46,6 @@ func encodeBatchRequest(req BatchGet, packed bool) []byte {
 	if req.Clip {
 		flags |= batchFlagClip
 		sz += 16
-	}
-	if packed {
-		flags |= batchFlagPacked
 	}
 	buf := make([]byte, 0, sz)
 	buf = append(buf, batchRequestVersion, flags)
@@ -84,9 +66,9 @@ func encodeBatchRequest(req BatchGet, packed bool) []byte {
 }
 
 // decodeBatchRequest unpacks a MsgGetBatch blob.
-func decodeBatchRequest(blob []byte) (req BatchGet, packed bool, err error) {
-	fail := func(msg string) (BatchGet, bool, error) {
-		return BatchGet{}, false, fmt.Errorf("%s: %s", errBatchRequest, msg)
+func decodeBatchRequest(blob []byte) (req BatchGet, err error) {
+	fail := func(msg string) (BatchGet, error) {
+		return BatchGet{}, fmt.Errorf("dht: decode batch request: %s", msg)
 	}
 	if len(blob) < 2 {
 		return fail("truncated header")
@@ -98,7 +80,7 @@ func decodeBatchRequest(blob []byte) (req BatchGet, packed bool, err error) {
 	if flags&^batchFlagsKnown != 0 {
 		return fail(fmt.Sprintf("unknown flags %#x", flags))
 	}
-	req.Clip, packed = flags&batchFlagClip != 0, flags&batchFlagPacked != 0
+	req.Clip = flags&batchFlagClip != 0
 	pos := 2
 	if req.Clip {
 		if len(blob) < pos+16 {
@@ -123,7 +105,7 @@ func decodeBatchRequest(blob []byte) (req BatchGet, packed bool, err error) {
 		req.Keys = append(req.Keys, string(blob[pos:pos+int(kl)]))
 		pos += int(kl)
 	}
-	return req, packed, nil
+	return req, nil
 }
 
 // A packed frame is a MsgChunk whose Blob is a sequence of segments,
@@ -186,86 +168,61 @@ type BatchGet struct {
 
 // GetBatch streams several keys from one peer in a single round trip.
 // deliver is called once per key the peer holds, in request order and
-// as soon as the key is complete — at its final segment of a packed
-// frame, or (from a holder that predates packing) at the next key's
-// first chunk or the end of the stream — with the key's index in
-// req.Keys and its (clipped, possibly empty) list. A key the stream
-// never mentions is not delivered: the peer holds nothing for it (or
-// predates the key-held marker and clipped it to nothing), and the
-// caller decides whether that is an empty list or a stale owner. An
-// error leaves the keys not yet delivered undelivered. The stream is
-// opened with a single attempt, whose failure does not evict the peer:
-// the caller knows the keys' other holders and rotates to them instead
-// of spending the retry budget on this one.
-//
-// A remote peer is asked for packed frames; one that rejects the request
-// (a holder predating them) is asked once more without. The local case
-// has no link to save and is served unpacked.
+// as soon as the key is complete — at its final segment — with the
+// key's index in req.Keys and its (clipped, possibly empty) list. A key
+// the stream never mentions is not delivered: the peer holds nothing
+// for it, and the caller decides whether that is an empty list or a
+// stale owner. An error leaves the keys not yet delivered undelivered.
+// The stream is opened with a single attempt, whose failure does not
+// evict the peer: the caller knows the keys' other holders and rotates
+// to them instead of spending the retry budget on this one. A peer
+// asking itself is served the same packed frames.
 func (n *Node) GetBatch(ctx context.Context, to Contact, req BatchGet, deliver func(i int, l postings.List)) error {
-	packed := to.ID != n.self.ID
-	err := n.getBatch(ctx, to, req, packed, deliver)
-	if packed && err != nil && strings.Contains(err.Error(), errBatchRequest) {
-		err = n.getBatch(ctx, to, req, false, deliver)
-	}
-	return err
-}
-
-// getBatch is one MsgGetBatch stream: it reassembles each key from its
-// chunks or segments and delivers it.
-func (n *Node) getBatch(ctx context.Context, to Contact, req BatchGet, packed bool, deliver func(i int, l postings.List)) error {
 	drain, err := n.openChunks(ctx, to, Message{
 		Type: MsgGetBatch,
-		Blob: encodeBatchRequest(req, packed),
+		Blob: encodeBatchRequest(req),
 	}, true)
 	if err != nil {
 		return err
 	}
-	cur, open := -1, false // the key being assembled; whether it awaits delivery
+	next, cur := 0, -1 // where the next key is searched from; the key being assembled
 	var list postings.List
-	flush := func() {
-		if open {
-			deliver(cur, list)
-		}
-		list, open = nil, false
-	}
 	take := func(key string, ps postings.List, last bool) error {
-		if cur < 0 || key != req.Keys[cur] {
-			next := cur + 1
-			for next < len(req.Keys) && req.Keys[next] != key {
-				next++
+		if cur < 0 {
+			cur = next
+			for cur < len(req.Keys) && req.Keys[cur] != key {
+				cur++
 			}
-			if next == len(req.Keys) {
+			if cur == len(req.Keys) {
 				return fmt.Errorf("dht: get-batch from %s: unrequested or out-of-order key %q", to.Addr, key)
 			}
-			flush()
-			cur = next
-		} else if !open {
-			return fmt.Errorf("dht: get-batch from %s: key %q after its final segment", to.Addr, key)
+		} else if key != req.Keys[cur] {
+			return fmt.Errorf("dht: get-batch from %s: key %q before the final segment of %q", to.Addr, key, req.Keys[cur])
 		}
 		if list == nil {
 			list = ps
 		} else {
 			list = append(list, ps...)
 		}
-		open = true
 		if last {
-			flush()
+			deliver(cur, list)
+			list, next, cur = nil, cur+1, -1
 		}
 		return nil
 	}
 	err = drain(func(m Message) error {
-		// A cancelled caller abandons the transfer at the next chunk
+		// A cancelled caller abandons the transfer at the next frame
 		// instead of draining it.
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if len(m.Blob) > 0 {
-			return eachSegment(m.Blob, take)
+		if len(m.Blob) == 0 {
+			return fmt.Errorf("dht: get-batch from %s: a chunk that is not a packed frame", to.Addr)
 		}
-		return take(m.Key, m.Postings, false)
+		return eachSegment(m.Blob, take)
 	})
-	if err == nil {
-		flush()
+	if err == nil && cur >= 0 {
+		err = fmt.Errorf("dht: get-batch from %s: stream ended inside key %q", to.Addr, req.Keys[cur])
 	}
 	return err
 }

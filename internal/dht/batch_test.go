@@ -24,15 +24,13 @@ func docPostings(lo, hi int) postings.List {
 func TestBatchRequestCodec(t *testing.T) {
 	keys := []string{"l:author", "overflow:3:l:author"}
 	clipped := BatchGet{Keys: keys, Clip: true, Lo: sid.DocKey{Peer: 3, Doc: 9}, Hi: sid.DocKey{Peer: 4, Doc: 1}}
-	for _, packed := range []bool{false, true} {
-		got, p, err := decodeBatchRequest(encodeBatchRequest(clipped, packed))
-		if err != nil || p != packed || !reflect.DeepEqual(got, clipped) {
-			t.Fatalf("clipped round trip (packed=%v): %+v %v %v", packed, got, p, err)
-		}
-		got, p, err = decodeBatchRequest(encodeBatchRequest(BatchGet{Keys: keys, Lo: clipped.Lo}, packed))
-		if err != nil || p != packed || got.Clip || !reflect.DeepEqual(got.Keys, keys) {
-			t.Fatalf("unclipped round trip (packed=%v): %+v %v %v", packed, got, p, err)
-		}
+	got, err := decodeBatchRequest(encodeBatchRequest(clipped))
+	if err != nil || !reflect.DeepEqual(got, clipped) {
+		t.Fatalf("clipped round trip: %+v %v", got, err)
+	}
+	got, err = decodeBatchRequest(encodeBatchRequest(BatchGet{Keys: keys, Lo: clipped.Lo}))
+	if err != nil || got.Clip || !reflect.DeepEqual(got.Keys, keys) {
+		t.Fatalf("unclipped round trip: %+v %v", got, err)
 	}
 
 	// A packed frame: several keys, a key in two segments, the empty
@@ -72,9 +70,9 @@ func TestBatchRequestCodec(t *testing.T) {
 	}{
 		{"empty request", decodeRequest, nil},
 		{"unknown version", decodeRequest, []byte{9, 0, 0}},
-		{"unknown flag", decodeRequest, []byte{batchRequestVersion, 4, 0}},
+		{"unknown flag", decodeRequest, []byte{batchRequestVersion, 2, 0}},
 		{"truncated interval", decodeRequest, []byte{batchRequestVersion, batchFlagClip, 1, 2}},
-		{"truncated key", decodeRequest, []byte{batchRequestVersion, batchFlagPacked, 1, 5, 'k'}},
+		{"truncated key", decodeRequest, []byte{batchRequestVersion, 0, 1, 5, 'k'}},
 		{"packed frame as request", decodeRequest, frame},
 		{"truncated frame", decodeFrame, frame[:len(frame)-1]},
 		{"frame without list", decodeFrame, []byte{1, 'k', 1}},
@@ -88,7 +86,7 @@ func TestBatchRequestCodec(t *testing.T) {
 }
 
 func decodeRequest(b []byte) error {
-	_, _, err := decodeBatchRequest(b)
+	_, err := decodeBatchRequest(b)
 	return err
 }
 
@@ -143,6 +141,41 @@ func TestGetBatchDeliversPerKey(t *testing.T) {
 	}
 }
 
+// TestLocalBatchSendsEachSegment: a peer asking itself for a batch gets
+// one segment per packed frame, so each key reaches the consumer as the
+// scan ends it; another peer gets the keys together in one frame.
+func TestLocalBatchSendsEachSegment(t *testing.T) {
+	nodes := buildNetwork(t, NewNetwork(), 2)
+	a, b := nodes[0], nodes[1]
+	keys := []string{"k:1", "k:2", "k:3"}
+	for i, k := range keys {
+		if err := b.Store().Append(k, docPostings(10*i, 10*i+5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req := Message{Type: MsgGetBatch, Blob: encodeBatchRequest(BatchGet{Keys: keys})}
+	for _, tc := range []struct {
+		name string
+		from Contact
+		want []int // segments per frame
+	}{{"local", b.Self(), []int{1, 1, 1}}, {"remote", a.Self(), []int{3}}} {
+		var got []int
+		err := b.HandleStream(tc.from, req, func(m Message) error {
+			got = append(got, 0)
+			return eachSegment(m.Blob, func(string, postings.List, bool) error {
+				got[len(got)-1]++
+				return nil
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: segments per frame %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestGetBatchClipStartsAtInterval: a clipped scan starts at the
 // interval's first document, so a key whose postings all lie below the
 // interval is read only by the probe that finds it held — it still gets
@@ -177,88 +210,6 @@ func TestGetBatchClipStartsAtInterval(t *testing.T) {
 	if want := docPostings(50, 80); !reflect.DeepEqual(got["k:across"], want) {
 		t.Errorf("k:across delivered %d postings, want the %d in the interval", len(got["k:across"]), len(want))
 	}
-}
-
-// TestBatchMarkerMixedVersions pins the compatibility of the key-held
-// marker and of packed frames in both directions. A holder that predates
-// the marker sends nothing for a key its clip empties, and the client
-// then simply does not deliver the key — the caller's stale-owner
-// failover, as before the marker. The marker a new holder sends an old
-// client is an ordinary stamped chunk with no postings, which the old
-// client's accumulate-by-key loop absorbs as an empty list. A holder
-// that predates packing rejects the flag, and a packing client asks it
-// again unpacked; a client that does not ask for packing gets stamped
-// chunks only.
-func TestBatchMarkerMixedVersions(t *testing.T) {
-	net := NewNetwork()
-	nodes := buildNetwork(t, net, 2)
-	a, b := nodes[0], nodes[1]
-	if err := b.Store().Append("k:held", docPostings(100, 110)); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Store().Append("k:big", docPostings(0, 1300)); err != nil {
-		t.Fatal(err)
-	}
-
-	// An old client against a packing holder: stamped chunks, no frames.
-	oldReq := BatchGet{Keys: []string{"k:big", "k:held"}, Clip: true, Hi: sid.DocKey{Peer: 1, Doc: 49}}
-	var chunks []Message
-	msg := Message{Type: MsgGetBatch, From: a.Self(), Blob: encodeBatchRequest(oldReq, false)}
-	if err := b.HandleStream(a.Self(), msg, func(m Message) error { chunks = append(chunks, m); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(chunks) != 2 || chunks[0].Key != "k:big" || len(chunks[0].Postings) != 50 {
-		t.Fatalf("old client got %+v, want the 50 clipped postings of k:big then the marker", chunks)
-	}
-	if m := chunks[1]; m.Type != MsgChunk || m.Key != "k:held" || len(m.Postings) != 0 || m.Blob != nil {
-		t.Fatalf("marker = %+v, want one empty chunk stamped k:held", m)
-	}
-
-	// Holders without the marker, and without packing.
-	for _, tc := range []struct {
-		name   string
-		holder Handler
-		want   map[string]int // postings delivered per key
-	}{
-		{"pre-marker", oldHolder{}, map[string]int{}},
-		{"pre-packing", prePackingHolder{b}, map[string]int{"k:big": 50, "k:held": 0}},
-	} {
-		old := net.NewEndpoint()
-		if err := old.Serve(tc.holder); err != nil {
-			t.Fatal(err)
-		}
-		got := map[string]int{}
-		oldPeer := Contact{ID: PeerIDFromSeed(old.Addr()), Addr: old.Addr()}
-		if err := a.GetBatch(context.Background(), oldPeer, oldReq, func(i int, l postings.List) { got[oldReq.Keys[i]] = len(l) }); err != nil {
-			t.Fatalf("%s holder: %v", tc.name, err)
-		}
-		if !reflect.DeepEqual(got, tc.want) {
-			t.Fatalf("%s holder delivered %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
-// oldHolder serves MsgGetBatch the way peers did before the key-held
-// marker: a key whose clip is empty is passed over in silence.
-type oldHolder struct{}
-
-func (oldHolder) HandleCall(Contact, Message) Message { return Message{Type: MsgAck} }
-func (oldHolder) HandleStream(Contact, Message, func(Message) error) error {
-	return nil
-}
-
-// prePackingHolder serves MsgGetBatch the way peers did before packed
-// frames: its decoder knew only the clip flag and rejected any other.
-type prePackingHolder struct{ n *Node }
-
-func (h prePackingHolder) HandleCall(from Contact, req Message) Message {
-	return h.n.HandleCall(from, req)
-}
-func (h prePackingHolder) HandleStream(from Contact, req Message, send func(Message) error) error {
-	if req.Type == MsgGetBatch && len(req.Blob) > 1 && req.Blob[1] > batchFlagClip {
-		return fmt.Errorf("%s: bad clip flag", errBatchRequest)
-	}
-	return h.n.HandleStream(from, req, send)
 }
 
 // allocated is the heap bytes fn allocates.

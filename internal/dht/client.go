@@ -62,7 +62,7 @@ func (n *Node) rpc(ctx context.Context, to Contact, req Message, once bool) (res
 		return cerr
 	})
 	if err != nil && Retryable(err) && !once && !to.ID.IsZero() {
-		n.noteFailure(to)
+		n.evict(to.ID)
 	}
 	// Even an error response (a shed read, say) carries the responder's
 	// load gauge — that rejection is exactly when selection needs it.

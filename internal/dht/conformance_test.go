@@ -170,11 +170,11 @@ func (p *confPair) ping(t *testing.T) {
 
 // checkBatch checks what GetBatch delivers: every held key in request
 // order, the clipped key as an empty list, the missing key not at all.
-func (p *confPair) checkBatch(t *testing.T, packed bool) {
+func (p *confPair) checkBatch(t *testing.T) {
 	t.Helper()
 	var order []string
 	got := map[string]postings.List{}
-	err := p.cli.getBatch(context.Background(), p.srv.Self(), confBatch, packed, func(i int, l postings.List) {
+	err := p.cli.GetBatch(context.Background(), p.srv.Self(), confBatch, func(i int, l postings.List) {
 		order = append(order, confBatch.Keys[i])
 		got[confBatch.Keys[i]] = l
 	})
@@ -182,7 +182,7 @@ func (p *confPair) checkBatch(t *testing.T, packed bool) {
 		t.Fatal(err)
 	}
 	if want := []string{"k:0", "k:s1", "k:big", "k:clip0", "k:s2"}; !reflect.DeepEqual(order, want) {
-		t.Fatalf("packed=%v delivered %v, want %v", packed, order, want)
+		t.Fatalf("delivered %v, want %v", order, want)
 	}
 	for k, l := range got {
 		want := confLists[k]
@@ -190,7 +190,7 @@ func (p *confPair) checkBatch(t *testing.T, packed bool) {
 			want = nil
 		}
 		if len(l) != len(want) || (len(want) > 0 && !reflect.DeepEqual(l, want)) {
-			t.Errorf("packed=%v %s: %d postings, want %d", packed, k, len(l), len(want))
+			t.Errorf("%s: %d postings, want %d", k, len(l), len(want))
 		}
 	}
 }
@@ -241,9 +241,9 @@ var conformance = []struct {
 		}
 	}},
 	{"get-batch framings", func(t *testing.T, p *confPair) {
-		// Packed: every frame carries segments, fewer frames than keys,
-		// k:big across two or more, and the key-held marker of k:clip0.
-		frames := recvAll(t, p.openRaw(t, Message{Type: MsgGetBatch, Blob: encodeBatchRequest(confBatch, true)}))
+		// Every frame carries segments, fewer frames than keys, k:big
+		// across two or more, and the key-held marker of k:clip0.
+		frames := recvAll(t, p.openRaw(t, Message{Type: MsgGetBatch, Blob: encodeBatchRequest(confBatch)}))
 		bigIn, marker := 0, false
 		for i, m := range frames {
 			if len(m.Blob) == 0 || len(m.Postings) != 0 {
@@ -265,21 +265,29 @@ var conformance = []struct {
 			t.Errorf("%d frames, k:big in %d, marker %v: want fewer than 5 frames, k:big in 2 or more, the marker",
 				len(frames), bigIn, marker)
 		}
-		// Unpacked (an old client): stamped chunks only, the marker an
-		// empty chunk.
-		chunks := recvAll(t, p.openRaw(t, Message{Type: MsgGetBatch, Blob: encodeBatchRequest(confBatch, false)}))
-		marker = false
-		for i, m := range chunks {
-			if m.Type != MsgChunk || m.Key == "" || len(m.Blob) != 0 {
-				t.Fatalf("chunk %d = %v key %q with %d blob bytes, want a stamped chunk", i, m.Type, m.Key, len(m.Blob))
+		p.checkBatch(t)
+	}},
+	{"get-batch refuses an unknown version or flag", func(t *testing.T, p *confPair) {
+		for _, bad := range []struct {
+			what string
+			edit func(blob []byte)
+		}{
+			{"version", func(blob []byte) { blob[0] = batchRequestVersion + 1 }},
+			{"flags", func(blob []byte) { blob[1] |= 1 << 7 }},
+		} {
+			blob := encodeBatchRequest(confBatch)
+			bad.edit(blob)
+			ms := p.openRaw(t, Message{Type: MsgGetBatch, Blob: blob})
+			m, err := ms.Recv()
+			ms.Close()
+			if err == nil {
+				t.Fatalf("unknown %s: the server sent a %v, want the request refused before any key", bad.what, m.Type)
 			}
-			marker = marker || (m.Key == "k:clip0" && len(m.Postings) == 0)
+			if !strings.Contains(err.Error(), "unknown "+bad.what) {
+				t.Errorf("unknown %s: %v, want the decoder's refusal", bad.what, err)
+			}
 		}
-		if !marker {
-			t.Error("unpacked stream has no key-held marker for k:clip0")
-		}
-		p.checkBatch(t, true)
-		p.checkBatch(t, false)
+		p.ping(t)
 	}},
 	{"consumer closes mid-stream", func(t *testing.T, p *confPair) {
 		ms := p.openRaw(t, Message{Type: MsgGetStream, Key: gatedKey})

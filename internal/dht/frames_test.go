@@ -28,22 +28,20 @@ func refAppendSegment(frame []byte, key string, ps postings.List, last bool) ([]
 // refStreamKeys is the per-posting scan streamKeys replaced: each key
 // is scanned a posting at a time from the clip's first document, cut
 // into pieces of chunk postings and, packed, encoded by
-// refAppendSegment. It returns the messages it would have sent.
-func refStreamKeys(view store.Reader, self Contact, chunk int, req BatchGet, framing chunkFraming) ([]Message, error) {
+// refAppendSegment into frames closed at budget. It returns the
+// messages it would have sent.
+func refStreamKeys(view store.Reader, self Contact, chunk int, req BatchGet, framing chunkFraming, budget int) ([]Message, error) {
 	var out []Message
 	var frame []byte
 	add := func(key string, ps postings.List, last bool) error {
-		switch framing {
-		case plainChunks:
+		if framing == plainChunks {
 			out = append(out, Message{Type: MsgChunk, From: self, Postings: ps.Clone()})
-		case keyedChunks:
-			out = append(out, Message{Type: MsgChunk, From: self, Key: key, Postings: ps.Clone()})
-		default:
+		} else {
 			var err error
 			if frame, err = refAppendSegment(frame, key, ps, last); err != nil {
 				return err
 			}
-			if len(frame) >= packedFrameBudget {
+			if len(frame) >= budget {
 				out = append(out, Message{Type: MsgChunk, From: self, Blob: frame})
 				frame = nil
 			}
@@ -102,11 +100,7 @@ func servedPostings(t *testing.T, msgs []Message, keys []string) map[string]int 
 	n := map[string]int{}
 	for _, m := range msgs {
 		if m.Blob == nil {
-			key := m.Key
-			if key == "" {
-				key = keys[0] // a plain stream carries one key
-			}
-			n[key] += len(m.Postings)
+			n[keys[0]] += len(m.Postings) // a plain stream carries one key
 			continue
 		}
 		if err := eachSegment(m.Blob, func(key string, ps postings.List, _ bool) error {
@@ -130,7 +124,7 @@ func hotWeights(l *metrics.Load) map[string]int64 {
 
 // TestStreamKeysFramesMatchReference: reading the store's runs and
 // stitching their bytes must put on the wire exactly what the
-// per-posting scan did — in all three framings, byte for byte — and
+// per-posting scan did — in both framings, byte for byte — and
 // charge the load ledger the postings it serves. The requests cover
 // keys not held, a held key clipped to nothing (the key-held marker),
 // clips that are empty, partial, covering, or cut inside a stored run,
@@ -207,18 +201,25 @@ func TestStreamKeysFramesMatchReference(t *testing.T) {
 					}
 					req.Clip, req.Lo, req.Hi = true, lo, hi
 				}
-				framings := []chunkFraming{keyedChunks, packedFrames}
-				if len(req.Keys) == 1 && !req.Clip {
-					framings = append(framings, plainChunks)
+				// A remote consumer gets frames closed at the budget; a
+				// peer asking itself gets one segment per frame.
+				type framed struct {
+					framing chunkFraming
+					budget  int
 				}
-				for _, framing := range framings {
-					want, err := refStreamKeys(st, nd.self, chunk, req, framing)
+				framings := []framed{{packedFrames, packedFrameBudget}, {packedFrames, 0}}
+				if len(req.Keys) == 1 && !req.Clip {
+					framings = append(framings, framed{plainChunks, 0})
+				}
+				for _, f := range framings {
+					framing := f.framing
+					want, err := refStreamKeys(st, nd.self, chunk, req, framing, f.budget)
 					if err != nil {
 						t.Fatal(err)
 					}
 					before := hotWeights(nd.load)
 					var got []Message
-					if err := nd.streamKeys(req, framing, func(m Message) error {
+					if err := nd.streamKeys(req, framing, f.budget, func(m Message) error {
 						m.Postings = m.Postings.Clone()
 						got = append(got, m)
 						return nil
@@ -226,7 +227,7 @@ func TestStreamKeysFramesMatchReference(t *testing.T) {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("request %d %+v, framing %d: %d messages differ from the reference's %d", i, req, framing, len(got), len(want))
+						t.Fatalf("request %d %+v, framing %d, budget %d: %d messages differ from the reference's %d", i, req, framing, f.budget, len(got), len(want))
 					}
 					after := hotWeights(nd.load)
 					for key, n := range servedPostings(t, want, req.Keys) {

@@ -19,7 +19,7 @@ func FuzzMessage(f *testing.F) {
 	id[0], id[len(id)-1] = 0xab, 0x01
 	c := Contact{ID: id, Addr: "127.0.0.1:4001"}
 	batchBlob := encodeBatchRequest(BatchGet{Keys: []string{"author", "overflow:1:author"},
-		Clip: true, Lo: sid.DocKey{Peer: 1, Doc: 2}, Hi: sid.DocKey{Peer: 3, Doc: 4}}, true)
+		Clip: true, Lo: sid.DocKey{Peer: 1, Doc: 2}, Hi: sid.DocKey{Peer: 3, Doc: 4}})
 	// A packed frame: two segments of one key, then a key-held marker.
 	frame, _ := refAppendSegment(nil, "overflow:0:author", postings.List{
 		{Peer: 2, Doc: 7, SID: sid.SID{Start: 3, End: 4, Level: 2}},
@@ -35,13 +35,12 @@ func FuzzMessage(f *testing.F) {
 			{Peer: 1, Doc: 1, SID: sid.SID{Start: 1, End: 10, Level: 0}},
 			{Peer: 1, Doc: 1, SID: sid.SID{Start: 2, End: 5, Level: 1}},
 		}},
-		{Type: MsgChunk, From: c, Key: "overflow:0:author", Postings: postings.List{
+		{Type: MsgChunk, From: c, Postings: postings.List{
 			{Peer: 2, Doc: 7, SID: sid.SID{Start: 3, End: 4, Level: 2}},
 		}, TraceID: 0xdead, SpanID: 0xbeef},
 		{Type: MsgGetBatch, From: c, Blob: batchBlob},
 		{Type: MsgChunk, From: c, Blob: frame, Gauge: 3},
-		// The key-held marker: a stamped chunk with no postings.
-		{Type: MsgChunk, From: c, Key: "overflow:1:author", Gauge: 7},
+		{Type: MsgGetBatch, From: c, Blob: encodeBatchRequest(BatchGet{Keys: []string{"author"}})},
 		{Type: MsgApp, From: c, Proc: "filter:dbreduce", Key: "title", Blob: []byte{1, 2, 3}},
 		{Type: MsgNodes, From: c, Contacts: []Contact{c, {ID: id, Addr: "10.0.0.1:9"}}},
 		{Type: MsgError, From: c, Err: "no such key"},

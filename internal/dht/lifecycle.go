@@ -9,9 +9,9 @@ import (
 	"kadop/internal/obs/flight"
 )
 
-// This file holds the routing-table maintenance: the probe-on-suspicion
-// failure detector and periodic bucket refresh, plus the jittered
-// startLoop both it and the repair loop (sync.go) run on.
+// This file holds the routing-table maintenance: eviction on failure and
+// periodic bucket refresh, plus the jittered startLoop both it and the
+// repair loop (sync.go) run on.
 
 // robust counts one robustness occurrence: in the collector next to the
 // traffic it explains, in the node's labeled registry so failure
@@ -21,52 +21,17 @@ import (
 func (n *Node) robust(ev metrics.Event, event string) {
 	n.collector.CountEvent(ev)
 	n.reg.Counter("kadop_robustness_total",
-		"Robustness events: repair pushes/pulls, handoff keys, probes, evictions, bucket refreshes.",
+		"Robustness events: repair pushes/pulls, handoff keys, evictions, bucket refreshes.",
 		metrics.Label{Key: "event", Value: event}).Add(1)
 	if fr := n.flight.Load(); fr != nil {
 		fr.Record(flight.Event{Kind: flight.KindEvent, Name: event, Peer: n.self.Addr})
 	}
 }
 
-// noteFailure reacts to a contact failing an RPC after retries. With no
-// probe timeout configured it evicts immediately (the seed behaviour).
-// Otherwise the contact is put on probation: a single background ping,
-// bounded by ProbeTimeout, decides between keeping it (the failure was
-// a dropped message or a slow link) and evicting it (the peer is gone).
-// Concurrent failures against one contact share a single probe.
-func (n *Node) noteFailure(to Contact) {
-	if n.cfg.ProbeTimeout <= 0 {
-		n.evict(to.ID)
-		return
-	}
-	n.probeMu.Lock()
-	if n.probing[to.ID] {
-		n.probeMu.Unlock()
-		return
-	}
-	n.probing[to.ID] = true
-	n.probeMu.Unlock()
-	go func() {
-		defer func() {
-			n.probeMu.Lock()
-			delete(n.probing, to.ID)
-			n.probeMu.Unlock()
-		}()
-		n.robust(metrics.EventProbe, "probe")
-		ctx, cancel := context.WithTimeout(context.Background(), n.cfg.ProbeTimeout)
-		defer cancel()
-		// Probe through the transport directly: n.call would recurse into
-		// noteFailure, and a probe must not retry (one clean round trip
-		// answers the liveness question).
-		if _, err := n.tr.Call(ctx, to, Message{Type: MsgPing, From: n.from()}); err != nil {
-			n.robust(metrics.EventFailedProbe, "probe-failed")
-			n.evict(to.ID)
-		}
-	}()
-}
-
-// evict drops a contact from the routing table (the replacement cache
-// refills the bucket) and accounts the eviction.
+// evict drops a contact from the routing table and accounts the
+// eviction. It is the failure detector: a contact that fails an RPC
+// after retries is evicted at once. The replacement cache refills its
+// bucket, and a live peer re-enters the table on its next message.
 func (n *Node) evict(id ID) {
 	if n.table.Remove(id) {
 		n.robust(metrics.EventEviction, "eviction")

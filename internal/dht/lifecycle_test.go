@@ -111,63 +111,28 @@ func TestRefreshOnce(t *testing.T) {
 	}
 }
 
-// TestProbeKeepsSlowPeer pins the false-alarm half of the failure
-// detector: a peer that is merely slow fails the tight RPC deadline,
-// but the probe (with its own, longer deadline) succeeds and the peer
-// keeps its table slot.
-func TestProbeKeepsSlowPeer(t *testing.T) {
+// TestFailedCallEvictsPeer pins the failure detector: a call that
+// fails after its retries evicts the peer at once, before it returns,
+// and counts one eviction.
+func TestFailedCallEvictsPeer(t *testing.T) {
 	net := NewNetwork()
-	cfg := Config{RPCTimeout: 30 * time.Millisecond, ProbeTimeout: 2 * time.Second}
-	nodes := buildNetworkCfg(t, net, 2, cfg)
-	a, b := nodes[0], nodes[1]
-
-	net.SetSlow(b.Self().Addr, 100*time.Millisecond)
-	if _, err := a.call(context.Background(), b.Self(), Message{Type: MsgFindNode, From: a.Self(), Target: a.Self().ID}); err == nil {
-		t.Fatal("call to slow peer should miss the 30ms deadline")
-	}
-	net.SetSlow(b.Self().Addr, 0)
-
-	// The probe runs in the background; give it time to complete.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if net.Collector.Events(metrics.EventProbe) > 0 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	time.Sleep(20 * time.Millisecond)
-	if net.Collector.Events(metrics.EventProbe) == 0 {
-		t.Fatal("no probe launched after a failed call")
-	}
-	if got := net.Collector.Events(metrics.EventFailedProbe); got != 0 {
-		t.Fatalf("probe of a live peer failed (%d failed probes)", got)
-	}
-	if got := a.Table().Size(); got != 1 {
-		t.Fatalf("slow-but-alive peer evicted: table size %d, want 1", got)
-	}
-}
-
-// TestProbeEvictsDeadPeer pins the confirmation half: when the probed
-// peer really is gone, the probe fails and the contact is evicted.
-func TestProbeEvictsDeadPeer(t *testing.T) {
-	net := NewNetwork()
-	cfg := Config{RPCTimeout: 100 * time.Millisecond, ProbeTimeout: 100 * time.Millisecond}
+	cfg := Config{RPCTimeout: 100 * time.Millisecond, Retry: RetryPolicy{Attempts: 3, BaseBackoff: time.Millisecond}}
 	nodes := buildNetworkCfg(t, net, 2, cfg)
 	a, b := nodes[0], nodes[1]
 
 	net.Partition(b.Self().Addr)
+	net.Collector.Reset()
 	if _, err := a.call(context.Background(), b.Self(), Message{Type: MsgPing, From: a.Self()}); err == nil {
 		t.Fatal("call to a partitioned peer should fail")
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && a.Table().Size() > 0 {
-		time.Sleep(5 * time.Millisecond)
 	}
 	if got := a.Table().Size(); got != 0 {
 		t.Fatalf("dead peer not evicted: table size %d", got)
 	}
-	if got := net.Collector.Events(metrics.EventFailedProbe); got == 0 {
-		t.Fatal("eviction happened without a failed probe being counted")
+	if got := net.Collector.Events(metrics.EventEviction); got != 1 {
+		t.Fatalf("%d evictions counted, want 1", got)
+	}
+	if got := net.Collector.Events(metrics.EventRetry); got != 2 {
+		t.Fatalf("%d retries before the eviction, want 2 (3 attempts)", got)
 	}
 }
 

@@ -43,12 +43,6 @@ type Config struct {
 	// for a full interval are refreshed with a random-identifier
 	// lookup, so routing state does not decay on quiet overlays.
 	RefreshInterval time.Duration
-	// ProbeTimeout, when positive, enables probe-on-suspicion failure
-	// detection: a contact that fails an RPC after retries is pinged
-	// once (bounded by this timeout) before being evicted, so one
-	// dropped message does not cost a live peer its table slot. Zero
-	// keeps the seed behaviour: evict immediately on failure.
-	ProbeTimeout time.Duration
 	// Seed drives the retry jitter RNG (default 1), so seeded chaos
 	// runs get reproducible backoff schedules.
 	Seed int64
@@ -117,11 +111,6 @@ type Node struct {
 	loopMu    sync.Mutex
 	stopLoops []func() // the running maintenance loops' stop functions
 
-	// probing tracks contacts with an outstanding liveness probe so a
-	// burst of failures against one peer spawns a single probe.
-	probeMu sync.Mutex
-	probing map[ID]bool
-
 	// maintRand drives maintenance randomness (loop jitter, refresh
 	// lookup targets); seeded so chaos runs stay reproducible.
 	maintMu   sync.Mutex
@@ -152,7 +141,6 @@ func NewNode(tr Transport, st store.Store, cfg Config) (*Node, error) {
 		n.collector = m.Metrics()
 	}
 	n.maintRand = rand.New(rand.NewSource(n.cfg.Seed + 0x5eed))
-	n.probing = map[ID]bool{}
 	n.table = NewTable(n.self.ID, bucketK)
 	if err := tr.Serve(n); err != nil {
 		return nil, err

@@ -144,17 +144,20 @@ func (n *Node) HandleStream(from Contact, req Message, send func(Message) error)
 	}
 	stamped := func(m Message) error { return send(n.stampGauge(m)) }
 	if req.Type == MsgGetStream {
-		return n.streamKeys(BatchGet{Keys: []string{req.Key}}, plainChunks, stamped)
+		return n.streamKeys(BatchGet{Keys: []string{req.Key}}, plainChunks, 0, stamped)
 	}
-	breq, packed, err := decodeBatchRequest(req.Blob)
+	breq, err := decodeBatchRequest(req.Blob)
 	if err != nil {
 		return err
 	}
-	framing := keyedChunks
-	if packed {
-		framing = packedFrames
+	// A peer asking itself has no link to save: each segment is its own
+	// frame, so a key reaches the consumer as soon as the scan ends it,
+	// not when a whole frame of later keys has been read too.
+	budget := packedFrameBudget
+	if from.ID == n.self.ID {
+		budget = 0
 	}
-	return n.streamKeys(breq, framing, stamped)
+	return n.streamKeys(breq, packedFrames, budget, stamped)
 }
 
 // chunkFraming is how streamKeys puts a key's postings on the wire.
@@ -162,8 +165,7 @@ type chunkFraming int
 
 const (
 	plainChunks  chunkFraming = iota // the pipelined get: ChunkSize chunks of its one key, unstamped
-	keyedChunks                      // MsgGetBatch: ChunkSize chunks, each stamped with its key
-	packedFrames                     // MsgGetBatch opting in: segments of several keys per frame
+	packedFrames                     // MsgGetBatch: segments of several keys per frame
 )
 
 // streamKeys is the one chunk scan behind both posting streams: each
@@ -181,17 +183,17 @@ const (
 //
 // A batched stream labels each piece with its key so the client can
 // split the stream, and answers a key this peer holds but whose clip is
-// empty with one empty piece, so the client can tell "nothing in the
-// interval" from "not here" (a stale owner); a key it does not hold is
-// passed over. When the clip finds nothing, one probe of the whole list
-// tells the two apart.
-func (n *Node) streamKeys(req BatchGet, framing chunkFraming, send func(Message) error) error {
+// empty with one empty final segment, so the client can tell "nothing
+// in the interval" from "not here" (a stale owner); a key it does not
+// hold is passed over. When the clip finds nothing, one probe of the
+// whole list tells the two apart.
+func (n *Node) streamKeys(req BatchGet, framing chunkFraming, budget int, send func(Message) error) error {
 	view, err := n.store.Snapshot()
 	if err != nil {
 		return err
 	}
 	defer view.Close()
-	out := chunkSink{n: n, framing: framing, send: send}
+	out := chunkSink{n: n, framing: framing, budget: budget, send: send}
 	from, to := sid.MinPosting, sid.MaxPosting
 	if req.Clip {
 		from = sid.Posting{Peer: req.Lo.Peer, Doc: req.Lo.Doc}
@@ -235,17 +237,18 @@ func (n *Node) streamKeys(req BatchGet, framing chunkFraming, send func(Message)
 
 // chunkSink cuts a key's runs into the pieces streamKeys ships: one
 // chunk each, or — packed — appended as segments to a frame that is sent
-// once it reaches packedFrameBudget, and at the end of the stream.
+// once it reaches the budget, and at the end of the stream.
 type chunkSink struct {
 	n       *Node
 	framing chunkFraming
+	budget  int // the packed framing's packedFrameBudget, or 0 to send each segment alone
 	send    func(Message) error
 	frame   []byte
 
 	key    string
 	piece  postings.Stitcher // the packed framing's current piece
-	list   postings.List     // the chunk framings' current piece
-	decode postings.List     // the chunk framings' run buffer
+	list   postings.List     // the plain framing's current piece
+	decode postings.List     // the plain framing's run buffer
 }
 
 // start begins the pieces of key.
@@ -257,11 +260,11 @@ func (s *chunkSink) start(key string) {
 
 // add appends run r to the key's pieces. A full piece leaves only once
 // another posting follows it, so the key's last piece is always known
-// to be the last. The packed framing stitches r's bytes; the chunk
-// framings decode r into the piece's postings.
+// to be the last. The packed framing stitches r's bytes; the plain
+// framing decodes r into the piece's postings.
 func (s *chunkSink) add(r postings.Run) error {
 	size := s.n.cfg.chunkSize
-	if s.framing != packedFrames {
+	if s.framing == plainChunks {
 		ps, err := r.Decode(s.decode[:0])
 		if err != nil {
 			return err
@@ -296,18 +299,14 @@ func (s *chunkSink) add(r postings.Run) error {
 
 // emit ships the key's current piece and starts the next.
 func (s *chunkSink) emit(last bool) error {
-	switch s.framing {
-	case plainChunks, keyedChunks:
+	if s.framing == plainChunks {
 		m := Message{Type: MsgChunk, From: s.n.self, Postings: s.list}
-		if s.framing == keyedChunks {
-			m.Key = s.key
-		}
 		s.list = s.list[:0]
 		return s.send(m)
 	}
 	s.frame = appendSegment(s.frame, s.key, last, s.piece.Bytes())
 	s.piece.Reset()
-	if len(s.frame) >= packedFrameBudget {
+	if len(s.frame) >= s.budget {
 		return s.flush()
 	}
 	return nil

@@ -83,7 +83,7 @@ func TestTCPGetBatch(t *testing.T) {
 	// The frames themselves: every one packed, fewer than the keys, and
 	// the big key spanning more than one.
 	ms, err := b.tr.OpenStream(context.Background(), a.Self(),
-		Message{Type: MsgGetBatch, From: b.Self(), Blob: encodeBatchRequest(req, true)})
+		Message{Type: MsgGetBatch, From: b.Self(), Blob: encodeBatchRequest(req)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -248,7 +248,7 @@ func TestDocIntervalClipWithoutConditionFilter(t *testing.T) {
 	lo := sid.DocKey{Peer: 1, Doc: 10}
 	hi := sid.DocKey{Peer: 1, Doc: 19}
 	s, plan, err := c.managers[1].Fetch("l:x", FetchOptions{
-		Filter: true, FilterLo: lo, FilterHi: hi, NoConditionFilter: true,
+		Filter: true, FilterLo: lo, FilterHi: hi, noConditionFilter: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -43,9 +43,6 @@ type FetchOptions struct {
 	// [FilterLo, FilterHi] (Section 4.2). Zero values mean no filter.
 	Filter             bool
 	FilterLo, FilterHi sid.DocKey
-	// NoConditionFilter disables the block-level condition filtering
-	// while keeping the interval clip, for the ablation benchmarks.
-	NoConditionFilter bool
 	// AllowedTypes restricts the fetch to blocks whose type sets
 	// intersect it (Section 4.1's type filtering); nil means no type
 	// constraint, and untyped blocks are always transferred.
@@ -55,6 +52,10 @@ type FetchOptions struct {
 	// paper's degree of parallelism K; default 4). The serial-versus-
 	// parallel tests vary it.
 	parallel int
+	// noConditionFilter disables the block-level condition filtering
+	// while keeping the interval clip, so the clip tests reach blocks
+	// the selection would skip.
+	noConditionFilter bool
 }
 
 // Fetch is FetchContext without a deadline (pinned by bench/: the last
@@ -129,12 +130,12 @@ func (m *Manager) FetchWithRoot(ctx context.Context, root *Root, opts FetchOptio
 	}
 	var keep []BlockRef
 	for _, b := range root.refs() {
-		if opts.Filter && ordered && !opts.NoConditionFilter {
+		if opts.Filter && ordered && !opts.noConditionFilter {
 			if b.Hi.Key().Compare(opts.FilterLo) < 0 || b.Lo.Key().Compare(opts.FilterHi) > 0 {
 				continue
 			}
 		}
-		if !opts.NoConditionFilter && !typeMatches(b.Types, opts.AllowedTypes) {
+		if !opts.noConditionFilter && !typeMatches(b.Types, opts.AllowedTypes) {
 			continue
 		}
 		keep = append(keep, b)

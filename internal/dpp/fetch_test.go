@@ -7,13 +7,14 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"kadop/internal/dht"
 	"kadop/internal/metrics"
 	"kadop/internal/postings"
 	"kadop/internal/sid"
+	"kadop/internal/store"
 )
 
 // tapTransport counts the streams one peer opens, per target, and can
@@ -118,7 +119,7 @@ func TestVectoredFetchStaleOwnerTable(t *testing.T) {
 	lo, hi := sid.DocKey{Peer: 1, Doc: 30}, sid.DocKey{Peer: 1, Doc: 34}
 	// Every block is requested and all but a couple clip to nothing at
 	// their holder.
-	opts := FetchOptions{Filter: true, FilterLo: lo, FilterHi: hi, NoConditionFilter: true}
+	opts := FetchOptions{Filter: true, FilterLo: lo, FilterHi: hi, noConditionFilter: true}
 
 	fetch := func(t *testing.T, c *cluster, root *Root, want postings.List) (lookups int64) {
 		t.Helper()
@@ -204,21 +205,191 @@ type shutGate struct{}
 func (shutGate) Allow() bool    { return false }
 func (shutGate) Shedding() bool { return true }
 
+// fanOutGate holds the block-batch streams of a fetch in lock step
+// with their consumer and counts the frames each holder sends. Gated, a
+// holder sends nothing until resume is closed, and then each frame
+// only once the consumer has taken the one before; a consumer that has
+// closed the stream fails the holder's next send. The consumer's
+// transport marks a stream taken and closed (gateClient), each
+// holder's marks what it sends (gateServer).
+type fanOutGate struct {
+	gated  atomic.Bool
+	resume chan struct{}
+
+	mu     sync.Mutex
+	links  map[string]*gateLink // the consumer's open stream to each holder
+	frames map[string]int       // frames sent, by holder
+}
+
+// gateLink is one holder stream as its two ends see it.
+type gateLink struct {
+	taken     chan struct{} // the consumer received a frame
+	closed    chan struct{} // the consumer closed the stream
+	served    chan struct{} // the holder is done with the stream
+	closeOnce sync.Once
+}
+
+func (g *fanOutGate) link(holder string) *gateLink {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.links[holder]
+}
+
+// served waits until the holder of every stream opened so far is done
+// with it.
+func (g *fanOutGate) served() {
+	g.mu.Lock()
+	links := make([]*gateLink, 0, len(g.links))
+	for _, l := range g.links {
+		links = append(links, l)
+	}
+	g.mu.Unlock()
+	for _, l := range links {
+		<-l.served
+	}
+}
+
+// take returns the frames sent by holder since the last take, and
+// starts the count again.
+func (g *fanOutGate) take() map[string]int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	out := g.frames
+	g.frames = map[string]int{}
+	return out
+}
+
+type gateClient struct {
+	dht.Transport
+	g *fanOutGate
+}
+
+func (c gateClient) OpenStream(ctx context.Context, to dht.Contact, req dht.Message) (dht.MsgStream, error) {
+	if req.Type != dht.MsgGetBatch || !c.g.gated.Load() {
+		return c.Transport.OpenStream(ctx, to, req)
+	}
+	l := &gateLink{taken: make(chan struct{}, 1), closed: make(chan struct{}), served: make(chan struct{})}
+	c.g.mu.Lock()
+	c.g.links[to.Addr] = l
+	c.g.mu.Unlock()
+	ms, err := c.Transport.OpenStream(ctx, to, req)
+	if err != nil {
+		close(l.served) // the request never reached the holder
+		return nil, err
+	}
+	return gateStream{ms, l}, nil
+}
+
+type gateStream struct {
+	dht.MsgStream
+	l *gateLink
+}
+
+func (s gateStream) Recv() (dht.Message, error) {
+	m, err := s.MsgStream.Recv()
+	if err == nil {
+		s.l.taken <- struct{}{}
+	}
+	return m, err
+}
+
+func (s gateStream) Close() {
+	s.l.closeOnce.Do(func() { close(s.l.closed) })
+	s.MsgStream.Close()
+}
+
+type gateServer struct {
+	dht.Transport
+	g *fanOutGate
+}
+
+func (t gateServer) Serve(h dht.Handler) error {
+	return t.Transport.Serve(gateHandler{h, t.g, t.Addr()})
+}
+
+type gateHandler struct {
+	dht.Handler
+	g    *fanOutGate
+	self string
+}
+
+func (h gateHandler) HandleStream(from dht.Contact, req dht.Message, send func(dht.Message) error) error {
+	if req.Type != dht.MsgGetBatch {
+		return h.Handler.HandleStream(from, req, send)
+	}
+	l := h.g.link(h.self) // set only for the gated consumer's streams
+	gated := l != nil
+	if gated {
+		defer close(l.served)
+	}
+	return h.Handler.HandleStream(from, req, func(m dht.Message) error {
+		if gated {
+			<-h.g.resume
+			select {
+			case <-l.closed:
+				return errors.New("consumer closed the stream")
+			default:
+			}
+		}
+		// Counted before the send, so a consumer that has drained the
+		// stream has seen every frame counted.
+		h.g.mu.Lock()
+		h.g.frames[h.self]++
+		h.g.mu.Unlock()
+		if err := send(m); err != nil {
+			return err
+		}
+		if gated {
+			select {
+			case <-l.taken:
+			case <-l.closed:
+			}
+		}
+		return nil
+	})
+}
+
+// widePostings is one posting per document, each 13 bytes encoded, so
+// a holder's share of a list spans several packed frames.
+func widePostings(n int) postings.List {
+	l := make(postings.List, n)
+	for i := range l {
+		l[i] = sid.Posting{Peer: 1, Doc: sid.DocID(i), SID: sid.SID{Start: 1 << 30, End: 1 << 31, Level: 7}}
+	}
+	return l
+}
+
 // TestFetchCancelsFanOutOnError pins that a failed block ends the whole
 // fetch: once the error has surfaced at the consumer, the holder
 // streams still running are abandoned and the ones not yet started never
 // start. The holder of the most blocks rejects every read; it starts
 // first (largest holder first), and the root is cut to begin at its
-// first block, so that block fails first, after one failover. The links
-// are slow enough that the other holders' frames are still in flight
-// then.
+// first block, so that block fails first, after one failover. The other
+// holders' streams are held before their first frame until the error
+// has reached the consumer; then each may send the frame its consumer
+// is handed and one more before the consumer closes the stream. The
+// consumer joins after the publish, so it holds no block and every
+// block crosses a gated stream.
 func TestFetchCancelsFanOutOnError(t *testing.T) {
-	c := newCluster(t, 8, Options{BlockSize: 10})
-	want := seqPostings(3000, 5)
-	if err := c.managers[0].Append(context.Background(), "l:author", want, ""); err != nil {
+	g := &fanOutGate{resume: make(chan struct{}), links: map[string]*gateLink{}, frames: map[string]int{}}
+	opts := Options{BlockSize: 1000}
+	c := newClusterOn(t, 4, opts, func(_ int, tr dht.Transport) dht.Transport { return gateServer{tr, g} })
+	if err := c.managers[0].Append(context.Background(), "l:author", widePostings(150000), ""); err != nil {
 		t.Fatal(err)
 	}
 	full, err := c.managers[0].Root(context.Background(), "l:author")
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := dht.NewNode(gateClient{c.net.NewEndpoint(), g}, store.NewMem(), dht.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { node.Close() })
+	if err := node.Bootstrap(c.nodes[0].Self()); err != nil {
+		t.Fatal(err)
+	}
+	consumer, err := NewManager(node, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,55 +406,49 @@ func TestFetchCancelsFanOutOnError(t *testing.T) {
 			break
 		}
 	}
-	at := 0
-	for i, nd := range c.nodes {
-		if nd.Self().Addr != victim {
-			at = i
-			break
+	fetch := func() error {
+		s, _, err := consumer.FetchWithRoot(context.Background(), &root, FetchOptions{parallel: 3})
+		if err != nil {
+			t.Fatal(err)
 		}
+		_, err = postings.Drain(s)
+		return err
 	}
-	col := c.net.Collector
-	col.Reset()
-	s, _, err := c.managers[at].FetchWithRoot(context.Background(), &root, FetchOptions{parallel: 3})
-	if err != nil {
+	if err := fetch(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := postings.Drain(s); err != nil {
-		t.Fatal(err)
+	whole, wholeFrames := g.take(), 0
+	for addr := range holders(&root) {
+		if addr != victim && whole[addr] < 3 {
+			t.Fatalf("holder %s sends %d frames, want 3 or more for the bound below to mean anything", addr, whole[addr])
+		}
+		wholeFrames += whole[addr]
 	}
-	whole := col.Bytes(metrics.Postings)
 
 	for _, nd := range c.nodes {
 		if nd.Self().Addr == victim {
 			nd.SetShedGate(shutGate{})
 		}
 	}
-	c.net.SetModel(dht.LinkModel{Latency: time.Millisecond, BytesPerSec: 100 << 10})
-	defer c.net.SetModel(dht.LinkModel{})
-	col.Reset()
-	s, _, err = c.managers[at].FetchWithRoot(context.Background(), &root, FetchOptions{parallel: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := postings.Drain(s); err == nil || !dht.IsOverload(err) {
+	g.gated.Store(true)
+	if err := fetch(); err == nil || !dht.IsOverload(err) {
 		t.Fatalf("drain error = %v, want the first holder's overload rejection", err)
 	}
-	surfaced := col.Bytes(metrics.Postings)
-	// In flight when the error surfaced: at most a frame per open stream
-	// being charged, and one more each before its reader sees the
-	// cancellation.
-	time.Sleep(100 * time.Millisecond)
-	settled := col.Bytes(metrics.Postings)
-	time.Sleep(50 * time.Millisecond)
-	if later := col.Bytes(metrics.Postings); later != settled {
-		t.Errorf("posting bytes still growing 100ms after the error: %d -> %d", settled, later)
+	if moved := g.take(); len(moved) != 0 {
+		t.Fatalf("frames %v moved before the error surfaced", moved)
 	}
-	perBlock := whole / int64(len(root.Blocks))
-	if slack := 3 * 2 * 2 * perBlock; settled-surfaced > slack {
-		t.Errorf("%d posting bytes charged after the error surfaced, more than the %d in flight", settled-surfaced, slack)
+	close(g.resume)
+	g.served()
+	sent, total := g.take(), 0
+	t.Logf("frames by holder: %v in the whole fetch, %v after the error surfaced", whole, sent)
+	for addr, n := range sent {
+		if n > 2 {
+			t.Errorf("holder %s sent %d frames after the error surfaced, more than the one its consumer was handed and one more", addr, n)
+		}
+		total += n
 	}
-	if settled > whole/2 {
-		t.Errorf("failed fetch moved %d of the list's %d posting bytes: the fan-out ran on", settled, whole)
+	if total > wholeFrames/2 {
+		t.Errorf("failed fetch moved %d of the list's %d frames: the fan-out ran on", total, wholeFrames)
 	}
 }
 

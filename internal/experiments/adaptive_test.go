@@ -83,9 +83,8 @@ func TestAdaptiveChaosConvergence(t *testing.T) {
 			BaseBackoff: 100 * time.Microsecond,
 			MaxBackoff:  2 * time.Millisecond,
 		},
-		RPCTimeout:   5 * time.Second,
-		ProbeTimeout: 2 * time.Second,
-		Seed:         seed,
+		RPCTimeout: 5 * time.Second,
+		Seed:       seed,
 	}
 	cfg := kadop.Config{
 		UseDPP: true,

@@ -41,7 +41,6 @@ type churnResult struct {
 
 	RepairPushes, ResyncPulls int64
 	Handoffs                  int64
-	Probes, FailedProbes      int64
 	Evictions, Refreshes      int64
 	RepairBytes               int64
 	// RepairBytesSeries samples cumulative repair traffic after each
@@ -81,9 +80,8 @@ func runChurn(s Scale, drop float64, repairEvery int) (*churnResult, error) {
 			BaseBackoff: 100 * time.Microsecond,
 			MaxBackoff:  2 * time.Millisecond,
 		},
-		RPCTimeout:   5 * time.Second,
-		ProbeTimeout: 2 * time.Second,
-		Seed:         s.Seed,
+		RPCTimeout: 5 * time.Second,
+		Seed:       s.Seed,
 	}
 	cl, err := NewCluster(ClusterOptions{Peers: s.Peers, Cfg: kadop.Config{DHT: dhtCfg}})
 	if err != nil {
@@ -270,8 +268,6 @@ func runChurn(s Scale, drop float64, repairEvery int) (*churnResult, error) {
 	res.RepairPushes = col.Events(metrics.EventRepair)
 	res.ResyncPulls = col.Events(metrics.EventResync)
 	res.Handoffs = col.Events(metrics.EventHandoff)
-	res.Probes = col.Events(metrics.EventProbe)
-	res.FailedProbes = col.Events(metrics.EventFailedProbe)
 	res.Evictions = col.Events(metrics.EventEviction)
 	res.Refreshes = col.Events(metrics.EventRefresh)
 	res.RepairBytes = col.Bytes(metrics.Repair)
@@ -313,9 +309,9 @@ func (r *churnResult) report() ([]section, []bound) {
 		{title: fmt.Sprintf("\nConvergence after quiesce (%d repair rounds): %d/%d oracle terms at full count (%s)",
 			r.QuiesceRounds, r.FinalTermsComplete, r.FinalTermsTotal, pct(r.FinalTermsComplete, r.FinalTermsTotal))},
 		{"Repair machinery",
-			[]string{"pushes", "pulls", "handoffs", "probes", "probe-fail", "evictions", "refreshes", "repair(MB)"},
-			[][]string{{itoa(r.RepairPushes), itoa(r.ResyncPulls), itoa(r.Handoffs), itoa(r.Probes),
-				itoa(r.FailedProbes), itoa(r.Evictions), itoa(r.Refreshes), mb(r.RepairBytes)}}},
+			[]string{"pushes", "pulls", "handoffs", "evictions", "refreshes", "repair(MB)"},
+			[][]string{{itoa(r.RepairPushes), itoa(r.ResyncPulls), itoa(r.Handoffs),
+				itoa(r.Evictions), itoa(r.Refreshes), mb(r.RepairBytes)}}},
 	}
 	if n := len(r.RepairBytesSeries); n >= 4 {
 		secs = append(secs, section{title: fmt.Sprintf("\nRepair traffic over the schedule (cumulative MB at quartiles)\n  25%%: %s  50%%: %s  75%%: %s  100%%: %s",

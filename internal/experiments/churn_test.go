@@ -9,7 +9,7 @@ import (
 // entry's bounds must hold — every query comes back, graceful leaves
 // lose no keys, and after the schedule quiesces the index converges
 // back to the churn-free oracle. It runs under -race in make check, so
-// it also shakes the background probes and handoffs for data races.
+// it also shakes the background repair and handoffs for data races.
 func TestChurnCompleteness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("churn emulation takes a few seconds")

@@ -870,7 +870,7 @@ func (p *Peer) handleGone(_ context.Context, _ dht.Contact, _ string, blob []byt
 // handleAnswer serves phase-two query evaluation: given a query and a
 // set of local document ids, it evaluates the full tree pattern on the
 // stored documents and returns the answer tuples, grouped per document
-// when the client asks for it (codec.go).
+// (codec.go).
 func (p *Peer) handleAnswer(ctx context.Context, _ dht.Contact, _ string, blob []byte) ([]byte, error) {
 	queryText, pos, err := readStr(blob, 0)
 	if err != nil {
@@ -880,7 +880,9 @@ func (p *Peer) handleAnswer(ctx context.Context, _ dht.Contact, _ string, blob [
 	if err != nil {
 		return nil, err
 	}
-	format, _, _ := readUint(blob, pos) // absent from older clients: zero
+	if pos != len(blob) {
+		return nil, fmt.Errorf("kadop: answer: %d bytes after the document keys", len(blob)-pos)
+	}
 	q, err := pattern.Parse(queryText)
 	if err != nil {
 		return nil, fmt.Errorf("kadop: answer: %w", err)
@@ -925,5 +927,5 @@ func (p *Peer) handleAnswer(ctx context.Context, _ dht.Contact, _ string, blob [
 		sp.SetInt("elements-scanned", st.elementsScanned)
 		sp.SetInt("matches", int64(answers))
 	}
-	return appendAnswerStats(encodeAnswers(format, groups, m.Width(), sids), st), nil
+	return encodeAnswers(groups, m.Width(), sids, st), nil
 }

@@ -987,11 +987,9 @@ func (p *Peer) secondPhase(ctx context.Context, q *pattern.Query, docs []sid.Doc
 	peers, keys := byPeer(docs)
 	replies := make([][]twigjoin.Match, len(peers))
 	failed, err := p.askDocPeers(ctx, peers, keys, procAnswer, func(keys []sid.DocKey) []byte {
-		blob := appendStr(nil, text)
-		blob = append(blob, encodeDocKeys(keys)...)
-		return appendUint(blob, answerFormatGrouped)
+		return append(appendStr(nil, text), encodeDocKeys(keys)...)
 	}, func(i int, out []byte) error {
-		ms, st, err := decodeMatches(out)
+		ms, st, err := decodeAnswers(out)
 		if err != nil {
 			return err
 		}

@@ -21,10 +21,10 @@ func TestBucketBoundaries(t *testing.T) {
 		{4 * time.Microsecond, 2},
 		{5 * time.Microsecond, 3},
 		{8 * time.Microsecond, 3},
-		{time.Millisecond, 10},      // 1024µs > 512µs(bucket 9), <= 1024µs(bucket 10)
-		{time.Second, 20},           // 1e6µs <= 2^20µs
-		{365 * 24 * time.Hour, 45},  // clamps into the last bucket
-		{-time.Second, 0},           // callers clamp, bucketFor tolerates
+		{time.Millisecond, 10},     // 1024µs > 512µs(bucket 9), <= 1024µs(bucket 10)
+		{time.Second, 20},          // 1e6µs <= 2^20µs
+		{365 * 24 * time.Hour, 45}, // clamps into the last bucket
+		{-time.Second, 0},          // callers clamp, bucketFor tolerates
 	}
 	for _, c := range cases {
 		d := c.d

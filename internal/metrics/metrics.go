@@ -56,12 +56,6 @@ const (
 	// EventHandoff counts keys a gracefully departing peer handed off
 	// to the remaining owner set before leaving.
 	EventHandoff Event = "handoff-keys"
-	// EventProbe counts liveness probes sent on suspicion (a contact
-	// failed an RPC and is pinged before eviction).
-	EventProbe Event = "probes"
-	// EventFailedProbe counts liveness probes that went unanswered,
-	// confirming the suspicion and triggering eviction.
-	EventFailedProbe Event = "failed-probes"
 	// EventRefresh counts stale routing buckets refreshed with a
 	// random-identifier lookup.
 	EventRefresh Event = "bucket-refreshes"

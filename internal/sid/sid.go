@@ -140,7 +140,7 @@ func (p Posting) String() string {
 const postingWireSize = 18
 
 // AppendPosting appends the fixed-width big-endian encoding of p — the
-// form DPP root blocks and phase-two match lists carry on the wire.
+// form DPP root blocks carry on the wire.
 func AppendPosting(buf []byte, p Posting) []byte {
 	var b [postingWireSize]byte
 	binary.BigEndian.PutUint32(b[0:], uint32(p.Peer))
