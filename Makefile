@@ -33,7 +33,6 @@ check:
 #   load        adaptive replication: controllers promote and the serving-load Gini strictly improves (query p99 printed)
 #   durability  group commit cuts the WAL commits of an fsync=always publish at least 2x, each commit carrying at least 2 writes handed to the coalescer; query p99 under bulk publish within 1.5x of the controls + 25ms
 #   slo         overload run: burn-rate alert fires (quiet when healthy), flight dump links to histogram exemplars
-#   stats       statistics registry: p95 cardinality-estimation error under bound, every phase reports operator actuals
 GATES := gates
 gate-smoke:
 	@for g in $(GATES); do \

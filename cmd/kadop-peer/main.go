@@ -40,7 +40,7 @@ func main() {
 		replicate = flag.Duration("replicate", 0, "adaptive hot-term replication control-loop cadence, e.g. 10s (0 = off)")
 		shedRate  = flag.Float64("shed-rate", 0, "admission gate: sustained reads/second served before shedding, burst max(shed-rate,1) (0 = off)")
 		republish = flag.Duration("republish", 0, "directory re-registration cadence, e.g. 5m (0 = off)")
-		debugAddr = flag.String("debug-addr", "", "serve /metrics and /debug/{metrics,load,traces,peer,flight,slo} on this address (off by default)")
+		debugAddr = flag.String("debug-addr", "", "serve /metrics and the /debug/ paths (listed at /) on this address (off by default)")
 		pprofOn   = flag.Bool("pprof", false, "also serve /debug/pprof profiling handlers on the debug address")
 		flightDir = flag.String("flight-dir", "", "directory for watchdog flight dumps on SLO burn alerts (default <data>/flight with -data)")
 		slowQuery = flag.Duration("slow-query", time.Second, "slow-query capture threshold: queries at or over it are logged with their full trace (0 = off)")

@@ -27,7 +27,7 @@ func main() {
 		oneshot   = flag.Bool("oneshot", false, "exit after publishing (documents become unreachable for phase two)")
 		useDPP    = flag.Bool("dpp", false, "the deployment partitions posting lists (-dpp on its peers)")
 		repl      = flag.Int("replication", 1, "index replication factor (must match the deployment's peers)")
-		debugAddr = flag.String("debug-addr", "", "serve /metrics and /debug/{metrics,load,traces,peer} on this address")
+		debugAddr = flag.String("debug-addr", "", "serve /metrics and the /debug/ paths (listed at /) on this address")
 	)
 	flag.Parse()
 	if *bootstrap == "" || *id == 0 || flag.NArg() == 0 {

@@ -7,8 +7,7 @@
 // stops after phase one and prints the candidate documents; -explain
 // prints the query's trace tree — every phase with its latency and the
 // bytes moved per traffic class; -explain-analyze adds the per-phase
-// work table comparing the statistics registry's estimate with the
-// operator actuals the query recorded.
+// work table of the operator actuals the query recorded.
 package main
 
 import (
@@ -34,8 +33,8 @@ func main() {
 		indexOnly = flag.Bool("index", false, "run the index query only; print candidate documents")
 		repl      = flag.Int("replication", 1, "index replication factor (must match the deployment's peers)")
 		explain   = flag.Bool("explain", false, "print the query's trace tree (per-phase latency and bytes)")
-		analyze   = flag.Bool("explain-analyze", false, "like -explain, plus the per-phase work table: estimated vs actual blocks, bytes, postings and matches")
-		debugAddr = flag.String("debug-addr", "", "serve /metrics and /debug/{metrics,load,traces,peer} on this address; keeps the process up after the query for inspection")
+		analyze   = flag.Bool("explain-analyze", false, "like -explain, plus the per-phase work table: actual blocks, bytes, postings, matches and documents evaluated")
+		debugAddr = flag.String("debug-addr", "", "serve /metrics and the /debug/ paths (listed at /) on this address; keeps the process up after the query for inspection")
 		logPath   = flag.String("log", "", "append one structured JSONL record per query to this file, rotated at 64MiB keeping 3 (- = stderr)")
 		slowThr   = flag.Duration("slow", 0, "slow-query capture threshold: queries at or over it are logged with their full trace (0 = off)")
 	)

@@ -18,7 +18,6 @@ import (
 	"kadop/internal/metrics"
 	"kadop/internal/obs/flight"
 	"kadop/internal/obs/slo"
-	"kadop/internal/obs/stats"
 	"kadop/internal/trace"
 )
 
@@ -56,10 +55,6 @@ type Options struct {
 	Flight *flight.Recorder
 	// SLO supplies /debug/slo (objective statuses and burn rates).
 	SLO *slo.Engine
-	// Stats supplies /debug/stats (the statistics registry: per-term
-	// cardinalities, join selectivities, estimation-error histogram)
-	// and the kadop_stats_* families of /metrics.
-	Stats *stats.Registry
 	// BuildInfo adds kadop_build_info and the process start-time gauge
 	// to /metrics. The binaries turn it on; deterministic tests leave it
 	// off so golden expositions stay stable.
@@ -99,39 +94,18 @@ func (o Options) flightRecorder() *flight.Recorder {
 	return nil
 }
 
-// Handler builds the admin mux. Paths:
-//
-//	/metrics        Prometheus text exposition
-//	/debug/metrics  JSON metrics dump (percentiles included)
-//	/debug/load     per-peer load ledger and hot-term sketch (JSON)
-//	/debug/traces   recent traces, JSON; ?format=text for trace trees
-//	/debug/peer     identity, routing table and store statistics
-//	/debug/flight   flight-recorder ring dump (JSON; ?kind=rpc filters)
-//	/debug/slo      SLO statuses, burn rates and the health verdict
-//	/debug/stats    statistics registry: cardinalities, selectivities (JSON)
-//	/debug/pprof/   the standard pprof handlers (only with Options.Pprof)
-func Handler(o Options) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/" {
-			http.NotFound(w, r)
-			return
-		}
-		fmt.Fprint(w, "kadop debug endpoint\n\n"+
-			"/metrics         Prometheus text exposition\n"+
-			"/debug/metrics   traffic classes, events, latency percentiles (JSON)\n"+
-			"/debug/load      per-peer load ledger, hot-term sketch (JSON)\n"+
-			"/debug/traces    recent query traces (JSON; ?format=text&n=8)\n"+
-			"/debug/peer      identity, routing table, store stats (JSON)\n"+
-			"/debug/cache     posting-block cache counters (JSON)\n"+
-			"/debug/flight    flight-recorder dump (JSON; ?kind=rpc filters)\n"+
-			"/debug/slo       SLO statuses and burn-rate verdict (JSON)\n"+
-			"/debug/stats     statistics registry: cardinalities, selectivities (JSON)\n")
-		if o.Pprof {
-			fmt.Fprint(w, "/debug/pprof/    runtime profiles\n")
-		}
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+// endpoint is one path of the admin mux: the line the / index page
+// shows for it, and its handler over the Options.
+type endpoint struct {
+	path, doc string
+	serve     func(o Options, w http.ResponseWriter, r *http.Request)
+}
+
+// endpoints is every path Handler registers besides the / index page
+// and the optional /debug/pprof/ handlers. The index page is rendered
+// from it, so the two cannot disagree.
+var endpoints = []endpoint{
+	{"/metrics", "Prometheus text exposition", func(o Options, w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		metrics.WriteProm(w, metrics.PromOptions{
 			Collector: o.Collector,
@@ -139,45 +113,15 @@ func Handler(o Options) http.Handler {
 			Registry:  o.registry(),
 			BuildInfo: o.BuildInfo,
 		})
-		if o.Stats != nil {
-			o.Stats.WriteProm(w)
-		}
-	})
-	mux.HandleFunc("/debug/stats", func(w http.ResponseWriter, r *http.Request) {
-		if o.Stats == nil {
-			http.Error(w, "no statistics registry installed", http.StatusNotFound)
-			return
-		}
-		writeJSON(w, o.Stats.Snapshot())
-	})
-	mux.HandleFunc("/debug/load", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, o.load().Export())
-	})
-	mux.HandleFunc("/debug/metrics", func(w http.ResponseWriter, r *http.Request) {
+	}},
+	{"/debug/metrics", "traffic classes, events, latency percentiles (JSON)", func(o Options, w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, o.Collector.Export())
-	})
-	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
-		n := 16
-		if s := r.URL.Query().Get("n"); s != "" {
-			if v, err := strconv.Atoi(s); err == nil && v > 0 {
-				n = v
-			}
-		}
-		recent := o.Tracer.Recent(n)
-		if r.URL.Query().Get("format") == "text" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			for _, t := range recent {
-				fmt.Fprintf(w, "trace %x %q\n%s\n", t.ID(), t.Name(), t.Tree())
-			}
-			return
-		}
-		out := make([]trace.TraceRecord, 0, len(recent))
-		for _, t := range recent {
-			out = append(out, t.Export())
-		}
-		writeJSON(w, out)
-	})
-	mux.HandleFunc("/debug/peer", func(w http.ResponseWriter, r *http.Request) {
+	}},
+	{"/debug/load", "per-peer load ledger, hot-term sketch (JSON)", func(o Options, w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, o.load().Export())
+	}},
+	{"/debug/traces", "recent query traces (JSON; ?format=text&n=8)", serveTraces},
+	{"/debug/peer", "identity, routing table, store stats (JSON)", func(o Options, w http.ResponseWriter, r *http.Request) {
 		info := map[string]any{}
 		if o.Node != nil {
 			info["addr"] = o.Node.Self().Addr
@@ -191,29 +135,12 @@ func Handler(o Options) http.Handler {
 			info["documents"] = o.Docs()
 		}
 		writeJSON(w, info)
-	})
-	mux.HandleFunc("/debug/cache", func(w http.ResponseWriter, r *http.Request) {
+	}},
+	{"/debug/cache", "posting-block cache counters (JSON)", func(o Options, w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, o.Cache.Stats())
-	})
-	mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, r *http.Request) {
-		rec := o.flightRecorder()
-		if rec == nil {
-			http.Error(w, "no flight recorder installed", http.StatusNotFound)
-			return
-		}
-		dump := rec.TakeDump("request")
-		if kind := r.URL.Query().Get("kind"); kind != "" {
-			kept := dump.Events[:0:0]
-			for _, e := range dump.Events {
-				if e.Kind == kind {
-					kept = append(kept, e)
-				}
-			}
-			dump.Events = kept
-		}
-		writeJSON(w, dump)
-	})
-	mux.HandleFunc("/debug/slo", func(w http.ResponseWriter, r *http.Request) {
+	}},
+	{"/debug/flight", "flight-recorder dump (JSON; ?kind=rpc filters)", serveFlight},
+	{"/debug/slo", "SLO statuses and burn-rate verdict (JSON)", func(o Options, w http.ResponseWriter, r *http.Request) {
 		if o.SLO == nil {
 			http.Error(w, "no slo engine installed", http.StatusNotFound)
 			return
@@ -223,7 +150,31 @@ func Handler(o Options) http.Handler {
 			"verdict":    slo.Verdict(statuses),
 			"objectives": statuses,
 		})
+	}},
+}
+
+// Handler builds the admin mux: an index page at /, every path of
+// endpoints, and the standard pprof handlers under /debug/pprof/ when
+// Options.Pprof is set.
+func Handler(o Options) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/" {
+			http.NotFound(w, r)
+			return
+		}
+		fmt.Fprint(w, "kadop debug endpoint\n\n")
+		for _, e := range endpoints {
+			fmt.Fprintf(w, "%-16s %s\n", e.path, e.doc)
+		}
+		if o.Pprof {
+			fmt.Fprintf(w, "%-16s %s\n", "/debug/pprof/", "runtime profiles")
+		}
 	})
+	for _, e := range endpoints {
+		serve := e.serve
+		mux.HandleFunc(e.path, func(w http.ResponseWriter, r *http.Request) { serve(o, w, r) })
+	}
 	if o.Pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -232,6 +183,47 @@ func Handler(o Options) http.Handler {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	return mux
+}
+
+func serveTraces(o Options, w http.ResponseWriter, r *http.Request) {
+	n := 16
+	if s := r.URL.Query().Get("n"); s != "" {
+		if v, err := strconv.Atoi(s); err == nil && v > 0 {
+			n = v
+		}
+	}
+	recent := o.Tracer.Recent(n)
+	if r.URL.Query().Get("format") == "text" {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		for _, t := range recent {
+			fmt.Fprintf(w, "trace %x %q\n%s\n", t.ID(), t.Name(), t.Tree())
+		}
+		return
+	}
+	out := make([]trace.TraceRecord, 0, len(recent))
+	for _, t := range recent {
+		out = append(out, t.Export())
+	}
+	writeJSON(w, out)
+}
+
+func serveFlight(o Options, w http.ResponseWriter, r *http.Request) {
+	rec := o.flightRecorder()
+	if rec == nil {
+		http.Error(w, "no flight recorder installed", http.StatusNotFound)
+		return
+	}
+	dump := rec.TakeDump("request")
+	if kind := r.URL.Query().Get("kind"); kind != "" {
+		kept := dump.Events[:0:0]
+		for _, e := range dump.Events {
+			if e.Kind == kind {
+				kept = append(kept, e)
+			}
+		}
+		dump.Events = kept
+	}
+	writeJSON(w, dump)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

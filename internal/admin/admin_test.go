@@ -114,11 +114,31 @@ func TestPeerEndpoint(t *testing.T) {
 	}
 }
 
+// TestNilOptionsSafe requests the index page and every path of the
+// endpoint table with zero Options: a path whose subsystem is absent
+// may answer 404, but none may fail with a 5xx or panic.
 func TestNilOptionsSafe(t *testing.T) {
 	srv := httptest.NewServer(Handler(Options{}))
 	defer srv.Close()
-	for _, p := range []string{"/", "/metrics", "/debug/metrics", "/debug/load", "/debug/traces", "/debug/peer"} {
-		get(t, srv.URL+p)
+	paths := []string{"/"}
+	for _, e := range endpoints {
+		paths = append(paths, e.path)
+	}
+	for _, p := range paths {
+		resp, err := http.Get(srv.URL + p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: %s", p, resp.Status)
+		}
+	}
+	index := string(get(t, srv.URL+"/"))
+	for _, e := range endpoints {
+		if !strings.Contains(index, e.path) {
+			t.Errorf("index page does not list %s:\n%s", e.path, index)
+		}
 	}
 }
 

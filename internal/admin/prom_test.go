@@ -11,15 +11,14 @@ import (
 	"time"
 
 	"kadop/internal/metrics"
-	"kadop/internal/obs/stats"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// fixedSources builds deterministic collector/load/registry/stats
-// contents: fixed counts, durations that land mid-bucket, and a term
-// that needs label escaping.
-func fixedSources() (*metrics.Collector, *metrics.Load, *metrics.Registry, *stats.Registry) {
+// fixedSources builds deterministic collector/load/registry contents:
+// fixed counts, durations that land mid-bucket, and a term that needs
+// label escaping.
+func fixedSources() (*metrics.Collector, *metrics.Load, *metrics.Registry) {
 	col := metrics.NewCollector()
 	col.Count(metrics.Postings, 1000)
 	col.Count(metrics.Postings, 500)
@@ -42,24 +41,13 @@ func fixedSources() (*metrics.Collector, *metrics.Load, *metrics.Registry, *stat
 		metrics.Label{Key: "op", Value: metrics.OpRPCGet},
 		metrics.Label{Key: "peer", Value: "sim://2"}).Add(7)
 	reg.Gauge("kadop_peer_up", "Whether the peer is serving.").Set(1)
-
-	st := stats.NewRegistry()
-	st.ObservePublish("l:author", 2, 6)
-	st.ObservePublish("l:article", 1, 1)
-	st.ObserveQuery(100, 25, []stats.Edge{{Parent: "l:article", Axis: "//", Child: "l:author"}})
-	st.ObserveError(0.15)
-	return col, load, reg, st
+	return col, load, reg
 }
 
 func TestPromExpositionGolden(t *testing.T) {
-	col, load, reg, st := fixedSources()
+	col, load, reg := fixedSources()
 	var b strings.Builder
 	if err := metrics.WriteProm(&b, metrics.PromOptions{Collector: col, Load: load, Registry: reg}); err != nil {
-		t.Fatal(err)
-	}
-	// /metrics appends the statistics families after the core ones, so
-	// the golden file covers the full scrape a deployment sees.
-	if err := st.WriteProm(&b); err != nil {
 		t.Fatal(err)
 	}
 	got := b.String()
@@ -93,12 +81,6 @@ func TestPromExpositionGolden(t *testing.T) {
 		`kadop_hot_term_bytes{term="l:we\"ird\\term\n"} 36`,
 		`kadop_rpc_client_total{op="rpc:get",peer="sim://2"} 7`,
 		`kadop_peer_up 1`,
-		`kadop_stats_terms 2`,
-		`kadop_stats_term_docs{term="l:author"} 2`,
-		`kadop_stats_term_postings{term="l:author"} 6`,
-		`kadop_stats_queries_observed_total 1`,
-		`kadop_stats_est_error_bucket{le="0.2"} 1`,
-		`kadop_stats_est_error_count 1`,
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("exposition missing %q", want)
@@ -110,7 +92,7 @@ func TestPromExpositionGolden(t *testing.T) {
 }
 
 func TestLoadEndpoint(t *testing.T) {
-	_, load, _, _ := fixedSources()
+	_, load, _ := fixedSources()
 	addr, stop, err := Serve("127.0.0.1:0", Options{Load: load})
 	if err != nil {
 		t.Fatal(err)
@@ -125,26 +107,6 @@ func TestLoadEndpoint(t *testing.T) {
 	}
 	if len(ex.HotTerms) == 0 || ex.HotTerms[0].Term != "l:author" {
 		t.Errorf("hot terms = %+v", ex.HotTerms)
-	}
-}
-
-func TestStatsEndpoint(t *testing.T) {
-	_, _, _, st := fixedSources()
-	addr, stop, err := Serve("127.0.0.1:0", Options{Stats: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	var ex stats.Export
-	if err := json.Unmarshal(get(t, "http://"+addr+"/debug/stats"), &ex); err != nil {
-		t.Fatal(err)
-	}
-	if ex.Terms["l:author"].Docs != 2 || ex.Queries != 1 {
-		t.Errorf("stats export = %+v", ex)
-	}
-	body := string(get(t, "http://"+addr+"/metrics"))
-	if !strings.Contains(body, "kadop_stats_terms 2") {
-		t.Errorf("/metrics missing stats families:\n%s", body)
 	}
 }
 

@@ -3,17 +3,12 @@ package dht
 import (
 	"bufio"
 	"context"
-	"errors"
-	"io"
 	"math/rand"
 	"net"
-	"reflect"
 	"testing"
 	"time"
 
 	"kadop/internal/metrics"
-	"kadop/internal/postings"
-	"kadop/internal/sid"
 	"kadop/internal/store"
 )
 
@@ -29,90 +24,6 @@ func tcpNode(t *testing.T, timeout time.Duration) *Node {
 	}
 	t.Cleanup(func() { n.Close() })
 	return n
-}
-
-// The TCP server must hand a MsgGetBatch frame to the stream handler:
-// routed to HandleCall it answers "unexpected message type" and every
-// DPP fetch over TCP falls back to one pipelined get per block. Over
-// loopback the packed frames must carry several keys each, a key larger
-// than the frame budget across frames, and the key-held marker of a key
-// clipped to nothing.
-func TestTCPGetBatch(t *testing.T) {
-	a, b := tcpNode(t, 0), tcpNode(t, 0)
-	if err := b.Bootstrap(a.Self()); err != nil {
-		t.Fatal(err)
-	}
-	lists := map[string]postings.List{
-		"k:0":   randomPostings(rand.New(rand.NewSource(2)), 700),
-		"k:s1":  docPostings(0, 20),
-		"k:s2":  docPostings(20, 40),
-		"k:s3":  docPostings(40, 60),
-		"k:big": docPostings(0, 20000), // about 100 KB encoded: over the budget
-		// Held, but every posting lies outside the clip below.
-		"k:clipped": {{Peer: 9, Doc: 1, SID: sid.SID{Start: 1, End: 2, Level: 1}}},
-	}
-	for k, l := range lists {
-		if err := a.Store().Append(k, l); err != nil {
-			t.Fatal(err)
-		}
-	}
-	req := BatchGet{Keys: []string{"k:0", "k:s1", "k:none", "k:s2", "k:big", "k:clipped", "k:s3"},
-		Clip: true, Lo: sid.DocKey{Peer: 0, Doc: 0}, Hi: sid.DocKey{Peer: 4, Doc: 1 << 20}}
-	got := map[string]postings.List{}
-	var order []string
-	err := b.GetBatch(context.Background(), a.Self(), req, func(i int, l postings.List) {
-		order = append(order, req.Keys[i])
-		got[req.Keys[i]] = l
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []string{"k:0", "k:s1", "k:s2", "k:big", "k:clipped", "k:s3"}; !reflect.DeepEqual(order, want) {
-		t.Fatalf("delivered %v, want %v", order, want)
-	}
-	for k, l := range got {
-		want := lists[k]
-		if k == "k:clipped" {
-			want = nil
-		}
-		if len(l) != len(want) || (len(want) > 0 && !reflect.DeepEqual(l, want)) {
-			t.Errorf("%s: %d postings over tcp, want %d", k, len(l), len(want))
-		}
-	}
-
-	// The frames themselves: every one packed, fewer than the keys, and
-	// the big key spanning more than one.
-	ms, err := b.tr.OpenStream(context.Background(), a.Self(),
-		Message{Type: MsgGetBatch, From: b.Self(), Blob: encodeBatchRequest(req)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	frames, bigIn := 0, 0
-	for {
-		m, err := ms.Recv()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(m.Blob) == 0 || len(m.Postings) != 0 {
-			t.Fatalf("frame %d is not packed: %d postings, %d blob bytes", frames, len(m.Postings), len(m.Blob))
-		}
-		frames++
-		seen := false
-		eachSegment(m.Blob, func(key string, _ postings.List, _ bool) error {
-			seen = seen || key == "k:big"
-			return nil
-		})
-		if seen {
-			bigIn++
-		}
-	}
-	if frames >= len(order) || bigIn < 2 {
-		t.Errorf("%d frames for %d keys, k:big in %d of them: want fewer frames than keys and k:big spanning two or more",
-			frames, len(order), bigIn)
-	}
 }
 
 func TestTCPCallTimeout(t *testing.T) {

@@ -113,8 +113,6 @@ var Table = []Experiment{
 		Default: Scale{Records: []int{800}, Peers: 4}, Short: Scale{Records: []int{240}, Peers: 4}},
 	{Name: "slo", Paper: "gate", run: as(func(s Scale) (*sloResult, error) { return runSLO(s, nil) }),
 		Default: Scale{Records: []int{200}, Peers: 8}, Short: Scale{Records: []int{120}, Peers: 6}},
-	{Name: "stats", Paper: "gate", run: as(runStats),
-		Default: Scale{Records: []int{300}, Peers: 8}, Short: Scale{Records: []int{150}, Peers: 6}},
 }
 
 func fig7Entry(variant string) Experiment {

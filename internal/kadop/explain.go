@@ -8,11 +8,10 @@ import (
 
 // FormatExplain renders a query result for the kadop-query -explain
 // and -explain-analyze flags: the span tree (when the query was
-// traced), and with analyze also the per-phase work table comparing
-// the statistics registry's pre-execution estimate with the operator
-// actuals the query recorded. One renderer serves both flags so the
-// span tree — including the per-span cache hits and holder-stream
-// errors — never diverges between them.
+// traced), and with analyze also the per-phase table of the operator
+// actuals the query recorded (Result.Cost). One renderer serves both
+// flags so the span tree — including the per-span cache hits and
+// holder-stream errors — never diverges between them.
 func FormatExplain(res *Result, analyze bool) string {
 	if res == nil {
 		return ""
@@ -30,42 +29,25 @@ func FormatExplain(res *Result, analyze bool) string {
 		b.WriteString("\n")
 	}
 	c := res.Cost
-	est := res.Estimate
-	// The estimated column only exists for the quantities the registry
-	// predicts; everything else is actual-only ("-"). A nil Estimate
-	// (unknown cardinalities) blanks the whole column.
-	estOf := func(v int64) string {
-		if est == nil {
-			return "-"
-		}
-		return fmt.Sprintf("%d", v)
-	}
-	var estBlocks, estBytes, estPostings, estMatches string = "-", "-", "-", "-"
-	if est != nil {
-		estBlocks = estOf(est.Blocks)
-		estBytes = estOf(est.Bytes)
-		estPostings = estOf(est.Postings)
-		estMatches = fmt.Sprintf("%.1f", est.Matches)
-	}
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "phase\tmetric\testimated\tactual")
-	fmt.Fprintln(w, "-----\t------\t---------\t------")
-	row := func(phase, metric, estimated string, actual int64) {
-		fmt.Fprintf(w, "%s\t%s\t%s\t%d\n", phase, metric, estimated, actual)
+	fmt.Fprintln(w, "phase\tmetric\tactual")
+	fmt.Fprintln(w, "-----\t------\t------")
+	row := func(phase, metric string, actual int64) {
+		fmt.Fprintf(w, "%s\t%s\t%d\n", phase, metric, actual)
 	}
-	row("fetch", "root fetches", "-", c.RootFetches)
-	row("fetch", "blocks fetched", estBlocks, c.BlocksFetched)
-	row("fetch", "cache hits", "-", c.CacheHits)
-	row("fetch", "wire bytes", estBytes, c.WireBytes)
-	row("fetch", "replica probes", "-", c.ReplicaProbes)
-	row("fetch", "shed retries", "-", c.ShedRetries)
-	row("join", "postings scanned", estPostings, c.PostingsScanned)
-	row("join", "candidates", "-", c.Candidates)
-	row("join", "candidates pruned", "-", c.Pruned)
-	row("join", "index matches", estMatches, c.IndexMatches)
-	row("answers", "docs evaluated", "-", c.DocsEvaluated)
-	row("answers", "elements scanned", "-", c.ElementsScanned)
-	row("answers", "answers", "-", c.Answers)
+	row("fetch", "root fetches", c.RootFetches)
+	row("fetch", "blocks fetched", c.BlocksFetched)
+	row("fetch", "cache hits", c.CacheHits)
+	row("fetch", "wire bytes", c.WireBytes)
+	row("fetch", "replica probes", c.ReplicaProbes)
+	row("fetch", "shed retries", c.ShedRetries)
+	row("join", "postings scanned", c.PostingsScanned)
+	row("join", "candidates", c.Candidates)
+	row("join", "candidates pruned", c.Pruned)
+	row("join", "index matches", c.IndexMatches)
+	row("answers", "docs evaluated", c.DocsEvaluated)
+	row("answers", "elements scanned", c.ElementsScanned)
+	row("answers", "answers", c.Answers)
 	w.Flush()
 	return b.String()
 }

@@ -11,10 +11,9 @@ import (
 
 // TestCostPlaneEndToEnd drives a DPP cluster and checks the whole cost
 // plane on a real query: operator actuals populated for every phase,
-// an estimate present once the fetch plans supply cardinalities, the
-// registry trained, and the shared explain renderer showing both. The
-// query has a wildcard so that phase two runs; without it the index
-// join answers, and no document is evaluated.
+// and the shared explain renderer showing them. The query has a
+// wildcard so that phase two runs; without it the index join answers,
+// and no document is evaluated.
 func TestCostPlaneEndToEnd(t *testing.T) {
 	c := newCluster(t, 8, Config{UseDPP: true, DPP: dpp.Options{BlockSize: 4}})
 	truth := publishAll(t, c, dblpDocs)
@@ -31,10 +30,8 @@ func TestCostPlaneEndToEnd(t *testing.T) {
 	checkIndexAnswered(t, res, truth(exact), answerCalls.Load())
 
 	q := pattern.MustParse(`//*//author[. contains "Ullman"]`)
-	for i := 0; i < 3; i++ { // repeats train the selectivity EWMAs
-		if res, err = querier.Query(q, QueryOptions{}); err != nil {
-			t.Fatal(err)
-		}
+	if res, err = querier.Query(q, QueryOptions{}); err != nil {
+		t.Fatal(err)
 	}
 
 	cost := res.Cost
@@ -47,28 +44,22 @@ func TestCostPlaneEndToEnd(t *testing.T) {
 	if cost.DocsEvaluated == 0 || cost.Answers != int64(len(res.Matches)) {
 		t.Errorf("answer actuals missing or inconsistent: %+v (%d matches)", cost, len(res.Matches))
 	}
-	if res.Estimate == nil {
-		t.Fatal("DPP query carried no estimate")
-	}
-	if res.Estimate.Postings <= 0 || res.Estimate.Matches <= 0 {
-		t.Errorf("estimate = %+v", res.Estimate)
-	}
-	if querier.Stats().Queries() == 0 {
-		t.Error("registry observed no queries")
-	}
 
 	out := FormatExplain(res, true)
 	for _, want := range []string{
 		"query", "phase:fetch", // the span tree
-		"estimated", "actual", "postings scanned", "docs evaluated",
+		"actual", "postings scanned", "docs evaluated",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain-analyze output missing %q:\n%s", want, out)
 		}
 	}
+	if strings.Contains(out, "estimated") {
+		t.Errorf("explain-analyze output has an estimated column:\n%s", out)
+	}
 	// -explain (no analyze) is the tree alone, same renderer.
 	plain := FormatExplain(res, false)
-	if !strings.Contains(plain, "phase:fetch") || strings.Contains(plain, "estimated") {
+	if !strings.Contains(plain, "phase:fetch") || strings.Contains(plain, "actual") {
 		t.Errorf("explain output wrong:\n%s", plain)
 	}
 	if FormatExplain(nil, true) != "" {

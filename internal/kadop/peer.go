@@ -27,7 +27,6 @@ import (
 	"kadop/internal/dht"
 	"kadop/internal/dpp"
 	"kadop/internal/obs/querylog"
-	"kadop/internal/obs/stats"
 	"kadop/internal/pattern"
 	"kadop/internal/postings"
 	"kadop/internal/replicate"
@@ -160,8 +159,6 @@ type Peer struct {
 	persist    *statePersist // nil unless Config.DataDir is set
 	ownedStore io.Closer     // index store closed by Close (NewTCPPeer)
 
-	stats *stats.Registry // per-term cardinalities + learned selectivities
-
 	stopRepub func()                // stops the republish loop; nil when disabled
 	ctrl      *replicate.Controller // adaptive replication; nil when disabled
 }
@@ -182,7 +179,6 @@ func NewPeer(node *dht.Node, id sid.PeerID, cfg Config) (*Peer, error) {
 		dir:      map[string][]byte{},
 		sess:     map[string]chan pushMsg{},
 		hybrid:   map[string]postings.List{},
-		stats:    stats.NewRegistry(),
 	}
 	if cfg.DataDir != "" {
 		if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
@@ -194,10 +190,6 @@ func NewPeer(node *dht.Node, id sid.PeerID, cfg Config) (*Peer, error) {
 		}
 		p.persist = sp
 		if err := p.replayState(recs); err != nil {
-			sp.close()
-			return nil, err
-		}
-		if err := p.stats.Load(filepath.Join(cfg.DataDir, "stats.json")); err != nil {
 			sp.close()
 			return nil, err
 		}
@@ -316,13 +308,7 @@ func (p *Peer) Close() error {
 		p.stopRepub()
 	}
 	p.ctrl.Stop()
-	var err error
-	if p.cfg.DataDir != "" {
-		err = p.stats.Save(filepath.Join(p.cfg.DataDir, "stats.json"))
-	}
-	if cerr := p.node.Close(); err == nil {
-		err = cerr
-	}
+	err := p.node.Close()
 	if p.ownedStore != nil {
 		if cerr := p.ownedStore.Close(); err == nil {
 			err = cerr
@@ -458,12 +444,6 @@ func (p *Peer) DPP() *dpp.Manager { return p.dpp }
 // Replicator returns the peer's adaptive replication controller (nil
 // when disabled); experiments with synthetic clocks drive its Tick.
 func (p *Peer) Replicator() *replicate.Controller { return p.ctrl }
-
-// Stats returns the peer's statistics registry: per-term cardinalities
-// from its publish path and join selectivities learned from its
-// completed queries. Served at /debug/stats and as kadop_stats_* on
-// /metrics by the admin endpoint.
-func (p *Peer) Stats() *stats.Registry { return p.stats }
 
 // BlockCache returns the peer's posting-block cache, or nil when
 // caching (or DPP) is disabled.
@@ -648,13 +628,6 @@ type pubDoc struct {
 	uri, dtype string
 }
 
-// termGroup is the postings one publish call contributes to one term,
-// and the number of documents they come from.
-type termGroup struct {
-	list postings.List
-	docs int64
-}
-
 // publishFanOut bounds the concurrent term appends of one publish call.
 // Terms hash to independent home peers, so the appends are parallel
 // work, and with a lingering coalescer at the home stores
@@ -712,24 +685,16 @@ func (p *Peer) publish(ctx context.Context, docs []pubDoc, at *sid.DocID) ([]sid
 	}
 	// Appends carry the document type into the DPP block conditions, so
 	// only documents of the same type may share one append.
-	groups := map[string]map[string]*termGroup{} // dtype -> term -> group
+	groups := map[string]map[string]postings.List{} // dtype -> term -> postings
 	for i, d := range docs {
 		byTerm := groups[d.dtype]
 		if byTerm == nil {
-			byTerm = map[string]*termGroup{}
+			byTerm = map[string]postings.List{}
 			groups[d.dtype] = byTerm
 		}
 		for _, tp := range xmltree.Extract(d.doc, p.id, keys[i].Doc, p.cfg.Extract) {
 			k := tp.Term.Key()
-			g := byTerm[k]
-			if g == nil {
-				g = &termGroup{}
-				byTerm[k] = g
-			}
-			if len(g.list) == 0 || g.list[len(g.list)-1].Doc != keys[i].Doc {
-				g.docs++
-			}
-			g.list = append(g.list, tp.Posting)
+			byTerm[k] = append(byTerm[k], tp.Posting)
 		}
 	}
 	for dtype, byTerm := range groups {
@@ -745,29 +710,29 @@ func (p *Peer) publish(ctx context.Context, docs []pubDoc, at *sid.DocID) ([]sid
 	return keys, nil
 }
 
-// appendTerms routes per-term posting groups of one document type into
-// the distributed index, at most publishFanOut appends in flight, and
-// feeds the publisher-side statistics. Lists are sorted in place. The
-// first append error wins; remaining in-flight appends still drain.
-func (p *Peer) appendTerms(ctx context.Context, byTerm map[string]*termGroup, dtype string) error {
+// appendTerms routes per-term posting lists of one document type into
+// the distributed index, at most publishFanOut appends in flight. Lists
+// are sorted in place. The first append error wins; remaining in-flight
+// appends still drain.
+func (p *Peer) appendTerms(ctx context.Context, byTerm map[string]postings.List, dtype string) error {
 	sem := make(chan struct{}, publishFanOut)
 	var (
 		wg       sync.WaitGroup
 		errMu    sync.Mutex
 		firstErr error
 	)
-	for term, g := range byTerm {
-		g.list.Sort()
+	for term, list := range byTerm {
+		list.Sort()
 		sem <- struct{}{}
 		wg.Add(1)
-		go func(term string, g *termGroup) {
+		go func(term string, list postings.List) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			var err error
 			if p.dpp != nil {
-				err = p.dpp.Append(ctx, term, g.list, dtype)
+				err = p.dpp.Append(ctx, term, list, dtype)
 			} else {
-				err = p.node.Append(ctx, term, g.list)
+				err = p.node.Append(ctx, term, list)
 			}
 			if err != nil {
 				errMu.Lock()
@@ -775,12 +740,8 @@ func (p *Peer) appendTerms(ctx context.Context, byTerm map[string]*termGroup, dt
 					firstErr = fmt.Errorf("index %q: %w", term, err)
 				}
 				errMu.Unlock()
-				return
 			}
-			// Statistics update at the publisher: summing registries
-			// across the cluster yields the exact global cardinalities.
-			p.stats.ObservePublish(term, g.docs, int64(len(g.list)))
-		}(term, g)
+		}(term, list)
 	}
 	wg.Wait()
 	return firstErr

@@ -12,7 +12,6 @@ import (
 	"kadop/internal/metrics"
 	"kadop/internal/obs/cost"
 	"kadop/internal/obs/flight"
-	"kadop/internal/obs/stats"
 	"kadop/internal/pattern"
 	"kadop/internal/postings"
 	"kadop/internal/sid"
@@ -125,11 +124,6 @@ type Result struct {
 	// (postings scanned, blocks fetched, bytes moved, candidates
 	// pruned, documents evaluated). Always populated.
 	Cost cost.Snapshot
-	// Estimate is the pre-execution cost prediction from the peer's
-	// statistics registry, nil when the per-term cardinalities were
-	// unavailable (plain transfers of terms this peer never published).
-	// FormatExplain renders Estimate vs Cost side by side.
-	Estimate *stats.Estimate
 }
 
 // Query evaluates a tree-pattern query. Phase one joins the query's
@@ -151,13 +145,13 @@ func (p *Peer) Query(q *pattern.Query, opts QueryOptions) (*Result, error) {
 // When the peer's Config.QueryLog is set, every query also emits one
 // structured JSONL record.
 func (p *Peer) QueryContext(ctx context.Context, q *pattern.Query, opts QueryOptions) (*Result, error) {
+	// Only the query log reads the collector snapshot; a peer with
+	// SlowQuery alone just counts.
 	ql := p.cfg.QueryLog
-	if ql == nil && p.cfg.SlowQuery <= 0 {
-		res, err := p.queryContext(ctx, q, opts)
-		p.countQuery(err, false)
-		return res, err
+	var snap logSnapshot
+	if ql != nil {
+		snap = p.logSnapshot()
 	}
-	snap := p.logSnapshot()
 	start := time.Now()
 	res, err := p.queryContext(ctx, q, opts)
 	slow := p.cfg.SlowQuery > 0 && time.Since(start) >= p.cfg.SlowQuery
@@ -260,10 +254,6 @@ func (p *Peer) queryContext(ctx context.Context, q *pattern.Query, opts QueryOpt
 	res.Docs = docs
 	res.IndexTime = time.Since(start)
 	col.Observe(metrics.OpQueryIndex, res.IndexTime)
-	// Phase one is done: predict its cost from the statistics registry
-	// (using the selectivities as they were BEFORE this query), record
-	// the estimation error, then let the query train the EWMAs.
-	p.observeQueryStats(iq, res)
 
 	switch {
 	case iq.answer:
@@ -310,85 +300,6 @@ func (p *Peer) queryContext(ctx context.Context, q *pattern.Query, opts QueryOpt
 		}
 	}
 	return res, nil
-}
-
-// queryEdges flattens an index query's tree edges into the statistics
-// registry's selectivity keys.
-func queryEdges(iq *indexQuery) []stats.Edge {
-	var edges []stats.Edge
-	for _, sub := range iq.subtrees {
-		var walk func(n *pattern.Node)
-		walk = func(n *pattern.Node) {
-			for _, c := range n.Children {
-				edges = append(edges, stats.Edge{
-					Parent: n.Term.Key(),
-					Axis:   c.Axis.String(),
-					Child:  c.Term.Key(),
-				})
-				walk(c)
-			}
-		}
-		if sub.Root != nil {
-			walk(sub.Root)
-		}
-	}
-	return edges
-}
-
-// observeQueryStats closes the estimation loop after phase one: it
-// gathers the per-term planned posting counts (from the DPP fetch
-// plans when available, else the local registry), asks the registry
-// for a prediction, records the relative cardinality error against
-// the twig join's actual match count, and finally feeds the actuals
-// back into the selectivity EWMAs.
-func (p *Peer) observeQueryStats(iq *indexQuery, res *Result) {
-	counts := map[string]int64{}
-	var blocks int64
-	if len(res.Plans) > 0 {
-		for _, plan := range res.Plans {
-			counts[plan.Term] += int64(plan.Postings)
-			n := int64(plan.Fetched)
-			if plan.Inline && plan.Postings > 0 {
-				n = 1
-			}
-			blocks += n
-		}
-	} else if p.stats != nil {
-		// Plain transfers carry no plan; the local registry knows the
-		// cardinalities only for terms this peer published itself.
-		for _, sub := range iq.subtrees {
-			for _, t := range sub.Terms() {
-				ts, ok := p.stats.Term(t.Key())
-				if !ok {
-					return // unknown term: no honest estimate exists
-				}
-				counts[t.Key()] = ts.Postings
-			}
-		}
-	}
-	if len(counts) == 0 {
-		return
-	}
-	edges := queryEdges(iq)
-	est := p.stats.Estimate(counts, blocks, edges)
-	res.Estimate = &est
-	actual := int64(res.IndexMatches)
-	relErr := est.Matches - float64(actual)
-	if relErr < 0 {
-		relErr = -relErr
-	}
-	div := float64(actual)
-	if div < 1 {
-		div = 1
-	}
-	p.stats.ObserveError(relErr / div)
-	minCount := int64(-1)
-	for _, n := range counts {
-		if minCount < 0 || n < minCount {
-			minCount = n
-		}
-	}
-	p.stats.ObserveQuery(minCount, actual, edges)
 }
 
 // indexQuery runs phase one and returns the candidate document keys in

@@ -175,49 +175,6 @@ func mkSample(name string, labels map[string]string, v float64) Sample {
 	return Sample{Name: name, Labels: labels, Value: v}
 }
 
-func TestMergeStats(t *testing.T) {
-	a := &PeerScrape{Target: "a", Samples: []Sample{
-		mkSample("kadop_stats_term_docs", map[string]string{"term": "l:author"}, 2),
-		mkSample("kadop_stats_term_postings", map[string]string{"term": "l:author"}, 6),
-		mkSample("kadop_stats_term_bytes", map[string]string{"term": "l:author"}, 108),
-		mkSample("kadop_stats_queries_observed_total", nil, 3),
-		mkSample("kadop_stats_est_error_bucket", map[string]string{"le": "0.1"}, 1),
-		mkSample("kadop_stats_est_error_bucket", map[string]string{"le": "0.5"}, 3),
-		mkSample("kadop_stats_est_error_bucket", map[string]string{"le": "+Inf"}, 3),
-		mkSample("kadop_stats_est_error_count", nil, 3),
-	}}
-	b := &PeerScrape{Target: "b", Samples: []Sample{
-		mkSample("kadop_stats_term_docs", map[string]string{"term": "l:author"}, 5),
-		mkSample("kadop_stats_term_postings", map[string]string{"term": "l:author"}, 10),
-		mkSample("kadop_stats_term_bytes", map[string]string{"term": "l:author"}, 180),
-		mkSample("kadop_stats_term_docs", map[string]string{"term": "l:title"}, 1),
-		mkSample("kadop_stats_queries_observed_total", nil, 1),
-		mkSample("kadop_stats_est_error_bucket", map[string]string{"le": "0.1"}, 1),
-		mkSample("kadop_stats_est_error_bucket", map[string]string{"le": "0.5"}, 1),
-		mkSample("kadop_stats_est_error_count", nil, 1),
-	}}
-	s := mergeStats([]*PeerScrape{a, b}, 0)
-	if s == nil {
-		t.Fatal("no stats merged")
-	}
-	if s.Queries != 4 || s.ErrCount != 4 {
-		t.Errorf("queries/errcount = %d/%d, want 4/4", s.Queries, s.ErrCount)
-	}
-	if len(s.Terms) != 2 || s.Terms[0].Term != "l:author" {
-		t.Fatalf("terms = %+v", s.Terms)
-	}
-	if got := s.Terms[0]; got.Docs != 7 || got.Postings != 16 || got.Bytes != 288 {
-		t.Errorf("merged cardinality = %+v", got)
-	}
-	// 2 of 4 observations land in le=0.1: p50 within it, p95 above it.
-	if s.ErrP50 <= 0 || s.ErrP50 > 0.1 || s.ErrP95 <= 0.1 || s.ErrP95 > 0.5 {
-		t.Errorf("error quantiles = p50 %v p95 %v", s.ErrP50, s.ErrP95)
-	}
-	if m := mergeStats([]*PeerScrape{{Target: "c"}}, 0); m != nil {
-		t.Errorf("statless scrape produced a summary: %+v", m)
-	}
-}
-
 // TestZeroObservationPeers is the regression test for the quantile and
 // imbalance merges: peers that have observed nothing — freshly joined,
 // or idle — must never turn a report value into NaN or Inf.
@@ -227,9 +184,6 @@ func TestZeroObservationPeers(t *testing.T) {
 			mkSample("kadop_op_latency_seconds_bucket", map[string]string{"op": "lookup", "le": "0.001"}, 0),
 			mkSample("kadop_op_latency_seconds_bucket", map[string]string{"op": "lookup", "le": "+Inf"}, 0),
 			mkSample("kadop_op_latency_seconds_count", map[string]string{"op": "lookup"}, 0),
-			mkSample("kadop_stats_est_error_bucket", map[string]string{"le": "0.1"}, 0),
-			mkSample("kadop_stats_est_error_count", nil, 0),
-			mkSample("kadop_stats_queries_observed_total", nil, 0),
 		}}
 	}
 	finite := func(rep *Report) {
@@ -237,9 +191,6 @@ func TestZeroObservationPeers(t *testing.T) {
 		vals := []float64{rep.MaxMeanRatio, rep.Gini}
 		for _, o := range rep.Ops {
 			vals = append(vals, o.P50.Seconds(), o.P95.Seconds(), o.P99.Seconds())
-		}
-		if rep.Stats != nil {
-			vals = append(vals, rep.Stats.ErrP50, rep.Stats.ErrP95)
 		}
 		for i, v := range vals {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -250,21 +201,16 @@ func TestZeroObservationPeers(t *testing.T) {
 	// An entire cluster of zero-observation peers.
 	rep := BuildReport([]*PeerScrape{idle("a"), idle("b")}, 0)
 	finite(rep)
-	if rep.Stats == nil || rep.Stats.ErrP50 != 0 || rep.Stats.ErrP95 != 0 {
-		t.Errorf("idle cluster stats = %+v", rep.Stats)
-	}
 	// A mixed cluster: one busy peer, one idle.
 	busy := &PeerScrape{Target: "c", Samples: []Sample{
 		mkSample("kadop_op_latency_seconds_bucket", map[string]string{"op": "lookup", "le": "0.001"}, 2),
 		mkSample("kadop_op_latency_seconds_count", map[string]string{"op": "lookup"}, 2),
-		mkSample("kadop_stats_est_error_bucket", map[string]string{"le": "0.1"}, 1),
-		mkSample("kadop_stats_est_error_count", nil, 1),
 	}}
 	busy.Load.BytesServed = 100
 	finite(BuildReport([]*PeerScrape{idle("a"), busy}, 0))
 	// Format renders without panicking on the degenerate report.
-	if out := rep.Format(); !strings.Contains(out, "stats:") {
-		t.Errorf("Format() missing stats section:\n%s", out)
+	if out := rep.Format(); !strings.Contains(out, "lookup") {
+		t.Errorf("Format() missing the lookup latency row:\n%s", out)
 	}
 }
 

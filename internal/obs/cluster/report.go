@@ -81,9 +81,6 @@ type Report struct {
 	// Exemplars are the slowest histogram exemplars scraped, worst
 	// first — trace ids of real outlier queries.
 	Exemplars []ExemplarRef
-	// Stats merges the peers' statistics registries (nil when no peer
-	// exports kadop_stats_* series).
-	Stats *StatsSummary
 	// SampleCount is the total exposition samples scraped.
 	SampleCount int
 }
@@ -131,7 +128,6 @@ func BuildReport(scrapes []*PeerScrape, topK int) *Report {
 	r.SLOs = mergeSLOs(scrapes)
 	r.SLOVerdict = sloVerdict(r.SLOs)
 	r.Exemplars = collectExemplars(scrapes, 5)
-	r.Stats = mergeStats(scrapes, topK)
 	return r
 }
 
@@ -421,7 +417,6 @@ func (r *Report) Format() string {
 			fmt.Fprintf(&b, "  trace %016x  %-16s %9.2gs  %s\n", e.TraceID, e.Op, e.Seconds, e.Peer)
 		}
 	}
-	r.Stats.format(&b)
 	return b.String()
 }
 

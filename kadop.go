@@ -317,12 +317,10 @@ type DebugOptions struct {
 }
 
 // ServeDebug starts the live introspection endpoint for a peer on addr
-// (e.g. "127.0.0.1:6060"): /metrics (Prometheus exposition),
-// /debug/metrics, /debug/load, /debug/traces, /debug/peer,
-// /debug/flight and /debug/slo. It returns the bound address and a
-// shutdown function. The peer's flight recorder (EnableFlight) is
-// picked up automatically; tracer and SLO engine are passed through
-// DebugOptions.
+// (e.g. "127.0.0.1:6060"); its index page at / lists every path. It
+// returns the bound address and a shutdown function. The peer's flight
+// recorder (EnableFlight) and block cache are picked up automatically;
+// tracer and SLO engine are passed through DebugOptions.
 func ServeDebug(addr string, p *Peer, o DebugOptions) (string, func() error, error) {
 	return admin.Serve(addr, admin.Options{
 		Collector: p.Node().Metrics(),
@@ -332,14 +330,13 @@ func ServeDebug(addr string, p *Peer, o DebugOptions) (string, func() error, err
 		Cache:     p.BlockCache(),
 		Pprof:     o.Pprof,
 		SLO:       o.SLO,
-		Stats:     p.Stats(),
 		BuildInfo: o.BuildInfo,
 	})
 }
 
 // FormatExplain renders a query result for -explain/-explain-analyze:
-// the span tree, and with analyze also the per-phase table comparing
-// the statistics registry's estimate with the recorded actuals.
+// the span tree, and with analyze also the per-phase table of the
+// operator actuals the query recorded (Result.Cost).
 func FormatExplain(res *Result, analyze bool) string {
 	return ikadop.FormatExplain(res, analyze)
 }
