@@ -126,47 +126,59 @@ func TestPeerRestartDurability(t *testing.T) {
 }
 
 // TestPeerRestartIdempotent checks a durable peer restarted with no
-// downtime writes serves exactly its pre-shutdown state.
+// downtime writes serves exactly its pre-shutdown state, with and
+// without DPP: with one-posting blocks every repeated term overflows,
+// so its blocks are found again only through the root log.
 func TestPeerRestartIdempotent(t *testing.T) {
-	dataDir := filepath.Join(t.TempDir(), "solo")
-	cfg := Config{DataDir: dataDir}
-	p, err := NewTCPPeer("127.0.0.1:0", 1, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := p.Node().Self().Addr
-	if err := Join(p, ""); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.PublishXML([]byte(facadeDoc), "dblp.xml"); err != nil {
-		t.Fatal(err)
-	}
-	q := MustParseQuery(`//article//title`)
-	res, err := p.Query(q, QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := len(res.Matches)
-	if want != 2 {
-		t.Fatalf("matches before restart = %d, want 2", want)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"plain", Config{}},
+		{"dpp", Config{UseDPP: true, DPP: DPPOptions{BlockSize: 1}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.DataDir = filepath.Join(t.TempDir(), "solo")
+			p, err := NewTCPPeer("127.0.0.1:0", 1, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := p.Node().Self().Addr
+			if err := Join(p, ""); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.PublishXML([]byte(facadeDoc), "dblp.xml"); err != nil {
+				t.Fatal(err)
+			}
+			q := MustParseQuery(`//article//title`)
+			res, err := p.Query(q, QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := len(res.Matches)
+			if want != 2 {
+				t.Fatalf("matches before restart = %d, want 2", want)
+			}
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	pr, err := NewTCPPeer(addr, 1, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pr.Close()
-	if err := Join(pr, ""); err != nil {
-		t.Fatal(err)
-	}
-	res, err = pr.Query(q, QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Matches) != want {
-		t.Fatalf("matches after restart = %d, want %d", len(res.Matches), want)
+			pr, err := NewTCPPeer(addr, 1, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pr.Close()
+			if err := Join(pr, ""); err != nil {
+				t.Fatal(err)
+			}
+			res, err = pr.Query(q, QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Matches) != want {
+				t.Fatalf("matches after restart = %d, want %d", len(res.Matches), want)
+			}
+		})
 	}
 }

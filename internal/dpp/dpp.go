@@ -174,7 +174,7 @@ type Manager struct {
 	ordered   bool
 	cache     *blockcache.Cache
 
-	persistPath string // "" = memory-only
+	log *rootLog // nil = memory-only
 
 	now func() time.Time
 
@@ -217,12 +217,12 @@ type Options struct {
 	// clipped client-side so cached copies are reusable across queries
 	// with different document intervals.
 	Cache *blockcache.Cache
-	// PersistPath, when set, makes the home-side DPP state durable: the
-	// root blocks, inline-list metadata and the pseudo-key counter are
-	// rewritten (atomically) to this file after every mutation and
-	// reloaded on construction, so a restarted peer still knows where
-	// its terms' overflow blocks live. The blocks themselves are index
-	// postings and persist through the node's store.
+	// PersistPath, when set, makes the home-side DPP state durable: every
+	// mutation appends the term's new root, with the pseudo-key counter,
+	// to the root log at this path (persist.go), replayed on
+	// construction, so a restarted peer still knows where its terms'
+	// overflow blocks live. The blocks themselves are index postings and
+	// persist through the node's store.
 	PersistPath string
 	// Now injects a clock for advertisement-lease checks (default
 	// time.Now; the experiments drive it synthetically).
@@ -234,16 +234,16 @@ type Options struct {
 
 // NewManager creates the DPP manager for a node and registers its
 // procedures on the node. With Options.PersistPath set it reloads the
-// previously persisted root state; a corrupt or unreadable state file
-// fails construction rather than silently forgetting block placements.
+// roots from their log; a corrupt or unreadable log fails construction
+// rather than silently forgetting block placements. Close releases the
+// log.
 func NewManager(node *dht.Node, opts Options) (*Manager, error) {
 	bs := opts.BlockSize
 	if bs <= 0 {
 		bs = DefaultBlockSize
 	}
 	m := &Manager{node: node, blockSize: bs, ordered: !opts.RandomSplit,
-		cache: opts.Cache, persistPath: opts.PersistPath,
-		roots: map[string]*Root{}, ads: map[string]adEntry{}, now: opts.Now}
+		cache: opts.Cache, roots: map[string]*Root{}, ads: map[string]adEntry{}, now: opts.Now}
 	if m.now == nil {
 		m.now = time.Now
 	}
@@ -252,14 +252,24 @@ func NewManager(node *dht.Node, opts Options) (*Manager, error) {
 		seed = 1
 	}
 	m.sel = rand.New(rand.NewSource(seed + 0x9e1ec7))
-	if err := m.load(); err != nil {
-		return nil, err
+	if opts.PersistPath != "" {
+		var err error
+		if m.log, m.roots, m.next, err = openRootLog(opts.PersistPath, osOpen); err != nil {
+			return nil, err
+		}
 	}
 	node.Handle(ProcAppend, m.handleAppend)
 	node.Handle(ProcDelete, m.handleDelete)
 	node.Handle(ProcRoot, m.handleRoot)
 	node.Handle(replicate.ProcAdvert, m.handleAdvert)
 	return m, nil
+}
+
+// Close closes the root log; later mutations at this home fail.
+func (m *Manager) Close() error {
+	m.wmu.Lock()
+	defer m.wmu.Unlock()
+	return m.log.close()
 }
 
 // Cache returns the manager's block cache (nil when caching is off),
@@ -357,10 +367,11 @@ func (m *Manager) handleDelete(ctx context.Context, _ dht.Contact, term string, 
 // every block write a private copy of the published root needs, and
 // returns the inline list's local write, if any. Under m.mu that write
 // lands (so LocalRoot can pair a scan of the list with its root), the
-// copy is published, its generation bumped, and saved; only then is what
-// it no longer names retired. So no reader holds a root whose blocks are
-// unwritten, a failed edit publishes nothing, the persisted root never
-// names a deleted key, and no RPC runs under m.mu.
+// copy is published, its generation bumped, and appended to the root
+// log; only then is what it no longer names retired. So no reader holds
+// a root whose blocks are unwritten, a failed edit publishes nothing,
+// the persisted root never names a deleted key, and no RPC runs under
+// m.mu.
 func (m *Manager) mutate(ctx context.Context, term string, edit func(r *Root) (func() error, error)) error {
 	m.wmu.Lock()
 	defer m.wmu.Unlock()
@@ -383,7 +394,7 @@ func (m *Manager) mutate(ctx context.Context, term string, edit func(r *Root) (f
 	}
 	if err == nil {
 		m.roots[term] = r
-		err = m.save()
+		err = m.log.append(m.roots, r, m.next)
 	}
 	m.mu.Unlock()
 	if err != nil || old == nil {
@@ -525,7 +536,11 @@ func (m *Manager) writeBlock(ctx context.Context, ref BlockRef, ps postings.List
 // equal size (at least two), each within the bound — ordered mode cuts
 // by ranges, the randomised ablation deals round-robin — and ships each
 // to the owners of a fresh pseudo-key, the closest its holder, returning
-// the references the root records for them.
+// the references the root records for them. The pseudo-keys are
+// reserved in the root log before the first piece is written, so a
+// placement that fails or crashes part-way never hands an orphaned
+// piece's key to a later one, whose block would then hold the orphan's
+// unacknowledged postings.
 func (m *Manager) place(ctx context.Context, term string, list postings.List, types []string) ([]BlockRef, error) {
 	k := max((len(list)+m.blockSize-1)/m.blockSize, 2)
 	parts := make([]postings.List, k)
@@ -536,13 +551,15 @@ func (m *Manager) place(ctx context.Context, term string, list postings.List, ty
 		}
 		parts[j] = append(parts[j], p)
 	}
+	parts = slices.DeleteFunc(parts, func(p postings.List) bool { return len(p) == 0 })
+	first := m.next
+	m.next += len(parts)
+	if err := m.log.append(m.roots, nil, m.next); err != nil {
+		return nil, err
+	}
 	var refs []BlockRef
-	for _, part := range parts {
-		if len(part) == 0 {
-			continue
-		}
-		m.next++
-		key := fmt.Sprintf("overflow:%d:%s", m.next, term)
+	for i, part := range parts {
+		key := fmt.Sprintf("overflow:%d:%s", first+i+1, term)
 		ref := BlockRef{Lo: part[0], Hi: part[len(part)-1], Key: key, Count: len(part), Types: types}
 		var err error
 		if ref.Owner, err = m.writeBlock(ctx, ref, part, m.node.AppendAt); err != nil {

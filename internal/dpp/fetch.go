@@ -105,15 +105,17 @@ func (m *Manager) FetchWithRoot(ctx context.Context, root *Root, opts FetchOptio
 	}
 	plan := &FetchPlan{Term: root.Term, Blocks: len(root.Blocks), Parallel: opts.parallel, DocClipped: opts.Filter}
 	cc := cost.FromContext(ctx)
+	var keep []BlockRef
 	// The fan-out span covers the fetch decision; the fetch itself
 	// streams on, so holder transfers appear as their own child spans and
 	// the pipeline's cost lands in the consumer's transfer accounting.
+	// Its fetched count includes a kept inline list, as Cost does.
 	if sp := trace.FromContext(ctx); sp != nil {
 		defer func() {
 			c := sp.Child("dpp:fetch", time.Now(), 0)
 			c.SetAttr("term", root.Term)
 			c.SetInt("blocks", int64(plan.Blocks))
-			c.SetInt("fetched", int64(plan.Fetched))
+			c.SetInt("fetched", int64(len(keep)))
 			c.SetInt("parallel", int64(plan.Parallel))
 			c.SetInt("cache-hits", int64(plan.CacheHits))
 			if plan.Inline {
@@ -128,7 +130,6 @@ func (m *Manager) FetchWithRoot(ctx context.Context, root *Root, opts FetchOptio
 	if len(root.Blocks) == 0 {
 		plan.Inline, ordered = true, true
 	}
-	var keep []BlockRef
 	for _, b := range root.refs() {
 		if opts.Filter && ordered && !opts.noConditionFilter {
 			if b.Hi.Key().Compare(opts.FilterLo) < 0 || b.Lo.Key().Compare(opts.FilterHi) > 0 {
@@ -286,7 +287,7 @@ func (m *Manager) fetchHolder(ctx context.Context, root *Root, addr string, grou
 			noteFetched(ctx, l)
 			finish(group[i], l, nil)
 		})
-		noteProbe(ctx, err)
+		noteShed(ctx, err)
 	}
 	dur := time.Since(start)
 	m.node.Metrics().Observe(metrics.OpDPPFetch, dur)
@@ -325,13 +326,11 @@ func noteFetched(ctx context.Context, l postings.List) {
 	cc.AddWireBytes(int64(len(l)) * metrics.PostingWireBytes)
 }
 
-// noteProbe charges one holder contact, and its rejection when the
-// holder shed it, to the query's actuals.
-func noteProbe(ctx context.Context, err error) {
-	cc := cost.FromContext(ctx)
-	cc.AddReplicaProbes(1)
+// noteShed charges a holder's rejection, when it shed the request, to
+// the query's actuals.
+func noteShed(ctx context.Context, err error) {
 	if dht.IsOverload(err) {
-		cc.AddShedRetries(1)
+		cost.FromContext(ctx).AddShedRetries(1)
 	}
 }
 
@@ -403,7 +402,8 @@ func (m *Manager) probe(ctx context.Context, b BlockRef, tried string, req dht.B
 		var list postings.List
 		held := false
 		err := m.node.GetBatch(ctx, contactAt(addr), req, func(_ int, l postings.List) { list, held = l, true })
-		noteProbe(ctx, err)
+		cost.FromContext(ctx).AddReplicaProbes(1)
+		noteShed(ctx, err)
 		if err == nil && held {
 			noteFetched(ctx, list)
 			return list, true

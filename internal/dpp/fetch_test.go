@@ -12,6 +12,7 @@ import (
 
 	"kadop/internal/dht"
 	"kadop/internal/metrics"
+	"kadop/internal/obs/cost"
 	"kadop/internal/postings"
 	"kadop/internal/sid"
 	"kadop/internal/store"
@@ -510,4 +511,72 @@ func TestInlineRootConsistentUnderAppends(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
+}
+
+// TestReplicaProbesCountFailoverOnly checks what "replica probes"
+// counts: a fault-free fetch makes none, though it opens a stream per
+// holder; a fetch whose recorded holder is partitioned probes the
+// block's advertised replica. Which holder a fetch asks first is the
+// seeded power-of-two pick, so several fetches run and at least one
+// must have gone to the partitioned holder first.
+func TestReplicaProbesCountFailoverOnly(t *testing.T) {
+	const term = "l:author"
+	c := newClusterWith(t, 8, Options{BlockSize: 16}, dht.Config{Replication: 2}, func(_ int, tr dht.Transport) dht.Transport { return tr })
+	home := homeOf(t, c, term)
+	want := seqPostings(40, 4) // three blocks
+	if err := c.managers[home].Append(context.Background(), term, want, ""); err != nil {
+		t.Fatal(err)
+	}
+	fetch := func(r int, root *Root) cost.Snapshot {
+		t.Helper()
+		cc := new(cost.Counters)
+		s, _, err := c.managers[r].FetchWithRoot(cost.NewContext(context.Background(), cc), root, FetchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := postings.Drain(s); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("fetched %d postings (%v), want %d", len(got), err, len(want))
+		}
+		return cc.Snapshot()
+	}
+
+	// The first block's holder and its other owner; a reader that is
+	// neither, nor the home.
+	root, err := c.managers[home].Root(context.Background(), term)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &root.Blocks[0]
+	owners, err := c.nodes[home].Owners(context.Background(), b.Key)
+	if err != nil || len(owners) != 2 {
+		t.Fatalf("owners of %s: %v, %v", b.Key, owners, err)
+	}
+	other := owners[0].Addr
+	if other == b.Owner {
+		other = owners[1].Addr
+	}
+	reader := -1
+	for i, n := range c.nodes {
+		if a := n.Self().Addr; i != home && a != b.Owner && a != other {
+			reader = i
+			break
+		}
+	}
+	if got := fetch(reader, root); got.ReplicaProbes != 0 || got.BlocksFetched != int64(len(root.Blocks)) {
+		t.Fatalf("fault-free fetch: %d replica probes, %d blocks fetched; want 0 and %d", got.ReplicaProbes, got.BlocksFetched, len(root.Blocks))
+	}
+
+	b.Replicas = []string{other}
+	c.net.Partition(b.Owner)
+	var probes int64
+	for range 8 {
+		got := fetch(reader, root)
+		if got.ReplicaProbes > 1 {
+			t.Fatalf("fetch probed %d replicas; the block has one", got.ReplicaProbes)
+		}
+		probes += got.ReplicaProbes
+	}
+	if probes == 0 {
+		t.Fatal("no fetch probed the replica of a block whose recorded holder is partitioned")
+	}
 }

@@ -213,7 +213,14 @@ func NewPeer(node *dht.Node, id sid.PeerID, cfg Config) (*Peer, error) {
 			cfg.DPP.Cache.SetCollector(node.Metrics())
 		}
 		if cfg.DataDir != "" && cfg.DPP.PersistPath == "" {
-			cfg.DPP.PersistPath = filepath.Join(cfg.DataDir, "dpp.json")
+			// Earlier builds rewrote the roots whole into dpp.json. Its
+			// roots are the only record of where overflow blocks live, so
+			// the directory is refused rather than served without them.
+			if _, err := os.Stat(filepath.Join(cfg.DataDir, "dpp.json")); err == nil {
+				p.persist.close()
+				return nil, fmt.Errorf("kadop: data dir %s holds dpp.json, DPP roots in an earlier build's format: rebuild it by republishing", cfg.DataDir)
+			}
+			cfg.DPP.PersistPath = filepath.Join(cfg.DataDir, "dpp.log")
 		}
 		mgr, err := dpp.NewManager(node, cfg.DPP)
 		if err != nil {
@@ -301,8 +308,8 @@ func (p *Peer) AttachStore(c io.Closer) { p.ownedStore = c }
 
 // Close shuts the peer down: the DHT node stops serving, then the
 // index store flushes and closes (checkpointing its WAL), then the
-// peer-state journal closes. A durable peer can be restarted from its
-// DataDir afterwards.
+// peer-state journal and the DPP root log close. A durable peer can be
+// restarted from its DataDir afterwards.
 func (p *Peer) Close() error {
 	if p.stopRepub != nil {
 		p.stopRepub()
@@ -316,6 +323,11 @@ func (p *Peer) Close() error {
 	}
 	if cerr := p.persist.close(); err == nil {
 		err = cerr
+	}
+	if p.dpp != nil {
+		if cerr := p.dpp.Close(); err == nil {
+			err = cerr
+		}
 	}
 	return err
 }

@@ -4,8 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -242,6 +245,30 @@ func TestRestartReplaysBothJournalForms(t *testing.T) {
 	}
 	if next.Doc != batch[1].Doc+1 {
 		t.Errorf("first id after restart = %d, want %d", next.Doc, batch[1].Doc+1)
+	}
+}
+
+// TestDataDirRefusesOldRootFile starts a durable DPP peer on a data
+// directory holding dpp.json, the whole-file root state of earlier
+// builds: the peer refuses it, naming the file, rather than starting
+// without the roots that locate its overflow blocks.
+func TestDataDirRefusesOldRootFile(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "dpp.json"), []byte(`{"roots":{},"next":3}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	node, err := dht.NewNode(dht.NewNetwork().NewEndpoint(), store.NewMem(), dht.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	p, err := NewPeer(node, 1, Config{DataDir: dir, UseDPP: true})
+	if err == nil {
+		p.Close()
+		t.Fatal("peer started on a data directory holding dpp.json")
+	}
+	if !strings.Contains(err.Error(), "dpp.json") {
+		t.Fatalf("refusal does not name the file: %v", err)
 	}
 }
 

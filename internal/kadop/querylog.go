@@ -57,15 +57,11 @@ func (p *Peer) buildLogRecord(q *pattern.Query, opts QueryOptions, snap logSnaps
 	if d := res.Total - res.IndexTime; d > 0 && !opts.IndexOnly {
 		rec.SecondPhaseNS = d.Nanoseconds()
 	}
-	// Cache hits and block counts come from the DPP fetch plans: exact
-	// per query, unlike the collector's shared event counters.
-	for _, pl := range res.Plans {
-		if pl == nil {
-			continue
-		}
-		rec.CacheHits += pl.CacheHits
-		rec.BlocksFetched += pl.Fetched
-	}
+	// Cache hits and blocks fetched come from the query's actuals: exact
+	// per query, unlike the collector's shared event counters, and the
+	// numbers -explain-analyze prints.
+	rec.CacheHits = int(res.Cost.CacheHits)
+	rec.BlocksFetched = int(res.Cost.BlocksFetched)
 	rec.IndexMatches = res.IndexMatches
 	rec.CandidateDocs = len(res.Docs)
 	rec.Answers = len(res.Matches)

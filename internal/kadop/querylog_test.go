@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"strconv"
 	"testing"
 
 	"kadop/internal/dpp"
 	"kadop/internal/obs/querylog"
 	"kadop/internal/pattern"
+	"kadop/internal/trace"
 )
 
 // TestQueryLogRoundTrip runs real queries with Config.QueryLog set and
@@ -70,5 +72,48 @@ func TestQueryLogRoundTrip(t *testing.T) {
 	}
 	if lines != len(strategies) {
 		t.Fatalf("logged %d records, want %d", lines, len(strategies))
+	}
+}
+
+// TestBlocksFetchedAgree runs a query without a block cache over an
+// inline and an overflowed term: the dpp:fetch spans, the query's cost
+// actuals and its query-log record must count the same blocks fetched,
+// the inline list included.
+func TestBlocksFetchedAgree(t *testing.T) {
+	var buf bytes.Buffer
+	c := newCluster(t, 4, Config{UseDPP: true, DPP: dpp.Options{BlockSize: 4}, QueryLog: querylog.New(&buf)})
+	publishAll(t, c, dblpDocs)
+	querier := c.peers[3]
+	querier.Node().SetTracer(trace.New(4))
+	res, err := querier.Query(pattern.MustParse(`//article//author[. contains "Ullman"]`), QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inline, overflowed := 0, 0
+	for _, pl := range res.Plans {
+		if pl != nil && pl.Inline {
+			inline++
+		} else if pl != nil && pl.Blocks > 0 {
+			overflowed++
+		}
+	}
+	if inline == 0 || overflowed == 0 {
+		t.Fatalf("setup: want an inline and an overflowed term, plans %+v", res.Plans)
+	}
+	var spans int64
+	for _, s := range res.Trace.Export().Spans {
+		for _, a := range s.Attrs {
+			if s.Name == "dpp:fetch" && a.Key == "fetched" {
+				n, _ := strconv.ParseInt(a.Value, 10, 64)
+				spans += n
+			}
+		}
+	}
+	var rec querylog.Record
+	if err := json.Unmarshal(bytes.TrimSpace(buf.Bytes()), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if spans != res.Cost.BlocksFetched || int64(rec.BlocksFetched) != res.Cost.BlocksFetched || spans == 0 {
+		t.Fatalf("blocks fetched: dpp:fetch spans %d, cost %d, query log %d", spans, res.Cost.BlocksFetched, rec.BlocksFetched)
 	}
 }

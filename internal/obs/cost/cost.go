@@ -28,7 +28,7 @@ type Counters struct {
 	blocksFetched atomic.Int64 // posting blocks transferred over the wire
 	cacheHits     atomic.Int64 // blocks served from the local block cache
 	wireBytes     atomic.Int64 // posting bytes that actually crossed the network
-	replicaProbes atomic.Int64 // speculative probes of advertised replicas
+	replicaProbes atomic.Int64 // failover probes of a block's other holders
 	shedRetries   atomic.Int64 // fetches retried after an overload shed
 
 	// Join phase: index twig-join work.
