@@ -42,15 +42,17 @@ gate-smoke:
 
 # crash-smoke is the durability gate: the crash-injection property and
 # sweep tests at a fixed, deeper trial budget than the default `go
-# test` run. Every trial kills the writes of the store or of the DPP
-# root log at an arbitrary byte offset and asserts recovery lands on
-# exactly the committed prefix (the in-flight operation or record
-# all-or-nothing). Deterministic: seeds derive from the trial index, so
+# test` run. Every trial kills the writes of the store, of the record
+# log a durable peer keeps its state.log and dpp.log in, or of the DPP
+# root log through its codec, at an arbitrary byte offset and asserts
+# recovery lands on exactly the committed prefix (the in-flight
+# operation or record all-or-nothing, a multi-record append a prefix of
+# whole records). Deterministic: seeds derive from the trial index, so
 # a failure reproduces by rerunning. Raise the budget with `make
 # crash-smoke CRASH_TRIALS=400`.
 CRASH_TRIALS ?= 160
 crash-smoke:
-	KADOP_CRASH_TRIALS=$(CRASH_TRIALS) $(GO) test -run 'TestCrash' -count=1 ./internal/store/ ./internal/dpp/
+	KADOP_CRASH_TRIALS=$(CRASH_TRIALS) $(GO) test -run 'TestCrash' -count=1 ./internal/store/ ./internal/reclog/ ./internal/dpp/
 
 # tcp-smoke runs README's TCP recipe on loopback with the real binaries:
 # three kadop-peers (each address read from its "listening on" line;

@@ -33,6 +33,7 @@ import (
 	"kadop/internal/dht"
 	"kadop/internal/obs/cost"
 	"kadop/internal/postings"
+	"kadop/internal/reclog"
 	"kadop/internal/replicate"
 	"kadop/internal/sid"
 	"kadop/internal/store"
@@ -174,7 +175,7 @@ type Manager struct {
 	ordered   bool
 	cache     *blockcache.Cache
 
-	log *rootLog // nil = memory-only
+	log *reclog.Log // nil = memory-only
 
 	now func() time.Time
 
@@ -254,7 +255,7 @@ func NewManager(node *dht.Node, opts Options) (*Manager, error) {
 	m.sel = rand.New(rand.NewSource(seed + 0x9e1ec7))
 	if opts.PersistPath != "" {
 		var err error
-		if m.log, m.roots, m.next, err = openRootLog(opts.PersistPath, osOpen); err != nil {
+		if m.log, m.roots, m.next, err = openRootLog(opts.PersistPath, reclog.OSOpen); err != nil {
 			return nil, err
 		}
 	}
@@ -269,7 +270,7 @@ func NewManager(node *dht.Node, opts Options) (*Manager, error) {
 func (m *Manager) Close() error {
 	m.wmu.Lock()
 	defer m.wmu.Unlock()
-	return m.log.close()
+	return m.log.Close()
 }
 
 // Cache returns the manager's block cache (nil when caching is off),
@@ -394,7 +395,7 @@ func (m *Manager) mutate(ctx context.Context, term string, edit func(r *Root) (f
 	}
 	if err == nil {
 		m.roots[term] = r
-		err = m.log.append(m.roots, r, m.next)
+		err = m.log.Append(rootRecord(r, m.next))
 	}
 	m.mu.Unlock()
 	if err != nil || old == nil {
@@ -554,7 +555,7 @@ func (m *Manager) place(ctx context.Context, term string, list postings.List, ty
 	parts = slices.DeleteFunc(parts, func(p postings.List) bool { return len(p) == 0 })
 	first := m.next
 	m.next += len(parts)
-	if err := m.log.append(m.roots, nil, m.next); err != nil {
+	if err := m.log.Append(rootRecord(nil, m.next)); err != nil {
 		return nil, err
 	}
 	var refs []BlockRef

@@ -16,12 +16,13 @@ import (
 
 	"kadop/internal/dht"
 	"kadop/internal/postings"
+	"kadop/internal/reclog"
 	"kadop/internal/sid"
 )
 
 func TestPersistRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dpp.log")
-	l, roots, _, err := openRootLog(path, osOpen)
+	l, roots, _, err := openRootLog(path, reclog.OSOpen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,15 +37,15 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 	roots["w:x"] = &Root{Term: "w:x", Gen: 5, Types: []string{"dblp"}} // inline
 	for _, r := range roots {
-		if err := l.append(roots, r, 7); err != nil {
+		if err := l.Append(rootRecord(r, 7)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := l.close(); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	_, got, next, err := openRootLog(path, osOpen)
+	_, got, next, err := openRootLog(path, reclog.OSOpen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestPersistRoundTrip(t *testing.T) {
 }
 
 func TestPersistMissingFileIsEmpty(t *testing.T) {
-	_, roots, next, err := openRootLog(filepath.Join(t.TempDir(), "absent.log"), osOpen)
+	_, roots, next, err := openRootLog(filepath.Join(t.TempDir(), "absent.log"), reclog.OSOpen)
 	if err != nil {
 		t.Fatalf("load of missing file: %v", err)
 	}
@@ -74,7 +75,7 @@ func TestPersistCorruptFileFailsLoudly(t *testing.T) {
 	if err := os.WriteFile(path, []byte("{truncated"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := openRootLog(path, osOpen); err == nil {
+	if _, _, _, err := openRootLog(path, reclog.OSOpen); err == nil {
 		t.Fatal("corrupt state file should fail load")
 	}
 }
@@ -85,10 +86,25 @@ func TestPersistCorruptFileFailsLoudly(t *testing.T) {
 func TestRootLogTornTail(t *testing.T) {
 	recs := []*Root{{Term: "w:a", Gen: 1}, {Term: "w:b", Gen: 1}, {Term: "w:c", Gen: 1}}
 	var ends []int // end offset of each record
-	data := []byte(rootLogMagic)
+	logPath := filepath.Join(t.TempDir(), "dpp.log")
+	l, _, _, err := openRootLog(logPath, reclog.OSOpen)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, r := range recs {
-		data = appendRecord(data, r, i)
-		ends = append(ends, len(data))
+		if err := l.Append(rootRecord(r, i)); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, int(fi.Size()))
+	}
+	l.Close()
+	data, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, tc := range []struct {
 		name    string
@@ -105,7 +121,7 @@ func TestRootLogTornTail(t *testing.T) {
 			if err := os.WriteFile(path, tc.damage(slices.Clone(data)), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, roots, next, err := openRootLog(path, osOpen)
+			_, roots, next, err := openRootLog(path, reclog.OSOpen)
 			if tc.wantErr {
 				if err == nil {
 					t.Fatal("a bad record before the tail loaded")
@@ -120,7 +136,7 @@ func TestRootLogTornTail(t *testing.T) {
 				t.Fatalf("loaded %v (next %d), want the first two records", roots, next)
 			}
 			// The rewrite at open dropped the tail: the file reloads alike.
-			if _, again, _, err := openRootLog(path, osOpen); err != nil || !reflect.DeepEqual(again, want) {
+			if _, again, _, err := openRootLog(path, reclog.OSOpen); err != nil || !reflect.DeepEqual(again, want) {
 				t.Fatalf("reload after open: %v, %v", again, err)
 			}
 		})
@@ -130,18 +146,18 @@ func TestRootLogTornTail(t *testing.T) {
 // countingLog counts the bytes written through the files it opens.
 type countingLog struct{ written int64 }
 
-func (c *countingLog) open(name string, flag int) (logFile, error) {
-	f, err := osOpen(name, flag)
-	return &countingFile{logFile: f, c: c}, err
+func (c *countingLog) open(name string, flag int) (reclog.File, error) {
+	f, err := reclog.OSOpen(name, flag)
+	return &countingFile{File: f, c: c}, err
 }
 
 type countingFile struct {
-	logFile
+	reclog.File
 	c *countingLog
 }
 
 func (f *countingFile) Write(p []byte) (int, error) {
-	n, err := f.logFile.Write(p)
+	n, err := f.File.Write(p)
 	f.c.written += int64(n)
 	return n, err
 }
@@ -156,12 +172,14 @@ func TestRootLogBytesPerMutation(t *testing.T) {
 	ctx := context.Background()
 	c := newCluster(t, 1, Options{BlockSize: 256})
 	m, st := c.managers[0], c.nodes[0].Store()
+	var recs []reclog.Record
 	for i := range 2000 {
 		term := fmt.Sprintf("w:t%d", i)
 		if err := st.Append(term, seqPostings(1, 1)); err != nil {
 			t.Fatal(err)
 		}
 		m.roots[term] = &Root{Term: term, Gen: 1, Types: []string{"dblp"}}
+		recs = append(recs, rootRecord(m.roots[term], m.next))
 	}
 	path := filepath.Join(t.TempDir(), "dpp.log")
 	var count countingLog
@@ -169,7 +187,7 @@ func TestRootLogBytesPerMutation(t *testing.T) {
 	if m.log, _, _, err = openRootLog(path, count.open); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.log.compact(m.roots, m.next); err != nil {
+	if err := m.log.Append(recs...); err != nil {
 		t.Fatal(err)
 	}
 
@@ -181,7 +199,7 @@ func TestRootLogBytesPerMutation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if bound := int64(appends * len(appendRecord(nil, m.roots[hot], m.next))); count.written > bound {
+	if bound := appends * recordSize(t, m.roots[hot], m.next); count.written > bound {
 		t.Fatalf("%d appends to one of %d terms wrote %d bytes of root log, more than %d records of its size (%d bytes)",
 			appends, len(m.roots), count.written, appends, bound)
 	}
@@ -234,6 +252,21 @@ func TestRootLogBytesPerMutation(t *testing.T) {
 			}
 		}
 	}
+}
+
+// recordSize is the bytes one record of r's root takes in a log.
+func recordSize(t *testing.T, r *Root, next int) int64 {
+	var count countingLog
+	l, _, _, err := openRootLog(filepath.Join(t.TempDir(), "one.log"), count.open)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	count.written = 0
+	if err := l.Append(rootRecord(r, next)); err != nil {
+		t.Fatal(err)
+	}
+	return count.written
 }
 
 // failKeyAppend wraps a peer's transport: a block write to key fails
@@ -362,13 +395,13 @@ type crashState struct {
 	dead   bool
 }
 
-func (st *crashState) open(name string, flag int) (logFile, error) {
-	f, err := osOpen(name, flag)
-	return &crashFile{logFile: f, st: st}, err
+func (st *crashState) open(name string, flag int) (reclog.File, error) {
+	f, err := reclog.OSOpen(name, flag)
+	return &crashFile{File: f, st: st}, err
 }
 
 type crashFile struct {
-	logFile
+	reclog.File
 	st *crashState
 }
 
@@ -378,11 +411,11 @@ func (c *crashFile) Write(p []byte) (int, error) {
 	}
 	if int64(len(p)) <= c.st.budget {
 		c.st.budget -= int64(len(p))
-		return c.logFile.Write(p)
+		return c.File.Write(p)
 	}
 	n := int(c.st.budget)
 	c.st.dead, c.st.budget = true, 0
-	c.logFile.Write(p[:n])
+	c.File.Write(p[:n])
 	return n, errCrashed
 }
 
@@ -390,7 +423,7 @@ func (c *crashFile) Sync() error {
 	if c.st.dead {
 		return errCrashed
 	}
-	return c.logFile.Sync()
+	return c.File.Sync()
 }
 
 // crashTrials is the per-test budget of injected crash points, raised
@@ -459,22 +492,19 @@ func logState(ops []logOp) (map[string]*Root, int) {
 }
 
 // runLog opens a log through open and appends ops to it as a manager
-// would, the live roots published before each record; it returns how
-// many appends succeeded, or -1 if the open itself failed.
-func runLog(path string, open openFile, ops []logOp) int {
-	l, roots, _, err := openRootLog(path, open)
+// would; it returns how many appends succeeded, or -1 if the open
+// itself failed.
+func runLog(path string, open reclog.OpenFunc, ops []logOp) int {
+	l, _, _, err := openRootLog(path, open)
 	if err != nil {
 		return -1
 	}
 	for i, op := range ops {
-		if op.root != nil {
-			roots[op.root.Term] = op.root
-		}
-		if l.append(roots, op.root, op.next) != nil {
+		if l.Append(rootRecord(op.root, op.next)) != nil {
 			return i
 		}
 	}
-	l.close()
+	l.Close()
 	return len(ops)
 }
 
@@ -503,7 +533,7 @@ func TestCrashRootLogRecovery(t *testing.T) {
 				runLog(path, (&crashState{budget: rng.Int63n(crashAt) + 1}).open, nil)
 			}
 
-			_, roots, next, err := openRootLog(path, osOpen)
+			_, roots, next, err := openRootLog(path, reclog.OSOpen)
 			if err != nil {
 				t.Fatalf("crash@%d: recovery open: %v", crashAt, err)
 			}
@@ -572,7 +602,7 @@ func TestRootLogConcurrentAppends(t *testing.T) {
 	if err := home.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, roots, next, err := openRootLog(path, osOpen)
+	_, roots, next, err := openRootLog(path, reclog.OSOpen)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,12 +14,16 @@
 package kadop
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -29,6 +33,7 @@ import (
 	"kadop/internal/obs/querylog"
 	"kadop/internal/pattern"
 	"kadop/internal/postings"
+	"kadop/internal/reclog"
 	"kadop/internal/replicate"
 	"kadop/internal/sid"
 	"kadop/internal/store"
@@ -75,8 +80,8 @@ type Config struct {
 	// hits, hops and retries. kadop-query -log wires this up.
 	QueryLog *querylog.Logger
 	// DataDir, when set, makes the peer durable: the index B+-tree, the
-	// DPP root blocks and the peer-state journal (published raw XML,
-	// directory entries) all live under this directory, and a peer
+	// DPP root log and the peer-state log (published raw XML, directory
+	// entries) all live under this directory, and a peer
 	// restarted from the same directory serves its documents and index
 	// slice again without republishing. NewTCPPeer and the CLIs honour
 	// it; constructors taking an existing *dht.Node persist the peer
@@ -156,8 +161,8 @@ type Peer struct {
 	sess   map[string]chan pushMsg  // open query sessions at this peer
 	hybrid map[string]postings.List // Bloom Reducer intermediate lists
 
-	persist    *statePersist // nil unless Config.DataDir is set
-	ownedStore io.Closer     // index store closed by Close (NewTCPPeer)
+	log        *reclog.Log // state.log; nil unless Config.DataDir is set
+	ownedStore io.Closer   // index store closed by Close (NewTCPPeer)
 
 	stopRepub func()                // stops the republish loop; nil when disabled
 	ctrl      *replicate.Controller // adaptive replication; nil when disabled
@@ -165,7 +170,7 @@ type Peer struct {
 
 // NewPeer creates a KadoP peer with internal identifier id on an
 // existing DHT node, registering all its procedures. With
-// Config.DataDir set, the peer-state journal and the DPP root state are
+// Config.DataDir set, the peer-state log and the DPP root log are
 // reloaded from (and persisted under) that directory, so documents
 // published through PublishXML and directory entries survive a restart.
 func NewPeer(node *dht.Node, id sid.PeerID, cfg Config) (*Peer, error) {
@@ -184,14 +189,16 @@ func NewPeer(node *dht.Node, id sid.PeerID, cfg Config) (*Peer, error) {
 		if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
 			return nil, fmt.Errorf("kadop: data dir: %w", err)
 		}
-		sp, recs, err := openStatePersist(filepath.Join(cfg.DataDir, "state.jsonl"))
-		if err != nil {
-			return nil, err
+		// Files in earlier builds' formats: the directory is refused
+		// rather than served without the state they hold.
+		for _, old := range []string{"state.jsonl", "dpp.json"} {
+			if _, err := os.Stat(filepath.Join(cfg.DataDir, old)); err == nil {
+				return nil, fmt.Errorf("kadop: data dir %s holds %s, written in an earlier build's format: rebuild it by republishing", cfg.DataDir, old)
+			}
 		}
-		p.persist = sp
-		if err := p.replayState(recs); err != nil {
-			sp.close()
-			return nil, err
+		var err error
+		if p.log, err = reclog.Open(filepath.Join(cfg.DataDir, "state.log"), stateLogMagic, reclog.OSOpen, p.replayState); err != nil {
+			return nil, fmt.Errorf("kadop: peer state: %w", err)
 		}
 	}
 	if cfg.ShedRate > 0 {
@@ -213,18 +220,11 @@ func NewPeer(node *dht.Node, id sid.PeerID, cfg Config) (*Peer, error) {
 			cfg.DPP.Cache.SetCollector(node.Metrics())
 		}
 		if cfg.DataDir != "" && cfg.DPP.PersistPath == "" {
-			// Earlier builds rewrote the roots whole into dpp.json. Its
-			// roots are the only record of where overflow blocks live, so
-			// the directory is refused rather than served without them.
-			if _, err := os.Stat(filepath.Join(cfg.DataDir, "dpp.json")); err == nil {
-				p.persist.close()
-				return nil, fmt.Errorf("kadop: data dir %s holds dpp.json, DPP roots in an earlier build's format: rebuild it by republishing", cfg.DataDir)
-			}
 			cfg.DPP.PersistPath = filepath.Join(cfg.DataDir, "dpp.log")
 		}
 		mgr, err := dpp.NewManager(node, cfg.DPP)
 		if err != nil {
-			p.persist.close()
+			p.log.Close()
 			return nil, err
 		}
 		p.dpp = mgr
@@ -267,37 +267,56 @@ func (p *Peer) startRepublish(interval time.Duration) (stop func()) {
 	return func() { once.Do(func() { close(done) }) }
 }
 
-// replayState rebuilds the in-memory maps from the journal. Records
-// replay in order, so a later record for the same document id or
-// directory key wins — the same last-writer-wins the maps had live.
-func (p *Peer) replayState(recs []stateRecord) error {
-	for _, rec := range recs {
-		switch rec.Kind {
-		case "doc":
-			doc, err := xmltree.ParseBytes(rec.XML)
-			if err != nil {
-				return fmt.Errorf("kadop: replay doc %d (%s): %w", rec.ID, rec.URI, err)
-			}
-			id := sid.DocID(rec.ID)
-			p.docs[id] = newLocalDoc(doc)
-			p.uris[id] = rec.URI
-			if rec.Dtype != "" {
-				p.docTypes[id] = rec.Dtype
-			}
-			if id >= p.nextDoc {
-				p.nextDoc = id + 1
-			}
-		case "undoc":
-			id := sid.DocID(rec.ID)
-			delete(p.docs, id)
-			delete(p.uris, id)
-			delete(p.docTypes, id)
-		case "dir":
-			p.dir[rec.Key] = append([]byte(nil), rec.Blob...)
-		default:
-			return fmt.Errorf("kadop: replay: unknown record kind %q", rec.Kind)
-		}
+// Peer state. A peer started with Config.DataDir keeps in state.log, a
+// record log (internal/reclog), what must survive its restart but lives
+// outside the index: the raw XML of the documents it published as bytes
+// (documents handed over parsed stay memory-only) and the directory
+// entries it is home for. The records are
+//
+//	doc:<id>  uri | dtype (appendStr each) | raw XML; Unpublish deletes it
+//	dir:<key> the entry
+//	nextdoc   the document-id counter (uvarint), written by Unpublish so
+//	          that a restart hands out no unpublished document's id again
+const (
+	stateLogMagic = "kadop peer state log v1\n"
+	nextDocKey    = "nextdoc"
+)
+
+func docLogKey(id sid.DocID) string { return fmt.Sprintf("doc:%d", id) }
+
+func docRecord(id sid.DocID, uri, dtype string, raw []byte) reclog.Record {
+	value := appendStr(appendStr(make([]byte, 0, len(uri)+len(dtype)+len(raw)+4), uri), dtype)
+	return reclog.Record{Key: docLogKey(id), Value: append(value, raw...)}
+}
+
+// replayState applies one live record of state.log.
+func (p *Peer) replayState(key string, value []byte) error {
+	if entry, ok := strings.CutPrefix(key, "dir:"); ok {
+		p.dir[entry] = slices.Clone(value)
+		return nil
 	}
+	if key == nextDocKey {
+		next, _, err := readUint(value, 0)
+		p.nextDoc = max(p.nextDoc, sid.DocID(next))
+		return err
+	}
+	var id sid.DocID
+	_, err := fmt.Sscanf(key, "doc:%d", &id)
+	uri, pos, err2 := readStr(value, 0)
+	dtype, pos, err3 := readStr(value, pos)
+	var doc *xmltree.Document
+	if err = errors.Join(err, err2, err3); err == nil {
+		doc, err = xmltree.ParseBytes(value[pos:])
+	}
+	if err != nil {
+		return err
+	}
+	p.docs[id] = newLocalDoc(doc)
+	p.uris[id] = uri
+	if dtype != "" {
+		p.docTypes[id] = dtype
+	}
+	p.nextDoc = max(p.nextDoc, id+1)
 	return nil
 }
 
@@ -308,7 +327,7 @@ func (p *Peer) AttachStore(c io.Closer) { p.ownedStore = c }
 
 // Close shuts the peer down: the DHT node stops serving, then the
 // index store flushes and closes (checkpointing its WAL), then the
-// peer-state journal and the DPP root log close. A durable peer can be
+// peer-state log and the DPP root log close. A durable peer can be
 // restarted from its DataDir afterwards.
 func (p *Peer) Close() error {
 	if p.stopRepub != nil {
@@ -321,7 +340,7 @@ func (p *Peer) Close() error {
 			err = cerr
 		}
 	}
-	if cerr := p.persist.close(); err == nil {
+	if cerr := p.log.Close(); err == nil {
 		err = cerr
 	}
 	if p.dpp != nil {
@@ -485,13 +504,24 @@ func (p *Peer) dirGet(ctx context.Context, key string) ([]byte, error) {
 	return p.node.CallProcAny(ctx, key, procDirGet, nil)
 }
 
+// handleDirPut logs an entry before it enters the map and is
+// acknowledged, so an entry this peer is home for survives its restart,
+// and a put of the bytes the map already holds, as every Reannounce of
+// an unchanged peer makes, writes nothing.
 func (p *Peer) handleDirPut(_ context.Context, _ dht.Contact, key string, blob []byte) ([]byte, error) {
 	p.mu.Lock()
-	p.dir[key] = append([]byte(nil), blob...)
+	old, ok := p.dir[key]
 	p.mu.Unlock()
-	// Journal before acknowledging: a directory entry this peer is home
-	// for must survive its restart.
-	return nil, p.persist.append(stateRecord{Kind: "dir", Key: key, Blob: blob})
+	if ok && bytes.Equal(old, blob) {
+		return nil, nil
+	}
+	if err := p.log.Append(reclog.Record{Key: "dir:" + key, Value: blob}); err != nil {
+		return nil, err
+	}
+	p.mu.Lock()
+	p.dir[key] = slices.Clone(blob)
+	p.mu.Unlock()
+	return nil, nil
 }
 
 func (p *Peer) handleDirGet(_ context.Context, _ dht.Contact, key string, _ []byte) ([]byte, error) {
@@ -546,7 +576,7 @@ func (p *Peer) PublishAt(id sid.DocID, doc *xmltree.Document, uri string) (sid.D
 }
 
 // PublishXML parses and publishes an XML document held as bytes. On a
-// durable peer (Config.DataDir) the raw bytes are journaled before
+// durable peer (Config.DataDir) the raw bytes are logged before
 // indexing, so a restarted peer serves the document again without a
 // republish.
 func (p *Peer) PublishXML(raw []byte, uri string) (sid.DocKey, error) {
@@ -577,8 +607,8 @@ type BatchDoc struct {
 // PublishXMLBatch publishes XML documents held as bytes in one call;
 // PublishXML is the batch of one. Costs are per call, not per document:
 //
-//   - on a durable peer the call journals with a single write and a
-//     single fsync (a crash mid-journal recovers a prefix of the batch,
+//   - on a durable peer the call logs with a single write and a
+//     single fsync (a crash mid-write recovers a prefix of the batch,
 //     each document whole);
 //   - postings merge per term across the call, so a term appearing in
 //     k documents costs one index append instead of k;
@@ -587,7 +617,7 @@ type BatchDoc struct {
 //
 // All documents must parse; a parse failure rejects the call before
 // any state changes. Index errors are reported after the documents are
-// registered and journaled: they stay held locally for Reannounce and
+// registered and logged: they stay held locally for Reannounce and
 // repair to finish the job.
 func (p *Peer) PublishXMLBatch(docs []BatchDoc) ([]sid.DocKey, error) {
 	pub := make([]pubDoc, len(docs))
@@ -611,7 +641,7 @@ type TreeDoc struct {
 
 // PublishBatch is the parsed-document counterpart of PublishXMLBatch
 // (Publish is its batch of one). There are no document bytes, so
-// nothing is journaled.
+// nothing is logged.
 func (p *Peer) PublishBatch(docs []TreeDoc) ([]sid.DocKey, error) {
 	pub := make([]pubDoc, len(docs))
 	for i, d := range docs {
@@ -650,7 +680,7 @@ type pubDoc struct {
 const publishFanOut = 32
 
 // publish is the publish pipeline of Section 3, the body of every
-// Publish* method: register the documents, journal those that came as
+// Publish* method: register the documents, log those that came as
 // bytes, extract their postings merged per (type, term), append each
 // group to the distributed index and record the URIs in the Doc
 // relation. at, when set, is the caller-chosen id of the single
@@ -664,7 +694,7 @@ func (p *Peer) publish(ctx context.Context, docs []pubDoc, at *sid.DocID) ([]sid
 	for i, d := range docs {
 		local[i] = newLocalDoc(d.doc)
 	}
-	var recs []stateRecord
+	var recs []reclog.Record
 	p.mu.Lock()
 	for i, d := range docs {
 		id := p.nextDoc
@@ -683,16 +713,16 @@ func (p *Peer) publish(ctx context.Context, docs []pubDoc, at *sid.DocID) ([]sid
 			p.docTypes[id] = d.dtype
 		}
 		keys[i] = sid.DocKey{Peer: p.id, Doc: id}
-		if d.raw != nil && p.persist != nil {
-			recs = append(recs, stateRecord{Kind: "doc", ID: uint32(id), URI: d.uri, Dtype: d.dtype, XML: d.raw})
+		if d.raw != nil && p.log != nil {
+			recs = append(recs, docRecord(id, d.uri, d.dtype, d.raw))
 		}
 	}
 	p.mu.Unlock()
-	// Journal before indexing (one write, one fsync): if the crash lands
+	// Log before indexing (one write, one fsync): if the crash lands
 	// mid-index, the restarted peer still holds the documents and
 	// Reannounce + replica repair re-derive the rest; the reverse order
 	// would leave index postings pointing at documents nobody can serve.
-	if err := p.persist.append(recs...); err != nil {
+	if err := p.log.Append(recs...); err != nil {
 		return keys, err
 	}
 	// Appends carry the document type into the DPP block conditions, so
@@ -793,8 +823,10 @@ func (p *Peer) Unpublish(ctx context.Context, id sid.DocID) error {
 	delete(p.docs, id)
 	delete(p.uris, id)
 	delete(p.docTypes, id)
+	next := p.nextDoc
 	p.mu.Unlock()
-	return p.persist.append(stateRecord{Kind: "undoc", ID: uint32(id)})
+	return p.log.Append(reclog.Record{Key: docLogKey(id), Delete: true},
+		reclog.Record{Key: nextDocKey, Value: appendUint(nil, uint64(next))})
 }
 
 // Document returns a locally stored document.

@@ -249,26 +249,176 @@ func TestRestartReplaysBothJournalForms(t *testing.T) {
 }
 
 // TestDataDirRefusesOldRootFile starts a durable DPP peer on a data
-// directory holding dpp.json, the whole-file root state of earlier
-// builds: the peer refuses it, naming the file, rather than starting
-// without the roots that locate its overflow blocks.
+// directory holding a file of an earlier build's format — dpp.json,
+// the whole-file root state, or state.jsonl, the JSON-lines peer state:
+// the peer refuses it, naming the file, rather than starting without
+// the roots that locate its overflow blocks or the documents it serves.
 func TestDataDirRefusesOldRootFile(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "dpp.json"), []byte(`{"roots":{},"next":3}`), 0o644); err != nil {
-		t.Fatal(err)
+	for old, content := range map[string]string{
+		"dpp.json":    `{"roots":{},"next":3}`,
+		"state.jsonl": `{"kind":"dir","key":"peer:1","blob":"eA=="}` + "\n",
+	} {
+		t.Run(old, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, old), []byte(content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			node, err := dht.NewNode(dht.NewNetwork().NewEndpoint(), store.NewMem(), dht.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer node.Close()
+			p, err := NewPeer(node, 1, Config{DataDir: dir, UseDPP: true})
+			if err == nil {
+				p.Close()
+				t.Fatalf("peer started on a data directory holding %s", old)
+			}
+			if !strings.Contains(err.Error(), old) {
+				t.Fatalf("refusal does not name the file: %v", err)
+			}
+		})
 	}
+}
+
+// durablePeer starts a one-node peer on dir.
+func durablePeer(t *testing.T, dir string) (*Peer, error) {
+	t.Helper()
 	node, err := dht.NewNode(dht.NewNetwork().NewEndpoint(), store.NewMem(), dht.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer node.Close()
-	p, err := NewPeer(node, 1, Config{DataDir: dir, UseDPP: true})
-	if err == nil {
-		p.Close()
-		t.Fatal("peer started on a data directory holding dpp.json")
+	p, err := NewPeer(node, 1, Config{DataDir: dir})
+	if err != nil {
+		node.Close()
 	}
-	if !strings.Contains(err.Error(), "dpp.json") {
-		t.Fatalf("refusal does not name the file: %v", err)
+	return p, err
+}
+
+// TestStateLogCorruptionFailsLoudly garbles the first of three
+// documents in a durable peer's state.log: the restart fails, naming
+// the log, and leaves the file as it was, where a reader that stopped
+// at the bad record would come back with none of the three.
+func TestStateLogCorruptionFailsLoudly(t *testing.T) {
+	dir := t.TempDir()
+	p, err := durablePeer(t, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 3 {
+		if _, err := p.PublishXML([]byte(fmt.Sprintf(`<a><b>doc%d</b></a>`, i)), fmt.Sprintf("d%d.xml", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "state.log")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := strings.Index(string(data), "doc0")
+	if i < 0 {
+		t.Fatal("state.log does not hold the first document's bytes")
+	}
+	data[i] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := durablePeer(t, dir); err == nil {
+		r.Close()
+		t.Fatal("peer restarted over a corrupt state.log")
+	} else if !strings.Contains(err.Error(), "state.log") {
+		t.Fatalf("error does not name the log: %v", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || string(after) != string(data) {
+		t.Fatalf("the failed restart changed state.log (%v)", err)
+	}
+}
+
+// TestUnpublishedIDNotReused unpublishes a durable peer's last
+// document and restarts it: the log no longer holds the document, yet
+// the next one gets a fresh id.
+func TestUnpublishedIDNotReused(t *testing.T) {
+	dir := t.TempDir()
+	p, err := durablePeer(t, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := p.PublishXMLBatch([]BatchDoc{{XML: []byte(`<a>x</a>`), URI: "x.xml"}, {XML: []byte(`<a>y</a>`), URI: "y.xml"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Unpublish(context.Background(), keys[1].Doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := durablePeer(t, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.DocumentCount() != 1 {
+		t.Fatalf("restart replayed %d documents, want 1", r.DocumentCount())
+	}
+	next, err := r.PublishXML([]byte(`<a>z</a>`), "z.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Doc != keys[1].Doc+1 {
+		t.Fatalf("first id after restart = %d, want %d", next.Doc, keys[1].Doc+1)
+	}
+}
+
+// TestUnchangedDirPutWritesNothing re-puts one directory entry 100
+// times unchanged, as a Reannounce of an unchanged peer does at every
+// tick: the home's state.log does not grow. A changed entry still
+// writes, and survives a restart.
+func TestUnchangedDirPutWritesNothing(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	p, err := durablePeer(t, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "state.log")
+	size := func() int64 {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	if err := p.dirPut(ctx, "doc:1:0", []byte("a.xml")); err != nil {
+		t.Fatal(err)
+	}
+	before := size()
+	for range 100 {
+		if err := p.dirPut(ctx, "doc:1:0", []byte("a.xml")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if grown := size() - before; grown != 0 {
+		t.Fatalf("100 unchanged re-puts grew state.log by %d bytes", grown)
+	}
+	if err := p.dirPut(ctx, "doc:1:0", []byte("b.xml")); err != nil {
+		t.Fatal(err)
+	}
+	if size() == before {
+		t.Fatal("a changed entry wrote nothing")
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := durablePeer(t, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got, err := r.dirGet(ctx, "doc:1:0"); err != nil || string(got) != "b.xml" {
+		t.Fatalf("entry after restart: %q, %v", got, err)
 	}
 }
 

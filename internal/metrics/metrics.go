@@ -379,14 +379,3 @@ func (c *Collector) Snapshot() string {
 	}
 	return b.String()
 }
-
-// Timer measures wall-clock durations of experiment phases.
-type Timer struct {
-	start time.Time
-}
-
-// StartTimer begins timing.
-func StartTimer() Timer { return Timer{start: time.Now()} }
-
-// Elapsed returns the time since the timer started.
-func (t Timer) Elapsed() time.Duration { return time.Since(t.start) }

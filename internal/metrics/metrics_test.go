@@ -56,10 +56,3 @@ func TestNilCollectorSafe(t *testing.T) {
 		t.Error("nil snapshot should be empty")
 	}
 }
-
-func TestTimer(t *testing.T) {
-	tm := StartTimer()
-	if tm.Elapsed() < 0 {
-		t.Error("negative elapsed")
-	}
-}

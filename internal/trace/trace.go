@@ -14,7 +14,6 @@ package trace
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -386,15 +385,6 @@ func (t *Trace) Export() TraceRecord {
 		rec.Spans = append(rec.Spans, sr)
 	}
 	return rec
-}
-
-// JSON renders the trace as indented JSON.
-func (t *Trace) JSON() []byte {
-	b, err := json.MarshalIndent(t.Export(), "", "  ")
-	if err != nil {
-		return []byte("{}")
-	}
-	return b
 }
 
 // Tree renders the trace as an indented text tree, children under

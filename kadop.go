@@ -469,7 +469,7 @@ func (c *SimCluster) Close() {
 // NewTCPPeer starts a peer listening on addr (e.g. "127.0.0.1:0") with
 // the given internal id. With Config.DataDir set the peer is durable:
 // its index is a B+-tree with WAL at DataDir/index.bt under
-// Config.Fsync, beside the peer-state journal and the DPP roots, all
+// Config.Fsync, beside the peer-state log and the DPP root log, all
 // surviving restarts; without it the index is in memory. Join it to an
 // existing deployment with Join; restart a durable peer from the same
 // DataDir and call Resync after rejoining. Shut it down with
