@@ -399,27 +399,59 @@ func (n *Node) CallProc(ctx context.Context, key, proc string, blob []byte) ([]b
 // succeeds when at least one owner accepted the call, returning the
 // first successful reply.
 func (n *Node) CallProcOwners(ctx context.Context, key, proc string, blob []byte) ([]byte, error) {
-	return n.callProcOwners(ctx, key, proc, blob, someOwner)
-}
-
-// CallProcAny invokes an application procedure on the replica owners of
-// key in turn, returning the first success (replicated reads).
-func (n *Node) CallProcAny(ctx context.Context, key, proc string, blob []byte) ([]byte, error) {
-	return n.callProcOwners(ctx, key, proc, blob, firstOwner)
-}
-
-func (n *Node) callProcOwners(ctx context.Context, key, proc string, blob []byte, policy ownerPolicy) ([]byte, error) {
 	owners, err := n.Owners(ctx, key)
 	if err != nil {
 		return nil, err
 	}
 	var out []byte
 	got := false
-	err = eachOwner(owners, policy, func(o Contact) error {
+	err = eachOwner(owners, someOwner, func(o Contact) error {
 		b, err := n.CallProcOn(ctx, o, key, proc, blob)
 		if err == nil && !got {
 			out, got = b, true
 		}
+		return err
+	})
+	return out, err
+}
+
+// CallRead invokes a read procedure (registered with HandleRead) at
+// the owner of key and returns the owner with its reply. The read rides
+// on the owner lookup's FIND_NODE requests, and the owner answers it
+// beside its contacts. Only when the peer the lookup settles on attached
+// no reply — its table names a closer peer, the read failed there, or
+// it is this node — is the procedure called there, as CallProcOn.
+func (n *Node) CallRead(ctx context.Context, key, proc string) (Contact, []byte, error) {
+	read := &procRead{key: key, proc: proc}
+	cs, err := n.lookup(ctx, KeyID(key), 1, read)
+	if err != nil {
+		return Contact{}, nil, err
+	}
+	if len(cs) == 0 {
+		return Contact{}, nil, fmt.Errorf("dht: read %s of %q: no peers known", proc, key)
+	}
+	if read.ok {
+		return cs[0], read.reply, nil
+	}
+	blob, err := n.CallProcOn(ctx, cs[0], key, proc, nil)
+	return cs[0], blob, err
+}
+
+// CallReadAny is CallRead over the replica owners of key (replicated
+// reads): the first owner's reply when its lookup answer carried one,
+// else the owners are called in turn and the first success returned.
+func (n *Node) CallReadAny(ctx context.Context, key, proc string) ([]byte, error) {
+	read := &procRead{key: key, proc: proc}
+	owners, err := n.owners(ctx, key, read)
+	if err != nil {
+		return nil, err
+	}
+	if read.ok {
+		return read.reply, nil
+	}
+	var out []byte
+	err = eachOwner(owners, firstOwner, func(o Contact) (err error) {
+		out, err = n.CallProcOn(ctx, o, key, proc, nil)
 		return err
 	})
 	return out, err

@@ -3,6 +3,7 @@ package dht
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
@@ -36,6 +37,7 @@ type confPair struct {
 	sendErr   chan error    // the first failed send of a server stream
 	resume    chan struct{} // closed to let the gated stream go on
 	failCalls atomic.Int32  // invocations of the "fail" procedure
+	putCalls  atomic.Int32  // invocations of the "put" procedure
 }
 
 // probeTransport serves its node's handler behind a probe.
@@ -119,6 +121,13 @@ func newConfPair(t *testing.T, newTransport func() Transport) *confPair {
 	srv.Handle("fail", func(context.Context, Contact, string, []byte) ([]byte, error) {
 		p.failCalls.Add(1)
 		return nil, errors.New("boom")
+	})
+	srv.HandleRead("read", func(_ context.Context, _ Contact, key string, _ []byte) ([]byte, error) {
+		return []byte("read:" + key), nil
+	})
+	srv.Handle("put", func(context.Context, Contact, string, []byte) ([]byte, error) {
+		p.putCalls.Add(1)
+		return []byte("put"), nil
 	})
 	srv.Handle("slow", func(context.Context, Contact, string, []byte) ([]byte, error) {
 		<-release
@@ -317,6 +326,42 @@ var conformance = []struct {
 		}
 		if d := time.Since(start); d > budget+time.Second {
 			t.Fatalf("slow call returned after %v, budget %v", d, budget)
+		}
+	}},
+	{"find-node carries a read to the owner only", func(t *testing.T, p *confPair) {
+		// The server knows the client, a full peer, from its first request:
+		// it owns the keys it is closer to than the client, and no other.
+		p.ping(t)
+		key := func(srvOwns bool) string {
+			for i := 0; ; i++ {
+				k := fmt.Sprintf("k:%d", i)
+				id := KeyID(k)
+				if id.XOR(p.srv.Self().ID).Less(id.XOR(p.cli.Self().ID)) == srvOwns {
+					return k
+				}
+			}
+		}
+		findNode := func(key, proc string) Message {
+			t.Helper()
+			resp, err := p.cli.tr.Call(context.Background(), p.srv.Self(),
+				Message{Type: MsgFindNode, From: p.cli.Self(), Target: KeyID(key), Key: key, Proc: proc})
+			if err != nil || resp.Type != MsgNodes {
+				t.Fatalf("find-node %s %q: %v %v", proc, key, resp.Type, err)
+			}
+			return resp
+		}
+		owned, other := key(true), key(false)
+		if resp := findNode(owned, "read"); resp.Proc != "read" || string(resp.Blob) != "read:"+owned {
+			t.Errorf("the owner's reply carries %q %q, want the read's reply", resp.Proc, resp.Blob)
+		}
+		if resp := findNode(other, "read"); resp.Proc != "" || resp.Blob != nil || len(resp.Contacts) == 0 {
+			t.Errorf("a non-owner's reply carries %q %q and %d contacts, want contacts alone", resp.Proc, resp.Blob, len(resp.Contacts))
+		}
+		if resp := findNode(owned, "put"); resp.Proc != "" || resp.Blob != nil {
+			t.Errorf("a procedure registered with Handle answered a find-node: %q %q", resp.Proc, resp.Blob)
+		}
+		if n := p.putCalls.Load(); n != 0 {
+			t.Errorf("the write procedure ran %d times for find-nodes naming it, want 0", n)
 		}
 	}},
 	{"call after a stream", func(t *testing.T, p *confPair) {

@@ -44,6 +44,9 @@ func FuzzMessage(f *testing.F) {
 		{Type: MsgApp, From: c, Proc: "filter:dbreduce", Key: "title", Blob: []byte{1, 2, 3}},
 		{Type: MsgNodes, From: c, Contacts: []Contact{c, {ID: id, Addr: "10.0.0.1:9"}}},
 		{Type: MsgError, From: c, Err: "no such key"},
+		// A lookup carrying a read, and the owner's answer beside its contacts.
+		{Type: MsgFindNode, From: c, Target: KeyID("l:author"), Key: "l:author", Proc: "dpp:root"},
+		{Type: MsgNodes, From: c, Contacts: []Contact{c}, Proc: "dpp:root", Blob: []byte{8, 'l', ':', 'a'}, Gauge: 2},
 	}
 	for _, m := range seeds {
 		enc, err := m.Encode()

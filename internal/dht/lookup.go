@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"kadop/internal/metrics"
@@ -50,21 +51,35 @@ func (n *Node) Lookup(target ID) ([]Contact, error) {
 // shortlist; the lookup fails only when the deadline expires or no peer
 // is reachable.
 func (n *Node) LookupContext(ctx context.Context, target ID) ([]Contact, error) {
-	return n.lookup(ctx, target, bucketK)
+	return n.lookup(ctx, target, bucketK, nil)
+}
+
+// procRead is a read procedure a lookup carries on its FIND_NODE
+// requests (CallRead): the lookup fills in the reply the contact it
+// settled on attached, if any.
+type procRead struct {
+	key, proc string
+	reply     []byte
+	ok        bool // the closest contact attached reply
 }
 
 // lookup runs lookupRun under the lookup span and latency histogram;
-// need is the number of closest contacts the caller will use.
-func (n *Node) lookup(ctx context.Context, target ID, need int) ([]Contact, error) {
+// need is the number of closest contacts the caller will use, and read,
+// when not nil, the read its requests carry.
+func (n *Node) lookup(ctx context.Context, target ID, need int, read *procRead) ([]Contact, error) {
 	start := time.Now()
 	n.table.Touch(target)
 	ctx, sp := trace.StartSpan(ctx, "dht:lookup")
 	rounds := 0
-	cs, err := n.lookupRun(ctx, target, need, &rounds)
+	cs, err := n.lookupRun(ctx, target, need, read, &rounds)
 	n.collector.Observe(metrics.OpLookup, time.Since(start))
 	if sp != nil {
 		sp.SetInt("rounds", int64(rounds))
 		sp.SetInt("contacts", int64(len(cs)))
+		if read != nil {
+			sp.SetAttr("read", read.proc)
+			sp.SetAttr("read-answered", strconv.FormatBool(read.ok))
+		}
 		if err != nil {
 			sp.SetAttr("error", err.Error())
 		}
@@ -83,7 +98,13 @@ func (n *Node) lookup(ctx context.Context, target ID, need int) ([]Contact, erro
 // that lost its messages to every retry does not make Locate answer
 // with the next-closest peer while the key's owner is alive, which
 // would send a write to a peer readers never ask.
-func (n *Node) lookupRun(ctx context.Context, target ID, need int, rounds *int) ([]Contact, error) {
+//
+// With read set, every FIND_NODE names the read in its Key and Proc,
+// and a responder that owns the key attaches its reply (readAsOwner).
+// Only the reply of the contact the lookup settles on, the first of
+// those it returns, is the answer: a responder whose table misses a
+// closer peer believes it owns the key, and its reply is dropped.
+func (n *Node) lookupRun(ctx context.Context, target ID, need int, read *procRead, rounds *int) ([]Contact, error) {
 	if need > bucketK {
 		need = bucketK
 	}
@@ -112,6 +133,18 @@ func (n *Node) lookupRun(ctx context.Context, target ID, need int, rounds *int) 
 		}
 		return out
 	}
+	req := Message{Type: MsgFindNode, Target: target}
+	var replies map[ID][]byte // by the contact that attached them
+	if read != nil {
+		req.Key, req.Proc = read.key, read.proc
+		replies = map[ID][]byte{}
+	}
+	settle := func(closest []Contact) ([]Contact, error) {
+		if read != nil && len(closest) > 0 {
+			read.reply, read.ok = replies[closest[0].ID]
+		}
+		return closest, nil
+	}
 
 	for {
 		if err := ctx.Err(); err != nil {
@@ -127,7 +160,7 @@ func (n *Node) lookupRun(ctx context.Context, target ID, need int, rounds *int) 
 				continue
 			}
 			if len(batch) == 0 && i >= need && *rounds > 0 {
-				return closest, nil
+				return settle(closest)
 			}
 			batch = append(batch, c)
 			if len(batch) == alpha {
@@ -135,20 +168,20 @@ func (n *Node) lookupRun(ctx context.Context, target ID, need int, rounds *int) 
 			}
 		}
 		if len(batch) == 0 {
-			return closest, nil
+			return settle(closest)
 		}
 		*rounds++
 		type result struct {
-			from     Contact
-			contacts []Contact
-			err      error
+			from Contact
+			resp Message
+			err  error
 		}
 		results := make(chan result, len(batch))
 		for _, c := range batch {
 			shortlist[c.ID].queried = true
 			go func(c Contact) {
-				resp, err := n.call(ctx, c, Message{Type: MsgFindNode, Target: target})
-				results <- result{from: c, contacts: resp.Contacts, err: err}
+				resp, err := n.call(ctx, c, req)
+				results <- result{from: c, resp: resp, err: err}
 			}(c)
 		}
 		for range batch {
@@ -164,7 +197,10 @@ func (n *Node) lookupRun(ctx context.Context, target ID, need int, rounds *int) 
 				continue
 			}
 			n.table.Update(r.from)
-			for _, c := range r.contacts {
+			if read != nil && r.resp.Proc == read.proc {
+				replies[r.from.ID] = r.resp.Blob
+			}
+			for _, c := range r.resp.Contacts {
 				if _, ok := shortlist[c.ID]; !ok {
 					shortlist[c.ID] = &entry{c: c}
 				}
@@ -183,7 +219,7 @@ func (n *Node) Locate(key string) (Contact, error) {
 // closest peer to the key's identifier), implementing the DHT
 // interface's locate(k). Its lookup ends once that peer has answered.
 func (n *Node) LocateContext(ctx context.Context, key string) (Contact, error) {
-	cs, err := n.lookup(ctx, KeyID(key), 1)
+	cs, err := n.lookup(ctx, KeyID(key), 1, nil)
 	if err != nil {
 		return Contact{}, err
 	}
@@ -197,7 +233,12 @@ func (n *Node) LocateContext(ctx context.Context, key string) (Contact, error) {
 // replica set reads and writes address. Its lookup ends once those
 // peers have answered.
 func (n *Node) Owners(ctx context.Context, key string) ([]Contact, error) {
-	cs, err := n.lookup(ctx, KeyID(key), n.cfg.Replication)
+	return n.owners(ctx, key, nil)
+}
+
+// owners is Owners with the read its lookup carries.
+func (n *Node) owners(ctx context.Context, key string, read *procRead) ([]Contact, error) {
+	cs, err := n.lookup(ctx, KeyID(key), n.cfg.Replication, read)
 	if err != nil {
 		return nil, err
 	}
@@ -218,7 +259,7 @@ func (n *Node) ReplicaTargets(ctx context.Context, key string, extra int) ([]Con
 	if extra <= 0 {
 		return nil, nil
 	}
-	cs, err := n.lookup(ctx, KeyID(key), n.cfg.Replication+extra)
+	cs, err := n.lookup(ctx, KeyID(key), n.cfg.Replication+extra, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"kadop/internal/metrics"
 	"kadop/internal/postings"
 	"kadop/internal/store"
 )
@@ -125,5 +126,57 @@ func TestBatchStreamLossKeepsPeer(t *testing.T) {
 	}
 	if !known() {
 		t.Fatal("one lost block-batch stream evicted a live peer")
+	}
+}
+
+// TestCallReadAtOwner reads a procedure registered with HandleRead
+// from every peer of a settled overlay, the owner among them: each gets
+// the owner and its reply, and no procedure call leaves any peer — the
+// owner answers beside its FIND_NODE reply, or, asked by itself, reads
+// locally. A lone peer, which knows no contact, settles on itself and
+// reads locally too.
+func TestCallReadAtOwner(t *testing.T) {
+	ctx := context.Background()
+	whoami := func(nd *Node) {
+		addr := nd.Self().Addr
+		nd.HandleRead("whoami", func(context.Context, Contact, string, []byte) ([]byte, error) {
+			return []byte(addr), nil
+		})
+	}
+	net := NewNetwork()
+	nodes := buildNetwork(t, net, 8)
+	for _, nd := range nodes {
+		whoami(nd)
+	}
+	apps := net.Collector.Hist(metrics.OpRPCApp)
+	for _, key := range []string{"l:author", "l:title", "w:xml"} {
+		full, err := nodes[0].LookupContext(ctx, KeyID(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, nd := range nodes {
+			before := apps.Count()
+			at, reply, err := nd.CallRead(ctx, key, "whoami")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if at != full[0] || string(reply) != full[0].Addr {
+				t.Errorf("peer %d read %q at %v, answered %q; the owner is %v", i, key, at, reply, full[0])
+			}
+			if n := apps.Count() - before; n != 0 {
+				t.Errorf("peer %d read %q with %d procedure calls beside its lookup, want 0", i, key, n)
+			}
+		}
+	}
+
+	lone, err := NewNode(NewNetwork().NewEndpoint(), store.NewMem(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lone.Close()
+	whoami(lone)
+	at, reply, err := lone.CallRead(ctx, "l:author", "whoami")
+	if err != nil || at != lone.Self() || string(reply) != lone.Self().Addr {
+		t.Fatalf("lone peer read at %v, answered %q (%v); want itself", at, reply, err)
 	}
 }

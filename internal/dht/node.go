@@ -106,7 +106,7 @@ type Node struct {
 	gauges gaugeCache
 
 	mu    sync.RWMutex
-	procs map[string]ProcHandler
+	procs map[string]procEntry
 
 	loopMu    sync.Mutex
 	stopLoops []func() // the running maintenance loops' stop functions
@@ -127,7 +127,7 @@ func NewNode(tr Transport, st store.Store, cfg Config) (*Node, error) {
 		tr:    tr,
 		load:  metrics.NewLoad(metrics.DefaultHotTerms),
 		reg:   metrics.NewRegistry(),
-		procs: map[string]ProcHandler{},
+		procs: map[string]procEntry{},
 	}
 	// Every store operation — replicated appends, repair pushes, posting
 	// streams, DPP block serves — accrues to this node's per-peer load
@@ -219,11 +219,28 @@ func (n *Node) Flight() *flight.Recorder { return n.flight.Load() }
 // Table exposes the routing table (for diagnostics).
 func (n *Node) Table() *Table { return n.table }
 
+// procEntry is a registered application procedure.
+type procEntry struct {
+	h    ProcHandler
+	read bool // registered with HandleRead: a lookup may carry it
+}
+
 // Handle registers an application procedure.
-func (n *Node) Handle(proc string, h ProcHandler) {
+func (n *Node) Handle(proc string, h ProcHandler) { n.register(proc, procEntry{h: h}) }
+
+// HandleRead registers an application procedure that changes nothing:
+// besides answering calls as Handle's do, it answers a CallRead whose
+// lookup reaches this peer as the key's owner, beside the contacts of
+// the FIND_NODE reply, so the read costs its caller no round trip of
+// its own. It is called with a nil blob there.
+func (n *Node) HandleRead(proc string, h ProcHandler) {
+	n.register(proc, procEntry{h: h, read: true})
+}
+
+func (n *Node) register(proc string, e procEntry) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.procs[proc] = h
+	n.procs[proc] = e
 }
 
 // Close stops the maintenance loops and shuts the node's transport

@@ -15,7 +15,7 @@ import (
 // transports deliver requests to, and the switch that executes them
 // against the local store and the registered application procedures.
 
-func (n *Node) lookupProc(proc string) ProcHandler {
+func (n *Node) lookupProc(proc string) procEntry {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	return n.procs[proc]
@@ -65,7 +65,11 @@ func (n *Node) serve(ctx context.Context, from Contact, req Message) (Message, e
 	case MsgPing:
 		return Message{Type: MsgPong, From: n.self}, nil
 	case MsgFindNode:
-		return Message{Type: MsgNodes, From: n.self, Contacts: n.table.Closest(req.Target, bucketK)}, nil
+		resp := Message{Type: MsgNodes, From: n.self, Contacts: n.table.Closest(req.Target, bucketK)}
+		if blob, ok := n.readAsOwner(ctx, from, req, resp.Contacts); ok {
+			resp.Proc, resp.Blob = req.Proc, blob
+		}
+		return resp, nil
 	case MsgAppend, MsgRepair:
 		return ack, n.store.Append(req.Key, req.Postings)
 	case MsgGet:
@@ -115,14 +119,36 @@ func (n *Node) serve(ctx context.Context, from Contact, req Message) (Message, e
 	case MsgDeleteKey:
 		return ack, n.store.DeleteTerm(req.Key)
 	case MsgApp:
-		h := n.lookupProc(req.Proc)
-		if h == nil {
+		e := n.lookupProc(req.Proc)
+		if e.h == nil {
 			return Message{}, fmt.Errorf("unknown procedure %q", req.Proc)
 		}
-		blob, err := h(ctx, from, req.Key, req.Blob)
+		blob, err := e.h(ctx, from, req.Key, req.Blob)
 		return Message{Type: MsgAppReply, From: n.self, Proc: req.Proc, Blob: blob}, err
 	}
 	return Message{}, fmt.Errorf("unexpected message type %s", req.Type)
+}
+
+// readAsOwner runs the read a FIND_NODE carries in its Key and Proc
+// (CallRead) when the procedure was registered with HandleRead and this
+// peer owns the lookup's target, the key's identifier, by the rule
+// Locate applies: closest, the contacts it answers with, names none
+// closer. It reports false otherwise, and when the read fails: the
+// caller then calls the procedure at the peer its lookup settles on, and
+// gets the error, if any, from there.
+func (n *Node) readAsOwner(ctx context.Context, from Contact, req Message, closest []Contact) ([]byte, bool) {
+	if req.Proc == "" || n.cfg.Client {
+		return nil, false
+	}
+	e := n.lookupProc(req.Proc)
+	if !e.read {
+		return nil, false
+	}
+	if len(closest) > 0 && closest[0].ID.XOR(req.Target).Less(n.self.ID.XOR(req.Target)) {
+		return nil, false
+	}
+	blob, err := e.h(ctx, from, req.Key, nil)
+	return blob, err == nil
 }
 
 // HandleStream implements Handler for the stream types of msgTable, the

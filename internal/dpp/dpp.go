@@ -261,7 +261,7 @@ func NewManager(node *dht.Node, opts Options) (*Manager, error) {
 	}
 	node.Handle(ProcAppend, m.handleAppend)
 	node.Handle(ProcDelete, m.handleDelete)
-	node.Handle(ProcRoot, m.handleRoot)
+	node.HandleRead(ProcRoot, m.handleRoot)
 	node.Handle(replicate.ProcAdvert, m.handleAdvert)
 	return m, nil
 }
@@ -686,22 +686,31 @@ func (m *Manager) scanInline(term string) (*Root, error) {
 	return inline, err
 }
 
-// Root fetches the root block of a term from its home peer.
+// Root fetches the root block of a term from its home peer: a read the
+// home lookup carries, so the root comes back with the lookup's last
+// round (dht.Node.CallRead).
 func (m *Manager) Root(ctx context.Context, term string) (*Root, error) {
-	home, err := m.node.LocateContext(ctx, term)
+	cost.FromContext(ctx).AddRootFetches(1)
+	home, blob, err := m.node.CallRead(ctx, term, ProcRoot)
 	if err != nil {
 		return nil, err
 	}
-	return m.rootAt(ctx, home, term)
+	return rootFrom(home, blob)
 }
 
-// rootAt fetches the root block of a term from the peer home.
+// rootAt fetches the root block of a term from the peer home, which a
+// refetch names.
 func (m *Manager) rootAt(ctx context.Context, home dht.Contact, term string) (*Root, error) {
 	cost.FromContext(ctx).AddRootFetches(1)
 	blob, err := m.node.CallProcOn(ctx, home, term, ProcRoot, nil)
 	if err != nil {
 		return nil, err
 	}
+	return rootFrom(home, blob)
+}
+
+// rootFrom decodes the root block home served.
+func rootFrom(home dht.Contact, blob []byte) (*Root, error) {
 	root, err := decodeRoot(blob)
 	if err != nil {
 		return nil, err

@@ -136,7 +136,7 @@ func TestOverflowSplitsAndFetchReassembles(t *testing.T) {
 		t.Fatalf("blocks hold %d postings, want %d", total, len(want))
 	}
 	// Full fetch reassembles the exact list.
-	s, plan, err := c.managers[7].Fetch("l:author", FetchOptions{parallel: 3})
+	s, plan, err := c.managers[7].Fetch("l:author", FetchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestDocIntervalFilterSkipsBlocks(t *testing.T) {
 	lo := sid.DocKey{Peer: 1, Doc: 40}
 	hi := sid.DocKey{Peer: 1, Doc: 49}
 	s, plan, err := c.managers[2].Fetch("l:author", FetchOptions{
-		Filter: true, FilterLo: lo, FilterHi: hi, parallel: 2,
+		Filter: true, FilterLo: lo, FilterHi: hi,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +295,7 @@ func TestRandomSplitAblation(t *testing.T) {
 	if len(root.Blocks) < 2 {
 		t.Fatalf("blocks = %d", len(root.Blocks))
 	}
-	s, _, err := c.managers[4].Fetch("l:r", FetchOptions{parallel: 3})
+	s, _, err := c.managers[4].Fetch("l:r", FetchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,24 +356,25 @@ func TestFetchUnknownTermIsEmpty(t *testing.T) {
 	}
 }
 
+// TestParallelFetchMatchesSerial fetches a list spread over many
+// holders, every holder stream in flight at once, and gets the stored
+// list back in order.
 func TestParallelFetchMatchesSerial(t *testing.T) {
 	c := newCluster(t, 10, Options{BlockSize: 64})
 	want := seqPostings(2000, 25)
 	if err := c.managers[0].Append(context.Background(), "w:xml", want, ""); err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{1, 2, 8} {
-		s, _, err := c.managers[3].Fetch("w:xml", FetchOptions{parallel: par})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := postings.Drain(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("parallel=%d: %d vs %d", par, len(got), len(want))
-		}
+	s, _, err := c.managers[3].Fetch("w:xml", FetchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := postings.Drain(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fetched %d postings, want the stored %d in order", len(got), len(want))
 	}
 }
 

@@ -26,7 +26,6 @@ type FetchPlan struct {
 	Inline     bool
 	Blocks     int
 	Fetched    int
-	Parallel   int
 	DocClipped bool
 	// CacheHits counts blocks (or the inline list) served from the
 	// query-peer block cache instead of the network.
@@ -48,10 +47,6 @@ type FetchOptions struct {
 	// constraint, and untyped blocks are always transferred.
 	AllowedTypes []string
 
-	// parallel is the maximum number of holder streams in flight (the
-	// paper's degree of parallelism K; default 4). The serial-versus-
-	// parallel tests vary it.
-	parallel int
 	// noConditionFilter disables the block-level condition filtering
 	// while keeping the interval clip, so the clip tests reach blocks
 	// the selection would skip.
@@ -66,8 +61,8 @@ func (m *Manager) Fetch(term string, opts FetchOptions) (postings.Stream, *Fetch
 }
 
 // FetchContext returns a stream over the term's full (possibly clipped)
-// posting list, transferring DPP blocks from their peers with bounded
-// parallelism. For ordered DPPs the blocks concatenate in canonical
+// posting list, transferring DPP blocks from their peers in parallel.
+// For ordered DPPs the blocks concatenate in canonical
 // order; the randomised ablation merges them.
 func (m *Manager) FetchContext(ctx context.Context, term string, opts FetchOptions) (postings.Stream, *FetchPlan, error) {
 	root, err := m.Root(ctx, term)
@@ -84,11 +79,12 @@ func (m *Manager) FetchContext(ctx context.Context, term string, opts FetchOptio
 // There is one transfer path. The blocks the condition-based selection
 // of Section 4 keeps are grouped by the holder picked for each (the
 // recorded owner or an advertised replica), and every holder ships its
-// blocks over one batched stream, keys in Lo order, at most parallel
-// streams in flight. A block reaches its result slot when its last
+// blocks over one batched stream, keys in Lo order, every stream opened
+// at once: the streams in flight are bounded by the holders the root
+// names, at most the overlay's peers. A block reaches its result slot when its last
 // chunk arrives, not when the holder's batch drains, so the consumer
 // starts on the first block. Holders start in descending order of
-// block count. A list still inline at its home peer is the one-block
+// block count, the longest stream first. A list still inline at its home peer is the one-block
 // case: the term is the key, the peer that served the root the holder.
 // A key its stream did not deliver falls over to the block's other
 // holders, then to the routed pipelined get, and last to a refetch of
@@ -100,10 +96,7 @@ func (m *Manager) FetchContext(ctx context.Context, term string, opts FetchOptio
 // to this side — so the cached copy serves any later interval, and
 // concurrent fetches of one block coalesce into a single transfer.
 func (m *Manager) FetchWithRoot(ctx context.Context, root *Root, opts FetchOptions) (postings.Stream, *FetchPlan, error) {
-	if opts.parallel <= 0 {
-		opts.parallel = 4
-	}
-	plan := &FetchPlan{Term: root.Term, Blocks: len(root.Blocks), Parallel: opts.parallel, DocClipped: opts.Filter}
+	plan := &FetchPlan{Term: root.Term, Blocks: len(root.Blocks), DocClipped: opts.Filter}
 	cc := cost.FromContext(ctx)
 	var keep []BlockRef
 	// The fan-out span covers the fetch decision; the fetch itself
@@ -116,7 +109,6 @@ func (m *Manager) FetchWithRoot(ctx context.Context, root *Root, opts FetchOptio
 			c.SetAttr("term", root.Term)
 			c.SetInt("blocks", int64(plan.Blocks))
 			c.SetInt("fetched", int64(len(keep)))
-			c.SetInt("parallel", int64(plan.Parallel))
 			c.SetInt("cache-hits", int64(plan.CacheHits))
 			if plan.Inline {
 				c.SetAttr("inline", "true")
@@ -206,19 +198,11 @@ func (m *Manager) FetchWithRoot(ctx context.Context, root *Root, opts FetchOptio
 		m.cache.Complete(lb.key, lb.flight, l, err)
 		results[lb.i] <- fetched{list: clip(l), err: err}
 	}
-	// The largest holder stream is the longest: start it first, so it is
-	// never the one left waiting for a free slot behind shorter ones.
+	// The largest holder stream is the longest: it opens first.
 	sort.SliceStable(holders, func(i, j int) bool { return len(groups[holders[i]]) > len(groups[holders[j]]) })
-	go func() {
-		sem := make(chan struct{}, opts.parallel)
-		for _, addr := range holders {
-			sem <- struct{}{}
-			go func() {
-				defer func() { <-sem }()
-				m.fetchHolder(fctx, root, addr, groups[addr], req, finish)
-			}()
-		}
-	}()
+	for _, addr := range holders {
+		go m.fetchHolder(fctx, root, addr, groups[addr], req, finish)
+	}
 
 	if ordered {
 		out := postings.NewPipe(m.blockSize)

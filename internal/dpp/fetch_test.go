@@ -362,10 +362,10 @@ func widePostings(n int) postings.List {
 
 // TestFetchCancelsFanOutOnError pins that a failed block ends the whole
 // fetch: once the error has surfaced at the consumer, the holder
-// streams still running are abandoned and the ones not yet started never
-// start. The holder of the most blocks rejects every read; it starts
-// first (largest holder first), and the root is cut to begin at its
-// first block, so that block fails first, after one failover. The other
+// streams, all opened at once, are abandoned. The holder of the most
+// blocks rejects every read; it starts first (largest holder first),
+// and the root is cut to begin at its first block, so that block fails
+// first, after one failover. The other
 // holders' streams are held before their first frame until the error
 // has reached the consumer; then each may send the frame its consumer
 // is handed and one more before the consumer closes the stream. The
@@ -408,7 +408,7 @@ func TestFetchCancelsFanOutOnError(t *testing.T) {
 		}
 	}
 	fetch := func() error {
-		s, _, err := consumer.FetchWithRoot(context.Background(), &root, FetchOptions{parallel: 3})
+		s, _, err := consumer.FetchWithRoot(context.Background(), &root, FetchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

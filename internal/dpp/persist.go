@@ -22,7 +22,7 @@ import (
 
 // rootLogMagic opens every root log: a file without it (an earlier
 // build's dpp.json or dpp.log, say) is refused, not read as an empty log.
-const rootLogMagic = "kadop dpp root log v2\n"
+const rootLogMagic = "kadop dpp root log v3\n"
 
 const counterKey = "next"
 

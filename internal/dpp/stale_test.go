@@ -7,10 +7,12 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"kadop/internal/dht"
 	"kadop/internal/postings"
 	"kadop/internal/sid"
+	"kadop/internal/store"
 )
 
 // homeOf is the index of the peer that is home for term.
@@ -309,5 +311,71 @@ func TestAppendSurvivesLostHolder(t *testing.T) {
 	}
 	if want := postings.MergeUnique(base, extra); !reflect.DeepEqual(got, want) {
 		t.Fatalf("fetch after the holder was lost: %d postings, want %d", len(got), len(want))
+	}
+}
+
+// TestRootReadSettlesPastStaleHome reads a root through a client whose
+// lookup asks three peers at once. None of them knows another, so each
+// believes it is the term's home and answers the root read beside its
+// FIND_NODE reply; only the closest holds the term. The root must be
+// that peer's, the reply of the contact the lookup settles on, whether
+// the client takes the answers in arrival order or not: slow links put
+// the home's answer after one stale peer's and before the other's.
+func TestRootReadSettlesPastStaleHome(t *testing.T) {
+	const term = "l:stale"
+	ctx := context.Background()
+	net := dht.NewNetwork()
+	var nodes []*dht.Node
+	var managers []*Manager
+	for range 6 { // not bootstrapped: every table is empty
+		nd, err := dht.NewNode(net.NewEndpoint(), store.NewMem(), dht.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { nd.Close() })
+		m, err := NewManager(nd, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes, managers = append(nodes, nd), append(managers, m)
+	}
+	target := dht.KeyID(term)
+	order := make([]int, len(nodes))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if nodes[a].Self().ID.XOR(target).Less(nodes[b].Self().ID.XOR(target)) {
+			return -1
+		}
+		return 1
+	})
+	home, near, far := nodes[order[0]], nodes[order[1]], nodes[order[2]]
+	want := seqPostings(40, 4)
+	if err := managers[order[0]].Append(ctx, term, want, ""); err != nil {
+		t.Fatal(err)
+	}
+	net.SetSlow(home.Self().Addr, 5*time.Millisecond)
+	net.SetSlow(far.Self().Addr, 20*time.Millisecond)
+
+	client, err := dht.NewNode(net.NewEndpoint(), store.NewMem(), dht.Config{Client: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Close() })
+	for _, nd := range []*dht.Node{far, near, home} {
+		client.Table().Update(nd.Self())
+	}
+	reader, err := NewManager(client, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := reader.Root(ctx, term)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if root.Home != home.Self().Addr || root.Postings() != len(want) {
+		t.Fatalf("root at %s holds %d postings, want the home %s's %d, not a stale peer's (%s, %s)",
+			root.Home, root.Postings(), home.Self().Addr, len(want), near.Self().Addr, far.Self().Addr)
 	}
 }

@@ -165,8 +165,9 @@ func censusClient(t *testing.T, c *cluster, cen *census, id int, cacheBytes int6
 
 // TestReadPathMessageCensus counts the messages of a three-term DPP
 // query, no wall clock involved: with lists overflowed into dozens of
-// blocks over eight peers, the index phase is one lookup and one root
-// RPC per distinct term, no count RPC, and at most one stream per
+// blocks over eight peers, the index phase is one lookup per distinct
+// term, whose FIND_NODE replies bring the root back (no root RPC), no
+// count RPC, and at most one stream per
 // (term, block holder) — under the automatic and the fixed plan, with
 // and without a block cache, whether or not the document interval
 // clips the lists — and the answers are the oracle's.
@@ -250,8 +251,8 @@ func TestReadPathMessageCensus(t *testing.T) {
 					if n := cen.procs[procCount]; n != 0 {
 						t.Errorf("%d %s calls under the DPP, want none: the roots carry the counts", n, procCount)
 					}
-					if n := cen.procs[dpp.ProcRoot]; n != len(terms) {
-						t.Errorf("%d root RPCs, want one per distinct term (%d)", n, len(terms))
+					if n := cen.procs[dpp.ProcRoot]; n != 0 {
+						t.Errorf("%d root RPCs, want none: each term's lookup brings its root", n)
 					}
 					if cen.streams == 0 || cen.streams > holders {
 						t.Errorf("%d streams opened, want between 1 and the %d (term, holder) pairs", cen.streams, holders)
@@ -273,12 +274,14 @@ func TestReadPathMessageCensus(t *testing.T) {
 	}
 }
 
-// TestIndexPhaseRoundTrips counts the two stages of the index phase
-// that used to cost a round trip each time they were entered: on a
-// settled eight-peer cluster a Locate or Owners lookup is one α-round of
+// TestIndexPhaseRoundTrips counts the stages of the index phase that
+// used to cost a round trip each time they were entered: on a settled
+// eight-peer cluster a Locate or Owners lookup is one α-round of
 // FIND_NODE RPCs (the closest peer answers without naming a closer one),
-// and a holder stream of B blocks under the frame budget is one data
-// frame (then its end marker), not one chunk per block.
+// a term's root comes back in its lookup's FIND_NODE replies, read by a
+// client or by the home itself, and a holder stream of B blocks under
+// the frame budget is one data frame (then its end marker), not one
+// chunk per block.
 func TestIndexPhaseRoundTrips(t *testing.T) {
 	const alpha = 3 // dht.Config's default lookup parallelism
 	ctx := context.Background()
@@ -321,6 +324,48 @@ func TestIndexPhaseRoundTrips(t *testing.T) {
 			}
 			if len(owners) != repl || owner != full[0] || !reflect.DeepEqual(owners, full[:repl]) {
 				t.Errorf("replication %d: %q located at %v, owners %v; the full lookup says %v", repl, key, owner, owners, full[:repl])
+			}
+		}
+	}
+
+	dc := censusCluster(t, cen)
+	reader := censusClient(t, dc, cen, 100, 0)
+	for i := 0; i < 12; i++ {
+		term := fmt.Sprintf("l:r%d", i)
+		want := make(postings.List, 40) // overflows the census cluster's 16-posting blocks
+		for j := range want {
+			want[j] = sid.Posting{Peer: 1, Doc: sid.DocID(j), SID: sid.SID{Start: 1, End: 2, Level: 1}}
+		}
+		if err := dc.peers[i%len(dc.peers)].dpp.Append(ctx, term, want, ""); err != nil {
+			t.Fatal(err)
+		}
+		home, err := reader.Node().LocateContext(ctx, term)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var homePeer *Peer
+		for _, p := range dc.peers {
+			if p.Node().Self() == home {
+				homePeer = p
+			}
+		}
+		for _, who := range []*Peer{reader, homePeer} {
+			cen.reset()
+			root, err := who.dpp.Root(ctx, term)
+			if err != nil {
+				t.Fatal(err)
+			}
+			finds, calls := cen.calls[dht.MsgFindNode], 0
+			for _, n := range cen.calls {
+				calls += n
+			}
+			if finds > alpha || calls != finds || cen.streams != 0 {
+				t.Errorf("Root(%q) from %s sent %d FIND_NODEs, %d RPCs and %d streams, want at most α = %d FIND_NODEs and nothing else",
+					term, who.Node().Self().Addr, finds, calls, cen.streams, alpha)
+			}
+			if root.Home != home.Addr || root.Postings() != len(want) || len(root.Blocks) == 0 {
+				t.Errorf("Root(%q) from %s: home %s, %d postings in %d blocks; want home %s, %d postings overflowed",
+					term, who.Node().Self().Addr, root.Home, root.Postings(), len(root.Blocks), home.Addr, len(want))
 			}
 		}
 	}

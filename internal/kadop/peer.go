@@ -230,10 +230,10 @@ func NewPeer(node *dht.Node, id sid.PeerID, cfg Config) (*Peer, error) {
 		p.dpp = mgr
 	}
 	node.Handle(procDirPut, p.handleDirPut)
-	node.Handle(procDirGet, p.handleDirGet)
+	node.HandleRead(procDirGet, p.handleDirGet)
 	node.Handle(procAnswer, p.handleAnswer)
 	node.Handle(procGone, p.handleGone)
-	node.Handle(procCount, p.handleCount)
+	node.HandleRead(procCount, p.handleCount)
 	node.Handle(procPush, p.handlePush)
 	node.Handle(procABReduce, p.reduceStep(procABReduce, true, false))
 	node.Handle(procDBReduce, p.reduceStep(procDBReduce, false, false))
@@ -278,7 +278,7 @@ func (p *Peer) startRepublish(interval time.Duration) (stop func()) {
 //	nextdoc   the document-id counter (uvarint), written by Unpublish so
 //	          that a restart hands out no unpublished document's id again
 const (
-	stateLogMagic = "kadop peer state log v1\n"
+	stateLogMagic = "kadop peer state log v2\n"
 	nextDocKey    = "nextdoc"
 )
 
@@ -501,7 +501,7 @@ func (p *Peer) dirPut(ctx context.Context, key string, blob []byte) error {
 
 // dirGet retrieves a directory entry from any reachable replica owner.
 func (p *Peer) dirGet(ctx context.Context, key string) ([]byte, error) {
-	return p.node.CallProcAny(ctx, key, procDirGet, nil)
+	return p.node.CallReadAny(ctx, key, procDirGet)
 }
 
 // handleDirPut logs an entry before it enters the map and is

@@ -523,11 +523,12 @@ func projectSpec(s *reduceSpec, keep map[int]bool) *reduceSpec {
 	return out
 }
 
-// termCount asks the home peer of a term for its posting count. Only a
-// deployment without the DPP sizes its plans this way; under the DPP
-// the root blocks a plan fetches anyway carry the counts.
+// termCount asks the home peer of a term for its posting count, a read
+// its lookup carries. Only a deployment without the DPP sizes its plans
+// this way; under the DPP the root blocks a plan fetches anyway carry
+// the counts.
 func (p *Peer) termCount(ctx context.Context, term string) (int, error) {
-	blob, err := p.node.CallProc(ctx, term, procCount, nil)
+	_, blob, err := p.node.CallRead(ctx, term, procCount)
 	if err != nil {
 		return 0, err
 	}

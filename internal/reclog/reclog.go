@@ -7,12 +7,16 @@
 // The file starts with a magic string naming its user; each record
 // after it is
 //
-//	length uint32 | crc32c(payload) uint32 | payload
+//	length uint32 | crc32c(length) uint32 | crc32c(payload) uint32 | payload
 //
 // little-endian, the payload a kind byte (0 put, 1 delete), the key
 // (uvarint length, bytes) and the value. A record cut short, or failing
-// its checksum, at the end of the file is a torn append and is dropped;
-// one with bytes after it is corruption and fails the open. Compaction
+// its payload checksum, at the end of the file is a torn append and is
+// dropped; one with bytes after it is corruption and fails the open. A
+// length failing its own checksum is corruption wherever it lies: an
+// append torn within the header leaves it short, not garbled, and a
+// garbled length could otherwise point past the end of the file and
+// pass for a torn tail, dropping every record after it. Compaction
 // copies each key's last put into a temporary file, synced and renamed
 // over the log. It runs when the log opens holding anything else, and
 // whenever the log outgrows compactFactor times its live size.
@@ -36,7 +40,7 @@ import (
 // of them again for the copy.
 const compactFactor = 4
 
-const header = 8 // length, checksum
+const header = 12 // length, its checksum, the payload's checksum
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -120,15 +124,18 @@ func (l *Log) replay(data []byte, apply func(key string, value []byte) error) er
 	l.size = int64(len(data))
 	for off := len(l.magic); off < len(data); {
 		rest := data[off:]
-		n := header
-		if len(rest) >= header {
-			n += int(binary.LittleEndian.Uint32(rest))
+		if len(rest) < header {
+			break // torn append: cut short within the header
 		}
+		if crc32.Checksum(rest[:4], castagnoli) != binary.LittleEndian.Uint32(rest[4:]) {
+			return fmt.Errorf("record at byte %d: its length fails its checksum", off)
+		}
+		n := header + int(binary.LittleEndian.Uint32(rest))
 		if n > len(rest) {
 			break // torn append: cut short
 		}
 		payload := rest[header:n]
-		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(rest[4:]) {
+		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(rest[8:]) {
 			if n == len(rest) {
 				break // torn append: the last record, garbled
 			}
@@ -161,10 +168,15 @@ func appendRecord(buf []byte, rec Record) []byte {
 	buf = append(append(buf, make([]byte, header)...), kind)
 	buf = binary.AppendUvarint(buf, uint64(len(rec.Key)))
 	buf = append(append(buf, rec.Key...), rec.Value...)
-	payload := buf[start+header:]
-	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, castagnoli))
+	frame(buf[start:])
 	return buf
+}
+
+// frame fills in the header of the record rec, whose payload follows it.
+func frame(rec []byte) {
+	binary.LittleEndian.PutUint32(rec, uint32(len(rec)-header))
+	binary.LittleEndian.PutUint32(rec[4:], crc32.Checksum(rec[:4], castagnoli))
+	binary.LittleEndian.PutUint32(rec[8:], crc32.Checksum(rec[header:], castagnoli))
 }
 
 // decode reads a record's payload.

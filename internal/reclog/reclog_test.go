@@ -5,18 +5,18 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 )
 
-const testMagic = "reclog test v1\n"
+const testMagic = "reclog test v2\n"
 
 // load opens the log at path through open and returns it with the
 // state it replayed.
@@ -163,12 +163,11 @@ func TestLogCorruptionFailsLoudly(t *testing.T) {
 		good = appendRecord(good, put(fmt.Sprintf("k%d", i), "value"))
 	}
 	second := len(testMagic) + (len(good)-len(testMagic))/5 + header + 3
-	// A record of kind 7 under a valid checksum, then a good one.
-	badKind := []byte(testMagic)
-	payload := []byte{7, 1, 'k'}
-	badKind = binary.LittleEndian.AppendUint32(badKind, uint32(len(payload)))
-	badKind = binary.LittleEndian.AppendUint32(badKind, crc32.Checksum(payload, castagnoli))
-	badKind = appendRecord(append(badKind, payload...), put("k2", "v"))
+	// A record of kind 7 under valid checksums, then a good one.
+	badKind := append([]byte(testMagic), make([]byte, header)...)
+	badKind = append(badKind, 7, 1, 'k')
+	frame(badKind[len(testMagic):])
+	badKind = appendRecord(badKind, put("k2", "v"))
 	for _, tc := range []struct {
 		name  string
 		data  []byte
@@ -196,6 +195,40 @@ func TestLogCorruptionFailsLoudly(t *testing.T) {
 				t.Fatalf("failed open changed the file (%v)", err)
 			}
 		})
+	}
+}
+
+// TestLogCorruptLengthFailsLoudly flips one bit of the second of five
+// records' length, so that it points past the end of the file: the
+// header's own checksum tells that from an append torn short, and the
+// open fails naming the file and leaves it as it was, instead of
+// dropping the four records after it as a torn tail.
+func TestLogCorruptLengthFailsLoudly(t *testing.T) {
+	data := []byte(testMagic)
+	var offs []int
+	for i := range 5 {
+		offs = append(offs, len(data))
+		data = appendRecord(data, put(fmt.Sprintf("k%d", i), "value"))
+	}
+	bad := bytes.Clone(data)
+	bad[offs[1]+2] ^= 1 // the length's third byte: 64 KiB more
+	if n := int(binary.LittleEndian.Uint32(bad[offs[1]:])); offs[1]+header+n <= len(bad) {
+		t.Fatalf("the flipped length %d still ends within the file", n)
+	}
+	path := filepath.Join(t.TempDir(), "a.log")
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, state, err := load(path, OSOpen)
+	if err == nil {
+		l.Close()
+		t.Fatalf("open succeeded, replaying %v", state)
+	}
+	if !strings.Contains(err.Error(), path) {
+		t.Errorf("open error %q does not name the file", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, bad) {
+		t.Fatalf("failed open changed the file (%v)", err)
 	}
 }
 
